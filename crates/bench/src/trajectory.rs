@@ -25,10 +25,9 @@
 //! gate needs.
 
 use cmm_cfg::build_program;
+use cmm_chaos::EngineId;
 use cmm_frontend::workloads::{deep_raise, NO_RAISE, RAISE_FREQUENCY};
-use cmm_frontend::{
-    compile_minim3, run_vm, run_vm_decoded, run_vm_fused, run_vm_traced, Strategy, VmEngine,
-};
+use cmm_frontend::{compile_minim3, run_vm, run_vm_on, run_vm_traced, Strategy};
 use cmm_ir::Module;
 use cmm_obs::{CountingSink, EventCounts, TraceSink};
 use cmm_opt::{optimize_program, OptOptions};
@@ -249,15 +248,17 @@ fn measure_m3(
     args: &[u32],
     iters: u64,
 ) -> Measurement {
+    let opts = OptOptions::default();
+    let run_on = |engine| run_vm_on(module, strategy, args, &opts, engine).expect("workload runs");
     let (result, cost) = run_vm(module, strategy, args).expect("workload runs");
-    let (dresult, dcost) = run_vm_decoded(module, strategy, args).expect("workload runs");
+    let (dresult, dcost) = run_on(EngineId::VmDecoded);
     assert_eq!(result, dresult, "{name}: engines disagree on the result");
     assert_eq!(
         cost.total(),
         dcost.total(),
         "{name}: engines disagree on simulated work"
     );
-    let (fresult, fcost) = run_vm_fused(module, strategy, args).expect("workload runs");
+    let (fresult, fcost) = run_on(EngineId::VmFused);
     assert_eq!(result, fresult, "{name}: vm-fused disagrees on the result");
     assert_eq!(
         cost.total(),
@@ -266,12 +267,11 @@ fn measure_m3(
     );
 
     // Dispatch counts via separately traced runs, every engine.
-    let opts = OptOptions::default();
     let (r, events) =
-        run_vm_traced(module, strategy, args, &opts, VmEngine::Stepped).expect("workload runs");
+        run_vm_traced(module, strategy, args, &opts, EngineId::Vm).expect("workload runs");
     r.expect("workload runs");
     let dispatch = EventCounts::of(&events);
-    for engine in [VmEngine::Decoded, VmEngine::Fused] {
+    for engine in [EngineId::VmDecoded, EngineId::VmFused] {
         let (r, devents) =
             run_vm_traced(module, strategy, args, &opts, engine).expect("workload runs");
         r.expect("workload runs");
@@ -289,12 +289,12 @@ fn measure_m3(
     let old_ns_per_iter = (t0.elapsed().as_nanos() / u128::from(iters.max(1))) as u64;
     let t0 = Instant::now();
     for _ in 0..iters {
-        let _ = run_vm_decoded(module, strategy, args).expect("workload runs");
+        let _ = run_on(EngineId::VmDecoded);
     }
     let decoded_ns_per_iter = (t0.elapsed().as_nanos() / u128::from(iters.max(1))) as u64;
     let t0 = Instant::now();
     for _ in 0..iters {
-        let _ = run_vm_fused(module, strategy, args).expect("workload runs");
+        let _ = run_on(EngineId::VmFused);
     }
     let fused_ns_per_iter = (t0.elapsed().as_nanos() / u128::from(iters.max(1))) as u64;
     Measurement {
@@ -589,14 +589,8 @@ pub struct PoolThroughput {
 pub const POOL_REPLICAS: u32 = 8;
 
 fn pool_specs() -> Vec<cmm_pool::JobSpec> {
-    use cmm_pool::{EngineKind, JobSpec, SourceLang};
-    let engines = [
-        EngineKind::Sem,
-        EngineKind::SemResolved,
-        EngineKind::Vm,
-        EngineKind::VmDecoded,
-        EngineKind::VmFused,
-    ];
+    use cmm_pool::{JobSpec, SourceLang};
+    let engines = EngineId::ALL;
     let mut specs = Vec::new();
     for rep in 0..POOL_REPLICAS {
         for (name, src) in [
@@ -623,7 +617,7 @@ fn pool_specs() -> Vec<cmm_pool::JobSpec> {
         }
         let deep = deep_raise(true);
         for strategy in [Strategy::RuntimeUnwind, Strategy::Cutting] {
-            for engine in [EngineKind::Sem, EngineKind::Vm] {
+            for engine in [EngineId::Sem, EngineId::Vm] {
                 specs.push(JobSpec {
                     name: "fig2_deep_raise".to_string(),
                     lang: SourceLang::MiniM3(strategy),

@@ -13,9 +13,9 @@
 //!
 //! * the *same* `FaultPlan` (same seed, same horizon) installed on the
 //!   `cmm-rt` dispatcher and on the `cmm-vm` dispatcher trips the same
-//!   operations at the same invocation counts, so all four engines (sem,
-//!   sem-resolved, vm, vm-decoded) observe an identical fault schedule
-//!   and — if the engines are correct — fail identically;
+//!   operations at the same invocation counts, so all five engines
+//!   observe an identical fault schedule and — if the engines are
+//!   correct — fail identically;
 //! * the governor expresses limits in engine-family terms (frames and
 //!   environment bytes for the abstract machines, a stack floor and
 //!   mapped pages for the simulated target) so within a family both
@@ -23,8 +23,18 @@
 //!
 //! Every decision is a pure function of the seed: a chaos run is
 //! bit-reproducible from `(case seed, fault seed)`.
+//!
+//! The crate also holds the engine-neutral Table 1 vocabulary the fault
+//! plan is written against: the engine table ([`EngineId`], [`Family`])
+//! and the [`Table1`] trait every engine implements (see [`engine`]).
 
 use std::fmt;
+
+pub mod engine;
+
+pub use engine::{
+    dispatcher_fill, drive, service_yield, Budget, End, EngineId, Family, Stop, Table1,
+};
 
 /// The Table 1 operations a [`FaultPlan`] can fail, plus `Run`
 /// (fuel-slice interruption points are not faultable but share the

@@ -84,8 +84,10 @@
 //! same fixed dispatcher policy the differential fuzzer uses, so a
 //! trace of a fuzz case reproduces the oracle's run exactly.
 
-use cmm_core::sem::{SemEngine, Status, Value};
-use cmm_core::{chaos, frontend, ir, obs, opt, pool, rt, sem, serve, snap, vm, Compiler};
+use chaos::{Budget, End, EngineId, Family, Table1};
+use cmm_core::sem::Value;
+use cmm_core::{chaos, frontend, ir, obs, opt, pool, serve, snap, vm, Compiler};
+use frontend::{with_engine, Code, Setup};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -142,27 +144,82 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     ),
                 }
             }
-            if let Some(n) = every {
-                return run_checkpointed(&file, &proc, &call_args, results, opts, n);
-            }
-            let c = compiler(&file)?.options(opts);
+            let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+            let c = Compiler::new()
+                .source(&src)
+                .map_err(|e| e.to_string())?
+                .options(opts);
             let sem_args = call_args.iter().map(|&a| Value::b32(a as u32)).collect();
-            let sem = c.interpret(&proc, sem_args).map_err(|e| e.to_string())?;
-            let (vm_vals, cost) = c
-                .execute(&proc, &call_args, results)
+            let prog = c.program().map_err(|e| e.to_string())?;
+            let Some(every) = every else {
+                let sem = c
+                    .interpret_on(&prog, &proc, sem_args)
+                    .map_err(|e| e.to_string())?;
+                let vp = c.vm_program().map_err(|e| e.to_string())?;
+                let (vm_vals, cost) = c
+                    .execute_on(&vp, &proc, &call_args, results)
+                    .map_err(|e| e.to_string())?;
+                print_run(
+                    &sem,
+                    &vm_vals,
+                    [cost.instructions, cost.loads, cost.stores, cost.branches],
+                );
+                return Ok(());
+            };
+            // The same two runs, each round-tripping its machine through
+            // a snapshot at every interval boundary. The lines printed
+            // come from these runs, so their results and the target's
+            // whole cost vector must survive every round-trip; only the
+            // semantics' typed values, which `Table1` reports as bare
+            // words, come from a plain run that must agree.
+            let checkpointed = |engine: EngineId, code: Code| {
+                let cx = SnapCtx {
+                    every: Some(every),
+                    service: false,
+                    ..SnapCtx::new(engine, &src, &proc, &call_args, opts)
+                };
+                with_engine(engine, &code, obs::NopSink, Setup::default(), |t| {
+                    t.start(&proc, &call_args, results)
+                        .map_err(|w| format!("runtime error: {w}"))?;
+                    let (end, count, bytes) = snap_drive(t, &cx)?;
+                    Ok::<_, String>((end, t.deep_state().1, count, bytes))
+                })?
+            };
+            let stopped = |engine: EngineId, end: End| match end {
+                End::SuspensionBound => "program yielded to a missing run-time system".into(),
+                end => end_text(engine, &end),
+            };
+            let (end, _, sem_count, sem_bytes) = checkpointed(EngineId::Sem, Code::sem(&prog))?;
+            let End::Halted(sem_words) = end else {
+                return Err(stopped(EngineId::Sem, end));
+            };
+            let sem = c
+                .interpret_on(&prog, &proc, sem_args)
                 .map_err(|e| e.to_string())?;
-            println!("semantics: {sem:?}");
-            println!("target:    {vm_vals:?}");
+            let want: Vec<u64> = sem.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
+            if sem_words != want {
+                return Err(format!(
+                    "sem: the checkpointed run diverged from the plain run: halt {sem_words:?}"
+                ));
+            }
+            let vp = c.vm_program().map_err(|e| e.to_string())?;
+            let (end, cost, vm_count, vm_bytes) = checkpointed(EngineId::Vm, Code::vm(&vp))?;
+            let End::Halted(vm_vals) = end else {
+                return Err(stopped(EngineId::Vm, end));
+            };
+            // The target's deep state leads with instructions, loads,
+            // stores and branches.
+            print_run(&sem, &vm_vals, [cost[0], cost[1], cost[2], cost[3]]);
             println!(
-                "cost:      {} instructions, {} loads, {} stores, {} branches",
-                cost.instructions, cost.loads, cost.stores, cost.branches
+                "snapshots: semantics {sem_count} checkpoint(s) ({sem_bytes} bytes), \
+                 target {vm_count} checkpoint(s) ({vm_bytes} bytes)"
             );
             Ok(())
         }
         "snap" => {
             let file = args.next().ok_or_else(usage)?;
             let proc = args.next().ok_or_else(usage)?;
-            let mut engine = snap::EngineId::Vm;
+            let mut engine = EngineId::Vm;
             let mut fuel = TRACE_FUEL;
             let mut at: Option<u64> = None;
             let mut out = "cmm.snap".to_string();
@@ -172,8 +229,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             while let Some(a) = args.next() {
                 match a.as_str() {
                     "--engine" => {
-                        engine =
-                            snap::EngineId::parse(&args.next().ok_or("--engine needs a name")?)?;
+                        engine = EngineId::parse(&args.next().ok_or("--engine needs a name")?)?;
                     }
                     "--fuel" => {
                         fuel = args
@@ -205,32 +261,24 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 }
             }
             let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let opt = opts != opt::OptOptions::none();
             let cx = SnapCtx {
-                engine,
-                digest: snap::source_digest(&src, opt),
-                entry: &proc,
-                args: &call_args,
-                opt,
                 fuel,
                 first_budget: fuel,
                 at,
-                every: None,
-                yields: 0,
-                service: true,
                 out: &out,
+                ..SnapCtx::new(engine, &src, &proc, &call_args, opts)
             };
             snap_session(&src, None, &cx, opts, results)
         }
         "resume" => {
             let snapfile = args.next().ok_or_else(usage)?;
             let file = args.next().ok_or_else(usage)?;
-            let mut engine_override: Option<snap::EngineId> = None;
+            let mut engine_override: Option<EngineId> = None;
             let mut fuel = TRACE_FUEL;
             while let Some(a) = args.next() {
                 match a.as_str() {
                     "--engine" => {
-                        engine_override = Some(snap::EngineId::parse(
+                        engine_override = Some(EngineId::parse(
                             &args.next().ok_or("--engine needs a name")?,
                         )?);
                     }
@@ -312,7 +360,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         "m3" => {
             let file = args.next().ok_or_else(usage)?;
             let strat = args.next().ok_or_else(usage)?;
-            let strategy = parse_strategy(&strat)?;
+            let strategy = frontend::Strategy::parse(&strat)?;
             let call_args: Vec<u32> = args
                 .map(|v| v.parse().map_err(|_| format!("bad argument `{v}`")))
                 .collect::<Result<_, _>>()?;
@@ -334,7 +382,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let file = args.next().ok_or_else(usage)?;
             let entry_arg = args.next().ok_or_else(usage)?;
             let mut use_sem = false;
-            let mut engine = frontend::VmEngine::Stepped;
+            let mut tier = EngineId::Vm;
             let mut opts = opt::OptOptions::default();
             let mut out: Option<String> = None;
             let mut results = 1usize;
@@ -342,8 +390,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
             while let Some(a) = args.next() {
                 match a.as_str() {
                     "--sem" => use_sem = true,
-                    "--decoded" => engine = frontend::VmEngine::Decoded,
-                    "--fused" => engine = frontend::VmEngine::Fused,
+                    "--decoded" => tier = EngineId::VmDecoded,
+                    "--fused" => tier = EngineId::VmFused,
                     "-O0" => opts = opt::OptOptions::none(),
                     "--out" => out = Some(args.next().ok_or("--out needs a path")?),
                     "--results" => {
@@ -359,12 +407,11 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     ),
                 }
             }
+            let engine = if use_sem { EngineId::Sem } else { tier };
             let run = if file.ends_with(".m3") {
-                trace_m3(&file, &entry_arg, &call_args, &opts, use_sem, engine)?
+                trace_m3(&file, &entry_arg, &call_args, &opts, engine)?
             } else {
-                trace_cmm(
-                    &file, &entry_arg, &call_args, results, opts, use_sem, engine,
-                )?
+                trace_cmm(&file, &entry_arg, &call_args, results, opts, engine)?
             };
             if cmd == "profile" {
                 let p = obs::Profile::build(&run.entry, &run.events);
@@ -824,26 +871,26 @@ struct TraceRun {
 }
 
 const TRACE_FUEL: u64 = 500_000_000;
-const TRACE_MAX_YIELDS: usize = 1024;
+const TRACE_MAX_YIELDS: u64 = 1024;
 
-/// The deterministic parameter fill the fixed dispatcher policy uses —
-/// the same function as `cmm-difftest`'s oracles, so a traced replay of
-/// a fuzz case follows the oracle's exact path.
-fn fill(code: u64) -> u32 {
-    (code.wrapping_mul(13).wrapping_add(7) & 0xfff) as u32
+/// The clock a recorded trace is timed by.
+fn clock(engine: EngineId) -> &'static str {
+    match engine.family() {
+        Family::Sem => "steps",
+        Family::Vm => "cost units",
+    }
 }
 
 /// Traces a MiniM3 program end to end through the driver (dispatcher
-/// included), on the chosen substrate.
+/// included), on the chosen engine.
 fn trace_m3(
     file: &str,
     strat: &str,
     args: &[u64],
     opts: &opt::OptOptions,
-    use_sem: bool,
-    engine: frontend::VmEngine,
+    engine: EngineId,
 ) -> Result<TraceRun, String> {
-    let strategy = parse_strategy(strat)?;
+    let strategy = frontend::Strategy::parse(strat)?;
     let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let module = frontend::compile_minim3(&src, strategy).map_err(|e| e.to_string())?;
     // MiniM3 arguments are 32-bit; reject rather than silently truncate.
@@ -851,180 +898,100 @@ fn trace_m3(
         .iter()
         .map(|&a| u32::try_from(a).map_err(|_| format!("argument {a} out of range for MiniM3")))
         .collect::<Result<_, _>>()?;
-    let entry = ir::Name::from(frontend::lower::ENTRY);
-    if use_sem {
-        let (r, events) =
-            frontend::run_sem_traced(&module, strategy, &args32).map_err(|e| e.to_string())?;
-        let outcome = match r {
-            Ok(v) => format!("result {v}"),
-            Err(e) => e.to_string(),
-        };
-        Ok(TraceRun {
-            entry,
-            clock: "steps",
-            outcome,
-            events,
-        })
-    } else {
-        let (r, events) = frontend::run_vm_traced(&module, strategy, &args32, opts, engine)
-            .map_err(|e| e.to_string())?;
-        let outcome = match r {
-            Ok((v, _)) => format!("result {v}"),
-            Err(e) => e.to_string(),
-        };
-        Ok(TraceRun {
-            entry,
-            clock: "cost units",
-            outcome,
-            events,
-        })
-    }
+    let (r, events) = match engine.family() {
+        Family::Sem => {
+            let (r, events) =
+                frontend::run_sem_traced(&module, strategy, &args32).map_err(|e| e.to_string())?;
+            (r, events)
+        }
+        Family::Vm => {
+            let (r, events) = frontend::run_vm_traced(&module, strategy, &args32, opts, engine)
+                .map_err(|e| e.to_string())?;
+            (r.map(|(v, _)| v), events)
+        }
+    };
+    let outcome = match r {
+        Ok(v) => format!("result {v}"),
+        Err(e) => e.to_string(),
+    };
+    Ok(TraceRun {
+        entry: ir::Name::from(frontend::lower::ENTRY),
+        clock: clock(engine),
+        outcome,
+        events,
+    })
 }
 
-/// Traces a raw C-- program on the chosen substrate, servicing
-/// suspensions with the fixed dispatcher policy.
-#[allow(clippy::too_many_arguments)]
+/// Traces a raw C-- program on the chosen engine, servicing
+/// suspensions with the fixed dispatcher policy (see
+/// [`chaos::service_yield`]), so a trace of a fuzz case reproduces the
+/// oracle's run exactly.
 fn trace_cmm(
     file: &str,
     proc: &str,
     args: &[u64],
     results: usize,
     opts: opt::OptOptions,
-    use_sem: bool,
-    engine: frontend::VmEngine,
+    engine: EngineId,
 ) -> Result<TraceRun, String> {
     let c = compiler(file)?.options(opts);
-    let entry = ir::Name::from(proc);
-    if use_sem {
-        let prog = c.program().map_err(|e| e.to_string())?;
-        let mut t = rt::Thread::over(sem::Machine::with_sink(
-            &prog,
-            obs::RecordingSink::default(),
-        ));
-        let outcome = drive_sem(&mut t, proc, args);
-        Ok(TraceRun {
-            entry,
-            clock: "steps",
-            outcome,
-            events: t.into_machine().into_sink().events,
-        })
-    } else {
-        let vp = c.vm_program().map_err(|e| e.to_string())?;
-        let mut t = match engine {
-            frontend::VmEngine::Stepped => {
-                vm::VmThread::with_sink(&vp, obs::RecordingSink::default())
-            }
-            frontend::VmEngine::Decoded => {
-                vm::VmThread::with_sink_decoded(&vp, obs::RecordingSink::default())
-            }
-            frontend::VmEngine::Fused => {
-                vm::VmThread::with_sink_fused(&vp, obs::RecordingSink::default())
-            }
-        };
-        let outcome = drive_vm(&mut t, proc, args, results);
-        Ok(TraceRun {
-            entry,
-            clock: "cost units",
-            outcome,
-            events: t.machine.into_sink().events,
-        })
-    }
-}
-
-/// Runs a raw C-- program on the abstract machine under the fixed
-/// dispatcher policy (see `cmm-difftest`'s `observe_sem`): resume one
-/// hop toward the caller, take the first unwind continuation on odd
-/// yield codes, fill every parameter with [`fill`].
-fn drive_sem<'p, M: SemEngine<'p>>(t: &mut rt::Thread<'p, M>, proc: &str, args: &[u64]) -> String {
-    if let Err(w) = t.start(proc, args.iter().map(|&a| Value::b32(a as u32)).collect()) {
-        return format!("wrong: {w}");
-    }
-    let mut yields = 0usize;
-    loop {
-        match t.run(TRACE_FUEL) {
-            Status::Terminated(vals) => return format!("halt {vals:?}"),
-            Status::Wrong(w) => return format!("wrong: {w}"),
-            Status::OutOfFuel => return "out of fuel".into(),
-            Status::Suspended => {
-                yields += 1;
-                if yields > TRACE_MAX_YIELDS {
-                    return "suspension bound reached".into();
-                }
-                let code = t.yield_code().unwrap_or(0);
-                let Some(mut a) = t.first_activation() else {
-                    return "rts error: no first activation".into();
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(w) = t.set_activation(&a) {
-                    return format!("rts error: {w}");
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = Value::b32(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v.clone();
-                    n += 1;
-                }
-                if let Err(w) = t.resume() {
-                    return format!("rts error: {w}");
-                }
-            }
-            other => return format!("unexpected status {other:?}"),
+    let (prog, vp) = compile_for(&c, engine)?;
+    let code = Code {
+        program: prog.as_ref(),
+        vm: vp.as_ref(),
+        ..Code::default()
+    };
+    let mut rec = obs::RecordingSink::default();
+    let outcome = with_engine(engine, &code, &mut rec, Setup::default(), |t| {
+        if let Err(w) = t.start(proc, args, results) {
+            return format!("wrong: {w}");
         }
-    }
-}
-
-/// [`drive_sem`]'s policy on the simulated target.
-fn drive_vm<S: obs::TraceSink>(
-    t: &mut vm::VmThread<'_, S>,
-    proc: &str,
-    args: &[u64],
-    results: usize,
-) -> String {
-    t.start(proc, args, results);
-    let mut yields = 0usize;
-    loop {
-        match t.run(TRACE_FUEL) {
-            vm::VmStatus::Halted(vals) => return format!("halt {vals:?}"),
-            vm::VmStatus::Error(e) => return format!("fault: {e}"),
-            vm::VmStatus::OutOfFuel => return "out of fuel".into(),
-            vm::VmStatus::Suspended => {
-                yields += 1;
-                if yields > TRACE_MAX_YIELDS {
-                    return "suspension bound reached".into();
-                }
-                let code = t.machine.yield_args(1)[0];
-                let Some(mut a) = t.first_activation() else {
-                    return "rts error: no first activation".into();
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(e) = t.set_activation(&a) {
-                    return format!("rts error: {e}");
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = u64::from(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v;
-                    n += 1;
-                }
-                if let Err(e) = t.resume() {
-                    return format!("rts error: {e}");
-                }
-            }
-            other => return format!("unexpected status {other:?}"),
+        let budget = Budget::new(TRACE_FUEL, TRACE_MAX_YIELDS);
+        match chaos::drive(t, budget, &mut Vec::new(), |_, _, _| Ok(())) {
+            Ok(end) => end_text(engine, &end),
+            Err(e) => e,
         }
+    })?;
+    Ok(TraceRun {
+        entry: ir::Name::from(proc),
+        clock: clock(engine),
+        outcome,
+        events: rec.events,
+    })
+}
+
+/// How a drive ended, as `trace`, `profile` and `snap` report it.
+fn end_text(engine: EngineId, end: &End) -> String {
+    match end {
+        End::Halted(words) => format!("halt {words:?}"),
+        End::Wrong(e) => match engine.family() {
+            Family::Sem => format!("wrong: {e}"),
+            Family::Vm => format!("fault: {e}"),
+        },
+        End::OutOfFuel => "out of fuel".into(),
+        End::SuspensionBound => "suspension bound reached".into(),
+        End::RtsError(e) => format!("rts error: {e}"),
+        End::Unexpected(s) => format!("unexpected status {s}"),
+        End::Paused { .. } => "paused".into(),
     }
 }
 
-/// Shared parameters of the snapshot drive loops behind `cmm snap`,
+/// Prints `cmm run`'s three result lines: the semantics' values, the
+/// target's words, and the target's instructions, loads, stores and
+/// branches.
+fn print_run(sem: &[Value], target: &[u64], cost: [u64; 4]) {
+    let [instructions, loads, stores, branches] = cost;
+    println!("semantics: {sem:?}");
+    println!("target:    {target:?}");
+    println!(
+        "cost:      {instructions} instructions, {loads} loads, {stores} stores, {branches} branches"
+    );
+}
+
+/// Shared parameters of the snapshot drive behind `cmm snap`,
 /// `cmm resume`, and `cmm run --snapshot-every`.
 struct SnapCtx<'a> {
-    engine: snap::EngineId,
+    engine: EngineId,
     digest: [u64; 2],
     entry: &'a str,
     args: &'a [u64],
@@ -1041,287 +1008,87 @@ struct SnapCtx<'a> {
     /// Yields already serviced (nonzero when resuming).
     yields: u64,
     /// Service suspensions with the fixed dispatcher policy; when
-    /// false a suspension ends the run, like plain `cmm run`.
+    /// false the first suspension ends the run with
+    /// [`End::SuspensionBound`], like plain `cmm run`.
     service: bool,
     /// Snapshot output path (used only when `at` fires).
     out: &'a str,
 }
 
-/// How a snapshot drive ended.
-enum DriveEnd<T> {
-    /// Clean termination with the machine's results.
-    Done(T),
-    /// Any other end (wrong, fuel, rts error, unserviced yield).
-    Stopped(String),
-    /// The capture point fired: a snapshot was written.
-    Written { path: String, bytes: usize },
-}
+impl<'a> SnapCtx<'a> {
+    /// A fresh run of `entry(args)` over `src` on `engine`.
+    fn new(
+        engine: EngineId,
+        src: &str,
+        entry: &'a str,
+        args: &'a [u64],
+        opts: opt::OptOptions,
+    ) -> SnapCtx<'a> {
+        let opt = opts != opt::OptOptions::none();
+        SnapCtx {
+            engine,
+            digest: snap::source_digest(src, opt),
+            entry,
+            args,
+            opt,
+            fuel: TRACE_FUEL,
+            first_budget: TRACE_FUEL,
+            at: None,
+            every: None,
+            yields: 0,
+            service: true,
+            out: "",
+        }
+    }
 
-/// Encodes the machine state under `cx`'s identity metadata.
-fn encode_snapshot(
-    cx: &SnapCtx,
-    budget: u64,
-    yields: u64,
-    plan: Option<&chaos::FaultPlan>,
-    state: snap::MachineState,
-) -> Vec<u8> {
-    snap::Snapshot {
-        engine: cx.engine,
-        digest: cx.digest,
-        meta: snap::SnapMeta {
-            entry: cx.entry.to_string(),
-            args: cx.args.to_vec(),
+    /// Encodes `t`'s state under this run's identity metadata.
+    fn encode(&self, t: &dyn Table1, budget: u64, yields: u64) -> Result<Vec<u8>, String> {
+        let meta = snap::SnapMeta {
+            entry: self.entry.to_string(),
+            args: self.args.to_vec(),
             fuel_remaining: budget,
             yields_done: yields,
-            opt: cx.opt,
+            opt: self.opt,
+        };
+        Ok(snap::Snapshot::capture(t, self.digest, meta, None)?.encode())
+    }
+}
+
+/// Drives a started or restored thread in fuel slices under the fixed
+/// dispatcher policy: self-round-trips at every `--snapshot-every`
+/// boundary and, when the `--at` point fires, writes the snapshot to
+/// `cx.out` and returns [`End::Paused`]. Returns the end plus the
+/// checkpoint (count, bytes) totals — for a paused run, the written
+/// blob's size. Fuel accounting is exact, so the sliced run's outcome
+/// matches the unsliced one.
+fn snap_drive(t: &mut dyn Table1, cx: &SnapCtx) -> Result<(End, u64, u64), String> {
+    let budget = Budget {
+        left: cx.first_budget,
+        every: cx.every,
+        pause_after: cx.at,
+        max_yields: if cx.service {
+            TRACE_MAX_YIELDS.saturating_sub(cx.yields)
+        } else {
+            0
         },
-        governor: None,
-        chaos: plan.map(|p| p.state()),
-        state,
-    }
-    .encode()
-}
-
-/// Drives an abstract-machine engine in fuel slices: captures a
-/// snapshot to `cx.out` when the `--at` point fires, self-round-trips
-/// at every `--snapshot-every` boundary, and services suspensions with
-/// the fixed dispatcher policy (when `cx.service`). Returns the end
-/// plus checkpoint (count, bytes) totals. Fuel accounting is exact, so
-/// the sliced run's outcome matches the unsliced one.
-fn snap_drive_sem<'p, M: SemEngine<'p>>(
-    t: &mut rt::Thread<'p, M>,
-    cx: &SnapCtx,
-) -> Result<(DriveEnd<Vec<Value>>, u64, u64), String> {
-    let mut yields = cx.yields;
-    let mut at = cx.at;
-    let mut budget = cx.first_budget;
+        ..Budget::new(cx.fuel, 0)
+    };
     let (mut count, mut total) = (0u64, 0u64);
-    loop {
-        let status = loop {
-            if at == Some(0) {
-                let bytes = encode_snapshot(
-                    cx,
-                    budget,
-                    yields,
-                    t.chaos(),
-                    snap::MachineState::Sem(t.machine().capture()?),
-                );
-                let n = bytes.len();
-                std::fs::write(cx.out, &bytes).map_err(|e| format!("{}: {e}", cx.out))?;
-                let path = cx.out.to_string();
-                return Ok((DriveEnd::Written { path, bytes: n }, count, total));
-            }
-            let mut slice = budget;
-            if let Some(k) = at {
-                slice = slice.min(k);
-            }
-            if let Some(n) = cx.every {
-                slice = slice.min(n.max(1));
-            }
-            let before = t.machine().steps();
-            let status = t.run(slice);
-            let used = t.machine().steps().saturating_sub(before);
-            budget = budget.saturating_sub(used);
-            if let Some(k) = at.as_mut() {
-                *k = k.saturating_sub(used);
-            }
-            if matches!(status, Status::OutOfFuel) && budget > 0 {
-                // A slice boundary, not real exhaustion: checkpoint if
-                // asked, then keep going (the `--at` capture fires at
-                // the top of the loop).
-                if at != Some(0) && cx.every.is_some() {
-                    let bytes = encode_snapshot(
-                        cx,
-                        budget,
-                        yields,
-                        t.chaos(),
-                        snap::MachineState::Sem(t.machine().capture()?),
-                    );
-                    let decoded = snap::Snapshot::decode(&bytes).map_err(|e| e.to_string())?;
-                    let snap::MachineState::Sem(st) = &decoded.state else {
-                        return Err("sem snapshot decoded to a VM state".into());
-                    };
-                    t.machine_mut().restore(st)?;
-                    count += 1;
-                    total += bytes.len() as u64;
-                }
-                continue;
-            }
-            break status;
-        };
-        match status {
-            Status::Terminated(vals) => return Ok((DriveEnd::Done(vals), count, total)),
-            Status::Wrong(w) => {
-                return Ok((DriveEnd::Stopped(format!("wrong: {w}")), count, total));
-            }
-            Status::OutOfFuel => {
-                return Ok((DriveEnd::Stopped("out of fuel".into()), count, total));
-            }
-            Status::Suspended => {
-                if !cx.service {
-                    let s = "program yielded to a missing run-time system".to_string();
-                    return Ok((DriveEnd::Stopped(s), count, total));
-                }
-                if yields >= TRACE_MAX_YIELDS as u64 {
-                    return Ok((
-                        DriveEnd::Stopped("suspension bound reached".into()),
-                        count,
-                        total,
-                    ));
-                }
-                yields += 1;
-                let code = t.yield_code().unwrap_or(0);
-                let Some(mut a) = t.first_activation() else {
-                    return Ok((
-                        DriveEnd::Stopped("rts error: no first activation".into()),
-                        count,
-                        total,
-                    ));
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(w) = t.set_activation(&a) {
-                    return Ok((DriveEnd::Stopped(format!("rts error: {w}")), count, total));
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = Value::b32(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v.clone();
-                    n += 1;
-                }
-                if let Err(w) = t.resume() {
-                    return Ok((DriveEnd::Stopped(format!("rts error: {w}")), count, total));
-                }
-                budget = cx.fuel;
-            }
-            other => {
-                return Ok((
-                    DriveEnd::Stopped(format!("unexpected status {other:?}")),
-                    count,
-                    total,
-                ));
-            }
-        }
+    let mut yields = Vec::new();
+    let end = chaos::drive(t, budget, &mut yields, |t, left, done| {
+        let bytes = cx.encode(t, left, cx.yields + done)?;
+        let decoded = snap::Snapshot::decode(&bytes).map_err(|e| e.to_string())?;
+        decoded.state.restore_into(t)?;
+        count += 1;
+        total += bytes.len() as u64;
+        Ok(())
+    })?;
+    if let End::Paused { left } = end {
+        let bytes = cx.encode(t, left, cx.yields + yields.len() as u64)?;
+        std::fs::write(cx.out, &bytes).map_err(|e| format!("{}: {e}", cx.out))?;
+        total = bytes.len() as u64;
     }
-}
-
-/// [`snap_drive_sem`] on the simulated target.
-fn snap_drive_vm<S: obs::TraceSink>(
-    t: &mut vm::VmThread<'_, S>,
-    cx: &SnapCtx,
-) -> Result<(DriveEnd<Vec<u64>>, u64, u64), String> {
-    let mut yields = cx.yields;
-    let mut at = cx.at;
-    let mut budget = cx.first_budget;
-    let (mut count, mut total) = (0u64, 0u64);
-    loop {
-        let status = loop {
-            if at == Some(0) {
-                let bytes = encode_snapshot(
-                    cx,
-                    budget,
-                    yields,
-                    t.chaos(),
-                    snap::MachineState::Vm(t.machine.capture()?),
-                );
-                let n = bytes.len();
-                std::fs::write(cx.out, &bytes).map_err(|e| format!("{}: {e}", cx.out))?;
-                let path = cx.out.to_string();
-                return Ok((DriveEnd::Written { path, bytes: n }, count, total));
-            }
-            let mut slice = budget;
-            if let Some(k) = at {
-                slice = slice.min(k);
-            }
-            if let Some(n) = cx.every {
-                slice = slice.min(n.max(1));
-            }
-            let before = t.machine.cost.instructions;
-            let status = t.run(slice);
-            let used = t.machine.cost.instructions.saturating_sub(before);
-            budget = budget.saturating_sub(used);
-            if let Some(k) = at.as_mut() {
-                *k = k.saturating_sub(used);
-            }
-            if matches!(status, vm::VmStatus::OutOfFuel) && budget > 0 {
-                if at != Some(0) && cx.every.is_some() {
-                    let bytes = encode_snapshot(
-                        cx,
-                        budget,
-                        yields,
-                        t.chaos(),
-                        snap::MachineState::Vm(t.machine.capture()?),
-                    );
-                    let decoded = snap::Snapshot::decode(&bytes).map_err(|e| e.to_string())?;
-                    let snap::MachineState::Vm(st) = &decoded.state else {
-                        return Err("vm snapshot decoded to a sem state".into());
-                    };
-                    t.machine.restore(st)?;
-                    count += 1;
-                    total += bytes.len() as u64;
-                }
-                continue;
-            }
-            break status;
-        };
-        match status {
-            vm::VmStatus::Halted(vals) => return Ok((DriveEnd::Done(vals), count, total)),
-            vm::VmStatus::Error(e) => {
-                return Ok((DriveEnd::Stopped(format!("fault: {e}")), count, total));
-            }
-            vm::VmStatus::OutOfFuel => {
-                return Ok((DriveEnd::Stopped("out of fuel".into()), count, total));
-            }
-            vm::VmStatus::Suspended => {
-                if !cx.service {
-                    let s = "program yielded to a missing run-time system".to_string();
-                    return Ok((DriveEnd::Stopped(s), count, total));
-                }
-                if yields >= TRACE_MAX_YIELDS as u64 {
-                    return Ok((
-                        DriveEnd::Stopped("suspension bound reached".into()),
-                        count,
-                        total,
-                    ));
-                }
-                yields += 1;
-                let code = t.machine.yield_args(1)[0];
-                let Some(mut a) = t.first_activation() else {
-                    return Ok((
-                        DriveEnd::Stopped("rts error: no first activation".into()),
-                        count,
-                        total,
-                    ));
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(e) = t.set_activation(&a) {
-                    return Ok((DriveEnd::Stopped(format!("rts error: {e}")), count, total));
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = u64::from(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v;
-                    n += 1;
-                }
-                if let Err(e) = t.resume() {
-                    return Ok((DriveEnd::Stopped(format!("rts error: {e}")), count, total));
-                }
-                budget = cx.fuel;
-            }
-            other => {
-                return Ok((
-                    DriveEnd::Stopped(format!("unexpected status {other:?}")),
-                    count,
-                    total,
-                ));
-            }
-        }
-    }
+    Ok((end, count, total))
 }
 
 /// Builds the engine `cx` names over `src`, optionally restores a
@@ -1340,199 +1107,51 @@ fn snap_session(
         .source(src)
         .map_err(|e| e.to_string())?
         .options(opts);
-    match cx.engine {
-        snap::EngineId::Sem => {
-            let prog = c.program().map_err(|e| e.to_string())?;
-            let mut t = rt::Thread::new(&prog);
-            snap_session_sem(&mut t, restore, cx)
+    let (prog, vp) = compile_for(&c, cx.engine)?;
+    let code = Code {
+        program: prog.as_ref(),
+        vm: vp.as_ref(),
+        ..Code::default()
+    };
+    let report = with_engine(cx.engine, &code, obs::NopSink, Setup::default(), |t| {
+        match restore {
+            Some(s) => s.restore_into(t)?,
+            None => t
+                .start(cx.entry, cx.args, results)
+                .map_err(|w| format!("wrong: {w}"))?,
         }
-        snap::EngineId::SemResolved => {
-            let prog = c.program().map_err(|e| e.to_string())?;
-            let rp = sem::ResolvedProgram::new(&prog);
-            let mut t = rt::Thread::over(sem::ResolvedMachine::new(&rp));
-            snap_session_sem(&mut t, restore, cx)
-        }
-        _ => {
-            let vp = c.vm_program().map_err(|e| e.to_string())?;
-            let mut t = match cx.engine {
-                snap::EngineId::VmDecoded => vm::VmThread::new_decoded(&vp),
-                snap::EngineId::VmFused => vm::VmThread::new_fused(&vp),
-                _ => vm::VmThread::new(&vp),
-            };
-            snap_session_vm(&mut t, restore, cx, results)
-        }
-    }
-}
-
-/// [`snap_session`]'s sem-family start/restore + drive + report.
-fn snap_session_sem<'p, M: SemEngine<'p>>(
-    t: &mut rt::Thread<'p, M>,
-    restore: Option<&snap::Snapshot>,
-    cx: &SnapCtx,
-) -> Result<(), String> {
-    match restore {
-        Some(s) => {
-            let snap::MachineState::Sem(st) = &s.state else {
-                return Err(
-                    "snapshot holds a VM state but a sem-family engine was requested".into(),
-                );
-            };
-            t.machine_mut().restore(st)?;
-            if let Some(ch) = &s.chaos {
-                t.set_chaos(chaos::FaultPlan::from_state(ch));
-            }
-        }
-        None => {
-            let vals = cx.args.iter().map(|&a| Value::b32(a as u32)).collect();
-            t.start(cx.entry, vals).map_err(|w| format!("wrong: {w}"))?;
-        }
-    }
-    let (end, _, _) = snap_drive_sem(t, cx)?;
-    match end {
-        DriveEnd::Done(vals) => {
-            let bits: Vec<u64> = vals.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
-            println!("outcome: halt {bits:?}");
-            println!("instructions: {}", t.machine().steps());
-        }
-        DriveEnd::Stopped(s) => {
-            println!("outcome: {s}");
-            println!("instructions: {}", t.machine().steps());
-        }
-        DriveEnd::Written { path, bytes } => {
-            println!(
-                "snapshot written to {path} ({bytes} bytes, engine {})",
+        Ok::<_, String>(match snap_drive(t, cx)? {
+            (End::Paused { .. }, _, bytes) => format!(
+                "snapshot written to {} ({bytes} bytes, engine {})",
+                cx.out,
                 cx.engine.name()
-            );
-        }
-    }
+            ),
+            (end, _, _) => format!(
+                "outcome: {}\ninstructions: {}",
+                end_text(cx.engine, &end),
+                t.work()
+            ),
+        })
+    })??;
+    println!("{report}");
     Ok(())
 }
 
-/// [`snap_session`]'s VM-family start/restore + drive + report.
-fn snap_session_vm<S: obs::TraceSink>(
-    t: &mut vm::VmThread<'_, S>,
-    restore: Option<&snap::Snapshot>,
-    cx: &SnapCtx,
-    results: usize,
-) -> Result<(), String> {
-    match restore {
-        Some(s) => {
-            let snap::MachineState::Vm(st) = &s.state else {
-                return Err(
-                    "snapshot holds a sem state but a VM-family engine was requested".into(),
-                );
-            };
-            t.machine.restore(st)?;
-            if let Some(ch) = &s.chaos {
-                t.set_chaos(chaos::FaultPlan::from_state(ch));
-            }
-        }
-        None => t.start(cx.entry, cx.args, results),
-    }
-    let (end, _, _) = snap_drive_vm(t, cx)?;
-    match end {
-        DriveEnd::Done(vals) => {
-            println!("outcome: halt {vals:?}");
-            println!("instructions: {}", t.machine.cost.total());
-        }
-        DriveEnd::Stopped(s) => {
-            println!("outcome: {s}");
-            println!("instructions: {}", t.machine.cost.total());
-        }
-        DriveEnd::Written { path, bytes } => {
-            println!(
-                "snapshot written to {path} ({bytes} bytes, engine {})",
-                cx.engine.name()
-            );
-        }
-    }
-    Ok(())
-}
+/// The CFG and target programs, as far as they were compiled.
+type Compiled = (Option<cmm_core::cfg::Program>, Option<vm::VmProgram>);
 
-/// `cmm run --snapshot-every F`: the same two runs as plain `run`, but
-/// each driven in F-fuel slices with a full capture → encode → decode
-/// → restore round-trip at every boundary. Results and cost are
-/// identical to the plain run — the round-trips are a self-check —
-/// plus one extra line reporting checkpoint volume.
-fn run_checkpointed(
-    file: &str,
-    proc: &str,
-    call_args: &[u64],
-    results: usize,
-    opts: opt::OptOptions,
-    every: u64,
-) -> Result<(), String> {
-    let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-    let c = Compiler::new()
-        .source(&src)
-        .map_err(|e| e.to_string())?
-        .options(opts);
-    let opt = opts != opt::OptOptions::none();
-    let mut cx = SnapCtx {
-        engine: snap::EngineId::Sem,
-        digest: snap::source_digest(&src, opt),
-        entry: proc,
-        args: call_args,
-        opt,
-        fuel: TRACE_FUEL,
-        first_budget: TRACE_FUEL,
-        at: None,
-        every: Some(every),
-        yields: 0,
-        service: false,
-        out: "",
-    };
-    let prog = c.program().map_err(|e| e.to_string())?;
-    let mut t = rt::Thread::new(&prog);
-    let sem_args = call_args.iter().map(|&a| Value::b32(a as u32)).collect();
-    t.start(proc, sem_args)
-        .map_err(|w| format!("runtime error: {w}"))?;
-    let (end, sem_count, sem_bytes) = snap_drive_sem(&mut t, &cx)?;
-    let sem_vals = match end {
-        DriveEnd::Done(vals) => vals,
-        DriveEnd::Stopped(s) => return Err(s),
-        DriveEnd::Written { .. } => return Err("internal: run never writes a snapshot".into()),
-    };
-    cx.engine = snap::EngineId::Vm;
-    let vp = c.vm_program().map_err(|e| e.to_string())?;
-    let mut tv = vm::VmThread::new(&vp);
-    tv.start(proc, call_args, results);
-    let (end, vm_count, vm_bytes) = snap_drive_vm(&mut tv, &cx)?;
-    let vm_vals = match end {
-        DriveEnd::Done(vals) => vals,
-        DriveEnd::Stopped(s) => return Err(s),
-        DriveEnd::Written { .. } => return Err("internal: run never writes a snapshot".into()),
-    };
-    let cost = tv.machine.cost;
-    println!("semantics: {sem_vals:?}");
-    println!("target:    {vm_vals:?}");
-    println!(
-        "cost:      {} instructions, {} loads, {} stores, {} branches",
-        cost.instructions, cost.loads, cost.stores, cost.branches
-    );
-    println!(
-        "snapshots: semantics {sem_count} checkpoint(s) ({sem_bytes} bytes), \
-         target {vm_count} checkpoint(s) ({vm_bytes} bytes)"
-    );
-    Ok(())
+/// Compiles what `engine`'s family runs: the CFG for the abstract
+/// machines, target code for the VM tiers.
+fn compile_for(c: &Compiler, engine: EngineId) -> Result<Compiled, String> {
+    Ok(match engine.family() {
+        Family::Sem => (Some(c.program().map_err(|e| e.to_string())?), None),
+        Family::Vm => (None, Some(c.vm_program().map_err(|e| e.to_string())?)),
+    })
 }
 
 fn compiler(file: &str) -> Result<Compiler, String> {
     let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     Compiler::new().source(&src).map_err(|e| e.to_string())
-}
-
-fn parse_strategy(s: &str) -> Result<frontend::Strategy, String> {
-    Ok(match s {
-        "runtime-unwind" => frontend::Strategy::RuntimeUnwind,
-        "cutting" => frontend::Strategy::Cutting,
-        "native-unwind" => frontend::Strategy::NativeUnwind,
-        "cps" => frontend::Strategy::Cps,
-        "sjlj-pentium" => frontend::Strategy::Sjlj(vm::arch::PENTIUM_LINUX),
-        "sjlj-sparc" => frontend::Strategy::Sjlj(vm::arch::SPARC_SOLARIS),
-        "sjlj-alpha" => frontend::Strategy::Sjlj(vm::arch::ALPHA_DIGITAL_UNIX),
-        other => return Err(format!("unknown strategy `{other}`")),
-    })
 }
 
 fn usage() -> String {

@@ -189,8 +189,21 @@ impl Compiler {
     /// [`Error::UnhandledYield`] if it calls `yield` (programs that
     /// interact with a run-time system need `rt::Thread`).
     pub fn interpret(&self, proc: &str, args: Vec<Value>) -> Result<Vec<Value>, Error> {
-        let p = self.program()?;
-        let mut m = Machine::new(&p);
+        self.interpret_on(&self.program()?, proc, args)
+    }
+
+    /// [`Compiler::interpret`] over an already built [`Compiler::program`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Compiler::interpret`].
+    pub fn interpret_on(
+        &self,
+        p: &Program,
+        proc: &str,
+        args: Vec<Value>,
+    ) -> Result<Vec<Value>, Error> {
+        let mut m = Machine::new(p);
         m.start(proc, args)
             .map_err(|e| Error::Runtime(e.to_string()))?;
         match m.run(self.fuel) {
@@ -214,8 +227,23 @@ impl Compiler {
         args: &[u64],
         expected_results: usize,
     ) -> Result<(Vec<u64>, Cost), Error> {
-        let vp = self.vm_program()?;
-        let mut m = VmMachine::new(&vp);
+        self.execute_on(&self.vm_program()?, proc, args, expected_results)
+    }
+
+    /// [`Compiler::execute`] over an already built
+    /// [`Compiler::vm_program`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Compiler::interpret`].
+    pub fn execute_on(
+        &self,
+        vp: &VmProgram,
+        proc: &str,
+        args: &[u64],
+        expected_results: usize,
+    ) -> Result<(Vec<u64>, Cost), Error> {
+        let mut m = VmMachine::new(vp);
         m.start(proc, args, expected_results);
         match m.run(self.fuel) {
             VmStatus::Halted(vals) => Ok((vals, m.cost)),

@@ -6,6 +6,7 @@
 //! machine additionally reports continuation capture/death, but the
 //! projection drops both, so equality is exact.
 
+use cmm_core::chaos::EngineId;
 use cmm_core::obs::{first_divergence, projection, EventCounts, RecordingSink, TimedEvent};
 use cmm_core::sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
 use cmm_core::{cfg, frontend, opt, parse, rt, vm};
@@ -154,11 +155,7 @@ fn minim3_strategies_project_identically_across_substrates() {
             r.expect("sem run succeeds");
             let want = projection(&sem_events);
             assert!(!want.is_empty(), "{label}: empty projection");
-            for engine in [
-                frontend::VmEngine::Stepped,
-                frontend::VmEngine::Decoded,
-                frontend::VmEngine::Fused,
-            ] {
+            for engine in [EngineId::Vm, EngineId::VmDecoded, EngineId::VmFused] {
                 let (r, events) = frontend::run_vm_traced(&module, strategy, &[arg], &opts, engine)
                     .expect("runs");
                 r.expect("vm run succeeds");

@@ -33,9 +33,8 @@ pub mod snap_oracle;
 
 pub use genprog::{generate, shrink_candidates, TestCase};
 pub use oracle::{
-    observe_sem, observe_sem_chaos, observe_sem_resolved, observe_sem_resolved_chaos,
-    observe_traced, observe_vm, observe_vm_chaos, observe_vm_decoded, observe_vm_decoded_chaos,
-    observe_vm_fused, observe_vm_fused_chaos, pass_variants, run_case, run_case_with, run_source,
+    observe, observe_sem, observe_sem_chaos, observe_sem_resolved, observe_traced, observe_vm,
+    observe_vm_decoded, observe_vm_fused, pass_variants, run_case, run_case_with, run_source,
     run_source_chaos, ExtraPass, Failure, Limits, Obs, Outcome,
 };
 pub use rng::Rng;
@@ -64,7 +63,7 @@ pub struct FuzzConfig {
     /// Stop after this many failures.
     pub max_failures: usize,
     /// Additionally run each case under seeded Table 1 fault schedules
-    /// (`cmm fuzz --chaos`), asserting all four engines observe the same
+    /// (`cmm fuzz --chaos`), asserting all five engines observe the same
     /// outcomes and injected-fault logs.
     pub chaos: bool,
     /// Base seed for the fault schedules; schedule `k` of a case uses
@@ -451,7 +450,7 @@ impl ReplayReport {
 /// (`* Entry point: f(A, B)`), defaulting to `f(0, 0)` for hand-written
 /// corpus files without one. A `* Chaos: fault-seed F, schedules K`
 /// header additionally replays the case under the same K fault
-/// schedules through all four engines. A `* Snap: slice N` header
+/// schedules through all five engines. A `* Snap: slice N` header
 /// additionally replays the case through the snapshot-equivalence
 /// oracle at that fuel slice — plain, and (when a chaos header is also
 /// present) under the first of its fault schedules.

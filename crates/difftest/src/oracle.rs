@@ -12,10 +12,10 @@
 //!   optimized.
 //!
 //! Suspensions are driven by a fixed deterministic run-time-system
-//! policy (see [`observe_sem`]) implemented identically over `cmm-rt`'s
-//! [`Thread`] and `cmm-vm`'s [`VmThread`], so the *sequence of yield
-//! codes* is part of the observation: the substrates must agree not only
-//! on final results but on every interaction with the run-time system.
+//! policy (see [`observe_sem`]) written once over the Table 1 trait
+//! ([`cmm_chaos::Table1`]), so the *sequence of yield codes* is part of
+//! the observation: the substrates must agree not only on final results
+//! but on every interaction with the run-time system.
 //!
 //! Outcomes are compared coarsely for failing programs: the semantics
 //! reports a structured [`cmm_sem::Wrong`] while the VM reports a fault
@@ -24,12 +24,12 @@
 
 use crate::genprog::TestCase;
 use cmm_cfg::Program;
-use cmm_chaos::{schedule_seed, FaultPlan, InjectedFault};
-use cmm_obs::{RecordingSink, TimedEvent, TraceSink};
+use cmm_chaos::Table1;
+use cmm_chaos::{drive, schedule_seed, Budget, End, EngineId, Family, FaultPlan, InjectedFault};
+use cmm_obs::{NopSink, RecordingSink, TimedEvent, TraceSink};
 use cmm_opt::OptOptions;
-use cmm_rt::Thread;
-use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, SemEngine, Status, Value};
-use cmm_vm::{VmProgram, VmStatus, VmThread};
+use cmm_pool::{with_engine, Code, Setup};
+use cmm_vm::VmProgram;
 use std::fmt;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,6 +48,16 @@ pub struct Limits {
     pub vm_fuel: u64,
     /// Suspensions serviced before the run is cut off as [`Outcome::Fuel`].
     pub max_yields: usize,
+}
+
+impl Limits {
+    /// The per-`run` budget of an engine family.
+    pub fn fuel(&self, family: Family) -> u64 {
+        match family {
+            Family::Sem => self.sem_fuel,
+            Family::Vm => self.vm_fuel,
+        }
+    }
 }
 
 impl Default for Limits {
@@ -104,17 +114,12 @@ impl Obs {
     }
 }
 
-/// The deterministic parameter value the dispatcher passes to whatever
-/// continuation it resumes for yield code `code`.
-pub(crate) fn fill(code: u64) -> u32 {
-    (code.wrapping_mul(13).wrapping_add(7) & 0xfff) as u32
-}
-
 /// Runs `f(args)` on the formal semantics, servicing suspensions with
 /// the fixed dispatcher policy. Returns the observation and a detail
 /// string (empty unless something went wrong).
 ///
-/// The policy, executed identically by [`observe_vm`]:
+/// The policy ([`cmm_chaos::service_yield`]), executed identically by
+/// every engine:
 ///
 /// 1. record the yield code (the first `yield` argument);
 /// 2. walk from the first activation one hop toward the caller (staying
@@ -125,152 +130,35 @@ pub(crate) fn fill(code: u64) -> u32 {
 ///    normal return point if the site has no unwind continuations
 ///    (`yield_codes::DIVZERO` is odd, so checked-primitive failures
 ///    take the unwind edge exactly when the call site is annotated);
-/// 5. fill every continuation parameter with [`fill`]`(code)`; `Resume`.
+/// 5. fill every continuation parameter with
+///    [`cmm_chaos::dispatcher_fill`]`(code)`; `Resume`.
 pub fn observe_sem(prog: &Program, args: (u32, u32), limits: &Limits) -> (Obs, String) {
-    observe_sem_thread(&mut Thread::new(prog), args, limits)
+    observe_plain(EngineId::Sem, &Code::sem(prog), args, limits)
 }
 
 /// [`observe_sem`] over the pre-resolved engine
 /// ([`cmm_sem::ResolvedMachine`]) — the same policy, so its observation
 /// must be identical to the reference oracle's.
 pub fn observe_sem_resolved(prog: &Program, args: (u32, u32), limits: &Limits) -> (Obs, String) {
-    let rp = ResolvedProgram::new(prog);
-    observe_sem_thread(&mut Thread::new_resolved(&rp), args, limits)
-}
-
-pub(crate) fn observe_sem_thread<'p, M: SemEngine<'p>>(
-    t: &mut Thread<'p, M>,
-    args: (u32, u32),
-    limits: &Limits,
-) -> (Obs, String) {
-    let mut yields = Vec::new();
-    let obs = |outcome: Outcome, yields: &[u64]| Obs {
-        outcome,
-        yields: yields.to_vec(),
-    };
-    if let Err(w) = t.start("f", vec![Value::b32(args.0), Value::b32(args.1)]) {
-        return (obs(Outcome::Wrong, &yields), w.to_string());
-    }
-    loop {
-        match t.run(limits.sem_fuel) {
-            Status::Terminated(vals) => {
-                let bits = vals.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
-                return (obs(Outcome::Halt(bits), &yields), String::new());
-            }
-            Status::Wrong(w) => return (obs(Outcome::Wrong, &yields), w.to_string()),
-            Status::OutOfFuel => return (obs(Outcome::Fuel, &yields), "out of fuel".into()),
-            Status::Suspended => {
-                if yields.len() >= limits.max_yields {
-                    return (obs(Outcome::Fuel, &yields), "suspension bound".into());
-                }
-                let code = t.yield_code().unwrap_or(0);
-                yields.push(code);
-                let Some(mut a) = t.first_activation() else {
-                    return (
-                        obs(Outcome::RtsError, &yields),
-                        "no first activation".into(),
-                    );
-                };
-                // Hop once toward the caller; at the bottom of the stack
-                // the yielder itself is resumed.
-                let _ = t.next_activation(&mut a);
-                if let Err(w) = t.set_activation(&a) {
-                    return (obs(Outcome::RtsError, &yields), w.to_string());
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = Value::b32(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v.clone();
-                    n += 1;
-                }
-                if let Err(w) = t.resume() {
-                    return (obs(Outcome::RtsError, &yields), w.to_string());
-                }
-            }
-            other => {
-                return (
-                    obs(Outcome::RtsError, &yields),
-                    format!("unexpected status {other:?}"),
-                );
-            }
-        }
-    }
+    observe_plain(EngineId::SemResolved, &Code::sem(prog), args, limits)
 }
 
 /// Runs `f(args)` on the simulated machine under the same dispatcher
 /// policy as [`observe_sem`].
 pub fn observe_vm(prog: &VmProgram, args: (u32, u32), limits: &Limits) -> (Obs, String) {
-    observe_vm_thread(&mut VmThread::new(prog), args, limits)
+    observe_plain(EngineId::Vm, &Code::vm(prog), args, limits)
 }
 
 /// [`observe_vm`] over the pre-decoded engine ([`cmm_vm::DecodedCode`])
 /// — the same policy, so its observation must be identical.
 pub fn observe_vm_decoded(prog: &VmProgram, args: (u32, u32), limits: &Limits) -> (Obs, String) {
-    observe_vm_thread(&mut VmThread::new_decoded(prog), args, limits)
+    observe_plain(EngineId::VmDecoded, &Code::vm(prog), args, limits)
 }
 
 /// [`observe_vm`] over the fused engine ([`cmm_vm::FusedCode`]) — the
 /// same policy, so its observation must be identical.
 pub fn observe_vm_fused(prog: &VmProgram, args: (u32, u32), limits: &Limits) -> (Obs, String) {
-    observe_vm_thread(&mut VmThread::new_fused(prog), args, limits)
-}
-
-pub(crate) fn observe_vm_thread<S: TraceSink>(
-    t: &mut VmThread<'_, S>,
-    args: (u32, u32),
-    limits: &Limits,
-) -> (Obs, String) {
-    let mut yields = Vec::new();
-    let obs = |outcome: Outcome, yields: &[u64]| Obs {
-        outcome,
-        yields: yields.to_vec(),
-    };
-    t.start("f", &[u64::from(args.0), u64::from(args.1)], 1);
-    loop {
-        match t.run(limits.vm_fuel) {
-            VmStatus::Halted(vals) => return (obs(Outcome::Halt(vals), &yields), String::new()),
-            VmStatus::Error(e) => return (obs(Outcome::Wrong, &yields), e),
-            VmStatus::OutOfFuel => return (obs(Outcome::Fuel, &yields), "out of fuel".into()),
-            VmStatus::Suspended => {
-                if yields.len() >= limits.max_yields {
-                    return (obs(Outcome::Fuel, &yields), "suspension bound".into());
-                }
-                let code = t.machine.yield_args(1)[0];
-                yields.push(code);
-                let Some(mut a) = t.first_activation() else {
-                    return (
-                        obs(Outcome::RtsError, &yields),
-                        "no first activation".into(),
-                    );
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(e) = t.set_activation(&a) {
-                    return (obs(Outcome::RtsError, &yields), e);
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = u64::from(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v;
-                    n += 1;
-                }
-                if let Err(e) = t.resume() {
-                    return (obs(Outcome::RtsError, &yields), e);
-                }
-            }
-            other => {
-                return (
-                    obs(Outcome::RtsError, &yields),
-                    format!("unexpected status {other:?}"),
-                );
-            }
-        }
-    }
+    observe_plain(EngineId::VmFused, &Code::vm(prog), args, limits)
 }
 
 /// [`observe_sem`] with a `cmm-chaos` fault plan installed on the
@@ -281,68 +169,84 @@ pub fn observe_sem_chaos(
     limits: &Limits,
     plan: &FaultPlan,
 ) -> (Obs, String, Vec<InjectedFault>) {
-    let mut t = Thread::new(prog);
-    t.set_chaos(plan.clone());
-    let (o, d) = observe_sem_thread(&mut t, args, limits);
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    (o, d, log)
+    observe(
+        EngineId::Sem,
+        &Code::sem(prog),
+        args,
+        limits,
+        Some(plan),
+        NopSink,
+    )
 }
 
-/// [`observe_sem_resolved`] under a fault plan.
-pub fn observe_sem_resolved_chaos(
-    prog: &Program,
+fn observe_plain(
+    engine: EngineId,
+    code: &Code<'_>,
     args: (u32, u32),
     limits: &Limits,
-    plan: &FaultPlan,
-) -> (Obs, String, Vec<InjectedFault>) {
-    let rp = ResolvedProgram::new(prog);
-    let mut t = Thread::new_resolved(&rp);
-    t.set_chaos(plan.clone());
-    let (o, d) = observe_sem_thread(&mut t, args, limits);
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    (o, d, log)
+) -> (Obs, String) {
+    let (o, d, _) = observe(engine, code, args, limits, None, NopSink);
+    (o, d)
 }
 
-/// [`observe_vm`] under a fault plan.
-pub fn observe_vm_chaos(
-    prog: &VmProgram,
+/// Runs `f(args)` on `engine` over `code` under the fixed dispatcher
+/// policy, with an optional fault plan, recording into `sink`. Returns
+/// the observation, its detail text, and the log of injected faults.
+pub fn observe<S: TraceSink>(
+    engine: EngineId,
+    code: &Code<'_>,
     args: (u32, u32),
     limits: &Limits,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
+    sink: S,
 ) -> (Obs, String, Vec<InjectedFault>) {
-    let mut t = VmThread::new(prog);
-    t.set_chaos(plan.clone());
-    let (o, d) = observe_vm_thread(&mut t, args, limits);
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    (o, d, log)
+    let setup = Setup {
+        chaos: plan.cloned(),
+        ..Setup::default()
+    };
+    with_engine(engine, code, sink, setup, |t| {
+        let (o, d) = observe_thread(t, args, limits);
+        (o, d, fault_log(t))
+    })
+    .unwrap_or_else(|e| (obs(Outcome::RtsError, Vec::new()), e, Vec::new()))
 }
 
-/// [`observe_vm_decoded`] under a fault plan.
-pub fn observe_vm_decoded_chaos(
-    prog: &VmProgram,
-    args: (u32, u32),
-    limits: &Limits,
-    plan: &FaultPlan,
-) -> (Obs, String, Vec<InjectedFault>) {
-    let mut t = VmThread::new_decoded(prog);
-    t.set_chaos(plan.clone());
-    let (o, d) = observe_vm_thread(&mut t, args, limits);
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    (o, d, log)
+fn obs(outcome: Outcome, yields: Vec<u64>) -> Obs {
+    Obs { outcome, yields }
 }
 
-/// [`observe_vm_fused`] under a fault plan.
-pub fn observe_vm_fused_chaos(
-    prog: &VmProgram,
+/// The faults injected into `t` so far.
+pub(crate) fn fault_log(t: &dyn Table1) -> Vec<InjectedFault> {
+    t.chaos().map(|p| p.log().to_vec()).unwrap_or_default()
+}
+
+/// The observation of `f(args)` on a built thread.
+pub(crate) fn observe_thread(
+    t: &mut dyn Table1,
     args: (u32, u32),
     limits: &Limits,
-    plan: &FaultPlan,
-) -> (Obs, String, Vec<InjectedFault>) {
-    let mut t = VmThread::new_fused(prog);
-    t.set_chaos(plan.clone());
-    let (o, d) = observe_vm_thread(&mut t, args, limits);
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    (o, d, log)
+) -> (Obs, String) {
+    if let Err(w) = t.start("f", &[u64::from(args.0), u64::from(args.1)], 1) {
+        return (obs(Outcome::Wrong, Vec::new()), w);
+    }
+    let budget = Budget::new(limits.fuel(t.engine().family()), limits.max_yields as u64);
+    let mut yields = Vec::new();
+    let end = drive(t, budget, &mut yields, |_, _, _| Ok(())).unwrap_or_else(End::RtsError);
+    let (outcome, detail) = end_outcome(end);
+    (obs(outcome, yields), detail)
+}
+
+/// An observation's outcome and detail text for a drive's end.
+fn end_outcome(end: End) -> (Outcome, String) {
+    match end {
+        End::Halted(words) => (Outcome::Halt(words), String::new()),
+        End::Wrong(e) => (Outcome::Wrong, e),
+        End::OutOfFuel => (Outcome::Fuel, "out of fuel".into()),
+        End::SuspensionBound => (Outcome::Fuel, "suspension bound".into()),
+        End::RtsError(e) => (Outcome::RtsError, e),
+        End::Unexpected(s) => (Outcome::RtsError, format!("unexpected status {s}")),
+        End::Paused { .. } => (Outcome::Fuel, "paused".into()),
+    }
 }
 
 /// An observation plus the injected-fault log, described for reports.
@@ -379,11 +283,19 @@ pub fn run_source_chaos(
     let module = cmm_parse::parse_module(src).map_err(|e| Failure::Parse(e.to_string()))?;
     let program = cmm_cfg::build_program(&module).map_err(|e| Failure::Build(e.to_string()))?;
     let vm_prog = cmm_vm::compile(&program).map_err(|e| Failure::Codegen(e.to_string()))?;
+    let code = Code {
+        program: Some(&program),
+        vm: Some(&vm_prog),
+        ..Code::default()
+    };
     for k in 0..schedules {
         let plan = FaultPlan::seeded(schedule_seed(fault_seed, k), CHAOS_HORIZON);
-        let (reference, ref_detail, ref_log) = guarded(&format!("sem@chaos{k}"), || {
-            observe_sem_chaos(&program, args, limits, &plan)
-        })?;
+        let run = |engine: EngineId| {
+            guarded(&format!("{}@chaos{k}", engine.name()), || {
+                observe(engine, &code, args, limits, Some(&plan), NopSink)
+            })
+        };
+        let (reference, ref_detail, ref_log) = run(EngineId::Sem)?;
         let ref_desc = describe_chaos(&reference, &ref_detail, &ref_log);
         let compare =
             |name: &str, (o, d, log): (Obs, String, Vec<InjectedFault>)| -> Result<(), Failure> {
@@ -397,22 +309,9 @@ pub fn run_source_chaos(
                     })
                 }
             };
-        let r = guarded(&format!("sem-resolved@chaos{k}"), || {
-            observe_sem_resolved_chaos(&program, args, limits, &plan)
-        })?;
-        compare("sem-resolved", r)?;
-        let r = guarded(&format!("vm@chaos{k}"), || {
-            observe_vm_chaos(&vm_prog, args, limits, &plan)
-        })?;
-        compare("vm", r)?;
-        let r = guarded(&format!("vm-decoded@chaos{k}"), || {
-            observe_vm_decoded_chaos(&vm_prog, args, limits, &plan)
-        })?;
-        compare("vm-decoded", r)?;
-        let r = guarded(&format!("vm-fused@chaos{k}"), || {
-            observe_vm_fused_chaos(&vm_prog, args, limits, &plan)
-        })?;
-        compare("vm-fused", r)?;
+        for engine in &EngineId::ALL[1..] {
+            compare(engine.name(), run(*engine)?)?;
+        }
     }
     Ok(())
 }
@@ -440,45 +339,33 @@ pub fn observe_traced(
 ) -> Result<(Obs, String, Vec<TimedEvent>), String> {
     let module = cmm_parse::parse_module(src).map_err(|e| e.to_string())?;
     let mut program = cmm_cfg::build_program(&module).map_err(|e| e.to_string())?;
-    let sem_traced = |prog: &Program| {
-        let mut t = Thread::over(Machine::with_sink(prog, RecordingSink::default()));
-        let (o, d) = observe_sem_thread(&mut t, args, limits);
-        (o, d, t.into_machine().into_sink().events)
+    let unknown = || format!("oracle `{oracle}` cannot be re-traced");
+    let (base, pass) = oracle.split_once('+').unwrap_or((oracle, ""));
+    let engine = match base {
+        "reference" if pass.is_empty() => EngineId::Sem,
+        "reference" => return Err(unknown()),
+        name => EngineId::parse(name).map_err(|_| unknown())?,
     };
-    match oracle {
-        "reference" => Ok(sem_traced(&program)),
-        "sem-resolved" => {
-            let rp = ResolvedProgram::new(&program);
-            let mut t = Thread::over(ResolvedMachine::with_sink(&rp, RecordingSink::default()));
-            let (o, d) = observe_sem_thread(&mut t, args, limits);
-            Ok((o, d, t.into_machine().into_sink().events))
-        }
-        name if name.starts_with("sem+") => {
-            let pass = &name["sem+".len()..];
-            let (_, opts) = pass_variants()
-                .into_iter()
-                .find(|(n, _)| *n == pass)
-                .ok_or_else(|| format!("oracle `{name}` cannot be re-traced"))?;
-            cmm_opt::optimize_program(&mut program, &opts);
-            Ok(sem_traced(&program))
-        }
-        "vm" | "vm-decoded" | "vm-fused" | "vm+O2" | "vm-decoded+O2" | "vm-fused+O2" => {
-            if oracle.ends_with("+O2") {
-                cmm_opt::optimize_program(&mut program, &OptOptions::default());
-            }
-            let vp = cmm_vm::compile(&program).map_err(|e| e.to_string())?;
-            let mut t = if oracle.starts_with("vm-fused") {
-                VmThread::with_sink_fused(&vp, RecordingSink::default())
-            } else if oracle.starts_with("vm-decoded") {
-                VmThread::with_sink_decoded(&vp, RecordingSink::default())
-            } else {
-                VmThread::with_sink(&vp, RecordingSink::default())
-            };
-            let (o, d) = observe_vm_thread(&mut t, args, limits);
-            Ok((o, d, t.machine.into_sink().events))
-        }
-        other => Err(format!("oracle `{other}` cannot be re-traced")),
+    if !pass.is_empty() {
+        // Per-pass oracles run the abstract machine; the target tiers
+        // run only the full pipeline.
+        let (_, opts) = pass_variants()
+            .into_iter()
+            .find(|(n, _)| *n == pass && (engine.family() == Family::Sem || *n == "O2"))
+            .ok_or_else(unknown)?;
+        cmm_opt::optimize_program(&mut program, &opts);
     }
+    let vm_prog;
+    let code = match engine.family() {
+        Family::Sem => Code::sem(&program),
+        Family::Vm => {
+            vm_prog = cmm_vm::compile(&program).map_err(|e| e.to_string())?;
+            Code::vm(&vm_prog)
+        }
+    };
+    let mut rec = RecordingSink::default();
+    let (o, d, _) = observe(engine, &code, args, limits, None, &mut rec);
+    Ok((o, d, rec.events))
 }
 
 /// The optimization configurations the per-pass oracles run, each pass
@@ -738,74 +625,26 @@ fn run_source_with(
         }
     }
 
-    let vm_prog = cmm_vm::compile(&program).map_err(|e| Failure::Codegen(e.to_string()))?;
-    let (o, detail) = guarded("vm", || observe_vm(&vm_prog, case_args, limits))?;
-    if o != reference {
-        return Err(diverged("vm".into(), &reference, &ref_detail, &o, &detail));
-    }
-
-    let (o, detail) = guarded("vm-decoded", || {
-        observe_vm_decoded(&vm_prog, case_args, limits)
-    })?;
-    if o != reference {
-        return Err(diverged(
-            "vm-decoded".into(),
-            &reference,
-            &ref_detail,
-            &o,
-            &detail,
-        ));
-    }
-
-    let (o, detail) = guarded("vm-fused", || observe_vm_fused(&vm_prog, case_args, limits))?;
-    if o != reference {
-        return Err(diverged(
-            "vm-fused".into(),
-            &reference,
-            &ref_detail,
-            &o,
-            &detail,
-        ));
-    }
-
-    let mut p = program.clone();
-    cmm_opt::optimize_program(&mut p, &OptOptions::default());
-    let vm_opt = cmm_vm::compile(&p).map_err(|e| Failure::Codegen(format!("after O2: {e}")))?;
-    let (o, detail) = guarded("vm+O2", || observe_vm(&vm_opt, case_args, limits))?;
-    if o != reference {
-        return Err(diverged(
-            "vm+O2".into(),
-            &reference,
-            &ref_detail,
-            &o,
-            &detail,
-        ));
-    }
-
-    let (o, detail) = guarded("vm-decoded+O2", || {
-        observe_vm_decoded(&vm_opt, case_args, limits)
-    })?;
-    if o != reference {
-        return Err(diverged(
-            "vm-decoded+O2".into(),
-            &reference,
-            &ref_detail,
-            &o,
-            &detail,
-        ));
-    }
-
-    let (o, detail) = guarded("vm-fused+O2", || {
-        observe_vm_fused(&vm_opt, case_args, limits)
-    })?;
-    if o != reference {
-        return Err(diverged(
-            "vm-fused+O2".into(),
-            &reference,
-            &ref_detail,
-            &o,
-            &detail,
-        ));
+    // Every target tier, on the unoptimized program and then after -O2.
+    let mut vp = cmm_vm::compile(&program).map_err(|e| Failure::Codegen(e.to_string()))?;
+    for suffix in ["", "+O2"] {
+        if !suffix.is_empty() {
+            let mut p = program.clone();
+            cmm_opt::optimize_program(&mut p, &OptOptions::default());
+            vp = cmm_vm::compile(&p).map_err(|e| Failure::Codegen(format!("after O2: {e}")))?;
+        }
+        for engine in EngineId::ALL {
+            if engine.family() != Family::Vm {
+                continue;
+            }
+            let name = format!("{}{suffix}", engine.name());
+            let (o, detail) = guarded(&name, || {
+                observe_plain(engine, &Code::vm(&vp), case_args, limits)
+            })?;
+            if o != reference {
+                return Err(diverged(name, &reference, &ref_detail, &o, &detail));
+            }
+        }
     }
 
     Ok(())
@@ -933,9 +772,15 @@ mod tests {
                 if log.is_empty() {
                     continue;
                 }
-                let (o2, _, l2) = observe_sem_resolved_chaos(&prog, case.args, &limits, &plan);
-                let (o3, _, l3) = observe_vm_chaos(&vp, case.args, &limits, &plan);
-                let (o4, _, l4) = observe_vm_decoded_chaos(&vp, case.args, &limits, &plan);
+                let code = Code {
+                    program: Some(&prog),
+                    vm: Some(&vp),
+                    ..Code::default()
+                };
+                let run = |e| observe(e, &code, case.args, &limits, Some(&plan), NopSink);
+                let (o2, _, l2) = run(EngineId::SemResolved);
+                let (o3, _, l3) = run(EngineId::Vm);
+                let (o4, _, l4) = run(EngineId::VmDecoded);
                 assert_eq!((&o1, &log), (&o2, &l2), "sem-resolved diverged\n{src}");
                 assert_eq!((&o1, &log), (&o3, &l3), "vm diverged\n{src}");
                 assert_eq!((&o1, &log), (&o4, &l4), "vm-decoded diverged\n{src}");
@@ -961,8 +806,22 @@ mod tests {
                 observe_sem_chaos(&prog, case.args, &limits, &plan),
             );
             assert_eq!(
-                observe_vm_chaos(&vp, case.args, &limits, &plan),
-                observe_vm_chaos(&vp, case.args, &limits, &plan),
+                observe(
+                    EngineId::Vm,
+                    &Code::vm(&vp),
+                    case.args,
+                    &limits,
+                    Some(&plan),
+                    NopSink
+                ),
+                observe(
+                    EngineId::Vm,
+                    &Code::vm(&vp),
+                    case.args,
+                    &limits,
+                    Some(&plan),
+                    NopSink
+                ),
             );
         }
     }

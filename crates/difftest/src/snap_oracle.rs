@@ -27,16 +27,13 @@
 //! byte-identical) is a [`Failure::Snapshot`].
 
 use crate::oracle::{
-    describe_chaos, fill, guarded, observe_sem_thread, observe_vm_thread, Failure, Limits, Obs,
-    Outcome,
+    describe_chaos, fault_log, guarded, observe_thread, Failure, Limits, Obs, Outcome,
 };
-use cmm_cfg::Program;
-use cmm_chaos::{FaultPlan, FaultPlanState, InjectedFault};
+use cmm_chaos::{dispatcher_fill, service_yield, EngineId, FaultPlan, InjectedFault, Stop, Table1};
 use cmm_obs::{RecordingSink, TimedEvent};
-use cmm_rt::Thread;
-use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, SemEngine, SemState, Status, Value};
-use cmm_snap::{source_digest, EngineId, MachineState, SnapMeta, Snapshot};
-use cmm_vm::{Cost, VmProgram, VmStatus, VmThread};
+use cmm_pool::{with_engine, Code, Setup};
+use cmm_sem::ResolvedProgram;
+use cmm_snap::{source_digest, SnapMeta, Snapshot};
 
 /// Default fuel slice between snapshot boundaries: small enough that
 /// non-trivial programs cross many boundaries, large enough to keep the
@@ -53,28 +50,16 @@ pub struct SnapStats {
     pub bytes: u64,
 }
 
+/// The deep final state of a run ([`Table1::deep_state`]).
+type Final = (Vec<(u64, u8)>, Vec<u64>);
+
 /// Everything one run of a family produces, for deep comparison.
-struct RunOut<Final> {
+struct RunOut {
     obs: Obs,
     detail: String,
     log: Vec<InjectedFault>,
     fin: Final,
     events: Vec<TimedEvent>,
-}
-
-/// Deep final state of a sem-family run.
-#[derive(PartialEq)]
-struct SemFinal {
-    mem: Vec<(u64, u8)>,
-    steps: u64,
-}
-
-/// Deep final state of a VM-family run.
-#[derive(PartialEq)]
-struct VmFinal {
-    mem: Vec<(u32, u8)>,
-    cost: Cost,
-    regs: [u64; cmm_vm::isa::regs::NUM_REGS],
 }
 
 fn snap_err(e: impl std::fmt::Display) -> Failure {
@@ -112,497 +97,175 @@ fn meta(args: (u32, u32), budget: u64, yields_done: usize) -> SnapMeta {
     }
 }
 
-// ----- sem family -----
-
-/// A sem-family thread of either engine, so the sliced drive can hand
-/// state back and forth between them.
-enum SemT<'p> {
-    M(Thread<'p, Machine<'p, RecordingSink>>),
-    R(Thread<'p, ResolvedMachine<'p, RecordingSink>>),
-}
-
-impl<'p> SemT<'p> {
-    fn engine(&self) -> EngineId {
-        match self {
-            SemT::M(_) => EngineId::Sem,
-            SemT::R(_) => EngineId::SemResolved,
-        }
-    }
-
-    fn start(&mut self, args: (u32, u32)) -> Result<(), String> {
-        let vals = vec![Value::b32(args.0), Value::b32(args.1)];
-        match self {
-            SemT::M(t) => t.start("f", vals).map_err(|w| w.to_string()),
-            SemT::R(t) => t.start("f", vals).map_err(|w| w.to_string()),
-        }
-    }
-
-    fn run(&mut self, fuel: u64) -> Status {
-        match self {
-            SemT::M(t) => t.run(fuel),
-            SemT::R(t) => t.run(fuel),
-        }
-    }
-
-    fn steps(&self) -> u64 {
-        match self {
-            SemT::M(t) => t.machine().steps,
-            SemT::R(t) => t.machine().steps,
-        }
-    }
-
-    fn yield_code(&self) -> Option<u64> {
-        match self {
-            SemT::M(t) => t.yield_code(),
-            SemT::R(t) => t.yield_code(),
-        }
-    }
-
-    /// The dispatcher policy of [`crate::oracle::observe_sem`], applied
-    /// to one suspension.
-    fn service(&mut self, code: u64) -> Result<(), (Outcome, String)> {
-        match self {
-            SemT::M(t) => service_thread(t, code),
-            SemT::R(t) => service_thread(t, code),
-        }
-    }
-
-    fn capture(&self) -> Result<(SemState, Option<FaultPlanState>), String> {
-        match self {
-            SemT::M(t) => Ok((t.machine().capture()?, t.chaos().map(|p| p.state()))),
-            SemT::R(t) => Ok((t.machine().capture()?, t.chaos().map(|p| p.state()))),
-        }
-    }
-
-    /// Tear down, yielding the fault log, deep final state, and the
-    /// segment's recorded events.
-    fn finish(self) -> (Vec<InjectedFault>, SemFinal, Vec<TimedEvent>) {
-        match self {
-            SemT::M(t) => {
-                let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-                let m = t.into_machine();
-                let fin = SemFinal {
-                    mem: m.mem_snapshot(),
-                    steps: m.steps,
-                };
-                (log, fin, m.into_sink().events)
-            }
-            SemT::R(t) => {
-                let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-                let m = t.into_machine();
-                let fin = SemFinal {
-                    mem: m.mem_snapshot(),
-                    steps: m.steps,
-                };
-                (log, fin, m.into_sink().events)
-            }
-        }
-    }
-}
-
-fn service_thread<'p, M: SemEngine<'p>>(
-    t: &mut Thread<'p, M>,
-    code: u64,
-) -> Result<(), (Outcome, String)> {
-    let Some(mut a) = t.first_activation() else {
-        return Err((Outcome::RtsError, "no first activation".into()));
-    };
-    let _ = t.next_activation(&mut a);
-    if let Err(w) = t.set_activation(&a) {
-        return Err((Outcome::RtsError, w.to_string()));
-    }
-    if code % 2 == 1 {
-        let _ = t.set_unwind_cont(0);
-    }
-    let v = Value::b32(fill(code));
-    let mut n = 0;
-    while let Some(p) = t.find_cont_param(n) {
-        *p = v.clone();
-        n += 1;
-    }
-    if let Err(w) = t.resume() {
-        return Err((Outcome::RtsError, w.to_string()));
-    }
-    Ok(())
-}
-
-/// Snapshot the current engine and restore into the *other* sem engine.
-fn sem_swap<'p>(
-    cur: SemT<'p>,
-    program: &'p Program,
-    rp: &'p ResolvedProgram<'p>,
-    digest: [u64; 2],
-    meta: SnapMeta,
-    events: &mut Vec<TimedEvent>,
-    stats: &mut SnapStats,
-) -> Result<SemT<'p>, Failure> {
-    let engine = cur.engine();
-    let (state, chaos) = cur.capture().map_err(snap_err)?;
-    let (_, _, ev) = cur.finish();
-    events.extend(ev);
-    let snap = Snapshot {
-        engine,
-        digest,
-        meta,
-        governor: None,
-        chaos,
-        state: MachineState::Sem(state),
-    };
-    let decoded = cycle(&snap, stats)?;
-    let MachineState::Sem(st) = &decoded.state else {
-        return Err(snap_err("sem snapshot decoded to a VM state"));
-    };
-    let next = match engine {
-        EngineId::Sem => {
-            let mut m = ResolvedMachine::with_sink(rp, RecordingSink::default());
-            m.restore(st)
-                .map_err(|e| snap_err(format!("restore into sem-resolved: {e}")))?;
-            SemT::R(with_chaos(Thread::over(m), &decoded.chaos))
-        }
-        _ => {
-            let mut m = Machine::with_sink(program, RecordingSink::default());
-            m.restore(st)
-                .map_err(|e| snap_err(format!("restore into sem: {e}")))?;
-            SemT::M(with_chaos(Thread::over(m), &decoded.chaos))
-        }
-    };
-    Ok(next)
-}
-
-fn with_chaos<'p, M: SemEngine<'p>>(
-    mut t: Thread<'p, M>,
-    chaos: &Option<FaultPlanState>,
-) -> Thread<'p, M> {
-    if let Some(cs) = chaos {
-        t.set_chaos(FaultPlan::from_state(cs));
-    }
-    t
-}
-
 /// The straight traced run: the regular policy loop, one full-budget
-/// `run` per segment, on the reference engine.
-fn sem_straight(
-    program: &Program,
+/// `run` per segment, on the family's first engine.
+fn straight(
+    engine: EngineId,
+    code: &Code<'_>,
     args: (u32, u32),
     limits: &Limits,
     plan: Option<&FaultPlan>,
-) -> RunOut<SemFinal> {
-    let mut t = Thread::over(Machine::with_sink(program, RecordingSink::default()));
-    if let Some(p) = plan {
-        t.set_chaos(p.clone());
-    }
-    let (obs, detail) = observe_sem_thread(&mut t, args, limits);
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    let m = t.into_machine();
-    let fin = SemFinal {
-        mem: m.mem_snapshot(),
-        steps: m.steps,
+) -> Result<RunOut, Failure> {
+    let mut rec = RecordingSink::default();
+    let setup = Setup {
+        chaos: plan.cloned(),
+        ..Setup::default()
     };
-    RunOut {
-        obs,
-        detail,
-        log,
-        fin,
-        events: m.into_sink().events,
+    let mut out = with_engine(engine, code, &mut rec, setup, |t| {
+        let (obs, detail) = observe_thread(t, args, limits);
+        RunOut {
+            obs,
+            detail,
+            log: fault_log(t),
+            fin: t.deep_state(),
+            events: Vec::new(),
+        }
+    })
+    .map_err(snap_err)?;
+    out.events = rec.events;
+    Ok(out)
+}
+
+/// How one segment of a sliced run ended.
+enum Segment {
+    /// The run is over.
+    Done(RunOut),
+    /// Captured at a boundary; the flag says whether at a yield.
+    Parked(Box<Snapshot>, bool),
+}
+
+/// Where a sliced run stands between segments.
+struct Sliced<'a> {
+    args: (u32, u32),
+    limits: &'a Limits,
+    slice: u64,
+    digest: [u64; 2],
+    yields: Vec<u64>,
+    budget: u64,
+}
+
+impl Sliced<'_> {
+    /// Runs one segment on a fresh thread: restore the parked snapshot
+    /// (servicing its yield) or start, run one slice, then finish or
+    /// capture.
+    fn segment(
+        &mut self,
+        t: &mut dyn Table1,
+        parked: Option<(&Snapshot, bool)>,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Segment, Failure> {
+        let done = |t: &dyn Table1, outcome: Outcome, detail: String, yields: &[u64]| {
+            Segment::Done(RunOut {
+                obs: Obs {
+                    outcome,
+                    yields: yields.to_vec(),
+                },
+                detail,
+                log: fault_log(t),
+                fin: t.deep_state(),
+                events: Vec::new(),
+            })
+        };
+        match parked {
+            None => {
+                if let Some(p) = plan {
+                    t.set_chaos(p.clone());
+                }
+                let args = [u64::from(self.args.0), u64::from(self.args.1)];
+                if let Err(w) = t.start("f", &args, 1) {
+                    return Ok(done(t, Outcome::Wrong, w, &self.yields));
+                }
+            }
+            Some((snap, at_yield)) => {
+                snap.restore_into(t)
+                    .map_err(|e| snap_err(format!("restore into {}: {e}", t.engine().name())))?;
+                if at_yield {
+                    let code = t.yield_arg(0);
+                    self.yields.push(code);
+                    let fill = u64::from(dispatcher_fill(code));
+                    if let Err(e) = service_yield(t, code, fill) {
+                        return Ok(done(t, Outcome::RtsError, e, &self.yields));
+                    }
+                    self.budget = self.limits.fuel(t.engine().family());
+                }
+            }
+        }
+        let before = t.fuel_spent();
+        let stop = t.run(self.slice.min(self.budget));
+        self.budget = self
+            .budget
+            .saturating_sub(t.fuel_spent().saturating_sub(before));
+        let (out, detail) = match stop {
+            Stop::OutOfFuel if self.budget > 0 => {
+                return self.park(t, false);
+            }
+            Stop::Suspended if self.yields.len() < self.limits.max_yields => {
+                return self.park(t, true);
+            }
+            Stop::Halted(words) => (Outcome::Halt(words), String::new()),
+            Stop::Wrong(e) => (Outcome::Wrong, e),
+            Stop::OutOfFuel => (Outcome::Fuel, "out of fuel".into()),
+            Stop::Suspended => (Outcome::Fuel, "suspension bound".into()),
+            Stop::Other(s) => (Outcome::RtsError, format!("unexpected status {s}")),
+        };
+        Ok(done(t, out, detail, &self.yields))
+    }
+
+    fn park(&self, t: &dyn Table1, at_yield: bool) -> Result<Segment, Failure> {
+        let m = meta(self.args, self.budget, self.yields.len());
+        let snap = Snapshot::capture(t, self.digest, m, None).map_err(snap_err)?;
+        Ok(Segment::Parked(Box::new(snap), at_yield))
     }
 }
 
-/// The sliced run: snapshot + cross-engine restore at every boundary.
+/// The sliced run: snapshot at every boundary, then restore into a
+/// fresh thread of the family's next engine.
 #[allow(clippy::too_many_arguments)] // one parameter per oracle knob
-fn sem_sliced<'p>(
-    program: &'p Program,
-    rp: &'p ResolvedProgram<'p>,
+fn sliced(
+    first: EngineId,
+    code: &Code<'_>,
     args: (u32, u32),
     limits: &Limits,
     slice: u64,
     plan: Option<&FaultPlan>,
     digest: [u64; 2],
     stats: &mut SnapStats,
-) -> Result<RunOut<SemFinal>, Failure> {
-    let mut t = Thread::over(Machine::with_sink(program, RecordingSink::default()));
-    if let Some(p) = plan {
-        t.set_chaos(p.clone());
-    }
-    let mut cur = SemT::M(t);
-    let mut yields: Vec<u64> = Vec::new();
-    let mut events: Vec<TimedEvent> = Vec::new();
-    let mut budget = limits.sem_fuel;
-    let finish = |cur: SemT<'p>,
-                  mut events: Vec<TimedEvent>,
-                  outcome: Outcome,
-                  detail: String,
-                  yields: &[u64]| {
-        let (log, fin, ev) = cur.finish();
-        events.extend(ev);
-        Ok(RunOut {
-            obs: Obs {
-                outcome,
-                yields: yields.to_vec(),
-            },
-            detail,
-            log,
-            fin,
-            events,
-        })
-    };
-    if let Err(w) = cur.start(args) {
-        return finish(cur, events, Outcome::Wrong, w, &yields);
-    }
-    loop {
-        let before = cur.steps();
-        let status = cur.run(slice.min(budget));
-        budget = budget.saturating_sub(cur.steps().saturating_sub(before));
-        match status {
-            Status::Terminated(vals) => {
-                let bits = vals.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
-                return finish(cur, events, Outcome::Halt(bits), String::new(), &yields);
-            }
-            Status::Wrong(w) => {
-                return finish(cur, events, Outcome::Wrong, w.to_string(), &yields);
-            }
-            Status::OutOfFuel => {
-                if budget == 0 {
-                    return finish(cur, events, Outcome::Fuel, "out of fuel".into(), &yields);
-                }
-                let m = meta(args, budget, yields.len());
-                cur = sem_swap(cur, program, rp, digest, m, &mut events, stats)?;
-            }
-            Status::Suspended => {
-                if yields.len() >= limits.max_yields {
-                    return finish(
-                        cur,
-                        events,
-                        Outcome::Fuel,
-                        "suspension bound".into(),
-                        &yields,
-                    );
-                }
-                let m = meta(args, budget, yields.len());
-                cur = sem_swap(cur, program, rp, digest, m, &mut events, stats)?;
-                let code = cur.yield_code().unwrap_or(0);
-                yields.push(code);
-                if let Err((outcome, detail)) = cur.service(code) {
-                    return finish(cur, events, outcome, detail, &yields);
-                }
-                budget = limits.sem_fuel;
-            }
-            other => {
-                return finish(
-                    cur,
-                    events,
-                    Outcome::RtsError,
-                    format!("unexpected status {other:?}"),
-                    &yields,
-                );
-            }
-        }
-    }
-}
-
-// ----- VM family -----
-
-fn vm_tier<'p>(vp: &'p VmProgram, tier: EngineId) -> VmThread<'p, RecordingSink> {
-    match tier {
-        EngineId::VmDecoded => VmThread::with_sink_decoded(vp, RecordingSink::default()),
-        EngineId::VmFused => VmThread::with_sink_fused(vp, RecordingSink::default()),
-        _ => VmThread::with_sink(vp, RecordingSink::default()),
-    }
-}
-
-fn next_tier(tier: EngineId) -> EngineId {
-    match tier {
-        EngineId::Vm => EngineId::VmDecoded,
-        EngineId::VmDecoded => EngineId::VmFused,
-        _ => EngineId::Vm,
-    }
-}
-
-fn vm_finish(t: VmThread<'_, RecordingSink>) -> (Vec<InjectedFault>, VmFinal, Vec<TimedEvent>) {
-    let log = t.chaos().map(|p| p.log().to_vec()).unwrap_or_default();
-    let m = t.into_machine();
-    let fin = VmFinal {
-        mem: m.mem.snapshot(),
-        cost: m.cost,
-        regs: m.regs,
-    };
-    (log, fin, m.into_sink().events)
-}
-
-fn vm_straight(
-    vp: &VmProgram,
-    args: (u32, u32),
-    limits: &Limits,
-    plan: Option<&FaultPlan>,
-) -> RunOut<VmFinal> {
-    let mut t = VmThread::with_sink(vp, RecordingSink::default());
-    if let Some(p) = plan {
-        t.set_chaos(p.clone());
-    }
-    let (obs, detail) = observe_vm_thread(&mut t, args, limits);
-    let (log, fin, events) = vm_finish(t);
-    RunOut {
-        obs,
-        detail,
-        log,
-        fin,
-        events,
-    }
-}
-
-fn vm_swap<'p>(
-    cur: VmThread<'p, RecordingSink>,
-    tier: EngineId,
-    vp: &'p VmProgram,
-    digest: [u64; 2],
-    meta: SnapMeta,
-    events: &mut Vec<TimedEvent>,
-    stats: &mut SnapStats,
-) -> Result<(VmThread<'p, RecordingSink>, EngineId), Failure> {
-    let state = cur.machine.capture().map_err(snap_err)?;
-    let chaos = cur.chaos().map(|p| p.state());
-    events.extend(cur.into_machine().into_sink().events);
-    let snap = Snapshot {
-        engine: tier,
+) -> Result<RunOut, Failure> {
+    let mut run = Sliced {
+        args,
+        limits,
+        slice,
         digest,
-        meta,
-        governor: None,
-        chaos,
-        state: MachineState::Vm(state),
+        yields: Vec::new(),
+        budget: limits.fuel(first.family()),
     };
-    let decoded = cycle(&snap, stats)?;
-    let MachineState::Vm(st) = &decoded.state else {
-        return Err(snap_err("vm snapshot decoded to a sem state"));
-    };
-    let next = next_tier(tier);
-    let mut t = vm_tier(vp, next);
-    t.machine
-        .restore(st)
-        .map_err(|e| snap_err(format!("restore into {}: {e}", next.name())))?;
-    if let Some(cs) = &decoded.chaos {
-        t.set_chaos(FaultPlan::from_state(cs));
-    }
-    Ok((t, next))
-}
-
-fn vm_sliced<'p>(
-    vp: &'p VmProgram,
-    args: (u32, u32),
-    limits: &Limits,
-    slice: u64,
-    plan: Option<&FaultPlan>,
-    digest: [u64; 2],
-    stats: &mut SnapStats,
-) -> Result<RunOut<VmFinal>, Failure> {
-    let mut cur = vm_tier(vp, EngineId::Vm);
-    if let Some(p) = plan {
-        cur.set_chaos(p.clone());
-    }
-    let mut tier = EngineId::Vm;
-    let mut yields: Vec<u64> = Vec::new();
-    let mut events: Vec<TimedEvent> = Vec::new();
-    let mut budget = limits.vm_fuel;
-    let finish = |cur: VmThread<'p, RecordingSink>,
-                  mut events: Vec<TimedEvent>,
-                  outcome: Outcome,
-                  detail: String,
-                  yields: &[u64]| {
-        let (log, fin, ev) = vm_finish(cur);
-        events.extend(ev);
-        Ok(RunOut {
-            obs: Obs {
-                outcome,
-                yields: yields.to_vec(),
-            },
-            detail,
-            log,
-            fin,
-            events,
-        })
-    };
-    cur.start("f", &[u64::from(args.0), u64::from(args.1)], 1);
+    let mut rec = RecordingSink::default();
+    let mut engine = first;
+    let mut parked: Option<(Snapshot, bool)> = None;
     loop {
-        let before = cur.machine.cost.instructions;
-        let status = cur.run(slice.min(budget));
-        budget = budget.saturating_sub(cur.machine.cost.instructions.saturating_sub(before));
-        match status {
-            VmStatus::Halted(vals) => {
-                return finish(cur, events, Outcome::Halt(vals), String::new(), &yields);
+        let resume = parked.as_ref().map(|(s, y)| (s, *y));
+        let seg = with_engine(engine, code, &mut rec, Setup::default(), |t| {
+            run.segment(t, resume, plan)
+        })
+        .map_err(snap_err)??;
+        match seg {
+            Segment::Done(mut out) => {
+                out.events = rec.events;
+                return Ok(out);
             }
-            VmStatus::Error(e) => {
-                return finish(cur, events, Outcome::Wrong, e, &yields);
-            }
-            VmStatus::OutOfFuel => {
-                if budget == 0 {
-                    return finish(cur, events, Outcome::Fuel, "out of fuel".into(), &yields);
-                }
-                let m = meta(args, budget, yields.len());
-                (cur, tier) = vm_swap(cur, tier, vp, digest, m, &mut events, stats)?;
-            }
-            VmStatus::Suspended => {
-                if yields.len() >= limits.max_yields {
-                    return finish(
-                        cur,
-                        events,
-                        Outcome::Fuel,
-                        "suspension bound".into(),
-                        &yields,
-                    );
-                }
-                let m = meta(args, budget, yields.len());
-                (cur, tier) = vm_swap(cur, tier, vp, digest, m, &mut events, stats)?;
-                let code = cur.machine.yield_args(1)[0];
-                yields.push(code);
-                if let Err((outcome, detail)) = vm_service(&mut cur, code) {
-                    return finish(cur, events, outcome, detail, &yields);
-                }
-                budget = limits.vm_fuel;
-            }
-            other => {
-                return finish(
-                    cur,
-                    events,
-                    Outcome::RtsError,
-                    format!("unexpected status {other:?}"),
-                    &yields,
-                );
+            Segment::Parked(snap, at_yield) => {
+                parked = Some((cycle(&snap, stats)?, at_yield));
+                engine = engine.next_tier();
             }
         }
     }
-}
-
-fn vm_service(t: &mut VmThread<'_, RecordingSink>, code: u64) -> Result<(), (Outcome, String)> {
-    let Some(mut a) = t.first_activation() else {
-        return Err((Outcome::RtsError, "no first activation".into()));
-    };
-    let _ = t.next_activation(&mut a);
-    if let Err(e) = t.set_activation(&a) {
-        return Err((Outcome::RtsError, e));
-    }
-    if code % 2 == 1 {
-        let _ = t.set_unwind_cont(0);
-    }
-    let v = u64::from(fill(code));
-    let mut n = 0;
-    while let Some(p) = t.find_cont_param(n) {
-        *p = v;
-        n += 1;
-    }
-    if let Err(e) = t.resume() {
-        return Err((Outcome::RtsError, e));
-    }
-    Ok(())
 }
 
 // ----- comparison and entry point -----
 
 /// Compares a straight run against its sliced+snapshotted twin on
 /// observation, fault log, exception projection, and deep final state.
-fn compare<F: PartialEq>(
-    family: &str,
-    straight: &RunOut<F>,
-    sliced: &RunOut<F>,
-    describe_fin: impl Fn(&F) -> String,
-) -> Result<(), Failure> {
+fn compare(family: &str, straight: &RunOut, sliced: &RunOut) -> Result<(), Failure> {
     if sliced.obs != straight.obs || sliced.log != straight.log {
         return Err(Failure::Diverged {
             oracle: format!("{family}-snap"),
@@ -622,24 +285,20 @@ fn compare<F: PartialEq>(
     if sliced.fin != straight.fin {
         return Err(Failure::Diverged {
             oracle: format!("{family}-snap@state"),
-            reference: describe_fin(&straight.fin),
-            observed: describe_fin(&sliced.fin),
+            reference: describe_final(&straight.fin),
+            observed: describe_final(&sliced.fin),
         });
     }
     Ok(())
 }
 
-fn describe_sem_final(f: &SemFinal) -> String {
-    format!("steps {}, {} memory bytes", f.steps, f.mem.len())
-}
-
-fn describe_vm_final(f: &VmFinal) -> String {
+fn describe_final((mem, words): &Final) -> String {
     format!(
-        "cost {:?}, {} memory bytes, regs fnv {:#x}",
-        f.cost,
-        f.mem.len(),
-        f.regs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &r| {
-            (h ^ r).wrapping_mul(0x0000_0100_0000_01b3)
+        "work {}, {} memory bytes, state words fnv {:#x}",
+        words.first().copied().unwrap_or(0),
+        mem.len(),
+        words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
         })
     )
 }
@@ -672,24 +331,23 @@ pub fn run_source_snap(
     let vm_prog = cmm_vm::compile(&program).map_err(|e| Failure::Codegen(e.to_string()))?;
     let digest = source_digest(src, false);
     let rp = ResolvedProgram::new(&program);
+    let code = Code {
+        program: Some(&program),
+        resolved: Some(&rp),
+        vm: Some(&vm_prog),
+        ..Code::default()
+    };
     let mut stats = SnapStats::default();
-
-    let straight = guarded("sem-snap/straight", || {
-        sem_straight(&program, args, limits, plan)
-    })?;
-    let sliced = guarded("sem-snap/sliced", || {
-        sem_sliced(&program, &rp, args, limits, slice, plan, digest, &mut stats)
-    })??;
-    compare("sem", &straight, &sliced, describe_sem_final)?;
-
-    let straight = guarded("vm-snap/straight", || {
-        vm_straight(&vm_prog, args, limits, plan)
-    })?;
-    let sliced = guarded("vm-snap/sliced", || {
-        vm_sliced(&vm_prog, args, limits, slice, plan, digest, &mut stats)
-    })??;
-    compare("vm", &straight, &sliced, describe_vm_final)?;
-
+    for first in [EngineId::Sem, EngineId::Vm] {
+        let family = first.family().name();
+        let want = guarded(&format!("{family}-snap/straight"), || {
+            straight(first, &code, args, limits, plan)
+        })??;
+        let got = guarded(&format!("{family}-snap/sliced"), || {
+            sliced(first, &code, args, limits, slice, plan, digest, &mut stats)
+        })??;
+        compare(family, &want, &got)?;
+    }
     Ok(stats)
 }
 

@@ -30,16 +30,12 @@
 //! all 32-bit words, with `exn_tag` a pointer to the exception's tag
 //! block.
 //!
-//! Two implementations are provided — one over the abstract-machine
-//! interface (`cmm-rt`), one over the simulated-target interface
-//! (`cmm-vm`) — with identical logic, demonstrating that "different
-//! front ends may interoperate with the same C-- run-time system" and
-//! vice versa.
+//! The dispatcher is written once, over the [`Table1`] trait, and runs
+//! unchanged on the abstract machines (`cmm-rt`) and on the simulated
+//! target (`cmm-vm`), demonstrating that "different front ends may
+//! interoperate with the same C-- run-time system" and vice versa.
 
-use cmm_obs::TraceSink;
-use cmm_rt::Thread;
-use cmm_sem::{SemEngine, Value};
-use cmm_vm::VmThread;
+use cmm_rt::chaos::Table1;
 
 /// The outcome of one dispatch.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -53,91 +49,46 @@ pub enum Dispatch {
     },
 }
 
-/// Dispatches the pending `yield(M3_EXCEPTION, tag, value)` on the
-/// abstract machine (either engine — the dispatcher uses only the
-/// Table 1 interface, which is engine-independent).
+/// [`dispatch`] under the names it had while each engine family had a
+/// dispatcher of its own.
+pub use self::dispatch as dispatch_sem;
+/// See [`dispatch_sem`].
+pub use self::dispatch as dispatch_vm;
+
+/// Dispatches the pending `yield(M3_EXCEPTION, tag, value)` on a thread
+/// of any engine.
 ///
 /// # Errors
 ///
-/// Returns a message if the thread is not suspended with an exception
-/// request or a Table 1 operation is rejected.
-pub fn dispatch_sem<'p, M: SemEngine<'p>>(t: &mut Thread<'p, M>) -> Result<Dispatch, String> {
-    let args = t.yield_args();
-    if args.len() < 3 {
-        return Err("exception yield needs (code, tag, value)".into());
-    }
-    let tag = args[1].bits().ok_or("tag must be a bits value")?;
-    let value = args[2].clone();
-
-    let Some(mut a) = t.first_activation() else {
+/// Returns a message if the thread has no activations or a Table 1
+/// operation is rejected.
+pub fn dispatch<T: Table1 + ?Sized>(t: &mut T) -> Result<Dispatch, String> {
+    let tag = t.yield_arg(1);
+    let value = t.yield_arg(2);
+    if !t.first_activation() {
         return Err("thread has no activations".into());
-    };
+    }
     loop {
-        if let Some(d) = t.get_descriptor(&a, 0) {
-            let count = t.read_u32(d) as u64;
+        if let Some(d) = t.get_descriptor(0) {
+            let count = u64::from(t.read_u32(d));
             for i in 0..count {
                 let entry = d + 4 + i * 12;
                 let exn_tag = u64::from(t.read_u32(entry));
                 let cont_num = t.read_u32(entry + 4) as usize;
                 let takes_arg = t.read_u32(entry + 8) != 0;
                 if exn_tag == tag {
-                    t.set_activation(&a).map_err(|e| e.to_string())?;
-                    t.set_unwind_cont(cont_num).map_err(|e| e.to_string())?;
-                    if takes_arg {
-                        *t.find_cont_param(0).ok_or("missing parameter slot")? = value;
-                    }
-                    t.resume().map_err(|e| e.to_string())?;
-                    return Ok(Dispatch::Handled);
-                }
-            }
-        }
-        if !t.next_activation(&mut a) {
-            return Ok(Dispatch::Unhandled { tag });
-        }
-    }
-}
-
-/// Dispatches the pending exception on the simulated target. Identical
-/// logic to [`dispatch_sem`], over the VM's deposited tables.
-///
-/// # Errors
-///
-/// Returns a message if the thread is not suspended with an exception
-/// request or an interface operation is rejected.
-pub fn dispatch_vm<S: TraceSink>(t: &mut VmThread<'_, S>) -> Result<Dispatch, String> {
-    let args = t.machine.yield_args(3);
-    let tag = args[1];
-    let value = args[2];
-
-    let Some(mut a) = t.first_activation() else {
-        return Err("thread has no activations".into());
-    };
-    loop {
-        if let Some(d) = t.get_descriptor(&a, 0) {
-            let count = t.machine.mem.read32(d);
-            for i in 0..count {
-                let entry = d + 4 + i * 12;
-                let exn_tag = u64::from(t.machine.mem.read32(entry));
-                let cont_num = t.machine.mem.read32(entry + 4) as usize;
-                let takes_arg = t.machine.mem.read32(entry + 8) != 0;
-                if exn_tag == tag {
-                    t.set_activation(&a)?;
+                    t.set_activation()?;
                     t.set_unwind_cont(cont_num)?;
-                    if takes_arg {
-                        *t.find_cont_param(0).ok_or("missing parameter slot")? = value;
+                    if takes_arg && !t.set_cont_param(0, value) {
+                        return Err("missing parameter slot".into());
                     }
                     t.resume()?;
                     return Ok(Dispatch::Handled);
                 }
             }
         }
-        if !t.next_activation(&mut a) {
+        if !t.next_activation() {
             return Ok(Dispatch::Unhandled { tag });
         }
     }
-}
-
-/// Helper used by drivers: a `Value` for dispatch results.
-pub fn value_of(v: u64) -> Value {
-    Value::b32(v as u32)
 }

@@ -1,22 +1,22 @@
-//! Drivers: compile, link, and run MiniM3 programs on either execution
-//! substrate, with the front-end run-time system in the loop.
+//! Drivers: compile, link, and run MiniM3 programs on any engine, with
+//! the front-end run-time system in the loop.
 //!
-//! Each substrate has two interchangeable engines — the reference step
-//! loop and the pre-decoded/pre-resolved fast path — selected by the
-//! `run_*` entry point. The engines are observationally equal (enforced
-//! by the difftest equivalence suite), so which one a driver picks is
-//! purely a speed decision.
+//! The engines are observationally equal (enforced by the difftest
+//! equivalence suite), so which one a driver picks is purely a speed
+//! decision. Every driver builds its thread with [`with_engine`] (or
+//! its VM half, when the caller wants the full cost vector) and runs it
+//! with [`run_thread`].
 
-use crate::dispatch::{dispatch_sem, dispatch_vm, Dispatch};
+use crate::dispatch::{dispatch, Dispatch};
+use crate::engine::{vm_machine, with_engine, Code, Setup};
 use crate::lower::{Strategy, ENTRY};
 use crate::M3_EXCEPTION;
-use cmm_cfg::build_program;
+use cmm_cfg::{build_program, Program};
 use cmm_ir::Module;
-use cmm_obs::{RecordingSink, TimedEvent, TraceSink};
+use cmm_obs::{NopSink, RecordingSink, TimedEvent, TraceSink};
 use cmm_opt::{optimize_program, OptOptions};
-use cmm_rt::Thread;
-use cmm_sem::{Machine, ResolvedProgram, SemEngine, Status, Value};
-use cmm_vm::{compile, Cost, VmStatus, VmThread};
+use cmm_rt::chaos::{EngineId, Stop, Table1};
+use cmm_vm::{compile, Cost, VmArena, VmProgram, VmThread};
 use std::fmt;
 
 /// An error from compiling or running a MiniM3 program.
@@ -56,31 +56,6 @@ impl std::error::Error for M3Error {}
 
 const FUEL: u64 = 500_000_000;
 
-/// Which VM execution tier a driver run uses. The tiers are
-/// observationally equal (enforced by the difftest equivalence suite),
-/// so which one a caller picks is purely a speed decision.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum VmEngine {
-    /// The reference step loop.
-    #[default]
-    Stepped,
-    /// The pre-decoded flat dispatch loop ([`cmm_vm::DecodedCode`]).
-    Decoded,
-    /// The fused superinstruction loop ([`cmm_vm::FusedCode`]).
-    Fused,
-}
-
-impl VmEngine {
-    /// The engine's display label (matches the difftest oracle names).
-    pub fn label(self) -> &'static str {
-        match self {
-            VmEngine::Stepped => "vm",
-            VmEngine::Decoded => "vm-decoded",
-            VmEngine::Fused => "vm-fused",
-        }
-    }
-}
-
 /// Recovers an exception's source name from its tag (the address of its
 /// `exn$NAME` block).
 fn exception_name(image: &cmm_cfg::DataImage, tag: u64) -> String {
@@ -101,20 +76,7 @@ fn exception_name(image: &cmm_cfg::DataImage, tag: u64) -> String {
 /// Returns [`M3Error::Uncaught`] if an exception escapes `main`, and
 /// [`M3Error::Fault`] if the program goes wrong.
 pub fn run_sem(module: &Module, strategy: Strategy, args: &[u32]) -> Result<u32, M3Error> {
-    let prog = build_program(module).map_err(|e| M3Error::Build(e.to_string()))?;
-    run_sem_thread(&mut Thread::new(&prog), strategy, args)
-}
-
-/// [`run_sem`] over the pre-resolved engine
-/// ([`cmm_sem::ResolvedMachine`]) instead of the reference step loop.
-///
-/// # Errors
-///
-/// As [`run_sem`].
-pub fn run_sem_resolved(module: &Module, strategy: Strategy, args: &[u32]) -> Result<u32, M3Error> {
-    let prog = build_program(module).map_err(|e| M3Error::Build(e.to_string()))?;
-    let rp = ResolvedProgram::new(&prog);
-    run_sem_thread(&mut Thread::new_resolved(&rp), strategy, args)
+    run_sem_program(&sem_program(module)?, strategy, args, NopSink)
 }
 
 /// A traced driver run: compilation errors in the outer `Result`, the
@@ -132,61 +94,30 @@ pub type Traced<T> = Result<(Result<T, M3Error>, Vec<TimedEvent>), M3Error>;
 /// Only compilation failures abort the trace; run-time failures are in
 /// the inner `Result`.
 pub fn run_sem_traced(module: &Module, strategy: Strategy, args: &[u32]) -> Traced<u32> {
-    let prog = build_program(module).map_err(|e| M3Error::Build(e.to_string()))?;
-    let mut t = Thread::over(Machine::with_sink(&prog, RecordingSink::default()));
-    let r = run_sem_thread(&mut t, strategy, args);
-    Ok((r, t.into_machine().into_sink().events))
+    let prog = sem_program(module)?;
+    let mut rec = RecordingSink::default();
+    let r = run_sem_program(&prog, strategy, args, &mut rec);
+    Ok((r, rec.events))
 }
 
-/// The run/dispatch loop, engine-independent: drives an already
-/// constructed [`Thread`] (over any machine, any sink) with the
-/// Figure 9 dispatcher in the loop. Public so callers holding cached
-/// artifacts — e.g. `cmm-pool`'s batch executor, whose compilation
-/// cache memoizes the built [`cmm_cfg::Program`] — can run them
-/// without recompiling.
-///
-/// # Errors
-///
-/// As [`run_sem`].
-pub fn run_sem_thread<'p, M: SemEngine<'p>>(
-    t: &mut Thread<'p, M>,
+fn sem_program(module: &Module) -> Result<Program, M3Error> {
+    build_program(module).map_err(|e| M3Error::Build(e.to_string()))
+}
+
+fn run_sem_program<S: TraceSink>(
+    prog: &Program,
     strategy: Strategy,
     args: &[u32],
+    sink: S,
 ) -> Result<u32, M3Error> {
-    let image = &t.machine().program().image;
-    t.start(ENTRY, args.iter().map(|&a| Value::b32(a)).collect())
-        .map_err(|e| M3Error::Fault(e.to_string()))?;
-    loop {
-        match t.run(FUEL) {
-            Status::Terminated(vals) => {
-                let status = vals.first().and_then(Value::bits).unwrap_or(0);
-                let value = vals.get(1).and_then(Value::bits).unwrap_or(0) as u32;
-                if status == 0 {
-                    return Ok(value);
-                }
-                return Err(M3Error::Uncaught {
-                    exception: exception_name(image, u64::from(value)),
-                });
-            }
-            Status::Suspended => {
-                let code = t.yield_code().unwrap_or(0);
-                if code == M3_EXCEPTION && matches!(strategy, Strategy::RuntimeUnwind) {
-                    match dispatch_sem(t).map_err(M3Error::Fault)? {
-                        Dispatch::Handled => continue,
-                        Dispatch::Unhandled { tag } => {
-                            return Err(M3Error::Uncaught {
-                                exception: exception_name(image, tag),
-                            });
-                        }
-                    }
-                }
-                return Err(M3Error::Fault(format!("unexpected yield (code {code})")));
-            }
-            Status::Wrong(w) => return Err(M3Error::Fault(w.to_string())),
-            Status::OutOfFuel => return Err(M3Error::OutOfFuel),
-            other => return Err(M3Error::Fault(format!("unexpected status {other:?}"))),
-        }
-    }
+    with_engine(
+        EngineId::Sem,
+        &Code::sem(prog),
+        sink,
+        Setup::default(),
+        |t| run_thread(t, &prog.image, strategy, args),
+    )
+    .map_err(M3Error::Fault)?
 }
 
 /// Runs a compiled MiniM3 module on the simulated target (`cmm-vm`)
@@ -196,13 +127,7 @@ pub fn run_sem_thread<'p, M: SemEngine<'p>>(
 ///
 /// As [`run_sem`], plus code-generation errors.
 pub fn run_vm(module: &Module, strategy: Strategy, args: &[u32]) -> Result<(u32, Cost), M3Error> {
-    run_vm_impl(
-        module,
-        strategy,
-        args,
-        &OptOptions::default(),
-        VmEngine::Stepped,
-    )
+    run_vm_on(module, strategy, args, &OptOptions::default(), EngineId::Vm)
 }
 
 /// [`run_vm`] with explicit optimization options (used by the benches to
@@ -217,96 +142,26 @@ pub fn run_vm_with(
     args: &[u32],
     opts: &OptOptions,
 ) -> Result<(u32, Cost), M3Error> {
-    run_vm_impl(module, strategy, args, opts, VmEngine::Stepped)
+    run_vm_on(module, strategy, args, opts, EngineId::Vm)
 }
 
-/// [`run_vm`] over the pre-decoded engine ([`cmm_vm::DecodedCode`])
-/// instead of the reference step loop.
+/// [`run_vm_with`] on any simulated-target tier (`vm`, `vm-decoded`,
+/// `vm-fused`).
 ///
 /// # Errors
 ///
-/// As [`run_vm`].
-pub fn run_vm_decoded(
-    module: &Module,
-    strategy: Strategy,
-    args: &[u32],
-) -> Result<(u32, Cost), M3Error> {
-    run_vm_impl(
-        module,
-        strategy,
-        args,
-        &OptOptions::default(),
-        VmEngine::Decoded,
-    )
-}
-
-/// [`run_vm_with`] over the pre-decoded engine.
-///
-/// # Errors
-///
-/// As [`run_vm`].
-pub fn run_vm_decoded_with(
+/// As [`run_vm`]; a sem-family `engine` is a fault.
+pub fn run_vm_on(
     module: &Module,
     strategy: Strategy,
     args: &[u32],
     opts: &OptOptions,
+    engine: EngineId,
 ) -> Result<(u32, Cost), M3Error> {
-    run_vm_impl(module, strategy, args, opts, VmEngine::Decoded)
+    run_vm_program(&vm_program(module, opts)?, strategy, args, engine, NopSink)
 }
 
-/// [`run_vm`] over the fused superinstruction engine
-/// ([`cmm_vm::FusedCode`]).
-///
-/// # Errors
-///
-/// As [`run_vm`].
-pub fn run_vm_fused(
-    module: &Module,
-    strategy: Strategy,
-    args: &[u32],
-) -> Result<(u32, Cost), M3Error> {
-    run_vm_impl(
-        module,
-        strategy,
-        args,
-        &OptOptions::default(),
-        VmEngine::Fused,
-    )
-}
-
-/// [`run_vm_with`] over the fused engine.
-///
-/// # Errors
-///
-/// As [`run_vm`].
-pub fn run_vm_fused_with(
-    module: &Module,
-    strategy: Strategy,
-    args: &[u32],
-    opts: &OptOptions,
-) -> Result<(u32, Cost), M3Error> {
-    run_vm_impl(module, strategy, args, opts, VmEngine::Fused)
-}
-
-fn run_vm_impl(
-    module: &Module,
-    strategy: Strategy,
-    args: &[u32],
-    opts: &OptOptions,
-    engine: VmEngine,
-) -> Result<(u32, Cost), M3Error> {
-    let mut prog = build_program(module).map_err(|e| M3Error::Build(e.to_string()))?;
-    optimize_program(&mut prog, opts);
-    let vp = compile(&prog).map_err(|e| M3Error::Codegen(e.to_string()))?;
-    let mut t = match engine {
-        VmEngine::Stepped => VmThread::new(&vp),
-        VmEngine::Decoded => VmThread::new_decoded(&vp),
-        VmEngine::Fused => VmThread::new_fused(&vp),
-    };
-    run_vm_thread(&mut t, &vp.image, strategy, args)
-}
-
-/// [`run_vm`] with a recording sink in the loop; the counterpart of
+/// [`run_vm_on`] with a recording sink in the loop; the counterpart of
 /// [`run_sem_traced`] on the simulated target. Timestamps are cost-model
 /// totals rather than transition counts.
 ///
@@ -318,51 +173,65 @@ pub fn run_vm_traced(
     strategy: Strategy,
     args: &[u32],
     opts: &OptOptions,
-    engine: VmEngine,
+    engine: EngineId,
 ) -> Traced<(u32, Cost)> {
-    let mut prog = build_program(module).map_err(|e| M3Error::Build(e.to_string()))?;
-    optimize_program(&mut prog, opts);
-    let vp = compile(&prog).map_err(|e| M3Error::Codegen(e.to_string()))?;
-    let mut t = match engine {
-        VmEngine::Stepped => VmThread::with_sink(&vp, RecordingSink::default()),
-        VmEngine::Decoded => VmThread::with_sink_decoded(&vp, RecordingSink::default()),
-        VmEngine::Fused => VmThread::with_sink_fused(&vp, RecordingSink::default()),
-    };
-    let r = run_vm_thread(&mut t, &vp.image, strategy, args);
-    Ok((r, t.machine.into_sink().events))
+    let vp = vm_program(module, opts)?;
+    let mut rec = RecordingSink::default();
+    let r = run_vm_program(&vp, strategy, args, engine, &mut rec);
+    Ok((r, rec.events))
 }
 
-/// The run/dispatch loop on the simulated target, sink-independent:
-/// the [`run_sem_thread`] counterpart for callers holding a cached
-/// [`cmm_vm::VmProgram`] (and possibly a shared pre-decoded stream).
+fn vm_program(module: &Module, opts: &OptOptions) -> Result<VmProgram, M3Error> {
+    let mut prog = sem_program(module)?;
+    optimize_program(&mut prog, opts);
+    compile(&prog).map_err(|e| M3Error::Codegen(e.to_string()))
+}
+
+fn run_vm_program<S: TraceSink>(
+    vp: &VmProgram,
+    strategy: Strategy,
+    args: &[u32],
+    engine: EngineId,
+    sink: S,
+) -> Result<(u32, Cost), M3Error> {
+    let m = vm_machine(engine, &Code::vm(vp), sink, &mut VmArena::new());
+    let mut t = VmThread::over(m.map_err(M3Error::Fault)?);
+    let v = run_thread(&mut t, &vp.image, strategy, args)?;
+    Ok((v, t.machine.cost))
+}
+
+/// The run/dispatch loop, engine-independent: drives an already
+/// constructed thread (any engine, any sink) with the Figure 9
+/// dispatcher in the loop. Public so callers holding cached artifacts —
+/// e.g. `cmm-pool`'s batch executor — can run them without recompiling.
 ///
 /// # Errors
 ///
-/// As [`run_vm`].
-pub fn run_vm_thread<S: TraceSink>(
-    t: &mut VmThread<'_, S>,
+/// As [`run_sem`].
+pub fn run_thread<T: Table1 + ?Sized>(
+    t: &mut T,
     image: &cmm_cfg::DataImage,
     strategy: Strategy,
     args: &[u32],
-) -> Result<(u32, Cost), M3Error> {
-    let vargs: Vec<u64> = args.iter().map(|&a| u64::from(a)).collect();
-    t.start(ENTRY, &vargs, 2);
+) -> Result<u32, M3Error> {
+    let args: Vec<u64> = args.iter().map(|&a| u64::from(a)).collect();
+    t.start(ENTRY, &args, 2).map_err(M3Error::Fault)?;
     loop {
         match t.run(FUEL) {
-            VmStatus::Halted(vals) => {
+            Stop::Halted(vals) => {
                 let status = vals.first().copied().unwrap_or(0);
                 let value = vals.get(1).copied().unwrap_or(0) as u32;
                 if status == 0 {
-                    return Ok((value, t.machine.cost));
+                    return Ok(value);
                 }
                 return Err(M3Error::Uncaught {
                     exception: exception_name(image, u64::from(value)),
                 });
             }
-            VmStatus::Suspended => {
-                let code = t.machine.yield_args(1)[0];
+            Stop::Suspended => {
+                let code = t.yield_arg(0);
                 if code == M3_EXCEPTION && matches!(strategy, Strategy::RuntimeUnwind) {
-                    match dispatch_vm(t).map_err(M3Error::Fault)? {
+                    match dispatch(t).map_err(M3Error::Fault)? {
                         Dispatch::Handled => continue,
                         Dispatch::Unhandled { tag } => {
                             return Err(M3Error::Uncaught {
@@ -373,9 +242,9 @@ pub fn run_vm_thread<S: TraceSink>(
                 }
                 return Err(M3Error::Fault(format!("unexpected yield (code {code})")));
             }
-            VmStatus::Error(e) => return Err(M3Error::Fault(e)),
-            VmStatus::OutOfFuel => return Err(M3Error::OutOfFuel),
-            other => return Err(M3Error::Fault(format!("unexpected status {other:?}"))),
+            Stop::Wrong(e) => return Err(M3Error::Fault(e)),
+            Stop::OutOfFuel => return Err(M3Error::OutOfFuel),
+            Stop::Other(s) => return Err(M3Error::Fault(format!("unexpected status {s}"))),
         }
     }
 }

@@ -22,8 +22,9 @@
 //!
 //! The front-end **run-time system** for `RuntimeUnwind` — the paper's
 //! Figure 9 dispatcher, originally C — is ported to safe Rust in
-//! [`dispatch`], working over the Table 1 interface only (both the
-//! `cmm-sem` and `cmm-vm` implementations of it).
+//! [`dispatch`], written once over the Table 1 trait and so running on
+//! every engine. [`engine`] holds the one constructor that builds a
+//! thread of any engine.
 //!
 //! # Example
 //!
@@ -56,15 +57,15 @@
 pub mod ast;
 pub mod dispatch;
 pub mod driver;
+pub mod engine;
 pub mod lower;
 pub mod parse;
 pub mod workloads;
 
 pub use driver::{
-    run_sem, run_sem_resolved, run_sem_thread, run_sem_traced, run_vm, run_vm_decoded,
-    run_vm_decoded_with, run_vm_fused, run_vm_fused_with, run_vm_thread, run_vm_traced,
-    run_vm_with, M3Error, VmEngine,
+    run_sem, run_sem_traced, run_thread, run_vm, run_vm_on, run_vm_traced, run_vm_with, M3Error,
 };
+pub use engine::{vm_machine, with_engine, Arenas, Code, Setup};
 pub use lower::{compile_minim3, compile_program, LowerError, Strategy};
 pub use parse::parse_minim3;
 

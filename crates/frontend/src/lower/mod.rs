@@ -48,6 +48,25 @@ impl Strategy {
             Strategy::Sjlj(a) => format!("sjlj({})", a.name),
         }
     }
+
+    /// Parses a strategy name as the `cmm` CLI and batch manifests
+    /// spell it.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unknown name.
+    pub fn parse(s: &str) -> Result<Strategy, String> {
+        Ok(match s {
+            "runtime-unwind" => Strategy::RuntimeUnwind,
+            "cutting" => Strategy::Cutting,
+            "native-unwind" => Strategy::NativeUnwind,
+            "cps" => Strategy::Cps,
+            "sjlj-pentium" => Strategy::Sjlj(cmm_vm::arch::PENTIUM_LINUX),
+            "sjlj-sparc" => Strategy::Sjlj(cmm_vm::arch::SPARC_SOLARIS),
+            "sjlj-alpha" => Strategy::Sjlj(cmm_vm::arch::ALPHA_DIGITAL_UNIX),
+            other => return Err(format!("unknown strategy `{other}`")),
+        })
+    }
 }
 
 impl fmt::Display for Strategy {

@@ -15,7 +15,7 @@
 //! callee-saves sets, while the VM knows neither; the VM counts cost in
 //! model units, the semantics in transitions. The projection keeps
 //! exactly the engine-independent part, and `tests/trace_equivalence.rs`
-//! holds all four engines to it.
+//! holds all five engines to it.
 
 use cmm_ir::Name;
 

@@ -37,6 +37,17 @@ impl TraceSink for NopSink {
     fn event(&mut self, _now: u64, _e: Event) {}
 }
 
+/// A borrowed sink: the engine records into the caller's sink, which
+/// the caller still holds once the engine is gone.
+impl<S: TraceSink> TraceSink for &mut S {
+    const ENABLED: bool = S::ENABLED;
+
+    #[inline(always)]
+    fn event(&mut self, now: u64, e: Event) {
+        (**self).event(now, e);
+    }
+}
+
 /// Records every event with its timestamp, up to a cap (a runaway
 /// program cannot exhaust memory through its trace).
 #[derive(Clone, Debug)]

@@ -35,18 +35,16 @@
 //! `with_timing = false` therefore yields byte-identical output at
 //! `-j1` and `-jN`; CI diffs exactly that.
 
-use crate::cache::{EngineFamily, PipelineCache, SourceKey, SourceLang};
+use crate::cache::{PipelineCache, SourceKey, SourceLang};
 use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolConfig, PoolMeter};
-use cmm_chaos::{FaultPlan, ResourceGovernor};
-use cmm_frontend::{run_sem_thread, run_vm_thread, Strategy};
+use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
+use cmm_frontend::{run_thread, with_engine, Arenas, Code, Setup, Strategy};
 use cmm_obs::{
     CacheSnapshot, MetricClass, MetricsRegistry, NopSink, SharedFlight, TraceSink, RTS_OP_NAMES,
 };
 use cmm_opt::OptOptions;
-use cmm_rt::Thread;
-use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, SemArena, SemEngine, Status, Value};
-use cmm_snap::{fold_digest, source_digest, EngineId, MachineState, SnapMeta, Snapshot, FOLD_INIT};
-use cmm_vm::{VmArena, VmStatus, VmThread};
+use cmm_sem::ResolvedProgram;
+use cmm_snap::{fold_digest, source_digest, SnapMeta, Snapshot, FOLD_INIT};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -58,68 +56,6 @@ use std::time::Instant;
 /// invocations (seed-dependent) — the same wall difftest's chaos
 /// oracles run against.
 const CHAOS_HORIZON: u64 = 4;
-
-/// Which execution engine a job runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum EngineKind {
-    /// The reference abstract machine (`cmm-sem`).
-    Sem,
-    /// The pre-resolved abstract machine (`cmm-sem`, resolved tables).
-    SemResolved,
-    /// The simulated target (`cmm-vm`).
-    Vm,
-    /// The simulated target over pre-decoded code.
-    VmDecoded,
-    /// The simulated target over the fused superinstruction stream.
-    VmFused,
-}
-
-impl EngineKind {
-    /// The report label; also the manifest spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Sem => "sem",
-            EngineKind::SemResolved => "sem-resolved",
-            EngineKind::Vm => "vm",
-            EngineKind::VmDecoded => "vm-decoded",
-            EngineKind::VmFused => "vm-fused",
-        }
-    }
-
-    /// Which artifact chain this engine consumes.
-    pub fn family(self) -> EngineFamily {
-        match self {
-            EngineKind::Sem | EngineKind::SemResolved => EngineFamily::Sem,
-            EngineKind::Vm | EngineKind::VmDecoded | EngineKind::VmFused => EngineFamily::Vm,
-        }
-    }
-
-    /// Parses a manifest spelling.
-    pub fn parse(s: &str) -> Result<EngineKind, String> {
-        Ok(match s {
-            "sem" => EngineKind::Sem,
-            "sem-resolved" => EngineKind::SemResolved,
-            "vm" => EngineKind::Vm,
-            "vm-decoded" => EngineKind::VmDecoded,
-            "vm-fused" => EngineKind::VmFused,
-            other => return Err(format!("unknown engine `{other}`")),
-        })
-    }
-}
-
-/// Parses a MiniM3 strategy name (same spellings as the `cmm` CLI).
-pub fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    Ok(match s {
-        "runtime-unwind" => Strategy::RuntimeUnwind,
-        "cutting" => Strategy::Cutting,
-        "native-unwind" => Strategy::NativeUnwind,
-        "cps" => Strategy::Cps,
-        "sjlj-pentium" => Strategy::Sjlj(cmm_vm::arch::PENTIUM_LINUX),
-        "sjlj-sparc" => Strategy::Sjlj(cmm_vm::arch::SPARC_SOLARIS),
-        "sjlj-alpha" => Strategy::Sjlj(cmm_vm::arch::ALPHA_DIGITAL_UNIX),
-        other => return Err(format!("unknown strategy `{other}`")),
-    })
-}
 
 /// One job: a source, an engine, and execution parameters.
 #[derive(Clone, Debug)]
@@ -138,7 +74,7 @@ pub struct JobSpec {
     /// Expected result arity on the simulated target (C-- only).
     pub results: usize,
     /// Execution engine.
-    pub engine: EngineKind,
+    pub engine: EngineId,
     /// Optimization configuration (a cache-digest input).
     pub opts: OptOptions,
     /// Per-run fuel budget, enforced through the `cmm-chaos`
@@ -216,7 +152,7 @@ pub fn parse_manifest(
                 "results" => {
                     results = v.parse().map_err(|_| at(format!("bad results `{v}`")))?;
                 }
-                "strategy" => strategy = parse_strategy(v).map_err(&at)?,
+                "strategy" => strategy = Strategy::parse(v).map_err(&at)?,
                 "opt" => {
                     opts = match v {
                         "full" => OptOptions::default(),
@@ -243,11 +179,11 @@ pub fn parse_manifest(
         };
         let source = read_source(file)?;
         for eng in engines.split(',') {
-            let engine = EngineKind::parse(eng).map_err(&at)?;
+            let engine = EngineId::parse(eng).map_err(&at)?;
             // Difftest's default limits, scaled to the engine family.
             let fuel = fuel.unwrap_or(match engine.family() {
-                EngineFamily::Sem => 2_000_000,
-                EngineFamily::Vm => 20_000_000,
+                Family::Sem => 2_000_000,
+                Family::Vm => 20_000_000,
             });
             specs.push(JobSpec {
                 name: file.to_string(),
@@ -440,11 +376,15 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
         run_meter.mount(reg, "run");
     }
 
-    // Group jobs by cache digest.
+    // Group jobs by cache digest. A group's deepest tier is the one
+    // whose artifacts cover every job in it: the fused stream is built
+    // over the decoded one, which is built over the target code (the
+    // tier order of `EngineId`). Warming it alone keeps each artifact
+    // to one cache lookup in this phase; a job whose artifact was not
+    // warmed builds it in phase C instead.
     struct Group {
         key: SourceKey,
-        want_decoded: bool,
-        want_fused: bool,
+        deepest: EngineId,
         want_resolved: bool,
     }
     let mut groups: Vec<Group> = Vec::new();
@@ -455,15 +395,13 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
         let g = *by_digest.entry(key.digest()).or_insert_with(|| {
             groups.push(Group {
                 key,
-                want_decoded: false,
-                want_fused: false,
+                deepest: spec.engine,
                 want_resolved: false,
             });
             groups.len() - 1
         });
-        groups[g].want_decoded |= spec.engine == EngineKind::VmDecoded;
-        groups[g].want_fused |= spec.engine == EngineKind::VmFused;
-        groups[g].want_resolved |= spec.engine == EngineKind::SemResolved;
+        groups[g].deepest = groups[g].deepest.max(spec.engine);
+        groups[g].want_resolved |= spec.engine == EngineId::SemResolved;
         group_of.push(g);
     }
 
@@ -474,13 +412,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
         |_| (),
         |(), _, g| {
             let grp = &groups[g];
-            let r = match grp.key.family {
-                EngineFamily::Sem => cache.program(&grp.key).map(|_| ()),
-                EngineFamily::Vm if grp.want_fused => cache.fused(&grp.key).map(|_| ()),
-                EngineFamily::Vm if grp.want_decoded => cache.decoded(&grp.key).map(|_| ()),
-                EngineFamily::Vm => cache.vm_code(&grp.key).map(|_| ()),
-            };
-            r.err()
+            cache.engine_code(&grp.key, grp.deepest).err()
         },
         &compile_meter,
     )
@@ -515,7 +447,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     let outcomes = run_jobs_metered(
         &pool,
         (0..specs.len()).collect(),
-        |_| ExecArenas::default(),
+        |_| Arenas::default(),
         |arenas, _, i| {
             let spec = &specs[i];
             let started = Instant::now();
@@ -729,14 +661,14 @@ fn run_one(
     spec: &JobSpec,
     cache: &PipelineCache,
     resolved: Option<&ResolvedProgram>,
-    arenas: &mut ExecArenas,
+    arenas: &mut Arenas,
     registry: Option<&MetricsRegistry>,
     flight_cap: usize,
     snap_every: Option<u64>,
 ) -> (RunObs, Option<Postmortem>) {
     let Some(reg) = registry else {
         return (
-            execute(spec, cache, resolved, arenas, snap_every, || NopSink),
+            execute(spec, cache, resolved, arenas, snap_every, NopSink),
             None,
         );
     };
@@ -744,14 +676,14 @@ fn run_one(
     // Catch the panic here (not in the executor) so the recording —
     // held alive by our handle — survives the engine dying under it.
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        execute(spec, cache, resolved, arenas, snap_every, || flight.clone())
+        execute(spec, cache, resolved, arenas, snap_every, flight.clone())
     }));
     let obs = match caught {
         Ok(obs) => obs,
         Err(payload) => {
             // The executor never sees this panic, so take over its
             // context hygiene: the arenas may be half mutated.
-            *arenas = ExecArenas::default();
+            *arenas = Arenas::default();
             RunObs::failed("panicked", panic_text(payload.as_ref()))
         }
     };
@@ -829,420 +761,135 @@ fn governor(spec: &JobSpec) -> ResourceGovernor {
     }
 }
 
-/// One worker's reusable execution arenas, one per engine family —
-/// the phase C worker context (see [`run_jobs_ctx`]). Arenas bank
-/// allocation capacity only, never observable state, so threading one
-/// through consecutive jobs cannot change any job's record.
-#[derive(Default)]
-struct ExecArenas {
-    sem: SemArena,
-    vm: VmArena,
-}
-
 /// Runs one job against the warm cache, drawing machine state from
-/// (and returning it to) the worker's arenas. Generic over a sink
-/// factory: the plain service passes `|| NopSink` and monomorphizes to
-/// exactly the zero-cost instantiation the perf trajectory measures;
-/// the metrics service passes a [`SharedFlight`] handle clone.
+/// (and returning it to) the worker's arenas. Generic over the sink:
+/// the plain service passes [`NopSink`] and monomorphizes to exactly
+/// the zero-cost instantiation the perf trajectory measures; the
+/// metrics service passes a [`SharedFlight`] handle clone.
 fn execute<S: TraceSink>(
     spec: &JobSpec,
     cache: &PipelineCache,
     resolved: Option<&ResolvedProgram>,
-    arenas: &mut ExecArenas,
+    arenas: &mut Arenas,
     snap_every: Option<u64>,
-    mk_sink: impl Fn() -> S,
+    sink: S,
 ) -> RunObs {
-    let key = spec.source_key();
-    match spec.engine {
-        EngineKind::Sem => {
-            let prog = match cache.program(&key) {
-                Ok(p) => p,
-                Err(e) => return RunObs::failed("compile-error", e),
-            };
-            let mut m = Machine::with_sink_in(&prog, mk_sink(), &mut arenas.sem);
-            m.set_governor(governor(spec));
-            let mut t = Thread::over(m);
-            if let Some(seed) = spec.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
-            }
-            let obs = run_sem_job(spec, &mut t, snap_every);
-            t.into_machine().recycle_into(&mut arenas.sem);
-            obs
+    let cached;
+    let code = if spec.engine == EngineId::SemResolved {
+        // Sem-resolved jobs run on the batch's memoized tables.
+        Code {
+            resolved,
+            ..Code::default()
         }
-        EngineKind::SemResolved => {
-            let Some(rp) = resolved else {
-                return RunObs::failed("compile-error", "resolved tables unavailable".into());
-            };
-            let mut m = ResolvedMachine::with_sink_in(rp, mk_sink(), &mut arenas.sem);
-            m.set_governor(governor(spec));
-            let mut t = Thread::over(m);
-            if let Some(seed) = spec.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
-            }
-            let obs = run_sem_job(spec, &mut t, snap_every);
-            t.into_machine().recycle_into(&mut arenas.sem);
-            obs
-        }
-        EngineKind::Vm => {
-            let vp = match cache.vm_code(&key) {
-                Ok(vp) => vp,
-                Err(e) => return RunObs::failed("compile-error", e),
-            };
-            let mut t = VmThread::with_sink_in(&vp, mk_sink(), &mut arenas.vm);
-            t.machine.set_governor(governor(spec));
-            if let Some(seed) = spec.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
-            }
-            let obs = run_vm_job(spec, &mut t, &vp.image, snap_every);
-            t.into_machine().recycle_into(&mut arenas.vm);
-            obs
-        }
-        EngineKind::VmDecoded => {
-            let (vp, dec) = match cache.decoded(&key) {
-                Ok(x) => x,
-                Err(e) => return RunObs::failed("compile-error", e),
-            };
-            let mut t = VmThread::with_sink_shared_decoded_in(&vp, dec, mk_sink(), &mut arenas.vm);
-            t.machine.set_governor(governor(spec));
-            if let Some(seed) = spec.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
-            }
-            let obs = run_vm_job(spec, &mut t, &vp.image, snap_every);
-            t.into_machine().recycle_into(&mut arenas.vm);
-            obs
-        }
-        EngineKind::VmFused => {
-            let (vp, fu) = match cache.fused(&key) {
-                Ok(x) => x,
-                Err(e) => return RunObs::failed("compile-error", e),
-            };
-            let mut t = VmThread::with_sink_shared_fused_in(&vp, fu, mk_sink(), &mut arenas.vm);
-            t.machine.set_governor(governor(spec));
-            if let Some(seed) = spec.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
-            }
-            let obs = run_vm_job(spec, &mut t, &vp.image, snap_every);
-            t.into_machine().recycle_into(&mut arenas.vm);
-            obs
-        }
-    }
-}
-
-fn run_sem_job<'p, M: SemEngine<'p>>(
-    spec: &JobSpec,
-    t: &mut Thread<'p, M>,
-    snap_every: Option<u64>,
-) -> RunObs {
-    let mut obs = match &spec.lang {
-        SourceLang::Cmm => drive_sem(t, spec, snap_every),
-        SourceLang::MiniM3(strategy) => match run_sem_thread(t, *strategy, &spec.args) {
-            Ok(v) => RunObs {
-                outcome: format!("result {v}"),
-                ..RunObs::failed("", String::new())
-            },
-            Err(e) => RunObs::failed("error", e.to_string()),
-        },
+    } else {
+        cached = match cache.engine_code(&spec.source_key(), spec.engine) {
+            Ok(c) => c,
+            Err(e) => return RunObs::failed("compile-error", e),
+        };
+        cached.code()
     };
-    // The abstract machines' work figure: transitions taken. As
-    // deterministic as the run itself, so it belongs in the gated
-    // (timing-stripped) report alongside the vm-family cost totals.
-    obs.instructions = t.machine().steps();
-    obs
-}
-
-fn run_vm_job<S: TraceSink>(
-    spec: &JobSpec,
-    t: &mut VmThread<'_, S>,
-    image: &cmm_cfg::DataImage,
-    snap_every: Option<u64>,
-) -> RunObs {
-    match &spec.lang {
-        SourceLang::Cmm => drive_vm(t, spec, snap_every),
-        SourceLang::MiniM3(strategy) => match run_vm_thread(t, image, *strategy, &spec.args) {
-            Ok((v, cost)) => RunObs {
-                outcome: format!("result {v}"),
-                instructions: cost.total(),
-                ..RunObs::failed("", String::new())
+    let Some(image) = code.image() else {
+        return RunObs::failed("compile-error", "resolved tables unavailable".into());
+    };
+    let setup = Setup {
+        governor: Some(governor(spec)),
+        chaos: spec
+            .chaos
+            .map(|seed| FaultPlan::seeded(seed, CHAOS_HORIZON)),
+        arenas: Some(arenas),
+    };
+    with_engine(spec.engine, &code, sink, setup, |t| {
+        let mut obs = match &spec.lang {
+            SourceLang::Cmm => drive_job(t, spec, snap_every),
+            SourceLang::MiniM3(strategy) => match run_thread(t, image, *strategy, &spec.args) {
+                Ok(v) => RunObs {
+                    outcome: format!("result {v}"),
+                    instructions: t.work(),
+                    ..RunObs::failed("", String::new())
+                },
+                Err(e) => RunObs::failed("error", e.to_string()),
             },
-            Err(e) => RunObs::failed("error", e.to_string()),
-        },
-    }
-}
-
-/// The fixed dispatcher's continuation-parameter fill value — the same
-/// policy difftest's oracles use (`cmm-pool` cannot depend on
-/// `cmm-difftest`: difftest's parallel fuzzing runs on this executor).
-fn fill(code: u64) -> u32 {
-    (code.wrapping_mul(13).wrapping_add(7) & 0xfff) as u32
+        };
+        // The work figure: the abstract machines report their
+        // transitions on every end; the target reports its cost total
+        // on the ends that retire generated code.
+        if spec.engine.family() == Family::Sem {
+            obs.instructions = t.work();
+        }
+        obs
+    })
+    .unwrap_or_else(|e| RunObs::failed("compile-error", e))
 }
 
 /// The snapshot metadata a batch checkpoint records.
-fn snap_meta(spec: &JobSpec, budget: u64, yields_done: usize) -> SnapMeta {
+fn snap_meta(spec: &JobSpec, budget: u64, yields_done: u64) -> SnapMeta {
     SnapMeta {
         entry: spec.entry.clone(),
         args: spec.args.iter().map(|&a| u64::from(a)).collect(),
         fuel_remaining: budget,
-        yields_done: yields_done as u64,
+        yields_done,
         opt: spec.opts != OptOptions::none(),
     }
 }
 
-/// The `cmm-snap` engine identifier for a pool job (the label sets are
-/// mirrors by construction; both crates' tests pin them).
-fn snap_engine(spec: &JobSpec) -> EngineId {
-    EngineId::parse(spec.engine.label()).expect("pool engine labels mirror cmm-snap's")
-}
-
-/// One in-process checkpoint of a sem-family job: capture → encode →
-/// decode → restore into the same machine. Totals land in `sum`.
-fn checkpoint_sem<'p, M: SemEngine<'p>>(
-    t: &mut Thread<'p, M>,
+/// One in-process checkpoint: capture → encode → decode → restore into
+/// the same machine. Totals land in `sum`.
+fn checkpoint(
+    t: &mut dyn Table1,
     spec: &JobSpec,
     budget: u64,
-    yields_done: usize,
+    yields_done: u64,
     sum: &mut SnapSummary,
 ) -> Result<(), String> {
-    let snap = Snapshot {
-        engine: snap_engine(spec),
-        digest: source_digest(&spec.source, spec.opts != OptOptions::none()),
-        meta: snap_meta(spec, budget, yields_done),
-        governor: Some(governor(spec)),
-        chaos: t.chaos().map(|p| p.state()),
-        state: MachineState::Sem(t.machine().capture()?),
-    };
-    let bytes = snap.encode();
+    let digest = source_digest(&spec.source, spec.opts != OptOptions::none());
+    let meta = snap_meta(spec, budget, yields_done);
+    let bytes = Snapshot::capture(t, digest, meta, Some(governor(spec)))?.encode();
     let decoded = Snapshot::decode(&bytes).map_err(|e| e.to_string())?;
-    let MachineState::Sem(st) = &decoded.state else {
-        return Err("sem snapshot decoded to a VM state".into());
-    };
-    t.machine_mut().restore(st)?;
+    decoded.state.restore_into(t)?;
     sum.count += 1;
     sum.bytes += bytes.len() as u64;
     sum.digest = fold_digest(sum.digest, &bytes);
     Ok(())
 }
 
-/// [`checkpoint_sem`] for the simulated target.
-fn checkpoint_vm<S: TraceSink>(
-    t: &mut VmThread<'_, S>,
-    spec: &JobSpec,
-    budget: u64,
-    yields_done: usize,
-    sum: &mut SnapSummary,
-) -> Result<(), String> {
-    let snap = Snapshot {
-        engine: snap_engine(spec),
-        digest: source_digest(&spec.source, spec.opts != OptOptions::none()),
-        meta: snap_meta(spec, budget, yields_done),
-        governor: Some(governor(spec)),
-        chaos: t.chaos().map(|p| p.state()),
-        state: MachineState::Vm(t.machine.capture()?),
-    };
-    let bytes = snap.encode();
-    let decoded = Snapshot::decode(&bytes).map_err(|e| e.to_string())?;
-    let MachineState::Vm(st) = &decoded.state else {
-        return Err("vm snapshot decoded to a sem state".into());
-    };
-    t.machine.restore(st)?;
-    sum.count += 1;
-    sum.bytes += bytes.len() as u64;
-    sum.digest = fold_digest(sum.digest, &bytes);
-    Ok(())
-}
-
-/// Drives a C-- job on an abstract-machine engine, servicing
-/// suspensions with the fixed deterministic dispatcher policy (record
-/// the code, hop one activation toward the caller, odd codes take
-/// unwind continuation 0, parameters filled with [`fill`]).
+/// Drives a C-- job under the fixed dispatcher policy (see
+/// [`cmm_chaos::drive`]).
 ///
 /// With `snap_every = Some(n)` each inter-yield segment's budget is
-/// granted `n` transitions at a time, checkpointing at every slice
-/// boundary; fuel accounting is exact on every engine, so the job's
-/// outcome, yields, and instruction count are identical to the
-/// unsliced run.
-fn drive_sem<'p, M: SemEngine<'p>>(
-    t: &mut Thread<'p, M>,
-    spec: &JobSpec,
-    snap_every: Option<u64>,
-) -> RunObs {
-    let mut obs = RunObs::failed("", String::new());
-    obs.snap = snap_every.map(|_| SnapSummary::default());
-    let args = spec.args.iter().map(|&a| Value::b32(a)).collect();
-    if let Err(w) = t.start(&spec.entry, args) {
-        return RunObs::failed("wrong", w.to_string());
-    }
-    loop {
-        let mut budget = spec.fuel;
-        let status = loop {
-            let slice = match snap_every {
-                Some(n) => n.max(1).min(budget),
-                None => budget,
-            };
-            let before = t.machine().steps();
-            let status = t.run(slice);
-            budget = budget.saturating_sub(t.machine().steps().saturating_sub(before));
-            if matches!(status, Status::OutOfFuel) && budget > 0 && snap_every.is_some() {
-                let sum = obs.snap.as_mut().expect("summary exists when slicing");
-                if let Err(e) = checkpoint_sem(t, spec, budget, obs.yields.len(), sum) {
-                    obs.outcome = "snap-error".into();
-                    obs.detail = e;
-                    return obs;
-                }
-                continue;
-            }
-            break status;
-        };
-        match status {
-            Status::Terminated(vals) => {
-                let bits: Vec<u64> = vals.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
-                obs.outcome = format!("halt {bits:?}");
-                return obs;
-            }
-            Status::Wrong(w) => {
-                obs.outcome = "wrong".into();
-                obs.detail = w.to_string();
-                return obs;
-            }
-            Status::OutOfFuel => {
-                obs.outcome = "fuel".into();
-                obs.detail = "out of fuel".into();
-                return obs;
-            }
-            Status::Suspended => {
-                if obs.yields.len() >= spec.max_yields {
-                    obs.outcome = "fuel".into();
-                    obs.detail = "suspension bound".into();
-                    return obs;
-                }
-                let code = t.yield_code().unwrap_or(0);
-                obs.yields.push(code);
-                let Some(mut a) = t.first_activation() else {
-                    obs.outcome = "rts-error".into();
-                    obs.detail = "no first activation".into();
-                    return obs;
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(w) = t.set_activation(&a) {
-                    obs.outcome = "rts-error".into();
-                    obs.detail = w.to_string();
-                    return obs;
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = Value::b32(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v.clone();
-                    n += 1;
-                }
-                if let Err(w) = t.resume() {
-                    obs.outcome = "rts-error".into();
-                    obs.detail = w.to_string();
-                    return obs;
-                }
-            }
-            other => {
-                obs.outcome = "rts-error".into();
-                obs.detail = format!("unexpected status {other:?}");
-                return obs;
-            }
-        }
-    }
-}
-
-/// [`drive_sem`] for the simulated target.
-fn drive_vm<S: TraceSink>(
-    t: &mut VmThread<'_, S>,
-    spec: &JobSpec,
-    snap_every: Option<u64>,
-) -> RunObs {
-    let mut obs = RunObs::failed("", String::new());
-    obs.snap = snap_every.map(|_| SnapSummary::default());
+/// granted `n` units at a time, checkpointing at every slice boundary;
+/// fuel accounting is exact on every engine, so the job's outcome,
+/// yields, and instruction count are identical to the unsliced run.
+fn drive_job(t: &mut dyn Table1, spec: &JobSpec, snap_every: Option<u64>) -> RunObs {
     let args: Vec<u64> = spec.args.iter().map(|&a| u64::from(a)).collect();
-    t.start(&spec.entry, &args, spec.results);
-    loop {
-        let mut budget = spec.fuel;
-        let status = loop {
-            let slice = match snap_every {
-                Some(n) => n.max(1).min(budget),
-                None => budget,
-            };
-            let before = t.machine.cost.instructions;
-            let status = t.run(slice);
-            budget = budget.saturating_sub(t.machine.cost.instructions.saturating_sub(before));
-            if matches!(status, VmStatus::OutOfFuel) && budget > 0 && snap_every.is_some() {
-                let sum = obs.snap.as_mut().expect("summary exists when slicing");
-                if let Err(e) = checkpoint_vm(t, spec, budget, obs.yields.len(), sum) {
-                    obs.outcome = "snap-error".into();
-                    obs.detail = e;
-                    obs.instructions = t.machine.cost.total();
-                    return obs;
-                }
-                continue;
-            }
-            break status;
-        };
-        match status {
-            VmStatus::Halted(vals) => {
-                obs.outcome = format!("halt {vals:?}");
-                obs.instructions = t.machine.cost.total();
-                return obs;
-            }
-            VmStatus::Error(e) => {
-                obs.outcome = "wrong".into();
-                obs.detail = e;
-                obs.instructions = t.machine.cost.total();
-                return obs;
-            }
-            VmStatus::OutOfFuel => {
-                obs.outcome = "fuel".into();
-                obs.detail = "out of fuel".into();
-                obs.instructions = t.machine.cost.total();
-                return obs;
-            }
-            VmStatus::Suspended => {
-                if obs.yields.len() >= spec.max_yields {
-                    obs.outcome = "fuel".into();
-                    obs.detail = "suspension bound".into();
-                    obs.instructions = t.machine.cost.total();
-                    return obs;
-                }
-                let code = t.machine.yield_args(1)[0];
-                obs.yields.push(code);
-                let Some(mut a) = t.first_activation() else {
-                    obs.outcome = "rts-error".into();
-                    obs.detail = "no first activation".into();
-                    return obs;
-                };
-                let _ = t.next_activation(&mut a);
-                if let Err(e) = t.set_activation(&a) {
-                    obs.outcome = "rts-error".into();
-                    obs.detail = e;
-                    return obs;
-                }
-                if code % 2 == 1 {
-                    let _ = t.set_unwind_cont(0);
-                }
-                let v = u64::from(fill(code));
-                let mut n = 0;
-                while let Some(p) = t.find_cont_param(n) {
-                    *p = v;
-                    n += 1;
-                }
-                if let Err(e) = t.resume() {
-                    obs.outcome = "rts-error".into();
-                    obs.detail = e;
-                    return obs;
-                }
-            }
-            other => {
-                obs.outcome = "rts-error".into();
-                obs.detail = format!("unexpected status {other:?}");
-                return obs;
-            }
-        }
+    if let Err(w) = t.start(&spec.entry, &args, spec.results) {
+        return RunObs::failed("wrong", w);
     }
+    let budget = Budget {
+        every: snap_every,
+        ..Budget::new(spec.fuel, spec.max_yields as u64)
+    };
+    let mut obs = RunObs::failed("", String::new());
+    let mut sum = SnapSummary::default();
+    let end = drive(t, budget, &mut obs.yields, |t, left, done| {
+        checkpoint(t, spec, left, done, &mut sum)
+    });
+    obs.snap = snap_every.map(|_| sum);
+    let (outcome, detail, retired) = match end {
+        Ok(End::Halted(words)) => (format!("halt {words:?}"), String::new(), true),
+        Ok(End::Wrong(e)) => ("wrong".into(), e, true),
+        Ok(End::OutOfFuel) => ("fuel".into(), "out of fuel".into(), true),
+        Ok(End::SuspensionBound) => ("fuel".into(), "suspension bound".into(), true),
+        Ok(End::RtsError(e)) => ("rts-error".into(), e, false),
+        Ok(End::Unexpected(s)) => ("rts-error".into(), format!("unexpected status {s}"), false),
+        Ok(End::Paused { .. }) => ("fuel".into(), "paused".into(), true),
+        Err(e) => ("snap-error".into(), e, true),
+    };
+    obs.outcome = outcome;
+    obs.detail = detail;
+    if retired {
+        obs.instructions = t.work();
+    }
+    obs
 }
 
 impl BatchReport {

@@ -12,7 +12,7 @@
 //! | `Fused`   | fused superinstruction stream | `cmm-vm` fuse |
 //!
 //! The digest covers the raw source bytes, the [`OptOptions`], and the
-//! engine *family* ([`EngineFamily`]): the two abstract-machine engines
+//! engine [`Family`]: the two abstract-machine engines
 //! share one artifact chain, the three simulated-target engines another.
 //! See [`crate::digest`] for why the source is hashed byte-exactly.
 //!
@@ -47,6 +47,8 @@
 
 use crate::digest::Digest;
 use cmm_cfg::Program;
+use cmm_chaos::{EngineId, Family};
+use cmm_frontend::Code;
 use cmm_ir::Module;
 use cmm_obs::{CacheSnapshot, ShardedCacheStats};
 use cmm_opt::OptOptions;
@@ -54,28 +56,6 @@ use cmm_vm::{DecodedCode, FusedCode, VmProgram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Which artifact chain a job needs: the abstract machines (`sem`,
-/// `sem-resolved`) execute the CFG [`Program`]; the simulated targets
-/// (`vm`, `vm-decoded`, `vm-fused`) execute [`VmProgram`] code. The
-/// family is a digest input, so the chains never alias.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum EngineFamily {
-    /// Abstract-machine chain (stops at [`Stage::Program`]).
-    Sem,
-    /// Simulated-target chain (extends to [`Stage::VmCode`] /
-    /// [`Stage::Decoded`] / [`Stage::Fused`]).
-    Vm,
-}
-
-impl EngineFamily {
-    fn tag(self) -> &'static [u8] {
-        match self {
-            EngineFamily::Sem => b"sem",
-            EngineFamily::Vm => b"vm",
-        }
-    }
-}
 
 /// What language the source text is in, and how to lower it.
 #[derive(Clone, PartialEq, Debug)]
@@ -99,8 +79,11 @@ pub struct SourceKey {
     pub lang: SourceLang,
     /// Optimization pipeline configuration.
     pub opts: OptOptions,
-    /// Artifact chain.
-    pub family: EngineFamily,
+    /// Artifact chain: the abstract machines (`sem`, `sem-resolved`)
+    /// execute the CFG [`Program`]; the simulated targets (`vm`,
+    /// `vm-decoded`, `vm-fused`) execute [`VmProgram`] code. The family
+    /// is a digest input, so the chains never alias.
+    pub family: Family,
 }
 
 impl SourceKey {
@@ -122,7 +105,7 @@ impl SourceKey {
             self.source.as_bytes(),
             lang.as_bytes(),
             opts.as_bytes(),
-            self.family.tag(),
+            self.family.name().as_bytes(),
         ])
     }
 }
@@ -506,6 +489,30 @@ impl PipelineCache {
         }
     }
 
+    /// Everything `engine` runs `key`'s program from: the CFG for the
+    /// abstract machines (`sem-resolved` derives its tables from it),
+    /// the target code plus the tier's shared lowering for the VM tiers.
+    ///
+    /// # Errors
+    ///
+    /// The compile error of the first stage that failed.
+    pub fn engine_code(&self, key: &SourceKey, engine: EngineId) -> Result<EngineCode, String> {
+        let mut code = EngineCode::default();
+        match engine {
+            EngineId::Sem | EngineId::SemResolved => code.program = Some(self.program(key)?),
+            EngineId::Vm => code.vm = Some(self.vm_code(key)?),
+            EngineId::VmDecoded => {
+                let (vp, decoded) = self.decoded(key)?;
+                (code.vm, code.decoded) = (Some(vp), Some(decoded));
+            }
+            EngineId::VmFused => {
+                let (vp, fused) = self.fused(key)?;
+                (code.vm, code.fused) = (Some(vp), Some(fused));
+            }
+        }
+        Ok(code)
+    }
+
     /// The compiled program together with its fused superinstruction
     /// stream. Builds on [`PipelineCache::decoded`]: the fused stream
     /// retains the decoded stream, so a batch wanting both pays for
@@ -518,6 +525,29 @@ impl PipelineCache {
         match art {
             Artifact::Fused(f) => Ok((vp, f)),
             _ => unreachable!("stage key mismatch"),
+        }
+    }
+}
+
+/// Shared handles on the artifacts one engine runs (see
+/// [`PipelineCache::engine_code`]).
+#[derive(Clone, Default)]
+pub struct EngineCode {
+    program: Option<Arc<Program>>,
+    vm: Option<Arc<VmProgram>>,
+    decoded: Option<Arc<DecodedCode>>,
+    fused: Option<Arc<FusedCode>>,
+}
+
+impl EngineCode {
+    /// The artifacts as the engine constructor's input.
+    pub fn code(&self) -> Code<'_> {
+        Code {
+            program: self.program.as_deref(),
+            resolved: None,
+            vm: self.vm.as_deref(),
+            decoded: self.decoded.clone(),
+            fused: self.fused.clone(),
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The workspace compiles one source through a fixed pipeline
 //! (parse → CFG → optimize → VM codegen → pre-decode) and then runs it
-//! on one of four engines. A service that executes *many* jobs — the
+//! on one of five engines. A service that executes *many* jobs — the
 //! `cmm batch` subcommand, `cmm fuzz --jobs N`, the benchmark
 //! trajectory's throughput workload — repeats that compilation work
 //! per job unless something memoizes it. This crate is that something:
@@ -34,12 +34,16 @@ pub mod digest;
 pub mod executor;
 
 pub use batch::{
-    load_manifest, parse_manifest, run_batch, BatchConfig, BatchReport, EngineKind, JobRecord,
-    JobSpec, Postmortem, SnapSummary,
+    load_manifest, parse_manifest, run_batch, BatchConfig, BatchReport, JobRecord, JobSpec,
+    Postmortem, SnapSummary,
 };
 pub use cache::{
-    Artifact, CacheConfig, EngineFamily, PipelineCache, SourceKey, SourceLang, Stage, SHARDS,
+    Artifact, CacheConfig, EngineCode, PipelineCache, SourceKey, SourceLang, Stage, SHARDS,
 };
+/// The engine a job runs on, under the name the batch API has always
+/// used for it.
+pub use cmm_chaos::EngineId as EngineKind;
+pub use cmm_frontend::engine::{with_engine, Arenas, Code, Setup};
 pub use digest::Digest;
 pub use executor::{
     run_jobs, run_jobs_ctx, run_jobs_metered, virtual_makespan, JobOutcome, PoolConfig, PoolMeter,
@@ -49,13 +53,14 @@ pub use executor::{
 #[cfg(test)]
 mod tests {
     use super::cache::*;
+    use cmm_chaos::Family;
     use cmm_opt::OptOptions;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     const TINY: &str = "f(bits32 a) { return (a + 1); }";
 
-    fn key(source: &str, family: EngineFamily) -> SourceKey {
+    fn key(source: &str, family: Family) -> SourceKey {
         SourceKey {
             source: source.to_string(),
             lang: SourceLang::Cmm,
@@ -69,7 +74,7 @@ mod tests {
         // Budget below any artifact estimate: every insertion
         // immediately evicts, so repeated requests never hit.
         let cache = PipelineCache::new(CacheConfig { max_bytes: 1 });
-        let k = key(TINY, EngineFamily::Sem);
+        let k = key(TINY, Family::Sem);
         cache.program(&k).expect("compiles");
         let snap = cache.snapshot();
         // Module + Program built, both evicted on insert.
@@ -93,8 +98,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let a = key(TINY, EngineFamily::Sem);
-        let b = key("g(bits32 a) { return (a * 2); }", EngineFamily::Sem);
+        let a = key(TINY, Family::Sem);
+        let b = key("g(bits32 a) { return (a * 2); }", Family::Sem);
         // Budget sized from the real estimates: holds both Programs
         // and one Module, but not all four artifacts.
         let probe = PipelineCache::default();
@@ -125,7 +130,7 @@ mod tests {
         let cache = PipelineCache::default();
         let builds = AtomicUsize::new(0);
         let gate = Barrier::new(2);
-        let digest = key(TINY, EngineFamily::Sem).digest();
+        let digest = key(TINY, Family::Sem).digest();
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
@@ -157,8 +162,8 @@ mod tests {
         // were never actually compiled — an aliasing risk the
         // difftest oracles could never observe. So two sources that
         // differ only in whitespace are distinct cache worlds.
-        let a = key("f(bits32 a) { return (a + 1); }", EngineFamily::Sem);
-        let b = key("f(bits32 a) {  return (a + 1); }", EngineFamily::Sem);
+        let a = key("f(bits32 a) { return (a + 1); }", Family::Sem);
+        let b = key("f(bits32 a) {  return (a + 1); }", Family::Sem);
         assert_ne!(a.digest(), b.digest());
 
         let cache = PipelineCache::default();
@@ -172,8 +177,8 @@ mod tests {
 
     #[test]
     fn digest_separates_config_and_family() {
-        let base = key(TINY, EngineFamily::Sem);
-        let vm = key(TINY, EngineFamily::Vm);
+        let base = key(TINY, Family::Sem);
+        let vm = key(TINY, Family::Vm);
         let mut o0 = base.clone();
         o0.opts = OptOptions::none();
         assert_ne!(base.digest(), vm.digest());
@@ -183,7 +188,7 @@ mod tests {
     #[test]
     fn build_errors_are_reported_not_cached() {
         let cache = PipelineCache::default();
-        let bad = key("f(bits32 a) { return (a +; }", EngineFamily::Sem);
+        let bad = key("f(bits32 a) { return (a +; }", Family::Sem);
         assert!(cache.program(&bad).is_err());
         assert!(cache.program(&bad).is_err(), "still an error");
         let snap = cache.snapshot();

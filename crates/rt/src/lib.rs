@@ -23,6 +23,10 @@
 //! with a suspended thread only through this interface; "different front
 //! ends may interoperate with the same C-- run-time system."
 //!
+//! [`Thread`] also implements the engine-neutral [`chaos::Table1`]
+//! trait, as `cmm_vm::VmThread` does for the simulated target, so a
+//! run-time system written against the trait runs on every engine.
+//!
 //! The interface is implemented entirely in terms of the `rts_*`
 //! transitions that `cmm-sem` permits while a machine is suspended at a
 //! `Yield` node, so every dispatch a front end performs is — by
@@ -63,4 +67,5 @@
 
 pub mod thread;
 
+pub use cmm_chaos as chaos;
 pub use thread::{Activation, Thread};

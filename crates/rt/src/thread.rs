@@ -1,12 +1,14 @@
 //! Threads and activation handles.
 
 use cmm_cfg::{Bundle, Graph, Node, Program};
-use cmm_chaos::{ChaosOp, FaultPlan, InjectedFault};
+use cmm_chaos::{ChaosOp, EngineId, FaultPlan, InjectedFault, Stop, Table1};
 use cmm_ir::{Name, Ty};
 use cmm_obs::{Event, ResumeKind, RtsOp};
 use cmm_sem::{
-    Frame, Machine, ResolvedMachine, ResolvedProgram, RtsTarget, SemEngine, Status, Value, Wrong,
+    Frame, Machine, ResolvedMachine, ResolvedProgram, RtsTarget, SemEngine, SemState, Status,
+    Value, Wrong,
 };
+use std::any::Any;
 use std::marker::PhantomData;
 
 /// An activation handle: a cursor over the stack of abstract activations
@@ -56,6 +58,8 @@ pub struct Thread<'p, M: SemEngine<'p> = Machine<'p>> {
     machine: M,
     pending: Option<Pending>,
     chaos: Option<Box<FaultPlan>>,
+    /// The activation handle the [`Table1`] walk ops move.
+    cursor: Option<Activation>,
     _marker: PhantomData<&'p ()>,
 }
 
@@ -88,6 +92,7 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
             machine,
             pending: None,
             chaos: None,
+            cursor: None,
             _marker: PhantomData,
         }
     }
@@ -512,6 +517,116 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
     /// Writes a 32-bit word to memory.
     pub fn write_u32(&mut self, addr: u64, v: u32) {
         self.machine.store(Ty::B32, addr, u64::from(v));
+    }
+}
+
+/// Table 1 over words: the handle lives in the thread's cursor, and
+/// words are `bits32` values.
+impl<'p, M: SemEngine<'p>> Table1 for Thread<'p, M> {
+    fn engine(&self) -> EngineId {
+        M::ENGINE
+    }
+
+    fn start(&mut self, entry: &str, args: &[u64], _results: usize) -> Result<(), String> {
+        let args = args.iter().map(|&a| Value::b32(a as u32)).collect();
+        Thread::start(self, entry, args).map_err(|w| w.to_string())
+    }
+
+    fn run(&mut self, fuel: u64) -> Stop {
+        match Thread::run(self, fuel) {
+            Status::Terminated(vals) => {
+                Stop::Halted(vals.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect())
+            }
+            Status::Suspended => Stop::Suspended,
+            Status::OutOfFuel => Stop::OutOfFuel,
+            Status::Wrong(w) => Stop::Wrong(w.to_string()),
+            other => Stop::Other(format!("{other:?}")),
+        }
+    }
+
+    fn fuel_spent(&self) -> u64 {
+        self.machine.steps()
+    }
+
+    fn work(&self) -> u64 {
+        self.machine.steps()
+    }
+
+    fn yield_arg(&self, i: usize) -> u64 {
+        self.yield_args().get(i).and_then(Value::bits).unwrap_or(0)
+    }
+
+    fn read_u32(&self, addr: u64) -> u32 {
+        Thread::read_u32(self, addr)
+    }
+
+    fn first_activation(&mut self) -> bool {
+        self.cursor = Thread::first_activation(self);
+        self.cursor.is_some()
+    }
+
+    fn next_activation(&mut self) -> bool {
+        let Some(mut a) = self.cursor else {
+            return false;
+        };
+        let moved = Thread::next_activation(self, &mut a);
+        self.cursor = Some(a);
+        moved
+    }
+
+    fn get_descriptor(&mut self, n: usize) -> Option<u64> {
+        let a = self.cursor?;
+        Thread::get_descriptor(self, &a, n)
+    }
+
+    fn set_activation(&mut self) -> Result<(), String> {
+        let a = self.cursor.ok_or("no activation selected")?;
+        Thread::set_activation(self, &a).map_err(|w| w.to_string())
+    }
+
+    fn set_unwind_cont(&mut self, n: usize) -> Result<(), String> {
+        Thread::set_unwind_cont(self, n).map_err(|w| w.to_string())
+    }
+
+    fn set_cut_to_cont(&mut self, k: u64) -> Result<(), String> {
+        Thread::set_cut_to_cont(self, Value::b64(k)).map_err(|w| w.to_string())
+    }
+
+    fn set_cont_param(&mut self, n: usize, word: u64) -> bool {
+        match Thread::find_cont_param(self, n) {
+            Some(p) => {
+                *p = Value::b32(word as u32);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn resume(&mut self) -> Result<(), String> {
+        Thread::resume(self).map_err(|w| w.to_string())
+    }
+
+    fn capture(&self) -> Result<Box<dyn Any>, String> {
+        Ok(Box::new(self.machine.capture()?))
+    }
+
+    fn restore(&mut self, state: &dyn Any) -> Result<(), String> {
+        let st = state
+            .downcast_ref::<SemState>()
+            .ok_or("a sem-family engine cannot restore a VM state")?;
+        self.machine.restore(st)
+    }
+
+    fn set_chaos(&mut self, plan: FaultPlan) {
+        Thread::set_chaos(self, plan);
+    }
+
+    fn chaos(&self) -> Option<&FaultPlan> {
+        Thread::chaos(self)
+    }
+
+    fn deep_state(&self) -> (Vec<(u64, u8)>, Vec<u64>) {
+        (self.machine.mem_snapshot(), vec![self.machine.steps()])
     }
 }
 

@@ -16,12 +16,16 @@ use crate::state::NodeRef;
 use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{NodeId, Program};
+use cmm_chaos::EngineId;
 use cmm_ir::{Name, Ty};
 use cmm_obs::{Event, TraceSink};
 
 /// One thread of C-- execution, as seen by the front-end run-time
 /// system. See the module documentation.
 pub trait SemEngine<'p> {
+    /// Which engine this is.
+    const ENGINE: EngineId;
+
     /// The program being executed.
     fn program(&self) -> &'p Program;
 
@@ -128,6 +132,8 @@ pub trait SemEngine<'p> {
 }
 
 impl<'p, S: TraceSink> SemEngine<'p> for Machine<'p, S> {
+    const ENGINE: EngineId = EngineId::Sem;
+
     fn program(&self) -> &'p Program {
         Machine::program(self)
     }

@@ -1443,6 +1443,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
 }
 
 impl<'p, S: TraceSink> crate::engine::SemEngine<'p> for ResolvedMachine<'p, S> {
+    const ENGINE: cmm_chaos::EngineId = cmm_chaos::EngineId::SemResolved;
+
     fn program(&self) -> &'p Program {
         self.rp.prog
     }

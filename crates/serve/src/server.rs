@@ -29,8 +29,16 @@
 use crate::json::{escape, get, parse_object, JsonValue};
 use crate::service::{Service, SubmitReq, ThreadState};
 use cmm_snap::EngineId;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+
+/// The longest request line the server reads, in bytes. A longer line
+/// is answered with an error line and its connection is closed.
+pub const MAX_LINE: usize = 1 << 20;
+
+/// How long the server waits before accepting again after a failed
+/// accept.
+pub const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// Handles one request line against the service. Returns the response
 /// line (no trailing newline) and whether the server should shut down.
@@ -232,29 +240,67 @@ fn opt_num(fields: &[(String, JsonValue)], key: &str) -> Result<Option<u64>, Str
 /// single-threaded state machine by design (parallelism lives inside
 /// [`Service::tick`], not across clients).
 ///
+/// A failed read, UTF-8 decode or write ends only the connection it
+/// happened on, and a failed accept is retried after [`ACCEPT_BACKOFF`];
+/// per-request protocol errors go to the client as `{"ok":0,...}` lines
+/// instead.
+///
 /// # Errors
 ///
-/// Propagates accept/read/write I/O errors; per-request protocol
-/// errors go to the client as `{"ok":0,...}` lines instead.
+/// None: every I/O failure is confined to its connection, and the
+/// server returns `Ok` once a client sends `shutdown`.
 pub fn serve_on(listener: TcpListener, mut svc: Service) -> std::io::Result<()> {
     for stream in listener.incoming() {
-        let stream = stream?;
-        let mut writer = stream.try_clone()?;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        match stream {
+            Ok(stream) => {
+                if serve_client(stream, &mut svc) {
+                    break;
+                }
             }
-            let (response, shutdown) = handle_line(&mut svc, &line);
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            if shutdown {
-                return Ok(());
-            }
+            // An accept error that persists (the process is out of file
+            // descriptors) would otherwise make this loop a busy wait.
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     Ok(())
+}
+
+/// Serves one connection until the client leaves, misbehaves or asks
+/// for shutdown. Returns whether the server should stop.
+fn serve_client(stream: TcpStream, svc: &mut Service) -> bool {
+    let Ok(mut writer) = stream.try_clone() else {
+        return false;
+    };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return false,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
+            let e = format!("request line longer than {MAX_LINE} bytes");
+            let _ = writeln!(writer, "{{\"ok\":0,\"error\":\"{e}\"}}");
+            return false;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return false;
+        };
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
+        if line.trim().is_empty() {
+            continue;
+        }
+        let (response, shutdown) = handle_line(svc, line);
+        if writeln!(writer, "{response}").is_err() {
+            return false;
+        }
+        if shutdown {
+            return true;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -360,6 +406,90 @@ mod tests {
         assert_eq!(r, "{\"ok\":1,\"id\":0}");
         let r = say("{\"op\":\"tick\",\"quanta\":10}");
         assert!(r.contains("\"yielded\":1"), "{r}");
+        assert_eq!(say("{\"op\":\"shutdown\"}"), "{\"ok\":1}");
+        server.join().unwrap().expect("server exits cleanly");
+    }
+
+    /// Words wider than 32 bits are refused on the wire as on the API:
+    /// the two engine families would read them differently.
+    #[test]
+    fn wide_words_are_rejected_on_the_protocol_path() {
+        let mut svc = Service::new(ServeConfig::default());
+        let submit = |args: &str| {
+            format!(
+                "{{\"op\":\"submit\",\"source\":\"{}\",\"args\":[{args}]}}",
+                escape(SRC)
+            )
+        };
+        let r = roundtrip(&mut svc, &submit("4294967297"));
+        assert!(
+            r.starts_with("{\"ok\":0,\"error\":") && r.contains("32-bit"),
+            "{r}"
+        );
+        let r = roundtrip(&mut svc, &submit("4294967295"));
+        assert_eq!(r, "{\"ok\":1,\"id\":0}", "{r}");
+        let r = roundtrip(&mut svc, "{\"op\":\"tick\",\"quanta\":10}");
+        assert!(r.contains("\"yielded\":1"), "{r}");
+        let r = roundtrip(
+            &mut svc,
+            "{\"op\":\"resume\",\"id\":0,\"reply\":4294967296}",
+        );
+        assert!(
+            r.starts_with("{\"ok\":0,\"error\":") && r.contains("32-bit"),
+            "{r}"
+        );
+        let r = roundtrip(
+            &mut svc,
+            "{\"op\":\"resume\",\"id\":0,\"reply\":4294967295}",
+        );
+        assert_eq!(r, "{\"ok\":1}");
+    }
+
+    /// One client sending garbage — bytes that are not UTF-8, or a line
+    /// past [`MAX_LINE`] — loses its own connection and nothing else:
+    /// the next client is served and `shutdown` still ends the server
+    /// cleanly.
+    #[test]
+    fn a_bad_client_ends_only_its_own_connection() {
+        use std::io::{BufRead, BufReader, Read, Write};
+        use std::net::{Shutdown, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let svc = Service::new(ServeConfig::default());
+        let server = std::thread::spawn(move || serve_on(listener, svc));
+
+        // Client A: a line that is not UTF-8 — the server hangs up.
+        let mut a = TcpStream::connect(addr).expect("connect");
+        a.write_all(b"\xff\xfe\n").unwrap();
+        let mut rest = Vec::new();
+        let _ = a.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "no reply to a non-UTF-8 line");
+
+        // Client A again: an over-long line gets an error line, then
+        // the server hangs up.
+        let mut a = TcpStream::connect(addr).expect("connect");
+        a.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+        a.shutdown(Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        a.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("{\"ok\":0,\"error\":") && reply.contains("longer than"),
+            "{reply}"
+        );
+
+        // Client B is served as if nothing happened.
+        let b = TcpStream::connect(addr).expect("connect");
+        let mut writer = b.try_clone().unwrap();
+        let mut reader = BufReader::new(b);
+        let mut say = |line: &str| {
+            writer.write_all(line.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response.trim_end().to_string()
+        };
+        let r = say("{\"op\":\"stats\"}");
+        assert!(r.starts_with("{\"ok\":1,\"submitted\":0"), "{r}");
         assert_eq!(say("{\"op\":\"shutdown\"}"), "{\"ok\":1}");
         server.join().unwrap().expect("server exits cleanly");
     }

@@ -29,20 +29,14 @@
 //! worker count; wall-clock time appears only in `Timing`-class
 //! metrics.
 
-use cmm_chaos::{FaultPlan, FaultPlanState, ResourceGovernor};
-use cmm_obs::{
-    Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry, NopSink, TraceSink,
-};
+use cmm_chaos::{service_yield, FaultPlan, FaultPlanState, ResourceGovernor, Stop, Table1};
+use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry, NopSink};
 use cmm_opt::OptOptions;
 use cmm_pool::{
-    run_jobs, virtual_makespan, EngineFamily, PipelineCache, PoolConfig, SourceKey, SourceLang,
+    run_jobs, virtual_makespan, with_engine, PipelineCache, PoolConfig, Setup, SourceKey,
+    SourceLang,
 };
-use cmm_rt::Thread;
-use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, SemEngine, SnapStatus, Status, Value};
-use cmm_snap::{
-    fold_digest, source_digest, EngineId, Family, MachineState, SnapMeta, Snapshot, FOLD_INIT,
-};
-use cmm_vm::{VmSnapStatus, VmStatus, VmThread};
+use cmm_snap::{fold_digest, source_digest, EngineId, SnapMeta, Snapshot, FOLD_INIT};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
@@ -55,8 +49,19 @@ pub const CHAOS_HORIZON: u64 = 4;
 /// The fixed dispatcher's continuation-parameter fill value — the
 /// reply word the deterministic load generator (and any tenant that
 /// wants to replay an oracle run) sends for yield code `code`.
-pub fn dispatcher_fill(code: u64) -> u32 {
-    (code.wrapping_mul(13).wrapping_add(7) & 0xfff) as u32
+pub use cmm_chaos::dispatcher_fill;
+
+/// Arguments and replies are 32-bit machine words: the abstract
+/// machines hold them as `bits32` values, so a wider word would reach
+/// the two engine families differently.
+fn check_word(what: &str, w: u64) -> Result<(), String> {
+    if w > u64::from(u32::MAX) {
+        return Err(format!(
+            "{what} {w} does not fit a 32-bit machine word (max {})",
+            u32::MAX
+        ));
+    }
+    Ok(())
 }
 
 /// Which engine tier a parked thread's next slice runs on.
@@ -511,10 +516,11 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Rejects empty sources, zero fuel, and submissions over the
-    /// tenant's live-thread cap. Compile errors are *not* detected
-    /// here: compilation happens (once, cached) on the worker pool and
-    /// surfaces as a `compile-error` outcome.
+    /// Rejects empty sources, zero fuel, arguments wider than 32 bits,
+    /// and submissions over the tenant's live-thread cap. Compile
+    /// errors are *not* detected here: compilation happens (once,
+    /// cached) on the worker pool and surfaces as a `compile-error`
+    /// outcome.
     pub fn submit(&mut self, req: SubmitReq) -> Result<u64, String> {
         if let Some(m) = &self.meters {
             m.request("submit");
@@ -524,6 +530,9 @@ impl Service {
         }
         if req.fuel == 0 {
             return Err("fuel must be >= 1".into());
+        }
+        for &a in &req.args {
+            check_word("argument", a)?;
         }
         if self.live_of(&req.tenant) >= self.config.max_live_per_tenant {
             return Err(format!(
@@ -574,11 +583,13 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// The thread must exist and be awaiting its tenant.
+    /// The thread must exist and be awaiting its tenant, and `reply`
+    /// must fit a 32-bit machine word.
     pub fn resume(&mut self, id: u64, reply: u64) -> Result<(), String> {
         if let Some(m) = &self.meters {
             m.request("resume");
         }
+        check_word("reply", reply)?;
         let vclock = self.stats.vclock;
         let rec = self
             .threads
@@ -712,7 +723,7 @@ impl Service {
             let rec = self.threads.get_mut(&id).expect("queued thread exists");
             let target = match policy {
                 MigrationPolicy::Pinned => rec.engine,
-                MigrationPolicy::Rotate => next_tier(rec.engine),
+                MigrationPolicy::Rotate => rec.engine.next_tier(),
             };
             if rec.blob.is_some() && target != rec.blob_engine {
                 rec.migrations += 1;
@@ -927,18 +938,6 @@ fn outcome_class(outcome: &str) -> &'static str {
     "rts-error"
 }
 
-/// The next tier in the engine's family, in tag order (wrapping) — the
-/// `Rotate` policy's schedule.
-fn next_tier(engine: EngineId) -> EngineId {
-    match engine {
-        EngineId::Sem => EngineId::SemResolved,
-        EngineId::SemResolved => EngineId::Sem,
-        EngineId::Vm => EngineId::VmDecoded,
-        EngineId::VmDecoded => EngineId::VmFused,
-        EngineId::VmFused => EngineId::Vm,
-    }
-}
-
 /// Everything one slice needs, detached from the scheduler so slices
 /// can run on pool workers.
 struct SliceJob {
@@ -989,12 +988,12 @@ impl SliceJob {
         }
     }
 
-    fn key(&self, family: EngineFamily) -> SourceKey {
+    fn key(&self) -> SourceKey {
         SourceKey {
             source: self.source.clone(),
             lang: SourceLang::Cmm,
             opts: self.opts(),
-            family,
+            family: self.engine.family(),
         }
     }
 
@@ -1006,22 +1005,17 @@ impl SliceJob {
         }
     }
 
-    fn snapshot(&self, used: u64, chaos: Option<FaultPlanState>, state: MachineState) -> Vec<u8> {
-        Snapshot {
-            engine: self.engine,
-            digest: source_digest(&self.source, self.opt),
-            meta: SnapMeta {
-                entry: self.entry.clone(),
-                args: self.args.clone(),
-                fuel_remaining: self.thread_fuel.saturating_sub(used),
-                yields_done: self.yields_done,
-                opt: self.opt,
-            },
-            governor: Some(self.governor()),
-            chaos,
-            state,
-        }
-        .encode()
+    /// Parks thread `t` as a blob, `used` units into the slice.
+    fn park(&self, t: &dyn Table1, used: u64) -> Result<Vec<u8>, String> {
+        let meta = SnapMeta {
+            entry: self.entry.clone(),
+            args: self.args.clone(),
+            fuel_remaining: self.thread_fuel.saturating_sub(used),
+            yields_done: self.yields_done,
+            opt: self.opt,
+        };
+        let digest = source_digest(&self.source, self.opt);
+        Ok(Snapshot::capture(t, digest, meta, Some(self.governor()))?.encode())
     }
 }
 
@@ -1042,59 +1036,21 @@ fn done(outcome: &str, detail: impl Into<String>, used: u64) -> SliceResult {
 /// and park or finish. Pure function of its inputs — the determinism
 /// contract rests on this.
 fn run_slice(cache: &PipelineCache, job: &SliceJob) -> SliceResult {
-    match job.engine.family() {
-        Family::Sem => {
-            let prog = match cache.program(&job.key(EngineFamily::Sem)) {
-                Ok(p) => p,
-                Err(e) => return done("compile-error", e, 1),
-            };
-            match job.engine {
-                EngineId::SemResolved => {
-                    let rp = ResolvedProgram::new(&prog);
-                    let mut m = ResolvedMachine::new(&rp);
-                    m.set_governor(job.governor());
-                    run_slice_sem(&mut Thread::over(m), job)
-                }
-                _ => {
-                    let mut m = Machine::new(&prog);
-                    m.set_governor(job.governor());
-                    run_slice_sem(&mut Thread::over(m), job)
-                }
-            }
-        }
-        Family::Vm => {
-            let key = job.key(EngineFamily::Vm);
-            match job.engine {
-                EngineId::VmDecoded => match cache.decoded(&key) {
-                    Ok((vp, dec)) => {
-                        let mut t = VmThread::with_sink_shared_decoded(&vp, dec, NopSink);
-                        t.machine.set_governor(job.governor());
-                        run_slice_vm(&mut t, job)
-                    }
-                    Err(e) => done("compile-error", e, 1),
-                },
-                EngineId::VmFused => match cache.fused(&key) {
-                    Ok((vp, fu)) => {
-                        let mut t = VmThread::with_sink_shared_fused(&vp, fu, NopSink);
-                        t.machine.set_governor(job.governor());
-                        run_slice_vm(&mut t, job)
-                    }
-                    Err(e) => done("compile-error", e, 1),
-                },
-                _ => match cache.vm_code(&key) {
-                    Ok(vp) => {
-                        let mut t = VmThread::new(&vp);
-                        t.machine.set_governor(job.governor());
-                        run_slice_vm(&mut t, job)
-                    }
-                    Err(e) => done("compile-error", e, 1),
-                },
-            }
-        }
-    }
+    let cached = match cache.engine_code(&job.key(), job.engine) {
+        Ok(c) => c,
+        Err(e) => return done("compile-error", e, 1),
+    };
+    let setup = Setup {
+        governor: Some(job.governor()),
+        ..Setup::default()
+    };
+    with_engine(job.engine, &cached.code(), NopSink, setup, |t| {
+        slice(t, job)
+    })
+    .unwrap_or_else(|e| done("compile-error", e, 1))
 }
 
-fn run_slice_sem<'p, M: SemEngine<'p>>(t: &mut Thread<'p, M>, job: &SliceJob) -> SliceResult {
+fn slice(t: &mut dyn Table1, job: &SliceJob) -> SliceResult {
     // Restore the blob or start fresh.
     let mut at_yield = false;
     match &job.blob {
@@ -1106,226 +1062,60 @@ fn run_slice_sem<'p, M: SemEngine<'p>>(t: &mut Thread<'p, M>, job: &SliceJob) ->
             if let Err(e) = snapshot.check_engine(job.engine) {
                 return done("snap-error", e, 1);
             }
-            let MachineState::Sem(st) = &snapshot.state else {
-                return done("snap-error", "sem slice got a VM blob", 1);
-            };
-            at_yield = st.status == SnapStatus::Suspended;
-            if let Err(e) = t.machine_mut().restore(st) {
+            at_yield = snapshot.state.at_yield();
+            if let Err(e) = snapshot.restore_into(t) {
                 return done("snap-error", e, 1);
-            }
-            if let Some(ch) = &snapshot.chaos {
-                t.set_chaos(FaultPlan::from_state(ch));
             }
         }
         None => {
             if let Some(seed) = job.chaos {
                 t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
             }
-            let args = job.args.iter().map(|&a| Value::b32(a as u32)).collect();
-            if let Err(w) = t.start(&job.entry, args) {
-                return done("wrong", w.to_string(), 1);
+            if let Err(w) = t.start(&job.entry, &job.args, job.results) {
+                return done("wrong", w, 1);
             }
         }
     }
-    let before = t.machine().steps();
-    let used = |t: &Thread<'p, M>| t.machine().steps().saturating_sub(before).max(1);
+    let before = t.fuel_spent();
+    let used = |t: &dyn Table1| t.fuel_spent().saturating_sub(before).max(1);
     // A blob parked at a yield resumes through the dispatcher with the
     // tenant's staged reply.
     if at_yield {
         let Some(reply) = job.reply else {
             return done("rts-error", "parked at a yield without a pending reply", 1);
         };
-        let code = t.yield_code().unwrap_or(0);
-        let Some(mut a) = t.first_activation() else {
-            return done("rts-error", "no first activation", used(t));
-        };
-        let _ = t.next_activation(&mut a);
-        if let Err(w) = t.set_activation(&a) {
-            return done("rts-error", w.to_string(), used(t));
-        }
-        if code % 2 == 1 {
-            let _ = t.set_unwind_cont(0);
-        }
-        let v = Value::b32(reply as u32);
-        let mut n = 0;
-        while let Some(p) = t.find_cont_param(n) {
-            *p = v.clone();
-            n += 1;
-        }
-        if let Err(w) = t.resume() {
-            return done("rts-error", w.to_string(), used(t));
+        if let Err(e) = service_yield(t, t.yield_arg(0), reply) {
+            return done("rts-error", e, used(t));
         }
     }
-    match t.run(job.slice_fuel) {
-        Status::Terminated(vals) => {
-            let bits: Vec<u64> = vals.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
-            SliceResult {
-                end: SliceEnd::Done {
-                    outcome: format!("halt {bits:?}"),
-                    detail: String::new(),
-                },
-                used: used(t),
-                chaos: t.chaos().map(|p| p.state()),
-            }
-        }
-        Status::Wrong(w) => SliceResult {
-            end: SliceEnd::Done {
-                outcome: "wrong".into(),
-                detail: w.to_string(),
-            },
-            used: used(t),
-            chaos: t.chaos().map(|p| p.state()),
-        },
-        Status::OutOfFuel => {
-            let u = used(t);
-            let st = match t.machine().capture() {
-                Ok(st) => st,
+    let stop = t.run(job.slice_fuel);
+    let u = used(t);
+    let finish = |outcome: String, detail: String| SliceResult {
+        end: SliceEnd::Done { outcome, detail },
+        used: u,
+        chaos: t.chaos().map(|p| p.state()),
+    };
+    match stop {
+        Stop::Halted(words) => finish(format!("halt {words:?}"), String::new()),
+        Stop::Wrong(e) => finish("wrong".into(), e),
+        Stop::Other(s) => finish("rts-error".into(), format!("unexpected status {s}")),
+        Stop::OutOfFuel | Stop::Suspended => {
+            let code = t.yield_arg(0);
+            let blob = match job.park(t, u) {
+                Ok(blob) => blob,
                 Err(e) => return done("snap-error", e, u),
             };
-            let blob = job.snapshot(u, t.chaos().map(|p| p.state()), MachineState::Sem(st));
+            let end = if stop == Stop::Suspended {
+                SliceEnd::Yielded { code, blob }
+            } else {
+                SliceEnd::Parked { blob }
+            };
             SliceResult {
-                end: SliceEnd::Parked { blob },
+                end,
                 used: u,
                 chaos: None,
             }
         }
-        Status::Suspended => {
-            let u = used(t);
-            let code = t.yield_code().unwrap_or(0);
-            let st = match t.machine().capture() {
-                Ok(st) => st,
-                Err(e) => return done("snap-error", e, u),
-            };
-            let blob = job.snapshot(u, t.chaos().map(|p| p.state()), MachineState::Sem(st));
-            SliceResult {
-                end: SliceEnd::Yielded { code, blob },
-                used: u,
-                chaos: None,
-            }
-        }
-        other => SliceResult {
-            end: SliceEnd::Done {
-                outcome: "rts-error".into(),
-                detail: format!("unexpected status {other:?}"),
-            },
-            used: used(t),
-            chaos: t.chaos().map(|p| p.state()),
-        },
-    }
-}
-
-fn run_slice_vm<S: TraceSink>(t: &mut VmThread<'_, S>, job: &SliceJob) -> SliceResult {
-    let mut at_yield = false;
-    match &job.blob {
-        Some(blob) => {
-            let snapshot = match Snapshot::decode(blob) {
-                Ok(s) => s,
-                Err(e) => return done("snap-error", e.to_string(), 1),
-            };
-            if let Err(e) = snapshot.check_engine(job.engine) {
-                return done("snap-error", e, 1);
-            }
-            let MachineState::Vm(st) = &snapshot.state else {
-                return done("snap-error", "vm slice got a sem blob", 1);
-            };
-            at_yield = st.status == VmSnapStatus::Suspended;
-            if let Err(e) = t.machine.restore(st) {
-                return done("snap-error", e, 1);
-            }
-            if let Some(ch) = &snapshot.chaos {
-                t.set_chaos(FaultPlan::from_state(ch));
-            }
-        }
-        None => {
-            if let Some(seed) = job.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
-            }
-            t.start(&job.entry, &job.args, job.results);
-        }
-    }
-    let before = t.machine.cost.instructions;
-    macro_rules! used {
-        () => {
-            t.machine.cost.instructions.saturating_sub(before).max(1)
-        };
-    }
-    if at_yield {
-        let Some(reply) = job.reply else {
-            return done("rts-error", "parked at a yield without a pending reply", 1);
-        };
-        let code = t.machine.yield_args(1)[0];
-        let Some(mut a) = t.first_activation() else {
-            return done("rts-error", "no first activation", used!());
-        };
-        let _ = t.next_activation(&mut a);
-        if let Err(e) = t.set_activation(&a) {
-            return done("rts-error", e, used!());
-        }
-        if code % 2 == 1 {
-            let _ = t.set_unwind_cont(0);
-        }
-        let v = u64::from(reply as u32);
-        let mut n = 0;
-        while let Some(p) = t.find_cont_param(n) {
-            *p = v;
-            n += 1;
-        }
-        if let Err(e) = t.resume() {
-            return done("rts-error", e, used!());
-        }
-    }
-    match t.run(job.slice_fuel) {
-        VmStatus::Halted(vals) => SliceResult {
-            end: SliceEnd::Done {
-                outcome: format!("halt {vals:?}"),
-                detail: String::new(),
-            },
-            used: used!(),
-            chaos: t.chaos().map(|p| p.state()),
-        },
-        VmStatus::Error(e) => SliceResult {
-            end: SliceEnd::Done {
-                outcome: "wrong".into(),
-                detail: e,
-            },
-            used: used!(),
-            chaos: t.chaos().map(|p| p.state()),
-        },
-        VmStatus::OutOfFuel => {
-            let u = used!();
-            let st = match t.machine.capture() {
-                Ok(st) => st,
-                Err(e) => return done("snap-error", e, u),
-            };
-            let blob = job.snapshot(u, t.chaos().map(|p| p.state()), MachineState::Vm(st));
-            SliceResult {
-                end: SliceEnd::Parked { blob },
-                used: u,
-                chaos: None,
-            }
-        }
-        VmStatus::Suspended => {
-            let u = used!();
-            let code = t.machine.yield_args(1)[0];
-            let st = match t.machine.capture() {
-                Ok(st) => st,
-                Err(e) => return done("snap-error", e, u),
-            };
-            let blob = job.snapshot(u, t.chaos().map(|p| p.state()), MachineState::Vm(st));
-            SliceResult {
-                end: SliceEnd::Yielded { code, blob },
-                used: u,
-                chaos: None,
-            }
-        }
-        other => SliceResult {
-            end: SliceEnd::Done {
-                outcome: "rts-error".into(),
-                detail: format!("unexpected status {other:?}"),
-            },
-            used: used!(),
-            chaos: t.chaos().map(|p| p.state()),
-        },
     }
 }
 

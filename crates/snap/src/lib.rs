@@ -59,7 +59,7 @@
 //! counters), and the execution tier's derived code (re-derived by the
 //! resuming machine — this is what makes cross-tier resume work).
 
-use cmm_chaos::{FaultPlanState, InjectedFault, ResourceGovernor, CHAOS_OPS};
+use cmm_chaos::{FaultPlan, FaultPlanState, InjectedFault, ResourceGovernor, Table1, CHAOS_OPS};
 use cmm_ir::{Name, Width};
 use cmm_sem::{FrameState, NodeRef, SemState, SnapStatus};
 use cmm_vm::isa::regs::NUM_REGS;
@@ -76,108 +76,34 @@ pub const MAGIC: [u8; 8] = *b"cmmsnap\0";
 /// The format version this build writes and reads.
 pub const VERSION: u32 = 1;
 
-/// Which engine produced a snapshot. The names are the workspace's
-/// canonical engine names (as used by `cmm batch` manifests and the
-/// difftest oracles).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EngineId {
-    /// The reference abstract machine.
-    Sem,
-    /// The pre-resolved abstract machine.
-    SemResolved,
-    /// The simulated target, stepped over `Inst`.
-    Vm,
-    /// The simulated target over the pre-decoded stream.
-    VmDecoded,
-    /// The simulated target over the fused superinstruction stream.
-    VmFused,
+pub use cmm_chaos::{EngineId, Family};
+
+/// The wire tag of each engine (the `engine` byte of the format).
+fn engine_tag(e: EngineId) -> u8 {
+    match e {
+        EngineId::Sem => 0,
+        EngineId::SemResolved => 1,
+        EngineId::Vm => 2,
+        EngineId::VmDecoded => 3,
+        EngineId::VmFused => 4,
+    }
 }
 
-/// An engine family: snapshots are portable *within* a family.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Family {
-    /// The abstract machines (reference and pre-resolved).
-    Sem,
-    /// The simulated target (all three tiers).
-    Vm,
+fn engine_from_tag(tag: u8) -> Result<EngineId, SnapError> {
+    Ok(match tag {
+        0 => EngineId::Sem,
+        1 => EngineId::SemResolved,
+        2 => EngineId::Vm,
+        3 => EngineId::VmDecoded,
+        4 => EngineId::VmFused,
+        tag => {
+            return Err(SnapError::BadTag {
+                what: "engine",
+                tag,
+            })
+        }
+    })
 }
-
-impl EngineId {
-    /// The canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineId::Sem => "sem",
-            EngineId::SemResolved => "sem-resolved",
-            EngineId::Vm => "vm",
-            EngineId::VmDecoded => "vm-decoded",
-            EngineId::VmFused => "vm-fused",
-        }
-    }
-
-    /// Parses a canonical name.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a message listing the valid names.
-    pub fn parse(s: &str) -> Result<EngineId, String> {
-        Ok(match s {
-            "sem" => EngineId::Sem,
-            "sem-resolved" => EngineId::SemResolved,
-            "vm" => EngineId::Vm,
-            "vm-decoded" => EngineId::VmDecoded,
-            "vm-fused" => EngineId::VmFused,
-            other => {
-                return Err(format!(
-                "unknown engine `{other}` (expected sem, sem-resolved, vm, vm-decoded, vm-fused)"
-            ))
-            }
-        })
-    }
-
-    /// The family the engine belongs to.
-    pub fn family(self) -> Family {
-        match self {
-            EngineId::Sem | EngineId::SemResolved => Family::Sem,
-            EngineId::Vm | EngineId::VmDecoded | EngineId::VmFused => Family::Vm,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            EngineId::Sem => 0,
-            EngineId::SemResolved => 1,
-            EngineId::Vm => 2,
-            EngineId::VmDecoded => 3,
-            EngineId::VmFused => 4,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<EngineId, SnapError> {
-        Ok(match tag {
-            0 => EngineId::Sem,
-            1 => EngineId::SemResolved,
-            2 => EngineId::Vm,
-            3 => EngineId::VmDecoded,
-            4 => EngineId::VmFused,
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "engine",
-                    tag,
-                })
-            }
-        })
-    }
-
-    /// All five engines, in tag order.
-    pub const ALL: [EngineId; 5] = [
-        EngineId::Sem,
-        EngineId::SemResolved,
-        EngineId::Vm,
-        EngineId::VmDecoded,
-        EngineId::VmFused,
-    ];
-}
-
 /// Where the drive loop stood when the snapshot was taken — everything
 /// a resume in another process needs besides the machine state itself.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -205,6 +131,46 @@ pub enum MachineState {
     Sem(SemState),
     /// A VM state (any tier).
     Vm(VmState),
+}
+
+impl MachineState {
+    /// Captures a suspended (or out-of-fuel) thread of any engine.
+    ///
+    /// # Errors
+    ///
+    /// The engine's refusal to capture.
+    pub fn capture<T: Table1 + ?Sized>(t: &T) -> Result<MachineState, String> {
+        let st = t.capture()?;
+        let st = match st.downcast::<SemState>() {
+            Ok(st) => return Ok(MachineState::Sem(*st)),
+            Err(st) => st,
+        };
+        st.downcast::<VmState>()
+            .map(|st| MachineState::Vm(*st))
+            .map_err(|_| "engine captured a state of no known family".to_string())
+    }
+
+    /// Whether the state was captured at a `yield` (rather than at a
+    /// fuel-slice boundary).
+    pub fn at_yield(&self) -> bool {
+        match self {
+            MachineState::Sem(st) => st.status == SnapStatus::Suspended,
+            MachineState::Vm(st) => st.status == VmSnapStatus::Suspended,
+        }
+    }
+
+    /// Restores the state into a thread of its family.
+    ///
+    /// # Errors
+    ///
+    /// The engine's refusal to restore (another family's state, or one
+    /// that does not fit its program).
+    pub fn restore_into<T: Table1 + ?Sized>(&self, t: &mut T) -> Result<(), String> {
+        match self {
+            MachineState::Sem(st) => t.restore(st),
+            MachineState::Vm(st) => t.restore(st),
+        }
+    }
 }
 
 /// A complete snapshot: machine state plus resume envelope. See the
@@ -257,13 +223,49 @@ pub fn fold_digest(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 impl Snapshot {
+    /// Captures thread `t` under the given envelope: its engine, machine
+    /// state and fault-plan state.
+    ///
+    /// # Errors
+    ///
+    /// The engine's refusal to capture.
+    pub fn capture<T: Table1 + ?Sized>(
+        t: &T,
+        digest: [u64; 2],
+        meta: SnapMeta,
+        governor: Option<ResourceGovernor>,
+    ) -> Result<Snapshot, String> {
+        Ok(Snapshot {
+            engine: t.engine(),
+            digest,
+            meta,
+            governor,
+            chaos: t.chaos().map(|p| p.state()),
+            state: MachineState::capture(t)?,
+        })
+    }
+
+    /// Restores the machine state into `t` and reinstalls the fault
+    /// plan where it left off.
+    ///
+    /// # Errors
+    ///
+    /// As [`MachineState::restore_into`].
+    pub fn restore_into<T: Table1 + ?Sized>(&self, t: &mut T) -> Result<(), String> {
+        self.state.restore_into(t)?;
+        if let Some(ch) = &self.chaos {
+            t.set_chaos(FaultPlan::from_state(ch));
+        }
+        Ok(())
+    }
+
     /// Serializes the snapshot. Deterministic: equal snapshots produce
     /// byte-identical blobs.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::default();
         e.buf.extend_from_slice(&MAGIC);
         e.u32(VERSION);
-        e.u8(self.engine.tag());
+        e.u8(engine_tag(self.engine));
         e.u64(self.digest[0]);
         e.u64(self.digest[1]);
         e.str(&self.meta.entry);
@@ -344,7 +346,7 @@ impl Snapshot {
             return Err(SnapError::ChecksumMismatch);
         }
         let mut d = Dec::new(&body[12..]);
-        let engine = EngineId::from_tag(d.u8()?)?;
+        let engine = engine_from_tag(d.u8()?)?;
         let digest = [d.u64()?, d.u64()?];
         let entry = d.str("entry")?;
         let nargs = d.len("args", 8)?;
@@ -465,16 +467,6 @@ impl Snapshot {
             requested.name(),
             requested.family().name(),
         ))
-    }
-}
-
-impl Family {
-    /// The family's canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Family::Sem => "sem",
-            Family::Vm => "vm",
-        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! The run-time interface over the simulated machine.
 //!
 //! This is the VM-level counterpart of `cmm-rt`: the same Table 1
-//! operations, implemented the way a real C-- run-time system would be —
-//! by *interpreting the tables deposited by the back end* (§2):
+//! operations (and the same [`Table1`] trait impl), implemented the way
+//! a real C-- run-time system would be — by *interpreting the tables
+//! deposited by the back end* (§2):
 //! per-procedure frame layouts for walking and callee-saves restoration,
 //! and per-call-site tables for `also unwinds to` continuations,
 //! `also aborts`, and descriptors.
@@ -16,9 +17,11 @@ use crate::codegen::VmProgram;
 use crate::frame::CallSiteMeta;
 use crate::isa::regs;
 use crate::machine::{VmMachine, VmStatus};
-use cmm_chaos::{ChaosOp, FaultPlan, InjectedFault};
+use crate::snapshot::VmState;
+use cmm_chaos::{ChaosOp, EngineId, FaultPlan, InjectedFault, Stop, Table1};
 use cmm_ir::Name;
 use cmm_obs::{Event, NopSink, ResumeKind, RtsOp, TraceSink};
+use std::any::Any;
 
 /// Instruction-equivalent charges for the interpretive dispatcher.
 pub mod costs {
@@ -80,6 +83,8 @@ pub struct VmThread<'p, S: TraceSink = NopSink> {
     pub machine: VmMachine<'p, S>,
     pending: Option<VmPending>,
     chaos: Option<Box<FaultPlan>>,
+    /// The activation handle the [`Table1`] walk ops move.
+    cursor: Option<VmActivation>,
 }
 
 impl<'p> VmThread<'p> {
@@ -104,23 +109,25 @@ impl<'p> VmThread<'p> {
 }
 
 impl<'p, S: TraceSink> VmThread<'p, S> {
-    /// Creates a tracing thread (see [`VmThread::new`]).
-    pub fn with_sink(program: &'p VmProgram, sink: S) -> VmThread<'p, S> {
+    /// Creates a thread over an already-constructed machine.
+    pub fn over(machine: VmMachine<'p, S>) -> VmThread<'p, S> {
         VmThread {
-            machine: VmMachine::with_sink(program, sink),
+            machine,
             pending: None,
             chaos: None,
+            cursor: None,
         }
+    }
+
+    /// Creates a tracing thread (see [`VmThread::new`]).
+    pub fn with_sink(program: &'p VmProgram, sink: S) -> VmThread<'p, S> {
+        VmThread::over(VmMachine::with_sink(program, sink))
     }
 
     /// Creates a tracing thread over the pre-decoded engine (see
     /// [`VmThread::new_decoded`]).
     pub fn with_sink_decoded(program: &'p VmProgram, sink: S) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_decoded(program, sink),
-            pending: None,
-            chaos: None,
-        }
+        VmThread::over(VmMachine::with_sink_decoded(program, sink))
     }
 
     /// Creates a tracing thread over a shared, already decoded stream
@@ -132,21 +139,13 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         decoded: std::sync::Arc<crate::decode::DecodedCode>,
         sink: S,
     ) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_shared_decoded(program, decoded, sink),
-            pending: None,
-            chaos: None,
-        }
+        VmThread::over(VmMachine::with_sink_shared_decoded(program, decoded, sink))
     }
 
     /// Creates a tracing thread over the fused engine (see
     /// [`VmThread::new_fused`]).
     pub fn with_sink_fused(program: &'p VmProgram, sink: S) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_fused(program, sink),
-            pending: None,
-            chaos: None,
-        }
+        VmThread::over(VmMachine::with_sink_fused(program, sink))
     }
 
     /// Creates a tracing thread over a shared, already fused stream
@@ -156,11 +155,7 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         fused: std::sync::Arc<crate::fuse::FusedCode>,
         sink: S,
     ) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_shared_fused(program, fused, sink),
-            pending: None,
-            chaos: None,
-        }
+        VmThread::over(VmMachine::with_sink_shared_fused(program, fused, sink))
     }
 
     /// [`VmThread::with_sink`] with the machine's heap structures drawn
@@ -170,26 +165,7 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         sink: S,
         arena: &mut crate::machine::VmArena,
     ) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_in(program, sink, arena),
-            pending: None,
-            chaos: None,
-        }
-    }
-
-    /// [`VmThread::with_sink_shared_decoded`] with the machine's heap
-    /// structures drawn from `arena` (see [`VmMachine::with_sink_in`]).
-    pub fn with_sink_shared_decoded_in(
-        program: &'p VmProgram,
-        decoded: std::sync::Arc<crate::decode::DecodedCode>,
-        sink: S,
-        arena: &mut crate::machine::VmArena,
-    ) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_shared_decoded_in(program, decoded, sink, arena),
-            pending: None,
-            chaos: None,
-        }
+        VmThread::over(VmMachine::with_sink_in(program, sink, arena))
     }
 
     /// [`VmThread::with_sink_shared_fused`] with the machine's heap
@@ -200,11 +176,9 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         sink: S,
         arena: &mut crate::machine::VmArena,
     ) -> VmThread<'p, S> {
-        VmThread {
-            machine: VmMachine::with_sink_shared_fused_in(program, fused, sink, arena),
-            pending: None,
-            chaos: None,
-        }
+        VmThread::over(VmMachine::with_sink_shared_fused_in(
+            program, fused, sink, arena,
+        ))
     }
 
     /// Consumes the thread, returning its machine — e.g. to bank the
@@ -564,6 +538,137 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
                 Ok(())
             }
         }
+    }
+}
+
+/// Table 1 over words: the handle lives in the thread's cursor.
+impl<S: TraceSink> Table1 for VmThread<'_, S> {
+    fn engine(&self) -> EngineId {
+        if self.machine.is_fused() {
+            EngineId::VmFused
+        } else if self.machine.is_decoded() {
+            EngineId::VmDecoded
+        } else {
+            EngineId::Vm
+        }
+    }
+
+    fn start(&mut self, entry: &str, args: &[u64], results: usize) -> Result<(), String> {
+        VmThread::start(self, entry, args, results);
+        Ok(())
+    }
+
+    fn run(&mut self, fuel: u64) -> Stop {
+        match VmThread::run(self, fuel) {
+            VmStatus::Halted(vals) => Stop::Halted(vals),
+            VmStatus::Suspended => Stop::Suspended,
+            VmStatus::OutOfFuel => Stop::OutOfFuel,
+            VmStatus::Error(e) => Stop::Wrong(e),
+            other => Stop::Other(format!("{other:?}")),
+        }
+    }
+
+    fn fuel_spent(&self) -> u64 {
+        self.machine.cost.instructions
+    }
+
+    fn work(&self) -> u64 {
+        self.machine.cost.total()
+    }
+
+    fn yield_arg(&self, i: usize) -> u64 {
+        self.machine.reg(regs::ARG0 + i as u8)
+    }
+
+    fn read_u32(&self, addr: u64) -> u32 {
+        self.machine.mem.read32(addr as u32)
+    }
+
+    fn first_activation(&mut self) -> bool {
+        self.cursor = VmThread::first_activation(self);
+        self.cursor.is_some()
+    }
+
+    fn next_activation(&mut self) -> bool {
+        let Some(mut a) = self.cursor.take() else {
+            return false;
+        };
+        let moved = VmThread::next_activation(self, &mut a);
+        self.cursor = Some(a);
+        moved
+    }
+
+    fn get_descriptor(&mut self, n: usize) -> Option<u64> {
+        let a = self.cursor.take()?;
+        let d = VmThread::get_descriptor(self, &a, n);
+        self.cursor = Some(a);
+        d.map(u64::from)
+    }
+
+    fn set_activation(&mut self) -> Result<(), String> {
+        let a = self.cursor.take().ok_or("no activation selected")?;
+        let r = VmThread::set_activation(self, &a);
+        self.cursor = Some(a);
+        r
+    }
+
+    fn set_unwind_cont(&mut self, n: usize) -> Result<(), String> {
+        VmThread::set_unwind_cont(self, n)
+    }
+
+    fn set_cut_to_cont(&mut self, k: u64) -> Result<(), String> {
+        VmThread::set_cut_to_cont(self, k as u32)
+    }
+
+    fn set_cont_param(&mut self, n: usize, word: u64) -> bool {
+        match VmThread::find_cont_param(self, n) {
+            Some(p) => {
+                *p = word;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn resume(&mut self) -> Result<(), String> {
+        VmThread::resume(self)
+    }
+
+    fn capture(&self) -> Result<Box<dyn Any>, String> {
+        Ok(Box::new(self.machine.capture()?))
+    }
+
+    fn restore(&mut self, state: &dyn Any) -> Result<(), String> {
+        let st = state
+            .downcast_ref::<VmState>()
+            .ok_or("a VM-family engine cannot restore a sem state")?;
+        self.machine.restore(st)
+    }
+
+    fn set_chaos(&mut self, plan: FaultPlan) {
+        VmThread::set_chaos(self, plan);
+    }
+
+    fn chaos(&self) -> Option<&FaultPlan> {
+        VmThread::chaos(self)
+    }
+
+    fn deep_state(&self) -> (Vec<(u64, u8)>, Vec<u64>) {
+        let c = &self.machine.cost;
+        let mem = self.machine.mem.snapshot();
+        let mut words = vec![
+            c.instructions,
+            c.loads,
+            c.stores,
+            c.branches,
+            c.calls,
+            c.runtime_instructions,
+        ];
+        words.extend_from_slice(&self.machine.regs);
+        (
+            mem.into_iter().map(|(a, b)| (u64::from(a), b)).collect(),
+            words,
+        )
     }
 }
 

@@ -4,6 +4,9 @@
 //! either, because "different front ends may interoperate with the same
 //! C-- run-time system".
 
+use cmm_core::chaos::{EngineId, Stop};
+use cmm_core::frontend::{with_engine, Code, Setup};
+use cmm_core::obs::NopSink;
 use cmm_core::rt::Thread;
 use cmm_core::sem::{Status, Value};
 use cmm_core::vm::{compile, VmStatus, VmThread};
@@ -179,4 +182,85 @@ fn abort_annotations_are_enforced() {
         t.set_activation(&a).is_err(),
         "discarding g's frame must be rejected"
     );
+}
+
+/// The walk-and-unwind exchange above, through the engine-neutral
+/// `Table1` trait on all five engines the one constructor builds:
+/// values cross as machine words and the handle lives in the thread.
+#[test]
+fn the_table1_trait_dispatches_identically_on_every_engine() {
+    let prog = program();
+    let vp = compile(&prog).unwrap();
+    let code = Code {
+        program: Some(&prog),
+        vm: Some(&vp),
+        ..Code::default()
+    };
+    for engine in EngineId::ALL {
+        for (x, expected) in [(3u64, 4u64), (100, 102)] {
+            let end = with_engine(engine, &code, NopSink, Setup::default(), |t| {
+                t.start("f", &[x], 1).unwrap();
+                assert_eq!(t.run(1_000_000), Stop::Suspended);
+                assert_eq!(t.yield_arg(0), 42);
+                let v = t.yield_arg(1);
+                assert!(t.first_activation());
+                assert_eq!(t.get_descriptor(0), None, "g has no descriptor");
+                assert!(t.next_activation()); // mid
+                let d = t.get_descriptor(0).unwrap();
+                assert_eq!(t.read_u32(d), 1);
+                assert!(t.next_activation()); // f
+                let d = t.get_descriptor(0).unwrap();
+                assert_eq!(t.read_u32(d), 2);
+                assert!(!t.next_activation());
+                t.set_activation().unwrap();
+                t.set_unwind_cont(if v < 10 { 0 } else { 1 }).unwrap();
+                assert!(t.set_cont_param(0, v));
+                assert!(!t.set_cont_param(1, v), "k takes one parameter");
+                t.resume().unwrap();
+                t.run(1_000_000)
+            })
+            .unwrap();
+            assert_eq!(end, Stop::Halted(vec![expected]), "{}", engine.name());
+        }
+    }
+}
+
+/// `SetCutToCont` through the trait: the run-time system reads a
+/// continuation the program stored to memory — a word on every engine
+/// (the abstract machines store its flattened encoding) — and cuts to
+/// it.
+#[test]
+fn the_table1_trait_cuts_to_a_stored_continuation_on_every_engine() {
+    let src = r#"
+        f() {
+            bits32 r;
+            bits32[cell] = k;
+            r = g() also cuts to k;
+            return (0);
+            continuation k(r):
+            return (r * 3);
+        }
+        g() { yield(1, cell) also aborts; return (0); }
+        data cell { bits32 0; }
+    "#;
+    let prog = cmm_cfg::build_program(&cmm_parse::parse_module(src).unwrap()).unwrap();
+    let vp = compile(&prog).unwrap();
+    let code = Code {
+        program: Some(&prog),
+        vm: Some(&vp),
+        ..Code::default()
+    };
+    for engine in EngineId::ALL {
+        let end = with_engine(engine, &code, NopSink, Setup::default(), |t| {
+            t.start("f", &[], 1).unwrap();
+            assert_eq!(t.run(1_000_000), Stop::Suspended);
+            let k = u64::from(t.read_u32(t.yield_arg(1)));
+            t.set_cut_to_cont(k).unwrap();
+            assert!(t.set_cont_param(0, 14));
+            t.resume().unwrap();
+            t.run(1_000_000)
+        })
+        .unwrap();
+        assert_eq!(end, Stop::Halted(vec![42]), "{}", engine.name());
+    }
 }

@@ -6,8 +6,9 @@
 //!
 //! Also here: the acceptance-scale run (≥ 1000 concurrently parked
 //! threads over ≤ 8 workers with cross-tier migrations), a five-engine
-//! agreement check through the service API, and the per-tenant
-//! resource-governor boundary.
+//! agreement check through the service API, the per-tenant
+//! resource-governor boundary, and the 32-bit word limit on arguments
+//! and replies.
 
 use cmm_serve::{
     acceptance_profile, dispatcher_fill, load_config, run_load, LoadProfile, LoadReport,
@@ -208,5 +209,42 @@ fn a_fuel_bankrupt_tenant_does_not_disturb_its_neighbour() {
     match svc.poll(fine).unwrap().state {
         ThreadState::Done { outcome } => assert_eq!(outcome, "halt [50]"),
         other => panic!("expected a halt, got {other:?}"),
+    }
+}
+
+/// Arguments and replies are 32-bit machine words on every engine. A
+/// wider word is refused up front — the abstract machines would
+/// truncate it and the target keep it whole — and the widest word that
+/// fits gets one answer everywhere.
+#[test]
+fn words_wider_than_32_bits_are_refused_on_every_engine() {
+    const WIDE: &str = "f(bits64 n) { return (n + 1); }";
+    const ECHO: &str = "f(bits32 n) { yield(n | 1) also aborts; return (n + 1); }";
+    for engine in EngineId::ALL {
+        let name = engine.name();
+        let mut svc = Service::new(ServeConfig::default());
+        let req = |source: &str, arg: u64| SubmitReq {
+            source: source.into(),
+            args: vec![arg],
+            engine,
+            ..SubmitReq::default()
+        };
+        let err = svc.submit(req(WIDE, 4_294_967_297)).unwrap_err();
+        assert!(err.contains("32-bit"), "{name}: {err}");
+        let id = svc.submit(req(ECHO, u64::from(u32::MAX))).unwrap();
+        let outcome = loop {
+            svc.tick();
+            match svc.poll(id).expect("thread exists").state {
+                ThreadState::AwaitingTenant { code } => {
+                    assert_eq!(code, u64::from(u32::MAX), "{name}");
+                    let err = svc.resume(id, 1 << 32).unwrap_err();
+                    assert!(err.contains("32-bit"), "{name}: {err}");
+                    svc.resume(id, u64::from(u32::MAX)).unwrap();
+                }
+                ThreadState::Done { outcome } => break outcome,
+                ThreadState::Runnable => {}
+            }
+        };
+        assert_eq!(outcome, "halt [0]", "{name}");
     }
 }
