@@ -91,7 +91,7 @@ pub fn graph_to_dot(g: &Graph) -> String {
     for id in g.reverse_postorder() {
         let label = node_to_string(g, id).replace('"', "\\\"");
         let _ = writeln!(out, "  {id} [label=\"{label}\"];");
-        for s in g.succs(id) {
+        for s in g.node(id).succ_iter() {
             let _ = writeln!(out, "  {id} -> {s};");
         }
     }

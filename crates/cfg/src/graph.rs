@@ -62,17 +62,11 @@ impl Graph {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Successors of a node (including exceptional edges; see
-    /// [`Node::succs`]).
-    pub fn succs(&self, id: NodeId) -> Vec<NodeId> {
-        self.node(id).succs()
-    }
-
     /// Predecessor lists for every node.
     pub fn preds(&self) -> Vec<Vec<NodeId>> {
         let mut preds = vec![Vec::new(); self.nodes.len()];
         for id in self.ids() {
-            for s in self.succs(id) {
+            for s in self.node(id).succ_iter() {
                 preds[s.index()].push(id);
             }
         }
@@ -81,23 +75,20 @@ impl Graph {
 
     /// Node ids reachable from the entry, in reverse postorder.
     pub fn reverse_postorder(&self) -> Vec<NodeId> {
-        let mut state = vec![0u8; self.nodes.len()]; // 0 unvisited, 1 open, 2 done
+        let mut seen = vec![false; self.nodes.len()];
         let mut post = Vec::new();
-        // Iterative DFS to avoid recursion limits on long chains.
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.entry, 0)];
-        state[self.entry.index()] = 1;
-        while let Some(&(id, next_child)) = stack.last() {
-            let succs = self.succs(id);
-            if next_child < succs.len() {
-                stack.last_mut().expect("stack non-empty").1 += 1;
-                let c = succs[next_child];
-                if state[c.index()] == 0 {
-                    state[c.index()] = 1;
-                    stack.push((c, 0));
+        // Iterative DFS to avoid recursion limits on long chains; each
+        // frame holds its node's remaining successors.
+        let mut stack = vec![(self.entry, self.node(self.entry).succ_iter())];
+        seen[self.entry.index()] = true;
+        while let Some((id, succs)) = stack.last_mut() {
+            if let Some(c) = succs.next() {
+                if !seen[c.index()] {
+                    seen[c.index()] = true;
+                    stack.push((c, self.node(c).succ_iter()));
                 }
             } else {
-                state[id.index()] = 2;
-                post.push(id);
+                post.push(*id);
                 stack.pop();
             }
         }

@@ -153,20 +153,29 @@ pub enum Node {
 
 impl Node {
     /// Intra-graph successor edges, including the exceptional edges
-    /// through call bundles and `cut to` annotations. This is the edge
-    /// set used for reachability and for the Table 3 dataflow rules.
-    pub fn succs(&self) -> Vec<NodeId> {
-        match self {
+    /// through call bundles and `cut to` annotations, in order
+    /// (duplicates included), without allocating. This is the edge set
+    /// used for reachability and for the Table 3 dataflow rules.
+    pub fn succ_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let none: &[NodeId] = &[];
+        let (fixed, lists) = match self {
             Node::Entry { next, .. }
             | Node::CopyIn { next, .. }
             | Node::CopyOut { next, .. }
             | Node::CalleeSaves { next, .. }
-            | Node::Assign { next, .. } => vec![*next],
-            Node::Branch { t, f, .. } => vec![*t, *f],
-            Node::Call { bundle, .. } => bundle.targets().collect(),
-            Node::CutTo { cuts, .. } => cuts.clone(),
-            Node::Exit { .. } | Node::Jump { .. } | Node::Yield => Vec::new(),
-        }
+            | Node::Assign { next, .. } => ([Some(*next), None], [none; 3]),
+            Node::Branch { t, f, .. } => ([Some(*t), Some(*f)], [none; 3]),
+            Node::Call { bundle, .. } => (
+                [None; 2],
+                [&bundle.returns[..], &bundle.unwinds[..], &bundle.cuts[..]],
+            ),
+            Node::CutTo { cuts, .. } => ([None; 2], [&cuts[..], none, none]),
+            Node::Exit { .. } | Node::Jump { .. } | Node::Yield => ([None; 2], [none; 3]),
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(lists.into_iter().flatten().copied())
     }
 
     /// Rewrites every successor edge with `f` (used by graph editors).
@@ -262,16 +271,17 @@ mod tests {
             descriptors: vec![],
         };
         assert_eq!(
-            call.succs(),
+            call.succ_iter().collect::<Vec<_>>(),
             vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
         );
-        assert!(Node::Yield.succs().is_empty());
+        assert!(Node::Yield.succ_iter().next().is_none());
         assert!(Node::Exit {
             index: 0,
             alternates: 0
         }
-        .succs()
-        .is_empty());
+        .succ_iter()
+        .next()
+        .is_none());
     }
 
     #[test]
@@ -282,6 +292,9 @@ mod tests {
             f: NodeId(2),
         };
         br.map_succs(|n| NodeId(n.0 + 10));
-        assert_eq!(br.succs(), vec![NodeId(11), NodeId(12)]);
+        assert_eq!(
+            br.succ_iter().collect::<Vec<_>>(),
+            vec![NodeId(11), NodeId(12)]
+        );
     }
 }

@@ -19,7 +19,7 @@
 //! frame.
 
 use crate::liveness::Liveness;
-use crate::ssa::ssa_names;
+use crate::locals::bits;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::Name;
 use std::collections::BTreeSet;
@@ -42,7 +42,7 @@ pub struct CalleeSavesStats {
 /// provides. Returns statistics.
 pub fn promote_callee_saves(g: &mut Graph, max_regs: usize) -> CalleeSavesStats {
     let live = Liveness::compute(g);
-    let locals = ssa_names(g);
+    let locals = live.locals();
     let mut stats = CalleeSavesStats::default();
     let calls: Vec<NodeId> = g
         .reverse_postorder()
@@ -50,33 +50,35 @@ pub fn promote_callee_saves(g: &mut Graph, max_regs: usize) -> CalleeSavesStats 
         .filter(|&id| matches!(g.node(id), Node::Call { .. }))
         .collect();
 
-    // Each call's chosen set, computed before mutation.
+    // Each call's chosen set, computed before mutation. Rows are over
+    // the locals index, so walking their bits visits names in name
+    // order, and `take` keeps the first `max_regs` names.
+    let mut across = vec![0u64; locals.words()];
+    let mut barred = vec![0u64; locals.words()];
     let mut plan: Vec<(NodeId, BTreeSet<Name>)> = Vec::new();
     for id in &calls {
         let Node::Call { bundle, .. } = g.node(*id) else {
             unreachable!()
         };
         // Live across the call: live into any restored continuation.
-        let mut across: BTreeSet<Name> = BTreeSet::new();
+        across.fill(0);
         for &t in bundle.returns.iter().chain(bundle.unwinds.iter()) {
-            across.extend(live.live_in(t).iter().cloned());
+            live.live_in(t).or_into(&mut across);
         }
         // Barred: live into any cut continuation (those edges kill
         // callee-saves registers).
-        let mut barred: BTreeSet<Name> = BTreeSet::new();
+        barred.fill(0);
         for &t in &bundle.cuts {
-            barred.extend(live.live_in(t).iter().cloned());
+            live.live_in(t).or_into(&mut barred);
         }
-        let eligible: Vec<Name> = across
-            .iter()
-            .filter(|v| locals.contains(*v) && !barred.contains(*v))
-            .cloned()
+        for (a, &b) in across.iter_mut().zip(&barred) {
+            stats.vars_blocked_by_cuts += (*a & b).count_ones() as usize;
+            *a &= !b; // now the eligible set
+        }
+        let chosen: BTreeSet<Name> = bits(&across)
+            .take(max_regs)
+            .map(|i| locals.name(i).clone())
             .collect();
-        stats.vars_blocked_by_cuts += across
-            .iter()
-            .filter(|v| barred.contains(*v) && locals.contains(*v))
-            .count();
-        let chosen: BTreeSet<Name> = eligible.into_iter().take(max_regs).collect();
         plan.push((*id, chosen));
     }
 
@@ -91,29 +93,30 @@ pub fn promote_callee_saves(g: &mut Graph, max_regs: usize) -> CalleeSavesStats 
         return stats;
     }
 
-    // Insert a CalleeSaves node immediately before each call, by
-    // redirecting every edge into the call through the new node.
+    // Insert a CalleeSaves node immediately before each call, then
+    // redirect every edge into a call through its new node in one pass
+    // over the original nodes.
+    let original = g.nodes.len();
+    let mut redirect: Vec<Option<NodeId>> = vec![None; original];
     for (call, vars) in plan {
         stats.nodes_inserted += 1;
         stats.vars_promoted += vars.len();
-        let cs = g.add(Node::CalleeSaves { vars, next: call });
-        for id in g.ids() {
-            if id == cs {
-                continue;
-            }
-            g.node_mut(id).map_succs(|s| if s == call { cs } else { s });
-        }
-        if g.entry == call {
-            g.entry = cs;
-        }
+        redirect[call.index()] = Some(g.add(Node::CalleeSaves { vars, next: call }));
     }
+    let resolve = |n: NodeId| redirect[n.index()].unwrap_or(n);
+    for node in &mut g.nodes[..original] {
+        node.map_succs(resolve);
+    }
+    g.entry = resolve(g.entry);
     stats
 }
 
 /// The callee-saves set in effect at each node (forward propagation of
 /// `CalleeSaves` nodes; the direct translation has the empty set
-/// everywhere). Used by the VM's register allocator and by the Table 3
-/// `saves_at` parameter.
+/// everywhere): the set the Table 3 rules take as their `saves_at`
+/// parameter. No pass calls it — the VM's register allocator reads the
+/// `CalleeSaves` nodes directly — so it serves as the executable
+/// statement of that parameter, checked by the unit test below.
 pub fn saves_at(g: &Graph) -> Vec<BTreeSet<Name>> {
     let n = g.nodes.len();
     let mut at: Vec<Option<BTreeSet<Name>>> = vec![None; n];
@@ -131,7 +134,7 @@ pub fn saves_at(g: &Graph) -> Vec<BTreeSet<Name>> {
                 Node::Entry { .. } => BTreeSet::new(),
                 _ => cur,
             };
-            for s in g.succs(id) {
+            for s in g.node(id).succ_iter() {
                 let slot = &mut at[s.index()];
                 let merged = match slot {
                     None => out.clone(),

@@ -11,10 +11,9 @@
 //! preserves even the "unspecified" behaviours our semantics refines
 //! into explicit `Wrong` states.
 
-use crate::ssa::{DefId, Ssa};
+use crate::ssa::Ssa;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::{Expr, Lit, Lvalue, Ty, Width};
-use std::collections::HashMap;
 
 /// The constant lattice.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,7 +45,7 @@ pub fn constprop(g: &mut Graph) -> usize {
     let reachable: Vec<NodeId> = g.reverse_postorder();
     for id in reachable {
         let subst = |e: &Expr| -> Expr {
-            e.substitute(&|n| match ssa.reaching(id, n).map(|d| values[&d]) {
+            e.substitute(&|n| match ssa.reaching(id, n).map(|d| values[d]) {
                 Some(Lat::Const(w, v)) => Some(Expr::Lit(Lit::bits(w, v))),
                 _ => None,
             })
@@ -97,9 +96,10 @@ pub fn constprop(g: &mut Graph) -> usize {
     changed
 }
 
-/// Fixpoint over SSA definitions.
-fn solve(g: &Graph, ssa: &Ssa) -> HashMap<DefId, Lat> {
-    let mut values: HashMap<DefId, Lat> = (0..ssa.sites.len()).map(|d| (d, Lat::Top)).collect();
+/// Fixpoint over SSA definitions: the lattice value of each, indexed
+/// by definition.
+fn solve(g: &Graph, ssa: &Ssa) -> Vec<Lat> {
+    let mut values = vec![Lat::Top; ssa.sites.len()];
     // Simple round-robin iteration; the lattice has height 2 so this
     // converges quickly even without a worklist.
     let order: Vec<NodeId> = g.reverse_postorder();
@@ -108,34 +108,32 @@ fn solve(g: &Graph, ssa: &Ssa) -> HashMap<DefId, Lat> {
         changed = false;
         for &id in &order {
             // φ defs at this node.
-            if let Some(phis) = ssa.phis.get(&id) {
-                for phi in phis {
-                    let mut v = Lat::Top;
-                    for &(_, d) in &phi.args {
-                        v = join(v, values[&d]);
-                    }
-                    if phi.args.is_empty() {
-                        v = Lat::Bottom;
-                    }
-                    if values[&phi.def] != v {
-                        values.insert(phi.def, v);
-                        changed = true;
-                    }
+            for phi in ssa.phis_at(id) {
+                let v = if phi.args.is_empty() {
+                    Lat::Bottom
+                } else {
+                    phi.args
+                        .iter()
+                        .fold(Lat::Top, |v, &(_, d)| join(v, values[d]))
+                };
+                if values[phi.def] != v {
+                    values[phi.def] = v;
+                    changed = true;
                 }
             }
-            // Ordinary defs.
-            for (key, &d) in ssa.node_defs.iter().filter(|((n, _), _)| *n == id) {
-                let (_, var) = key;
+            // Ordinary defs: an `Assign` defines its variable; `CopyIn`
+            // and `Entry` have unknown inputs.
+            for &(_, d) in ssa.defs_at(id) {
                 let v = match g.node(id) {
                     Node::Assign {
-                        lhs: Lvalue::Var(lv),
+                        lhs: Lvalue::Var(_),
                         rhs,
                         ..
-                    } if lv == var => eval_lat(g, ssa, id, rhs, &values),
-                    _ => Lat::Bottom, // CopyIn, Entry: unknown inputs
+                    } => eval_lat(ssa, id, rhs, &values),
+                    _ => Lat::Bottom,
                 };
-                if values[&d] != v {
-                    values.insert(d, v);
+                if values[d] != v {
+                    values[d] = v;
                     changed = true;
                 }
             }
@@ -144,8 +142,7 @@ fn solve(g: &Graph, ssa: &Ssa) -> HashMap<DefId, Lat> {
     values
 }
 
-#[allow(clippy::only_used_in_recursion)]
-fn eval_lat(g: &Graph, ssa: &Ssa, at: NodeId, e: &Expr, values: &HashMap<DefId, Lat>) -> Lat {
+fn eval_lat(ssa: &Ssa, at: NodeId, e: &Expr, values: &[Lat]) -> Lat {
     match e {
         Expr::Lit(l) => match l.ty {
             Ty::Bits(w) => Lat::Const(w, l.bits),
@@ -159,11 +156,11 @@ fn eval_lat(g: &Graph, ssa: &Ssa, at: NodeId, e: &Expr, values: &HashMap<DefId, 
             ),
         },
         Expr::Name(n) => match ssa.reaching(at, n) {
-            Some(d) => values[&d],
+            Some(d) => values[d],
             None => Lat::Bottom, // global, symbol, or untracked
         },
         Expr::Mem(..) => Lat::Bottom,
-        Expr::Unary(op, a) => match eval_lat(g, ssa, at, a, values) {
+        Expr::Unary(op, a) => match eval_lat(ssa, at, a, values) {
             Lat::Top => Lat::Top,
             Lat::Const(w, v) => {
                 let (r, rw) = op.eval(w, v);
@@ -172,10 +169,7 @@ fn eval_lat(g: &Graph, ssa: &Ssa, at: NodeId, e: &Expr, values: &HashMap<DefId, 
             Lat::Bottom => Lat::Bottom,
         },
         Expr::Binary(op, a, b) => {
-            let (la, lb) = (
-                eval_lat(g, ssa, at, a, values),
-                eval_lat(g, ssa, at, b, values),
-            );
+            let (la, lb) = (eval_lat(ssa, at, a, values), eval_lat(ssa, at, b, values));
             match (la, lb) {
                 (Lat::Top, _) | (_, Lat::Top) => Lat::Top,
                 (Lat::Const(wa, va), Lat::Const(wb, vb)) => {

@@ -193,30 +193,45 @@ pub fn max_copyout_len(g: &Graph) -> usize {
         .max(g.arity)
 }
 
-/// Variable-level projection: the variables used by a node (ignoring `M`
-/// and `A`), in Table 3 terms. This is what register-level analyses
-/// (liveness, SSA) consume.
-pub fn var_uses(g: &Graph, id: NodeId) -> Vec<Name> {
-    flow(g, id, &[])
-        .uses
-        .into_iter()
-        .filter_map(|s| match s {
-            Slot::Var(v) => Some(v),
-            _ => None,
-        })
-        .collect()
+/// Calls `f` on every variable a node uses, in Table 3 order: exactly
+/// the `Slot::Var` entries of `flow(g, id, &[]).uses`, without
+/// building the node's full [`NodeFlow`]. This is what register-level
+/// analyses (liveness, SSA) consume.
+pub fn each_var_use(g: &Graph, id: NodeId, mut f: impl FnMut(&Name)) {
+    match g.node(id) {
+        Node::CopyOut { exprs, .. } => exprs.iter().for_each(|e| e.visit_names(&mut f)),
+        Node::Assign { lhs, rhs, .. } => {
+            rhs.visit_names(&mut f);
+            if let Lvalue::Mem(_, a) = lhs {
+                a.visit_names(&mut f);
+            }
+        }
+        Node::Branch { cond, .. } => cond.visit_names(&mut f),
+        Node::Call { callee, .. } | Node::Jump { callee } => callee.visit_names(&mut f),
+        Node::CutTo { cont, .. } => cont.visit_names(&mut f),
+        Node::Entry { .. }
+        | Node::Exit { .. }
+        | Node::CopyIn { .. }
+        | Node::CalleeSaves { .. }
+        | Node::Yield => {}
+    }
 }
 
-/// Variable-level projection: the variables defined by a node.
-pub fn var_defs(g: &Graph, id: NodeId) -> Vec<Name> {
-    flow(g, id, &[])
-        .defs
-        .into_iter()
-        .filter_map(|s| match s {
-            Slot::Var(v) => Some(v),
-            _ => None,
-        })
-        .collect()
+/// Calls `f` on every variable a node defines: exactly the `Slot::Var`
+/// entries of `flow(g, id, &[]).defs`, in order.
+pub fn each_var_def(g: &Graph, id: NodeId, mut f: impl FnMut(&Name)) {
+    match g.node(id) {
+        Node::Entry { conts, .. } => {
+            g.vars.iter().for_each(|(v, _)| f(v));
+            conts.iter().for_each(|(k, _)| f(k));
+        }
+        Node::CopyIn { vars, .. } => vars.iter().for_each(f),
+        Node::Assign {
+            lhs: Lvalue::Var(v),
+            ..
+        } => f(v),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
@@ -323,7 +338,10 @@ mod tests {
             .ids()
             .find(|&i| matches!(g.node(i), Node::Assign { .. }))
             .unwrap();
-        assert_eq!(var_uses(&g, id), vec![Name::from("a")]);
-        assert_eq!(var_defs(&g, id), vec![Name::from("b")]);
+        let (mut uses, mut defs) = (Vec::new(), Vec::new());
+        each_var_use(&g, id, |v| uses.push(v.clone()));
+        each_var_def(&g, id, |v| defs.push(v.clone()));
+        assert_eq!(uses, vec![Name::from("a")]);
+        assert_eq!(defs, vec![Name::from("b")]);
     }
 }

@@ -12,17 +12,17 @@
 //! so its definition is correctly retained — with no special-casing here.
 
 use crate::liveness::Liveness;
-use crate::ssa::ssa_names;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::Lvalue;
 
 /// Runs dead-code elimination; returns the number of nodes removed.
 pub fn dce(g: &mut Graph) -> usize {
-    let locals = ssa_names(g);
     let mut removed_total = 0;
     loop {
         let live = Liveness::compute(g);
-        let mut dead: Vec<(NodeId, NodeId)> = Vec::new(); // (node, its successor)
+        // Each dead node's successor; `None` for live nodes.
+        let mut redirect: Vec<Option<NodeId>> = vec![None; g.nodes.len()];
+        let mut removed = 0;
         for id in g.reverse_postorder() {
             if let Node::Assign {
                 lhs: Lvalue::Var(v),
@@ -30,32 +30,38 @@ pub fn dce(g: &mut Graph) -> usize {
                 next,
             } = g.node(id)
             {
-                if locals.contains(v) && !live.live_out(id).contains(v) && !rhs.can_fail() {
-                    dead.push((id, *next));
+                if live.locals().contains(v) && !live.live_out(id).contains(v) && !rhs.can_fail() {
+                    redirect[id.index()] = Some(*next);
+                    removed += 1;
                 }
             }
         }
-        if dead.is_empty() {
+        if removed == 0 {
             return removed_total;
         }
-        removed_total += dead.len();
-        // Bypass each dead node: redirect every edge into it to its
-        // successor. Resolve chains of dead nodes transitively.
-        let resolve = |mut n: NodeId| -> NodeId {
+        removed_total += removed;
+        // Bypass each dead node: redirect every edge into it to the
+        // first live node after it. Each chain of dead nodes is walked
+        // once, then every node on it points at the chain's end.
+        for i in 0..redirect.len() {
+            let Some(mut end) = redirect[i] else { continue };
             let mut hops = 0;
-            while let Some(&(_, next)) = dead.iter().find(|&&(d, _)| d == n) {
-                n = next;
+            while let Some(next) = redirect[end.index()] {
+                end = next;
                 hops += 1;
-                debug_assert!(hops <= dead.len(), "dead chain cycle");
+                debug_assert!(hops <= removed, "dead chain cycle");
             }
-            n
-        };
-        for id in g.ids() {
-            let node = g.node_mut(id);
+            let mut at = i;
+            while let Some(next) = redirect[at].filter(|&n| n != end) {
+                redirect[at] = Some(end);
+                at = next.index();
+            }
+        }
+        let resolve = |n: NodeId| redirect[n.index()].unwrap_or(n);
+        for node in &mut g.nodes {
             node.map_succs(resolve);
         }
-        let new_entry = resolve(g.entry);
-        g.entry = new_entry;
+        g.entry = resolve(g.entry);
     }
 }
 

@@ -1,95 +1,133 @@
 //! Dominator trees and dominance frontiers (Cooper–Harvey–Kennedy).
+//!
+//! Every table is a `Vec` indexed by node id; per-node lists (frontiers,
+//! dominator-tree children, and the reachable predecessors they are
+//! computed from) are flat arrays with one offset per node.
 
 use cmm_cfg::{Graph, NodeId};
-use std::collections::BTreeMap;
+
+/// Marks an unreachable node in the id-indexed tables.
+const NONE: u32 = u32::MAX;
+
+/// Per-node lists in one flat array: node `i`'s list is
+/// `items[at[i]..at[i + 1]]`.
+#[derive(Clone, Debug)]
+struct Lists {
+    at: Vec<u32>,
+    items: Vec<NodeId>,
+}
+
+impl Lists {
+    /// Groups `(node, item)` pairs by node, keeping their order within
+    /// each node.
+    fn group(n: usize, pairs: &[(NodeId, NodeId)]) -> Lists {
+        let mut at = vec![0u32; n + 1];
+        for &(k, _) in pairs {
+            at[k.index() + 1] += 1;
+        }
+        for i in 0..n {
+            at[i + 1] += at[i];
+        }
+        let mut fill = at.clone();
+        let mut items = vec![NodeId(0); pairs.len()];
+        for &(k, v) in pairs {
+            items[fill[k.index()] as usize] = v;
+            fill[k.index()] += 1;
+        }
+        Lists { at, items }
+    }
+
+    fn get(&self, n: NodeId) -> &[NodeId] {
+        &self.items[self.at[n.index()] as usize..self.at[n.index() + 1] as usize]
+    }
+}
 
 /// Dominator information for the reachable part of a graph.
 #[derive(Clone, Debug)]
 pub struct Dominators {
     /// Reverse postorder of reachable nodes.
     pub rpo: Vec<NodeId>,
-    /// Position of each node in `rpo` (unreachable nodes absent).
-    pub rpo_index: BTreeMap<NodeId, usize>,
-    /// Immediate dominator of each node (the entry maps to itself).
-    pub idom: BTreeMap<NodeId, NodeId>,
+    /// Position of each node in `rpo` (`NONE` for unreachable nodes).
+    rpo_index: Vec<u32>,
+    /// Immediate dominator of each node (the entry maps to itself;
+    /// `NONE` for unreachable nodes).
+    idom: Vec<u32>,
     /// Dominance frontier of each node.
-    pub frontier: BTreeMap<NodeId, Vec<NodeId>>,
-    /// Children in the dominator tree.
-    pub children: BTreeMap<NodeId, Vec<NodeId>>,
+    frontier: Lists,
+    /// Children in the dominator tree, in reverse postorder.
+    children: Lists,
 }
 
 impl Dominators {
     /// Computes dominators and dominance frontiers.
     pub fn compute(g: &Graph) -> Dominators {
+        let n = g.nodes.len();
         let rpo = g.reverse_postorder();
-        let rpo_index: BTreeMap<NodeId, usize> =
-            rpo.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let preds_all = g.preds();
-        // Predecessors restricted to reachable nodes.
-        let preds: BTreeMap<NodeId, Vec<NodeId>> = rpo
-            .iter()
-            .map(|&n| {
-                let ps = preds_all[n.index()]
-                    .iter()
-                    .copied()
-                    .filter(|p| rpo_index.contains_key(p))
-                    .collect();
-                (n, ps)
-            })
-            .collect();
+        let mut rpo_index = vec![NONE; n];
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_index[b.index()] = i as u32;
+        }
+        // Predecessors restricted to reachable nodes, in arena order
+        // (one entry per edge).
+        let mut edges = Vec::new();
+        for p in g.ids().filter(|p| rpo_index[p.index()] != NONE) {
+            edges.extend(g.node(p).succ_iter().map(|s| (s, p)));
+        }
+        let preds = Lists::group(n, &edges);
 
         let entry = g.entry;
-        let mut idom: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-        idom.insert(entry, entry);
+        let mut idom = vec![NONE; n];
+        idom[entry.index()] = entry.0;
         let mut changed = true;
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<NodeId> = None;
-                for &p in &preds[&b] {
-                    if idom.contains_key(&p) {
-                        new_idom = Some(match new_idom {
-                            None => p,
-                            Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                        });
+                let mut new_idom = NONE;
+                for &p in preds.get(b) {
+                    if idom[p.index()] != NONE {
+                        new_idom = if new_idom == NONE {
+                            p.0
+                        } else {
+                            intersect(&idom, &rpo_index, p.0, new_idom)
+                        };
                     }
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && idom[b.index()] != new_idom {
+                    idom[b.index()] = new_idom;
+                    changed = true;
                 }
             }
         }
 
-        // Dominance frontiers.
-        let mut frontier: BTreeMap<NodeId, Vec<NodeId>> =
-            rpo.iter().map(|&n| (n, Vec::new())).collect();
+        // Dominance frontiers: `(runner, join)` pairs in discovery
+        // order, each join recorded once per runner.
+        let mut pairs = Vec::new();
+        let mut last_join = vec![NONE; n];
         for &b in &rpo {
-            let ps = &preds[&b];
+            let ps = preds.get(b);
             if ps.len() >= 2 {
                 for &p in ps {
-                    let mut runner = p;
-                    while runner != idom[&b] {
-                        let fr = frontier.get_mut(&runner).expect("reachable node");
-                        if !fr.contains(&b) {
-                            fr.push(b);
+                    let mut runner = p.0;
+                    while runner != idom[b.index()] {
+                        if last_join[runner as usize] != b.0 {
+                            last_join[runner as usize] = b.0;
+                            pairs.push((NodeId(runner), b));
                         }
-                        runner = idom[&runner];
+                        runner = idom[runner as usize];
                     }
                 }
             }
         }
+        let frontier = Lists::group(n, &pairs);
 
         // Dominator-tree children.
-        let mut children: BTreeMap<NodeId, Vec<NodeId>> =
-            rpo.iter().map(|&n| (n, Vec::new())).collect();
-        for &n in &rpo {
-            if n != entry {
-                children.get_mut(&idom[&n]).expect("reachable").push(n);
-            }
-        }
+        pairs.clear();
+        pairs.extend(
+            rpo.iter()
+                .filter(|&&c| c != entry)
+                .map(|&c| (NodeId(idom[c.index()]), c)),
+        );
+        let children = Lists::group(n, &pairs);
 
         Dominators {
             rpo,
@@ -100,6 +138,28 @@ impl Dominators {
         }
     }
 
+    /// True if `n` is reachable from the entry.
+    pub fn is_reachable(&self, n: NodeId) -> bool {
+        self.rpo_index[n.index()] != NONE
+    }
+
+    /// The immediate dominator of a reachable node (the entry's is
+    /// itself).
+    pub fn idom(&self, n: NodeId) -> NodeId {
+        debug_assert!(self.is_reachable(n), "{n} is unreachable");
+        NodeId(self.idom[n.index()])
+    }
+
+    /// The dominance frontier of a node (empty if unreachable).
+    pub fn frontier(&self, n: NodeId) -> &[NodeId] {
+        self.frontier.get(n)
+    }
+
+    /// A node's children in the dominator tree, in reverse postorder.
+    pub fn children(&self, n: NodeId) -> &[NodeId] {
+        self.children.get(n)
+    }
+
     /// True if `a` dominates `b` (both must be reachable).
     pub fn dominates(&self, a: NodeId, b: NodeId) -> bool {
         let mut n = b;
@@ -107,7 +167,7 @@ impl Dominators {
             if n == a {
                 return true;
             }
-            let up = self.idom[&n];
+            let up = self.idom(n);
             if up == n {
                 return n == a;
             }
@@ -116,18 +176,13 @@ impl Dominators {
     }
 }
 
-fn intersect(
-    idom: &BTreeMap<NodeId, NodeId>,
-    rpo_index: &BTreeMap<NodeId, usize>,
-    mut a: NodeId,
-    mut b: NodeId,
-) -> NodeId {
+fn intersect(idom: &[u32], rpo_index: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while rpo_index[a as usize] > rpo_index[b as usize] {
+            a = idom[a as usize];
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while rpo_index[b as usize] > rpo_index[a as usize] {
+            b = idom[b as usize];
         }
     }
     a
@@ -186,10 +241,13 @@ mod tests {
         let assigns: Vec<NodeId> = g
             .ids()
             .filter(|&i| matches!(g.node(i), cmm_cfg::Node::Assign { .. }))
-            .filter(|i| d.rpo_index.contains_key(i))
+            .filter(|&i| d.is_reachable(i))
             .collect();
-        assert!(d.frontier[&branch].is_empty());
-        let mut joins: Vec<NodeId> = assigns.iter().flat_map(|a| d.frontier[a].clone()).collect();
+        assert!(d.frontier(branch).is_empty());
+        let mut joins: Vec<NodeId> = assigns
+            .iter()
+            .flat_map(|&a| d.frontier(a).to_vec())
+            .collect();
         assert_eq!(joins.len(), 2, "each arm has the join in its frontier");
         assert_eq!(joins[0], joins[1], "both arms meet at the same join");
         joins.dedup();
@@ -204,7 +262,7 @@ mod tests {
             let mut cur = n;
             let mut hops = 0;
             while cur != g.entry {
-                cur = d.idom[&cur];
+                cur = d.idom(cur);
                 hops += 1;
                 assert!(hops < 1000, "idom chain must terminate");
             }

@@ -13,7 +13,10 @@
 //!
 //! * [`dataflow`] — the Table 3 rules, verbatim, over *slots* (variables,
 //!   the memory pseudo-variable `M`, and the elements of the
-//!   argument-passing area `A`);
+//!   argument-passing area `A`), and allocation-free visitors over their
+//!   variable uses and definitions, which the analyses read;
+//! * [`locals`] — the sorted locals index every analysis numbers
+//!   variables by, and sets of locals as `u64` bit rows over it;
 //! * [`liveness`] — classical backward liveness over the graph, which is
 //!   correct in the presence of exceptions *because* the annotation edges
 //!   are ordinary edges of the graph (this is the paper's central claim
@@ -41,11 +44,13 @@ pub mod dce;
 pub mod dom;
 pub mod liveness;
 pub mod localopt;
+pub mod locals;
 pub mod pipeline;
 pub mod ssa;
 
 pub use dataflow::{flow, NodeFlow, Slot};
 pub use dom::Dominators;
 pub use liveness::Liveness;
+pub use locals::{Locals, VarSet};
 pub use pipeline::{optimize_graph, optimize_program, OptOptions, OptStats};
 pub use ssa::Ssa;

@@ -8,70 +8,102 @@
 //! and the Drew–Gough–Ledermann register allocator, which had to treat
 //! handlers specially or spill every shared variable to the stack.)
 
-use crate::dataflow::{var_defs, var_uses};
+use crate::dataflow::{each_var_def, each_var_use};
+use crate::locals::{set_bit, Locals, VarSet};
 use cmm_cfg::{Graph, NodeId};
-use cmm_ir::Name;
-use std::collections::BTreeSet;
 
-/// Per-node live-in and live-out variable sets.
+/// Per-node live-in and live-out sets, as bit rows over the graph's
+/// locals index (untracked names — globals and symbols — are never
+/// live here: no pass asks about them).
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    /// Live-in set of each node, indexed by node id.
-    pub live_in: Vec<BTreeSet<Name>>,
-    /// Live-out set of each node, indexed by node id.
-    pub live_out: Vec<BTreeSet<Name>>,
+    locals: Locals,
+    /// Live-in row of each node: `locals.words()` words per node id.
+    live_in: Vec<u64>,
+    /// Live-out row of each node, laid out the same way.
+    live_out: Vec<u64>,
 }
 
 impl Liveness {
     /// Computes liveness for the reachable part of a graph.
     pub fn compute(g: &Graph) -> Liveness {
+        let locals = Locals::of(g);
         let n = g.nodes.len();
-        let mut live_in = vec![BTreeSet::new(); n];
-        let mut live_out = vec![BTreeSet::new(); n];
-        let order: Vec<NodeId> = {
-            let mut o = g.reverse_postorder();
-            o.reverse(); // postorder converges fastest for backward problems
-            o
-        };
-        let uses: Vec<BTreeSet<Name>> = (0..n)
-            .map(|i| var_uses(g, NodeId(i as u32)).into_iter().collect())
-            .collect();
-        let defs: Vec<BTreeSet<Name>> = (0..n)
-            .map(|i| var_defs(g, NodeId(i as u32)).into_iter().collect())
-            .collect();
+        let w = locals.words();
+        // Per-node use (gen) and def (kill) rows, and a flat successor
+        // array: node i's successors are succ[succ_at[i]..succ_at[i + 1]].
+        let mut gen = vec![0u64; n * w];
+        let mut kill = vec![0u64; n * w];
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut succ: Vec<u32> = Vec::with_capacity(n + n / 2);
+        for id in g.ids() {
+            let i = id.index();
+            let row = i * w..(i + 1) * w;
+            each_var_use(g, id, |v| {
+                if let Some(b) = locals.index(v) {
+                    set_bit(&mut gen[row.clone()], b);
+                }
+            });
+            each_var_def(g, id, |v| {
+                if let Some(b) = locals.index(v) {
+                    set_bit(&mut kill[row.clone()], b);
+                }
+            });
+            succ_at.push(succ.len() as u32);
+            succ.extend(g.node(id).succ_iter().map(|s| s.0));
+        }
+        succ_at.push(succ.len() as u32);
+
+        // Postorder converges fastest for a backward problem.
+        let mut order = g.reverse_postorder();
+        order.reverse();
+        let mut live_in = vec![0u64; n * w];
+        let mut live_out = vec![0u64; n * w];
         let mut changed = true;
         while changed {
             changed = false;
             for &id in &order {
                 let i = id.index();
-                let mut out: BTreeSet<Name> = BTreeSet::new();
-                for s in g.succs(id) {
-                    out.extend(live_in[s.index()].iter().cloned());
-                }
-                let mut inn = uses[i].clone();
-                for v in &out {
-                    if !defs[i].contains(v) {
-                        inn.insert(v.clone());
+                let succs = &succ[succ_at[i] as usize..succ_at[i + 1] as usize];
+                for k in 0..w {
+                    let out = succs
+                        .iter()
+                        .fold(0, |acc, &s| acc | live_in[s as usize * w + k]);
+                    let at = i * w + k;
+                    let inn = gen[at] | (out & !kill[at]);
+                    if out != live_out[at] || inn != live_in[at] {
+                        live_out[at] = out;
+                        live_in[at] = inn;
+                        changed = true;
                     }
-                }
-                if out != live_out[i] || inn != live_in[i] {
-                    live_out[i] = out;
-                    live_in[i] = inn;
-                    changed = true;
                 }
             }
         }
-        Liveness { live_in, live_out }
+        Liveness {
+            locals,
+            live_in,
+            live_out,
+        }
+    }
+
+    /// The locals index the rows are over.
+    pub fn locals(&self) -> &Locals {
+        &self.locals
     }
 
     /// Variables live into a node.
-    pub fn live_in(&self, id: NodeId) -> &BTreeSet<Name> {
-        &self.live_in[id.index()]
+    pub fn live_in(&self, id: NodeId) -> VarSet<'_> {
+        self.row(&self.live_in, id)
     }
 
     /// Variables live out of a node.
-    pub fn live_out(&self, id: NodeId) -> &BTreeSet<Name> {
-        &self.live_out[id.index()]
+    pub fn live_out(&self, id: NodeId) -> VarSet<'_> {
+        self.row(&self.live_out, id)
+    }
+
+    fn row<'a>(&'a self, rows: &'a [u64], id: NodeId) -> VarSet<'a> {
+        let w = self.locals.words();
+        self.locals.set(&rows[id.index() * w..(id.index() + 1) * w])
     }
 }
 
@@ -79,6 +111,7 @@ impl Liveness {
 mod tests {
     use super::*;
     use cmm_cfg::{build_program, Node};
+    use cmm_ir::Name;
     use cmm_parse::parse_module;
 
     fn graph(src: &str) -> Graph {

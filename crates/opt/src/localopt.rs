@@ -11,14 +11,14 @@
 //! all memory-dependent and non-local-dependent entries at `Call` nodes
 //! (a callee may write memory and global registers).
 
-use crate::ssa::ssa_names;
+use crate::locals::Locals;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::{Expr, Lvalue, Name};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Runs both local passes; returns the number of rewrites.
 pub fn localopt(g: &mut Graph) -> usize {
-    let locals = ssa_names(g);
+    let locals = Locals::of(g);
     let chains = chains(g);
     let mut changed = 0;
     for chain in chains {
@@ -29,37 +29,34 @@ pub fn localopt(g: &mut Graph) -> usize {
 
 /// Maximal straight-line chains over the reachable graph.
 fn chains(g: &Graph) -> Vec<Vec<NodeId>> {
-    let preds = g.preds();
     let rpo = g.reverse_postorder();
-    let reachable: BTreeSet<NodeId> = rpo.iter().copied().collect();
-    let single_pred = |n: NodeId| {
-        preds[n.index()]
-            .iter()
-            .filter(|p| reachable.contains(p))
-            .count()
-            == 1
-    };
-    let mut in_chain: BTreeSet<NodeId> = BTreeSet::new();
+    // Edges into each node from reachable nodes.
+    let mut preds = vec![0u32; g.nodes.len()];
+    for &p in &rpo {
+        for s in g.node(p).succ_iter() {
+            preds[s.index()] += 1;
+        }
+    }
+    let mut in_chain = vec![false; g.nodes.len()];
     let mut out = Vec::new();
     for &start in &rpo {
-        if in_chain.contains(&start) {
+        if in_chain[start.index()] {
             continue;
         }
         // A chain head: entry, a join, or a successor of a fork.
         let mut chain = vec![start];
-        in_chain.insert(start);
+        in_chain[start.index()] = true;
         let mut cur = start;
         loop {
-            let succs = g.succs(cur);
-            if succs.len() != 1 {
+            let mut succs = g.node(cur).succ_iter();
+            let (Some(next), None) = (succs.next(), succs.next()) else {
                 break;
-            }
-            let next = succs[0];
-            if !single_pred(next) || in_chain.contains(&next) {
+            };
+            if preds[next.index()] != 1 || in_chain[next.index()] {
                 break;
             }
             chain.push(next);
-            in_chain.insert(next);
+            in_chain[next.index()] = true;
             cur = next;
         }
         out.push(chain);
@@ -87,7 +84,7 @@ impl LocalState {
     }
 
     /// At a call, memory and every non-local name may change.
-    fn invalidate_for_call(&mut self, locals: &BTreeSet<Name>) {
+    fn invalidate_for_call(&mut self, locals: &Locals) {
         self.invalidate_memory();
         self.avail.retain(|e, holder| {
             locals.contains(holder) && e.names().iter().all(|n| locals.contains(n))
@@ -97,7 +94,7 @@ impl LocalState {
     }
 }
 
-fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &BTreeSet<Name>) -> usize {
+fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &Locals) -> usize {
     let mut st = LocalState {
         copies: HashMap::new(),
         avail: HashMap::new(),

@@ -8,11 +8,11 @@
 //! prologues chosen by the dispatcher "roughly correspond to φ-nodes in
 //! SSA form", §4.2 footnote.)
 
-use crate::dataflow::{var_defs, var_uses};
+use crate::dataflow::{each_var_def, each_var_use};
 use crate::dom::Dominators;
+use crate::locals::Locals;
 use cmm_cfg::{Graph, NodeId};
 use cmm_ir::Name;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Index of a definition in [`Ssa::sites`].
 pub type DefId = usize;
@@ -58,67 +58,97 @@ impl DefSite {
 pub struct Phi {
     /// The variable merged.
     pub var: Name,
+    /// Its position in the locals index.
+    local: usize,
     /// The definition this φ creates.
     pub def: DefId,
     /// One argument per predecessor edge: which definition flows in.
     pub args: Vec<(NodeId, DefId)>,
 }
 
-/// The SSA overlay for one graph.
+/// A node's slice of a flat row array.
+#[derive(Clone, Copy, Default, Debug)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn of<T>(rows: &[T], start: usize) -> Span {
+        Span {
+            start: start as u32,
+            end: rows.len() as u32,
+        }
+    }
+
+    fn get<T>(self, rows: &[T]) -> &[T] {
+        &rows[self.start as usize..self.end as usize]
+    }
+}
+
+/// The SSA overlay for one graph. Variables are named by their
+/// position in the graph's locals index ([`Ssa::locals`]); uses of
+/// names that are not tracked (globals, procedure and data names) are
+/// absent.
 #[derive(Clone, Debug, Default)]
 pub struct Ssa {
-    /// All definition sites, in renaming order.
+    locals: Locals,
+    /// All definition sites, in renaming order (φs first).
     pub sites: Vec<DefSite>,
-    /// φ-functions at each join node.
-    pub phis: BTreeMap<NodeId, Vec<Phi>>,
-    /// For each variable use at each node, the reaching definition.
-    /// Uses of names that are not SSA-tracked (globals, procedure and
-    /// data names) are absent.
-    pub use_defs: HashMap<(NodeId, Name), DefId>,
-    /// The definition created *at* a node for a variable (excluding φs).
-    pub node_defs: HashMap<(NodeId, Name), DefId>,
     /// SSA version number of each definition (per variable, counted from
     /// 1 in renaming order).
     pub versions: Vec<u32>,
-}
-
-/// The names SSA tracks for a graph: declared variables (formals, locals,
-/// temporaries) and continuation names (bound at `Entry`). Global
-/// registers and top-level symbols are *not* tracked — globals may be
-/// redefined by any call, so propagating them would be unsound.
-pub fn ssa_names(g: &Graph) -> BTreeSet<Name> {
-    let mut s: BTreeSet<Name> = g.vars.iter().map(|(n, _)| n.clone()).collect();
-    s.extend(g.continuations().iter().map(|(n, _)| n.clone()));
-    s
+    /// Every φ-function, grouped by join node in node order, each
+    /// node's in name order.
+    phis: Vec<Phi>,
+    /// Node `i`'s φs are `phis[phi_at[i]..phi_at[i + 1]]`.
+    phi_at: Vec<u32>,
+    /// `(var, reaching def)` for each tracked use, per node in use
+    /// order.
+    uses: Vec<(usize, DefId)>,
+    use_at: Vec<Span>,
+    /// `(var, def)` for each tracked definition made at a node (not
+    /// φs), per node in definition order.
+    defs: Vec<(usize, DefId)>,
+    def_at: Vec<Span>,
 }
 
 impl Ssa {
     /// Builds the SSA overlay for a graph.
     pub fn build(g: &Graph) -> Ssa {
         let doms = Dominators::compute(g);
-        let tracked = ssa_names(g);
-        let reachable: BTreeSet<NodeId> = doms.rpo.iter().copied().collect();
+        let locals = Locals::of(g);
+        let (n, nv) = (g.nodes.len(), locals.len());
 
         // Definition sites per variable.
-        let mut def_nodes: BTreeMap<Name, BTreeSet<NodeId>> = BTreeMap::new();
-        for &n in &doms.rpo {
-            for v in var_defs(g, n) {
-                if tracked.contains(&v) {
-                    def_nodes.entry(v).or_default().insert(n);
+        let mut def_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); nv];
+        for &x in &doms.rpo {
+            each_var_def(g, x, |v| {
+                if let Some(v) = locals.index(v) {
+                    def_nodes[v].push(x);
                 }
-            }
+            });
         }
 
-        // φ placement by iterated dominance frontier.
-        let mut phi_vars: BTreeMap<NodeId, BTreeSet<Name>> = BTreeMap::new();
-        for (v, sites) in &def_nodes {
-            let mut work: Vec<NodeId> = sites.iter().copied().collect();
-            let mut placed: BTreeSet<NodeId> = BTreeSet::new();
-            while let Some(n) = work.pop() {
-                for &y in &doms.frontier[&n] {
-                    if placed.insert(y) {
-                        phi_vars.entry(y).or_default().insert(v.clone());
-                        if !sites.contains(&y) {
+        // φ placement by iterated dominance frontier, one variable at a
+        // time in index order, so each join's variables come out in name
+        // order. `placed` and `site` hold the variable a node was last
+        // marked for.
+        let mut placed = vec![usize::MAX; n];
+        let mut site = vec![usize::MAX; n];
+        let mut phi_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut work: Vec<NodeId> = Vec::new();
+        for (v, sites) in def_nodes.iter().enumerate() {
+            for x in sites {
+                site[x.index()] = v;
+            }
+            work.extend_from_slice(sites);
+            while let Some(x) = work.pop() {
+                for &y in doms.frontier(x) {
+                    if placed[y.index()] != v {
+                        placed[y.index()] = v;
+                        phi_vars[y.index()].push(v);
+                        if site[y.index()] != v {
                             work.push(y);
                         }
                     }
@@ -126,103 +156,153 @@ impl Ssa {
             }
         }
 
-        let mut ssa = Ssa::default();
-        let mut var_counts: HashMap<Name, u32> = HashMap::new();
-
-        // Create φ defs up front (renaming fills their arguments).
-        for (&node, vars) in &phi_vars {
-            let mut phis = Vec::new();
-            for v in vars {
+        let mut ssa = Ssa {
+            use_at: vec![Span::default(); n],
+            def_at: vec![Span::default(); n],
+            ..Ssa::default()
+        };
+        // Create φ defs up front, in node order (renaming fills their
+        // arguments).
+        for (x, vars) in phi_vars.iter().enumerate() {
+            ssa.phi_at.push(ssa.phis.len() as u32);
+            for &v in vars {
                 let def = ssa.sites.len();
+                let var = locals.name(v).clone();
                 ssa.sites.push(DefSite::Phi {
-                    node,
-                    var: v.clone(),
+                    node: NodeId(x as u32),
+                    var: var.clone(),
                 });
                 ssa.versions.push(0); // assigned during renaming
-                phis.push(Phi {
-                    var: v.clone(),
+                ssa.phis.push(Phi {
+                    var,
+                    local: v,
                     def,
                     args: Vec::new(),
                 });
             }
-            ssa.phis.insert(node, phis);
         }
+        ssa.phi_at.push(ssa.phis.len() as u32);
 
-        // Renaming: iterative DFS over the dominator tree.
-        let mut stacks: HashMap<Name, Vec<DefId>> = HashMap::new();
+        // Renaming: iterative DFS over the dominator tree. `cur` is the
+        // top of each variable's definition stack; `undo` logs what each
+        // push replaced, so leaving a node restores its parent's view.
+        const UNDEF: DefId = DefId::MAX;
+        let mut count = vec![0u32; nv];
+        let mut cur = vec![UNDEF; nv];
+        let mut undo: Vec<(usize, DefId)> = Vec::new();
         enum Action {
             Enter(NodeId),
-            Leave(Vec<Name>), // names pushed at the node being left
+            Leave(usize), // undo-log length at entry
         }
         let mut work = vec![Action::Enter(g.entry)];
         while let Some(action) = work.pop() {
-            match action {
-                Action::Enter(b) => {
-                    let mut pushed: Vec<Name> = Vec::new();
-                    // φ defs first.
-                    if let Some(phis) = ssa.phis.get(&b) {
-                        for phi in phis.clone() {
-                            let ver = bump(&mut var_counts, &phi.var);
-                            ssa.versions[phi.def] = ver;
-                            stacks.entry(phi.var.clone()).or_default().push(phi.def);
-                            pushed.push(phi.var.clone());
-                        }
+            let b = match action {
+                Action::Enter(b) => b,
+                Action::Leave(mark) => {
+                    for (v, prev) in undo.drain(mark..).rev() {
+                        cur[v] = prev;
                     }
-                    // Uses see the state before the node's own defs.
-                    for v in var_uses(g, b) {
-                        if !tracked.contains(&v) {
-                            continue;
-                        }
-                        if let Some(&d) = stacks.get(&v).and_then(|s| s.last()) {
-                            ssa.use_defs.insert((b, v), d);
-                        }
-                    }
-                    // Ordinary defs.
-                    for v in var_defs(g, b) {
-                        if !tracked.contains(&v) {
-                            continue;
-                        }
-                        let def = ssa.sites.len();
-                        ssa.sites.push(DefSite::Node {
-                            node: b,
-                            var: v.clone(),
-                        });
-                        ssa.versions.push(bump(&mut var_counts, &v));
-                        ssa.node_defs.insert((b, v.clone()), def);
-                        stacks.entry(v.clone()).or_default().push(def);
-                        pushed.push(v);
-                    }
-                    // Fill φ arguments of CFG successors.
-                    for s in g.succs(b) {
-                        if !reachable.contains(&s) {
-                            continue;
-                        }
-                        if let Some(phis) = ssa.phis.get_mut(&s) {
-                            for phi in phis {
-                                if let Some(&d) = stacks.get(&phi.var).and_then(|st| st.last()) {
-                                    phi.args.push((b, d));
-                                }
-                            }
-                        }
-                    }
-                    work.push(Action::Leave(pushed));
-                    for &c in &doms.children[&b] {
-                        work.push(Action::Enter(c));
+                    continue;
+                }
+            };
+            let mark = undo.len();
+            // φ defs first.
+            for phi in &ssa.phis[ssa.phi_range(b)] {
+                count[phi.local] += 1;
+                ssa.versions[phi.def] = count[phi.local];
+                undo.push((phi.local, cur[phi.local]));
+                cur[phi.local] = phi.def;
+            }
+            // Uses see the state before the node's own defs.
+            let start = ssa.uses.len();
+            each_var_use(g, b, |v| {
+                if let Some(v) = locals.index(v) {
+                    if cur[v] != UNDEF {
+                        ssa.uses.push((v, cur[v]));
                     }
                 }
-                Action::Leave(pushed) => {
-                    for v in pushed {
-                        stacks.get_mut(&v).expect("pushed var has a stack").pop();
+            });
+            ssa.use_at[b.index()] = Span::of(&ssa.uses, start);
+            // Ordinary defs.
+            let start = ssa.defs.len();
+            each_var_def(g, b, |name| {
+                if let Some(v) = locals.index(name) {
+                    let def = ssa.sites.len();
+                    ssa.sites.push(DefSite::Node {
+                        node: b,
+                        var: name.clone(),
+                    });
+                    count[v] += 1;
+                    ssa.versions.push(count[v]);
+                    ssa.defs.push((v, def));
+                    undo.push((v, cur[v]));
+                    cur[v] = def;
+                }
+            });
+            ssa.def_at[b.index()] = Span::of(&ssa.defs, start);
+            // Fill φ arguments of CFG successors.
+            for s in g.node(b).succ_iter() {
+                if !doms.is_reachable(s) {
+                    continue;
+                }
+                let range = ssa.phi_range(s);
+                for phi in &mut ssa.phis[range] {
+                    if cur[phi.local] != UNDEF {
+                        phi.args.push((b, cur[phi.local]));
                     }
                 }
             }
+            work.push(Action::Leave(mark));
+            work.extend(doms.children(b).iter().map(|&c| Action::Enter(c)));
         }
+        ssa.locals = locals;
         ssa
+    }
+
+    /// Every φ-function, grouped by node.
+    pub fn phis(&self) -> &[Phi] {
+        &self.phis
+    }
+
+    /// The φ-functions at a node, in name order.
+    pub fn phis_at(&self, n: NodeId) -> &[Phi] {
+        &self.phis[self.phi_range(n)]
+    }
+
+    fn phi_range(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.phi_at[n.index()] as usize..self.phi_at[n.index() + 1] as usize
+    }
+
+    /// `(var, reaching def)` for each tracked use at a node, in use
+    /// order (a variable used twice appears twice).
+    pub(crate) fn uses_at(&self, n: NodeId) -> &[(usize, DefId)] {
+        self.use_at[n.index()].get(&self.uses)
+    }
+
+    /// `(var, def)` for each tracked definition a node makes, in
+    /// definition order.
+    pub(crate) fn defs_at(&self, n: NodeId) -> &[(usize, DefId)] {
+        self.def_at[n.index()].get(&self.defs)
     }
 
     /// The reaching definition for a use of `v` at node `n`, if tracked.
     pub fn reaching(&self, n: NodeId, v: &Name) -> Option<DefId> {
-        self.use_defs.get(&(n, v.clone())).copied()
+        let v = self.locals.index(v)?;
+        self.uses_at(n)
+            .iter()
+            .find(|&&(u, _)| u == v)
+            .map(|&(_, d)| d)
+    }
+
+    /// The definition created *at* node `n` for the variable at
+    /// position `v` (excluding φs): the last, if the node defines it
+    /// more than once.
+    fn node_def(&self, n: NodeId, v: usize) -> Option<DefId> {
+        self.defs_at(n)
+            .iter()
+            .rev()
+            .find(|&&(u, _)| u == v)
+            .map(|&(_, d)| d)
     }
 
     /// `var.version` display form of a definition.
@@ -236,22 +316,17 @@ impl Ssa {
     pub fn verify(&self, g: &Graph) -> Vec<(NodeId, Name)> {
         let doms = Dominators::compute(g);
         let mut bad = Vec::new();
-        for ((node, var), &def) in &self.use_defs {
-            let site = self.sites[def].node();
-            if !doms.rpo_index.contains_key(node) {
-                continue;
-            }
-            if !doms.dominates(site, *node) {
-                bad.push((*node, var.clone()));
+        for node in g.ids().filter(|&n| doms.is_reachable(n)) {
+            for &(v, def) in self.uses_at(node) {
+                if !doms.dominates(self.sites[def].node(), node) {
+                    bad.push((node, self.locals.name(v).clone()));
+                }
             }
         }
-        for phis in self.phis.values() {
-            for phi in phis {
-                for &(pred, def) in &phi.args {
-                    let site = self.sites[def].node();
-                    if !doms.dominates(site, pred) {
-                        bad.push((pred, phi.var.clone()));
-                    }
+        for phi in &self.phis {
+            for &(pred, def) in &phi.args {
+                if !doms.dominates(self.sites[def].node(), pred) {
+                    bad.push((pred, phi.var.clone()));
                 }
             }
         }
@@ -259,41 +334,35 @@ impl Ssa {
     }
 }
 
-fn bump(counts: &mut HashMap<Name, u32>, v: &Name) -> u32 {
-    let c = counts.entry(v.clone()).or_insert(0);
-    *c += 1;
-    *c
-}
-
 /// Renders the graph with SSA numbering, in the style of Figure 6.
 pub fn ssa_to_string(g: &Graph, ssa: &Ssa) -> String {
     use std::fmt::Write as _;
     let mut out = format!("SSA for {}:\n", g.name);
     for id in g.reverse_postorder() {
-        if let Some(phis) = ssa.phis.get(&id) {
-            for phi in phis {
-                let args: Vec<String> = phi
-                    .args
-                    .iter()
-                    .map(|&(p, d)| format!("{p}: {}", ssa.def_name(d)))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "  {id}: {} = phi({})",
-                    ssa.def_name(phi.def),
-                    args.join(", ")
-                );
-            }
+        for phi in ssa.phis_at(id) {
+            let args: Vec<String> = phi
+                .args
+                .iter()
+                .map(|&(p, d)| format!("{p}: {}", ssa.def_name(d)))
+                .collect();
+            let _ = writeln!(
+                out,
+                "  {id}: {} = phi({})",
+                ssa.def_name(phi.def),
+                args.join(", ")
+            );
         }
         let mut line = format!("  {}", cmm_cfg::display::node_to_string(g, id));
         // Annotate uses and defs.
-        let uses: Vec<String> = var_uses(g, id)
-            .into_iter()
-            .filter_map(|v| ssa.reaching(id, &v).map(|d| ssa.def_name(d)))
+        let uses: Vec<String> = ssa
+            .uses_at(id)
+            .iter()
+            .map(|&(_, d)| ssa.def_name(d))
             .collect();
-        let defs: Vec<String> = var_defs(g, id)
-            .into_iter()
-            .filter_map(|v| ssa.node_defs.get(&(id, v)).map(|&d| ssa.def_name(d)))
+        let defs: Vec<String> = ssa
+            .defs_at(id)
+            .iter()
+            .filter_map(|&(v, _)| ssa.node_def(id, v).map(|d| ssa.def_name(d)))
             .collect();
         if !uses.is_empty() {
             line.push_str(&format!("  uses[{}]", uses.join(", ")));
@@ -312,6 +381,7 @@ mod tests {
     use super::*;
     use cmm_cfg::build_program;
     use cmm_parse::parse_module;
+    use std::collections::BTreeSet;
 
     fn graph(src: &str) -> Graph {
         build_program(&parse_module(src).unwrap())
@@ -325,7 +395,7 @@ mod tests {
     fn straight_line_has_no_phis() {
         let g = graph("f(bits32 a) { bits32 b; b = a + 1; b = b * 2; return (b); }");
         let ssa = Ssa::build(&g);
-        assert!(ssa.phis.is_empty());
+        assert!(ssa.phis().is_empty());
         assert!(ssa.verify(&g).is_empty());
         // b has two ordinary definitions with distinct versions.
         let b_defs: Vec<_> = ssa
@@ -350,13 +420,9 @@ mod tests {
             "#,
         );
         let ssa = Ssa::build(&g);
-        let phi_count: usize = ssa
-            .phis
-            .values()
-            .map(|ps| ps.iter().filter(|p| p.var == "s").count())
-            .sum();
+        let phi_count: usize = ssa.phis().iter().filter(|p| p.var == "s").count();
         assert_eq!(phi_count, 1, "{}", ssa_to_string(&g, &ssa));
-        let phi = ssa.phis.values().flatten().find(|p| p.var == "s").unwrap();
+        let phi = ssa.phis().iter().find(|p| p.var == "s").unwrap();
         assert_eq!(phi.args.len(), 2);
         assert!(ssa.verify(&g).is_empty());
     }
@@ -374,7 +440,7 @@ mod tests {
             "#,
         );
         let ssa = Ssa::build(&g);
-        let phi_vars: BTreeSet<&Name> = ssa.phis.values().flatten().map(|p| &p.var).collect();
+        let phi_vars: BTreeSet<&Name> = ssa.phis().iter().map(|p| &p.var).collect();
         assert!(phi_vars.contains(&Name::from("s")));
         assert!(phi_vars.contains(&Name::from("n")));
         assert!(ssa.verify(&g).is_empty());

@@ -357,18 +357,19 @@ impl<'a> ProcGen<'a> {
     fn allocate(&mut self) {
         let live = Liveness::compute(self.g);
         let mut promoted: BTreeSet<Name> = BTreeSet::new();
-        let mut across: BTreeSet<Name> = BTreeSet::new();
+        let mut across = vec![0u64; live.locals().words()];
         for id in self.g.reverse_postorder() {
             match self.g.node(id) {
                 Node::CalleeSaves { vars, .. } => promoted.extend(vars.iter().cloned()),
                 Node::Call { bundle, .. } => {
                     for t in bundle.targets() {
-                        across.extend(live.live_in(t).iter().cloned());
+                        live.live_in(t).or_into(&mut across);
                     }
                 }
                 _ => {}
             }
         }
+        let across = live.locals().set(&across);
         let mut callee_next = 0u8;
         let mut caller_next = 0u8;
         let mut frame_vars: Vec<Name> = Vec::new();
