@@ -320,6 +320,32 @@ fn batch_rejects_bad_options_and_manifests() {
     assert_fails_mentioning(&cmm(&["batch", m.to_str().unwrap(), "-j", "0"]), "--jobs");
 }
 
+/// Argument and result counts beyond the calling convention's value
+/// registers come back as diagnostics: from `cmm run` (once a panic
+/// writing past the register file) and from a manifest line (once an
+/// abort sizing the result vector).
+#[test]
+fn oversized_arities_are_diagnostics_not_aborts() {
+    let fig = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/fig34_plain.cmm"
+    );
+    let args: Vec<String> = (1..=60).map(|i| i.to_string()).collect();
+    let mut argv = vec!["run", fig, "f"];
+    argv.extend(args.iter().map(String::as_str));
+    assert_fails_mentioning(&cmm(&argv), "60 arguments exceed");
+    let s = Scratch::new("arity");
+    s.file("ok.cmm", "f(bits32 a) { return (a); }");
+    for results in ["1099511627776", "100", "9"] {
+        let m = s.file(
+            "big.manifest",
+            &format!("ok.cmm sem args=1\nok.cmm vm,sem args=1 results={results}\n"),
+        );
+        let out = cmm(&["batch", m.to_str().unwrap()]);
+        assert_fails_mentioning(&out, &format!("line 2: {results} results exceed"));
+    }
+}
+
 #[test]
 fn batch_compile_errors_fail_the_run_but_stay_in_the_report() {
     let s = Scratch::new("compileerr");

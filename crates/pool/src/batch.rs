@@ -35,7 +35,7 @@
 //! `with_timing = false` therefore yields byte-identical output at
 //! `-j1` and `-jN`; CI diffs exactly that.
 
-use crate::cache::{PipelineCache, SourceKey, SourceLang};
+use crate::cache::{PipelineCache, SourceId, SourceKey, SourceLang};
 use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolConfig, PoolMeter};
 use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
 use cmm_frontend::{run_thread, with_engine, Arenas, Code, Setup, Strategy};
@@ -170,6 +170,7 @@ pub fn parse_manifest(
                 other => return Err(at(format!("unknown key `{other}`"))),
             }
         }
+        cmm_vm::check_arity(args.len(), results).map_err(&at)?;
         let lang = if file.ends_with(".cmm") {
             SourceLang::Cmm
         } else if file.ends_with(".m3") {
@@ -383,7 +384,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     // to one cache lookup in this phase; a job whose artifact was not
     // warmed builds it in phase C instead.
     struct Group {
-        key: SourceKey,
+        id: SourceId,
         deepest: EngineId,
         want_resolved: bool,
     }
@@ -391,10 +392,10 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     let mut group_of: Vec<usize> = Vec::with_capacity(specs.len());
     let mut by_digest = std::collections::HashMap::new();
     for spec in specs {
-        let key = spec.source_key();
-        let g = *by_digest.entry(key.digest()).or_insert_with(|| {
+        let id = SourceId::new(spec.source_key());
+        let g = *by_digest.entry(id.digest()).or_insert_with(|| {
             groups.push(Group {
-                key,
+                id,
                 deepest: spec.engine,
                 want_resolved: false,
             });
@@ -412,7 +413,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
         |_| (),
         |(), _, g| {
             let grp = &groups[g];
-            cache.engine_code(&grp.key, grp.deepest).err()
+            cache.engine_code(&grp.id, grp.deepest).err()
         },
         &compile_meter,
     )
@@ -430,7 +431,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
         .enumerate()
         .map(|(g, grp)| {
             (grp.want_resolved && compile_errs[g].is_none())
-                .then(|| cache.program(&grp.key).ok())
+                .then(|| cache.program(&grp.id).ok())
                 .flatten()
         })
         .collect();
@@ -458,6 +459,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
                     i,
                     spec,
                     cache,
+                    &groups[g].id,
                     resolveds[g].as_ref(),
                     arenas,
                     registry.as_deref(),
@@ -660,6 +662,7 @@ fn run_one(
     id: usize,
     spec: &JobSpec,
     cache: &PipelineCache,
+    source: &SourceId,
     resolved: Option<&ResolvedProgram>,
     arenas: &mut Arenas,
     registry: Option<&MetricsRegistry>,
@@ -668,7 +671,7 @@ fn run_one(
 ) -> (RunObs, Option<Postmortem>) {
     let Some(reg) = registry else {
         return (
-            execute(spec, cache, resolved, arenas, snap_every, NopSink),
+            execute(spec, cache, source, resolved, arenas, snap_every, NopSink),
             None,
         );
     };
@@ -676,7 +679,15 @@ fn run_one(
     // Catch the panic here (not in the executor) so the recording —
     // held alive by our handle — survives the engine dying under it.
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        execute(spec, cache, resolved, arenas, snap_every, flight.clone())
+        execute(
+            spec,
+            cache,
+            source,
+            resolved,
+            arenas,
+            snap_every,
+            flight.clone(),
+        )
     }));
     let obs = match caught {
         Ok(obs) => obs,
@@ -761,14 +772,16 @@ fn governor(spec: &JobSpec) -> ResourceGovernor {
     }
 }
 
-/// Runs one job against the warm cache, drawing machine state from
-/// (and returning it to) the worker's arenas. Generic over the sink:
+/// Runs one job against the warm cache (looked up by its group's
+/// `source` identity, hashed once per batch), drawing machine state
+/// from (and returning it to) the worker's arenas. Generic over the sink:
 /// the plain service passes [`NopSink`] and monomorphizes to exactly
 /// the zero-cost instantiation the perf trajectory measures; the
 /// metrics service passes a [`SharedFlight`] handle clone.
 fn execute<S: TraceSink>(
     spec: &JobSpec,
     cache: &PipelineCache,
+    source: &SourceId,
     resolved: Option<&ResolvedProgram>,
     arenas: &mut Arenas,
     snap_every: Option<u64>,
@@ -782,7 +795,7 @@ fn execute<S: TraceSink>(
             ..Code::default()
         }
     } else {
-        cached = match cache.engine_code(&spec.source_key(), spec.engine) {
+        cached = match cache.engine_code(source, spec.engine) {
             Ok(c) => c,
             Err(e) => return RunObs::failed("compile-error", e),
         };

@@ -110,6 +110,36 @@ impl SourceKey {
     }
 }
 
+/// A [`SourceKey`] with its cache [`Digest`], computed once by the
+/// constructor. Every lookup for the key reuses the digest instead of
+/// rehashing the source, and since the digest is only ever derived
+/// from the key the two cannot disagree. Build one per source and keep
+/// it for as long as the source is in use: a batch group, a service
+/// thread.
+#[derive(Clone, Debug)]
+pub struct SourceId {
+    key: SourceKey,
+    digest: Digest,
+}
+
+impl SourceId {
+    /// Hashes `key` once.
+    pub fn new(key: SourceKey) -> SourceId {
+        let digest = key.digest();
+        SourceId { key, digest }
+    }
+
+    /// The key.
+    pub fn key(&self) -> &SourceKey {
+        &self.key
+    }
+
+    /// The key's digest.
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+}
+
 /// Pipeline stage of a cached artifact.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Stage {
@@ -424,9 +454,10 @@ impl PipelineCache {
         }
     }
 
-    /// The parsed [`Module`] for `key` (verified, for C-- sources).
-    pub fn module(&self, key: &SourceKey) -> Result<Arc<Module>, String> {
-        let art = self.get_or_build(key.digest(), Stage::Module, || {
+    /// The parsed [`Module`] for `id` (verified, for C-- sources).
+    pub fn module(&self, id: &SourceId) -> Result<Arc<Module>, String> {
+        let key = id.key();
+        let art = self.get_or_build(id.digest(), Stage::Module, || {
             let module = match &key.lang {
                 SourceLang::Cmm => {
                     let m = cmm_parse::parse_module(&key.source).map_err(|e| e.to_string())?;
@@ -449,12 +480,12 @@ impl PipelineCache {
         }
     }
 
-    /// The optimized CFG [`Program`] for `key`.
-    pub fn program(&self, key: &SourceKey) -> Result<Arc<Program>, String> {
-        let art = self.get_or_build(key.digest(), Stage::Program, || {
-            let module = self.module(key)?;
+    /// The optimized CFG [`Program`] for `id`.
+    pub fn program(&self, id: &SourceId) -> Result<Arc<Program>, String> {
+        let art = self.get_or_build(id.digest(), Stage::Program, || {
+            let module = self.module(id)?;
             let mut prog = cmm_cfg::build_program(&module).map_err(|e| e.to_string())?;
-            cmm_opt::optimize_program(&mut prog, &key.opts);
+            cmm_opt::optimize_program(&mut prog, &id.key().opts);
             Ok(Artifact::Program(Arc::new(prog)))
         })?;
         match art {
@@ -463,10 +494,10 @@ impl PipelineCache {
         }
     }
 
-    /// The compiled [`VmProgram`] for `key`.
-    pub fn vm_code(&self, key: &SourceKey) -> Result<Arc<VmProgram>, String> {
-        let art = self.get_or_build(key.digest(), Stage::VmCode, || {
-            let prog = self.program(key)?;
+    /// The compiled [`VmProgram`] for `id`.
+    pub fn vm_code(&self, id: &SourceId) -> Result<Arc<VmProgram>, String> {
+        let art = self.get_or_build(id.digest(), Stage::VmCode, || {
+            let prog = self.program(id)?;
             let vp = cmm_vm::compile(&prog).map_err(|e| e.to_string())?;
             Ok(Artifact::VmCode(Arc::new(vp)))
         })?;
@@ -478,9 +509,9 @@ impl PipelineCache {
 
     /// The compiled program together with its pre-decoded instruction
     /// array.
-    pub fn decoded(&self, key: &SourceKey) -> Result<(Arc<VmProgram>, Arc<DecodedCode>), String> {
-        let vp = self.vm_code(key)?;
-        let art = self.get_or_build(key.digest(), Stage::Decoded, || {
+    pub fn decoded(&self, id: &SourceId) -> Result<(Arc<VmProgram>, Arc<DecodedCode>), String> {
+        let vp = self.vm_code(id)?;
+        let art = self.get_or_build(id.digest(), Stage::Decoded, || {
             Ok(Artifact::Decoded(Arc::new(DecodedCode::decode(&vp))))
         })?;
         match art {
@@ -489,24 +520,24 @@ impl PipelineCache {
         }
     }
 
-    /// Everything `engine` runs `key`'s program from: the CFG for the
+    /// Everything `engine` runs `id`'s program from: the CFG for the
     /// abstract machines (`sem-resolved` derives its tables from it),
     /// the target code plus the tier's shared lowering for the VM tiers.
     ///
     /// # Errors
     ///
     /// The compile error of the first stage that failed.
-    pub fn engine_code(&self, key: &SourceKey, engine: EngineId) -> Result<EngineCode, String> {
+    pub fn engine_code(&self, id: &SourceId, engine: EngineId) -> Result<EngineCode, String> {
         let mut code = EngineCode::default();
         match engine {
-            EngineId::Sem | EngineId::SemResolved => code.program = Some(self.program(key)?),
-            EngineId::Vm => code.vm = Some(self.vm_code(key)?),
+            EngineId::Sem | EngineId::SemResolved => code.program = Some(self.program(id)?),
+            EngineId::Vm => code.vm = Some(self.vm_code(id)?),
             EngineId::VmDecoded => {
-                let (vp, decoded) = self.decoded(key)?;
+                let (vp, decoded) = self.decoded(id)?;
                 (code.vm, code.decoded) = (Some(vp), Some(decoded));
             }
             EngineId::VmFused => {
-                let (vp, fused) = self.fused(key)?;
+                let (vp, fused) = self.fused(id)?;
                 (code.vm, code.fused) = (Some(vp), Some(fused));
             }
         }
@@ -517,9 +548,9 @@ impl PipelineCache {
     /// stream. Builds on [`PipelineCache::decoded`]: the fused stream
     /// retains the decoded stream, so a batch wanting both pays for
     /// one decode.
-    pub fn fused(&self, key: &SourceKey) -> Result<(Arc<VmProgram>, Arc<FusedCode>), String> {
-        let (vp, dec) = self.decoded(key)?;
-        let art = self.get_or_build(key.digest(), Stage::Fused, || {
+    pub fn fused(&self, id: &SourceId) -> Result<(Arc<VmProgram>, Arc<FusedCode>), String> {
+        let (vp, dec) = self.decoded(id)?;
+        let art = self.get_or_build(id.digest(), Stage::Fused, || {
             Ok(Artifact::Fused(Arc::new(FusedCode::fuse(&vp, dec.clone()))))
         })?;
         match art {

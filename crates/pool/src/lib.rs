@@ -38,7 +38,8 @@ pub use batch::{
     Postmortem, SnapSummary,
 };
 pub use cache::{
-    Artifact, CacheConfig, EngineCode, PipelineCache, SourceKey, SourceLang, Stage, SHARDS,
+    Artifact, CacheConfig, EngineCode, PipelineCache, SourceId, SourceKey, SourceLang, Stage,
+    SHARDS,
 };
 /// The engine a job runs on, under the name the batch API has always
 /// used for it.
@@ -60,13 +61,13 @@ mod tests {
 
     const TINY: &str = "f(bits32 a) { return (a + 1); }";
 
-    fn key(source: &str, family: Family) -> SourceKey {
-        SourceKey {
+    fn key(source: &str, family: Family) -> SourceId {
+        SourceId::new(SourceKey {
             source: source.to_string(),
             lang: SourceLang::Cmm,
             opts: OptOptions::default(),
             family,
-        }
+        })
     }
 
     #[test]
@@ -179,7 +180,7 @@ mod tests {
     fn digest_separates_config_and_family() {
         let base = key(TINY, Family::Sem);
         let vm = key(TINY, Family::Vm);
-        let mut o0 = base.clone();
+        let mut o0 = base.key().clone();
         o0.opts = OptOptions::none();
         assert_ne!(base.digest(), vm.digest());
         assert_ne!(base.digest(), o0.digest());

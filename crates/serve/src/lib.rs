@@ -24,7 +24,7 @@
 //!   tenants, driven on the virtual clock (`cmm serve --selftest`).
 //!
 //! Determinism is inherited from the layers below and preserved here:
-//! slices execute via `run_jobs` (results in submission order), the
+//! slices execute via `run_jobs_ctx` (results in submission order), the
 //! clock advances by the deterministic list-schedule makespan of each
 //! quantum's slice costs, and every tenant-visible response is logged
 //! in dispatch order — so the event log, the outcomes, and every

@@ -410,6 +410,54 @@ mod tests {
         server.join().unwrap().expect("server exits cleanly");
     }
 
+    /// Argument and result counts the calling convention cannot carry
+    /// are refused up front on the wire, for every engine family, and
+    /// the service goes on answering: a valid thread submitted next
+    /// runs to its structured outcome.
+    #[test]
+    fn oversized_arities_are_refused_and_the_service_carries_on() {
+        let mut svc = Service::new(ServeConfig::default());
+        for (engine, extra) in [
+            ("vm", "\"results\":1099511627776"),
+            ("vm-fused", "\"results\":100"),
+            ("sem", "\"results\":9"),
+            ("vm-decoded", "\"args\":[1,2,3,4,5,6,7,8,9]"),
+        ] {
+            let r = roundtrip(
+                &mut svc,
+                &format!(
+                    "{{\"op\":\"submit\",\"source\":\"{}\",\"engine\":\"{engine}\",{extra}}}",
+                    escape(SRC)
+                ),
+            );
+            assert!(
+                r.starts_with("{\"ok\":0,\"error\":") && r.contains("value registers"),
+                "{engine} {extra} -> {r}"
+            );
+        }
+        let r = roundtrip(&mut svc, "{\"op\":\"tick\"}");
+        assert!(r.contains("\"dispatched\":0"), "nothing was queued: {r}");
+        let r = roundtrip(
+            &mut svc,
+            &format!(
+                "{{\"op\":\"submit\",\"source\":\"{}\",\"args\":[4]}}",
+                escape(SRC)
+            ),
+        );
+        assert_eq!(r, "{\"ok\":1,\"id\":0}", "{r}");
+        roundtrip(&mut svc, "{\"op\":\"tick\",\"quanta\":10}");
+        assert_eq!(
+            roundtrip(&mut svc, "{\"op\":\"resume\",\"id\":0,\"reply\":1}"),
+            "{\"ok\":1}"
+        );
+        roundtrip(&mut svc, "{\"op\":\"tick\",\"quanta\":10}");
+        let r = roundtrip(&mut svc, "{\"op\":\"poll\",\"id\":0}");
+        assert!(
+            r.contains("\"state\":\"done\"") && r.contains("halt [5]"),
+            "{r}"
+        );
+    }
+
     /// Words wider than 32 bits are refused on the wire as on the API:
     /// the two engine families would read them differently.
     #[test]

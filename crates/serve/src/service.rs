@@ -29,15 +29,17 @@
 //! worker count; wall-clock time appears only in `Timing`-class
 //! metrics.
 
-use cmm_chaos::{service_yield, FaultPlan, FaultPlanState, ResourceGovernor, Stop, Table1};
+use cmm_chaos::{service_yield, Family, FaultPlan, FaultPlanState, ResourceGovernor, Stop, Table1};
 use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry, NopSink};
 use cmm_opt::OptOptions;
 use cmm_pool::{
-    run_jobs, virtual_makespan, with_engine, PipelineCache, PoolConfig, Setup, SourceKey,
-    SourceLang,
+    run_jobs_ctx, virtual_makespan, with_engine, Arenas, JobOutcome, PipelineCache, PoolConfig,
+    Setup, SourceId, SourceKey, SourceLang,
 };
 use cmm_snap::{fold_digest, source_digest, EngineId, SnapMeta, Snapshot, FOLD_INIT};
-use std::collections::{BTreeMap, VecDeque};
+use cmm_vm::check_arity;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Fault-schedule horizon for chaos-seeded threads — the same horizon
@@ -255,20 +257,35 @@ pub struct TickReport {
     pub advance: u64,
 }
 
-struct ThreadRec {
-    id: u64,
-    tenant: String,
-    name: String,
-    source: String,
+/// A program's identity — its compilation key and digest, and its
+/// snapshot digest — hashed once per distinct program (source text,
+/// optimization, engine family) and shared by every thread that runs
+/// it. A thread's family is fixed: [`Service::set_engine`] refuses
+/// moves across families.
+struct ProgramId {
+    source: SourceId,
+    opt: bool,
+    snap_digest: [u64; 2],
+}
+
+/// What a thread runs, fixed at submit and shared by every slice
+/// through one `Arc`: dispatching a slice copies and hashes nothing.
+struct Identity {
+    program: Arc<ProgramId>,
     entry: String,
     args: Vec<u64>,
     results: usize,
+    chaos: Option<u64>,
+}
+
+struct ThreadRec {
+    tenant: String,
+    name: String,
+    ident: Arc<Identity>,
     /// Tier the next slice runs on.
     engine: EngineId,
     /// Tier that captured the current blob (migration detection).
     blob_engine: EngineId,
-    opt: bool,
-    chaos: Option<u64>,
     fuel: u64,
     max_yields: u64,
     state: ThreadState,
@@ -412,9 +429,18 @@ impl Meters {
 pub struct Service {
     config: ServeConfig,
     cache: PipelineCache,
-    threads: BTreeMap<u64, ThreadRec>,
+    /// Every thread ever submitted, indexed by id.
+    threads: Vec<ThreadRec>,
     run_queue: VecDeque<u64>,
-    next_id: u64,
+    /// Unfinished threads per tenant (the live-thread cap's count).
+    live: HashMap<String, usize>,
+    /// Program identities by source text, one per optimization and
+    /// family the source was submitted with.
+    programs: HashMap<String, Vec<Arc<ProgramId>>>,
+    /// Threads awaiting their tenant: id → yield code.
+    awaiting: BTreeMap<u64, u64>,
+    /// Worker arenas banked between ticks (capacity, never state).
+    arenas: Vec<Arenas>,
     stats: ServeStats,
     events: Vec<String>,
     /// Virtual ns runnable threads waited before their slice ran.
@@ -444,9 +470,12 @@ impl Service {
         Service {
             config,
             cache,
-            threads: BTreeMap::new(),
+            threads: Vec::new(),
             run_queue: VecDeque::new(),
-            next_id: 0,
+            live: HashMap::new(),
+            programs: HashMap::new(),
+            awaiting: BTreeMap::new(),
+            arenas: Vec::new(),
             stats: ServeStats::default(),
             events: Vec::new(),
             queue_wait,
@@ -504,23 +533,24 @@ impl Service {
         h
     }
 
-    /// Live (not finished) threads owned by `tenant`.
-    fn live_of(&self, tenant: &str) -> usize {
-        self.threads
-            .values()
-            .filter(|r| r.tenant == tenant && !matches!(r.state, ThreadState::Done { .. }))
-            .count()
+    fn rec(&self, id: u64) -> Option<&ThreadRec> {
+        self.threads.get(usize::try_from(id).ok()?)
+    }
+
+    fn rec_mut(&mut self, id: u64) -> Option<&mut ThreadRec> {
+        self.threads.get_mut(usize::try_from(id).ok()?)
     }
 
     /// Accepts a submission and queues its first slice.
     ///
     /// # Errors
     ///
-    /// Rejects empty sources, zero fuel, arguments wider than 32 bits,
-    /// and submissions over the tenant's live-thread cap. Compile
-    /// errors are *not* detected here: compilation happens (once,
-    /// cached) on the worker pool and surfaces as a `compile-error`
-    /// outcome.
+    /// Rejects empty sources, zero fuel, more arguments or results
+    /// than the calling convention carries, arguments wider than 32
+    /// bits, and submissions over the tenant's live-thread cap.
+    /// Compile errors are *not* detected here: compilation happens
+    /// (once, cached) on the worker pool and surfaces as a
+    /// `compile-error` outcome.
     pub fn submit(&mut self, req: SubmitReq) -> Result<u64, String> {
         if let Some(m) = &self.meters {
             m.request("submit");
@@ -531,35 +561,43 @@ impl Service {
         if req.fuel == 0 {
             return Err("fuel must be >= 1".into());
         }
+        check_arity(req.args.len(), req.results)?;
         for &a in &req.args {
             check_word("argument", a)?;
         }
-        if self.live_of(&req.tenant) >= self.config.max_live_per_tenant {
+        let live = self.live.get(&req.tenant).copied().unwrap_or(0);
+        if live >= self.config.max_live_per_tenant {
             return Err(format!(
                 "tenant `{}` is at its live-thread cap ({})",
                 req.tenant, self.config.max_live_per_tenant
             ));
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.threads.len() as u64;
         self.events.push(format!(
             "submit t{id} tenant={} name={} engine={}",
             req.tenant,
             req.name,
             req.engine.name()
         ));
-        let rec = ThreadRec {
-            id,
+        match self.live.get_mut(&req.tenant) {
+            Some(n) => *n += 1,
+            None => {
+                self.live.insert(req.tenant.clone(), 1);
+            }
+        }
+        let program = self.program_id(req.source, req.opt, req.engine.family());
+        self.threads.push(ThreadRec {
             tenant: req.tenant,
             name: req.name,
-            source: req.source,
-            entry: req.entry,
-            args: req.args,
-            results: req.results,
+            ident: Arc::new(Identity {
+                program,
+                entry: req.entry,
+                args: req.args,
+                results: req.results,
+                chaos: req.chaos,
+            }),
             engine: req.engine,
             blob_engine: req.engine,
-            opt: req.opt,
-            chaos: req.chaos,
             fuel: req.fuel,
             max_yields: req.max_yields,
             state: ThreadState::Runnable,
@@ -572,11 +610,42 @@ impl Service {
             slices: 0,
             migrations: 0,
             final_chaos: None,
-        };
-        self.threads.insert(id, rec);
+        });
         self.run_queue.push_back(id);
         self.stats.submitted += 1;
         Ok(id)
+    }
+
+    /// The identity of `source` built with `opt` for `family`: looked
+    /// up by the source text, and hashed only the first time the
+    /// program is submitted.
+    fn program_id(&mut self, source: String, opt: bool, family: Family) -> Arc<ProgramId> {
+        let known = self.programs.get(&source).and_then(|ps| {
+            ps.iter()
+                .find(|p| p.opt == opt && p.source.key().family == family)
+        });
+        if let Some(p) = known {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(ProgramId {
+            snap_digest: source_digest(&source, opt),
+            source: SourceId::new(SourceKey {
+                source: source.clone(),
+                lang: SourceLang::Cmm,
+                opts: if opt {
+                    OptOptions::default()
+                } else {
+                    OptOptions::none()
+                },
+                family,
+            }),
+            opt,
+        });
+        self.programs
+            .entry(source)
+            .or_default()
+            .push(Arc::clone(&p));
+        p
     }
 
     /// Answers a parked thread's yield with `reply` and requeues it.
@@ -591,10 +660,7 @@ impl Service {
         }
         check_word("reply", reply)?;
         let vclock = self.stats.vclock;
-        let rec = self
-            .threads
-            .get_mut(&id)
-            .ok_or_else(|| format!("no thread t{id}"))?;
+        let rec = self.rec_mut(id).ok_or_else(|| format!("no thread t{id}"))?;
         match rec.state {
             ThreadState::AwaitingTenant { .. } => {}
             ThreadState::Runnable => return Err(format!("t{id} is not awaiting its tenant")),
@@ -603,6 +669,7 @@ impl Service {
         rec.state = ThreadState::Runnable;
         rec.reply = Some(reply);
         rec.ready_vns = vclock;
+        self.awaiting.remove(&id);
         self.run_queue.push_back(id);
         self.stats.resumes += 1;
         self.events.push(format!("resume t{id} reply={reply}"));
@@ -622,10 +689,7 @@ impl Service {
         if let Some(m) = &self.meters {
             m.request("set-engine");
         }
-        let rec = self
-            .threads
-            .get_mut(&id)
-            .ok_or_else(|| format!("no thread t{id}"))?;
+        let rec = self.rec_mut(id).ok_or_else(|| format!("no thread t{id}"))?;
         if matches!(rec.state, ThreadState::Done { .. }) {
             return Err(format!("t{id} already finished"));
         }
@@ -653,9 +717,9 @@ impl Service {
         if let Some(m) = &self.meters {
             m.request("poll");
         }
-        let rec = self.threads.get(&id)?;
+        let rec = self.rec(id)?;
         Some(ThreadView {
-            id: rec.id,
+            id,
             tenant: rec.tenant.clone(),
             name: rec.name.clone(),
             engine: rec.engine,
@@ -671,33 +735,26 @@ impl Service {
     /// Threads currently awaiting their tenant, as `(id, yield code)`
     /// in id order.
     pub fn awaiting(&self) -> Vec<(u64, u64)> {
-        self.threads
-            .values()
-            .filter_map(|r| match r.state {
-                ThreadState::AwaitingTenant { code } => Some((r.id, code)),
-                _ => None,
-            })
+        self.awaiting
+            .iter()
+            .map(|(&id, &code)| (id, code))
             .collect()
     }
 
     /// The current parked blob of thread `id`, if it is parked.
     pub fn parked_blob(&self, id: u64) -> Option<&[u8]> {
-        self.threads.get(&id)?.blob.as_deref()
+        self.rec(id)?.blob.as_deref()
     }
 
     /// The chaos fault-plan state a finished thread ended with.
     pub fn final_chaos(&self, id: u64) -> Option<&FaultPlanState> {
-        self.threads.get(&id)?.final_chaos.as_ref()
+        self.rec(id)?.final_chaos.as_ref()
     }
 
     /// True when nothing is runnable *and* no tenant reply is pending
     /// — every thread is finished.
     pub fn idle(&self) -> bool {
-        self.run_queue.is_empty()
-            && self
-                .threads
-                .values()
-                .all(|r| matches!(r.state, ThreadState::Done { .. }))
+        self.stats.completed == self.stats.submitted
     }
 
     /// Runs one scheduling quantum: dispatch up to a window of
@@ -709,6 +766,33 @@ impl Service {
             m.request("tick");
         }
         let t0 = Instant::now();
+        let jobs = self.dispatch();
+        if jobs.is_empty() {
+            return TickReport::default();
+        }
+        let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
+        let cache = &self.cache;
+        let bank = Mutex::new(std::mem::take(&mut self.arenas));
+        let (outcomes, _) = run_jobs_ctx(
+            &PoolConfig {
+                workers: self.config.workers,
+                queue_cap: self.config.queue_cap,
+            },
+            jobs,
+            |_| Banked::draw(&bank),
+            |banked, _, job| banked.run(|arenas| run_slice(cache, &job, arenas)),
+        );
+        self.arenas = bank.into_inner().unwrap_or_default();
+        let report = self.fold(&ids, outcomes);
+        if let Some(m) = &self.meters {
+            m.tick_wall_ns.observe(t0.elapsed().as_nanos() as u64);
+        }
+        report
+    }
+
+    /// Takes up to a window of threads off the run queue and detaches
+    /// their slices, logging each migration.
+    fn dispatch(&mut self) -> Vec<SliceJob> {
         let window = if self.config.window == 0 {
             self.config.lanes.max(1) * 4
         } else {
@@ -719,9 +803,8 @@ impl Service {
             let Some(id) = self.run_queue.pop_front() else {
                 break;
             };
-            let policy = self.config.migration;
-            let rec = self.threads.get_mut(&id).expect("queued thread exists");
-            let target = match policy {
+            let rec = &mut self.threads[id as usize];
+            let target = match self.config.migration {
                 MigrationPolicy::Pinned => rec.engine,
                 MigrationPolicy::Rotate => rec.engine.next_tier(),
             };
@@ -747,81 +830,47 @@ impl Service {
             }
             self.queue_wait
                 .observe(self.stats.vclock.saturating_sub(rec.ready_vns));
+            let blob = rec.blob.take();
+            if blob.is_some() {
+                self.stats.parked -= 1;
+            }
             jobs.push(SliceJob {
                 id,
                 engine: target,
-                source: rec.source.clone(),
-                entry: rec.entry.clone(),
-                args: rec.args.clone(),
-                results: rec.results,
-                opt: rec.opt,
+                ident: Arc::clone(&rec.ident),
                 slice_fuel: self.config.quantum.min(rec.fuel).max(1),
                 thread_fuel: rec.fuel,
                 reply: rec.reply.take(),
-                blob: rec.blob.take(),
-                chaos: rec.chaos,
+                blob,
                 yields_done: rec.yields.len() as u64,
                 max_depth: self.config.max_depth,
                 max_memory_bytes: self.config.max_memory_bytes,
             });
         }
-        let dispatched = jobs.len();
-        let mut report = TickReport {
-            dispatched,
-            ..TickReport::default()
-        };
-        if dispatched == 0 {
-            return report;
-        }
-        let cache = &self.cache;
-        let outcomes = run_jobs(
-            &PoolConfig {
-                workers: self.config.workers,
-                queue_cap: self.config.queue_cap,
-            },
-            jobs,
-            |_, job| {
-                let r = run_slice(cache, &job);
-                (job, r)
-            },
-        );
-        let mut costs = Vec::with_capacity(dispatched);
-        let ends: Vec<(u64, SliceResult)> = outcomes
+        jobs
+    }
+
+    /// Folds a tick's slice outcomes back into the scheduler, in
+    /// dispatch order: `ids[i]` is the thread whose slice produced
+    /// `outcomes[i]` (the pool returns outcomes in submission order).
+    /// A slice that panicked ends its thread as `panicked`.
+    fn fold(&mut self, ids: &[u64], outcomes: Vec<JobOutcome<SliceResult>>) -> TickReport {
+        let results: Vec<SliceResult> = outcomes
             .into_iter()
             .map(|o| match o {
-                cmm_pool::JobOutcome::Done((job, r)) => {
-                    costs.push(r.used);
-                    (job.id, r)
-                }
-                cmm_pool::JobOutcome::Panicked(msg) => {
-                    costs.push(1);
-                    (
-                        u64::MAX,
-                        SliceResult {
-                            end: SliceEnd::Done {
-                                outcome: "panicked".into(),
-                                detail: msg,
-                            },
-                            used: 1,
-                            chaos: None,
-                        },
-                    )
-                } // A panicked closure loses its job; the id is
-                  // recovered below from the dispatch order.
+                JobOutcome::Done(r) => r,
+                JobOutcome::Panicked(msg) => done("panicked", msg, 1),
             })
             .collect();
-        report.advance = virtual_makespan(&costs, self.config.lanes.max(1));
+        let costs: Vec<u64> = results.iter().map(|r| r.used).collect();
+        let mut report = TickReport {
+            dispatched: ids.len(),
+            advance: virtual_makespan(&costs, self.config.lanes.max(1)),
+            ..TickReport::default()
+        };
         let end_vns = self.stats.vclock + report.advance;
-        for (id, r) in ends {
-            if id == u64::MAX {
-                // The slice panicked and took its job descriptor with
-                // it; without an id there is nothing to park. The
-                // executor isolates the panic; the count survives in
-                // the `panicked` outcome counter.
-                self.count_outcome("panicked");
-                continue;
-            }
-            let rec = self.threads.get_mut(&id).expect("dispatched thread exists");
+        for (&id, r) in ids.iter().zip(results) {
+            let rec = &mut self.threads[id as usize];
             rec.instructions += r.used;
             rec.fuel = rec.fuel.saturating_sub(r.used);
             self.stats.instructions += r.used;
@@ -832,7 +881,6 @@ impl Service {
                             outcome: "fuel".into(),
                         };
                         rec.final_chaos = r.chaos;
-                        rec.blob = None;
                         self.events.push(format!(
                             "done t{id} outcome=fuel detail=suspension-bound vclock={end_vns}"
                         ));
@@ -844,6 +892,8 @@ impl Service {
                     rec.blob = Some(blob);
                     rec.blob_engine = rec.engine;
                     rec.state = ThreadState::AwaitingTenant { code };
+                    self.stats.parked += 1;
+                    self.awaiting.insert(id, code);
                     self.stats.yields += 1;
                     if let Some(m) = &self.meters {
                         m.yields.inc();
@@ -857,7 +907,6 @@ impl Service {
                             outcome: "fuel".into(),
                         };
                         rec.final_chaos = r.chaos;
-                        rec.blob = None;
                         self.events
                             .push(format!("done t{id} outcome=fuel vclock={end_vns}"));
                         self.finish(id, "fuel", end_vns);
@@ -867,13 +916,13 @@ impl Service {
                         rec.blob_engine = rec.engine;
                         rec.state = ThreadState::Runnable;
                         rec.ready_vns = end_vns;
+                        self.stats.parked += 1;
                         self.run_queue.push_back(id);
                     }
                 }
                 SliceEnd::Done { outcome, detail } => {
                     let class = outcome_class(&outcome);
                     rec.final_chaos = r.chaos;
-                    rec.blob = None;
                     rec.state = ThreadState::Done {
                         outcome: outcome.clone(),
                     };
@@ -892,34 +941,70 @@ impl Service {
         }
         self.stats.vclock = end_vns;
         self.stats.quanta += 1;
-        let parked = self.threads.values().filter(|r| r.blob.is_some()).count() as u64;
-        self.stats.parked = parked;
+        let parked = self.stats.parked;
         self.stats.parked_high_water = self.stats.parked_high_water.max(parked);
         if let Some(m) = &self.meters {
             m.parked.set(parked);
             m.parked_high_water.set_max(parked);
-            m.tick_wall_ns.observe(t0.elapsed().as_nanos() as u64);
         }
         self.events.push(format!(
-            "tick {} dispatched={dispatched} advance={} vclock={}",
-            self.stats.quanta, report.advance, self.stats.vclock
+            "tick {} dispatched={} advance={} vclock={}",
+            self.stats.quanta, report.dispatched, report.advance, self.stats.vclock
         ));
         report
     }
 
     /// Completion bookkeeping shared by every terminal transition.
     fn finish(&mut self, id: u64, class: &str, end_vns: u64) {
-        let rec = self.threads.get(&id).expect("finished thread exists");
+        let rec = &self.threads[id as usize];
         self.turnaround
             .observe(end_vns.saturating_sub(rec.submit_vns));
         self.stats.completed += 1;
-        self.count_outcome(class);
-    }
-
-    fn count_outcome(&mut self, class: &str) {
+        if let Some(n) = self.live.get_mut(&rec.tenant) {
+            *n -= 1;
+        }
         if let Some(m) = &self.meters {
             if let Some(c) = m.threads.get(class) {
                 c.inc();
+            }
+        }
+    }
+}
+
+/// One worker's arenas for the length of a tick: drawn from the
+/// service's bank when the worker starts and put back when it ends, so
+/// their capacity outlives the tick. A slice that panics leaves its
+/// arenas marked in use; those are dropped rather than banked, so a
+/// half-mutated arena never reaches another slice.
+struct Banked<'b> {
+    arenas: Arenas,
+    bank: &'b Mutex<Vec<Arenas>>,
+    in_use: bool,
+}
+
+impl<'b> Banked<'b> {
+    fn draw(bank: &'b Mutex<Vec<Arenas>>) -> Banked<'b> {
+        let arenas = bank.lock().ok().and_then(|mut b| b.pop());
+        Banked {
+            arenas: arenas.unwrap_or_default(),
+            bank,
+            in_use: false,
+        }
+    }
+
+    fn run<R>(&mut self, f: impl FnOnce(&mut Arenas) -> R) -> R {
+        self.in_use = true;
+        let r = f(&mut self.arenas);
+        self.in_use = false;
+        r
+    }
+}
+
+impl Drop for Banked<'_> {
+    fn drop(&mut self) {
+        if !self.in_use {
+            if let Ok(mut bank) = self.bank.lock() {
+                bank.push(std::mem::take(&mut self.arenas));
             }
         }
     }
@@ -943,16 +1028,11 @@ fn outcome_class(outcome: &str) -> &'static str {
 struct SliceJob {
     id: u64,
     engine: EngineId,
-    source: String,
-    entry: String,
-    args: Vec<u64>,
-    results: usize,
-    opt: bool,
+    ident: Arc<Identity>,
     slice_fuel: u64,
     thread_fuel: u64,
     reply: Option<u64>,
     blob: Option<Vec<u8>>,
-    chaos: Option<u64>,
     yields_done: u64,
     max_depth: Option<usize>,
     max_memory_bytes: Option<usize>,
@@ -988,33 +1068,17 @@ impl SliceJob {
         }
     }
 
-    fn key(&self) -> SourceKey {
-        SourceKey {
-            source: self.source.clone(),
-            lang: SourceLang::Cmm,
-            opts: self.opts(),
-            family: self.engine.family(),
-        }
-    }
-
-    fn opts(&self) -> OptOptions {
-        if self.opt {
-            OptOptions::default()
-        } else {
-            OptOptions::none()
-        }
-    }
-
     /// Parks thread `t` as a blob, `used` units into the slice.
     fn park(&self, t: &dyn Table1, used: u64) -> Result<Vec<u8>, String> {
+        let ident = &self.ident;
         let meta = SnapMeta {
-            entry: self.entry.clone(),
-            args: self.args.clone(),
+            entry: ident.entry.clone(),
+            args: ident.args.clone(),
             fuel_remaining: self.thread_fuel.saturating_sub(used),
             yields_done: self.yields_done,
-            opt: self.opt,
+            opt: ident.program.opt,
         };
-        let digest = source_digest(&self.source, self.opt);
+        let digest = ident.program.snap_digest;
         Ok(Snapshot::capture(t, digest, meta, Some(self.governor()))?.encode())
     }
 }
@@ -1031,17 +1095,18 @@ fn done(outcome: &str, detail: impl Into<String>, used: u64) -> SliceResult {
 }
 
 /// Runs one slice: build the engine `job.engine` names (compilations
-/// shared through `cache`), restore the blob or start fresh, service a
-/// pending tenant reply with the dispatcher, run up to the slice fuel,
-/// and park or finish. Pure function of its inputs — the determinism
-/// contract rests on this.
-fn run_slice(cache: &PipelineCache, job: &SliceJob) -> SliceResult {
-    let cached = match cache.engine_code(&job.key(), job.engine) {
+/// shared through `cache`, machines drawn from `arenas`), restore the
+/// blob or start fresh, service a pending tenant reply with the
+/// dispatcher, run up to the slice fuel, and park or finish. Pure
+/// function of its inputs — the determinism contract rests on this.
+fn run_slice(cache: &PipelineCache, job: &SliceJob, arenas: &mut Arenas) -> SliceResult {
+    let cached = match cache.engine_code(&job.ident.program.source, job.engine) {
         Ok(c) => c,
         Err(e) => return done("compile-error", e, 1),
     };
     let setup = Setup {
         governor: Some(job.governor()),
+        arenas: Some(arenas),
         ..Setup::default()
     };
     with_engine(job.engine, &cached.code(), NopSink, setup, |t| {
@@ -1068,10 +1133,11 @@ fn slice(t: &mut dyn Table1, job: &SliceJob) -> SliceResult {
             }
         }
         None => {
-            if let Some(seed) = job.chaos {
+            let ident = &job.ident;
+            if let Some(seed) = ident.chaos {
                 t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
             }
-            if let Err(w) = t.start(&job.entry, &job.args, job.results) {
+            if let Err(w) = t.start(&ident.entry, &ident.args, ident.results) {
                 return done("wrong", w, 1);
             }
         }
@@ -1193,7 +1259,163 @@ mod tests {
         while !svc.idle() {
             svc.tick();
         }
+        // Both of `a`'s threads finished, so both slots are free again,
+        // and the cap still holds once they are refilled.
         submit_loop(&mut svc, "a", EngineId::Vm);
+        submit_loop(&mut svc, "a", EngineId::Vm);
+        let err = svc
+            .submit(SubmitReq {
+                tenant: "a".into(),
+                source: LOOP.into(),
+                ..SubmitReq::default()
+            })
+            .unwrap_err();
+        assert!(err.contains("live-thread cap"), "{err}");
+    }
+
+    #[test]
+    fn oversized_arities_are_refused_at_submit() {
+        let mut svc = Service::new(ServeConfig::default());
+        for engine in EngineId::ALL {
+            for (args, results) in [(9, 1), (0, 9), (0, 1 << 40)] {
+                let err = svc
+                    .submit(SubmitReq {
+                        source: LOOP.into(),
+                        args: vec![1; args],
+                        results,
+                        engine,
+                        ..SubmitReq::default()
+                    })
+                    .unwrap_err();
+                assert!(err.contains("value registers"), "{err}");
+            }
+        }
+        assert_eq!(svc.stats().submitted, 0);
+        assert!(svc.idle());
+    }
+
+    /// A slice that panics ends its thread: the outcome is paired with
+    /// the dispatched id, the thread is `Done` as `panicked`, its
+    /// tenant's slot frees and the service goes idle.
+    #[test]
+    fn a_panicked_slice_finishes_its_thread() {
+        let mut svc = Service::new(ServeConfig {
+            max_live_per_tenant: 1,
+            metrics: true,
+            quantum: 40,
+            ..ServeConfig::default()
+        });
+        // A real slice runs beside the panicking one, so the outcomes
+        // must be paired with the right ids.
+        let other = submit_loop(&mut svc, "a", EngineId::Vm);
+        let id = submit_loop(&mut svc, "b", EngineId::VmFused);
+        let jobs = svc.dispatch();
+        let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
+        assert_eq!(ids, vec![other, id]);
+        let ok = run_slice(&svc.cache, &jobs[0], &mut Arenas::default());
+        let outcomes = vec![
+            JobOutcome::Done(ok),
+            JobOutcome::Panicked("slice exploded".into()),
+        ];
+        let report = svc.fold(&ids, outcomes);
+        assert_eq!((report.dispatched, report.completed), (2, 1));
+        assert_eq!(
+            svc.poll(id).unwrap().state,
+            ThreadState::Done {
+                outcome: "panicked".into()
+            }
+        );
+        assert_eq!(svc.poll(other).unwrap().state, ThreadState::Runnable);
+        let done = format!("done t{id} outcome=panicked detail=slice-exploded vclock=");
+        assert!(
+            svc.events().iter().any(|e| e.starts_with(&done)),
+            "{:?}",
+            svc.events()
+        );
+        let panicked = svc.registry().unwrap().counter(
+            "cmm_serve_threads_total",
+            &[("outcome", "panicked")],
+            "",
+            MetricClass::Deterministic,
+        );
+        assert_eq!(panicked.get(), 1);
+        // `b`'s slot is free again; `a`'s is still taken.
+        submit_loop(&mut svc, "b", EngineId::Vm);
+        let err = svc
+            .submit(SubmitReq {
+                tenant: "a".into(),
+                source: LOOP.into(),
+                ..SubmitReq::default()
+            })
+            .unwrap_err();
+        assert!(err.contains("live-thread cap"), "{err}");
+        // The live threads finish and the service goes idle.
+        for _ in 0..200 {
+            if svc.idle() {
+                break;
+            }
+            svc.tick();
+        }
+        assert!(svc.idle());
+        assert_eq!(svc.stats().completed, 3);
+    }
+
+    /// The scheduler's counters — parked blobs, the awaiting index,
+    /// per-tenant live counts, `idle` — agree with a scan of every
+    /// thread after every scheduling step, under both migration
+    /// policies, inline and on two workers, chaos threads included.
+    #[test]
+    fn scheduler_counters_agree_with_a_scan() {
+        use crate::loadgen::{load_config, small_profile, submit_load};
+        fn check(svc: &Service, n: u64) {
+            let views: Vec<ThreadView> = (0..n).map(|id| svc.poll(id).unwrap()).collect();
+            let parked = (0..n).filter(|&id| svc.parked_blob(id).is_some()).count();
+            assert_eq!(svc.stats().parked, parked as u64, "parked");
+            let awaiting: Vec<(u64, u64)> = views
+                .iter()
+                .filter_map(|v| match v.state {
+                    ThreadState::AwaitingTenant { code } => Some((v.id, code)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(svc.awaiting(), awaiting, "awaiting");
+            let done = |v: &ThreadView| matches!(v.state, ThreadState::Done { .. });
+            assert_eq!(svc.idle(), views.iter().all(done), "idle");
+            for (tenant, &live) in &svc.live {
+                let scan = views.iter().filter(|v| &v.tenant == tenant && !done(v));
+                assert_eq!(live, scan.count(), "live threads of {tenant}");
+            }
+        }
+        for migration in [MigrationPolicy::Rotate, MigrationPolicy::Pinned] {
+            for workers in [1, 2] {
+                let mut svc = Service::new(ServeConfig {
+                    migration,
+                    ..load_config(workers)
+                });
+                let n = submit_load(&mut svc, &small_profile());
+                check(&svc, n);
+                let mut ticks = 0;
+                loop {
+                    let report = svc.tick();
+                    check(&svc, n);
+                    ticks += 1;
+                    assert!(ticks < 10_000, "{migration:?} -j{workers} never drained");
+                    if report.dispatched > 0 {
+                        continue;
+                    }
+                    let awaiting = svc.awaiting();
+                    if awaiting.is_empty() {
+                        break;
+                    }
+                    for (id, code) in awaiting {
+                        svc.resume(id, u64::from(dispatcher_fill(code))).unwrap();
+                        check(&svc, n);
+                    }
+                }
+                assert!(svc.idle(), "{migration:?} -j{workers}");
+                assert!(svc.stats().parked_high_water > 0);
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use codegen::{compile, CodegenError, VmProgram};
 pub use decode::{DInst, DOp, DecodedCode};
 pub use fuse::{FInst, FOp, FusedCode};
 pub use isa::{Inst, Reg};
-pub use machine::{Cost, VmArena, VmMachine, VmStatus};
+pub use machine::{check_arity, Cost, VmArena, VmMachine, VmStatus};
 pub use runtime::VmThread;
 pub use snapshot::{VmSnapStatus, VmState};

@@ -157,7 +157,9 @@ impl<'p> VmMachine<'p> {
 /// engine-equivalence suite locks this in.
 #[derive(Debug, Default)]
 pub struct VmArena {
-    mem: Memory,
+    /// `None` until a machine is recycled into the arena, so drawing
+    /// from an empty arena allocates one memory, not a placeholder too.
+    mem: Option<Memory>,
 }
 
 impl VmArena {
@@ -165,6 +167,28 @@ impl VmArena {
     pub fn new() -> VmArena {
         VmArena::default()
     }
+}
+
+/// Checks argument and result counts against the calling convention:
+/// both travel in the [`regs::NUM_ARGS`] value registers, so no call
+/// can carry more of either. Every surface that starts or resumes a
+/// thread — [`VmMachine::start`], [`VmMachine::restore`], the execution
+/// service and batch manifests — refuses larger counts with this one
+/// message, so both engine families answer alike.
+///
+/// # Errors
+///
+/// Names the count that does not fit.
+pub fn check_arity(args: usize, results: usize) -> Result<(), String> {
+    let max = regs::NUM_ARGS as usize;
+    for (n, what) in [(args, "arguments"), (results, "results")] {
+        if n > max {
+            return Err(format!(
+                "{n} {what} exceed the calling convention's {max} value registers"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The procedure name owning `pc` (shared by both step loops so their
@@ -188,9 +212,9 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     /// exactly the state a fresh one would; reclaim the allocations
     /// afterwards with [`VmMachine::recycle_into`].
     pub fn with_sink_in(program: &'p VmProgram, sink: S, arena: &mut VmArena) -> VmMachine<'p, S> {
-        let mut mem = std::mem::take(&mut arena.mem);
-        // Already recycled on reclaim, but an arena handed a live
-        // memory (or a fresh Default) must still start clean.
+        let mut mem = arena.mem.take().unwrap_or_default();
+        // Already recycled on reclaim; recycling again is free and
+        // keeps the draw correct whatever the arena was handed.
         mem.recycle();
         for (&a, &b) in &program.image.bytes {
             mem.write_u8(a as u32, b);
@@ -309,7 +333,7 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     /// nothing from this run can leak into the next.
     pub fn recycle_into(mut self, arena: &mut VmArena) {
         self.mem.recycle();
-        arena.mem = self.mem;
+        arena.mem = Some(self.mem);
     }
 
     /// The trace sink.
@@ -391,12 +415,18 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     /// values are collected from them.
     ///
     /// A procedure that does not exist (programs are normally linked
-    /// before execution) leaves the machine in [`VmStatus::Error`].
+    /// before execution), or more arguments or results than the
+    /// calling convention carries ([`check_arity`]), leaves the machine
+    /// in [`VmStatus::Error`].
     pub fn start(&mut self, proc: &str, args: &[u64], expected_results: usize) {
         let Some(&entry) = self.program.entries.get(proc) else {
             self.status = VmStatus::Error(format!("no such procedure `{proc}`"));
             return;
         };
+        if let Err(e) = check_arity(args.len(), expected_results) {
+            self.status = VmStatus::Error(e);
+            return;
+        }
         for (i, &a) in args.iter().enumerate() {
             self.regs[regs::ARG0 as usize + i] = a;
         }
@@ -817,6 +847,45 @@ mod tests {
             1,
         );
         assert_eq!(status, VmStatus::Halted(vec![15]));
+    }
+
+    #[test]
+    fn oversized_arities_are_refused() {
+        let vp = compile_src(FIGURE1);
+        let mut m = VmMachine::new(&vp);
+        m.start("sp1", &[1; 9], 2);
+        assert!(
+            matches!(m.status(), VmStatus::Error(e) if e.contains("9 arguments exceed")),
+            "{:?}",
+            m.status()
+        );
+        for results in [9, 100, 1 << 40] {
+            let mut m = VmMachine::new_fused(&vp);
+            m.start("sp1", &[10], results);
+            let status = m.run(10_000);
+            assert!(
+                matches!(status, VmStatus::Error(ref e) if e.contains("results exceed")),
+                "{status:?}"
+            );
+        }
+        // The boundary still runs.
+        let mut m = VmMachine::new(&vp);
+        m.start("sp1", &[1; 8], 8);
+        assert!(matches!(m.run(10_000), VmStatus::Halted(v) if v.len() == 8));
+
+        // A captured state is refused on restore the same way.
+        let vp = compile_src("f() { yield(9, 4) also aborts; return (0); }");
+        let mut m = VmMachine::new(&vp);
+        m.start("f", &[], 1);
+        assert_eq!(m.run(10_000), VmStatus::Suspended);
+        let mut st = m.capture().unwrap();
+        st.expected_results = 1 << 40;
+        let mut other = VmMachine::new(&vp);
+        let err = other.restore(&st).unwrap_err();
+        assert!(err.contains("results exceed"), "{err}");
+        assert_eq!(other.status(), &VmStatus::Idle, "unchanged on error");
+        st.expected_results = 8;
+        assert_eq!(other.restore(&st), Ok(()));
     }
 
     #[test]

@@ -23,6 +23,14 @@ const EMPTY_LEAF: Option<Box<Leaf>> = None;
 /// Leaf tables are allocated on demand (one per mapped 4 MiB region)
 /// and, like the page pool below, are invisible to every observation.
 ///
+/// Beside the table, the memory keeps the **keys of its mapped pages**
+/// in address order. Everything that walks the whole memory —
+/// [`Memory::snapshot`], [`Memory::recycle`], `clone`,
+/// [`Memory::mapped_bytes`] — visits that list instead of probing the
+/// table's 1024 root slots and 1024 slots per leaf, so its cost follows
+/// the pages a thread touched (typically one data page and a few stack
+/// pages), not the size of the address space.
+///
 /// Carries a private **page pool**: [`Memory::recycle`] unmaps every
 /// page but banks the allocations, and subsequent writes draw from the
 /// bank before touching the allocator. The pool is invisible to every
@@ -33,7 +41,8 @@ const EMPTY_LEAF: Option<Box<Leaf>> = None;
 #[derive(Debug)]
 pub struct Memory {
     roots: Box<[Option<Box<Leaf>>; ROOT_LEN]>,
-    mapped_pages: usize,
+    /// Keys (`addr >> PAGE_BITS`) of the mapped pages, ascending.
+    mapped: Vec<u32>,
     /// Zeroed pages banked by [`Memory::recycle`].
     pool: Vec<Page>,
 }
@@ -42,7 +51,7 @@ impl Default for Memory {
     fn default() -> Memory {
         Memory {
             roots: Box::new([EMPTY_LEAF; ROOT_LEN]),
-            mapped_pages: 0,
+            mapped: Vec::new(),
             pool: Vec::new(),
         }
     }
@@ -56,7 +65,7 @@ impl Clone for Memory {
         for (key, page) in self.iter_pages() {
             *m.slot_mut(key) = Some(page.clone());
         }
-        m.mapped_pages = self.mapped_pages;
+        m.mapped = self.mapped.clone();
         m
     }
 }
@@ -69,12 +78,11 @@ impl Memory {
 
     /// Mapped pages in address order, with their page keys.
     fn iter_pages(&self) -> impl Iterator<Item = (u32, &Page)> {
-        self.roots.iter().enumerate().flat_map(|(i, leaf)| {
-            leaf.iter().flat_map(move |l| {
-                l.iter().enumerate().filter_map(move |(j, p)| {
-                    p.as_ref().map(|p| (((i << LEAF_BITS) | j) as u32, p))
-                })
-            })
+        self.mapped.iter().map(|&key| {
+            let page = self.roots[(key >> LEAF_BITS) as usize]
+                .as_ref()
+                .and_then(|leaf| leaf[(key as usize) & (LEAF_LEN - 1)].as_ref());
+            (key, page.expect("mapped keys name mapped pages"))
         })
     }
 
@@ -98,7 +106,7 @@ impl Memory {
     /// Bytes of mapped pages — the footprint figure the `cmm-chaos`
     /// resource governor caps in this engine family.
     pub fn mapped_bytes(&self) -> usize {
-        self.mapped_pages * PAGE_SIZE
+        self.mapped.len() * PAGE_SIZE
     }
 
     /// Unmaps every page but keeps the allocations for reuse. The
@@ -107,26 +115,28 @@ impl Memory {
     /// later write maps a banked (re-zeroed) page instead of
     /// allocating one. Leaf tables stay allocated; they hold no bytes.
     pub fn recycle(&mut self) {
-        for leaf in self.roots.iter_mut().flatten() {
-            for slot in leaf.iter_mut() {
-                if let Some(mut page) = slot.take() {
-                    page.fill(0);
-                    self.pool.push(page);
-                }
+        let mut mapped = std::mem::take(&mut self.mapped);
+        for key in mapped.drain(..) {
+            if let Some(mut page) = self.slot_mut(key).take() {
+                page.fill(0);
+                self.pool.push(page);
             }
         }
-        self.mapped_pages = 0;
+        self.mapped = mapped;
     }
 
     /// The mapped-or-banked page for `addr`, mapping one on demand.
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
         let key = addr >> PAGE_BITS;
         let pool = &mut self.pool;
-        let mapped = &mut self.mapped_pages;
+        let mapped = &mut self.mapped;
         let leaf = self.roots[(key >> LEAF_BITS) as usize]
             .get_or_insert_with(|| Box::new([EMPTY_PAGE; LEAF_LEN]));
         leaf[(key as usize) & (LEAF_LEN - 1)].get_or_insert_with(|| {
-            *mapped += 1;
+            // Pages map in near-address order (data upward, the stack
+            // downward), so the insertion point is at or near the end.
+            let at = mapped.partition_point(|&k| k < key);
+            mapped.insert(at, key);
             pool.pop().unwrap_or_else(|| Box::new([0; PAGE_SIZE]))
         })
     }
@@ -212,12 +222,19 @@ impl Memory {
     /// A canonical snapshot of every nonzero byte, sorted by address.
     /// Two memories with equal snapshots are observationally equal
     /// (unmapped bytes read as zero), whatever their page layout.
+    /// Visits only mapped pages and skips all-zero 8-byte words.
     pub fn snapshot(&self) -> Vec<(u32, u8)> {
         let mut out = Vec::new();
         for (key, p) in self.iter_pages() {
-            for (i, &b) in p.iter().enumerate() {
-                if b != 0 {
-                    out.push(((key << PAGE_BITS) | i as u32, b));
+            let base = key << PAGE_BITS;
+            for (w, word) in p.chunks_exact(8).enumerate() {
+                if u64::from_ne_bytes(word.try_into().expect("8-byte chunk")) == 0 {
+                    continue;
+                }
+                for (i, &b) in word.iter().enumerate() {
+                    if b != 0 {
+                        out.push((base | (w * 8 + i) as u32, b));
+                    }
                 }
             }
         }
@@ -333,6 +350,91 @@ mod tests {
         let mut fresh = Memory::new();
         fresh.write_u8(0x5000, 7);
         assert_eq!(m.snapshot(), fresh.snapshot());
+    }
+
+    /// A seeded random workload against a byte-map model: writes of
+    /// every width (zeros included, page boundaries crossed) into three
+    /// leaves — data near 0, the stack just below `0x0800_0000`, and
+    /// the top of the address space, where multi-byte writes wrap.
+    /// After every batch the snapshot, footprint and clone must agree
+    /// with the model, and a recycled memory must behave like a new one.
+    #[test]
+    fn matches_a_byte_map_model() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let page = PAGE_SIZE as u32;
+        let stack_top = 0x0800_0000u32;
+        let mut m = Memory::new();
+        // What the memory must equal: every byte written since the last
+        // recycle, and a memory built fresh at that recycle that has
+        // received the same writes since.
+        let mut model: BTreeMap<u32, u8> = BTreeMap::new();
+        let mut fresh = Memory::new();
+        for round in 0..64 {
+            for _ in 0..40 {
+                let r = next();
+                let addr = match r % 4 {
+                    0 => (r >> 8) as u32 % (3 * page),
+                    1 => stack_top - 1 - (r >> 8) as u32 % (3 * page),
+                    2 => u32::MAX - (r >> 8) as u32 % 8,
+                    // Straddle a page boundary in the first two leaves.
+                    _ => {
+                        let edge = if r & 0x100 == 0 {
+                            page
+                        } else {
+                            stack_top - page
+                        };
+                        edge - 1 - (r >> 9) as u32 % 8
+                    }
+                };
+                let v = if next() % 4 == 0 { 0 } else { next() };
+                let w = [Width::W8, Width::W16, Width::W32, Width::W64][(next() % 4) as usize];
+                if w == Width::W8 && next() % 2 == 0 {
+                    m.write_u8(addr, v as u8);
+                    fresh.write_u8(addr, v as u8);
+                } else {
+                    m.write_wide(w, addr, v);
+                    fresh.write_wide(w, addr, v);
+                }
+                for i in 0..w.bytes() {
+                    model.insert(addr.wrapping_add(i as u32), (v >> (8 * i)) as u8);
+                }
+            }
+            let nonzero: Vec<(u32, u8)> = model
+                .iter()
+                .filter(|&(_, &b)| b != 0)
+                .map(|(&a, &b)| (a, b))
+                .collect();
+            let pages: BTreeSet<u32> = model.keys().map(|&a| a >> PAGE_BITS).collect();
+            assert_eq!(m.snapshot(), nonzero, "round {round}: snapshot");
+            assert_eq!(m.mapped_bytes(), PAGE_SIZE * pages.len(), "round {round}");
+            for (&a, &b) in &model {
+                assert_eq!(m.read_u8(a), b, "round {round}: byte at {a:#x}");
+            }
+            let c = m.clone();
+            assert_eq!(c.snapshot(), nonzero, "round {round}: clone");
+            assert_eq!(c.mapped_bytes(), m.mapped_bytes(), "round {round}");
+            assert_eq!(fresh.snapshot(), nonzero, "round {round}: fresh");
+            assert_eq!(fresh.mapped_bytes(), m.mapped_bytes(), "round {round}");
+            if round % 8 == 7 {
+                m.recycle();
+                assert_eq!(m.mapped_bytes(), 0, "round {round}: recycled");
+                assert!(m.snapshot().is_empty(), "round {round}: recycled");
+                for &a in model.keys() {
+                    assert_eq!(m.read_u8(a), 0, "round {round}: stale byte at {a:#x}");
+                }
+                model.clear();
+                fresh = Memory::new();
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! same here).
 
 use crate::isa::regs;
-use crate::machine::{Cost, VmMachine, VmStatus};
+use crate::machine::{check_arity, Cost, VmMachine, VmStatus};
 use cmm_obs::TraceSink;
 
 /// The status a captured VM state was suspended in.
@@ -85,7 +85,9 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     ///
     /// # Errors
     ///
-    /// Fails if the pc is outside the compiled code; the machine is
+    /// Fails if the pc is outside the compiled code or the expected
+    /// result count exceeds the calling convention
+    /// ([`check_arity`](crate::machine::check_arity)); the machine is
     /// unchanged on error.
     pub fn restore(&mut self, st: &VmState) -> Result<(), String> {
         if st.pc as usize >= self.program.code.len() {
@@ -97,6 +99,7 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
         }
         let expected = usize::try_from(st.expected_results)
             .map_err(|_| format!("expected_results {} out of range", st.expected_results))?;
+        check_arity(0, expected)?;
         self.regs = st.regs;
         self.pc = st.pc;
         self.cost = st.cost;
