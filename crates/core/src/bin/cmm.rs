@@ -23,7 +23,7 @@
 //! ```
 //!
 //! `batch` executes a manifest of jobs (see `cmm-pool`'s docs for the
-//! format) on a work-stealing pool, sharing compilations through the
+//! format) on a caller-runs work queue, sharing compilations through the
 //! content-addressed cache, and prints a JSON report. With
 //! `--no-timing` the report is byte-identical for every `-j`, which CI
 //! exploits; `--jobs N` likewise parallelizes `fuzz` without changing

@@ -1,5 +1,5 @@
-//! Error-path coverage for the `cmm` binary's argument parsing, plus a
-//! determinism smoke over `cmm batch`.
+//! Error-path coverage for the `cmm` binary's argument parsing, plus
+//! determinism smokes over `cmm batch` and `cmm serve`.
 //!
 //! Every test drives the real executable (`CARGO_BIN_EXE_cmm`), so the
 //! assertions hold for exactly what a user types: bad input must come
@@ -400,4 +400,30 @@ fn batch_reports_are_byte_identical_across_jobs_and_share_compiles() {
         .and_then(|s| s.trim_end_matches(['}', ',']).parse::<u64>().ok())
         .expect("report carries a hit rate");
     assert!(rate > 0, "cache hit rate must be nonzero:\n{j1}");
+}
+
+/// A worker count far beyond what a scheduling tick can use is capped
+/// rather than honoured with a thread each: the run finishes with the
+/// `-j 1` event digest.
+#[test]
+fn serve_caps_an_oversized_worker_count() {
+    let digest = |jobs: &str| {
+        let out = cmm(&[
+            "serve",
+            "--selftest",
+            "--tenants",
+            "2",
+            "--threads",
+            "4",
+            "-j",
+            jobs,
+        ]);
+        assert!(out.status.success(), "serve -j {jobs}: {}", stderr(&out));
+        let text = stdout(&out);
+        let line = text.lines().find(|l| l.starts_with("event digest:"));
+        line.expect("selftest prints its digest").to_string()
+    };
+    let j1 = digest("1");
+    assert!(j1.ends_with("0xc35acf3ee71ecc68"), "{j1}");
+    assert_eq!(digest("1000000"), j1);
 }

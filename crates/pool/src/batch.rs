@@ -1,5 +1,5 @@
 //! Batch execution: a manifest of jobs, compiled through the shared
-//! [`PipelineCache`] and executed on the work-stealing pool.
+//! [`PipelineCache`] and executed on the caller-runs work queue.
 //!
 //! # Manifest format
 //!
@@ -214,7 +214,7 @@ pub fn parse_manifest(
 pub struct BatchConfig {
     /// Worker threads (`1` = run inline).
     pub workers: usize,
-    /// Injector bound (see [`PoolConfig`]).
+    /// Work-queue bound (see [`PoolConfig`]).
     pub queue_cap: usize,
     /// Build a [`MetricsRegistry`] for the batch: mount the cache and
     /// pool counters, run every job through a flight-recorder sink,

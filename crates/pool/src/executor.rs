@@ -1,13 +1,22 @@
-//! A bounded work-stealing thread pool over `std::thread::scope`.
+//! A caller-runs work queue over `std::thread`, with two lifetimes.
 //!
-//! No async runtime, no channels: a mutex-guarded bounded injector
-//! queue (submission blocks when it is full — backpressure), one
-//! overflow deque per worker fed by batched grabs from the injector,
-//! and round-robin stealing between workers when both the local deque
-//! and the injector are dry. Each worker accumulates its results in a
-//! private `Vec` and hands the whole batch back through its join
-//! handle — result delivery costs one `Vec` per worker instead of one
-//! synchronized send per job.
+//! The core is one mutex-guarded FIFO that the calling thread drains
+//! together with up to `workers − 1` helper threads. The caller runs
+//! jobs instead of waiting for them; it sleeps only once the queue is
+//! empty while helpers still hold jobs, and the last of them wakes it.
+//! A worker hands each outcome back under the lock it takes its next
+//! job with. A helper that cannot be spawned is simply not there: the
+//! caller still runs every job, so a short pool is slower, never wrong.
+//!
+//! * [`run_jobs`], [`run_jobs_ctx`] and [`run_jobs_metered`] use the
+//!   queue for one call, over scoped helpers that may borrow the
+//!   caller's data. Submission is bounded: once `queue_cap` jobs are
+//!   pending, the caller runs the oldest one itself before queueing
+//!   the next (backpressure toward the submitter).
+//! * A [`Crew`] keeps its helpers for its whole life: they sleep on a
+//!   condvar between [`Crew::run`]s and are joined when the crew is
+//!   dropped, so a long-lived caller hands each batch to threads that
+//!   are already running.
 //!
 //! Each job runs under [`std::panic::catch_unwind`], so one panicking
 //! job reports [`JobOutcome::Panicked`] without taking the pool (or
@@ -17,29 +26,30 @@
 //! — byte-identical at `-j1` and `-jN` provided `f` is a function of
 //! its arguments (the batch layer keeps wall-clock timing out of `f`).
 //!
-//! [`run_jobs_ctx`] extends the model with one long-lived **context**
-//! per worker (the batch layer passes an execution arena): the context
-//! is built once when the worker starts, threaded through every job it
-//! runs, and — because a panicking job may abandon its context in an
-//! arbitrary intermediate state — discarded and rebuilt fresh after
-//! any panic. Contexts must therefore never carry state that later
-//! jobs *observe*; they are for reusing allocations, not for sharing
-//! results.
+//! Every worker owns one long-lived **context** (the batch layer and
+//! the serve scheduler pass execution arenas): built by `init(id)` —
+//! the caller is worker `0`, helpers are `1..` — threaded through
+//! every job that worker runs, and, because a panicking job may
+//! abandon its context in an arbitrary intermediate state, discarded
+//! and rebuilt fresh after any panic. Contexts must therefore never
+//! carry state that later jobs *observe*; they are for reusing
+//! allocations, not for sharing results. `init` itself must not panic.
 
 use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{Builder, JoinHandle};
+use std::time::Instant;
 
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
-    /// Worker threads. `0` and `1` both mean "run inline on the
-    /// calling thread".
+    /// Workers, the calling thread included. `0` and `1` both mean
+    /// "run inline on the calling thread".
     pub workers: usize,
-    /// Injector-queue bound; submission blocks once this many jobs are
-    /// pending (backpressure toward the submitter).
+    /// Queue bound: once this many jobs are pending, the submitting
+    /// thread runs the oldest one before it queues the next.
     pub queue_cap: usize,
 }
 
@@ -95,14 +105,9 @@ impl<R> JobOutcome<R> {
 /// folded into a deterministic report.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct PoolStats {
-    /// Deepest the injector queue ever got (bounded by `queue_cap`:
-    /// submission blocks rather than exceed it).
+    /// Deepest the queue ever got (bounded by `queue_cap` in a scoped
+    /// run: the submitter runs a job rather than exceed it).
     pub queue_high_water: usize,
-    /// Jobs taken from a sibling's local deque.
-    pub steals: u64,
-    /// Multi-job grabs from the injector (a grab of one job does not
-    /// count).
-    pub batched_grabs: u64,
     /// Worker contexts discarded and rebuilt after a panicking job.
     pub ctx_rebuilds: u64,
 }
@@ -114,15 +119,11 @@ pub struct PoolStats {
 /// through [`PoolStats`] — one substrate, two views.
 #[derive(Clone, Debug, Default)]
 pub struct PoolMeter {
-    /// Deepest the injector queue ever got.
+    /// Deepest the queue ever got.
     pub queue_high_water: Gauge,
-    /// Jobs taken from a sibling's local deque.
-    pub steals: Counter,
-    /// Multi-job grabs from the injector.
-    pub batched_grabs: Counter,
     /// Worker contexts discarded and rebuilt after a panicking job.
     pub ctx_rebuilds: Counter,
-    /// Times the submitter blocked on a full injector queue.
+    /// Times the submitter found the queue full and ran a job itself.
     pub backpressure_waits: Counter,
     /// Nanoseconds each job sat queued before a worker picked it up.
     pub queue_wait_ns: Histogram,
@@ -140,8 +141,6 @@ impl PoolMeter {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             queue_high_water: self.queue_high_water.get() as usize,
-            steals: self.steals.get(),
-            batched_grabs: self.batched_grabs.get(),
             ctx_rebuilds: self.ctx_rebuilds.get(),
         }
     }
@@ -155,23 +154,9 @@ impl PoolMeter {
         registry.mount(
             "cmm_pool_queue_high_water",
             &labels,
-            "Deepest the injector queue ever got",
+            "Deepest the work queue ever got",
             MetricClass::Timing,
             Metric::Gauge(self.queue_high_water.clone()),
-        );
-        registry.mount(
-            "cmm_pool_steals_total",
-            &labels,
-            "Jobs taken from a sibling worker's local deque",
-            MetricClass::Timing,
-            Metric::Counter(self.steals.clone()),
-        );
-        registry.mount(
-            "cmm_pool_batched_grabs_total",
-            &labels,
-            "Multi-job grabs from the injector queue",
-            MetricClass::Timing,
-            Metric::Counter(self.batched_grabs.clone()),
         );
         registry.mount(
             "cmm_pool_ctx_rebuilds_total",
@@ -183,7 +168,7 @@ impl PoolMeter {
         registry.mount(
             "cmm_pool_backpressure_waits_total",
             &labels,
-            "Times the submitter blocked on a full injector queue",
+            "Times the submitter found the queue full and ran a job itself",
             MetricClass::Timing,
             Metric::Counter(self.backpressure_waits.clone()),
         );
@@ -204,18 +189,133 @@ impl PoolMeter {
     }
 }
 
-struct Injector<T> {
-    queue: VecDeque<(usize, Instant, T)>,
+/// A queued job: submission index, enqueue instant, item.
+type Pending<T> = (usize, Instant, T);
+
+/// The work queue the calling thread and its helpers drain together.
+struct Queue<T, R> {
+    state: Mutex<State<T, R>>,
+    /// Signalled when jobs arrive or the queue closes; helpers sleep
+    /// on it.
+    work: Condvar,
+    /// Signalled when the last busy helper finishes with the queue
+    /// empty; the caller sleeps on it.
+    dry: Condvar,
+    meter: PoolMeter,
+}
+
+struct State<T, R> {
+    jobs: VecDeque<Pending<T>>,
+    /// Outcomes handed back so far, in completion order.
+    done: Vec<(usize, JobOutcome<R>)>,
+    /// Helpers running a job.
+    busy: usize,
+    /// No job will arrive again: helpers exit once the queue is empty.
     closed: bool,
 }
 
-struct Shared<'m, T> {
-    injector: Mutex<Injector<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    locals: Vec<Mutex<VecDeque<(usize, Instant, T)>>>,
-    cap: usize,
-    meter: &'m PoolMeter,
+impl<T, R> Queue<T, R> {
+    fn new(meter: PoolMeter) -> Queue<T, R> {
+        Queue {
+            state: Mutex::new(State {
+                jobs: VecDeque::new(),
+                done: Vec::new(),
+                busy: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
+            dry: Condvar::new(),
+            meter,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State<T, R>> {
+        self.state.lock().expect("pool queue poisoned")
+    }
+
+    /// Closes the queue and wakes every sleeping helper so it can exit.
+    fn close(&self) {
+        // Only this flag is written: a poisoned guard is still sound.
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.work.notify_all();
+    }
+
+    /// Runs one job; a panic reports `Panicked` and rebuilds `ctx`.
+    fn run_one<C>(
+        &self,
+        id: usize,
+        ctx: &mut C,
+        init: &dyn Fn(usize) -> C,
+        f: &dyn Fn(&mut C, usize, T) -> R,
+        (i, queued, item): Pending<T>,
+    ) -> (usize, JobOutcome<R>) {
+        self.meter
+            .queue_wait_ns
+            .observe(queued.elapsed().as_nanos() as u64);
+        let started = Instant::now();
+        let outcome = match catch_unwind(AssertUnwindSafe(|| f(ctx, i, item))) {
+            Ok(r) => JobOutcome::Done(r),
+            Err(payload) => {
+                // The panic may have left the context half mutated;
+                // start the next job from a fresh one.
+                *ctx = init(id);
+                self.meter.ctx_rebuilds.inc();
+                JobOutcome::Panicked(panic_text(payload.as_ref()))
+            }
+        };
+        self.meter
+            .job_wall_ns
+            .observe(started.elapsed().as_nanos() as u64);
+        (i, outcome)
+    }
+
+    /// Worker `id`'s loop. Both kinds of worker run jobs until the
+    /// queue is empty. A helper (`id > 0`) then sleeps until more
+    /// arrive and returns once the queue closes; the caller (`id == 0`)
+    /// sleeps until the helpers have handed back every outcome, then
+    /// returns.
+    fn work<C>(
+        &self,
+        id: usize,
+        ctx: &mut C,
+        init: &dyn Fn(usize) -> C,
+        f: &dyn Fn(&mut C, usize, T) -> R,
+    ) {
+        let helper = id > 0;
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                state.busy += usize::from(helper);
+                drop(state);
+                let outcome = self.run_one(id, ctx, init, f, job);
+                state = self.lock();
+                state.done.push(outcome);
+                if helper {
+                    state.busy -= 1;
+                    if state.busy == 0 && state.jobs.is_empty() {
+                        self.dry.notify_one();
+                    }
+                }
+            } else if helper && !state.closed {
+                state = self.work.wait(state).expect("pool queue poisoned");
+            } else if !helper && state.busy > 0 {
+                state = self.dry.wait(state).expect("pool queue poisoned");
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Takes the `n` outcomes of a finished run, in submission order.
+    fn outcomes(&self, n: usize) -> Vec<JobOutcome<R>> {
+        let mut state = self.lock();
+        assert_eq!(state.done.len(), n, "every job reports exactly once");
+        state.done.sort_unstable_by_key(|&(i, _)| i);
+        state.done.drain(..).map(|(_, o)| o).collect()
+    }
 }
 
 /// Runs `f(index, item)` for every item and returns the outcomes in
@@ -269,189 +369,122 @@ where
     I: Fn(usize) -> C + Sync,
     F: Fn(&mut C, usize, T) -> R + Sync,
 {
-    if config.workers <= 1 {
-        let mut ctx = init(0);
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let started = Instant::now();
-                let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx, i, item))) {
-                    Ok(r) => JobOutcome::Done(r),
-                    Err(payload) => {
-                        // The panic may have left the context half
-                        // mutated; start the next job from a fresh one.
-                        ctx = init(0);
-                        meter.ctx_rebuilds.inc();
-                        JobOutcome::Panicked(panic_text(payload.as_ref()))
-                    }
-                };
-                meter
-                    .job_wall_ns
-                    .observe(started.elapsed().as_nanos() as u64);
-                outcome
-            })
-            .collect();
-    }
-
     let n = items.len();
-    let workers = config.workers.min(n.max(1));
-    let shared = Shared {
-        injector: Mutex::new(Injector {
-            queue: VecDeque::new(),
-            closed: false,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        cap: config.queue_cap.max(1),
-        meter,
-    };
-
+    let queue = Queue::new(meter.clone());
+    let mut ctx = init(0);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|id| {
-                let shared = &shared;
-                let init = &init;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut ctx = init(id);
-                    let mut results: Vec<(usize, JobOutcome<R>)> = Vec::new();
-                    while let Some((i, queued, item)) = next_job(shared, id) {
-                        shared
-                            .meter
-                            .queue_wait_ns
-                            .observe(queued.elapsed().as_nanos() as u64);
-                        let started = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut ctx, i, item))) {
-                            Ok(r) => results.push((i, JobOutcome::Done(r))),
-                            Err(payload) => {
-                                results
-                                    .push((i, JobOutcome::Panicked(panic_text(payload.as_ref()))));
-                                ctx = init(id);
-                                shared.meter.ctx_rebuilds.inc();
-                            }
-                        }
-                        shared
-                            .meter
-                            .job_wall_ns
-                            .observe(started.elapsed().as_nanos() as u64);
-                    }
-                    results
-                })
+        for id in 1..config.workers.min(n) {
+            let (queue, init, f) = (&queue, &init, &f);
+            let helper = move || queue.work(id, &mut init(id), init, f);
+            if Builder::new().spawn_scoped(scope, helper).is_err() {
+                break;
+            }
+        }
+        let cap = config.queue_cap.max(1);
+        for (i, item) in items.into_iter().enumerate() {
+            let mut state = queue.lock();
+            // A full queue makes the submitter run its oldest job.
+            let full = state.jobs.len() >= cap;
+            let oldest = if full { state.jobs.pop_front() } else { None };
+            state.jobs.push_back((i, Instant::now(), item));
+            meter.queue_high_water.set_max(state.jobs.len() as u64);
+            drop(state);
+            queue.work.notify_one();
+            if let Some(job) = oldest {
+                meter.backpressure_waits.inc();
+                let outcome = queue.run_one(0, &mut ctx, &init, &f, job);
+                queue.lock().done.push(outcome);
+            }
+        }
+        queue.close();
+        queue.work(0, &mut ctx, &init, &f);
+    });
+    queue.outcomes(n)
+}
+
+/// A context initializer, shared by a crew's threads.
+type Init<C> = dyn Fn(usize) -> C + Send + Sync;
+/// A job function, shared by a crew's threads.
+type Job<C, T, R> = dyn Fn(&mut C, usize, T) -> R + Send + Sync;
+
+/// The queue with helpers that outlive a run: they are spawned once,
+/// sleep between [`run`](Crew::run)s, keep their contexts for their
+/// whole life, and are joined when the crew is dropped. The job
+/// function is fixed when the crew is built, so it owns what it needs
+/// rather than borrowing it.
+pub struct Crew<C, T, R> {
+    queue: Arc<Queue<T, R>>,
+    init: Arc<Init<C>>,
+    f: Arc<Job<C, T, R>>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+impl<C: 'static, T: Send + 'static, R: Send + 'static> Crew<C, T, R> {
+    /// A crew of up to `helpers` helper threads, worker `id` holding
+    /// the context `init(id)`. Spawning stops at the first failure;
+    /// the crew is then smaller, and every run still completes.
+    pub fn new(
+        helpers: usize,
+        init: impl Fn(usize) -> C + Send + Sync + 'static,
+        f: impl Fn(&mut C, usize, T) -> R + Send + Sync + 'static,
+    ) -> Crew<C, T, R> {
+        let queue = Arc::new(Queue::new(PoolMeter::new()));
+        let init: Arc<Init<C>> = Arc::new(init);
+        let f: Arc<Job<C, T, R>> = Arc::new(f);
+        let helpers = (1..=helpers)
+            .map_while(|id| {
+                let (queue, init, f) = (Arc::clone(&queue), Arc::clone(&init), Arc::clone(&f));
+                let helper = move || queue.work(id, &mut init(id), &*init, &*f);
+                Builder::new().spawn(helper).ok()
             })
             .collect();
-
-        // Submit with backpressure.
-        for (i, item) in items.into_iter().enumerate() {
-            let mut inj = shared.injector.lock().expect("injector poisoned");
-            if inj.queue.len() >= shared.cap {
-                shared.meter.backpressure_waits.inc();
-                while inj.queue.len() >= shared.cap {
-                    inj = shared.not_full.wait(inj).expect("injector poisoned");
-                }
-            }
-            inj.queue.push_back((i, Instant::now(), item));
-            shared
-                .meter
-                .queue_high_water
-                .set_max(inj.queue.len() as u64);
-            drop(inj);
-            shared.not_empty.notify_one();
-        }
-        {
-            let mut inj = shared.injector.lock().expect("injector poisoned");
-            inj.closed = true;
-        }
-        shared.not_empty.notify_all();
-
-        // Collect each worker's batch through its join handle and
-        // merge by submission index.
-        let mut out: Vec<Option<JobOutcome<R>>> = (0..n).map(|_| None).collect();
-        for handle in handles {
-            let batch = handle.join().expect("worker thread itself never panics");
-            for (i, outcome) in batch {
-                debug_assert!(out[i].is_none(), "job {i} reported twice");
-                out[i] = Some(outcome);
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("every index reported"))
-            .collect()
-    })
-}
-
-/// One attempt at finding work: local deque, then a batched grab from
-/// the injector, then stealing from siblings.
-fn try_get<T>(shared: &Shared<'_, T>, id: usize) -> Option<(usize, Instant, T)> {
-    if let Some(job) = shared.locals[id]
-        .lock()
-        .expect("local poisoned")
-        .pop_front()
-    {
-        return Some(job);
-    }
-    {
-        let mut inj = shared.injector.lock().expect("injector poisoned");
-        if !inj.queue.is_empty() {
-            // Grab a fair share (≤ 8) in one locking; keep the first,
-            // bank the rest locally so siblings can steal them.
-            let share = inj.queue.len().div_ceil(shared.locals.len()).clamp(1, 8);
-            let first = inj.queue.pop_front().expect("non-empty");
-            let extras: Vec<_> = (1..share).map_while(|_| inj.queue.pop_front()).collect();
-            drop(inj);
-            shared.not_full.notify_all();
-            if !extras.is_empty() {
-                shared.meter.batched_grabs.inc();
-                shared.locals[id]
-                    .lock()
-                    .expect("local poisoned")
-                    .extend(extras);
-                shared.not_empty.notify_all();
-            }
-            return Some(first);
+        Crew {
+            queue,
+            init,
+            f,
+            helpers,
         }
     }
-    let n = shared.locals.len();
-    for k in 1..n {
-        let victim = (id + k) % n;
-        let mut local = shared.locals[victim].lock().expect("local poisoned");
-        if let Some(job) = local.pop_back() {
-            shared.meter.steals.inc();
-            return Some(job);
-        }
-    }
-    None
-}
 
-/// Blocks until a job is available or the pool is drained and closed.
-fn next_job<T>(shared: &Shared<'_, T>, id: usize) -> Option<(usize, Instant, T)> {
-    loop {
-        if let Some(job) = try_get(shared, id) {
-            return Some(job);
+    /// Runs `f(ctx, index, item)` for every item on the caller and the
+    /// helpers and returns the outcomes in submission order. `ctx` is
+    /// the calling thread's context (worker `0`); a panicking job run
+    /// here replaces it with `init(0)`.
+    pub fn run(&self, ctx: &mut C, items: Vec<T>) -> Vec<JobOutcome<R>> {
+        let (n, queued) = (items.len(), Instant::now());
+        let mut state = self.queue.lock();
+        let jobs = items.into_iter().enumerate();
+        state.jobs.extend(jobs.map(|(i, item)| (i, queued, item)));
+        let depth = state.jobs.len() as u64;
+        drop(state);
+        self.queue.meter.queue_high_water.set_max(depth);
+        if !self.helpers.is_empty() {
+            self.queue.work.notify_all();
         }
-        let inj = shared.injector.lock().expect("injector poisoned");
-        if inj.closed && inj.queue.is_empty() && all_locals_empty(shared) {
-            return None;
-        }
-        if inj.queue.is_empty() {
-            // The timeout covers the one wakeup the condvar cannot
-            // deliver: work banked into a *sibling's* local deque
-            // between our try_get and this wait. Correctness never
-            // depends on the wakeup, only tail latency.
-            let _ = shared
-                .not_empty
-                .wait_timeout(inj, Duration::from_millis(1))
-                .expect("injector poisoned");
-        }
+        self.queue.work(0, ctx, &*self.init, &*self.f);
+        self.queue.outcomes(n)
+    }
+
+    /// Helper threads running beside the caller.
+    pub fn helpers(&self) -> usize {
+        self.helpers.len()
+    }
+
+    /// Scheduling figures over every run so far.
+    pub fn stats(&self) -> PoolStats {
+        self.queue.meter.stats()
     }
 }
 
-fn all_locals_empty<T>(shared: &Shared<'_, T>) -> bool {
-    shared
-        .locals
-        .iter()
-        .all(|l| l.lock().expect("local poisoned").is_empty())
+impl<C, T, R> Drop for Crew<C, T, R> {
+    fn drop(&mut self) {
+        self.queue.close();
+        for helper in self.helpers.drain(..) {
+            // A helper's jobs run under `catch_unwind`, so it returns
+            // normally; there is nothing to report from a destructor.
+            let _ = helper.join();
+        }
+    }
 }
 
 /// Best-effort text of a panic payload (`&str` and `String` payloads;

@@ -14,8 +14,10 @@
 //!   single-flight deduplication, LRU eviction under a byte budget,
 //!   and scheduling-independent hit/miss counters exported through
 //!   `cmm-obs`'s [`CacheStats`](cmm_obs::CacheStats).
-//! * [`executor`] — a bounded work-stealing pool over plain
-//!   `std::thread`: backpressure on submission, per-job panic
+//! * [`executor`] — one caller-runs work queue over plain
+//!   `std::thread`, drained by the calling thread and its helpers:
+//!   scoped for one call (backpressure on submission) or kept alive
+//!   across calls as a [`Crew`](executor::Crew); per-job panic
 //!   isolation, results keyed by submission index so outputs are
 //!   byte-identical at `-j1` and `-jN`.
 //! * [`batch`] — the service tying both together: manifest parsing,
@@ -47,8 +49,8 @@ pub use cmm_chaos::EngineId as EngineKind;
 pub use cmm_frontend::engine::{with_engine, Arenas, Code, Setup};
 pub use digest::Digest;
 pub use executor::{
-    run_jobs, run_jobs_ctx, run_jobs_metered, virtual_makespan, JobOutcome, PoolConfig, PoolMeter,
-    PoolStats,
+    run_jobs, run_jobs_ctx, run_jobs_metered, virtual_makespan, Crew, JobOutcome, PoolConfig,
+    PoolMeter, PoolStats,
 };
 
 #[cfg(test)]

@@ -24,8 +24,9 @@
 //!   tenants, driven on the virtual clock (`cmm serve --selftest`).
 //!
 //! Determinism is inherited from the layers below and preserved here:
-//! slices execute via `run_jobs_ctx` (results in submission order), the
-//! clock advances by the deterministic list-schedule makespan of each
+//! slices execute on the ticking thread and the service's `cmm-pool`
+//! [`Crew`](cmm_pool::Crew) (results in submission order), the clock
+//! advances by the deterministic list-schedule makespan of each
 //! quantum's slice costs, and every tenant-visible response is logged
 //! in dispatch order — so the event log, the outcomes, and every
 //! `Deterministic`-class metric are byte-identical at `-j1` and `-jN`.

@@ -274,19 +274,26 @@ mod tests {
     use super::*;
 
     /// The small profile drives to completion and its deterministic
-    /// figures are identical at 1 and 4 workers.
+    /// figures are identical at 1 and 4 workers, and at a million,
+    /// which asks for far more helpers than a tick's window can use.
     #[test]
     fn small_load_is_deterministic_across_worker_counts() {
         let profile = small_profile();
         let (svc1, r1) = run_load(load_config(1), &profile);
-        let (svc4, r4) = run_load(load_config(4), &profile);
-        assert_eq!(svc1.events(), svc4.events(), "event logs diverged");
-        assert_eq!(r1.event_digest, r4.event_digest);
+        for workers in [4, 1 << 20] {
+            let (svc, r) = run_load(load_config(workers), &profile);
+            assert_eq!(
+                svc1.events(),
+                svc.events(),
+                "-j{workers}: event logs diverged"
+            );
+            assert_eq!(r1.event_digest, r.event_digest);
+            assert_eq!(
+                (r1.yields, r1.migrations, r1.virtual_ns, r1.quanta),
+                (r.yields, r.migrations, r.virtual_ns, r.quanta),
+            );
+        }
         assert_eq!(r1.completed, r1.threads, "every thread finishes");
-        assert_eq!(
-            (r1.yields, r1.migrations, r1.virtual_ns, r1.quanta),
-            (r4.yields, r4.migrations, r4.virtual_ns, r4.quanta),
-        );
         assert!(r1.yields > 0, "yield-heavy threads actually yielded");
         assert!(r1.migrations > 0, "rotate policy actually migrated");
     }

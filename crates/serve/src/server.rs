@@ -379,6 +379,89 @@ mod tests {
         }
     }
 
+    /// Request lines mutated from a seed never panic the service. Each
+    /// seed sends 30 lines, drawn from the ten request shapes and
+    /// mutated by byte flips, inserted or removed punctuation and
+    /// 20-digit numbers, to a two-worker service with metrics on and
+    /// off. Every line is answered by exactly one `{"ok":…}` line, and
+    /// a closing `tick` and `stats` still succeed.
+    #[test]
+    fn mutated_request_lines_never_panic_the_service() {
+        use cmm_chaos::splitmix64;
+        let shapes = [
+            format!(
+                "{{\"op\":\"submit\",\"tenant\":\"a\",\"name\":\"n\",\"source\":\"{}\",\
+                 \"entry\":\"f\",\"args\":[4],\"results\":1,\"engine\":\"vm\",\"fuel\":5000,\
+                 \"max_yields\":4,\"opt\":1,\"chaos\":3}}",
+                escape(SRC)
+            ),
+            "{\"op\":\"resume\",\"id\":0,\"reply\":9}".into(),
+            "{\"op\":\"tick\",\"quanta\":3}".into(),
+            "{\"op\":\"poll\",\"id\":0}".into(),
+            "{\"op\":\"engine\",\"id\":1,\"engine\":\"vm-fused\"}".into(),
+            "{\"op\":\"awaiting\"}".into(),
+            "{\"op\":\"stats\"}".into(),
+            "{\"op\":\"metrics\",\"timing\":1}".into(),
+            "{\"op\":\"events\"}".into(),
+            "{\"op\":\"shutdown\"}".into(),
+        ];
+        let answered = |r: &str| {
+            (r.starts_with("{\"ok\":1") || r.starts_with("{\"ok\":0,\"error\":\""))
+                && r.ends_with('}')
+                && !r.contains('\n')
+        };
+        for metrics in [false, true] {
+            for seed in 0..64u64 {
+                let mut rng = seed;
+                let mut svc = Service::new(ServeConfig {
+                    workers: 2,
+                    metrics,
+                    ..ServeConfig::default()
+                });
+                for _ in 0..30 {
+                    let mut bytes = shapes[(splitmix64(&mut rng) % 10) as usize]
+                        .clone()
+                        .into_bytes();
+                    for _ in 0..splitmix64(&mut rng) % 4 {
+                        let at = (splitmix64(&mut rng) % (bytes.len() as u64 + 1)) as usize;
+                        match splitmix64(&mut rng) % 4 {
+                            0 if at < bytes.len() => bytes[at] = splitmix64(&mut rng) as u8,
+                            1 => bytes.insert(at, b"{}[]\":,\\"[at % 8]),
+                            2 => {
+                                if let Some(p) =
+                                    bytes[at..].iter().position(|b| b"{}[]\":,\\".contains(b))
+                                {
+                                    bytes.remove(at + p);
+                                }
+                            }
+                            _ => {
+                                // Replace the next number (or insert
+                                // one): a 20-digit value, on either side
+                                // of `u64::MAX`.
+                                let n = 10u128.pow(19) + u128::from(splitmix64(&mut rng)) * 4;
+                                let digit = bytes[at..].iter().position(u8::is_ascii_digit);
+                                let start = digit.map_or(at, |p| at + p);
+                                let run = bytes[start..].iter().take_while(|b| b.is_ascii_digit());
+                                let end = start + run.count();
+                                bytes.splice(start..end, n.to_string().into_bytes());
+                            }
+                        }
+                    }
+                    let line = String::from_utf8_lossy(&bytes);
+                    let r = roundtrip(&mut svc, &line);
+                    assert!(
+                        answered(&r),
+                        "seed {seed}, metrics {metrics}: {line} -> {r}"
+                    );
+                }
+                for closing in ["{\"op\":\"tick\",\"quanta\":100}", "{\"op\":\"stats\"}"] {
+                    let r = roundtrip(&mut svc, closing);
+                    assert!(r.starts_with("{\"ok\":1,"), "seed {seed}: {closing} -> {r}");
+                }
+            }
+        }
+    }
+
     /// The real socket path: framing, sequencing, and shutdown over
     /// 127.0.0.1.
     #[test]

@@ -33,13 +33,13 @@ use cmm_chaos::{service_yield, Family, FaultPlan, FaultPlanState, ResourceGovern
 use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry, NopSink};
 use cmm_opt::OptOptions;
 use cmm_pool::{
-    run_jobs_ctx, virtual_makespan, with_engine, Arenas, JobOutcome, PipelineCache, PoolConfig,
-    Setup, SourceId, SourceKey, SourceLang,
+    virtual_makespan, with_engine, Arenas, Crew, JobOutcome, PipelineCache, Setup, SourceId,
+    SourceKey, SourceLang,
 };
 use cmm_snap::{fold_digest, source_digest, EngineId, SnapMeta, Snapshot, FOLD_INIT};
 use cmm_vm::check_arity;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fault-schedule horizon for chaos-seeded threads — the same horizon
@@ -80,12 +80,12 @@ pub enum MigrationPolicy {
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads executing slices. `0`/`1` run inline. Workers
-    /// change wall-clock time and **nothing else**: the virtual
-    /// schedule is computed over [`lanes`](ServeConfig::lanes).
+    /// Worker threads executing slices, the calling thread included;
+    /// `0`/`1` run inline, and more than a window's worth are never
+    /// started. Workers change wall-clock time and **nothing else**:
+    /// the virtual schedule is computed over
+    /// [`lanes`](ServeConfig::lanes).
     pub workers: usize,
-    /// Pool injector-queue bound.
-    pub queue_cap: usize,
     /// Fuel granted per scheduling slice.
     pub quantum: u64,
     /// Virtual execution lanes the deterministic clock schedules over.
@@ -108,11 +108,21 @@ pub struct ServeConfig {
     pub max_memory_bytes: Option<usize>,
 }
 
+impl ServeConfig {
+    /// Max threads dispatched per tick.
+    fn window(&self) -> usize {
+        if self.window == 0 {
+            self.lanes.max(1) * 4
+        } else {
+            self.window
+        }
+    }
+}
+
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 1,
-            queue_cap: 256,
             quantum: 2_000,
             lanes: 8,
             window: 0,
@@ -428,7 +438,12 @@ impl Meters {
 /// The persistent execution service. See the module docs.
 pub struct Service {
     config: ServeConfig,
-    cache: PipelineCache,
+    /// Helpers that run slices beside the ticking thread, each on its
+    /// own arenas for its whole life; the crew's slice function owns
+    /// the compilation cache.
+    crew: Crew<Arenas, SliceJob, SliceResult>,
+    /// The ticking thread's arenas (capacity, never state).
+    arenas: Arenas,
     /// Every thread ever submitted, indexed by id.
     threads: Vec<ThreadRec>,
     run_queue: VecDeque<u64>,
@@ -439,8 +454,6 @@ pub struct Service {
     programs: HashMap<String, Vec<Arc<ProgramId>>>,
     /// Threads awaiting their tenant: id → yield code.
     awaiting: BTreeMap<u64, u64>,
-    /// Worker arenas banked between ticks (capacity, never state).
-    arenas: Vec<Arenas>,
     stats: ServeStats,
     events: Vec<String>,
     /// Virtual ns runnable threads waited before their slice ran.
@@ -454,7 +467,9 @@ pub struct Service {
 impl Service {
     /// Creates a service. With `config.metrics` a [`MetricsRegistry`]
     /// is mounted (including the compilation cache's counters) and
-    /// reachable through [`registry`](Service::registry).
+    /// reachable through [`registry`](Service::registry). With more
+    /// than one worker, the helper threads start here and are joined
+    /// when the service is dropped.
     pub fn new(config: ServeConfig) -> Service {
         let cache = PipelineCache::default();
         let queue_wait = Histogram::new();
@@ -467,15 +482,21 @@ impl Service {
         } else {
             (None, None)
         };
+        let helpers = config.workers.min(config.window()).saturating_sub(1);
+        let crew = Crew::new(
+            helpers,
+            |_| Arenas::default(),
+            move |arenas, _, job: SliceJob| run_slice(&cache, &job, arenas),
+        );
         Service {
             config,
-            cache,
+            crew,
+            arenas: Arenas::default(),
             threads: Vec::new(),
             run_queue: VecDeque::new(),
             live: HashMap::new(),
             programs: HashMap::new(),
             awaiting: BTreeMap::new(),
-            arenas: Vec::new(),
             stats: ServeStats::default(),
             events: Vec::new(),
             queue_wait,
@@ -758,9 +779,9 @@ impl Service {
     }
 
     /// Runs one scheduling quantum: dispatch up to a window of
-    /// runnable threads, execute their slices on the worker pool, park
-    /// or finish each, advance the virtual clock by the slice
-    /// makespan.
+    /// runnable threads, execute their slices on this thread and the
+    /// crew's helpers, park or finish each, advance the virtual clock
+    /// by the slice makespan.
     pub fn tick(&mut self) -> TickReport {
         if let Some(m) = &self.meters {
             m.request("tick");
@@ -771,18 +792,7 @@ impl Service {
             return TickReport::default();
         }
         let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
-        let cache = &self.cache;
-        let bank = Mutex::new(std::mem::take(&mut self.arenas));
-        let (outcomes, _) = run_jobs_ctx(
-            &PoolConfig {
-                workers: self.config.workers,
-                queue_cap: self.config.queue_cap,
-            },
-            jobs,
-            |_| Banked::draw(&bank),
-            |banked, _, job| banked.run(|arenas| run_slice(cache, &job, arenas)),
-        );
-        self.arenas = bank.into_inner().unwrap_or_default();
+        let outcomes = self.crew.run(&mut self.arenas, jobs);
         let report = self.fold(&ids, outcomes);
         if let Some(m) = &self.meters {
             m.tick_wall_ns.observe(t0.elapsed().as_nanos() as u64);
@@ -793,11 +803,7 @@ impl Service {
     /// Takes up to a window of threads off the run queue and detaches
     /// their slices, logging each migration.
     fn dispatch(&mut self) -> Vec<SliceJob> {
-        let window = if self.config.window == 0 {
-            self.config.lanes.max(1) * 4
-        } else {
-            self.config.window
-        };
+        let window = self.config.window();
         let mut jobs: Vec<SliceJob> = Vec::new();
         while jobs.len() < window {
             let Some(id) = self.run_queue.pop_front() else {
@@ -971,45 +977,6 @@ impl Service {
     }
 }
 
-/// One worker's arenas for the length of a tick: drawn from the
-/// service's bank when the worker starts and put back when it ends, so
-/// their capacity outlives the tick. A slice that panics leaves its
-/// arenas marked in use; those are dropped rather than banked, so a
-/// half-mutated arena never reaches another slice.
-struct Banked<'b> {
-    arenas: Arenas,
-    bank: &'b Mutex<Vec<Arenas>>,
-    in_use: bool,
-}
-
-impl<'b> Banked<'b> {
-    fn draw(bank: &'b Mutex<Vec<Arenas>>) -> Banked<'b> {
-        let arenas = bank.lock().ok().and_then(|mut b| b.pop());
-        Banked {
-            arenas: arenas.unwrap_or_default(),
-            bank,
-            in_use: false,
-        }
-    }
-
-    fn run<R>(&mut self, f: impl FnOnce(&mut Arenas) -> R) -> R {
-        self.in_use = true;
-        let r = f(&mut self.arenas);
-        self.in_use = false;
-        r
-    }
-}
-
-impl Drop for Banked<'_> {
-    fn drop(&mut self) {
-        if !self.in_use {
-            if let Ok(mut bank) = self.bank.lock() {
-                bank.push(std::mem::take(&mut self.arenas));
-            }
-        }
-    }
-}
-
 /// Outcome class for the `cmm_serve_threads_total` labels.
 fn outcome_class(outcome: &str) -> &'static str {
     if outcome.starts_with("halt") {
@@ -1024,7 +991,7 @@ fn outcome_class(outcome: &str) -> &'static str {
 }
 
 /// Everything one slice needs, detached from the scheduler so slices
-/// can run on pool workers.
+/// can run on the crew's helpers.
 struct SliceJob {
     id: u64,
     engine: EngineId,
@@ -1312,7 +1279,7 @@ mod tests {
         let jobs = svc.dispatch();
         let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![other, id]);
-        let ok = run_slice(&svc.cache, &jobs[0], &mut Arenas::default());
+        let ok = run_slice(&PipelineCache::default(), &jobs[0], &mut Arenas::default());
         let outcomes = vec![
             JobOutcome::Done(ok),
             JobOutcome::Panicked("slice exploded".into()),
@@ -1415,6 +1382,26 @@ mod tests {
                 assert!(svc.idle(), "{migration:?} -j{workers}");
                 assert!(svc.stats().parked_high_water > 0);
             }
+        }
+    }
+
+    /// The crew holds one helper fewer than the workers asked for, and
+    /// never more than a tick's window can use.
+    #[test]
+    fn the_crew_is_bounded_by_the_window() {
+        for (workers, window, helpers) in [
+            (0, 0, 0),
+            (1, 0, 0),
+            (2, 0, 1),
+            (1 << 20, 0, 31),
+            (1 << 20, 3, 2),
+        ] {
+            let svc = Service::new(ServeConfig {
+                workers,
+                window,
+                ..ServeConfig::default()
+            });
+            assert_eq!(svc.crew.helpers(), helpers, "-j{workers} window {window}");
         }
     }
 

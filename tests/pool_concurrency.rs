@@ -1,6 +1,7 @@
 //! Concurrency suite for the `cmm-pool` scaling work: the sharded
-//! single-flight cache and the batched-collection executor, attacked
-//! from the outside with racing threads.
+//! single-flight cache and the caller-runs executor (scoped runs and
+//! the persistent [`Crew`]), attacked from the outside with racing
+//! threads.
 //!
 //! The cache tests use **synthetic digests** (the cache keys on the
 //! digest value, not the source), which buys two things: digests can be
@@ -19,8 +20,8 @@
 //!   matter how many threads were inserting.
 
 use cmm_pool::{
-    run_jobs, run_jobs_ctx, Artifact, CacheConfig, Digest, JobOutcome, PipelineCache, PoolConfig,
-    Stage, SHARDS,
+    run_jobs, run_jobs_ctx, Artifact, CacheConfig, Crew, Digest, JobOutcome, PipelineCache,
+    PoolConfig, Stage, SHARDS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -221,8 +222,8 @@ fn byte_budget_holds_under_concurrent_insertion_pressure() {
 }
 
 /// Backpressure: with a tiny queue and more jobs than slots, the
-/// injector's high-water mark never exceeds the configured bound —
-/// submission genuinely blocks instead of buffering.
+/// queue's high-water mark never exceeds the configured bound — the
+/// submitter runs jobs itself instead of buffering them.
 #[test]
 fn submission_backpressure_bounds_the_queue() {
     let config = PoolConfig {
@@ -337,4 +338,120 @@ fn executor_plus_cache_still_single_flights() {
     assert_eq!(builds.load(Ordering::Relaxed), 8, "one build per digest");
     let snap = cache.snapshot();
     assert_eq!((snap.hits, snap.misses), (56, 8));
+}
+
+/// The job the crew tests share: a pure function of index and item.
+fn mix(_: &mut (), i: usize, n: u64) -> u64 {
+    n.wrapping_mul(2654435761) >> (i % 7)
+}
+
+/// A crew returns each run's outcomes in submission order, equal to
+/// the scoped runner's, over a thousand consecutive runs on the same
+/// helpers, at 0, 1 and 3 helpers.
+#[test]
+fn a_crew_matches_the_scoped_runner_run_after_run() {
+    for helpers in [0, 1, 3] {
+        let crew = Crew::new(helpers, |_| (), mix);
+        assert_eq!(crew.helpers(), helpers);
+        let config = PoolConfig {
+            workers: helpers + 1,
+            queue_cap: 8,
+        };
+        for run in 0..1000u64 {
+            let items: Vec<u64> = (0..run % 40).map(|k| k * 31 + run).collect();
+            let expect: Vec<_> = (items.iter().enumerate())
+                .map(|(i, &n)| JobOutcome::Done(mix(&mut (), i, n)))
+                .collect();
+            let scoped = run_jobs_ctx(&config, items.clone(), |_| (), mix).0;
+            assert_eq!(scoped, expect, "scoped run {run}, {helpers} helper(s)");
+            assert_eq!(
+                crew.run(&mut (), items),
+                expect,
+                "run {run}, {helpers} helper(s)"
+            );
+        }
+    }
+}
+
+/// The calling thread runs jobs rather than only waiting for them: on
+/// a crew with one helper, two jobs that each wait at a two-party
+/// barrier both finish. Were the caller to wait, the lone helper would
+/// block on the first job forever.
+#[test]
+fn the_calling_thread_works_beside_its_helpers() {
+    let gate = Arc::new(Barrier::new(2));
+    let crew = {
+        let gate = Arc::clone(&gate);
+        Crew::new(
+            1,
+            |_| (),
+            move |(), i, ()| {
+                gate.wait();
+                i
+            },
+        )
+    };
+    for _ in 0..100 {
+        let out = crew.run(&mut (), vec![(), ()]);
+        assert_eq!(out, vec![JobOutcome::Done(0), JobOutcome::Done(1)]);
+    }
+}
+
+/// A panicking job reports `Panicked` in its own slot and its worker's
+/// context is rebuilt, and the crew still serves the next run: both of
+/// its jobs meet at a two-party barrier, so both threads are alive.
+#[test]
+fn a_crew_survives_a_panicking_job() {
+    const CULPRIT: u64 = 7;
+    let gate = Arc::new(Barrier::new(2));
+    let crew = {
+        let gate = Arc::clone(&gate);
+        Crew::new(
+            1,
+            |_| 0u64,
+            move |tally: &mut u64, _, n: u64| {
+                gate.wait();
+                if n == CULPRIT {
+                    panic!("job {n} exploded");
+                }
+                *tally += 1;
+                n
+            },
+        )
+    };
+    let mut tally = 0;
+    let out = crew.run(&mut tally, vec![1, CULPRIT]);
+    assert_eq!(out[0], JobOutcome::Done(1));
+    assert_eq!(out[1], JobOutcome::Panicked("job 7 exploded".into()));
+    assert_eq!(crew.stats().ctx_rebuilds, 1, "one panic, one rebuild");
+    let out = crew.run(&mut tally, vec![2, 3]);
+    assert_eq!(out, vec![JobOutcome::Done(2), JobOutcome::Done(3)]);
+    assert_eq!(crew.stats().ctx_rebuilds, 1);
+}
+
+/// Dropping a crew joins every helper. Each helper's context holds a
+/// clone of a token; a run whose jobs meet at a barrier proves all
+/// three helpers are up, and once the crew is dropped the test holds
+/// the only reference again.
+#[test]
+fn dropping_a_crew_joins_every_helper() {
+    let token = Arc::new(());
+    let gate = Arc::new(Barrier::new(4));
+    let crew = {
+        let (token, gate) = (Arc::clone(&token), Arc::clone(&gate));
+        Crew::new(
+            3,
+            move |_| Arc::clone(&token),
+            move |_: &mut Arc<()>, i, ()| {
+                gate.wait();
+                i
+            },
+        )
+    };
+    let out = crew.run(&mut Arc::new(()), vec![(); 4]);
+    assert_eq!(out.len(), 4);
+    // The test, the crew's initializer and three helper contexts.
+    assert_eq!(Arc::strong_count(&token), 5);
+    drop(crew);
+    assert_eq!(Arc::strong_count(&token), 1);
 }
