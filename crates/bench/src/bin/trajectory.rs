@@ -1,226 +1,44 @@
-//! `trajectory` — run every paper workload under both execution engines
-//! and emit `BENCH_trajectory.json`.
+//! `trajectory` — run every paper workload under every execution engine
+//! and print `BENCH_trajectory.json` on stdout.
 //!
 //! ```text
-//! trajectory [--iters N] [--out FILE] [--check BASELINE] [--tolerance PCT]
+//! cargo run --release -p cmm-bench --bin trajectory > BENCH_trajectory.json
 //! ```
 //!
-//! With `--check`, the run exits nonzero if any workload's deterministic
-//! instruction count regressed more than `PCT`% (default 25) against the
-//! baseline file, or if a baseline workload disappeared. Wall times are
-//! reported but never gated.
+//! Every figure is deterministic, so CI regenerates the file and `cmp`s
+//! it against the committed one.
 
 use cmm_bench::trajectory::{
-    check_against_baseline, check_serve_baseline, parse_baseline, run_chaos_histogram,
-    run_pool_throughput, run_serve_figures, run_snapshot_figures, run_trajectory, to_json,
-    SNAPSHOT_EVERY,
+    run_chaos_histogram, run_pool_throughput, run_serve_figures, run_snapshot_figures,
+    run_trajectory, to_json, SNAPSHOT_EVERY,
 };
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run(std::env::args().skip(1).collect()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("trajectory: {e}");
-            ExitCode::FAILURE
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: trajectory > BENCH_trajectory.json (it takes no arguments)");
+        return ExitCode::FAILURE;
     }
-}
-
-fn run(args: Vec<String>) -> Result<(), String> {
-    let mut iters = 100u64;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut tolerance = 25.0f64;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--iters needs a number")?;
-            }
-            "--out" => out = Some(it.next().ok_or("--out needs a file")?),
-            "--check" => check = Some(it.next().ok_or("--check needs a baseline file")?),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--tolerance needs a percentage")?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown option `{other}`\n\
-                     usage: trajectory [--iters N] [--out FILE] [--check BASELINE] [--tolerance PCT]"
-                ));
-            }
-        }
-    }
-
-    let measurements = run_trajectory(iters);
-    // The chaos-sweep outcome histogram rides along in the JSON: a
-    // deterministic record of what the seeded fault schedules do to a
-    // fixed population of generated cases. Seeds are fixed so the
-    // figures are bit-reproducible across machines.
+    let measurements = run_trajectory();
+    // The chaos-sweep outcome histogram: a deterministic record of what
+    // the seeded fault schedules do to a fixed population of generated
+    // cases.
     let chaos = run_chaos_histogram(40, 0, 0, 5);
-    // Batch-service scaling at several worker counts. The committed
-    // curve is the deterministic virtual clock (cost-model makespan);
-    // wall jobs/sec ride along but are never gated. The run itself
+    // Batch-service scaling on the cost-model clock. The run itself
     // asserts the timing-stripped batch report is byte-identical at
     // every -j.
     let pool = run_pool_throughput(&[1, 2, 4, 8]);
-    // One more batch over the same manifest, checkpointed at every
-    // SNAPSHOT_EVERY fuel units: the totals ride along in the JSON so
-    // checkpoint volume and blob size are visible over time, but they
-    // are never gated (the run itself asserts the checkpointed report
-    // is byte-identical at -j1 and -j4 and that no round-trip changed
-    // machine state).
+    // The same manifest, checkpointed at every SNAPSHOT_EVERY fuel
+    // units. The run itself asserts the checkpointed report is
+    // byte-identical at -j1 and -j4 and that no round-trip changed
+    // machine state.
     let snap = run_snapshot_figures(SNAPSHOT_EVERY);
     // The execution service under its acceptance load: 17 tenants ×
     // 64 threads over all five engine tiers with rotation migration,
     // run at -j1 and -j8. The run itself asserts the scheduler event
     // logs are byte-identical, the parked population peaks above 1000
-    // blobs, and at least one thread crossed an engine tier. All
-    // virtual figures are gated exactly; the wall rate is not.
+    // blobs, and at least one thread crossed an engine tier.
     let serve = run_serve_figures();
-    let json = to_json(iters, &measurements, &chaos, &pool, &snap, &serve);
-
-    println!(
-        "{:<34} {:>12} {:>7} {:>8} {:>7} {:>12} {:>12} {:>9}",
-        "workload",
-        "instructions",
-        "calls",
-        "rts ops",
-        "yields",
-        "old ns/it",
-        "decoded ns/it",
-        "speedup"
-    );
-    for m in &measurements {
-        println!(
-            "{:<34} {:>12} {:>7} {:>8} {:>7} {:>12} {:>12} {:>8.2}x",
-            m.name,
-            m.instructions,
-            m.dispatch.calls,
-            m.dispatch.rts_ops,
-            m.dispatch.yields,
-            m.old_ns_per_iter,
-            m.decoded_ns_per_iter,
-            m.speedup()
-        );
-    }
-    // Fused-tier health at a glance: reported, never gated.
-    let regressed: Vec<&str> = measurements
-        .iter()
-        .filter(|m| m.fused_regression())
-        .map(|m| m.name.as_str())
-        .collect();
-    if regressed.is_empty() {
-        println!("fused tier: no regressions vs decoded");
-    } else {
-        println!(
-            "fused tier: {} regression(s) vs decoded: {}",
-            regressed.len(),
-            regressed.join(", ")
-        );
-    }
-
-    println!(
-        "chaos sweep {}x{}: {} halt, {} wrong, {} rts-error, {} fuel; {} fault(s) injected, {} quiet",
-        chaos.cases,
-        chaos.schedules,
-        chaos.halt,
-        chaos.wrong,
-        chaos.rts_error,
-        chaos.fuel,
-        chaos.faults_injected,
-        chaos.quiet
-    );
-
-    println!(
-        "pool batch {} jobs, {} cost units ({}‰ cache hits, reports byte-identical):",
-        pool.jobs, pool.total_cost, pool.hit_rate_permille
-    );
-    for r in &pool.rates {
-        println!(
-            "  -j{}: {} virtual jobs/s (speedup {:.2}x, efficiency {}‰), {} wall jobs/s",
-            r.workers,
-            r.virtual_jobs_per_sec,
-            r.speedup_permille as f64 / 1000.0,
-            r.efficiency_permille,
-            r.wall_jobs_per_sec
-        );
-    }
-
-    println!(
-        "checkpointing every {} fuel: {} job(s) took {} snapshot(s), {} blob bytes (digest {:#018x})",
-        snap.every, snap.jobs_checkpointed, snap.count, snap.bytes, snap.digest
-    );
-
-    println!(
-        "serve {} tenants x {} threads over {} lanes (quantum {}): {} completed, {} yields, \
-         {} migrations, parked high water {}",
-        serve.tenants,
-        serve.threads / serve.tenants.max(1),
-        serve.lanes,
-        serve.quantum,
-        serve.completed,
-        serve.yields,
-        serve.migrations,
-        serve.parked_high_water
-    );
-    println!(
-        "  virtual: {} responses/s over {} ns (queue wait p50/p99 {}/{}, turnaround p50/p99 \
-         {}/{}, event digest {:#018x}); wall (never gated): {} responses/s",
-        serve.virtual_rps,
-        serve.virtual_ns,
-        serve.queue_wait_p50,
-        serve.queue_wait_p99,
-        serve.turnaround_p50,
-        serve.turnaround_p99,
-        serve.event_digest,
-        serve.wall_rps
-    );
-
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = parse_baseline(&text);
-        if baseline.is_empty() {
-            return Err(format!("{path}: no workloads found in baseline"));
-        }
-        let violations = check_against_baseline(&baseline, &measurements, tolerance / 100.0);
-        for v in &violations {
-            eprintln!("regression: {v}");
-        }
-        if !violations.is_empty() {
-            return Err(format!(
-                "{} workload(s) regressed more than {tolerance}% vs {path}",
-                violations.len()
-            ));
-        }
-        // The serve section is gated exactly, tolerance-free: its
-        // fields are virtual cost-model figures over a fixed profile,
-        // so any drift is a scheduler behavior change.
-        let serve_violations = check_serve_baseline(&text, &serve);
-        for v in &serve_violations {
-            eprintln!("regression: {v}");
-        }
-        if !serve_violations.is_empty() {
-            return Err(format!(
-                "{} serve field(s) drifted vs {path}",
-                serve_violations.len()
-            ));
-        }
-        println!(
-            "all {} baseline workloads within {tolerance}% of {path}; serve section exact",
-            baseline.len()
-        );
-    }
-    Ok(())
+    print!("{}", to_json(&measurements, &chaos, &pool, &snap, &serve));
+    ExitCode::SUCCESS
 }

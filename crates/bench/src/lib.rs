@@ -15,9 +15,11 @@
 //!
 //! Measurements are exact instruction/load/store counts from the
 //! `cmm-vm` cost model — deterministic, so "benchmarks" here are tables,
-//! not statistics. Criterion wall-clock micro-benchmarks of the
-//! implementation itself (parser, interpreter, optimizer, VM) live in
-//! `benches/micro.rs`.
+//! not statistics. The [`trajectory`] module records the same kind of
+//! deterministic figures for the implementation itself
+//! (`BENCH_trajectory.json`); the implementation's wall-clock speed is
+//! measured by the repository benchmark (`BENCHMARK.json`, the
+//! `benchmark` binary).
 
 pub mod experiments;
 pub mod trajectory;

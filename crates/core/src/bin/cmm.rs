@@ -416,6 +416,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
             if cmd == "profile" {
                 let p = obs::Profile::build(&run.entry, &run.events);
                 println!("{file}: {} ({} events)", run.outcome, run.events.len());
+                if let Some(note) = run.truncation() {
+                    println!("{note}");
+                }
                 print!("{}", p.report(run.clock));
                 return Ok(());
             }
@@ -436,6 +439,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     c.yields,
                     c.rts_ops
                 );
+            }
+            if let Some(note) = run.truncation() {
+                // `--out -` leaves stdout to the Chrome JSON.
+                if out.as_deref() == Some("-") {
+                    eprintln!("{note}");
+                } else {
+                    println!("{note}");
+                }
             }
             match out.as_deref() {
                 Some("-") => print!("{}", obs::chrome_trace_json(&run.entry, &run.events)),
@@ -614,7 +625,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 &cache,
                 &pool::BatchConfig {
                     workers: jobs,
-                    queue_cap: 256,
                     metrics: metrics_out.is_some() || postmortem_dir.is_some(),
                     snapshot_every,
                     ..Default::default()
@@ -715,7 +725,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 &cache,
                 &pool::BatchConfig {
                     workers: jobs,
-                    queue_cap: 256,
                     metrics: true,
                     ..Default::default()
                 },
@@ -868,6 +877,23 @@ struct TraceRun {
     clock: &'static str,
     outcome: String,
     events: Vec<obs::TimedEvent>,
+    /// Events past the recording's cap, missing from `events`.
+    dropped: u64,
+}
+
+impl TraceRun {
+    /// What a reader of a truncated trace must be told: every count
+    /// printed from it covers only the recorded prefix.
+    fn truncation(&self) -> Option<String> {
+        (self.dropped > 0).then(|| {
+            format!(
+                "trace truncated: the first {} events were recorded and {} more were dropped; \
+                 counts cover the recorded events only",
+                self.events.len(),
+                self.dropped
+            )
+        })
+    }
 }
 
 const TRACE_FUEL: u64 = 500_000_000;
@@ -898,16 +924,14 @@ fn trace_m3(
         .iter()
         .map(|&a| u32::try_from(a).map_err(|_| format!("argument {a} out of range for MiniM3")))
         .collect::<Result<_, _>>()?;
-    let (r, events) = match engine.family() {
+    let (r, rec) = match engine.family() {
         Family::Sem => {
-            let (r, events) =
-                frontend::run_sem_traced(&module, strategy, &args32).map_err(|e| e.to_string())?;
-            (r, events)
+            frontend::run_sem_traced(&module, strategy, &args32).map_err(|e| e.to_string())?
         }
         Family::Vm => {
-            let (r, events) = frontend::run_vm_traced(&module, strategy, &args32, opts, engine)
+            let (r, rec) = frontend::run_vm_traced(&module, strategy, &args32, opts, engine)
                 .map_err(|e| e.to_string())?;
-            (r.map(|(v, _)| v), events)
+            (r.map(|(v, _)| v), rec)
         }
     };
     let outcome = match r {
@@ -918,7 +942,8 @@ fn trace_m3(
         entry: ir::Name::from(frontend::lower::ENTRY),
         clock: clock(engine),
         outcome,
-        events,
+        events: rec.events,
+        dropped: rec.dropped,
     })
 }
 
@@ -957,6 +982,7 @@ fn trace_cmm(
         clock: clock(engine),
         outcome,
         events: rec.events,
+        dropped: rec.dropped,
     })
 }
 

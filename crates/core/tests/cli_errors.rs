@@ -427,3 +427,24 @@ fn serve_caps_an_oversized_worker_count() {
     assert!(j1.ends_with("0xc35acf3ee71ecc68"), "{j1}");
     assert_eq!(digest("1000000"), j1);
 }
+
+/// A run whose trace outgrows the recording cap says so: the profile
+/// of 600000 calls records only the first 1000000 of its 1200001
+/// events, and every count it prints covers that prefix alone.
+#[test]
+fn a_trace_past_the_recording_cap_reports_its_dropped_events() {
+    let fig = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/fig34_plain.cmm"
+    );
+    let out = cmm(&["profile", fig, "f", "600000"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("(1000000 events)"), "{text}");
+    assert!(
+        text.contains(
+            "trace truncated: the first 1000000 events were recorded and 200001 more were dropped"
+        ),
+        "{text}"
+    );
+}

@@ -18,6 +18,12 @@ const FUEL: u64 = 50_000_000;
 /// returning the recorded events. The paper's figure workloads never
 /// suspend, so no dispatcher policy is needed.
 fn run_engine(src: &str, engine: &str, proc: &str, args: &[u64]) -> Vec<TimedEvent> {
+    let rec = record_engine(src, engine, proc, args);
+    assert_eq!(rec.dropped, 0, "{engine}: the trace hit its cap");
+    rec.events
+}
+
+fn record_engine(src: &str, engine: &str, proc: &str, args: &[u64]) -> RecordingSink {
     let module = parse::parse_module(src).expect("workload parses");
     let prog = cfg::build_program(&module).expect("workload builds");
     let sem_args: Vec<Value> = args.iter().map(|&a| Value::b32(a as u32)).collect();
@@ -27,7 +33,7 @@ fn run_engine(src: &str, engine: &str, proc: &str, args: &[u64]) -> Vec<TimedEve
             t.start(proc, sem_args).expect("starts");
             let s = t.run(FUEL);
             assert!(matches!(s, Status::Terminated(_)), "{engine}: {s:?}");
-            t.into_machine().into_sink().events
+            t.into_machine().into_sink()
         }
         "sem-resolved" => {
             let rp = ResolvedProgram::new(&prog);
@@ -35,7 +41,7 @@ fn run_engine(src: &str, engine: &str, proc: &str, args: &[u64]) -> Vec<TimedEve
             t.start(proc, sem_args).expect("starts");
             let s = t.run(FUEL);
             assert!(matches!(s, Status::Terminated(_)), "{engine}: {s:?}");
-            t.into_machine().into_sink().events
+            t.into_machine().into_sink()
         }
         "vm" | "vm-decoded" | "vm-fused" => {
             let vp = vm::compile(&prog).expect("workload compiles");
@@ -49,7 +55,7 @@ fn run_engine(src: &str, engine: &str, proc: &str, args: &[u64]) -> Vec<TimedEve
             t.start(proc, args, 1);
             let s = t.run(FUEL);
             assert!(matches!(s, vm::VmStatus::Halted(_)), "{engine}: {s:?}");
-            t.machine.into_sink().events
+            t.machine.into_sink()
         }
         other => panic!("unknown engine {other}"),
     }
@@ -150,16 +156,17 @@ fn minim3_strategies_project_identically_across_substrates() {
         let module = frontend::compile_minim3(game, strategy).expect("game compiles");
         for arg in [3u32, 50] {
             let label = format!("game({arg}) {}", strategy.label());
-            let (r, sem_events) =
-                frontend::run_sem_traced(&module, strategy, &[arg]).expect("runs");
+            let (r, sem) = frontend::run_sem_traced(&module, strategy, &[arg]).expect("runs");
             r.expect("sem run succeeds");
-            let want = projection(&sem_events);
+            assert_eq!(sem.dropped, 0, "{label}: the sem trace hit its cap");
+            let want = projection(&sem.events);
             assert!(!want.is_empty(), "{label}: empty projection");
             for engine in [EngineId::Vm, EngineId::VmDecoded, EngineId::VmFused] {
-                let (r, events) = frontend::run_vm_traced(&module, strategy, &[arg], &opts, engine)
+                let (r, rec) = frontend::run_vm_traced(&module, strategy, &[arg], &opts, engine)
                     .expect("runs");
                 r.expect("vm run succeeds");
-                if let Err((i, a, b)) = first_divergence(&want, &projection(&events)) {
+                assert_eq!(rec.dropped, 0, "{label}: the trace hit its cap");
+                if let Err((i, a, b)) = first_divergence(&want, &projection(&rec.events)) {
                     panic!(
                         "{label} sem vs {}, event {i}: `{a}` vs `{b}`",
                         engine.label()

@@ -13,7 +13,7 @@ use crate::lower::{Strategy, ENTRY};
 use crate::M3_EXCEPTION;
 use cmm_cfg::{build_program, Program};
 use cmm_ir::Module;
-use cmm_obs::{NopSink, RecordingSink, TimedEvent, TraceSink};
+use cmm_obs::{NopSink, RecordingSink, TraceSink};
 use cmm_opt::{optimize_program, OptOptions};
 use cmm_rt::chaos::{EngineId, Stop, Table1};
 use cmm_vm::{compile, Cost, VmArena, VmProgram, VmThread};
@@ -80,12 +80,14 @@ pub fn run_sem(module: &Module, strategy: Strategy, args: &[u32]) -> Result<u32,
 }
 
 /// A traced driver run: compilation errors in the outer `Result`, the
-/// run's outcome paired with its recorded event stream in the inner.
-pub type Traced<T> = Result<(Result<T, M3Error>, Vec<TimedEvent>), M3Error>;
+/// run's outcome paired with its recording in the inner.
+pub type Traced<T> = Result<(Result<T, M3Error>, RecordingSink), M3Error>;
 
 /// [`run_sem`] with a recording sink in the loop: alongside the run's
-/// outcome it returns the full exception-flow event stream, including
-/// the Table 1 operations the Figure 9 dispatcher issued. The stream is
+/// outcome it returns the exception-flow event stream, including the
+/// Table 1 operations the Figure 9 dispatcher issued. The recording
+/// keeps events up to its default cap and counts the rest in `dropped`,
+/// so the stream is complete only when `dropped` is zero. It is
 /// returned even when the run fails — a failing run's trace is usually
 /// the interesting one.
 ///
@@ -97,7 +99,7 @@ pub fn run_sem_traced(module: &Module, strategy: Strategy, args: &[u32]) -> Trac
     let prog = sem_program(module)?;
     let mut rec = RecordingSink::default();
     let r = run_sem_program(&prog, strategy, args, &mut rec);
-    Ok((r, rec.events))
+    Ok((r, rec))
 }
 
 fn sem_program(module: &Module) -> Result<Program, M3Error> {
@@ -178,7 +180,7 @@ pub fn run_vm_traced(
     let vp = vm_program(module, opts)?;
     let mut rec = RecordingSink::default();
     let r = run_vm_program(&vp, strategy, args, engine, &mut rec);
-    Ok((r, rec.events))
+    Ok((r, rec))
 }
 
 fn vm_program(module: &Module, opts: &OptOptions) -> Result<VmProgram, M3Error> {

@@ -10,27 +10,9 @@
 //! (abstract-machine steps or VM cost units) reported as microseconds.
 
 use crate::event::{Event, ResumeKind, RtsOp, TimedEvent};
+use crate::json::json_escape;
 use cmm_ir::Name;
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 struct Writer {
     out: String,
@@ -58,7 +40,7 @@ impl Writer {
         let _ = write!(
             self.out,
             "{{\"name\":\"{}\",\"cat\":\"call\",\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":1}}",
-            esc(name)
+            json_escape(name)
         );
     }
 
@@ -67,7 +49,7 @@ impl Writer {
         let _ = write!(
             self.out,
             "{{\"name\":\"{}\",\"cat\":\"call\",\"ph\":\"E\",\"ts\":{ts},\"pid\":1,\"tid\":1}}",
-            esc(name)
+            json_escape(name)
         );
     }
 
@@ -76,7 +58,7 @@ impl Writer {
         let _ = write!(
             self.out,
             "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\"s\":\"t\",\"pid\":1,\"tid\":1}}",
-            esc(name),
+            json_escape(name),
         );
     }
 
@@ -219,10 +201,5 @@ mod tests {
         let e = json.matches("\"ph\":\"E\"").count();
         assert_eq!(b, e, "every B has an E:\n{json}");
         assert!(json.contains("yield 2"));
-    }
-
-    #[test]
-    fn names_are_escaped() {
-        assert_eq!(esc("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }
 }

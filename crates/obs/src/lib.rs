@@ -36,6 +36,7 @@ pub mod chrome;
 pub mod counters;
 pub mod event;
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod sink;
@@ -44,6 +45,7 @@ pub use chrome::chrome_trace_json;
 pub use counters::{CacheSnapshot, CacheStats, ShardedCacheStats};
 pub use event::{first_divergence, projection, Event, ResumeKind, RtsOp, TimedEvent};
 pub use flight::{FlightRecorder, SharedFlight, RTS_OP_NAMES};
+pub use json::json_escape;
 pub use metrics::{ProcStats, Profile, StrategyCounts};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricClass, MetricsRegistry,

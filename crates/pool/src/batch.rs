@@ -40,7 +40,8 @@ use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolConfig, Pool
 use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
 use cmm_frontend::{run_thread, with_engine, Arenas, Code, Setup, Strategy};
 use cmm_obs::{
-    CacheSnapshot, MetricClass, MetricsRegistry, NopSink, SharedFlight, TraceSink, RTS_OP_NAMES,
+    json_escape, CacheSnapshot, MetricClass, MetricsRegistry, NopSink, SharedFlight, TraceSink,
+    RTS_OP_NAMES,
 };
 use cmm_opt::OptOptions;
 use cmm_sem::ResolvedProgram;
@@ -56,6 +57,10 @@ use std::time::Instant;
 /// invocations (seed-dependent) — the same wall difftest's chaos
 /// oracles run against.
 const CHAOS_HORIZON: u64 = 4;
+
+/// Flight-recorder ring capacity (events retained per job) when
+/// [`BatchConfig::metrics`] is on.
+const FLIGHT_CAP: usize = 64;
 
 /// One job: a source, an engine, and execution parameters.
 #[derive(Clone, Debug)]
@@ -222,9 +227,6 @@ pub struct BatchConfig {
     /// dumps for failed jobs. Off (the default), every job runs through
     /// [`NopSink`] exactly as before — the whole layer compiles away.
     pub metrics: bool,
-    /// Flight-recorder ring capacity (events retained per job) when
-    /// `metrics` is on.
-    pub flight_cap: usize,
     /// Checkpoint every C-- job at this fuel-slice granularity
     /// (`cmm batch --snapshot-every N`): at each boundary the machine
     /// state is captured, encoded with `cmm-snap`, decoded, and
@@ -243,7 +245,6 @@ impl Default for BatchConfig {
             workers: 1,
             queue_cap: 256,
             metrics: false,
-            flight_cap: 64,
             snapshot_every: None,
         }
     }
@@ -463,7 +464,6 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
                     resolveds[g].as_ref(),
                     arenas,
                     registry.as_deref(),
-                    config.flight_cap,
                     config.snapshot_every,
                 ),
             };
@@ -666,7 +666,6 @@ fn run_one(
     resolved: Option<&ResolvedProgram>,
     arenas: &mut Arenas,
     registry: Option<&MetricsRegistry>,
-    flight_cap: usize,
     snap_every: Option<u64>,
 ) -> (RunObs, Option<Postmortem>) {
     let Some(reg) = registry else {
@@ -675,7 +674,7 @@ fn run_one(
             None,
         );
     };
-    let flight = SharedFlight::new(flight_cap);
+    let flight = SharedFlight::new(FLIGHT_CAP);
     // Catch the panic here (not in the executor) so the recording —
     // held alive by our handle — survives the engine dying under it.
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -934,16 +933,16 @@ impl BatchReport {
         for (i, j) in self.jobs.iter().enumerate() {
             let _ = write!(
                 s,
-                "    {{ \"id\": {}, \"source\": {}, \"engine\": {}, \"entry\": {}, \
-                 \"args\": {:?}, \"outcome\": {}, \"detail\": {}, \"yields\": {:?}, \
+                "    {{ \"id\": {}, \"source\": \"{}\", \"engine\": \"{}\", \"entry\": \"{}\", \
+                 \"args\": {:?}, \"outcome\": \"{}\", \"detail\": \"{}\", \"yields\": {:?}, \
                  \"instructions\": {}",
                 j.id,
-                json_str(&j.name),
-                json_str(j.engine),
-                json_str(&j.entry),
+                json_escape(&j.name),
+                json_escape(j.engine),
+                json_escape(&j.entry),
                 j.args,
-                json_str(&j.outcome),
-                json_str(&j.detail),
+                json_escape(&j.outcome),
+                json_escape(&j.detail),
                 j.yields,
                 j.instructions,
             );
@@ -990,25 +989,4 @@ impl BatchReport {
         s.push_str("\n}\n");
         s
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

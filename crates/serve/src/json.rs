@@ -85,24 +85,6 @@ pub fn get<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonV
     fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Escapes `s` for embedding in a JSON string literal — the emit-side
-/// twin of the parser, shared by every response the server writes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -253,7 +235,7 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let original = "a \"quoted\" line\nwith\ttabs \\ and unicode: π";
-        let wire = format!("{{\"s\": \"{}\"}}", escape(original));
+        let wire = format!("{{\"s\": \"{}\"}}", cmm_obs::json_escape(original));
         let f = parse_object(&wire).unwrap();
         assert_eq!(get(&f, "s").unwrap().as_str(), Some(original));
         // Standard \uXXXX escapes decode too.

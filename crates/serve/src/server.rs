@@ -26,8 +26,9 @@
 //! | `events`    | — event log, escaped                               |
 //! | `shutdown`  | — acknowledge and stop the server                  |
 
-use crate::json::{escape, get, parse_object, JsonValue};
+use crate::json::{get, parse_object, JsonValue};
 use crate::service::{Service, SubmitReq, ThreadState};
+use cmm_obs::json_escape;
 use cmm_snap::EngineId;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -46,7 +47,10 @@ pub fn handle_line(svc: &mut Service, line: &str) -> (String, bool) {
     match dispatch(svc, line) {
         Ok(Reply::Body(body)) => (ok_line(&body), false),
         Ok(Reply::Shutdown) => (ok_line(""), true),
-        Err(e) => (format!("{{\"ok\":0,\"error\":\"{}\"}}", escape(&e)), false),
+        Err(e) => (
+            format!("{{\"ok\":0,\"error\":\"{}\"}}", json_escape(&e)),
+            false,
+        ),
     }
 }
 
@@ -126,7 +130,7 @@ fn dispatch(svc: &mut Service, line: &str) -> Result<Reply, String> {
                 }
                 ThreadState::Done { outcome } => (
                     "done".to_string(),
-                    format!(",\"outcome\":\"{}\"", escape(outcome)),
+                    format!(",\"outcome\":\"{}\"", json_escape(outcome)),
                 ),
             };
             Ok(Reply::Body(format!(
@@ -191,12 +195,12 @@ fn dispatch(svc: &mut Service, line: &str) -> Result<Reply, String> {
                 .ok_or("service was started without metrics")?;
             Ok(Reply::Body(format!(
                 "\"metrics\":\"{}\"",
-                escape(&reg.to_json(timing))
+                json_escape(&reg.to_json(timing))
             )))
         }
         "events" => Ok(Reply::Body(format!(
             "\"events\":\"{}\"",
-            escape(&svc.events_text())
+            json_escape(&svc.events_text())
         ))),
         "shutdown" => Ok(Reply::Shutdown),
         other => Err(format!("unknown op `{other}`")),
@@ -327,7 +331,7 @@ mod tests {
             &mut svc,
             &format!(
                 "{{\"op\":\"submit\",\"tenant\":\"a\",\"source\":\"{}\",\"args\":[4]}}",
-                escape(SRC)
+                json_escape(SRC)
             ),
         );
         assert_eq!(r, "{\"ok\":1,\"id\":0}", "{r}");
@@ -393,7 +397,7 @@ mod tests {
                 "{{\"op\":\"submit\",\"tenant\":\"a\",\"name\":\"n\",\"source\":\"{}\",\
                  \"entry\":\"f\",\"args\":[4],\"results\":1,\"engine\":\"vm\",\"fuel\":5000,\
                  \"max_yields\":4,\"opt\":1,\"chaos\":3}}",
-                escape(SRC)
+                json_escape(SRC)
             ),
             "{\"op\":\"resume\",\"id\":0,\"reply\":9}".into(),
             "{\"op\":\"tick\",\"quanta\":3}".into(),
@@ -484,7 +488,7 @@ mod tests {
         };
         let r = say(&format!(
             "{{\"op\":\"submit\",\"source\":\"{}\",\"args\":[2]}}",
-            escape(SRC)
+            json_escape(SRC)
         ));
         assert_eq!(r, "{\"ok\":1,\"id\":0}");
         let r = say("{\"op\":\"tick\",\"quanta\":10}");
@@ -510,7 +514,7 @@ mod tests {
                 &mut svc,
                 &format!(
                     "{{\"op\":\"submit\",\"source\":\"{}\",\"engine\":\"{engine}\",{extra}}}",
-                    escape(SRC)
+                    json_escape(SRC)
                 ),
             );
             assert!(
@@ -524,7 +528,7 @@ mod tests {
             &mut svc,
             &format!(
                 "{{\"op\":\"submit\",\"source\":\"{}\",\"args\":[4]}}",
-                escape(SRC)
+                json_escape(SRC)
             ),
         );
         assert_eq!(r, "{\"ok\":1,\"id\":0}", "{r}");
@@ -549,7 +553,7 @@ mod tests {
         let submit = |args: &str| {
             format!(
                 "{{\"op\":\"submit\",\"source\":\"{}\",\"args\":[{args}]}}",
-                escape(SRC)
+                json_escape(SRC)
             )
         };
         let r = roundtrip(&mut svc, &submit("4294967297"));

@@ -29,11 +29,26 @@ const RAISE: &str = "exception E;\n\
      try { raise E(n); r = 0; } except { E(v) => { r = v + 1; } }\n\
      return r;\n\
    }";
+/// A raise 70 frames below its handler: enough calls to wrap the
+/// batch's 64-event flight-recorder ring before the dispatcher runs.
+const DEEP: &str = "exception E;\n\
+   proc down(n) {\n\
+     var r;\n\
+     if n == 0 { raise E(n); }\n\
+     r = down(n - 1);\n\
+     return r;\n\
+   }\n\
+   proc main(n) {\n\
+     var r;\n\
+     try { r = down(n); } except { E(v) => { r = v + 1; } }\n\
+     return r;\n\
+   }";
 
 fn specs_from(manifest: &str) -> Vec<cmm_pool::JobSpec> {
     parse_manifest(manifest, &mut |file| match file {
         "loop.cmm" => Ok(LOOP.to_string()),
         "raise.m3" => Ok(RAISE.to_string()),
+        "deep.m3" => Ok(DEEP.to_string()),
         other => Err(format!("unexpected source `{other}`")),
     })
     .expect("manifest parses")
@@ -194,7 +209,7 @@ fn a_chaos_failed_job_writes_a_postmortem_with_its_final_events() {
     // Seed 4's fault plan trips `first-activation` within the batch
     // horizon on this workload (deterministic: the plan is a pure
     // function of the seed).
-    let specs = specs_from("raise.m3 sem,vm strategy=runtime-unwind args=5 chaos=4\n");
+    let specs = specs_from("deep.m3 sem,vm strategy=runtime-unwind args=70 chaos=4\n");
     let mut dumps = Vec::new();
     for workers in [1, 2] {
         let cache = PipelineCache::default();
@@ -205,7 +220,6 @@ fn a_chaos_failed_job_writes_a_postmortem_with_its_final_events() {
                 workers,
                 queue_cap: 8,
                 metrics: true,
-                flight_cap: 4,
                 ..BatchConfig::default()
             },
         );
@@ -222,7 +236,7 @@ fn a_chaos_failed_job_writes_a_postmortem_with_its_final_events() {
                 "{}",
                 pm.text
             );
-            assert!(pm.text.contains("--- final 4 event(s) ---"), "{}", pm.text);
+            assert!(pm.text.contains("--- final 64 event(s) ---"), "{}", pm.text);
             assert!(
                 pm.text.contains("chaos fault first-activation #1"),
                 "{}",
@@ -230,13 +244,17 @@ fn a_chaos_failed_job_writes_a_postmortem_with_its_final_events() {
             );
         }
         // The ring is bounded: the sem engine's run emits more events
-        // than `flight_cap`, so the recorder wrapped and says so
+        // than the ring holds, so the recorder wrapped and says so
         // instead of growing.
         let sem = &report.postmortems[0];
         assert_eq!(sem.engine, "sem");
-        assert!(sem.text.contains("(4 retained, 1 dropped)"), "{}", sem.text);
+        assert!(
+            sem.text.contains("(64 retained, 12 dropped)"),
+            "{}",
+            sem.text
+        );
         // The whole-stream tallies still cover the dropped prefix.
-        assert!(sem.text.contains("events: 5 total"), "{}", sem.text);
+        assert!(sem.text.contains("events: 76 total"), "{}", sem.text);
         dumps.push(report.postmortems.clone());
         // The fault also lands in the registry.
         let reg = report.registry.as_ref().unwrap().to_json(false);
