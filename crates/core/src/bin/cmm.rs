@@ -407,6 +407,11 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     ),
                 }
             }
+            if cmd == "profile" && out.is_some() {
+                return Err(
+                    "profile writes no file; use `cmm trace --out` for a Chrome trace".into(),
+                );
+            }
             let engine = if use_sem { EngineId::Sem } else { tier };
             let run = if file.ends_with(".m3") {
                 trace_m3(&file, &entry_arg, &call_args, &opts, engine)?

@@ -448,3 +448,22 @@ fn a_trace_past_the_recording_cap_reports_its_dropped_events() {
         "{text}"
     );
 }
+
+/// `profile` prints its report and writes no file, so an `--out` it
+/// would silently ignore is refused, pointing at `trace --out`.
+#[test]
+fn profile_refuses_out_and_writes_no_file() {
+    let s = Scratch::new("profout");
+    let fig = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/fig34_plain.cmm"
+    );
+    let target = s.0.join("prof.json");
+    let out = cmm(&["profile", fig, "f", "20", "--out", target.to_str().unwrap()]);
+    assert_fails_mentioning(&out, "cmm trace --out");
+    assert!(
+        !target.exists(),
+        "profile must not write {}",
+        target.display()
+    );
+}

@@ -15,14 +15,14 @@ use cmm_vm::{DecodedCode, FusedCode, VmArena, VmMachine, VmProgram, VmThread};
 use std::sync::Arc;
 
 /// The compiled code an engine runs: its family's program plus the
-/// derived forms the caller already holds (a cache hit, a per-batch
-/// memo). [`with_engine`] derives whatever else the engine needs.
+/// derived forms the caller already holds (a cache hit).
+/// [`with_engine`] derives whatever else the engine needs.
 #[derive(Clone, Default)]
 pub struct Code<'a> {
     /// The CFG program the abstract machines run.
     pub program: Option<&'a Program>,
     /// Resolved tables for `sem-resolved`.
-    pub resolved: Option<&'a ResolvedProgram<'a>>,
+    pub resolved: Option<&'a ResolvedProgram>,
     /// The target program the VM tiers run.
     pub vm: Option<&'a VmProgram>,
     /// A shared decoded stream for `vm-decoded` (and for fusing).

@@ -38,13 +38,12 @@
 use crate::cache::{PipelineCache, SourceId, SourceKey, SourceLang};
 use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolConfig, PoolMeter};
 use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
-use cmm_frontend::{run_thread, with_engine, Arenas, Code, Setup, Strategy};
+use cmm_frontend::{run_thread, with_engine, Arenas, Setup, Strategy};
 use cmm_obs::{
     json_escape, CacheSnapshot, MetricClass, MetricsRegistry, NopSink, SharedFlight, TraceSink,
     RTS_OP_NAMES,
 };
 use cmm_opt::OptOptions;
-use cmm_sem::ResolvedProgram;
 use cmm_snap::{fold_digest, source_digest, SnapMeta, Snapshot, FOLD_INIT};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -348,16 +347,12 @@ pub struct BatchReport {
 
 /// Runs every job, sharing compilations through `cache`.
 ///
-/// Three phases: **(A)** one parallel compile per distinct cache
-/// digest — these are the misses; **(B)** resolved-table construction
-/// for `sem-resolved` jobs on the calling thread (a
-/// [`ResolvedProgram`] borrows its [`Program`](cmm_cfg::Program), so
-/// the tables are memoized per batch, not cached across calls — the
-/// workspace is `unsafe`-free by policy, which rules out the
-/// self-referential cache entry); **(C)** every job in parallel,
-/// fetching its artifacts back out of the cache — the hits. A batch
-/// over a fresh cache therefore always reports a positive hit rate
-/// once any group has a runnable job.
+/// Two phases: **(A)** one parallel compile per distinct cache digest
+/// — these are the misses; **(B)** every job in parallel, fetching its
+/// artifacts back out of the cache with one
+/// [`PipelineCache::engine_code`] call — the hits. A batch over a fresh
+/// cache therefore always reports a positive hit rate once any group
+/// has a runnable job.
 pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig) -> BatchReport {
     let before = cache.snapshot();
     let t0 = Instant::now();
@@ -379,15 +374,15 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     }
 
     // Group jobs by cache digest. A group's deepest tier is the one
-    // whose artifacts cover every job in it: the fused stream is built
-    // over the decoded one, which is built over the target code (the
-    // tier order of `EngineId`). Warming it alone keeps each artifact
-    // to one cache lookup in this phase; a job whose artifact was not
-    // warmed builds it in phase C instead.
+    // whose artifacts cover every job in it: the resolved tables are
+    // built over the CFG, and the fused stream over the decoded one,
+    // which is built over the target code (the tier order of
+    // `EngineId`). Warming it alone keeps each artifact to one cache
+    // lookup in this phase; a job whose artifact was not warmed builds
+    // it in phase B instead.
     struct Group {
         id: SourceId,
         deepest: EngineId,
-        want_resolved: bool,
     }
     let mut groups: Vec<Group> = Vec::new();
     let mut group_of: Vec<usize> = Vec::with_capacity(specs.len());
@@ -398,12 +393,10 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
             groups.push(Group {
                 id,
                 deepest: spec.engine,
-                want_resolved: false,
             });
             groups.len() - 1
         });
         groups[g].deepest = groups[g].deepest.max(spec.engine);
-        groups[g].want_resolved |= spec.engine == EngineId::SemResolved;
         group_of.push(g);
     }
 
@@ -425,23 +418,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     })
     .collect();
 
-    // Phase B: per-batch resolved tables (borrow the cached programs,
-    // which the surrounding scope keeps alive).
-    let progs: Vec<Option<Arc<cmm_cfg::Program>>> = groups
-        .iter()
-        .enumerate()
-        .map(|(g, grp)| {
-            (grp.want_resolved && compile_errs[g].is_none())
-                .then(|| cache.program(&grp.id).ok())
-                .flatten()
-        })
-        .collect();
-    let resolveds: Vec<Option<ResolvedProgram>> = progs
-        .iter()
-        .map(|p| p.as_deref().map(ResolvedProgram::new))
-        .collect();
-
-    // Phase C: run every job in parallel against the warm cache. Each
+    // Phase B: run every job in parallel against the warm cache. Each
     // worker owns one pair of execution arenas, reused job after job so
     // the hot phase stops paying the allocator; the executor rebuilds a
     // worker's arenas from scratch if one of its jobs panics, so a
@@ -461,7 +438,6 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
                     spec,
                     cache,
                     &groups[g].id,
-                    resolveds[g].as_ref(),
                     arenas,
                     registry.as_deref(),
                     config.snapshot_every,
@@ -657,20 +633,18 @@ fn flush_flight(spec: &JobSpec, flight: &SharedFlight, reg: &MetricsRegistry) {
 /// absent, or through a [`SharedFlight`] recorder — with the registry
 /// flush, panic capture, and a post-mortem dump on failure — when
 /// present.
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     id: usize,
     spec: &JobSpec,
     cache: &PipelineCache,
     source: &SourceId,
-    resolved: Option<&ResolvedProgram>,
     arenas: &mut Arenas,
     registry: Option<&MetricsRegistry>,
     snap_every: Option<u64>,
 ) -> (RunObs, Option<Postmortem>) {
     let Some(reg) = registry else {
         return (
-            execute(spec, cache, source, resolved, arenas, snap_every, NopSink),
+            execute(spec, cache, source, arenas, snap_every, NopSink),
             None,
         );
     };
@@ -678,15 +652,7 @@ fn run_one(
     // Catch the panic here (not in the executor) so the recording —
     // held alive by our handle — survives the engine dying under it.
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        execute(
-            spec,
-            cache,
-            source,
-            resolved,
-            arenas,
-            snap_every,
-            flight.clone(),
-        )
+        execute(spec, cache, source, arenas, snap_every, flight.clone())
     }));
     let obs = match caught {
         Ok(obs) => obs,
@@ -781,28 +747,18 @@ fn execute<S: TraceSink>(
     spec: &JobSpec,
     cache: &PipelineCache,
     source: &SourceId,
-    resolved: Option<&ResolvedProgram>,
     arenas: &mut Arenas,
     snap_every: Option<u64>,
     sink: S,
 ) -> RunObs {
-    let cached;
-    let code = if spec.engine == EngineId::SemResolved {
-        // Sem-resolved jobs run on the batch's memoized tables.
-        Code {
-            resolved,
-            ..Code::default()
-        }
-    } else {
-        cached = match cache.engine_code(source, spec.engine) {
-            Ok(c) => c,
-            Err(e) => return RunObs::failed("compile-error", e),
-        };
-        cached.code()
+    let cached = match cache.engine_code(source, spec.engine) {
+        Ok(c) => c,
+        Err(e) => return RunObs::failed("compile-error", e),
     };
-    let Some(image) = code.image() else {
-        return RunObs::failed("compile-error", "resolved tables unavailable".into());
-    };
+    let code = cached.code();
+    let image = code
+        .image()
+        .expect("engine_code holds the engine's program");
     let setup = Setup {
         governor: Some(governor(spec)),
         chaos: spec

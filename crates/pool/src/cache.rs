@@ -7,6 +7,7 @@
 //! |---|---|---|
 //! | `Module`  | parsed (and for C-- sources, verified) AST | `cmm-parse` / `cmm-frontend` |
 //! | `Program` | CFG after the configured optimization pipeline | `cmm-cfg` + `cmm-opt` |
+//! | `Resolved` | `sem-resolved`'s tables, sharing the `Program` | `cmm-sem` resolve |
 //! | `VmCode`  | compiled `VmProgram` | `cmm-vm` codegen |
 //! | `Decoded` | pre-decoded instruction array | `cmm-vm` decode |
 //! | `Fused`   | fused superinstruction stream | `cmm-vm` fuse |
@@ -21,7 +22,7 @@
 //! [`cmm_obs::CacheStats`] — so a batch's hot phase, where every job
 //! refetches
 //! its artifacts, never funnels through one lock or one contended
-//! counter cache line. Both stages of one source land in the same
+//! counter cache line. Every stage of one source lands in the same
 //! shard (the key is the digest; the stage only subdivides it), which
 //! keeps a source's artifact chain local to one stripe.
 //!
@@ -52,6 +53,7 @@ use cmm_frontend::Code;
 use cmm_ir::Module;
 use cmm_obs::{CacheSnapshot, ShardedCacheStats};
 use cmm_opt::OptOptions;
+use cmm_sem::ResolvedProgram;
 use cmm_vm::{DecodedCode, FusedCode, VmProgram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -147,6 +149,8 @@ pub enum Stage {
     Module,
     /// Optimized CFG.
     Program,
+    /// Pre-resolved tables (built over [`Stage::Program`]).
+    Resolved,
     /// Compiled simulated-target code.
     VmCode,
     /// Pre-decoded instruction array.
@@ -162,6 +166,8 @@ pub enum Artifact {
     Module(Arc<Module>),
     /// [`Stage::Program`].
     Program(Arc<Program>),
+    /// [`Stage::Resolved`].
+    Resolved(Arc<ResolvedProgram>),
     /// [`Stage::VmCode`].
     VmCode(Arc<VmProgram>),
     /// [`Stage::Decoded`].
@@ -183,6 +189,12 @@ impl Artifact {
             Artifact::Program(p) => {
                 let nodes: usize = p.procs.values().map(|g| g.nodes.len() + g.vars.len()).sum();
                 512 + 160 * nodes as u64 + 24 * p.image.bytes.len() as u64
+            }
+            // The tables share their program with the Program entry, so
+            // only the resolved nodes are charged here.
+            Artifact::Resolved(rp) => {
+                let nodes: usize = rp.program().procs.values().map(|g| g.nodes.len()).sum();
+                256 + 96 * nodes as u64
             }
             Artifact::VmCode(vp) => {
                 512 + 32 * vp.code.len() as u64 + 24 * vp.image.bytes.len() as u64
@@ -494,6 +506,21 @@ impl PipelineCache {
         }
     }
 
+    /// The pre-resolved tables for `id`. A hit is one lookup: the
+    /// tables hold their [`Program`], so it is not fetched again.
+    pub fn resolved(&self, id: &SourceId) -> Result<Arc<ResolvedProgram>, String> {
+        let art = self.get_or_build(id.digest(), Stage::Resolved, || {
+            let prog = self.program(id)?;
+            Ok(Artifact::Resolved(Arc::new(ResolvedProgram::new_shared(
+                prog,
+            ))))
+        })?;
+        match art {
+            Artifact::Resolved(rp) => Ok(rp),
+            _ => unreachable!("stage key mismatch"),
+        }
+    }
+
     /// The compiled [`VmProgram`] for `id`.
     pub fn vm_code(&self, id: &SourceId) -> Result<Arc<VmProgram>, String> {
         let art = self.get_or_build(id.digest(), Stage::VmCode, || {
@@ -520,9 +547,9 @@ impl PipelineCache {
         }
     }
 
-    /// Everything `engine` runs `id`'s program from: the CFG for the
-    /// abstract machines (`sem-resolved` derives its tables from it),
-    /// the target code plus the tier's shared lowering for the VM tiers.
+    /// Everything `engine` runs `id`'s program from: the CFG for `sem`,
+    /// the resolved tables for `sem-resolved`, the target code plus the
+    /// tier's shared lowering for the VM tiers.
     ///
     /// # Errors
     ///
@@ -530,7 +557,8 @@ impl PipelineCache {
     pub fn engine_code(&self, id: &SourceId, engine: EngineId) -> Result<EngineCode, String> {
         let mut code = EngineCode::default();
         match engine {
-            EngineId::Sem | EngineId::SemResolved => code.program = Some(self.program(id)?),
+            EngineId::Sem => code.program = Some(self.program(id)?),
+            EngineId::SemResolved => code.resolved = Some(self.resolved(id)?),
             EngineId::Vm => code.vm = Some(self.vm_code(id)?),
             EngineId::VmDecoded => {
                 let (vp, decoded) = self.decoded(id)?;
@@ -565,6 +593,7 @@ impl PipelineCache {
 #[derive(Clone, Default)]
 pub struct EngineCode {
     program: Option<Arc<Program>>,
+    resolved: Option<Arc<ResolvedProgram>>,
     vm: Option<Arc<VmProgram>>,
     decoded: Option<Arc<DecodedCode>>,
     fused: Option<Arc<FusedCode>>,
@@ -575,7 +604,7 @@ impl EngineCode {
     pub fn code(&self) -> Code<'_> {
         Code {
             program: self.program.as_deref(),
-            resolved: None,
+            resolved: self.resolved.as_deref(),
             vm: self.vm.as_deref(),
             decoded: self.decoded.clone(),
             fused: self.fused.clone(),

@@ -72,7 +72,7 @@ impl<'p> Thread<'p> {
 
 impl<'p> Thread<'p, ResolvedMachine<'p>> {
     /// Creates a thread run by the pre-resolved engine.
-    pub fn new_resolved(rp: &'p ResolvedProgram<'p>) -> Thread<'p, ResolvedMachine<'p>> {
+    pub fn new_resolved(rp: &'p ResolvedProgram) -> Thread<'p, ResolvedMachine<'p>> {
         Thread::over(ResolvedMachine::new(rp))
     }
 }

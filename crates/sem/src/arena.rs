@@ -1,14 +1,13 @@
 //! A reusable execution arena for the abstract-machine engines.
 //!
 //! Both abstract machines allocate a handful of heap containers per
-//! run: the byte-map memory, the variable environment, the activation
-//! stack, the global-register table, the continuation-encoding table.
-//! A batch worker that runs thousands of jobs pays the allocator (and
-//! the drop glue) for each of them unless something banks the
-//! capacity between runs. [`SemArena`] is that bank: `Machine` and
-//! `ResolvedMachine` offer `with_sink_in` constructors that draw their
-//! containers from an arena and `recycle_into` to give the (cleared)
-//! containers back.
+//! run: the byte-map memory, the activation stack, the global-register
+//! table, the continuation-encoding table. A batch worker that runs
+//! thousands of jobs pays the allocator (and the drop glue) for each of
+//! them unless something banks the capacity between runs. [`SemArena`]
+//! is that bank: `Machine` and `ResolvedMachine` offer `with_sink_in`
+//! constructors that draw their containers from an arena and
+//! `recycle_into` to give the (cleared) containers back.
 //!
 //! The arena carries **no observable state**: every container is
 //! cleared on recycle, so a machine built from an arena starts from
@@ -18,14 +17,12 @@
 //! live entries, not reserved slots). The engine-equivalence suite
 //! locks the fresh-vs-recycled equality in.
 //!
-//! One deliberate omission: the resolved machine's activation frames
-//! borrow the `ResolvedProgram` (`RFrame<'p>`), so its *stack* cannot
-//! outlive one program's run and is never banked — the workspace's
-//! no-`unsafe` policy rules out laundering that lifetime. The frame
-//! stacks are the smallest of the containers; the byte-map memory and
-//! environments dominate.
+//! It banks only what survives a run. Both machines' `start` and
+//! `restore` replace the environment and the stack-data area
+//! wholesale, so those two are never banked.
 
-use crate::state::{Env, Frame, NodeRef};
+use crate::resolved::RFrame;
+use crate::state::{Frame, NodeRef};
 use crate::value::Value;
 use cmm_ir::Name;
 use std::collections::HashMap;
@@ -37,23 +34,16 @@ pub struct SemArena {
     /// Byte-map memory, shared by both machines (only one runs at a
     /// time per arena).
     pub(crate) mem: HashMap<u64, u8>,
-    /// Reference machine: the named environment.
-    pub(crate) rho: Env,
-    /// Reference machine: the stack-data area.
-    pub(crate) area: Vec<Value>,
-    /// Reference machine: the activation stack (frames are fully
-    /// owned, so the whole stack banks).
+    /// Reference machine: the activation stack.
     pub(crate) stack: Vec<Frame>,
     /// Reference machine: the global-register table.
     pub(crate) globals: HashMap<Name, Value>,
     /// Reference machine: the continuation-encoding table.
     pub(crate) cont_encodings: Vec<(NodeRef, u64)>,
-    /// Resolved machine: the indexed environment.
-    pub(crate) r_rho: Vec<Option<Value>>,
     /// Resolved machine: the callee-save slot list.
     pub(crate) r_saves: Vec<u32>,
-    /// Resolved machine: the stack-data area.
-    pub(crate) r_area: Vec<Value>,
+    /// Resolved machine: the activation stack.
+    pub(crate) r_stack: Vec<RFrame>,
     /// Resolved machine: the indexed global-register table.
     pub(crate) r_globals: Vec<Value>,
     /// Resolved machine: the continuation-encoding table.

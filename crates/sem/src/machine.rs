@@ -116,10 +116,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             let v = g.init.map(|l| l.bits).unwrap_or(0);
             (g.name.clone(), Value::Bits(w, v))
         }));
-        let mut rho = std::mem::take(&mut arena.rho);
-        rho.clear();
-        let mut area = std::mem::take(&mut arena.area);
-        area.clear();
         let mut stack = std::mem::take(&mut arena.stack);
         stack.clear();
         let mut cont_encodings = std::mem::take(&mut arena.cont_encodings);
@@ -127,11 +123,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         Machine {
             prog,
             control: NodeRef::new("", NodeId(0)),
-            rho,
+            rho: Env::new(),
             saves: BTreeSet::new(),
             uid: 0,
             mem,
-            area,
+            area: Vec::new(),
             stack,
             globals,
             next_uid: 1,
@@ -150,22 +146,16 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     pub fn recycle_into(self, arena: &mut crate::arena::SemArena) {
         let Machine {
             mut mem,
-            mut rho,
-            mut area,
             mut stack,
             mut globals,
             mut cont_encodings,
             ..
         } = self;
         mem.clear();
-        rho.clear();
-        area.clear();
         stack.clear();
         globals.clear();
         cont_encodings.clear();
         arena.mem = mem;
-        arena.rho = rho;
-        arena.area = area;
         arena.stack = stack;
         arena.globals = globals;
         arena.cont_encodings = cont_encodings;

@@ -40,6 +40,7 @@ use cmm_chaos::{LimitTrip, ResourceGovernor};
 use cmm_ir::{BinOp, Expr, Lvalue, Name, Ty, UnOp, Width};
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A slot index into a procedure's indexed frame.
 type Slot = u32;
@@ -100,7 +101,7 @@ enum RCallee {
 
 /// A pre-resolved CFG node, index-aligned with the source graph.
 #[derive(Clone, Debug)]
-enum RNode<'p> {
+enum RNode {
     /// Bind this procedure's continuations into a fresh frame.
     Entry {
         /// `(slot, continuation node)` pairs.
@@ -165,12 +166,12 @@ enum RNode<'p> {
         /// False successor.
         f: NodeId,
     },
-    /// Procedure call; the bundle is borrowed from the source graph.
+    /// Procedure call.
     Call {
         /// Target.
         callee: RCallee,
         /// The call site's continuation bundle.
-        bundle: &'p Bundle,
+        bundle: Bundle,
     },
     /// Tail call.
     Jump {
@@ -182,7 +183,7 @@ enum RNode<'p> {
         /// The continuation expression.
         cont: RExpr,
         /// `also cuts to` annotations on the `cut to` itself.
-        cuts: &'p [NodeId],
+        cuts: Vec<NodeId>,
     },
     /// Suspend into the front-end run-time system.
     Yield,
@@ -190,11 +191,9 @@ enum RNode<'p> {
 
 /// One procedure, pre-resolved.
 #[derive(Debug)]
-struct RProc<'p> {
+struct RProc {
     /// The procedure's name (for `NodeRef`s and continuation values).
     name: Name,
-    /// The source graph (for `cont_param_count` and descriptors).
-    graph: &'p Graph,
     /// Entry node.
     entry: NodeId,
     /// Frame size in slots.
@@ -203,27 +202,34 @@ struct RProc<'p> {
     /// the resolver's `slot_of`, kept for snapshot capture/restore
     /// (which speaks name space so states port across engines).
     slot_names: Vec<Name>,
-    /// The flattened statement stream, index-aligned with
-    /// `graph.nodes`.
-    nodes: Vec<RNode<'p>>,
+    /// The flattened statement stream, index-aligned with the source
+    /// graph's nodes.
+    nodes: Vec<RNode>,
 }
 
-/// A whole program, pre-resolved. Create once with
-/// [`ResolvedProgram::new`], then run any number of
-/// [`ResolvedMachine`]s over it.
+/// A whole program, pre-resolved. Create once, then run any number of
+/// [`ResolvedMachine`]s over it. The tables own what they index (the
+/// program sits behind an `Arc`), so they can be shared and cached
+/// like any other compiled artifact.
 #[derive(Debug)]
-pub struct ResolvedProgram<'p> {
-    prog: &'p Program,
-    procs: Vec<RProc<'p>>,
+pub struct ResolvedProgram {
+    prog: Arc<Program>,
+    procs: Vec<RProc>,
     proc_idx: HashMap<Name, usize>,
     globals_init: Vec<(Name, Value)>,
     globals_idx: HashMap<Name, u32>,
 }
 
-impl<'p> ResolvedProgram<'p> {
-    /// Pre-resolves a program: one pass over every node of every
-    /// procedure.
-    pub fn new(prog: &'p Program) -> ResolvedProgram<'p> {
+impl ResolvedProgram {
+    /// Pre-resolves a copy of `prog`. A caller that already shares the
+    /// program uses [`ResolvedProgram::new_shared`] and skips the copy.
+    pub fn new(prog: &Program) -> ResolvedProgram {
+        ResolvedProgram::new_shared(Arc::new(prog.clone()))
+    }
+
+    /// Pre-resolves a shared program: one pass over every node of
+    /// every procedure.
+    pub fn new_shared(prog: Arc<Program>) -> ResolvedProgram {
         let mut globals_init = Vec::new();
         let mut globals_idx = HashMap::new();
         for g in &prog.globals {
@@ -239,7 +245,7 @@ impl<'p> ResolvedProgram<'p> {
             .map(|(i, n)| (n.clone(), i))
             .collect();
         let mut rp = ResolvedProgram {
-            prog,
+            prog: Arc::clone(&prog),
             procs: Vec::with_capacity(prog.procs.len()),
             proc_idx,
             globals_init,
@@ -253,24 +259,33 @@ impl<'p> ResolvedProgram<'p> {
     }
 
     /// The underlying program.
-    pub fn program(&self) -> &'p Program {
-        self.prog
+    pub fn program(&self) -> &Program {
+        &self.prog
     }
 
     fn idx_of(&self, name: &Name) -> Option<usize> {
         self.proc_idx.get(name).copied()
     }
+
+    /// A frame's continuation bundle, found from its `(proc,
+    /// call_site)` pair.
+    fn bundle(&self, frame: &RFrame) -> &Bundle {
+        match &self.procs[frame.proc].nodes[frame.call_site.index()] {
+            RNode::Call { bundle, .. } => bundle,
+            _ => unreachable!("frames are pushed and restored only at Call nodes"),
+        }
+    }
 }
 
 /// Per-procedure resolution state.
-struct Resolver<'r, 'p> {
-    rp: &'r ResolvedProgram<'p>,
-    g: &'p Graph,
+struct Resolver<'r> {
+    rp: &'r ResolvedProgram,
+    g: &'r Graph,
     slot_of: HashMap<Name, Slot>,
 }
 
-impl<'r, 'p> Resolver<'r, 'p> {
-    fn new(rp: &'r ResolvedProgram<'p>, g: &'p Graph) -> Resolver<'r, 'p> {
+impl<'r> Resolver<'r> {
+    fn new(rp: &'r ResolvedProgram, g: &'r Graph) -> Resolver<'r> {
         // The slot universe: every name that can ever be bound in ρ.
         // Bindings enter only through `Entry` (continuation names),
         // `CopyIn` (parameters), and `Assign` to a declared variable,
@@ -307,7 +322,7 @@ impl<'r, 'p> Resolver<'r, 'p> {
         Resolver { rp, g, slot_of }
     }
 
-    fn resolve(self) -> RProc<'p> {
+    fn resolve(self) -> RProc {
         let nodes = self.g.nodes.iter().map(|n| self.node(n)).collect();
         let mut slot_names = vec![Name::from(""); self.slot_of.len()];
         for (n, &s) in &self.slot_of {
@@ -315,7 +330,6 @@ impl<'r, 'p> Resolver<'r, 'p> {
         }
         RProc {
             name: self.g.name.clone(),
-            graph: self.g,
             entry: self.g.entry,
             nslots: self.slot_of.len(),
             slot_names,
@@ -327,7 +341,7 @@ impl<'r, 'p> Resolver<'r, 'p> {
         self.slot_of[n]
     }
 
-    fn node(&self, node: &'p Node) -> RNode<'p> {
+    fn node(&self, node: &Node) -> RNode {
         match node {
             Node::Entry { conts, next } => RNode::Entry {
                 conts: conts.iter().map(|(n, id)| (self.slot(n), *id)).collect(),
@@ -369,14 +383,14 @@ impl<'r, 'p> Resolver<'r, 'p> {
             },
             Node::Call { callee, bundle, .. } => RNode::Call {
                 callee: self.callee(callee),
-                bundle,
+                bundle: bundle.clone(),
             },
             Node::Jump { callee } => RNode::Jump {
                 callee: self.callee(callee),
             },
             Node::CutTo { cont, cuts } => RNode::CutTo {
                 cont: self.expr(cont),
-                cuts,
+                cuts: cuts.clone(),
             },
             Node::Yield => RNode::Yield,
         }
@@ -444,12 +458,12 @@ impl<'r, 'p> Resolver<'r, 'p> {
     }
 }
 
-/// One activation frame: the suspended indexed environment.
+/// One activation frame: the suspended indexed environment. The call
+/// site's bundle is looked up from `(proc, call_site)`.
 #[derive(Clone, Debug)]
-struct RFrame<'p> {
+pub(crate) struct RFrame {
     proc: usize,
     call_site: NodeId,
-    bundle: &'p Bundle,
     rho: Vec<Option<Value>>,
     saves: Vec<Slot>,
     uid: u64,
@@ -463,7 +477,7 @@ struct RFrame<'p> {
 /// event-for-event.
 #[derive(Clone, Debug)]
 pub struct ResolvedMachine<'p, S: TraceSink = NopSink> {
-    rp: &'p ResolvedProgram<'p>,
+    rp: &'p ResolvedProgram,
     cur_proc: usize,
     cur_node: NodeId,
     rho: Vec<Option<Value>>,
@@ -471,7 +485,7 @@ pub struct ResolvedMachine<'p, S: TraceSink = NopSink> {
     uid: u64,
     mem: HashMap<u64, u8>,
     area: Vec<Value>,
-    stack: Vec<RFrame<'p>>,
+    stack: Vec<RFrame>,
     globals: Vec<Value>,
     next_uid: u64,
     cont_encodings: Vec<(NodeRef, u64)>,
@@ -485,25 +499,23 @@ pub struct ResolvedMachine<'p, S: TraceSink = NopSink> {
 impl<'p> ResolvedMachine<'p> {
     /// Creates a machine over a pre-resolved program, with memory from
     /// the data image and global registers from their declarations.
-    pub fn new(rp: &'p ResolvedProgram<'p>) -> ResolvedMachine<'p> {
+    pub fn new(rp: &'p ResolvedProgram) -> ResolvedMachine<'p> {
         ResolvedMachine::with_sink(rp, NopSink)
     }
 }
 
 impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// [`ResolvedMachine::new`] with an explicit trace sink.
-    pub fn with_sink(rp: &'p ResolvedProgram<'p>, sink: S) -> ResolvedMachine<'p, S> {
+    pub fn with_sink(rp: &'p ResolvedProgram, sink: S) -> ResolvedMachine<'p, S> {
         ResolvedMachine::with_sink_in(rp, sink, &mut crate::arena::SemArena::new())
     }
 
     /// [`ResolvedMachine::with_sink`] drawing the machine's heap
-    /// containers from `arena` instead of the allocator (all but the
-    /// activation stack, whose frames borrow `rp` and therefore cannot
-    /// be banked across programs — see [`crate::arena`]). The machine
+    /// containers from `arena` instead of the allocator. The machine
     /// starts from exactly the state a fresh one would; reclaim the
     /// allocations afterwards with [`ResolvedMachine::recycle_into`].
     pub fn with_sink_in(
-        rp: &'p ResolvedProgram<'p>,
+        rp: &'p ResolvedProgram,
         sink: S,
         arena: &mut crate::arena::SemArena,
     ) -> ResolvedMachine<'p, S> {
@@ -513,24 +525,22 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let mut globals = std::mem::take(&mut arena.r_globals);
         globals.clear();
         globals.extend(rp.globals_init.iter().map(|(_, v)| v.clone()));
-        let mut rho = std::mem::take(&mut arena.r_rho);
-        rho.clear();
         let mut saves = std::mem::take(&mut arena.r_saves);
         saves.clear();
-        let mut area = std::mem::take(&mut arena.r_area);
-        area.clear();
+        let mut stack = std::mem::take(&mut arena.r_stack);
+        stack.clear();
         let mut cont_encodings = std::mem::take(&mut arena.r_cont_encodings);
         cont_encodings.clear();
         ResolvedMachine {
             rp,
             cur_proc: 0,
             cur_node: NodeId(0),
-            rho,
+            rho: Vec::new(),
             saves,
             uid: 0,
             mem,
-            area,
-            stack: Vec::new(),
+            area: Vec::new(),
+            stack,
             globals,
             next_uid: 1,
             cont_encodings,
@@ -542,29 +552,24 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     }
 
     /// Consumes the machine and banks its heap containers (cleared) in
-    /// `arena` for the next [`ResolvedMachine::with_sink_in`]. The
-    /// activation stack is dropped, not banked — its frames borrow the
-    /// program.
+    /// `arena` for the next [`ResolvedMachine::with_sink_in`].
     pub fn recycle_into(self, arena: &mut crate::arena::SemArena) {
         let ResolvedMachine {
             mut mem,
-            mut rho,
             mut saves,
-            mut area,
+            mut stack,
             mut globals,
             mut cont_encodings,
             ..
         } = self;
         mem.clear();
-        rho.clear();
         saves.clear();
-        area.clear();
+        stack.clear();
         globals.clear();
         cont_encodings.clear();
         arena.mem = mem;
-        arena.r_rho = rho;
         arena.r_saves = saves;
-        arena.r_area = area;
+        arena.r_stack = stack;
         arena.r_globals = globals;
         arena.r_cont_encodings = cont_encodings;
     }
@@ -627,7 +632,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         u
     }
 
-    fn proc(&self) -> &'p RProc<'p> {
+    fn proc(&self) -> &'p RProc {
         &self.rp.procs[self.cur_proc]
     }
 
@@ -740,8 +745,9 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                     }
                     return Err(Wrong::AbnormalTopLevelExit(self.here()));
                 };
-                if frame.bundle.alternates() != *alternates || *index > *alternates {
-                    let actual = frame.bundle.alternates();
+                let bundle = self.rp.bundle(&frame);
+                if bundle.alternates() != *alternates || *index > *alternates {
+                    let actual = bundle.alternates();
                     self.stack.push(frame);
                     return Err(Wrong::ReturnArityMismatch {
                         at: self.here(),
@@ -756,7 +762,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                         alternates: *alternates,
                     });
                 }
-                let target = frame.bundle.returns[*index as usize];
+                let target = bundle.returns[*index as usize];
                 self.cur_proc = frame.proc;
                 self.cur_node = target;
                 self.rho = frame.rho;
@@ -823,7 +829,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 self.cur_node = if v != 0 { *t } else { *f };
                 Ok(())
             }
-            RNode::Call { callee, bundle } => {
+            RNode::Call { callee, .. } => {
                 let target = self.resolve_code(callee)?;
                 if let Some(g) = self.governor {
                     let depth = self.stack.len() + 1;
@@ -844,7 +850,6 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 let frame = RFrame {
                     proc: self.cur_proc,
                     call_site: self.cur_node,
-                    bundle,
                     rho: std::mem::take(&mut self.rho),
                     saves: std::mem::take(&mut self.saves),
                     uid: self.uid,
@@ -929,7 +934,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             };
             if top.uid == tuid {
                 if self.rp.procs[top.proc].name != target.proc
-                    || !top.bundle.cuts.contains(&target.node)
+                    || !self.rp.bundle(top).cuts.contains(&target.node)
                 {
                     return Err(Wrong::CutNotAnnotated(self.here()));
                 }
@@ -945,7 +950,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 self.uid = frame.uid;
                 return Ok(killed);
             }
-            if !top.bundle.aborts {
+            if !self.rp.bundle(top).aborts {
                 return Err(Wrong::NotAbortable(self.site_of(top)));
             }
             let dead = self.stack.pop().expect("frame checked above");
@@ -958,7 +963,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         }
     }
 
-    fn site_of(&self, frame: &RFrame<'p>) -> NodeRef {
+    fn site_of(&self, frame: &RFrame) -> NodeRef {
         NodeRef {
             proc: self.rp.procs[frame.proc].name.clone(),
             node: frame.call_site,
@@ -989,7 +994,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 Value::Bits(_, addr) => {
                     let name = self
                         .rp
-                        .prog
+                        .program()
                         .proc_at(addr)
                         .ok_or_else(|| Wrong::NotCode(self.here()))?;
                     Ok(Ok(self
@@ -1062,7 +1067,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             Value::Bits(_, b) => Ok(b),
             Value::Code(n) => self
                 .rp
-                .prog
+                .program()
                 .proc_addr(n.as_str())
                 .ok_or_else(|| Wrong::NoSuchProc(self.here(), n)),
             Value::Cont(p, u) => Ok(self.encode_cont(p, u)),
@@ -1168,7 +1173,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let Some(top) = self.stack.last() else {
             return Err(Wrong::RtsViolation("no activation to discard".into()));
         };
-        if !top.bundle.aborts {
+        if !self.rp.bundle(top).aborts {
             return Err(Wrong::NotAbortable(self.site_of(top)));
         }
         let dead = self.stack.pop().expect("frame checked above");
@@ -1191,10 +1196,11 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let Some(top) = self.stack.last() else {
             return Err(Wrong::RtsViolation("no activation to resume".into()));
         };
+        let bundle = self.rp.bundle(top);
         let (node, restore) = match target {
-            RtsTarget::Return(i) => (top.bundle.returns.get(i).copied(), true),
-            RtsTarget::Unwind(i) => (top.bundle.unwinds.get(i).copied(), true),
-            RtsTarget::Cut(i) => (top.bundle.cuts.get(i).copied(), false),
+            RtsTarget::Return(i) => (bundle.returns.get(i).copied(), true),
+            RtsTarget::Unwind(i) => (bundle.unwinds.get(i).copied(), true),
+            RtsTarget::Cut(i) => (bundle.cuts.get(i).copied(), false),
         };
         let Some(node) = node else {
             return Err(Wrong::RtsViolation(format!(
@@ -1264,9 +1270,9 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// Number of parameters the continuation at `node` expects, if it
     /// is a `CopyIn` node.
     pub fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
-        let g = self.rp.procs[self.rp.idx_of(proc)?].graph;
-        match g.node(node) {
-            Node::CopyIn { vars, .. } => Some(vars.len()),
+        let p = &self.rp.procs[self.rp.idx_of(proc)?];
+        match &p.nodes[node.index()] {
+            RNode::CopyIn { slots, .. } => Some(slots.len()),
             _ => None,
         }
     }
@@ -1289,14 +1295,14 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             Status::OutOfFuel => SnapStatus::OutOfFuel,
             other => return Err(format!("not at a resumable point (status {other:?})")),
         };
-        let env = |p: &RProc<'p>, rho: &[Option<Value>]| {
+        let env = |p: &RProc, rho: &[Option<Value>]| {
             sorted_bindings(
                 rho.iter()
                     .enumerate()
                     .filter_map(|(i, v)| v.as_ref().map(|v| (p.slot_names[i].clone(), v.clone()))),
             )
         };
-        let names = |p: &RProc<'p>, slots: &[Slot]| {
+        let names = |p: &RProc, slots: &[Slot]| {
             let mut v: Vec<Name> = slots
                 .iter()
                 .map(|&s| p.slot_names[s as usize].clone())
@@ -1353,12 +1359,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// As [`Machine::restore`](crate::Machine::restore). The machine is
     /// unchanged on error.
     pub fn restore(&mut self, st: &SemState) -> Result<(), String> {
-        let prog = self.rp.prog;
+        let prog = self.rp.program();
         check_ref(prog, &st.proc, st.node, "control")?;
         for (i, ce) in st.cont_encodings.iter().enumerate() {
             check_ref(prog, &ce.0.proc, ce.0.node, &format!("cont-encoding {i}"))?;
         }
-        let resolve_env = |p: &RProc<'p>,
+        let resolve_env = |p: &RProc,
                            pairs: &[(Name, Value)],
                            what: &str|
          -> Result<Vec<Option<Value>>, String> {
@@ -1372,7 +1378,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             }
             Ok(rho)
         };
-        let resolve_names = |p: &RProc<'p>, ns: &[Name], what: &str| -> Result<Vec<Slot>, String> {
+        let resolve_names = |p: &RProc, ns: &[Name], what: &str| -> Result<Vec<Slot>, String> {
             ns.iter()
                 .map(|n| {
                     p.slot_names
@@ -1392,8 +1398,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let saves = resolve_names(p, &st.saves, "callee-saves")?;
         let mut stack = Vec::with_capacity(st.stack.len());
         for (i, f) in st.stack.iter().enumerate() {
-            let bundle =
-                call_bundle(prog, &f.proc, f.call_site).map_err(|e| format!("frame {i}: {e}"))?;
+            call_bundle(prog, &f.proc, f.call_site).map_err(|e| format!("frame {i}: {e}"))?;
             let fi = self
                 .rp
                 .idx_of(&f.proc)
@@ -1402,7 +1407,6 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             stack.push(RFrame {
                 proc: fi,
                 call_site: f.call_site,
-                bundle,
                 rho: resolve_env(fp, &f.rho, &format!("frame {i} environment"))?,
                 saves: resolve_names(fp, &f.saves, &format!("frame {i} callee-saves"))?,
                 uid: f.uid,
@@ -1446,7 +1450,7 @@ impl<'p, S: TraceSink> crate::engine::SemEngine<'p> for ResolvedMachine<'p, S> {
     const ENGINE: cmm_chaos::EngineId = cmm_chaos::EngineId::SemResolved;
 
     fn program(&self) -> &'p Program {
-        self.rp.prog
+        self.rp.program()
     }
 
     fn status(&self) -> &Status {

@@ -6,7 +6,7 @@
 //!   worker count (parallelism changes wall-clock time and nothing
 //!   else), and
 //! * a batch always finishes warm: every distinct compilation happens
-//!   once (phase A) and every job then refetches it (phase C), so the
+//!   once (phase A) and every job then refetches it (phase B), so the
 //!   cache hit rate is structurally nonzero.
 
 use cmm_pool::{parse_manifest, run_batch, BatchConfig, PipelineCache};
@@ -133,7 +133,7 @@ fn a_batch_over_a_fresh_cache_still_finishes_warm() {
         },
     );
     let snap = report.cache;
-    assert!(snap.hits > 0, "phase C must refetch phase A's compiles");
+    assert!(snap.hits > 0, "phase B must refetch phase A's compiles");
     assert!(snap.misses > 0, "a fresh cache must actually compile");
     assert_eq!(snap.evictions, 0, "no budget pressure in this batch");
     // Counters are scheduling-independent: a -j1 run over its own
