@@ -4,9 +4,10 @@
 //! example programs, and its exit status, stdout and stderr are
 //! checked against `tests/golden/cli.txt`. The set covers `cmm snap`
 //! on every engine, a snapshot taken part-way and resumed on another
-//! tier of the same family, `cmm run --snapshot-every`, and full
-//! `cmm trace` / `cmm profile` output on the sem, vm, `--decoded` and
-//! `--fused` engines.
+//! tier of the same family, `cmm run --snapshot-every`, the
+//! `cmm batch` report on the committed manifest (plain and with
+//! `--snapshot-every`), and full `cmm trace` / `cmm profile` output on
+//! the sem, vm, `--decoded` and `--fused` engines.
 //!
 //! Set `CMM_BLESS=1` to rewrite the expected file from the current
 //! binary.
@@ -41,6 +42,10 @@ fn commands() -> Vec<String> {
     }
     cmds.push("run examples/fig34_plain.cmm f 20 --snapshot-every 16".into());
     cmds.push("run examples/sec42_cuts.cmm f 8 --snapshot-every 16".into());
+    // The batch report over the committed manifest, plain and with
+    // checkpointing on.
+    cmds.push("batch examples/batch.manifest --no-timing".into());
+    cmds.push("batch examples/batch.manifest --no-timing --snapshot-every 64".into());
     for cmd in ["trace", "profile"] {
         for target in [
             "examples/fig34_plain.cmm f 20",

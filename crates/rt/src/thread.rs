@@ -80,7 +80,7 @@ impl<'p> Thread<'p, ResolvedMachine<'p>> {
 impl<'p> Thread<'p, Machine<'p>> {
     /// The frame behind an activation handle (for inspection; specific
     /// to the reference machine, which exposes its frames directly).
-    pub fn frame(&self, a: &Activation) -> Option<&Frame> {
+    pub fn frame(&self, a: &Activation) -> Option<&Frame<'p>> {
         self.machine.activation(a.index)
     }
 }
@@ -685,16 +685,16 @@ mod tests {
         // Walk the stack: the "currently executing" activation is g
         // (suspended at its call to yield), then mid, then f.
         let mut a = t.first_activation().unwrap();
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "g");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "g");
         assert_eq!(t.get_descriptor(&a, 0), None);
 
         assert!(t.next_activation(&mut a));
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "mid");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "mid");
         let d_mid = t.get_descriptor(&a, 0).unwrap();
         assert_eq!(t.read_u32(d_mid), 222);
 
         assert!(t.next_activation(&mut a));
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "f");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "f");
         let d_f = t.get_descriptor(&a, 0).unwrap();
         assert_eq!(t.read_u32(d_f), 111);
         assert!(!t.next_activation(&mut a), "f is the bottom activation");
@@ -751,9 +751,9 @@ mod tests {
         // the normal return point of the call to h, supplying the
         // "result" 10.
         let mut a = t.first_activation().unwrap();
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "h");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "h");
         assert!(t.next_activation(&mut a));
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "g");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "g");
         t.set_activation(&a).unwrap();
         *t.find_cont_param(0).unwrap() = Value::b32(10);
         t.resume().unwrap();

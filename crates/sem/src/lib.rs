@@ -4,7 +4,8 @@
 //! of §5.2 of the paper. The mutable state of the C-- abstract machine
 //! has seven components:
 //!
-//! 1. the **control** `p`, the current node (here a [`NodeRef`]);
+//! 1. the **control** `p`, the current node (here the current
+//!    procedure's graph and a node of it; [`NodeRef`] names one);
 //! 2. the **local environment** `ρ`, mapping names to values;
 //! 3. a set `s` of the variables of `ρ` stored in callee-saves registers;
 //! 4. a unique integer **uid**, "used to enforce the restriction against

@@ -1,22 +1,16 @@
 //! The abstract machine: every transition rule of §5.2.
 
-use crate::snapshot::{sorted_bindings, FrameState, SemState, SnapStatus};
-use crate::state::{Env, Frame, NodeRef};
+use crate::snapshot::{FrameState, SemState, SnapStatus};
+use crate::state::{call_bundle, ContTable, Env, Frame, NodeRef};
 use crate::value::Value;
 use crate::wrong::Wrong;
-use cmm_cfg::{Node, NodeId, Program};
+use cmm_cfg::{Graph, Node, NodeId, Program};
 use cmm_chaos::{LimitTrip, ResourceGovernor};
 use cmm_ir::expr::sign_extend;
 use cmm_ir::{BinOp, Expr, FWidth, Lit, Lvalue, Name, Ty, Width};
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::collections::{BTreeSet, HashMap};
-
-/// Where continuation values live when flattened to bits (stored to
-/// memory or mixed into arithmetic). §5.4: "one possible implementation
-/// is to allocate two words in the current activation record, and to
-/// represent `Cont (p, u)` as a pointer to this pair"; we model the
-/// pointer with a synthetic address range and a side table.
-pub(crate) const CONT_BASE: u64 = 0x9000_0000;
+use std::sync::LazyLock;
 
 /// The execution status of a [`Machine`].
 #[derive(Clone, PartialEq, Debug)]
@@ -53,8 +47,24 @@ pub enum RtsTarget {
     Cut(usize),
 }
 
+/// The control component before the first `start` or `restore`: an
+/// empty procedure named `""`, which no transition reads because the
+/// machine is not `Running` yet.
+static IDLE: LazyLock<Graph> = LazyLock::new(|| Graph {
+    name: Name::from(""),
+    nodes: Vec::new(),
+    entry: NodeId(0),
+    arity: 0,
+    vars: Vec::new(),
+});
+
 /// The C-- abstract machine: one thread of §5.2, together with its
 /// memory, global registers, and stack.
+///
+/// The control component is the current procedure's graph and a node
+/// in it, and every frame holds its procedure's graph, so the program's
+/// procedure map is consulted only to evaluate a procedure name and to
+/// enter a `Code` value.
 ///
 /// The machine is generic over a [`TraceSink`]; the default
 /// [`NopSink`] compiles every emission away (guarded by
@@ -62,16 +72,17 @@ pub enum RtsTarget {
 #[derive(Clone, Debug)]
 pub struct Machine<'p, S: TraceSink = NopSink> {
     prog: &'p Program,
-    control: NodeRef,
+    graph: &'p Graph,
+    node: NodeId,
     rho: Env,
     saves: BTreeSet<Name>,
     uid: u64,
     mem: HashMap<u64, u8>,
     area: Vec<Value>,
-    stack: Vec<Frame>,
-    globals: HashMap<Name, Value>,
+    stack: Vec<Frame<'p>>,
+    globals: Env,
     next_uid: u64,
-    cont_encodings: Vec<(NodeRef, u64)>,
+    conts: ContTable,
     status: Status,
     /// Number of transitions taken so far (for cost measurements).
     pub steps: u64,
@@ -107,31 +118,25 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         mem.extend(prog.image.bytes.iter().map(|(&a, &b)| (a, b)));
         let mut globals = std::mem::take(&mut arena.globals);
         globals.clear();
-        globals.extend(prog.globals.iter().map(|g| {
-            let w = match g.ty {
-                Ty::Bits(w) => w,
-                Ty::Float(FWidth::F32) => Width::W32,
-                Ty::Float(FWidth::F64) => Width::W64,
-            };
+        for g in &prog.globals {
             let v = g.init.map(|l| l.bits).unwrap_or(0);
-            (g.name.clone(), Value::Bits(w, v))
-        }));
-        let mut stack = std::mem::take(&mut arena.stack);
-        stack.clear();
-        let mut cont_encodings = std::mem::take(&mut arena.cont_encodings);
-        cont_encodings.clear();
+            globals.bind(&g.name, Value::Bits(width_of(g.ty), v));
+        }
+        let mut conts = std::mem::take(&mut arena.conts);
+        conts.clear();
         Machine {
             prog,
-            control: NodeRef::new("", NodeId(0)),
+            graph: &IDLE,
+            node: NodeId(0),
             rho: Env::new(),
             saves: BTreeSet::new(),
             uid: 0,
             mem,
             area: Vec::new(),
-            stack,
+            stack: Vec::new(),
             globals,
             next_uid: 1,
-            cont_encodings,
+            conts,
             status: Status::Idle,
             steps: 0,
             governor: None,
@@ -146,19 +151,16 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     pub fn recycle_into(self, arena: &mut crate::arena::SemArena) {
         let Machine {
             mut mem,
-            mut stack,
             mut globals,
-            mut cont_encodings,
+            mut conts,
             ..
         } = self;
         mem.clear();
-        stack.clear();
         globals.clear();
-        cont_encodings.clear();
+        conts.clear();
         arena.mem = mem;
-        arena.stack = stack;
         arena.globals = globals;
-        arena.cont_encodings = cont_encodings;
+        arena.conts = conts;
     }
 
     /// Installs a resource governor: depth and memory limits are
@@ -236,12 +238,10 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             .prog
             .proc(proc)
             .ok_or_else(|| Wrong::NoSuchProc(NodeRef::new(proc, NodeId(0)), Name::from(proc)))?;
-        self.control = NodeRef {
-            proc: g.name.clone(),
-            node: g.entry,
-        };
-        self.rho = Env::new();
-        self.saves = BTreeSet::new();
+        self.graph = g;
+        self.node = g.entry;
+        self.rho.clear();
+        self.saves.clear();
         self.uid = self.fresh_uid();
         self.area = args;
         self.stack.clear();
@@ -289,44 +289,36 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
     }
 
+    /// The control component as a [`NodeRef`].
     fn here(&self) -> NodeRef {
-        self.control.clone()
+        NodeRef {
+            proc: self.graph.name.clone(),
+            node: self.node,
+        }
     }
 
     fn transition(&mut self) -> Result<(), Wrong> {
-        let g = self
-            .prog
-            .proc(self.control.proc.as_str())
-            .ok_or_else(|| Wrong::NoSuchProc(self.here(), self.control.proc.clone()))?;
         // `g` borrows from `prog` (lifetime 'p), not from `self`, so the
         // node can be inspected while `self` is mutated.
-        let node: &'p Node = g.node(self.control.node);
+        let g: &'p Graph = self.graph;
+        let node: &'p Node = g.node(self.node);
         match node {
             // Entry kk p: ρ := addConts(∅, kk, uid); s := ∅.
             Node::Entry { conts, next } => {
-                let mut rho = Env::new();
+                self.rho.clear();
                 for (name, id) in conts {
-                    rho.insert(
-                        name.clone(),
-                        Value::Cont(
-                            NodeRef {
-                                proc: self.control.proc.clone(),
-                                node: *id,
-                            },
-                            self.uid,
-                        ),
-                    );
+                    let k = Value::Cont(NodeRef::new(&g.name, *id), self.uid);
+                    self.rho.bind(name, k);
                 }
-                self.rho = rho;
                 self.saves.clear();
                 if S::ENABLED && !conts.is_empty() {
                     self.emit(Event::ContCapture {
-                        proc: self.control.proc.clone(),
+                        proc: g.name.clone(),
                         uid: self.uid,
                         conts: conts.len() as u32,
                     });
                 }
-                self.control.node = *next;
+                self.node = *next;
                 Ok(())
             }
             // Exit j n: pop an activation and return to kp_r[j].
@@ -335,7 +327,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                     if *index == 0 && *alternates == 0 {
                         if S::ENABLED {
                             self.emit(Event::Return {
-                                proc: self.control.proc.clone(),
+                                proc: g.name.clone(),
                                 index: *index,
                                 alternates: *alternates,
                             });
@@ -345,27 +337,24 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                     }
                     return Err(Wrong::AbnormalTopLevelExit(self.here()));
                 };
-                if frame.bundle.alternates() != *alternates || *index > *alternates {
-                    let actual = frame.bundle.alternates();
+                let bundle = frame.bundle();
+                if bundle.alternates() != *alternates || *index > *alternates {
                     self.stack.push(frame);
                     return Err(Wrong::ReturnArityMismatch {
                         at: self.here(),
                         claimed: *alternates,
-                        actual,
+                        actual: bundle.alternates(),
                     });
                 }
                 if S::ENABLED {
                     self.emit(Event::Return {
-                        proc: self.control.proc.clone(),
+                        proc: g.name.clone(),
                         index: *index,
                         alternates: *alternates,
                     });
                 }
-                let target = frame.bundle.returns[*index as usize];
-                self.control = NodeRef {
-                    proc: frame.proc,
-                    node: target,
-                };
+                self.graph = frame.graph;
+                self.node = bundle.returns[*index as usize];
                 self.rho = frame.rho;
                 self.saves = frame.saves;
                 self.uid = frame.uid;
@@ -376,27 +365,28 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 if self.area.len() < vars.len() {
                     return Err(Wrong::TooFewValues(self.here()));
                 }
-                let values = std::mem::take(&mut self.area);
-                for (v, val) in vars.iter().zip(values) {
-                    self.rho.insert(v.clone(), val);
+                for (v, val) in vars.iter().zip(self.area.drain(..)) {
+                    self.rho.bind(v, val);
                 }
-                self.control.node = *next;
+                self.node = *next;
                 Ok(())
             }
             // CopyOut pe p: A := E[[pe]]ρM.
             Node::CopyOut { exprs, next } => {
-                let mut vals = Vec::with_capacity(exprs.len());
+                self.area.clear();
                 for e in exprs {
-                    vals.push(self.eval(e)?);
+                    let v = self.eval(e)?;
+                    self.area.push(v);
                 }
-                self.area = vals;
-                self.control.node = *next;
+                self.node = *next;
                 Ok(())
             }
             // CalleeSaves s' p: s := s'.
             Node::CalleeSaves { vars, next } => {
-                self.saves = vars.clone();
-                self.control.node = *next;
+                if self.saves != *vars {
+                    self.saves.clone_from(vars);
+                }
+                self.node = *next;
                 Ok(())
             }
             // Assign l e p.
@@ -416,17 +406,18 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                         }
                     }
                 }
-                self.control.node = *next;
+                self.node = *next;
                 Ok(())
             }
             // Branch π pt pf.
             Node::Branch { cond, t, f } => {
                 let (_, v) = self.eval_bits(cond)?;
-                self.control.node = if v != 0 { *t } else { *f };
+                self.node = if v != 0 { *t } else { *f };
                 Ok(())
             }
-            // Call e_f Γ: push an activation; fresh uid.
-            Node::Call { callee, bundle, .. } => {
+            // Call e_f Γ: push an activation; fresh uid. The frame keeps
+            // the call site, whose node holds the bundle Γ.
+            Node::Call { callee, .. } => {
                 let target = self.resolve_code(callee)?;
                 if let Some(g) = self.governor {
                     let depth = self.stack.len() + 1;
@@ -436,14 +427,13 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 }
                 if S::ENABLED {
                     self.emit(Event::Call {
-                        caller: self.control.proc.clone(),
+                        caller: g.name.clone(),
                         callee: target.clone(),
                     });
                 }
                 let frame = Frame {
-                    proc: self.control.proc.clone(),
-                    call_site: self.control.node,
-                    bundle: bundle.clone(),
+                    graph: g,
+                    call_site: self.node,
                     rho: std::mem::take(&mut self.rho),
                     saves: std::mem::take(&mut self.saves),
                     uid: self.uid,
@@ -456,7 +446,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 let target = self.resolve_code(callee)?;
                 if S::ENABLED {
                     self.emit(Event::TailCall {
-                        caller: self.control.proc.clone(),
+                        caller: g.name.clone(),
                         callee: target.clone(),
                     });
                 }
@@ -470,7 +460,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 let (target, tuid) = self
                     .decode_cont(&v)
                     .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-                if tuid == self.uid && target.proc == self.control.proc {
+                if tuid == self.uid && target.proc == g.name {
                     // Cut within the current activation: requires an
                     // `also cuts to` annotation on the `cut to` itself.
                     if !cuts.contains(&target.node) {
@@ -478,20 +468,20 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                     }
                     let killed = std::mem::take(&mut self.saves);
                     for s in &killed {
-                        self.rho.remove(s);
+                        self.rho.remove(s.as_str());
                     }
                     if S::ENABLED {
                         self.emit(Event::CutTo {
-                            proc: self.control.proc.clone(),
+                            proc: g.name.clone(),
                             target: target.proc.clone(),
                             killed_saves: killed.len() as u32,
                         });
                     }
-                    self.control = target;
+                    self.node = target.node;
                     return Ok(());
                 }
                 let cutter = if S::ENABLED {
-                    Some((self.control.proc.clone(), target.proc.clone()))
+                    Some((g.name.clone(), target.proc.clone()))
                 } else {
                     None
                 };
@@ -529,7 +519,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 return Err(Wrong::DeadContinuation(self.here()));
             };
             if top.uid == tuid {
-                if top.proc != target.proc || !top.bundle.cuts.contains(&target.node) {
+                if *top.proc() != target.proc || !top.bundle().cuts.contains(&target.node) {
                     return Err(Wrong::CutNotAnnotated(self.here()));
                 }
                 let mut frame = self.stack.pop().expect("frame checked above");
@@ -538,21 +528,22 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 // from the saved environment ρ'."
                 let killed = frame.saves.len() as u32;
                 for s in &frame.saves {
-                    frame.rho.remove(s);
+                    frame.rho.remove(s.as_str());
                 }
-                self.control = target;
+                self.graph = frame.graph;
+                self.node = target.node;
                 self.rho = frame.rho;
                 self.saves = BTreeSet::new();
                 self.uid = frame.uid;
                 return Ok(killed);
             }
-            if !top.bundle.aborts {
+            if !top.bundle().aborts {
                 return Err(Wrong::NotAbortable(top.site()));
             }
             let dead = self.stack.pop().expect("frame checked above");
             if S::ENABLED {
                 self.emit(Event::ContDeath {
-                    proc: dead.proc,
+                    proc: dead.proc().clone(),
                     uid: dead.uid,
                 });
             }
@@ -564,10 +555,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             .prog
             .proc(proc.as_str())
             .ok_or_else(|| Wrong::NoSuchProc(self.here(), proc.clone()))?;
-        self.control = NodeRef {
-            proc: g.name.clone(),
-            node: g.entry,
-        };
+        self.graph = g;
+        self.node = g.entry;
         self.uid = self.fresh_uid();
         Ok(())
     }
@@ -585,15 +574,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 
     fn write_var(&mut self, n: &Name, v: Value) -> Result<(), Wrong> {
-        let g = self
-            .prog
-            .proc(self.control.proc.as_str())
-            .expect("current proc exists");
-        if g.var_ty(n).is_some() {
-            self.rho.insert(n.clone(), v);
+        if self.graph.var_ty(n).is_some() {
+            self.rho.bind(n, v);
             Ok(())
-        } else if self.globals.contains_key(n) {
-            self.globals.insert(n.clone(), v);
+        } else if let Some(slot) = self.globals.get_mut(n.as_str()) {
+            *slot = v;
             Ok(())
         } else {
             Err(Wrong::UnboundName(self.here(), n.clone()))
@@ -649,10 +634,10 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 
     fn lookup(&mut self, n: &Name) -> Result<Value, Wrong> {
-        if let Some(v) = self.rho.get(n) {
+        if let Some(v) = self.rho.get(n.as_str()) {
             return Ok(v.clone());
         }
-        if let Some(v) = self.globals.get(n) {
+        if let Some(v) = self.globals.get(n.as_str()) {
             return Ok(v.clone());
         }
         if self.prog.procs.contains_key(n) {
@@ -676,20 +661,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 .prog
                 .proc_addr(n.as_str())
                 .ok_or_else(|| Wrong::NoSuchProc(self.here(), n)),
-            Value::Cont(p, u) => Ok(self.encode_cont(p, u)),
+            Value::Cont(p, u) => Ok(self.conts.encode(p, u)),
         }
-    }
-
-    fn encode_cont(&mut self, p: NodeRef, u: u64) -> u64 {
-        if let Some(i) = self
-            .cont_encodings
-            .iter()
-            .position(|(q, v)| *q == p && *v == u)
-        {
-            return CONT_BASE + (i as u64) * 8;
-        }
-        self.cont_encodings.push((p, u));
-        CONT_BASE + ((self.cont_encodings.len() - 1) as u64) * 8
     }
 
     /// Recovers a continuation from a `Cont` value or its flattened
@@ -697,11 +670,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     pub fn decode_cont(&self, v: &Value) -> Option<(NodeRef, u64)> {
         match v {
             Value::Cont(p, u) => Some((p.clone(), *u)),
-            Value::Bits(_, b) if *b >= CONT_BASE && (*b - CONT_BASE).is_multiple_of(8) => {
-                let i = ((*b - CONT_BASE) / 8) as usize;
-                self.cont_encodings.get(i).cloned()
-            }
-            _ => None,
+            Value::Bits(_, b) => self.conts.decode(*b),
+            Value::Code(_) => None,
         }
     }
 
@@ -710,32 +680,18 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// Loads a typed value from memory (native little-endian byte order;
     /// unmapped bytes read as zero).
     pub fn load(&self, ty: Ty, addr: u64) -> Value {
-        let w = width_of(ty);
-        let mut v = 0u64;
-        for i in 0..ty.bytes() {
-            v |= u64::from(*self.mem.get(&(addr + i)).unwrap_or(&0)) << (8 * i);
-        }
-        Value::Bits(w, v)
+        Value::Bits(width_of(ty), load_bits(&self.mem, ty, addr))
     }
 
     /// Stores bits to memory with the width of `ty`.
     pub fn store(&mut self, ty: Ty, addr: u64, bits: u64) {
-        for i in 0..ty.bytes() {
-            self.mem.insert(addr + i, ((bits >> (8 * i)) & 0xff) as u8);
-        }
+        store_bits(&mut self.mem, ty, addr, bits);
     }
 
     /// The whole memory as sorted `(address, byte)` pairs, zero bytes
     /// elided — a canonical form for cross-engine equivalence checks.
     pub fn mem_snapshot(&self) -> Vec<(u64, u8)> {
-        let mut v: Vec<(u64, u8)> = self
-            .mem
-            .iter()
-            .filter(|&(_, &b)| b != 0)
-            .map(|(&a, &b)| (a, b))
-            .collect();
-        v.sort_unstable();
-        v
+        mem_snapshot(&self.mem)
     }
 
     /// Reads a global register.
@@ -768,12 +724,12 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// The activation stack, bottom first. While suspended in `yield`,
     /// the *last* frame is the activation that called `yield` (the
     /// "currently executing" activation of `FirstActivation`).
-    pub fn stack(&self) -> &[Frame] {
+    pub fn stack(&self) -> &[Frame<'p>] {
         &self.stack
     }
 
     /// The activation `i` frames down from the top (0 = topmost).
-    pub fn activation(&self, i: usize) -> Option<&Frame> {
+    pub fn activation(&self, i: usize) -> Option<&Frame<'p>> {
         let len = self.stack.len();
         if i < len {
             Some(&self.stack[len - 1 - i])
@@ -794,13 +750,13 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         let Some(top) = self.stack.last() else {
             return Err(Wrong::RtsViolation("no activation to discard".into()));
         };
-        if !top.bundle.aborts {
+        if !top.bundle().aborts {
             return Err(Wrong::NotAbortable(top.site()));
         }
         let dead = self.stack.pop().expect("frame checked above");
         if S::ENABLED {
             self.emit(Event::ContDeath {
-                proc: dead.proc,
+                proc: dead.proc().clone(),
                 uid: dead.uid,
             });
         }
@@ -824,10 +780,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         let Some(top) = self.stack.last() else {
             return Err(Wrong::RtsViolation("no activation to resume".into()));
         };
+        let bundle = top.bundle();
         let (node, restore) = match target {
-            RtsTarget::Return(i) => (top.bundle.returns.get(i).copied(), true),
-            RtsTarget::Unwind(i) => (top.bundle.unwinds.get(i).copied(), true),
-            RtsTarget::Cut(i) => (top.bundle.cuts.get(i).copied(), false),
+            RtsTarget::Return(i) => (bundle.returns.get(i).copied(), true),
+            RtsTarget::Unwind(i) => (bundle.unwinds.get(i).copied(), true),
+            RtsTarget::Cut(i) => (bundle.cuts.get(i).copied(), false),
         };
         let Some(node) = node else {
             return Err(Wrong::RtsViolation(format!(
@@ -835,26 +792,16 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             )));
         };
         // "There must be exactly as many parameters as P' expects."
-        let expected = self.cont_param_count(&top.proc.clone(), node);
-        if let Some(expected) = expected {
-            if args.len() != expected {
-                return Err(Wrong::RtsViolation(format!(
-                    "continuation expects {expected} parameters, got {}",
-                    args.len()
-                )));
-            }
-        }
+        check_param_count(copy_in_arity(top.graph, node), args.len())?;
         let mut frame = self.stack.pop().expect("frame checked above");
         if !restore {
             for s in &frame.saves {
-                frame.rho.remove(s);
+                frame.rho.remove(s.as_str());
             }
             frame.saves.clear();
         }
-        self.control = NodeRef {
-            proc: frame.proc,
-            node,
-        };
+        self.graph = frame.graph;
+        self.node = node;
         self.rho = frame.rho;
         self.saves = frame.saves;
         self.uid = frame.uid;
@@ -877,15 +824,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         let (target, tuid) = self
             .decode_cont(cont)
             .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-        let expected = self.cont_param_count(&target.proc, target.node);
-        if let Some(expected) = expected {
-            if args.len() != expected {
-                return Err(Wrong::RtsViolation(format!(
-                    "continuation expects {expected} parameters, got {}",
-                    args.len()
-                )));
-            }
-        }
+        check_param_count(self.cont_param_count(&target.proc, target.node), args.len())?;
         // Try the cut on a scratch copy of the control state so a failed
         // cut leaves the suspension intact.
         let saved_stack = self.stack.clone();
@@ -905,11 +844,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// Number of parameters the continuation at `node` expects, if it is
     /// a `CopyIn` node.
     pub fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
-        let g = self.prog.proc(proc.as_str())?;
-        match g.node(node) {
-            Node::CopyIn { vars, .. } => Some(vars.len()),
-            _ => None,
-        }
+        copy_in_arity(self.prog.proc(proc.as_str())?, node)
     }
 
     fn require_suspended(&self) -> Result<(), Wrong> {
@@ -946,6 +881,27 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 }
 
+/// Parameter count of the continuation at `node` of `g`, if it is a
+/// `CopyIn` node.
+fn copy_in_arity(g: &Graph, node: NodeId) -> Option<usize> {
+    match g.node(node) {
+        Node::CopyIn { vars, .. } => Some(vars.len()),
+        _ => None,
+    }
+}
+
+/// "There must be exactly as many parameters as P' expects" (§5.2), for
+/// a resumption passing `got` values to a continuation expecting
+/// `expected` (`None`: not a `CopyIn` node, so nothing to check).
+pub(crate) fn check_param_count(expected: Option<usize>, got: usize) -> Result<(), Wrong> {
+    match expected {
+        Some(expected) if expected != got => Err(Wrong::RtsViolation(format!(
+            "continuation expects {expected} parameters, got {got}"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 pub(crate) fn width_of(ty: Ty) -> Width {
     match ty {
         Ty::Bits(w) => w,
@@ -958,13 +914,42 @@ pub(crate) fn lit_value(l: Lit) -> Value {
     Value::Bits(width_of(l.ty), l.bits)
 }
 
+/// Reads `ty.bytes()` little-endian bytes at `addr` (unmapped bytes
+/// read as zero).
+pub(crate) fn load_bits(mem: &HashMap<u64, u8>, ty: Ty, addr: u64) -> u64 {
+    let mut v = 0u64;
+    for i in 0..ty.bytes() {
+        v |= u64::from(*mem.get(&(addr + i)).unwrap_or(&0)) << (8 * i);
+    }
+    v
+}
+
+/// Writes the low `ty.bytes()` bytes of `bits` little-endian at `addr`.
+pub(crate) fn store_bits(mem: &mut HashMap<u64, u8>, ty: Ty, addr: u64, bits: u64) {
+    for i in 0..ty.bytes() {
+        mem.insert(addr + i, ((bits >> (8 * i)) & 0xff) as u8);
+    }
+}
+
+/// Memory as sorted `(address, byte)` pairs, zero bytes elided.
+pub(crate) fn mem_snapshot(mem: &HashMap<u64, u8>) -> Vec<(u64, u8)> {
+    let mut v: Vec<(u64, u8)> = mem
+        .iter()
+        .filter(|&(_, &b)| b != 0)
+        .map(|(&a, &b)| (a, b))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
 // ----- snapshot capture and restore -----
 
 impl<'p, S: TraceSink> Machine<'p, S> {
     /// Captures the machine's full suspended state in portable name
     /// space (see [`crate::snapshot`]): environments and globals come
-    /// out sorted by name, memory as its canonical nonzero form, so the
-    /// same machine state always captures to the same value.
+    /// out sorted by name (the order they are kept in), memory as its
+    /// canonical nonzero form, so the same machine state always
+    /// captures to the same value.
     ///
     /// # Errors
     ///
@@ -977,10 +962,13 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             Status::OutOfFuel => SnapStatus::OutOfFuel,
             other => return Err(format!("not at a resumable point (status {other:?})")),
         };
+        let pairs = |m: &Env| -> Vec<(Name, Value)> {
+            m.iter().map(|(n, v)| (n.clone(), v.clone())).collect()
+        };
         Ok(SemState {
-            proc: self.control.proc.clone(),
-            node: self.control.node,
-            rho: sorted_bindings(self.rho.iter().map(|(n, v)| (n.clone(), v.clone()))),
+            proc: self.graph.name.clone(),
+            node: self.node,
+            rho: pairs(&self.rho),
             saves: self.saves.iter().cloned().collect(),
             uid: self.uid,
             mem: self.mem_snapshot(),
@@ -989,16 +977,16 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 .stack
                 .iter()
                 .map(|f| FrameState {
-                    proc: f.proc.clone(),
+                    proc: f.proc().clone(),
                     call_site: f.call_site,
-                    rho: sorted_bindings(f.rho.iter().map(|(n, v)| (n.clone(), v.clone()))),
+                    rho: pairs(&f.rho),
                     saves: f.saves.iter().cloned().collect(),
                     uid: f.uid,
                 })
                 .collect(),
-            globals: sorted_bindings(self.globals.iter().map(|(n, v)| (n.clone(), v.clone()))),
+            globals: pairs(&self.globals),
             next_uid: self.next_uid,
-            cont_encodings: self.cont_encodings.clone(),
+            cont_encodings: self.conts.entries().to_vec(),
             status,
             steps: self.steps,
         })
@@ -1008,9 +996,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// freshly constructed over the same program the state was captured
     /// from (`cmm-snap` verifies the source digest; this method
     /// re-validates the state structurally). Frame bundles are not part
-    /// of the state — each is re-derived from its call site's `Call`
-    /// node, so a state cannot smuggle in a bundle the program never
-    /// had.
+    /// of the state — each comes from its call site's `Call` node, so a
+    /// state cannot smuggle in a bundle the program never had.
     ///
     /// Explicitly-written zero bytes are not distinguishable from
     /// untouched memory after a restore (the canonical memory form
@@ -1025,7 +1012,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// that is not a `Call`, or a continuation encoding outside the
     /// program. The machine is unchanged on error.
     pub fn restore(&mut self, st: &SemState) -> Result<(), String> {
-        check_ref(self.prog, &st.proc, st.node, "control")?;
+        let graph = check_ref(self.prog, &st.proc, st.node, "control")?;
         for (i, ce) in st.cont_encodings.iter().enumerate() {
             check_ref(
                 self.prog,
@@ -1036,21 +1023,18 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
         let mut stack = Vec::with_capacity(st.stack.len());
         for (i, f) in st.stack.iter().enumerate() {
-            let bundle = call_bundle(self.prog, &f.proc, f.call_site)
+            let graph = call_site_graph(self.prog, &f.proc, f.call_site)
                 .map_err(|e| format!("frame {i}: {e}"))?;
             stack.push(Frame {
-                proc: f.proc.clone(),
+                graph,
                 call_site: f.call_site,
-                bundle: bundle.clone(),
                 rho: f.rho.iter().cloned().collect(),
                 saves: f.saves.iter().cloned().collect(),
                 uid: f.uid,
             });
         }
-        self.control = NodeRef {
-            proc: st.proc.clone(),
-            node: st.node,
-        };
+        self.graph = graph;
+        self.node = st.node;
         self.rho = st.rho.iter().cloned().collect();
         self.saves = st.saves.iter().cloned().collect();
         self.uid = st.uid;
@@ -1059,7 +1043,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         self.stack = stack;
         self.globals = st.globals.iter().cloned().collect();
         self.next_uid = st.next_uid;
-        self.cont_encodings = st.cont_encodings.clone();
+        self.conts.restore(&st.cont_encodings);
         self.status = match st.status {
             SnapStatus::Suspended => Status::Suspended,
             SnapStatus::OutOfFuel => Status::OutOfFuel,
@@ -1070,13 +1054,14 @@ impl<'p, S: TraceSink> Machine<'p, S> {
 }
 
 /// Checks that `proc` exists in `prog` and `node` indexes its graph
-/// (restore validation, shared with the pre-resolved engine).
-pub(crate) fn check_ref(
-    prog: &Program,
+/// (restore validation, shared with the pre-resolved engine); returns
+/// the graph.
+pub(crate) fn check_ref<'q>(
+    prog: &'q Program,
     proc: &Name,
     node: NodeId,
     what: &str,
-) -> Result<(), String> {
+) -> Result<&'q Graph, String> {
     let g = prog
         .procs
         .get(proc)
@@ -1087,28 +1072,22 @@ pub(crate) fn check_ref(
             g.nodes.len()
         ));
     }
-    Ok(())
+    Ok(g)
 }
 
-/// Re-derives the continuation bundle of a restored frame from its call
-/// site's `Call` node.
-pub(crate) fn call_bundle<'q>(
+/// The graph of a restored frame's procedure, checked to have a `Call`
+/// node at the frame's call site (the node that holds its bundle).
+pub(crate) fn call_site_graph<'q>(
     prog: &'q Program,
     proc: &Name,
     call_site: NodeId,
-) -> Result<&'q cmm_cfg::Bundle, String> {
+) -> Result<&'q Graph, String> {
     let g = prog
         .procs
         .get(proc)
         .ok_or_else(|| format!("no procedure `{proc}`"))?;
-    match g.nodes.get(call_site.index()) {
-        Some(Node::Call { bundle, .. }) => Ok(bundle),
-        Some(n) => Err(format!(
-            "call site {proc}:{call_site} is a {} node, not a Call",
-            n.kind_name()
-        )),
-        None => Err(format!("call site {proc}:{call_site} out of bounds")),
-    }
+    call_bundle(g, call_site)?;
+    Ok(g)
 }
 
 #[cfg(test)]

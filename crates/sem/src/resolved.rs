@@ -2,10 +2,13 @@
 //! hoisted out of the step loop.
 //!
 //! The reference [`Machine`](crate::Machine) interprets the CFG
-//! directly: every transition re-fetches the current procedure from a
-//! `BTreeMap`, every variable access hashes a [`Name`], and every
-//! environment save/restore clones a `HashMap`. [`ResolvedProgram`]
-//! performs that work once per program instead of once per step:
+//! directly. Its control holds the current procedure's graph, but every
+//! variable access still compares [`Name`]s along a sorted list, every
+//! assignment scans the procedure's declared variables, every call
+//! evaluates its callee to a `Code` name and looks the procedure up by
+//! it, and every activation builds its environment map node by node.
+//! [`ResolvedProgram`] performs that work once per program instead of
+//! once per step:
 //!
 //! * each procedure's statement stream is flattened into an
 //!   index-aligned [`RNode`] arena (node ids are preserved, so every
@@ -15,7 +18,7 @@
 //! * the environment ρ becomes an indexed frame: every name that can
 //!   ever be bound locally (declared variables, continuation names)
 //!   gets a slot computed at resolve time, and `ρ(x)` is a vector
-//!   index instead of a hash lookup;
+//!   index instead of a map search;
 //! * names in expressions are resolved to a slot, a global-register
 //!   index, and a prebuilt fallback constant (procedure address or
 //!   data-block address), tried in exactly the reference machine's
@@ -24,15 +27,25 @@
 //! * call targets that can only ever denote a procedure are resolved
 //!   to a procedure index at resolve time.
 //!
+//! In steady state a transition allocates nothing. Operands evaluate
+//! as `(Width, u64)` pairs and become a [`Value`] only where one is
+//! stored. `CopyOut` and `CopyIn` reuse the argument area. A finished
+//! activation's slot vector and callee-save list are cleared and kept
+//! for the next call, and a [`SemArena`](crate::SemArena) banks them
+//! across a worker's jobs.
+//!
 //! [`ResolvedMachine`] is observationally equal to the reference
 //! machine — same [`Status`] (including `Wrong` payloads), same
 //! memory, same continuation encodings, same `steps` count — which the
 //! difftest oracle suite and `tests/engine_equivalence.rs` enforce
 //! over generated programs.
 
-use crate::machine::{call_bundle, check_ref, lit_value, width_of, RtsTarget, Status, CONT_BASE};
+use crate::machine::{
+    call_site_graph, check_param_count, check_ref, load_bits, mem_snapshot, store_bits, width_of,
+    RtsTarget, Status,
+};
 use crate::snapshot::{sorted_bindings, FrameState, SemState, SnapStatus};
-use crate::state::NodeRef;
+use crate::state::{ContTable, NodeRef};
 use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{Bundle, Graph, Node, NodeId, Program};
@@ -75,8 +88,8 @@ struct RName {
 /// A pre-resolved expression.
 #[derive(Clone, Debug)]
 enum RExpr {
-    /// A literal, already a [`Value`].
-    Lit(Value),
+    /// A literal's width and bits.
+    Lit(Width, u64),
     /// A name occurrence.
     Name(RName),
     /// A typed memory load.
@@ -214,8 +227,8 @@ struct RProc {
 #[derive(Debug)]
 pub struct ResolvedProgram {
     prog: Arc<Program>,
+    /// One per procedure, in the program's (name) order.
     procs: Vec<RProc>,
-    proc_idx: HashMap<Name, usize>,
     globals_init: Vec<(Name, Value)>,
     globals_idx: HashMap<Name, u32>,
 }
@@ -238,21 +251,15 @@ impl ResolvedProgram {
             globals_idx.insert(g.name.clone(), globals_init.len() as u32);
             globals_init.push((g.name.clone(), Value::Bits(w, v)));
         }
-        let proc_idx: HashMap<Name, usize> = prog
-            .procs
-            .keys()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
         let mut rp = ResolvedProgram {
             prog: Arc::clone(&prog),
             procs: Vec::with_capacity(prog.procs.len()),
-            proc_idx,
             globals_init,
             globals_idx,
         };
+        let names: Vec<&Name> = prog.procs.keys().collect();
         for g in prog.procs.values() {
-            let resolver = Resolver::new(&rp, g);
+            let resolver = Resolver::new(&rp, &names, g);
             rp.procs.push(resolver.resolve());
         }
         rp
@@ -263,8 +270,10 @@ impl ResolvedProgram {
         &self.prog
     }
 
-    fn idx_of(&self, name: &Name) -> Option<usize> {
-        self.proc_idx.get(name).copied()
+    fn idx_of(&self, name: &str) -> Option<usize> {
+        self.procs
+            .binary_search_by(|p| p.name.as_str().cmp(name))
+            .ok()
     }
 
     /// A frame's continuation bundle, found from its `(proc,
@@ -277,15 +286,29 @@ impl ResolvedProgram {
     }
 }
 
+impl RProc {
+    /// Parameter count of the continuation at `node`, if it is a
+    /// `CopyIn` node.
+    fn copy_in_arity(&self, node: NodeId) -> Option<usize> {
+        match &self.nodes[node.index()] {
+            RNode::CopyIn { slots, .. } => Some(slots.len()),
+            _ => None,
+        }
+    }
+}
+
 /// Per-procedure resolution state.
 struct Resolver<'r> {
     rp: &'r ResolvedProgram,
+    /// Every procedure name, in the program's order (the order of
+    /// `rp.procs` once it is built).
+    names: &'r [&'r Name],
     g: &'r Graph,
     slot_of: HashMap<Name, Slot>,
 }
 
 impl<'r> Resolver<'r> {
-    fn new(rp: &'r ResolvedProgram, g: &'r Graph) -> Resolver<'r> {
+    fn new(rp: &'r ResolvedProgram, names: &'r [&'r Name], g: &'r Graph) -> Resolver<'r> {
         // The slot universe: every name that can ever be bound in ρ.
         // Bindings enter only through `Entry` (continuation names),
         // `CopyIn` (parameters), and `Assign` to a declared variable,
@@ -319,7 +342,12 @@ impl<'r> Resolver<'r> {
                 _ => {}
             }
         }
-        Resolver { rp, g, slot_of }
+        Resolver {
+            rp,
+            names,
+            g,
+            slot_of,
+        }
     }
 
     fn resolve(self) -> RProc {
@@ -428,7 +456,7 @@ impl<'r> Resolver<'r> {
 
     fn expr(&self, e: &Expr) -> RExpr {
         match e {
-            Expr::Lit(l) => RExpr::Lit(lit_value(*l)),
+            Expr::Lit(l) => RExpr::Lit(width_of(l.ty), l.bits),
             Expr::Name(n) => RExpr::Name(self.name(n)),
             Expr::Mem(ty, a) => RExpr::Mem(*ty, Box::new(self.expr(a))),
             Expr::Unary(op, a) => RExpr::Un(*op, Box::new(self.expr(a))),
@@ -449,7 +477,7 @@ impl<'r> Resolver<'r> {
         // not in the slot universe, not a global, and a procedure.
         if let Expr::Name(n) = e {
             if !self.slot_of.contains_key(n) && !self.rp.globals_idx.contains_key(n) {
-                if let Some(idx) = self.rp.idx_of(n) {
+                if let Ok(idx) = self.names.binary_search(&n) {
                     return RCallee::Direct(idx);
                 }
             }
@@ -457,6 +485,9 @@ impl<'r> Resolver<'r> {
         RCallee::Dynamic(self.expr(e))
     }
 }
+
+/// An activation's indexed environment and callee-save list.
+pub(crate) type Locals = (Vec<Option<Value>>, Vec<Slot>);
 
 /// One activation frame: the suspended indexed environment. The call
 /// site's bundle is looked up from `(proc, call_site)`.
@@ -488,7 +519,10 @@ pub struct ResolvedMachine<'p, S: TraceSink = NopSink> {
     stack: Vec<RFrame>,
     globals: Vec<Value>,
     next_uid: u64,
-    cont_encodings: Vec<(NodeRef, u64)>,
+    conts: ContTable,
+    /// Cleared slot vectors and callee-save lists of finished
+    /// activations, for the next calls to reuse.
+    spare: Vec<Locals>,
     status: Status,
     /// Number of transitions taken so far (for cost measurements).
     pub steps: u64,
@@ -525,17 +559,17 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let mut globals = std::mem::take(&mut arena.r_globals);
         globals.clear();
         globals.extend(rp.globals_init.iter().map(|(_, v)| v.clone()));
-        let mut saves = std::mem::take(&mut arena.r_saves);
-        saves.clear();
         let mut stack = std::mem::take(&mut arena.r_stack);
         stack.clear();
-        let mut cont_encodings = std::mem::take(&mut arena.r_cont_encodings);
-        cont_encodings.clear();
+        let mut conts = std::mem::take(&mut arena.conts);
+        conts.clear();
+        let mut spare = std::mem::take(&mut arena.r_spare);
+        let (rho, saves) = spare.pop().unwrap_or_default();
         ResolvedMachine {
             rp,
             cur_proc: 0,
             cur_node: NodeId(0),
-            rho: Vec::new(),
+            rho,
             saves,
             uid: 0,
             mem,
@@ -543,7 +577,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             stack,
             globals,
             next_uid: 1,
-            cont_encodings,
+            conts,
+            spare,
             status: Status::Idle,
             steps: 0,
             governor: None,
@@ -553,25 +588,37 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
 
     /// Consumes the machine and banks its heap containers (cleared) in
     /// `arena` for the next [`ResolvedMachine::with_sink_in`].
-    pub fn recycle_into(self, arena: &mut crate::arena::SemArena) {
+    pub fn recycle_into(mut self, arena: &mut crate::arena::SemArena) {
+        let rho = std::mem::take(&mut self.rho);
+        let saves = std::mem::take(&mut self.saves);
+        self.park((rho, saves));
+        while let Some(f) = self.stack.pop() {
+            self.park((f.rho, f.saves));
+        }
         let ResolvedMachine {
             mut mem,
-            mut saves,
-            mut stack,
+            stack,
             mut globals,
-            mut cont_encodings,
+            mut conts,
+            spare,
             ..
         } = self;
         mem.clear();
-        saves.clear();
-        stack.clear();
         globals.clear();
-        cont_encodings.clear();
+        conts.clear();
         arena.mem = mem;
-        arena.r_saves = saves;
         arena.r_stack = stack;
         arena.r_globals = globals;
-        arena.r_cont_encodings = cont_encodings;
+        arena.conts = conts;
+        arena.r_spare = spare;
+    }
+
+    /// Clears a finished activation's slot vector and callee-save list
+    /// and keeps them for the next call.
+    fn park(&mut self, (mut rho, mut saves): Locals) {
+        rho.clear();
+        saves.clear();
+        self.spare.push((rho, saves));
     }
 
     /// Installs a resource governor (see
@@ -656,11 +703,11 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         }
         let idx = self
             .rp
-            .idx_of(&Name::from(proc))
+            .idx_of(proc)
             .ok_or_else(|| Wrong::NoSuchProc(NodeRef::new(proc, NodeId(0)), Name::from(proc)))?;
         self.cur_proc = idx;
         self.cur_node = self.rp.procs[idx].entry;
-        self.rho = Vec::new();
+        self.rho.clear();
         self.saves.clear();
         self.uid = self.fresh_uid();
         self.area = args;
@@ -708,9 +755,10 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let node = &p.nodes[self.cur_node.index()];
         match node {
             RNode::Entry { conts, next } => {
-                let mut rho = vec![None; p.nslots];
+                self.rho.clear();
+                self.rho.resize(p.nslots, None);
                 for &(slot, id) in conts {
-                    rho[slot as usize] = Some(Value::Cont(
+                    self.rho[slot as usize] = Some(Value::Cont(
                         NodeRef {
                             proc: p.name.clone(),
                             node: id,
@@ -718,7 +766,6 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                         self.uid,
                     ));
                 }
-                self.rho = rho;
                 self.saves.clear();
                 if S::ENABLED && !conts.is_empty() {
                     self.emit(Event::ContCapture {
@@ -747,12 +794,11 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 };
                 let bundle = self.rp.bundle(&frame);
                 if bundle.alternates() != *alternates || *index > *alternates {
-                    let actual = bundle.alternates();
                     self.stack.push(frame);
                     return Err(Wrong::ReturnArityMismatch {
                         at: self.here(),
                         claimed: *alternates,
-                        actual,
+                        actual: bundle.alternates(),
                     });
                 }
                 if S::ENABLED {
@@ -762,36 +808,34 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                         alternates: *alternates,
                     });
                 }
-                let target = bundle.returns[*index as usize];
                 self.cur_proc = frame.proc;
-                self.cur_node = target;
-                self.rho = frame.rho;
-                self.saves = frame.saves;
+                self.cur_node = bundle.returns[*index as usize];
                 self.uid = frame.uid;
+                self.switch_to((frame.rho, frame.saves));
                 Ok(())
             }
             RNode::CopyIn { slots, next } => {
                 if self.area.len() < slots.len() {
                     return Err(Wrong::TooFewValues(self.here()));
                 }
-                let values = std::mem::take(&mut self.area);
-                for (&slot, val) in slots.iter().zip(values) {
+                for (&slot, val) in slots.iter().zip(self.area.drain(..)) {
                     self.rho[slot as usize] = Some(val);
                 }
                 self.cur_node = *next;
                 Ok(())
             }
             RNode::CopyOut { exprs, next } => {
-                let mut vals = Vec::with_capacity(exprs.len());
+                self.area.clear();
                 for e in exprs {
-                    vals.push(self.eval(e)?);
+                    let v = self.eval(e)?;
+                    self.area.push(v);
                 }
-                self.area = vals;
                 self.cur_node = *next;
                 Ok(())
             }
             RNode::CalleeSaves { slots, next } => {
-                self.saves = slots.clone();
+                self.saves.clear();
+                self.saves.extend_from_slice(slots);
                 self.cur_node = *next;
                 Ok(())
             }
@@ -847,11 +891,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                         callee: callee_name,
                     });
                 }
+                let (rho, saves) = self.spare.pop().unwrap_or_default();
                 let frame = RFrame {
                     proc: self.cur_proc,
                     call_site: self.cur_node,
-                    rho: std::mem::take(&mut self.rho),
-                    saves: std::mem::take(&mut self.saves),
+                    rho: std::mem::replace(&mut self.rho, rho),
+                    saves: std::mem::replace(&mut self.saves, saves),
                     uid: self.uid,
                 };
                 self.stack.push(frame);
@@ -878,19 +923,20 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 let (target, tuid) = self
                     .decode_cont(&v)
                     .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-                if tuid == self.uid && target.proc == self.proc().name {
+                if tuid == self.uid && target.proc == p.name {
                     if !cuts.contains(&target.node) {
                         return Err(Wrong::CutNotAnnotated(self.here()));
                     }
-                    let killed = std::mem::take(&mut self.saves);
-                    for &s in &killed {
+                    for &s in &self.saves {
                         self.rho[s as usize] = None;
                     }
+                    let killed = self.saves.len() as u32;
+                    self.saves.clear();
                     if S::ENABLED {
                         self.emit(Event::CutTo {
                             proc: p.name.clone(),
                             target: target.proc.clone(),
-                            killed_saves: killed.len() as u32,
+                            killed_saves: killed,
                         });
                     }
                     self.cur_node = target.node;
@@ -924,6 +970,16 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         }
     }
 
+    /// Makes `locals` the current activation's environment and
+    /// callee-save list, keeping the replaced ones for the next call.
+    fn switch_to(&mut self, (rho, saves): Locals) {
+        let done = (
+            std::mem::replace(&mut self.rho, rho),
+            std::mem::replace(&mut self.saves, saves),
+        );
+        self.park(done);
+    }
+
     /// The stack-truncating loop shared by `CutTo` and `rts_cut_to`.
     /// Returns the number of callee-saves the cut killed in the target
     /// frame.
@@ -943,11 +999,11 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 for &s in &frame.saves {
                     frame.rho[s as usize] = None;
                 }
+                frame.saves.clear();
                 self.cur_proc = frame.proc;
                 self.cur_node = target.node;
-                self.rho = frame.rho;
-                self.saves = Vec::new();
                 self.uid = frame.uid;
+                self.switch_to((frame.rho, frame.saves));
                 return Ok(killed);
             }
             if !self.rp.bundle(top).aborts {
@@ -960,6 +1016,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                     uid: dead.uid,
                 });
             }
+            self.park((dead.rho, dead.saves));
         }
     }
 
@@ -990,7 +1047,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         match callee {
             RCallee::Direct(idx) => Ok(Ok(*idx)),
             RCallee::Dynamic(e) => match self.eval(e)? {
-                Value::Code(n) => Ok(self.rp.idx_of(&n).ok_or(n)),
+                Value::Code(n) => Ok(self.rp.idx_of(n.as_str()).ok_or(n)),
                 Value::Bits(_, addr) => {
                     let name = self
                         .rp
@@ -999,7 +1056,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                         .ok_or_else(|| Wrong::NotCode(self.here()))?;
                     Ok(Ok(self
                         .rp
-                        .idx_of(name)
+                        .idx_of(name.as_str())
                         .expect("proc_at returns live procs")))
                 }
                 Value::Cont(..) => Err(Wrong::NotCode(self.here())),
@@ -1009,18 +1066,36 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
 
     // ----- expression evaluation -----
 
+    /// Evaluates an expression to a value: [`Self::eval_bits`] for
+    /// everything but a bare name, which may denote code or a
+    /// continuation.
     fn eval(&mut self, e: &RExpr) -> Result<Value, Wrong> {
         match e {
-            RExpr::Lit(v) => Ok(v.clone()),
-            RExpr::Name(n) => self.lookup(n),
+            RExpr::Name(n) => self.lookup(n).cloned(),
+            _ => self.eval_bits(e).map(|(w, b)| Value::Bits(w, b)),
+        }
+    }
+
+    /// Evaluates an expression to a width and bits, flattening a `Code`
+    /// or `Cont` name to its encoding.
+    fn eval_bits(&mut self, e: &RExpr) -> Result<(Width, u64), Wrong> {
+        match e {
+            RExpr::Lit(w, b) => Ok((*w, *b)),
+            RExpr::Name(n) => match self.lookup(n)? {
+                Value::Bits(w, b) => Ok((*w, *b)),
+                v => {
+                    let v = v.clone();
+                    Ok((Width::W32, self.flatten(v)?))
+                }
+            },
             RExpr::Mem(ty, a) => {
                 let addr = self.eval_bits(a)?.1;
-                Ok(self.load(*ty, addr))
+                Ok((width_of(*ty), load_bits(&self.mem, *ty, addr)))
             }
             RExpr::Un(op, a) => {
                 let (w, bits) = self.eval_bits(a)?;
                 let (r, rw) = op.eval(w, bits);
-                Ok(Value::Bits(rw, r))
+                Ok((rw, r))
             }
             RExpr::Bin(op, shiftish, a, b) => {
                 let (wa, va) = self.eval_bits(a)?;
@@ -1031,35 +1106,23 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 let (r, rw) = op
                     .eval(wa, va, vb)
                     .map_err(|e| Wrong::OpFailed(self.here(), e))?;
-                Ok(Value::Bits(rw, r))
+                Ok((rw, r))
             }
         }
     }
 
-    fn eval_bits(&mut self, e: &RExpr) -> Result<(Width, u64), Wrong> {
-        let v = self.eval(e)?;
-        match v {
-            Value::Bits(w, b) => Ok((w, b)),
-            other => {
-                let bits = self.flatten(other)?;
-                Ok((Width::W32, bits))
-            }
-        }
-    }
-
-    fn lookup(&mut self, n: &RName) -> Result<Value, Wrong> {
+    fn lookup<'a>(&'a self, n: &'a RName) -> Result<&'a Value, Wrong> {
         if let Some(s) = n.slot {
             if let Some(Some(v)) = self.rho.get(s as usize) {
-                return Ok(v.clone());
+                return Ok(v);
             }
         }
         if let Some(g) = n.global {
-            return Ok(self.globals[g as usize].clone());
+            return Ok(&self.globals[g as usize]);
         }
-        match &n.fallback {
-            Some(v) => Ok(v.clone()),
-            None => Err(Wrong::UnboundName(self.here(), n.name.clone())),
-        }
+        n.fallback
+            .as_ref()
+            .ok_or_else(|| Wrong::UnboundName(self.here(), n.name.clone()))
     }
 
     fn flatten(&mut self, v: Value) -> Result<u64, Wrong> {
@@ -1070,20 +1133,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 .program()
                 .proc_addr(n.as_str())
                 .ok_or_else(|| Wrong::NoSuchProc(self.here(), n)),
-            Value::Cont(p, u) => Ok(self.encode_cont(p, u)),
+            Value::Cont(p, u) => Ok(self.conts.encode(p, u)),
         }
-    }
-
-    fn encode_cont(&mut self, p: NodeRef, u: u64) -> u64 {
-        if let Some(i) = self
-            .cont_encodings
-            .iter()
-            .position(|(q, v)| *q == p && *v == u)
-        {
-            return CONT_BASE + (i as u64) * 8;
-        }
-        self.cont_encodings.push((p, u));
-        CONT_BASE + ((self.cont_encodings.len() - 1) as u64) * 8
     }
 
     /// Recovers a continuation from a `Cont` value or its flattened
@@ -1091,11 +1142,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     pub fn decode_cont(&self, v: &Value) -> Option<(NodeRef, u64)> {
         match v {
             Value::Cont(p, u) => Some((p.clone(), *u)),
-            Value::Bits(_, b) if *b >= CONT_BASE && (*b - CONT_BASE).is_multiple_of(8) => {
-                let i = ((*b - CONT_BASE) / 8) as usize;
-                self.cont_encodings.get(i).cloned()
-            }
-            _ => None,
+            Value::Bits(_, b) => self.conts.decode(*b),
+            Value::Code(_) => None,
         }
     }
 
@@ -1103,32 +1151,18 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
 
     /// Loads a typed value from memory.
     pub fn load(&self, ty: Ty, addr: u64) -> Value {
-        let w = width_of(ty);
-        let mut v = 0u64;
-        for i in 0..ty.bytes() {
-            v |= u64::from(*self.mem.get(&(addr + i)).unwrap_or(&0)) << (8 * i);
-        }
-        Value::Bits(w, v)
+        Value::Bits(width_of(ty), load_bits(&self.mem, ty, addr))
     }
 
     /// Stores bits to memory with the width of `ty`.
     pub fn store(&mut self, ty: Ty, addr: u64, bits: u64) {
-        for i in 0..ty.bytes() {
-            self.mem.insert(addr + i, ((bits >> (8 * i)) & 0xff) as u8);
-        }
+        store_bits(&mut self.mem, ty, addr, bits);
     }
 
     /// The whole memory as sorted `(address, byte)` pairs, zero bytes
     /// elided.
     pub fn mem_snapshot(&self) -> Vec<(u64, u8)> {
-        let mut v: Vec<(u64, u8)> = self
-            .mem
-            .iter()
-            .filter(|&(_, &b)| b != 0)
-            .map(|(&a, &b)| (a, b))
-            .collect();
-        v.sort_unstable();
-        v
+        mem_snapshot(&self.mem)
     }
 
     // ----- the run-time system's window on a suspended thread -----
@@ -1183,6 +1217,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 uid: dead.uid,
             });
         }
+        self.park((dead.rho, dead.saves));
         Ok(())
     }
 
@@ -1207,16 +1242,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 "{target:?} not present in the bundle"
             )));
         };
-        let proc_name = self.rp.procs[top.proc].name.clone();
-        let expected = self.cont_param_count(&proc_name, node);
-        if let Some(expected) = expected {
-            if args.len() != expected {
-                return Err(Wrong::RtsViolation(format!(
-                    "continuation expects {expected} parameters, got {}",
-                    args.len()
-                )));
-            }
-        }
+        check_param_count(self.rp.procs[top.proc].copy_in_arity(node), args.len())?;
         let mut frame = self.stack.pop().expect("frame checked above");
         if !restore {
             for &s in &frame.saves {
@@ -1226,9 +1252,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         }
         self.cur_proc = frame.proc;
         self.cur_node = node;
-        self.rho = frame.rho;
-        self.saves = frame.saves;
         self.uid = frame.uid;
+        self.switch_to((frame.rho, frame.saves));
         self.area = args;
         self.status = Status::Running;
         Ok(())
@@ -1244,15 +1269,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let (target, tuid) = self
             .decode_cont(cont)
             .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-        let expected = self.cont_param_count(&target.proc, target.node);
-        if let Some(expected) = expected {
-            if args.len() != expected {
-                return Err(Wrong::RtsViolation(format!(
-                    "continuation expects {expected} parameters, got {}",
-                    args.len()
-                )));
-            }
-        }
+        check_param_count(self.cont_param_count(&target.proc, target.node), args.len())?;
         let saved_stack = self.stack.clone();
         match self.cut_stack(target, tuid) {
             Ok(_) => {
@@ -1270,11 +1287,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// Number of parameters the continuation at `node` expects, if it
     /// is a `CopyIn` node.
     pub fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
-        let p = &self.rp.procs[self.rp.idx_of(proc)?];
-        match &p.nodes[node.index()] {
-            RNode::CopyIn { slots, .. } => Some(slots.len()),
-            _ => None,
-        }
+        self.rp.procs[self.rp.idx_of(proc.as_str())?].copy_in_arity(node)
     }
 
     // ----- snapshot capture and restore -----
@@ -1341,7 +1354,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                     .zip(self.globals.iter().cloned()),
             ),
             next_uid: self.next_uid,
-            cont_encodings: self.cont_encodings.clone(),
+            cont_encodings: self.conts.entries().to_vec(),
             status,
             steps: self.steps,
         })
@@ -1364,51 +1377,31 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         for (i, ce) in st.cont_encodings.iter().enumerate() {
             check_ref(prog, &ce.0.proc, ce.0.node, &format!("cont-encoding {i}"))?;
         }
-        let resolve_env = |p: &RProc,
-                           pairs: &[(Name, Value)],
-                           what: &str|
-         -> Result<Vec<Option<Value>>, String> {
-            let mut rho = vec![None; p.nslots];
-            for (n, v) in pairs {
-                let slot =
-                    p.slot_names.iter().position(|m| m == n).ok_or_else(|| {
-                        format!("{what}: `{n}` is not a variable of `{}`", p.name)
-                    })?;
-                rho[slot] = Some(v.clone());
-            }
-            Ok(rho)
-        };
-        let resolve_names = |p: &RProc, ns: &[Name], what: &str| -> Result<Vec<Slot>, String> {
-            ns.iter()
-                .map(|n| {
-                    p.slot_names
-                        .iter()
-                        .position(|m| m == n)
-                        .map(|s| s as Slot)
-                        .ok_or_else(|| format!("{what}: `{n}` is not a variable of `{}`", p.name))
-                })
-                .collect()
-        };
-        let cur = self
-            .rp
-            .idx_of(&st.proc)
+        let rp = self.rp;
+        let cur = rp
+            .idx_of(st.proc.as_str())
             .expect("checked by check_ref above");
-        let p = &self.rp.procs[cur];
-        let rho = resolve_env(p, &st.rho, "environment")?;
-        let saves = resolve_names(p, &st.saves, "callee-saves")?;
+        let spare = self.spare.pop().unwrap_or_default();
+        let locals = resolve_locals(&rp.procs[cur], &st.rho, &st.saves, "", spare)?;
         let mut stack = Vec::with_capacity(st.stack.len());
         for (i, f) in st.stack.iter().enumerate() {
-            call_bundle(prog, &f.proc, f.call_site).map_err(|e| format!("frame {i}: {e}"))?;
-            let fi = self
-                .rp
-                .idx_of(&f.proc)
-                .expect("call_bundle found the procedure");
-            let fp = &self.rp.procs[fi];
+            call_site_graph(prog, &f.proc, f.call_site).map_err(|e| format!("frame {i}: {e}"))?;
+            let fi = rp
+                .idx_of(f.proc.as_str())
+                .expect("call_site_graph found the procedure");
+            let spare = self.spare.pop().unwrap_or_default();
+            let (rho, saves) = resolve_locals(
+                &rp.procs[fi],
+                &f.rho,
+                &f.saves,
+                &format!("frame {i} "),
+                spare,
+            )?;
             stack.push(RFrame {
                 proc: fi,
                 call_site: f.call_site,
-                rho: resolve_env(fp, &f.rho, &format!("frame {i} environment"))?,
-                saves: resolve_names(fp, &f.saves, &format!("frame {i} callee-saves"))?,
+                rho,
+                saves,
                 uid: f.uid,
             });
         }
@@ -1426,17 +1419,18 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 .ok_or_else(|| format!("global `{n}` is not declared by the program"))?;
             globals[*g as usize] = v.clone();
         }
+        for f in std::mem::replace(&mut self.stack, stack) {
+            self.park((f.rho, f.saves));
+        }
+        self.switch_to(locals);
         self.cur_proc = cur;
         self.cur_node = st.node;
-        self.rho = rho;
-        self.saves = saves;
         self.uid = st.uid;
         self.mem = st.mem.iter().copied().collect();
         self.area = st.area.clone();
-        self.stack = stack;
         self.globals = globals;
         self.next_uid = st.next_uid;
-        self.cont_encodings = st.cont_encodings.clone();
+        self.conts.restore(&st.cont_encodings);
         self.status = match st.status {
             SnapStatus::Suspended => Status::Suspended,
             SnapStatus::OutOfFuel => Status::OutOfFuel,
@@ -1444,6 +1438,34 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         self.steps = st.steps;
         Ok(())
     }
+}
+
+/// Translates one captured activation's environment and callee-saves
+/// set into `p`'s slots, filling the vectors of `locals`. `frame` names
+/// the activation in error messages (`""` for the current one).
+fn resolve_locals(
+    p: &RProc,
+    rho_pairs: &[(Name, Value)],
+    save_names: &[Name],
+    frame: &str,
+    (mut rho, mut saves): Locals,
+) -> Result<Locals, String> {
+    let slot = |n: &Name, what: &str| {
+        p.slot_names
+            .iter()
+            .position(|m| m == n)
+            .ok_or_else(|| format!("{frame}{what}: `{n}` is not a variable of `{}`", p.name))
+    };
+    rho.clear();
+    rho.resize(p.nslots, None);
+    for (n, v) in rho_pairs {
+        rho[slot(n, "environment")?] = Some(v.clone());
+    }
+    saves.clear();
+    for n in save_names {
+        saves.push(slot(n, "callee-saves")? as Slot);
+    }
+    Ok((rho, saves))
 }
 
 impl<'p, S: TraceSink> crate::engine::SemEngine<'p> for ResolvedMachine<'p, S> {
@@ -1533,7 +1555,8 @@ impl<'p, S: TraceSink> crate::engine::SemEngine<'p> for ResolvedMachine<'p, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Machine;
+    use crate::state::CONT_BASE;
+    use crate::{Machine, SemEngine};
     use cmm_cfg::build_program;
     use cmm_parse::parse_module;
 
@@ -1785,5 +1808,42 @@ mod tests {
             ..ResourceGovernor::unlimited()
         };
         assert_eq!(both_governed(DEEP, g), Status::OutOfFuel);
+    }
+
+    /// Flattens one continuation, captures, restores (on either engine)
+    /// and flattens it again: the restored table must give it its old
+    /// encoding instead of a new entry.
+    fn reflatten_after_restore<'p>(mut from: impl SemEngine<'p>, mut into: impl SemEngine<'p>) {
+        from.start("f", vec![]).unwrap();
+        assert_eq!(from.run(10), Status::OutOfFuel);
+        let st = from.capture().unwrap();
+        assert_eq!(st.cont_encodings.len(), 1);
+        into.restore(&st).unwrap();
+        assert_eq!(into.run(50), Status::OutOfFuel);
+        assert_eq!(into.capture().unwrap().cont_encodings, st.cont_encodings);
+        let addr = into.program().image.symbol("slot").unwrap();
+        assert_eq!(into.load(Ty::B32, addr).bits(), Some(CONT_BASE));
+    }
+
+    #[test]
+    fn restored_cont_table_keeps_encodings() {
+        let p = prog(
+            r#"
+            data slot { bits32 0; }
+            f() {
+                bits32 r;
+              loop:
+                bits32[slot] = k;
+                goto loop;
+                continuation k(r):
+                return (r);
+            }
+            "#,
+        );
+        let rp = ResolvedProgram::new(&p);
+        reflatten_after_restore(Machine::new(&p), Machine::new(&p));
+        reflatten_after_restore(Machine::new(&p), ResolvedMachine::new(&rp));
+        reflatten_after_restore(ResolvedMachine::new(&rp), Machine::new(&p));
+        reflatten_after_restore(ResolvedMachine::new(&rp), ResolvedMachine::new(&rp));
     }
 }

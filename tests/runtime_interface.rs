@@ -53,13 +53,13 @@ fn full_walk_and_dispatch_on_the_abstract_machine() {
 
         let mut a = t.first_activation().unwrap();
         // Walk: g -> mid -> f, checking descriptors along the way.
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "g");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "g");
         assert!(t.next_activation(&mut a));
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "mid");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "mid");
         let d = t.get_descriptor(&a, 0).unwrap();
         assert_eq!(t.read_u32(d), 1);
         assert!(t.next_activation(&mut a));
-        assert_eq!(t.frame(&a).unwrap().proc.as_str(), "f");
+        assert_eq!(t.frame(&a).unwrap().proc().as_str(), "f");
         let d = t.get_descriptor(&a, 0).unwrap();
         assert_eq!(t.read_u32(d), 2);
         assert!(!t.next_activation(&mut a));

@@ -1,0 +1,121 @@
+//! How often the abstract machines call the allocator per loop
+//! iteration, counted by a global allocator.
+//!
+//! Figures 3/4 (plain calls and the branch-table return) and §4.2 (the
+//! cut and unwind annotations), unoptimized and optimized, run for `n`
+//! and `2n` iterations on both sem engines. The pre-resolved engine
+//! reuses every container a call or return touches, so it must allocate
+//! exactly as often at both sizes. The reference machine builds each
+//! activation's environment as an ordered map, so each extra iteration
+//! may cost it at most two allocations.
+
+use cmm_cfg::Program;
+use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the calling thread's allocations, so that the test harness's
+/// own threads cannot perturb a measurement.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by `f` on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+fn compile(src: &str, optimize: bool) -> Program {
+    let module = cmm_parse::parse_module(src).expect("example parses");
+    let mut prog = cmm_cfg::build_program(&module).expect("example builds");
+    if optimize {
+        cmm_opt::optimize_program(&mut prog, &cmm_opt::OptOptions::default());
+    }
+    prog
+}
+
+fn terminated(s: Status) {
+    assert!(matches!(s, Status::Terminated(_)), "run ended {s:?}");
+}
+
+#[test]
+fn sem_loops_allocate_within_budget_per_iteration() {
+    const N: u32 = 300;
+    let examples = [
+        ("fig34_plain", include_str!("../examples/fig34_plain.cmm")),
+        ("fig34_table", include_str!("../examples/fig34_table.cmm")),
+        ("sec42_cuts", include_str!("../examples/sec42_cuts.cmm")),
+        (
+            "sec42_unwinds",
+            include_str!("../examples/sec42_unwinds.cmm"),
+        ),
+    ];
+    for (name, src) in examples {
+        for optimize in [false, true] {
+            let prog = compile(src, optimize);
+            let rp = ResolvedProgram::new(&prog);
+            let sem = |n: u32| {
+                allocations(|| {
+                    let mut m = Machine::new(&prog);
+                    m.start("f", vec![Value::b32(n)]).unwrap();
+                    terminated(m.run(u64::MAX));
+                })
+            };
+            let resolved = |n: u32| {
+                allocations(|| {
+                    let mut m = ResolvedMachine::new(&rp);
+                    m.start("f", vec![Value::b32(n)]).unwrap();
+                    terminated(m.run(u64::MAX));
+                })
+            };
+            let what = format!("{name} (optimized: {optimize})");
+            let (r1, r2) = (resolved(N), resolved(2 * N));
+            assert_eq!(
+                r1,
+                r2,
+                "{what}: sem-resolved allocated {r1} times at n = {N} but {r2} at n = {}",
+                2 * N
+            );
+            let (s1, s2) = (sem(N), sem(2 * N));
+            assert!(
+                s2 <= s1 + 2 * u64::from(N),
+                "{what}: sem allocated {s1} times at n = {N} and {s2} at n = {}, over 2 per extra iteration",
+                2 * N
+            );
+        }
+    }
+}
