@@ -24,6 +24,15 @@ impl fmt::Display for M3ParseError {
 
 impl std::error::Error for M3ParseError {}
 
+/// How deeply a program may nest: expressions (parentheses and call
+/// arguments) and statements (`if`, `while` and `try` blocks and
+/// `else if` chains) each count once per level. Lowering and every
+/// later stage walk that nesting recursively; lowering a `try` costs
+/// the most stack per level, and 64 nested `try` blocks lower, build,
+/// optimize, compile and run on every engine within 1 MiB of stack in
+/// a debug build, half of a default thread's.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a MiniM3 program.
 ///
 /// # Errors
@@ -33,6 +42,7 @@ pub fn parse_minim3(src: &str) -> Result<M3Program, M3ParseError> {
     let mut p = P {
         toks: tokenize(src),
         at: 0,
+        depth: 0,
     };
     let mut prog = M3Program::default();
     while !p.done() {
@@ -51,13 +61,13 @@ pub fn parse_minim3(src: &str) -> Result<M3Program, M3ParseError> {
     Ok(prog)
 }
 
-#[derive(Clone, Debug)]
-struct Tok {
-    text: String,
+#[derive(Clone, Copy, Debug)]
+struct Tok<'a> {
+    text: &'a str,
     at: usize,
 }
 
-fn tokenize(src: &str) -> Vec<Tok> {
+fn tokenize(src: &str) -> Vec<Tok<'_>> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -96,34 +106,43 @@ fn tokenize(src: &str) -> Vec<Tok> {
             i += src[i..].chars().next().map_or(1, char::len_utf8);
         }
         toks.push(Tok {
-            text: src[start..i].to_string(),
+            text: &src[start..i],
             at: start,
         });
     }
     toks
 }
 
-struct P {
-    toks: Vec<Tok>,
+struct P<'a> {
+    toks: Vec<Tok<'a>>,
     at: usize,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
-impl P {
+impl<'a> P<'a> {
     fn done(&self) -> bool {
         self.at >= self.toks.len()
     }
 
-    fn peek(&self) -> &str {
-        self.toks
-            .get(self.at)
-            .map(|t| t.text.as_str())
-            .unwrap_or("")
+    fn peek(&self) -> &'a str {
+        self.toks.get(self.at).map_or("", |t| t.text)
     }
 
     fn bump(&mut self) -> String {
         let t = self.peek().to_string();
         self.at += 1;
         t
+    }
+
+    /// Enters one level of nesting; an error ends the parse, so only
+    /// the success paths leave.
+    fn enter(&mut self) -> Result<(), M3ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn eat(&mut self, s: &str) -> bool {
@@ -217,25 +236,70 @@ impl P {
     }
 
     fn stmt(&mut self, locals: &mut Vec<String>) -> Result<M3Stmt, M3ParseError> {
-        if self.eat_kw("if") {
+        self.enter()?;
+        let s = if self.eat_kw("if") {
+            self.if_stmt(locals)?
+        } else if self.eat_kw("while") {
             let cond = self.expr()?;
-            let then_ = self.block(locals)?;
-            let else_ = if self.eat_kw("else") {
-                if self.peek() == "if" {
-                    vec![self.stmt(locals)?]
-                } else {
-                    self.block(locals)?
-                }
+            M3Stmt::While(cond, self.block(locals)?)
+        } else if self.eat_kw("try") {
+            self.try_stmt(locals)?
+        } else {
+            self.flat_stmt()?
+        };
+        self.depth -= 1;
+        Ok(s)
+    }
+
+    /// The rest of an `if` statement after its keyword. Statements that
+    /// hold blocks are parsed apart from [`P::flat_stmt`], so each level
+    /// of nested blocks keeps only small frames on the stack.
+    fn if_stmt(&mut self, locals: &mut Vec<String>) -> Result<M3Stmt, M3ParseError> {
+        let cond = self.expr()?;
+        let then_ = self.block(locals)?;
+        let else_ = if self.eat_kw("else") {
+            if self.peek() == "if" {
+                vec![self.stmt(locals)?]
             } else {
-                Vec::new()
+                self.block(locals)?
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(M3Stmt::If(cond, then_, else_))
+    }
+
+    /// The rest of a `try` statement after its keyword.
+    fn try_stmt(&mut self, locals: &mut Vec<String>) -> Result<M3Stmt, M3ParseError> {
+        let body = self.block(locals)?;
+        self.expect("except")?;
+        self.expect("{")?;
+        let mut handlers = Vec::new();
+        while !self.eat("}") {
+            let exception = self.ident()?;
+            let binds = if self.eat("(") {
+                let b = self.ident()?;
+                self.expect(")")?;
+                if !locals.contains(&b) {
+                    locals.push(b.clone());
+                }
+                Some(b)
+            } else {
+                None
             };
-            return Ok(M3Stmt::If(cond, then_, else_));
+            self.expect("=>")?;
+            let hbody = self.block(locals)?;
+            handlers.push(M3Handler {
+                exception,
+                binds,
+                body: hbody,
+            });
         }
-        if self.eat_kw("while") {
-            let cond = self.expr()?;
-            let body = self.block(locals)?;
-            return Ok(M3Stmt::While(cond, body));
-        }
+        Ok(M3Stmt::Try { body, handlers })
+    }
+
+    /// A statement that holds no block.
+    fn flat_stmt(&mut self) -> Result<M3Stmt, M3ParseError> {
         if self.eat_kw("return") {
             let e = self.expr()?;
             self.expect(";")?;
@@ -252,33 +316,6 @@ impl P {
             };
             self.expect(";")?;
             return Ok(M3Stmt::Raise(exc, value));
-        }
-        if self.eat_kw("try") {
-            let body = self.block(locals)?;
-            self.expect("except")?;
-            self.expect("{")?;
-            let mut handlers = Vec::new();
-            while !self.eat("}") {
-                let exception = self.ident()?;
-                let binds = if self.eat("(") {
-                    let b = self.ident()?;
-                    self.expect(")")?;
-                    if !locals.contains(&b) {
-                        locals.push(b.clone());
-                    }
-                    Some(b)
-                } else {
-                    None
-                };
-                self.expect("=>")?;
-                let hbody = self.block(locals)?;
-                handlers.push(M3Handler {
-                    exception,
-                    binds,
-                    body: hbody,
-                });
-            }
-            return Ok(M3Stmt::Try { body, handlers });
         }
         // Assignment or call.
         let name = self.ident()?;
@@ -323,12 +360,7 @@ impl P {
                     .unwrap_or(false)
             })
             .unwrap_or(false);
-        ident
-            && self
-                .toks
-                .get(self.at + 1)
-                .map(|t| t.text == "(")
-                .unwrap_or(false)
+        ident && self.toks.get(self.at + 1).is_some_and(|t| t.text == "(")
     }
 
     fn args(&mut self) -> Result<Vec<M3Expr>, M3ParseError> {
@@ -347,6 +379,13 @@ impl P {
     }
 
     fn expr(&mut self) -> Result<M3Expr, M3ParseError> {
+        self.enter()?;
+        let e = self.comparison()?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    fn comparison(&mut self) -> Result<M3Expr, M3ParseError> {
         let lhs = self.arith()?;
         let op = match self.peek() {
             "==" => M3Op::Eq,
@@ -395,7 +434,7 @@ impl P {
             self.expect(")")?;
             return Ok(e);
         }
-        let t = self.peek().to_string();
+        let t = self.peek();
         if t.chars()
             .next()
             .map(|c| c.is_ascii_digit())

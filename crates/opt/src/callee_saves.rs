@@ -18,7 +18,7 @@
 //! registers; everything else live across a call is spilled to the
 //! frame.
 
-use crate::liveness::Liveness;
+use crate::analyses::Analyses;
 use crate::locals::bits;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::Name;
@@ -39,14 +39,16 @@ pub struct CalleeSavesStats {
 /// Promotes variables into callee-saves registers around calls.
 ///
 /// `max_regs` is the number of callee-saves registers the target
-/// provides. Returns statistics.
-pub fn promote_callee_saves(g: &mut Graph, max_regs: usize) -> CalleeSavesStats {
-    let live = Liveness::compute(g);
+/// provides. Returns statistics. The pass runs last: it adds nodes and
+/// edges, so it takes the analyses it was handed (reusing whatever
+/// liveness the earlier passes left valid) and ends their life.
+pub fn promote_callee_saves(g: &mut Graph, mut an: Analyses, max_regs: usize) -> CalleeSavesStats {
+    let (live, rpo) = an.liveness(g);
     let locals = live.locals();
     let mut stats = CalleeSavesStats::default();
-    let calls: Vec<NodeId> = g
-        .reverse_postorder()
-        .into_iter()
+    let calls: Vec<NodeId> = rpo
+        .iter()
+        .copied()
         .filter(|&id| matches!(g.node(id), Node::Call { .. }))
         .collect();
 
@@ -166,6 +168,11 @@ mod tests {
             .clone()
     }
 
+    fn promote(g: &mut Graph, max_regs: usize) -> CalleeSavesStats {
+        let an = Analyses::new(g);
+        promote_callee_saves(g, an, max_regs)
+    }
+
     /// The paper's f/g/k example from §4.1–4.2: y and w live across the
     /// call; with a cuts-to edge they may NOT be promoted.
     #[test]
@@ -183,7 +190,7 @@ mod tests {
             g(bits32 a, bits32 kk) { return (a); }
             "#,
         );
-        let stats = promote_callee_saves(&mut g, 8);
+        let stats = promote(&mut g, 8);
         assert_eq!(stats.vars_promoted, 0, "{stats:?}");
         assert!(stats.vars_blocked_by_cuts >= 2, "{stats:?}");
     }
@@ -207,7 +214,7 @@ mod tests {
             g(bits32 a) { return (a); }
             "#,
         );
-        let stats = promote_callee_saves(&mut g, 8);
+        let stats = promote(&mut g, 8);
         assert!(stats.vars_promoted >= 2, "{stats:?}");
         assert_eq!(stats.vars_blocked_by_cuts, 0, "{stats:?}");
         assert!(g
@@ -229,7 +236,7 @@ mod tests {
             g() { return (0); }
             "#,
         );
-        let stats = promote_callee_saves(&mut g, 2);
+        let stats = promote(&mut g, 2);
         assert_eq!(stats.vars_promoted, 2);
     }
 
@@ -247,7 +254,7 @@ mod tests {
             g() { return (0); }
             "#,
         );
-        promote_callee_saves(&mut g, 4);
+        promote(&mut g, 4);
         let at = saves_at(&g);
         let call = g
             .ids()
@@ -278,7 +285,7 @@ mod tests {
         let prog = build_program(&parse_module(src).unwrap()).unwrap();
         let mut opt_prog = prog.clone();
         let mut g = opt_prog.procs.get("f").unwrap().clone();
-        promote_callee_saves(&mut g, 4);
+        promote(&mut g, 4);
         opt_prog.procs.insert(g.name.clone(), g);
 
         let run = |p: &cmm_cfg::Program| {

@@ -10,7 +10,12 @@
 //! program that would go wrong still goes wrong — the optimizer
 //! preserves even the "unspecified" behaviours our semantics refines
 //! into explicit `Wrong` states.
+//!
+//! The rewrite leaves alone, without copying, every expression that
+//! neither uses a constant-valued definition nor has a literal operand:
+//! substitution and folding could not change it.
 
+use crate::analyses::Analyses;
 use crate::ssa::Ssa;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::{Expr, Lit, Lvalue, Ty, Width};
@@ -36,31 +41,40 @@ fn join(a: Lat, b: Lat) -> Lat {
 
 /// Runs constant propagation and folding; returns the number of
 /// expressions rewritten.
-pub fn constprop(g: &mut Graph) -> usize {
-    let ssa = Ssa::build(g);
-    let values = solve(g, &ssa);
+pub fn constprop(g: &mut Graph, an: &mut Analyses) -> usize {
+    let ssa = Ssa::over(g, an.locals(), an.rpo());
+    let values = solve(g, &ssa, an.rpo());
 
     // Rewrite: substitute constant uses, then fold.
     let mut changed = 0;
-    let reachable: Vec<NodeId> = g.reverse_postorder();
-    for id in reachable {
-        let subst = |e: &Expr| -> Expr {
-            e.substitute(&|n| match ssa.reaching(id, n).map(|d| values[d]) {
-                Some(Lat::Const(w, v)) => Some(Expr::Lit(Lit::bits(w, v))),
-                _ => None,
-            })
+    let mut folded_branch = false;
+    for &id in an.rpo() {
+        let consts = ssa
+            .uses_at(id)
+            .iter()
+            .any(|&(_, d)| matches!(values[d], Lat::Const(..)));
+        // The rewritten expression, if it differs.
+        let rewrite = |e: &Expr| -> Option<Expr> {
+            if !consts && !has_literal_operand(e) {
+                return None;
+            }
+            let new = fold(
+                &e.substitute(&|n| match ssa.reaching(id, n).map(|d| values[d]) {
+                    Some(Lat::Const(w, v)) => Some(Expr::Lit(Lit::bits(w, v))),
+                    _ => None,
+                }),
+            );
+            (new != *e).then_some(new)
         };
         let node = g.node_mut(id);
         match node {
             Node::Assign { rhs, lhs, .. } => {
-                let new = fold(&subst(rhs));
-                if &new != rhs {
+                if let Some(new) = rewrite(rhs) {
                     *rhs = new;
                     changed += 1;
                 }
                 if let Lvalue::Mem(_, a) = lhs {
-                    let new = fold(&subst(a));
-                    if &new != a {
+                    if let Some(new) = rewrite(a) {
                         *a = new;
                         changed += 1;
                     }
@@ -68,16 +82,15 @@ pub fn constprop(g: &mut Graph) -> usize {
             }
             Node::CopyOut { exprs, .. } => {
                 for e in exprs {
-                    let new = fold(&subst(e));
-                    if &new != e {
+                    if let Some(new) = rewrite(e) {
                         *e = new;
                         changed += 1;
                     }
                 }
             }
             Node::Branch { cond, t, f } => {
-                let new = fold(&subst(cond));
-                if let Expr::Lit(l) = &new {
+                let new = rewrite(cond);
+                if let Expr::Lit(l) = new.as_ref().unwrap_or(cond) {
                     // Branch on a constant: become a skip to the taken arm.
                     let taken = if l.bits != 0 { *t } else { *f };
                     *node = Node::CopyIn {
@@ -85,7 +98,8 @@ pub fn constprop(g: &mut Graph) -> usize {
                         next: taken,
                     };
                     changed += 1;
-                } else if &new != cond {
+                    folded_branch = true;
+                } else if let Some(new) = new {
                     *cond = new;
                     changed += 1;
                 }
@@ -93,20 +107,40 @@ pub fn constprop(g: &mut Graph) -> usize {
             _ => {}
         }
     }
+    if folded_branch {
+        an.rerouted(g);
+    } else if changed > 0 {
+        an.rewrote();
+    }
     changed
+}
+
+/// True if some operator in `e` has a literal operand: the only places
+/// folding can start.
+fn has_literal_operand(e: &Expr) -> bool {
+    match e {
+        Expr::Lit(_) | Expr::Name(_) => false,
+        Expr::Mem(_, a) => has_literal_operand(a),
+        Expr::Unary(_, a) => matches!(**a, Expr::Lit(_)) || has_literal_operand(a),
+        Expr::Binary(_, a, b) => {
+            matches!(**a, Expr::Lit(_))
+                || matches!(**b, Expr::Lit(_))
+                || has_literal_operand(a)
+                || has_literal_operand(b)
+        }
+    }
 }
 
 /// Fixpoint over SSA definitions: the lattice value of each, indexed
 /// by definition.
-fn solve(g: &Graph, ssa: &Ssa) -> Vec<Lat> {
+fn solve(g: &Graph, ssa: &Ssa, rpo: &[NodeId]) -> Vec<Lat> {
     let mut values = vec![Lat::Top; ssa.sites.len()];
     // Simple round-robin iteration; the lattice has height 2 so this
     // converges quickly even without a worklist.
-    let order: Vec<NodeId> = g.reverse_postorder();
     let mut changed = true;
     while changed {
         changed = false;
-        for &id in &order {
+        for &id in rpo {
             // φ defs at this node.
             for phi in ssa.phis_at(id) {
                 let v = if phi.args.is_empty() {
@@ -256,6 +290,11 @@ mod tests {
             .proc("f")
             .unwrap()
             .clone()
+    }
+
+    fn constprop(g: &mut Graph) -> usize {
+        let mut an = Analyses::new(g);
+        super::constprop(g, &mut an)
     }
 
     fn assigns_of(g: &Graph) -> Vec<Expr> {

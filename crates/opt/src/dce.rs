@@ -11,19 +11,22 @@
 //! exception handler is *live* at every call that can reach the handler,
 //! so its definition is correctly retained — with no special-casing here.
 
-use crate::liveness::Liveness;
+use crate::analyses::Analyses;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::Lvalue;
 
 /// Runs dead-code elimination; returns the number of nodes removed.
-pub fn dce(g: &mut Graph) -> usize {
+///
+/// Each round scans the order its liveness was computed over. A round
+/// that removes nothing leaves that liveness in `an`, still valid.
+pub fn dce(g: &mut Graph, an: &mut Analyses) -> usize {
     let mut removed_total = 0;
     loop {
-        let live = Liveness::compute(g);
+        let (live, rpo) = an.liveness(g);
         // Each dead node's successor; `None` for live nodes.
         let mut redirect: Vec<Option<NodeId>> = vec![None; g.nodes.len()];
         let mut removed = 0;
-        for id in g.reverse_postorder() {
+        for &id in rpo {
             if let Node::Assign {
                 lhs: Lvalue::Var(v),
                 rhs,
@@ -62,6 +65,7 @@ pub fn dce(g: &mut Graph) -> usize {
             node.map_succs(resolve);
         }
         g.entry = resolve(g.entry);
+        an.bypassed(g, &redirect);
     }
 }
 
@@ -77,6 +81,11 @@ mod tests {
             .proc("f")
             .unwrap()
             .clone()
+    }
+
+    fn dce(g: &mut Graph) -> usize {
+        let mut an = Analyses::new(g);
+        super::dce(g, &mut an)
     }
 
     fn live_assign_count(g: &Graph) -> usize {

@@ -45,9 +45,8 @@ impl Lists {
 /// Dominator information for the reachable part of a graph.
 #[derive(Clone, Debug)]
 pub struct Dominators {
-    /// Reverse postorder of reachable nodes.
-    pub rpo: Vec<NodeId>,
-    /// Position of each node in `rpo` (`NONE` for unreachable nodes).
+    /// Position of each node in the reverse postorder (`NONE` for
+    /// unreachable nodes).
     rpo_index: Vec<u32>,
     /// Immediate dominator of each node (the entry maps to itself;
     /// `NONE` for unreachable nodes).
@@ -61,8 +60,13 @@ pub struct Dominators {
 impl Dominators {
     /// Computes dominators and dominance frontiers.
     pub fn compute(g: &Graph) -> Dominators {
+        Dominators::over(g, &g.reverse_postorder())
+    }
+
+    /// Computes dominators and dominance frontiers from the reverse
+    /// postorder of the graph's reachable nodes.
+    pub(crate) fn over(g: &Graph, rpo: &[NodeId]) -> Dominators {
         let n = g.nodes.len();
-        let rpo = g.reverse_postorder();
         let mut rpo_index = vec![NONE; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = i as u32;
@@ -103,7 +107,7 @@ impl Dominators {
         // order, each join recorded once per runner.
         let mut pairs = Vec::new();
         let mut last_join = vec![NONE; n];
-        for &b in &rpo {
+        for &b in rpo {
             let ps = preds.get(b);
             if ps.len() >= 2 {
                 for &p in ps {
@@ -130,7 +134,6 @@ impl Dominators {
         let children = Lists::group(n, &pairs);
 
         Dominators {
-            rpo,
             rpo_index,
             idom,
             frontier,
@@ -215,7 +218,7 @@ mod tests {
             "#,
         );
         let d = Dominators::compute(&g);
-        for &n in &d.rpo {
+        for n in g.reverse_postorder() {
             assert!(d.dominates(g.entry, n));
         }
     }
@@ -258,7 +261,7 @@ mod tests {
     fn idom_chain_reaches_entry() {
         let g = graph("f() { if 1 { return (1); } else { return (2); } }");
         let d = Dominators::compute(&g);
-        for &n in &d.rpo {
+        for n in g.reverse_postorder() {
             let mut cur = n;
             let mut hops = 0;
             while cur != g.entry {

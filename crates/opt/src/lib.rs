@@ -22,6 +22,9 @@
 //!   are ordinary edges of the graph (this is the paper's central claim
 //!   about optimization);
 //! * [`dom`] — dominator trees and dominance frontiers;
+//! * [`analyses`] — the locals index, reverse postorder and liveness
+//!   one graph's passes share, each rebuilt only when a pass changed
+//!   what it was built from;
 //! * [`ssa`] — static single-assignment numbering as an overlay on the
 //!   graph (the form of the paper's Figure 6);
 //! * passes — sparse constant propagation and folding ([`constprop`]),
@@ -37,6 +40,7 @@
 //! random programs before and after optimization and require identical
 //! observable results.
 
+pub mod analyses;
 pub mod callee_saves;
 pub mod constprop;
 pub mod dataflow;
@@ -48,6 +52,7 @@ pub mod locals;
 pub mod pipeline;
 pub mod ssa;
 
+pub use analyses::Analyses;
 pub use dataflow::{flow, NodeFlow, Slot};
 pub use dom::Dominators;
 pub use liveness::Liveness;

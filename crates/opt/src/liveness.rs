@@ -11,13 +11,14 @@
 use crate::dataflow::{each_var_def, each_var_use};
 use crate::locals::{set_bit, Locals, VarSet};
 use cmm_cfg::{Graph, NodeId};
+use std::sync::Arc;
 
 /// Per-node live-in and live-out sets, as bit rows over the graph's
 /// locals index (untracked names — globals and symbols — are never
 /// live here: no pass asks about them).
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    locals: Locals,
+    locals: Arc<Locals>,
     /// Live-in row of each node: `locals.words()` words per node id.
     live_in: Vec<u64>,
     /// Live-out row of each node, laid out the same way.
@@ -27,7 +28,12 @@ pub struct Liveness {
 impl Liveness {
     /// Computes liveness for the reachable part of a graph.
     pub fn compute(g: &Graph) -> Liveness {
-        let locals = Locals::of(g);
+        Liveness::over(g, &Arc::new(Locals::of(g)), &g.reverse_postorder())
+    }
+
+    /// Computes liveness over the graph's locals index and the reverse
+    /// postorder of its reachable nodes.
+    pub(crate) fn over(g: &Graph, locals: &Arc<Locals>, rpo: &[NodeId]) -> Liveness {
         let n = g.nodes.len();
         let w = locals.words();
         // Per-node use (gen) and def (kill) rows, and a flat successor
@@ -55,14 +61,12 @@ impl Liveness {
         succ_at.push(succ.len() as u32);
 
         // Postorder converges fastest for a backward problem.
-        let mut order = g.reverse_postorder();
-        order.reverse();
         let mut live_in = vec![0u64; n * w];
         let mut live_out = vec![0u64; n * w];
         let mut changed = true;
         while changed {
             changed = false;
-            for &id in &order {
+            for &id in rpo.iter().rev() {
                 let i = id.index();
                 let succs = &succ[succ_at[i] as usize..succ_at[i + 1] as usize];
                 for k in 0..w {
@@ -80,7 +84,7 @@ impl Liveness {
             }
         }
         Liveness {
-            locals,
+            locals: Arc::clone(locals),
             live_in,
             live_out,
         }

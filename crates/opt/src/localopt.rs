@@ -9,42 +9,37 @@
 //!
 //! invalidating entries when an operand is redefined, and invalidating
 //! all memory-dependent and non-local-dependent entries at `Call` nodes
-//! (a callee may write memory and global registers).
+//! (a callee may write memory and global registers). While both tables
+//! are empty no expression can change, so none is copied or hashed.
 
+use crate::analyses::Analyses;
 use crate::locals::Locals;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::{Expr, Lvalue, Name};
 use std::collections::HashMap;
 
 /// Runs both local passes; returns the number of rewrites.
-pub fn localopt(g: &mut Graph) -> usize {
-    let locals = Locals::of(g);
-    let chains = chains(g);
-    let mut changed = 0;
-    for chain in chains {
-        changed += run_chain(g, &chain, &locals);
-    }
-    changed
-}
-
-/// Maximal straight-line chains over the reachable graph.
-fn chains(g: &Graph) -> Vec<Vec<NodeId>> {
-    let rpo = g.reverse_postorder();
-    // Edges into each node from reachable nodes.
+pub fn localopt(g: &mut Graph, an: &mut Analyses) -> usize {
+    let rpo = an.rpo();
+    // Edges into each node from reachable nodes. The pass rewrites
+    // expressions only, so these and the chains stay valid throughout.
     let mut preds = vec![0u32; g.nodes.len()];
-    for &p in &rpo {
+    for &p in rpo {
         for s in g.node(p).succ_iter() {
             preds[s.index()] += 1;
         }
     }
     let mut in_chain = vec![false; g.nodes.len()];
-    let mut out = Vec::new();
-    for &start in &rpo {
+    let mut chain = Vec::new();
+    let mut changed = 0;
+    for &start in rpo {
         if in_chain[start.index()] {
             continue;
         }
-        // A chain head: entry, a join, or a successor of a fork.
-        let mut chain = vec![start];
+        // A maximal straight-line chain from its head: the entry, a
+        // join, or a successor of a fork.
+        chain.clear();
+        chain.push(start);
         in_chain[start.index()] = true;
         let mut cur = start;
         loop {
@@ -59,9 +54,12 @@ fn chains(g: &Graph) -> Vec<Vec<NodeId>> {
             in_chain[next.index()] = true;
             cur = next;
         }
-        out.push(chain);
+        changed += run_chain(g, &chain, an.locals());
     }
-    out
+    if changed > 0 {
+        an.rewrote();
+    }
+    changed
 }
 
 struct LocalState {
@@ -71,12 +69,19 @@ struct LocalState {
     avail: HashMap<Expr, Name>,
 }
 
+/// True if `e` mentions the name `v`.
+fn mentions(e: &Expr, v: &Name) -> bool {
+    let mut hit = false;
+    e.visit_names(&mut |n| hit |= n == v);
+    hit
+}
+
 impl LocalState {
     fn invalidate_var(&mut self, v: &Name) {
         self.copies.remove(v);
         self.copies.retain(|_, w| w != v);
         self.avail
-            .retain(|e, holder| holder != v && !e.names().contains(v));
+            .retain(|e, holder| holder != v && !mentions(e, v));
     }
 
     fn invalidate_memory(&mut self) {
@@ -87,10 +92,41 @@ impl LocalState {
     fn invalidate_for_call(&mut self, locals: &Locals) {
         self.invalidate_memory();
         self.avail.retain(|e, holder| {
-            locals.contains(holder) && e.names().iter().all(|n| locals.contains(n))
+            let mut all_local = locals.contains(holder);
+            e.visit_names(&mut |n| all_local &= locals.contains(n));
+            all_local
         });
         self.copies
             .retain(|v, w| locals.contains(v) && locals.contains(w));
+    }
+
+    /// The rewrite of `e` by the copy environment, then by the
+    /// available expressions, if it differs from `e`.
+    fn rewrite(&self, e: &Expr) -> Option<Expr> {
+        if self.copies.is_empty() {
+            // Substitution would only copy `e`.
+            if self.avail.is_empty() || matches!(e, Expr::Name(_) | Expr::Lit(_)) {
+                return None;
+            }
+            return self.avail.get(e).map(|v| Expr::Name(v.clone()));
+        }
+        let copied = e.substitute(&|n| self.copies.get(n).cloned().map(Expr::Name));
+        let new = match self.avail.get(&copied) {
+            Some(v) if !matches!(copied, Expr::Name(_) | Expr::Lit(_)) => Expr::Name(v.clone()),
+            _ => copied,
+        };
+        (new != *e).then_some(new)
+    }
+}
+
+/// Rewrites `e` in place; returns 1 if it changed, else 0.
+fn rewrite_in_place(e: &mut Expr, st: &LocalState) -> usize {
+    match st.rewrite(e) {
+        Some(new) => {
+            *e = new;
+            1
+        }
+        None => 0,
     }
 }
 
@@ -101,33 +137,20 @@ fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &Locals) -> usize {
     };
     let mut changed = 0;
     for &id in chain {
-        let rewrite = |e: &Expr, st: &LocalState| -> Expr {
-            let copied = e.substitute(&|n| st.copies.get(n).cloned().map(Expr::Name));
-            match st.avail.get(&copied) {
-                Some(v) if !matches!(copied, Expr::Name(_) | Expr::Lit(_)) => Expr::Name(v.clone()),
-                _ => copied,
-            }
-        };
         match g.node_mut(id) {
             Node::Assign { lhs, rhs, .. } => {
-                let new = rewrite(rhs, &st);
-                if &new != rhs {
-                    *rhs = new.clone();
-                    changed += 1;
-                }
-                let rhs_now = new;
+                changed += rewrite_in_place(rhs, &st);
                 match lhs {
                     Lvalue::Var(v) => {
-                        let v = v.clone();
-                        st.invalidate_var(&v);
-                        if !locals.contains(&v) {
+                        st.invalidate_var(v);
+                        if !locals.contains(v) {
                             // Assigning a global register: a subsequent
                             // call could also write it, but within the
                             // chain segment up to the next call the copy
                             // is valid; keep tracking conservatively off.
                         } else {
-                            match &rhs_now {
-                                Expr::Name(w) if locals.contains(w) && *w != v => {
+                            match &*rhs {
+                                Expr::Name(w) if locals.contains(w) && w != v => {
                                     st.copies.insert(v.clone(), w.clone());
                                 }
                                 e if !matches!(e, Expr::Lit(_) | Expr::Name(_))
@@ -140,56 +163,26 @@ fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &Locals) -> usize {
                         }
                     }
                     Lvalue::Mem(_, a) => {
-                        let new_a = rewrite(a, &st);
-                        if &new_a != a {
-                            *a = new_a;
-                            changed += 1;
-                        }
+                        changed += rewrite_in_place(a, &st);
                         st.invalidate_memory();
                     }
                 }
             }
             Node::CopyOut { exprs, .. } => {
                 for e in exprs {
-                    let new = rewrite(e, &st);
-                    if &new != e {
-                        *e = new;
-                        changed += 1;
-                    }
+                    changed += rewrite_in_place(e, &st);
                 }
             }
-            Node::Branch { cond, .. } => {
-                let new = rewrite(cond, &st);
-                if &new != cond {
-                    *cond = new;
-                    changed += 1;
-                }
-            }
-            Node::CutTo { cont, .. } => {
-                let new = rewrite(cont, &st);
-                if &new != cont {
-                    *cont = new;
-                    changed += 1;
-                }
-            }
-            Node::Jump { callee } => {
-                let new = rewrite(callee, &st);
-                if &new != callee {
-                    *callee = new;
-                    changed += 1;
-                }
-            }
+            Node::Branch { cond, .. } => changed += rewrite_in_place(cond, &st),
+            Node::CutTo { cont, .. } => changed += rewrite_in_place(cont, &st),
+            Node::Jump { callee } => changed += rewrite_in_place(callee, &st),
             Node::Call { callee, .. } => {
-                let new = rewrite(callee, &st);
-                if &new != callee {
-                    *callee = new;
-                    changed += 1;
-                }
+                changed += rewrite_in_place(callee, &st);
                 st.invalidate_for_call(locals);
             }
             Node::CopyIn { vars, .. } => {
-                for v in vars.clone() {
-                    st.invalidate_var(&v);
+                for v in vars.iter() {
+                    st.invalidate_var(v);
                 }
             }
             Node::Entry { .. } | Node::Exit { .. } | Node::CalleeSaves { .. } | Node::Yield => {}
@@ -210,6 +203,11 @@ mod tests {
             .proc("f")
             .unwrap()
             .clone()
+    }
+
+    fn localopt(g: &mut Graph) -> usize {
+        let mut an = Analyses::new(g);
+        super::localopt(g, &mut an)
     }
 
     fn rhs_list(g: &Graph) -> Vec<Expr> {

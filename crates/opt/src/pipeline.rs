@@ -6,8 +6,11 @@
 //! changes (bounded), then callee-saves promotion runs **last**: until
 //! then the callee-saves set `s` is empty everywhere (the direct
 //! translation never populates it), so cut edges kill nothing and the
-//! value-level passes need no kill handling.
+//! value-level passes need no kill handling. Every pass of one graph
+//! reads the same [`Analyses`], rebuilt only where a pass changed what
+//! they were built from.
 
+use crate::analyses::Analyses;
 use crate::callee_saves::{promote_callee_saves, CalleeSavesStats};
 use crate::constprop::constprop;
 use crate::dce::dce;
@@ -73,21 +76,22 @@ pub struct OptStats {
 /// Optimizes a single graph in place.
 pub fn optimize_graph(g: &mut Graph, opts: &OptOptions) -> OptStats {
     let mut stats = OptStats::default();
+    let mut an = Analyses::new(g);
     for _ in 0..opts.max_iters {
         stats.iterations += 1;
         let mut changed = 0;
         if opts.constprop {
-            let n = constprop(g);
+            let n = constprop(g, &mut an);
             stats.constprop_rewrites += n;
             changed += n;
         }
         if opts.localopt {
-            let n = localopt(g);
+            let n = localopt(g, &mut an);
             stats.local_rewrites += n;
             changed += n;
         }
         if opts.dce {
-            let n = dce(g);
+            let n = dce(g, &mut an);
             stats.dce_removed += n;
             changed += n;
         }
@@ -96,7 +100,7 @@ pub fn optimize_graph(g: &mut Graph, opts: &OptOptions) -> OptStats {
         }
     }
     if opts.callee_save_regs > 0 {
-        stats.callee_saves = promote_callee_saves(g, opts.callee_save_regs);
+        stats.callee_saves = promote_callee_saves(g, an, opts.callee_save_regs);
     }
     stats
 }

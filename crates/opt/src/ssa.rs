@@ -13,6 +13,7 @@ use crate::dom::Dominators;
 use crate::locals::Locals;
 use cmm_cfg::{Graph, NodeId};
 use cmm_ir::Name;
+use std::sync::Arc;
 
 /// Index of a definition in [`Ssa::sites`].
 pub type DefId = usize;
@@ -92,7 +93,7 @@ impl Span {
 /// absent.
 #[derive(Clone, Debug, Default)]
 pub struct Ssa {
-    locals: Locals,
+    locals: Arc<Locals>,
     /// All definition sites, in renaming order (φs first).
     pub sites: Vec<DefSite>,
     /// SSA version number of each definition (per variable, counted from
@@ -116,13 +117,18 @@ pub struct Ssa {
 impl Ssa {
     /// Builds the SSA overlay for a graph.
     pub fn build(g: &Graph) -> Ssa {
-        let doms = Dominators::compute(g);
-        let locals = Locals::of(g);
+        Ssa::over(g, &Arc::new(Locals::of(g)), &g.reverse_postorder())
+    }
+
+    /// Builds the SSA overlay over the graph's locals index and the
+    /// reverse postorder of its reachable nodes.
+    pub(crate) fn over(g: &Graph, locals: &Arc<Locals>, rpo: &[NodeId]) -> Ssa {
+        let doms = Dominators::over(g, rpo);
         let (n, nv) = (g.nodes.len(), locals.len());
 
         // Definition sites per variable.
         let mut def_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); nv];
-        for &x in &doms.rpo {
+        for &x in rpo {
             each_var_def(g, x, |v| {
                 if let Some(v) = locals.index(v) {
                     def_nodes[v].push(x);
@@ -255,7 +261,7 @@ impl Ssa {
             work.push(Action::Leave(mark));
             work.extend(doms.children(b).iter().map(|&c| Action::Enter(c)));
         }
-        ssa.locals = locals;
+        ssa.locals = Arc::clone(locals);
         ssa
     }
 

@@ -1,7 +1,7 @@
 //! The recursive-descent parser.
 
 use crate::error::ParseError;
-use crate::lexer::lex;
+use crate::lexer::{lex, unescape};
 use crate::token::{Pos, Tok, Token};
 use cmm_ir::{
     Annotations, BinOp, BodyItem, DataBlock, DataItem, Decl, Expr, GlobalReg, Lit, Lvalue, Module,
@@ -72,35 +72,48 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     Ok(e)
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// How deeply a source may nest: expressions (parentheses, unary
+/// operators, operands of primitives and memory accesses), statements
+/// (`if` blocks and `else if` chains) and negated data literals all
+/// count, each level once. Every later stage (CFG build, the
+/// optimizer, code generation, the engines and `Drop`) walks that
+/// nesting recursively; a source nested 128 levels deep runs through
+/// all of them within 1 MiB of stack in a debug build, half of a
+/// default thread's.
+pub const MAX_DEPTH: usize = 128;
+
+struct Parser<'a> {
+    toks: Vec<Token<'a>>,
     at: usize,
     hoisted: Vec<DataBlock>,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>, ParseError> {
         Ok(Parser {
             toks: lex(src)?,
             at: 0,
             hoisted: Vec::new(),
+            depth: 0,
         })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at].tok
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.at].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.at + 1).min(self.toks.len() - 1)].tok
+    fn peek2(&self) -> Tok<'a> {
+        self.toks[(self.at + 1).min(self.toks.len() - 1)].tok
     }
 
     fn pos(&self) -> Pos {
         self.toks[self.at].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.peek();
         if self.at + 1 < self.toks.len() {
             self.at += 1;
         }
@@ -108,7 +121,21 @@ impl Parser {
     }
 
     fn at(&self, t: &Tok) -> bool {
-        self.peek() == t
+        self.peek() == *t
+    }
+
+    /// Enters one level of nesting; [`Parser::leave`] undoes it. An
+    /// error ends the parse, so only the success paths leave.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
@@ -134,7 +161,7 @@ impl Parser {
 
     /// True if the current token is the given contextual keyword.
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        self.peek() == Tok::Ident(kw)
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -155,7 +182,7 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> Result<Name, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(Name::from(s))
@@ -215,8 +242,7 @@ impl Parser {
                 && self
                     .toks
                     .get(self.at + 2)
-                    .map(|t| t.tok == Tok::LParen)
-                    .unwrap_or(false);
+                    .is_some_and(|t| t.tok == Tok::LParen);
             self.bump();
             if is_proc {
                 let mut p = self.proc()?;
@@ -241,7 +267,7 @@ impl Parser {
         if self.eat_kw("data") {
             return Ok(Decl::Data(self.data_block()?));
         }
-        if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == &Tok::LParen {
+        if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == Tok::LParen {
             return Ok(Decl::Proc(self.proc()?));
         }
         Err(self.err(format!("expected a declaration, found {}", self.peek())))
@@ -260,7 +286,9 @@ impl Parser {
             Tok::Float(v, 32) => Ok(Lit::f32(v as f32)),
             Tok::Float(v, _) => Ok(Lit::f64(v)),
             Tok::Minus => {
+                self.enter()?;
                 let l = self.lit(ty)?;
+                self.leave();
                 match l.ty {
                     Ty::Bits(w) => Ok(Lit::bits(w, l.bits.wrapping_neg())),
                     Ty::Float(_) => Ok(Lit::f64(-l.as_f64())),
@@ -286,7 +314,7 @@ impl Parser {
                 self.expect(&Tok::Semi, "after data item")?;
             } else if self.eat_kw("string") {
                 match self.bump() {
-                    Tok::Str(s) => items.push(DataItem::Str(s)),
+                    Tok::Str(raw) => items.push(DataItem::Str(unescape(raw))),
                     other => return Err(self.err(format!("expected a string, found {other}"))),
                 }
                 self.expect(&Tok::Semi, "after data item")?;
@@ -351,6 +379,49 @@ impl Parser {
         items: &mut Vec<BodyItem>,
         locals: &mut Vec<(Name, Ty)>,
     ) -> Result<(), ParseError> {
+        self.enter()?;
+        if self.eat_kw("if") {
+            let stmt = self.if_stmt(locals)?;
+            items.push(BodyItem::Stmt(stmt));
+        } else {
+            self.flat_item(items, locals)?;
+        }
+        self.leave();
+        Ok(())
+    }
+
+    /// The rest of an `if` statement after its keyword. Kept apart from
+    /// [`Parser::flat_item`] so that each level of nested blocks holds
+    /// only this small frame on the stack.
+    fn if_stmt(&mut self, locals: &mut Vec<(Name, Ty)>) -> Result<Stmt, ParseError> {
+        let cond = self.expr()?;
+        self.expect(&Tok::LBrace, "to open the then-branch")?;
+        let (then_, mut ls) = self.body()?;
+        locals.append(&mut ls);
+        let else_ = if self.eat_kw("else") {
+            if self.at_kw("if") {
+                // `else if` chains.
+                let mut chain = Vec::new();
+                self.body_item(&mut chain, locals)?;
+                chain
+            } else {
+                self.expect(&Tok::LBrace, "to open the else-branch")?;
+                let (e, mut ls) = self.body()?;
+                locals.append(&mut ls);
+                e
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If { cond, then_, else_ })
+    }
+
+    /// A body item other than `if`: one that holds no nested block.
+    fn flat_item(
+        &mut self,
+        items: &mut Vec<BodyItem>,
+        locals: &mut Vec<(Name, Ty)>,
+    ) -> Result<(), ParseError> {
         // Local declaration: TYPE NAME (not TYPE `[`).
         if self.peek_ty().is_some() && matches!(self.peek2(), Tok::Ident(_)) {
             let ty = self.ty()?;
@@ -358,29 +429,6 @@ impl Parser {
                 locals.push((n, ty));
             }
             self.expect(&Tok::Semi, "after local declaration")?;
-            return Ok(());
-        }
-        if self.eat_kw("if") {
-            let cond = self.expr()?;
-            self.expect(&Tok::LBrace, "to open the then-branch")?;
-            let (then_, mut ls) = self.body()?;
-            locals.append(&mut ls);
-            let else_ = if self.eat_kw("else") {
-                if self.at_kw("if") {
-                    // `else if` chains.
-                    let mut chain = Vec::new();
-                    self.body_item(&mut chain, locals)?;
-                    chain
-                } else {
-                    self.expect(&Tok::LBrace, "to open the else-branch")?;
-                    let (e, mut ls) = self.body()?;
-                    locals.append(&mut ls);
-                    e
-                }
-            } else {
-                Vec::new()
-            };
-            items.push(BodyItem::Stmt(Stmt::If { cond, then_, else_ }));
             return Ok(());
         }
         if self.eat_kw("goto") {
@@ -425,7 +473,7 @@ impl Parser {
             items.push(BodyItem::Stmt(Stmt::CutTo { cont, args, anns }));
             return Ok(());
         }
-        if self.at_kw("yield") && self.peek2() == &Tok::LParen {
+        if self.at_kw("yield") && self.peek2() == Tok::LParen {
             self.bump();
             let args = self.paren_exprs()?;
             let anns = self.annotations()?;
@@ -447,7 +495,7 @@ impl Parser {
             return Ok(());
         }
         // Label: NAME `:`
-        if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == &Tok::Colon {
+        if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == Tok::Colon {
             let l = self.ident("a label")?;
             self.bump(); // colon
             items.push(BodyItem::Label(l));
@@ -455,7 +503,7 @@ impl Parser {
         }
         // Call without results: NAME `(` or computed callee.
         if matches!(self.peek(), Tok::Ident(s) if Ty::parse_name(s).is_none())
-            && self.peek2() == &Tok::LParen
+            && self.peek2() == Tok::LParen
         {
             let callee = self.callee()?;
             let args = self.paren_exprs()?;
@@ -494,7 +542,7 @@ impl Parser {
         self.expect(&Tok::Assign, "in assignment")?;
         // A checked primitive (`%%divu`) takes the form of a call.
         if matches!(self.peek(), Tok::Ident(s) if s.starts_with("%%"))
-            && self.peek2() == &Tok::LParen
+            && self.peek2() == Tok::LParen
         {
             let callee = Expr::Name(self.ident("a primitive")?);
             let mut results = Vec::with_capacity(lhs.len());
@@ -565,7 +613,7 @@ impl Parser {
 
     fn lvalue(&mut self) -> Result<Lvalue, ParseError> {
         if let Some(ty) = self.peek_ty() {
-            if self.peek2() == &Tok::LBracket {
+            if self.peek2() == Tok::LBracket {
                 self.bump();
                 self.bump();
                 let addr = self.expr()?;
@@ -580,7 +628,7 @@ impl Parser {
     /// a memory load `ty[e]`.
     fn callee(&mut self) -> Result<Expr, ParseError> {
         if let Some(ty) = self.peek_ty() {
-            if self.peek2() == &Tok::LBracket {
+            if self.peek2() == Tok::LBracket {
                 self.bump();
                 self.bump();
                 let addr = self.expr()?;
@@ -639,116 +687,40 @@ impl Parser {
     // ----- expressions -----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.bin_or()
+        self.binary(0)
     }
 
-    fn bin_or(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.bin_xor()?;
-        while self.eat(&Tok::Pipe) {
-            e = Expr::binary(BinOp::Or, e, self.bin_xor()?);
-        }
-        Ok(e)
-    }
-
-    fn bin_xor(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.bin_and()?;
-        while self.eat(&Tok::Caret) {
-            e = Expr::binary(BinOp::Xor, e, self.bin_and()?);
-        }
-        Ok(e)
-    }
-
-    fn bin_and(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.equality()?;
-        while self.eat(&Tok::Amp) {
-            e = Expr::binary(BinOp::And, e, self.equality()?);
-        }
-        Ok(e)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.relational()?;
-        loop {
-            if self.eat(&Tok::EqEq) {
-                e = Expr::binary(BinOp::Eq, e, self.relational()?);
-            } else if self.eat(&Tok::NotEq) {
-                e = Expr::binary(BinOp::Ne, e, self.relational()?);
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.shift()?;
-        loop {
-            if self.eat(&Tok::Lt) {
-                e = Expr::binary(BinOp::LtU, e, self.shift()?);
-            } else if self.eat(&Tok::Le) {
-                e = Expr::binary(BinOp::LeU, e, self.shift()?);
-            } else if self.eat(&Tok::Gt) {
-                e = Expr::binary(BinOp::GtU, e, self.shift()?);
-            } else if self.eat(&Tok::Ge) {
-                e = Expr::binary(BinOp::GeU, e, self.shift()?);
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.additive()?;
-        loop {
-            if self.eat(&Tok::Shl) {
-                e = Expr::binary(BinOp::Shl, e, self.additive()?);
-            } else if self.eat(&Tok::Shr) {
-                e = Expr::binary(BinOp::ShrU, e, self.additive()?);
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.multiplicative()?;
-        loop {
-            if self.eat(&Tok::Plus) {
-                e = Expr::binary(BinOp::Add, e, self.multiplicative()?);
-            } else if self.eat(&Tok::Minus) {
-                e = Expr::binary(BinOp::Sub, e, self.multiplicative()?);
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// Precedence climbing over the left-associative infix operators:
+    /// parses operands and the operators that bind at least as tightly
+    /// as `min` (see [`infix`]).
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut e = self.unary()?;
-        loop {
-            if self.eat(&Tok::Star) {
-                e = Expr::binary(BinOp::Mul, e, self.unary()?);
-            } else if self.eat(&Tok::Slash) {
-                e = Expr::binary(BinOp::DivU, e, self.unary()?);
-            } else if self.eat(&Tok::Percent) {
-                e = Expr::binary(BinOp::ModU, e, self.unary()?);
-            } else {
-                return Ok(e);
+        while let Some((op, prec)) = infix(self.peek()) {
+            if prec < min {
+                break;
             }
+            self.bump();
+            let rhs = self.binary(prec + 1)?;
+            e = Expr::binary(op, e, rhs);
         }
+        Ok(e)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Tok::Minus) {
-            return Ok(Expr::unary(UnOp::Neg, self.unary()?));
-        }
-        if self.eat(&Tok::Tilde) {
-            return Ok(Expr::unary(UnOp::Com, self.unary()?));
-        }
-        self.primary()
+        self.enter()?;
+        let e = if self.eat(&Tok::Minus) {
+            Expr::unary(UnOp::Neg, self.unary()?)
+        } else if self.eat(&Tok::Tilde) {
+            Expr::unary(UnOp::Com, self.unary()?)
+        } else {
+            self.primary()?
+        };
+        self.leave();
+        Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v, None) => {
                 self.bump();
                 Ok(Expr::Lit(Lit::bits(Width::W32, v)))
@@ -766,11 +738,13 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Lit(Lit::f64(v)))
             }
-            Tok::Str(s) => {
+            Tok::Str(raw) => {
                 self.bump();
                 let name = Name::from(format!("str${}", self.hoisted.len()));
-                self.hoisted
-                    .push(DataBlock::new(name.clone(), vec![DataItem::Str(s)]));
+                self.hoisted.push(DataBlock::new(
+                    name.clone(),
+                    vec![DataItem::Str(unescape(raw))],
+                ));
                 Ok(Expr::Name(name))
             }
             Tok::LParen => {
@@ -781,7 +755,7 @@ impl Parser {
             }
             Tok::Ident(s) => {
                 // Typed memory access: TYPE `[` expr `]`.
-                if let Some(ty) = Ty::parse_name(&s) {
+                if let Some(ty) = Ty::parse_name(s) {
                     self.bump();
                     self.expect(&Tok::LBracket, "after type in memory access")?;
                     let addr = self.expr()?;
@@ -797,7 +771,7 @@ impl Parser {
                 if s.starts_with('%') {
                     self.bump();
                     let args = self.paren_exprs()?;
-                    return self.primitive(&s, args);
+                    return self.primitive(s, args);
                 }
                 self.bump();
                 Ok(Expr::Name(Name::from(s)))
@@ -806,7 +780,7 @@ impl Parser {
         }
     }
 
-    fn primitive(&mut self, name: &str, args: Vec<Expr>) -> Result<Expr, ParseError> {
+    fn primitive(&self, name: &str, args: Vec<Expr>) -> Result<Expr, ParseError> {
         let unary = |args: Vec<Expr>, op: UnOp, this: &Self| -> Result<Expr, ParseError> {
             let [a]: [Expr; 1] = args
                 .try_into()
@@ -868,6 +842,31 @@ impl Parser {
             other => Err(self.err(format!("unknown primitive `{other}`"))),
         }
     }
+}
+
+/// An infix operator and its precedence, loosest first: `|`, `^`,
+/// `&`, equality, unsigned comparison, shifts, additive,
+/// multiplicative.
+fn infix(t: Tok) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::Pipe => (BinOp::Or, 0),
+        Tok::Caret => (BinOp::Xor, 1),
+        Tok::Amp => (BinOp::And, 2),
+        Tok::EqEq => (BinOp::Eq, 3),
+        Tok::NotEq => (BinOp::Ne, 3),
+        Tok::Lt => (BinOp::LtU, 4),
+        Tok::Le => (BinOp::LeU, 4),
+        Tok::Gt => (BinOp::GtU, 4),
+        Tok::Ge => (BinOp::GeU, 4),
+        Tok::Shl => (BinOp::Shl, 5),
+        Tok::Shr => (BinOp::ShrU, 5),
+        Tok::Plus => (BinOp::Add, 6),
+        Tok::Minus => (BinOp::Sub, 6),
+        Tok::Star => (BinOp::Mul, 7),
+        Tok::Slash => (BinOp::DivU, 7),
+        Tok::Percent => (BinOp::ModU, 7),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

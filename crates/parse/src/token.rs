@@ -1,5 +1,6 @@
 //! Tokens and source positions.
 
+use crate::lexer::unescape;
 use std::fmt;
 
 /// A position in the source text (1-based line and column).
@@ -24,13 +25,14 @@ impl fmt::Display for Pos {
     }
 }
 
-/// One lexical token.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Tok {
+/// One lexical token. Identifiers and string literals borrow their
+/// text from the source.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Tok<'a> {
     /// An identifier or keyword (keywords are distinguished by the
     /// parser, since most C-- keywords are contextual). Includes
     /// primitive names beginning with `%` or `%%`.
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal (value, and whether it carried a `::bitsN`
     /// suffix).
     Int(u64, Option<u32>),
@@ -38,8 +40,10 @@ pub enum Tok {
     /// distinguish from two integers separated by `.`... in practice the
     /// lexer accepts `1.5` and defaults to `float64`).
     Float(f64, u32),
-    /// A string literal (already unescaped).
-    Str(String),
+    /// A string literal: the source text between its quotes, escapes
+    /// checked but not applied ([`crate::lexer::unescape`] applies
+    /// them).
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -99,14 +103,14 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
             Tok::Int(v, None) => write!(f, "{v}"),
             Tok::Int(v, Some(w)) => write!(f, "{v}::bits{w}"),
             Tok::Float(v, w) => write!(f, "{v}::float{w}"),
-            Tok::Str(s) => write!(f, "{s:?}"),
+            Tok::Str(raw) => write!(f, "{:?}", unescape(raw)),
             Tok::LParen => write!(f, "`(`"),
             Tok::RParen => write!(f, "`)`"),
             Tok::LBrace => write!(f, "`{{`"),
@@ -140,10 +144,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// The token itself.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Where it starts.
     pub pos: Pos,
 }

@@ -563,6 +563,7 @@ impl<'a> ProcGen<'a> {
         start: NodeId,
         call_fixups: &mut Vec<(u32, Name)>,
     ) -> Result<(), CodegenError> {
+        let g = self.g;
         let mut cur = start;
         loop {
             if let Some(&pc) = self.emitted.get(&cur) {
@@ -571,7 +572,7 @@ impl<'a> ProcGen<'a> {
             }
             self.emitted.insert(cur, out.code.len() as u32);
             out.node_map.push((out.code.len() as u32, cur));
-            match self.g.node(cur).clone() {
+            match g.node(cur) {
                 Node::Entry { .. } => unreachable!("entry emitted via prologue"),
                 Node::CopyIn { vars, next } => {
                     if vars.len() > regs::NUM_ARGS as usize {
@@ -583,7 +584,7 @@ impl<'a> ProcGen<'a> {
                     for (i, v) in vars.iter().enumerate() {
                         self.store_var(out, v, regs::ARG0 + i as u8);
                     }
-                    cur = next;
+                    cur = *next;
                 }
                 Node::CopyOut { exprs, next } => {
                     if exprs.len() > regs::NUM_ARGS as usize {
@@ -599,20 +600,20 @@ impl<'a> ProcGen<'a> {
                             rs: r,
                         });
                     }
-                    cur = next;
+                    cur = *next;
                 }
                 Node::CalleeSaves { next, .. } => {
                     // Allocation already honoured the set; no code.
-                    cur = next;
+                    cur = *next;
                 }
                 Node::Assign { lhs, rhs, next } => {
                     match lhs {
                         Lvalue::Var(v) => {
-                            let r = self.eval(out, &rhs, 0)?;
-                            self.store_var(out, &v, r);
+                            let r = self.eval(out, rhs, 0)?;
+                            self.store_var(out, v, r);
                         }
                         Lvalue::Mem(ty, a) => {
-                            let rv = self.eval(out, &rhs, 0)?;
+                            let rv = self.eval(out, rhs, 0)?;
                             // Keep the value safe in scratch 0's slot;
                             // evaluate the address above it.
                             let rv = if rv == regs::SCRATCH0 {
@@ -624,38 +625,38 @@ impl<'a> ProcGen<'a> {
                                 });
                                 regs::SCRATCH0
                             };
-                            let ra_ = self.eval(out, &a, 1)?;
+                            let ra_ = self.eval(out, a, 1)?;
                             out.code.push(Inst::Store {
-                                w: width_of(ty),
+                                w: width_of(*ty),
                                 rs: rv,
                                 rb: ra_,
                                 off: 0,
                             });
                         }
                     }
-                    cur = next;
+                    cur = *next;
                 }
                 Node::Branch { cond, t, f } => {
-                    let r = self.eval(out, &cond, 0)?;
+                    let r = self.eval(out, cond, 0)?;
                     let at = out.code.len() as u32;
                     out.code.push(Inst::Bz { rs: r, target: 0 });
-                    self.node_fixups.push((at, f));
-                    self.pending.push(f);
-                    cur = t;
+                    self.node_fixups.push((at, *f));
+                    self.pending.push(*f);
+                    cur = *t;
                 }
                 Node::Call {
                     callee,
                     bundle,
                     descriptors,
                 } => {
-                    self.emit_call(out, &callee, &bundle, &descriptors, call_fixups)?;
+                    self.emit_call(out, callee, bundle, descriptors, call_fixups)?;
                     // Fall through to the normal return point, which
                     // lands exactly at ra + alternates.
                     cur = bundle.normal_return();
                 }
                 Node::Jump { callee } => {
                     // Evaluate the target before deallocating the frame.
-                    let target = match &callee {
+                    let target = match callee {
                         Expr::Name(n) if self.prog.procs.contains_key(n) => None,
                         e => Some(self.eval(out, e, 5)?),
                     };
@@ -664,7 +665,7 @@ impl<'a> ProcGen<'a> {
                     out.trace_sites.insert(at, TraceSite::TailCall);
                     match target {
                         None => {
-                            let Expr::Name(n) = &callee else {
+                            let Expr::Name(n) = callee else {
                                 unreachable!()
                             };
                             out.code.push(Inst::Jmp { target: 0 });
@@ -676,17 +677,22 @@ impl<'a> ProcGen<'a> {
                 }
                 Node::Exit { index, alternates } => {
                     self.epilogue(out);
-                    out.trace_sites
-                        .insert(out.code.len() as u32, TraceSite::Ret { index, alternates });
+                    out.trace_sites.insert(
+                        out.code.len() as u32,
+                        TraceSite::Ret {
+                            index: *index,
+                            alternates: *alternates,
+                        },
+                    );
                     out.code.push(Inst::Jr {
                         rs: regs::RA,
-                        off: index as i32,
+                        off: *index as i32,
                     });
                     return Ok(());
                 }
                 Node::CutTo { cont, .. } => {
                     // Constant time: load (pc, sp) and go.
-                    let r = self.eval(out, &cont, 0)?;
+                    let r = self.eval(out, cont, 0)?;
                     out.code.push(Inst::Load {
                         w: Width::W32,
                         rd: regs::SCRATCH0 + 1,

@@ -14,7 +14,7 @@
 //! * the four `.cmm` programs under `examples/`;
 //! * the MiniM3 workloads `GAME`, `RAISE_FREQUENCY`, `NO_RAISE` and
 //!   `deep_raise` (both shapes) under all seven exception strategies;
-//! * the first 64 generated difftest cases at seed 1;
+//! * the first 256 generated difftest cases at seed 1;
 //! * synthetic procedures whose locals index has 63, 64, 65 and 130
 //!   names, all live across one call annotated `also unwinds to k` and,
 //!   in a second copy, `also cuts to k`. No other input has more than a
@@ -50,7 +50,7 @@ const EXAMPLES: [&str; 4] = [
 ];
 
 /// Generated difftest cases, at seed 1.
-const CASES: u64 = 64;
+const CASES: u64 = 256;
 
 /// A named program of the corpus, before optimization.
 struct Entry {

@@ -1,5 +1,5 @@
 //! How often the abstract machines call the allocator per loop
-//! iteration, counted by a global allocator.
+//! iteration, and the lexer per token, counted by a global allocator.
 //!
 //! Figures 3/4 (plain calls and the branch-table return) and §4.2 (the
 //! cut and unwind annotations), unoptimized and optimized, run for `n`
@@ -8,6 +8,11 @@
 //! exactly as often at both sizes. The reference machine builds each
 //! activation's environment as an ordered map, so each extra iteration
 //! may cost it at most two allocations.
+//!
+//! The lexer's tokens borrow identifiers and string literals from the
+//! source, so lexing a source twice as long may cost only a constant
+//! number of extra allocations (the token vector growing), never one
+//! per token.
 
 use cmm_cfg::Program;
 use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
@@ -118,4 +123,26 @@ fn sem_loops_allocate_within_budget_per_iteration() {
             );
         }
     }
+}
+
+#[test]
+fn lexing_allocates_no_more_for_more_tokens() {
+    let unit = concat!(
+        include_str!("../examples/sec42_unwinds.cmm"),
+        "\ndata msg { string \"off board\"; string \"a\\tb\\n\"; bits32 1, 0x2a, 7::bits8; }\n",
+        "h(bits32 x) { return (%divu(x, 3) + %zx32(%lo8(x))); }\n",
+    );
+    let lex = |copies: usize| {
+        let src = unit.repeat(copies);
+        allocations(|| {
+            let toks = cmm_parse::lexer::lex(&src).expect("source lexes");
+            assert!(toks.len() > 100 * copies);
+        })
+    };
+    // Build both sources outside the counted region: only lexing counts.
+    let (once, twice) = (lex(8), lex(16));
+    assert!(
+        twice <= once + 2,
+        "lexing 8 copies allocated {once} times and 16 copies {twice}"
+    );
 }
