@@ -11,7 +11,7 @@
 //!   `cmm-vm` cost model. They are identical across engines (asserted
 //!   on every run) and across machines.
 //! * **Dispatch-event counts** (`dispatch`) come from a separate
-//!   [`CountingSink`]-instrumented run per workload, so the instruction
+//!   [`Tally`]-instrumented run per workload, so the instruction
 //!   counts — measured through the zero-cost `NopSink` — stay
 //!   bit-identical whether or not anyone reads the events. Every engine
 //!   is instrumented and asserted to agree.
@@ -27,7 +27,7 @@ use cmm_chaos::EngineId;
 use cmm_frontend::workloads::{deep_raise, NO_RAISE, RAISE_FREQUENCY};
 use cmm_frontend::{compile_minim3, run_vm, run_vm_on, run_vm_traced, Strategy};
 use cmm_ir::Module;
-use cmm_obs::{CountingSink, EventCounts, TraceSink};
+use cmm_obs::{Tally, TraceSink};
 use cmm_opt::{optimize_program, OptOptions};
 use cmm_parse::parse_module;
 use cmm_vm::{compile, VmMachine, VmProgram, VmStatus};
@@ -45,7 +45,7 @@ pub struct Measurement {
     pub result: u64,
     /// Exception-dispatch event counts from an instrumented run,
     /// identical under every engine (asserted on every run).
-    pub dispatch: EventCounts,
+    pub dispatch: Tally,
 }
 
 fn compile_cmm(src: &str) -> VmProgram {
@@ -118,21 +118,21 @@ fn measure_program(
 
     // Dispatch counts: a separate counting-sink run per engine, so the
     // NopSink instruction counts above stay untouched.
-    let mut c = VmMachine::with_sink(vp, CountingSink::default());
+    let mut c = VmMachine::with_sink(vp, Tally::default());
     run_to_halt(&mut c, proc, args, results);
-    let dispatch = c.into_sink().counts;
-    let mut cd = VmMachine::with_sink_decoded(vp, CountingSink::default());
+    let dispatch = c.into_sink();
+    let mut cd = VmMachine::with_sink_decoded(vp, Tally::default());
     run_to_halt(&mut cd, proc, args, results);
     assert_eq!(
         dispatch,
-        cd.into_sink().counts,
+        cd.into_sink(),
         "{name}: vm-decoded disagrees on dispatch events"
     );
-    let mut cf = VmMachine::with_sink_fused(vp, CountingSink::default());
+    let mut cf = VmMachine::with_sink_fused(vp, Tally::default());
     run_to_halt(&mut cf, proc, args, results);
     assert_eq!(
         dispatch,
-        cf.into_sink().counts,
+        cf.into_sink(),
         "{name}: vm-fused disagrees on dispatch events"
     );
     Measurement {
@@ -187,7 +187,7 @@ fn measure_m3(name: &str, module: &Module, strategy: Strategy, args: &[u32]) -> 
         let (r, rec) = run_vm_traced(module, strategy, args, &opts, engine).expect("workload runs");
         r.expect("workload runs");
         assert_eq!(rec.dropped, 0, "{name}: the trace hit its cap");
-        EventCounts::of(&rec.events)
+        Tally::of(&rec.events)
     };
     let dispatch = traced(EngineId::Vm);
     for engine in [EngineId::VmDecoded, EngineId::VmFused] {
@@ -801,7 +801,7 @@ pub fn to_json(
             c.abnormal_returns,
             c.cuts,
             c.yields,
-            c.rts_ops,
+            c.rts_ops(),
         );
         s.push_str(if i + 1 < measurements.len() {
             ",\n"
@@ -1019,7 +1019,10 @@ mod tests {
         }
         let deep = get("fig2_deep_raise_runtime-unwind");
         assert!(deep.dispatch.yields > 0, "deep raise never suspended");
-        assert!(deep.dispatch.rts_ops > 0, "deep raise used no Table 1 ops");
+        assert!(
+            deep.dispatch.rts_ops() > 0,
+            "deep raise used no Table 1 ops"
+        );
         // The sjlj strategy transfers to handlers with `cut to`; no-raise
         // runs never cut, while the interpretive unwinder's raise does
         // resume through the RTS.

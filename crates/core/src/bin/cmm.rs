@@ -6,8 +6,10 @@
 //! cmm dump-ssa <file.cmm> [proc]      # Figure 6-style SSA numbering
 //! cmm dump-vm <file.cmm>              # disassembled simulated target
 //! cmm m3 <file.m3> <strategy> [args...]   # MiniM3 with a chosen strategy
-//! cmm trace <file> <proc|strategy> [args...] [--sem] [--decoded|--fused] [-O0] [--out F]
+//! cmm trace <file> <proc|strategy> [args...] [--sem] [--decoded|--fused] [-O0]
+//!           [--results N] [--out F]
 //! cmm profile <file> <proc|strategy> [args...] [--sem] [--decoded|--fused] [-O0]
+//!             [--results N]
 //! cmm snap <file.cmm> <proc> [args...] [--engine E] [--at K] [--fuel F]
 //!          [--results N] [-O0] [--out FILE]
 //! cmm resume <snapshot> <file.cmm> [--engine E] [--fuel F]
@@ -325,34 +327,34 @@ fn run(args: Vec<String>) -> Result<(), String> {
             };
             snap_session(&src, Some(&snapshot), &cx, opts, 1)
         }
-        "dump-cfg" => {
+        "dump-cfg" | "dump-ssa" => {
             let file = args.next().ok_or_else(usage)?;
             let only = args.next();
+            no_more_args(&cmd, args)?;
             let prog = compiler(&file)?.program().map_err(|e| e.to_string())?;
+            let mut shown = false;
             for (name, g) in &prog.procs {
-                if only.as_deref().map(|o| name == o).unwrap_or(true) {
-                    print!("{}", cmm_core::cfg::display::graph_to_string(g));
-                }
-            }
-            Ok(())
-        }
-        "dump-ssa" => {
-            let file = args.next().ok_or_else(usage)?;
-            let only = args.next();
-            let prog = compiler(&file)?.program().map_err(|e| e.to_string())?;
-            for (name, g) in &prog.procs {
-                if name == cmm_core::cfg::YIELD {
+                if only.as_deref().is_some_and(|o| name != o)
+                    || (cmd == "dump-ssa" && name == cmm_core::cfg::YIELD)
+                {
                     continue;
                 }
-                if only.as_deref().map(|o| name == o).unwrap_or(true) {
+                shown = true;
+                if cmd == "dump-cfg" {
+                    print!("{}", cmm_core::cfg::display::graph_to_string(g));
+                } else {
                     let ssa = opt::Ssa::build(g);
                     print!("{}", opt::ssa::ssa_to_string(g, &ssa));
                 }
             }
-            Ok(())
+            match only {
+                Some(o) if !shown => Err(format!("{file}: no procedure `{o}`")),
+                _ => Ok(()),
+            }
         }
         "dump-vm" => {
             let file = args.next().ok_or_else(usage)?;
+            no_more_args(&cmd, args)?;
             let vp = compiler(&file)?.vm_program().map_err(|e| e.to_string())?;
             print!("{}", vm::disasm::disassemble(&vp));
             Ok(())
@@ -431,7 +433,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 for t in &run.events {
                     println!("{:>12}  {}", t.ts, t.event.render());
                 }
-                let c = obs::EventCounts::of(&run.events);
+                let c = obs::Tally::of(&run.events);
                 println!(
                     "{file}: {} — {} events ({} calls, {} returns [{} abnormal], \
                      {} cuts, {} yields, {} rts ops)",
@@ -442,7 +444,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     c.abnormal_returns,
                     c.cuts,
                     c.yields,
-                    c.rts_ops
+                    c.rts_ops()
                 );
             }
             if let Some(note) = run.truncation() {
@@ -762,7 +764,20 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let mut seed = 0xC0FFEEu64;
             let mut metrics_out: Option<String> = None;
             let mut events_out: Option<String> = None;
+            // The first flag given that only the self-test reads.
+            let mut selftest_flag: Option<String> = None;
             while let Some(a) = args.next() {
+                if matches!(
+                    a.as_str(),
+                    "--tenants"
+                        | "--threads"
+                        | "--quanta"
+                        | "--seed"
+                        | "--metrics-out"
+                        | "--events-out"
+                ) {
+                    selftest_flag.get_or_insert_with(|| a.clone());
+                }
                 match a.as_str() {
                     "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
                     "--selftest" => selftest = true,
@@ -813,6 +828,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
                         events_out = Some(args.next().ok_or("--events-out needs a path")?)
                     }
                     other => return Err(format!("unknown serve option `{other}`")),
+                }
+            }
+            if listen.is_some() {
+                if selftest {
+                    return Err("serve: --listen and --selftest cannot be combined".into());
+                }
+                if let Some(flag) = selftest_flag {
+                    return Err(format!("serve: {flag} applies to --selftest, not --listen"));
                 }
             }
             let config = serve::ServeConfig {
@@ -1180,6 +1203,14 @@ fn compile_for(c: &Compiler, engine: EngineId) -> Result<Compiled, String> {
     })
 }
 
+/// Refuses an argument a command would otherwise ignore.
+fn no_more_args(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), String> {
+    match args.next() {
+        Some(a) => Err(format!("{cmd}: unexpected argument `{a}`")),
+        None => Ok(()),
+    }
+}
+
 fn compiler(file: &str) -> Result<Compiler, String> {
     let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     Compiler::new().source(&src).map_err(|e| e.to_string())
@@ -1191,8 +1222,10 @@ fn usage() -> String {
      \x20      cmm dump-ssa <file> [proc]\n\
      \x20      cmm dump-vm <file>\n\
      \x20      cmm m3 <file> <strategy> [args..]\n\
-     \x20      cmm trace <file> <proc|strategy> [args..] [--sem] [--decoded|--fused] [-O0] [--out F]\n\
+     \x20      cmm trace <file> <proc|strategy> [args..] [--sem] [--decoded|--fused] [-O0]\n\
+     \x20                [--results N] [--out F]\n\
      \x20      cmm profile <file> <proc|strategy> [args..] [--sem] [--decoded|--fused] [-O0]\n\
+     \x20                  [--results N]\n\
      \x20      cmm snap <file> <proc> [args..] [--engine E] [--at K] [--fuel F]\n\
      \x20               [--results N] [-O0] [--out FILE]\n\
      \x20      cmm resume <snapshot> <file> [--engine E] [--fuel F]\n\

@@ -7,13 +7,35 @@
 //! panic backtrace.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn cmm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cmm"))
         .args(args)
         .output()
         .expect("spawn cmm")
+}
+
+/// Runs `cmm`, killing it if it is still running after `deadline`: a
+/// command that ought to be refused must not serve forever instead.
+fn cmm_within(args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cmm"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmm");
+    let started = Instant::now();
+    while child.try_wait().expect("poll cmm").is_none() {
+        if started.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cmm {args:?} was still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect cmm output")
 }
 
 fn stderr(out: &Output) -> String {
@@ -466,4 +488,64 @@ fn profile_refuses_out_and_writes_no_file() {
         "profile must not write {}",
         target.display()
     );
+}
+
+/// `dump-cfg` and `dump-ssa` take one optional procedure filter and
+/// `dump-vm` none: a filter that names no procedure, or any argument
+/// past those, is refused by name instead of printing nothing (or, for
+/// `dump-vm -O0`, the optimized code) and exiting zero.
+#[test]
+fn dump_commands_refuse_arguments_they_would_ignore() {
+    let fig = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/fig34_plain.cmm"
+    );
+    for cmd in ["dump-cfg", "dump-ssa"] {
+        assert_fails_mentioning(&cmm(&[cmd, fig, "-O0"]), "`-O0`");
+        assert_fails_mentioning(&cmm(&[cmd, fig, "nosuch"]), "`nosuch`");
+        assert_fails_mentioning(&cmm(&[cmd, fig, "g", "-O0"]), "`-O0`");
+        let out = cmm(&[cmd, fig, "g"]);
+        assert!(out.status.success(), "{cmd} g: {}", stderr(&out));
+        assert!(!stdout(&out).is_empty(), "{cmd} g printed nothing");
+    }
+    assert_fails_mentioning(&cmm(&["dump-vm", fig, "-O0"]), "`-O0`");
+}
+
+/// `serve --listen` reads none of the self-test's flags, and the two
+/// modes exclude each other: each mix is refused before binding rather
+/// than dropped (a `--metrics-out` file that is never written, an
+/// address the self-test ignores).
+#[test]
+fn serve_refuses_flags_its_mode_does_not_read() {
+    let s = Scratch::new("servemix");
+    let out_file = s.0.join("out.json");
+    let out_path = out_file.to_str().unwrap();
+    for extra in [
+        ["--metrics-out", out_path],
+        ["--events-out", out_path],
+        ["--tenants", "2"],
+        ["--threads", "2"],
+        ["--quanta", "5"],
+        ["--seed", "7"],
+    ] {
+        let mut args = vec!["serve", "--listen", "127.0.0.1:0"];
+        args.extend(extra);
+        let out = cmm_within(&args, Duration::from_secs(10));
+        assert_fails_mentioning(&out, extra[0]);
+    }
+    assert!(!out_file.exists(), "a refused serve wrote {out_path}");
+    let out = cmm_within(
+        &[
+            "serve",
+            "--selftest",
+            "--tenants",
+            "2",
+            "--threads",
+            "4",
+            "--listen",
+            "127.0.0.1:0",
+        ],
+        Duration::from_secs(10),
+    );
+    assert_fails_mentioning(&out, "--listen");
 }

@@ -6,8 +6,12 @@
 //! on every engine, a snapshot taken part-way and resumed on another
 //! tier of the same family, `cmm run --snapshot-every`, the
 //! `cmm batch` report on the committed manifest (plain and with
-//! `--snapshot-every`), and full `cmm trace` / `cmm profile` output on
-//! the sem, vm, `--decoded` and `--fused` engines.
+//! `--snapshot-every`), full `cmm trace` / `cmm profile` output on
+//! the sem, vm, `--decoded` and `--fused` engines, the Chrome JSON of
+//! `cmm trace --out -`, the `cmm metrics --json --no-timing` registry
+//! on both committed manifests, and the post-mortem dumps that
+//! `cmm batch --postmortem-dir` writes for the chaos manifest (appended
+//! after the command's own output).
 //!
 //! Set `CMM_BLESS=1` to rewrite the expected file from the current
 //! binary.
@@ -46,17 +50,29 @@ fn commands() -> Vec<String> {
     // checkpointing on.
     cmds.push("batch examples/batch.manifest --no-timing".into());
     cmds.push("batch examples/batch.manifest --no-timing --snapshot-every 64".into());
+    let targets = [
+        "examples/fig34_plain.cmm f 20",
+        "examples/sec42_cuts.cmm f 8",
+        "examples/fig2_deep_raise.m3 runtime-unwind 5",
+    ];
     for cmd in ["trace", "profile"] {
-        for target in [
-            "examples/fig34_plain.cmm f 20",
-            "examples/sec42_cuts.cmm f 8",
-            "examples/fig2_deep_raise.m3 runtime-unwind 5",
-        ] {
+        for target in targets {
             for flag in ["--sem", "", "--decoded", "--fused"] {
                 cmds.push(format!("{cmd} {target} {flag}").trim_end().to_string());
             }
         }
     }
+    for target in targets {
+        for flag in ["--sem", "--fused"] {
+            cmds.push(format!("trace {target} {flag} --out -"));
+        }
+    }
+    for manifest in ["batch", "chaos"] {
+        cmds.push(format!(
+            "metrics examples/{manifest}.manifest --json --no-timing"
+        ));
+    }
+    cmds.push("batch examples/chaos.manifest --no-timing --postmortem-dir $TMP/pm".into());
     cmds
 }
 
@@ -85,7 +101,24 @@ fn transcript(tmp: &Path) -> String {
         if !err.is_empty() {
             out.push_str(&format!("[stderr]\n{err}"));
         }
-        out.push_str(&format!("[exit {}]\n\n", o.status.code().unwrap_or(-1)));
+        out.push_str(&format!("[exit {}]\n", o.status.code().unwrap_or(-1)));
+        // Append the files a `--postmortem-dir` run wrote, by name.
+        if let Some(i) = args.iter().position(|a| a == "--postmortem-dir") {
+            let mut files: Vec<PathBuf> = std::fs::read_dir(&args[i + 1])
+                .expect("read post-mortem dir")
+                .map(|e| e.expect("dir entry").path())
+                .collect();
+            files.sort();
+            for f in files {
+                let body = std::fs::read_to_string(&f).expect("read post-mortem");
+                out.push_str(&format!(
+                    "[file {}]\n{}",
+                    text(f.to_str().unwrap().as_bytes()),
+                    body
+                ));
+            }
+        }
+        out.push('\n');
     }
     out
 }

@@ -7,7 +7,7 @@
 //! projection drops both, so equality is exact.
 
 use cmm_core::chaos::EngineId;
-use cmm_core::obs::{first_divergence, projection, EventCounts, RecordingSink, TimedEvent};
+use cmm_core::obs::{first_divergence, projection, RecordingSink, Tally, TimedEvent};
 use cmm_core::sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
 use cmm_core::{cfg, frontend, opt, parse, rt, vm};
 use cmm_difftest::{case_for, observe_traced, Limits, Outcome};
@@ -94,7 +94,7 @@ fn fig34_dispatch_counts_match_hand_counts() {
     for file in ["fig34_plain.cmm", "fig34_table.cmm"] {
         let src = example(file);
         for engine in ["sem", "sem-resolved", "vm", "vm-decoded", "vm-fused"] {
-            let c = EventCounts::of(&run_engine(&src, engine, "f", &[20]));
+            let c = Tally::of(&run_engine(&src, engine, "f", &[20]));
             assert_eq!(c.calls, 20, "{file} {engine}");
             assert_eq!(c.returns, 21, "{file} {engine}");
             assert_eq!(c.abnormal_returns, 0, "{file} {engine}");

@@ -2,15 +2,16 @@
 //! external dependencies).
 //!
 //! A recorded stream becomes a JSON object loadable by `chrome://tracing`
-//! or Perfetto: `B`/`E` duration events reconstruct the call tree from
-//! the same shadow-stack replay the profiler uses (see
+//! or Perfetto: `B`/`E` duration events are the frames entered and left
+//! by the shadow-stack replay the profiler uses (see
 //! [`crate::metrics`]), and every exception-relevant transition — cuts,
 //! yields, abnormal returns, Table 1 operations — additionally appears
 //! as an instant event. Timestamps are the engine's virtual clock
 //! (abstract-machine steps or VM cost units) reported as microseconds.
 
-use crate::event::{Event, ResumeKind, RtsOp, TimedEvent};
+use crate::event::{Event, TimedEvent};
 use crate::json::json_escape;
+use crate::metrics::{replay, Step};
 use cmm_ir::Name;
 use std::fmt::Write as _;
 
@@ -72,105 +73,46 @@ impl Writer {
 /// the procedure the run started in.
 pub fn chrome_trace_json(entry: &Name, events: &[TimedEvent]) -> String {
     let mut w = Writer::new();
-    let start = events.first().map(|t| t.ts).unwrap_or(0);
-    let mut stack: Vec<Name> = vec![entry.clone()];
-    w.begin(start, entry.as_str());
-    let mut hops: u64 = 0;
-    let mut cut_target: Option<Name> = None;
-    let mut last_ts = start;
-
-    for t in events {
-        let ts = t.ts;
-        last_ts = ts;
-        match &t.event {
-            Event::Call { callee, .. } => {
-                w.begin(ts, callee.as_str());
-                stack.push(callee.clone());
-            }
-            Event::TailCall { callee, .. } => {
-                if let Some(top) = stack.pop() {
-                    w.end(ts, top.as_str());
+    replay(entry, events, |step| match step {
+        Step::Enter(ts, name) => w.begin(ts, name.as_str()),
+        Step::Leave(ts, name) => w.end(ts, name.as_str()),
+        Step::Event(t, _) => {
+            let ts = t.ts;
+            match &t.event {
+                Event::Call { .. } | Event::TailCall { .. } => {}
+                Event::Return {
+                    proc,
+                    index,
+                    alternates,
+                } => {
+                    if index < alternates {
+                        w.instant(
+                            ts,
+                            &format!("return <{index}/{alternates}> {proc}"),
+                            "abret",
+                        );
+                    }
                 }
-                w.begin(ts, callee.as_str());
-                stack.push(callee.clone());
-            }
-            Event::Return {
-                proc,
-                index,
-                alternates,
-            } => {
-                if index < alternates {
-                    w.instant(
-                        ts,
-                        &format!("return <{index}/{alternates}> {proc}"),
-                        "abret",
-                    );
+                Event::CutTo { proc, target, .. } => {
+                    w.instant(ts, &format!("cut {proc} -> {target}"), "cut");
                 }
-                if let Some(top) = stack.pop() {
-                    w.end(ts, top.as_str());
+                Event::ContCapture { proc, conts, .. } => {
+                    w.instant(ts, &format!("cont-capture {proc} x{conts}"), "cont");
                 }
-            }
-            Event::CutTo { proc, target, .. } => {
-                w.instant(ts, &format!("cut {proc} -> {target}"), "cut");
-                truncate(&mut w, &mut stack, ts, target);
-            }
-            Event::ContCapture { proc, conts, .. } => {
-                w.instant(ts, &format!("cont-capture {proc} x{conts}"), "cont");
-            }
-            Event::ContDeath { proc, .. } => {
-                w.instant(ts, &format!("cont-death {proc}"), "cont");
-            }
-            Event::Yield { code } => {
-                w.instant(ts, &format!("yield {code}"), "yield");
-            }
-            Event::Chaos { what } => {
-                w.instant(ts, &format!("chaos {what}"), "chaos");
-            }
-            Event::Rts(op) => {
-                w.instant(ts, &t.event.render(), "rts");
-                match op {
-                    RtsOp::FirstActivation { .. } => hops = 0,
-                    RtsOp::NextActivation { moved: true, .. } => hops += 1,
-                    RtsOp::SetCutToCont { target } => cut_target = target.clone(),
-                    RtsOp::Resume { kind, ok: true } => match kind {
-                        ResumeKind::Normal | ResumeKind::Unwind => {
-                            for _ in 0..=hops {
-                                if let Some(top) = stack.pop() {
-                                    w.end(ts, top.as_str());
-                                }
-                            }
-                        }
-                        ResumeKind::Cut => {
-                            if let Some(target) = cut_target.take() {
-                                truncate(&mut w, &mut stack, ts, &target);
-                            }
-                        }
-                    },
-                    _ => {}
+                Event::ContDeath { proc, .. } => {
+                    w.instant(ts, &format!("cont-death {proc}"), "cont");
                 }
+                Event::Yield { code } => {
+                    w.instant(ts, &format!("yield {code}"), "yield");
+                }
+                Event::Chaos { what } => {
+                    w.instant(ts, &format!("chaos {what}"), "chaos");
+                }
+                Event::Rts(_) => w.instant(ts, &t.event.render(), "rts"),
             }
         }
-    }
-
-    while let Some(top) = stack.pop() {
-        w.end(last_ts, top.as_str());
-    }
+    });
     w.finish()
-}
-
-fn truncate(w: &mut Writer, stack: &mut Vec<Name>, ts: u64, target: &Name) {
-    if stack.iter().any(|n| n == target) {
-        while stack.last().is_some_and(|n| n != target) {
-            let top = stack.pop().expect("guarded by is_some_and");
-            w.end(ts, top.as_str());
-        }
-    } else {
-        while let Some(top) = stack.pop() {
-            w.end(ts, top.as_str());
-        }
-        w.begin(ts, target.as_str());
-        stack.push(target.clone());
-    }
 }
 
 #[cfg(test)]

@@ -105,18 +105,35 @@ pub enum RtsOp {
 }
 
 impl RtsOp {
+    /// The Table 1 operation names, in [`RtsOp::index`] order.
+    pub const NAMES: [&'static str; 8] = [
+        "FirstActivation",
+        "NextActivation",
+        "SetActivation",
+        "SetUnwindCont",
+        "SetCutToCont",
+        "FindContParam",
+        "Resume",
+        "GetDescriptor",
+    ];
+
+    /// The operation's position in [`RtsOp::NAMES`].
+    pub fn index(&self) -> usize {
+        match self {
+            RtsOp::FirstActivation { .. } => 0,
+            RtsOp::NextActivation { .. } => 1,
+            RtsOp::SetActivation { .. } => 2,
+            RtsOp::SetUnwindCont { .. } => 3,
+            RtsOp::SetCutToCont { .. } => 4,
+            RtsOp::FindContParam { .. } => 5,
+            RtsOp::Resume { .. } => 6,
+            RtsOp::GetDescriptor { .. } => 7,
+        }
+    }
+
     /// The Table 1 operation name.
     pub fn name(&self) -> &'static str {
-        match self {
-            RtsOp::FirstActivation { .. } => "FirstActivation",
-            RtsOp::NextActivation { .. } => "NextActivation",
-            RtsOp::SetActivation { .. } => "SetActivation",
-            RtsOp::SetUnwindCont { .. } => "SetUnwindCont",
-            RtsOp::SetCutToCont { .. } => "SetCutToCont",
-            RtsOp::FindContParam { .. } => "FindContParam",
-            RtsOp::Resume { .. } => "Resume",
-            RtsOp::GetDescriptor { .. } => "GetDescriptor",
-        }
+        Self::NAMES[self.index()]
     }
 }
 

@@ -1,6 +1,6 @@
 //! The flight recorder: a bounded ring-buffer [`TraceSink`] that
-//! retains the *last N* events of a run with fixed allocation, plus
-//! running tallies over the whole stream.
+//! retains the *last N* events of a run with fixed allocation, plus a
+//! [`Tally`] over the whole stream.
 //!
 //! A batch service cannot afford a full
 //! [`RecordingSink`](crate::sink::RecordingSink) per job — an
@@ -8,50 +8,19 @@
 //! events — but "job 17 ended Wrong" with nothing else is not
 //! actionable either. The flight recorder is the middle ground: the
 //! ring holds the final control transfers (the part of the stream a
-//! post-mortem actually reads), while counters, per-strategy dispatch
-//! figures, Table 1 op tallies, and chaos/governor tallies cover the
-//! whole run in constant memory. When a job ends in Wrong, a panic, an
-//! injected chaos fault, or a governor trip, [`FlightRecorder::dump`]
-//! renders the post-mortem artifact.
+//! post-mortem actually reads), while the tally covers the whole run in
+//! constant memory. When a job ends in Wrong, a panic, an injected
+//! chaos fault, or a governor trip, [`FlightRecorder::dump`] renders
+//! the post-mortem artifact.
 //!
-//! [`SharedFlight`] is the handle form: a clone-able `Rc<RefCell<..>>`
-//! sink the batch layer passes into an engine while keeping its own
-//! handle, so the recording survives even if the engine panics out
-//! from under the sink.
+//! The batch layer lends the recorder to an engine as `&mut` inside
+//! its panic boundary, so the recording survives even if the engine
+//! panics out from under the sink.
 
 use crate::event::{Event, RtsOp, TimedEvent};
-use crate::metrics::StrategyCounts;
-use crate::sink::{EventCounts, TraceSink};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use crate::sink::TraceSink;
+use crate::tally::Tally;
 use std::fmt::Write as _;
-use std::rc::Rc;
-
-/// Table 1 operation names, in a fixed index order (the
-/// [`FlightRecorder::rts_ops`] table).
-pub const RTS_OP_NAMES: [&str; 8] = [
-    "FirstActivation",
-    "NextActivation",
-    "SetActivation",
-    "SetUnwindCont",
-    "SetCutToCont",
-    "FindContParam",
-    "Resume",
-    "GetDescriptor",
-];
-
-fn rts_op_index(op: &RtsOp) -> usize {
-    match op {
-        RtsOp::FirstActivation { .. } => 0,
-        RtsOp::NextActivation { .. } => 1,
-        RtsOp::SetActivation { .. } => 2,
-        RtsOp::SetUnwindCont { .. } => 3,
-        RtsOp::SetCutToCont { .. } => 4,
-        RtsOp::FindContParam { .. } => 5,
-        RtsOp::Resume { .. } => 6,
-        RtsOp::GetDescriptor { .. } => 7,
-    }
-}
 
 /// A bounded last-N event recorder with whole-stream tallies. See the
 /// module docs.
@@ -66,17 +35,8 @@ pub struct FlightRecorder {
     head: usize,
     /// Events ever observed (retained + overwritten).
     total: u64,
-    /// Whole-stream event counters.
-    pub counts: EventCounts,
-    /// Whole-stream per-strategy dispatch counters.
-    pub strategy: StrategyCounts,
-    /// Whole-stream Table 1 op tallies, indexed per [`RTS_OP_NAMES`].
-    pub rts_ops: [u64; 8],
-    /// Chaos interventions by description with the invocation ordinal
-    /// stripped: `"fault resume #2"` tallies under `"fault resume"`,
-    /// `"limit stack-depth"` under itself. Bounded by the op/resource
-    /// vocabulary, not the run length.
-    pub chaos_tally: BTreeMap<String, u64>,
+    /// Whole-stream counts.
+    pub tally: Tally,
 }
 
 impl FlightRecorder {
@@ -89,32 +49,15 @@ impl FlightRecorder {
             ring: Vec::with_capacity(cap),
             head: 0,
             total: 0,
-            counts: EventCounts::default(),
-            strategy: StrategyCounts::default(),
-            rts_ops: [0; 8],
-            chaos_tally: BTreeMap::new(),
+            tally: Tally::default(),
         }
     }
 
-    /// Folds one event in: tallies always, ring slot overwritten
+    /// Folds one event in: the tally always, ring slot overwritten
     /// wraparound-style once full.
     pub fn record(&mut self, now: u64, e: Event) {
         self.total += 1;
-        self.counts.record(&e);
-        self.strategy.record(&e);
-        match &e {
-            Event::Rts(op) => self.rts_ops[rts_op_index(op)] += 1,
-            Event::Chaos { what } => {
-                // Strip the per-injection ordinal (`#n`) so the tally
-                // key set stays bounded.
-                let key = match what.find(" #") {
-                    Some(cut) => &what[..cut],
-                    None => what.as_str(),
-                };
-                *self.chaos_tally.entry(key.to_string()).or_default() += 1;
-            }
-            _ => {}
-        }
+        self.tally.record(&e);
         let t = TimedEvent { ts: now, event: e };
         if self.ring.len() < self.cap {
             self.ring.push(t);
@@ -132,24 +75,6 @@ impl FlightRecorder {
     /// Events that fell off the front of the ring.
     pub fn dropped(&self) -> u64 {
         self.total - self.ring.len() as u64
-    }
-
-    /// Injected Table 1 faults observed (chaos `fault` events).
-    pub fn chaos_faults(&self) -> u64 {
-        self.tally_with_prefix("fault ")
-    }
-
-    /// Resource-governor limit trips observed (chaos `limit` events).
-    pub fn governor_trips(&self) -> u64 {
-        self.tally_with_prefix("limit ")
-    }
-
-    fn tally_with_prefix(&self, prefix: &str) -> u64 {
-        self.chaos_tally
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, n)| n)
-            .sum()
     }
 
     /// The retained events, oldest first.
@@ -170,7 +95,7 @@ impl FlightRecorder {
         let mut out = String::new();
         let _ = writeln!(out, "=== flight recorder post-mortem ===");
         let _ = writeln!(out, "{header}");
-        let c = &self.counts;
+        let c = &self.tally;
         let _ = writeln!(
             out,
             "events: {} total ({} retained, {} dropped)",
@@ -188,25 +113,20 @@ impl FlightRecorder {
             c.abnormal_returns,
             c.cuts,
             c.yields,
-            c.rts_ops,
-            c.chaos_events
+            c.rts_ops(),
+            c.chaos_events()
         );
-        let s = &self.strategy;
-        let _ = writeln!(
-            out,
-            "strategies: cut x{}, unwind x{} ({} hops), abnormal-return x{}, normal-resume x{}",
-            s.cuts, s.unwind_resumes, s.unwind_hops, s.abnormal_returns, s.normal_resumes
-        );
-        if self.rts_ops.iter().any(|&n| n > 0) {
+        let _ = writeln!(out, "{}", c.strategies_line());
+        if c.rts_ops() > 0 {
             let mut line = String::from("table1:");
-            for (name, n) in RTS_OP_NAMES.iter().zip(self.rts_ops.iter()) {
-                if *n > 0 {
+            for (name, n) in RtsOp::NAMES.iter().zip(c.rts) {
+                if n > 0 {
                     let _ = write!(line, " {name} x{n}");
                 }
             }
             let _ = writeln!(out, "{line}");
         }
-        for (what, n) in &self.chaos_tally {
+        for (what, n) in &c.chaos {
             let _ = writeln!(out, "chaos: {what} x{n}");
         }
         let _ = writeln!(out, "--- final {} event(s) ---", self.ring.len());
@@ -223,33 +143,6 @@ impl TraceSink for FlightRecorder {
     #[inline]
     fn event(&mut self, now: u64, e: Event) {
         self.record(now, e);
-    }
-}
-
-/// A clone-able handle to one [`FlightRecorder`], usable as the engine
-/// sink while the caller keeps a second handle for the post-mortem.
-/// `Rc`-based: a recorder serves one job on one worker thread.
-#[derive(Clone, Debug)]
-pub struct SharedFlight(pub Rc<RefCell<FlightRecorder>>);
-
-impl SharedFlight {
-    /// A fresh recorder behind a shared handle.
-    pub fn new(cap: usize) -> SharedFlight {
-        SharedFlight(Rc::new(RefCell::new(FlightRecorder::new(cap))))
-    }
-
-    /// Reads through the handle.
-    pub fn with<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
-        f(&self.0.borrow())
-    }
-}
-
-impl TraceSink for SharedFlight {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn event(&mut self, now: u64, e: Event) {
-        self.0.borrow_mut().record(now, e);
     }
 }
 
@@ -272,8 +165,8 @@ mod tests {
         assert_eq!(fr.dropped(), 6);
         let tail: Vec<u64> = fr.events().iter().map(|t| t.ts).collect();
         assert_eq!(tail, vec![6, 7, 8, 9]);
-        // Tallies cover the whole stream, not just the ring.
-        assert_eq!(fr.counts.yields, 10);
+        // The tally covers the whole stream, not just the ring.
+        assert_eq!(fr.tally.yields, 10);
     }
 
     #[test]
@@ -303,41 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn tallies_classify_chaos_and_table1() {
-        let mut fr = FlightRecorder::new(8);
-        fr.record(
-            0,
-            Event::Rts(RtsOp::Resume {
-                kind: crate::event::ResumeKind::Unwind,
-                ok: true,
-            }),
-        );
-        fr.record(
-            1,
-            Event::Chaos {
-                what: "fault resume #2".into(),
-            },
-        );
-        fr.record(
-            2,
-            Event::Chaos {
-                what: "fault resume #5".into(),
-            },
-        );
-        fr.record(
-            3,
-            Event::Chaos {
-                what: "limit stack-depth".into(),
-            },
-        );
-        assert_eq!(fr.rts_ops[6], 1);
-        assert_eq!(fr.strategy.unwind_resumes, 1);
-        assert_eq!(fr.chaos_faults(), 2);
-        assert_eq!(fr.governor_trips(), 1);
-        assert_eq!(fr.chaos_tally["fault resume"], 2);
-    }
-
-    #[test]
     fn dump_contains_header_tallies_and_tail() {
         let mut fr = FlightRecorder::new(2);
         fr.record(
@@ -358,14 +216,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_handle_survives_a_panicking_user() {
-        let flight = SharedFlight::new(4);
-        let mut sink = flight.clone();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    fn a_lent_recorder_keeps_its_events_when_the_borrower_panics() {
+        // An engine owns its sink by value; the batch lends it `&mut`.
+        fn engine<S: TraceSink>(mut sink: S) {
             sink.event(1, yield_ev(1));
             panic!("engine died");
-        }));
+        }
+        let mut fr = FlightRecorder::new(4);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine(&mut fr)));
         assert!(r.is_err());
-        assert_eq!(flight.with(|fr| fr.total()), 1);
+        assert_eq!(fr.total(), 1);
+        assert_eq!(fr.events()[0].event, yield_ev(1));
     }
 }

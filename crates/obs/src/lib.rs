@@ -20,17 +20,21 @@
 //! * [`projection`] / [`first_divergence`] — the engine-independent
 //!   exception projection used by `tests/trace_equivalence.rs` and by
 //!   difftest's divergence artifacts;
-//! * [`Profile`] — per-procedure and per-strategy metrics with
-//!   cost-model attribution (`cmm profile`);
-//! * [`chrome_trace_json`] — Chrome `trace_event` export
-//!   (`cmm trace`);
+//! * [`Tally`] — the one fold over a stream: transfers, Table 1 ops,
+//!   unwind hops, resumes by class and chaos interventions, read by
+//!   every surface below that reports a count;
+//! * [`Profile`] — per-procedure metrics with cost-model attribution
+//!   (`cmm profile`), over the shadow-stack replay that also draws
+//!   the call tree of [`chrome_trace_json`] — Chrome `trace_event`
+//!   export (`cmm trace`);
 //! * [`MetricsRegistry`] — the live metrics runtime: sharded
 //!   counters/gauges/log-bucketed histograms with Prometheus and
 //!   deterministic-JSON export (`cmm metrics`);
 //! * [`CacheStats`] — registry-backed service counters (hits, misses,
 //!   evictions) for `cmm-pool`'s content-addressed compilation cache;
 //! * [`FlightRecorder`] — a bounded ring-buffer sink that keeps a
-//!   job's final events for post-mortem dumps when it fails.
+//!   job's final events, plus its [`Tally`], for post-mortem dumps
+//!   when it fails.
 
 pub mod chrome;
 pub mod counters;
@@ -40,14 +44,16 @@ pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod sink;
+pub mod tally;
 
 pub use chrome::chrome_trace_json;
 pub use counters::{CacheSnapshot, CacheStats, ShardedCacheStats};
 pub use event::{first_divergence, projection, Event, ResumeKind, RtsOp, TimedEvent};
-pub use flight::{FlightRecorder, SharedFlight, RTS_OP_NAMES};
+pub use flight::FlightRecorder;
 pub use json::json_escape;
-pub use metrics::{ProcStats, Profile, StrategyCounts};
+pub use metrics::{ProcStats, Profile};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricClass, MetricsRegistry,
 };
-pub use sink::{CountingSink, EventCounts, NopSink, RecordingSink, TraceSink};
+pub use sink::{NopSink, RecordingSink, TraceSink};
+pub use tally::Tally;

@@ -1,13 +1,14 @@
-//! Aggregation of a recorded event stream into per-procedure and
-//! per-strategy metrics, and the `cmm profile` text report.
+//! Aggregation of a recorded event stream into per-procedure metrics
+//! and a [`Tally`], and the `cmm profile` text report.
 //!
 //! Cost is attributed by *timestamp deltas over a shadow call stack*:
-//! the stream's transfer events (call, tail call, return, cut, resume)
-//! are replayed against a stack of procedure frames, and the engine
-//! time elapsed between consecutive events is charged to the procedure
-//! on top. This recovers per-procedure self and inclusive cost from
-//! the timestamps alone — no per-instruction events exist, so tracing
-//! stays cheap even when recording.
+//! `replay` runs the stream's transfer events (call, tail call,
+//! return, cut, resume) against a stack of procedure frames, and the
+//! engine time elapsed between consecutive events is charged to the
+//! procedure on top. This recovers per-procedure self and inclusive
+//! cost from the timestamps alone — no per-instruction events exist, so
+//! tracing stays cheap even when recording. The Chrome export
+//! ([`crate::chrome`]) draws its call tree from the same replay.
 //!
 //! The resumption bookkeeping mirrors the Table 1 dispatcher protocol:
 //! a successful `Resume` at the activation chosen after `k` successful
@@ -15,10 +16,10 @@
 //! pseudo-procedure plus the activations walked past), and a cut-class
 //! `Resume` truncates to the procedure named by the preceding
 //! `SetCutToCont`. Programs that go wrong mid-flight simply leave
-//! frames open; they are flushed at the final timestamp.
+//! frames open; they are left at the final timestamp.
 
 use crate::event::{Event, ResumeKind, RtsOp, TimedEvent};
-use crate::sink::EventCounts;
+use crate::tally::Tally;
 use cmm_ir::Name;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,217 +62,182 @@ impl ProcStats {
     }
 }
 
-/// Per-strategy dispatch counters: how often each of the paper's
-/// exception-implementation mechanisms fired.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StrategyCounts {
-    /// `cut to` transfers plus cut-class resumptions.
-    pub cuts: u64,
-    /// Table 1 unwind-walk hops (successful `NextActivation`s).
-    pub unwind_hops: u64,
-    /// Unwind-class resumptions.
-    pub unwind_resumes: u64,
-    /// Abnormal returns through a Figure 3/4 branch-table arm.
-    pub abnormal_returns: u64,
-    /// Normal-class resumptions.
-    pub normal_resumes: u64,
-}
-
-impl StrategyCounts {
-    /// Folds one event into the counters. Every increment is a pure
-    /// function of the single event, so a streaming sink (the flight
-    /// recorder) and the replay in [`Profile::build`] share this one
-    /// classification — there is exactly one definition of what counts
-    /// as, say, an unwind hop.
-    pub fn record(&mut self, e: &Event) {
-        match e {
-            Event::Return {
-                index, alternates, ..
-            } if index < alternates => self.abnormal_returns += 1,
-            Event::CutTo { .. } => self.cuts += 1,
-            Event::Rts(RtsOp::NextActivation { moved: true, .. }) => self.unwind_hops += 1,
-            Event::Rts(RtsOp::Resume { kind, ok: true }) => match kind {
-                ResumeKind::Normal => self.normal_resumes += 1,
-                ResumeKind::Unwind => self.unwind_resumes += 1,
-                ResumeKind::Cut => self.cuts += 1,
-            },
-            _ => {}
-        }
-    }
-}
-
 /// The aggregated profile of one run.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Per-procedure metrics, keyed by name.
     pub procs: BTreeMap<Name, ProcStats>,
-    /// Raw event counters.
-    pub counts: EventCounts,
-    /// Per-strategy dispatch counters.
-    pub strategies: StrategyCounts,
-    /// Table 1 operation counts, keyed by operation name.
-    pub rts_ops: BTreeMap<&'static str, u64>,
+    /// Whole-stream counts.
+    pub tally: Tally,
     /// Total engine time covered by the stream (last timestamp minus
     /// first).
     pub total_cost: u64,
 }
 
-/// One shadow frame.
-struct ShadowFrame {
-    name: Name,
-    self_cost: u64,
+/// One step of a [`replay`], in stream order.
+pub(crate) enum Step<'a> {
+    /// An event, reported before the frames it enters or leaves, with
+    /// the shadow stack it happened on (entry procedure first).
+    Event(&'a TimedEvent, &'a [Name]),
+    /// A frame entered at the given engine time.
+    Enter(u64, &'a Name),
+    /// A frame left at the given engine time.
+    Leave(u64, &'a Name),
+}
+
+/// Replays a recorded stream onto a shadow call stack that starts with
+/// `entry` (events alone cannot name it), reporting each event and
+/// each frame entered and left; see the module documentation. Frames
+/// still open at the end are left at the last event's time.
+pub(crate) fn replay(entry: &Name, events: &[TimedEvent], mut on: impl FnMut(Step<'_>)) {
+    fn leave(stack: &mut Vec<Name>, on: &mut impl FnMut(Step<'_>), ts: u64) {
+        if let Some(top) = stack.pop() {
+            on(Step::Leave(ts, &top));
+        }
+    }
+    fn enter(stack: &mut Vec<Name>, on: &mut impl FnMut(Step<'_>), ts: u64, name: &Name) {
+        on(Step::Enter(ts, name));
+        stack.push(name.clone());
+    }
+    fn cut_to(stack: &mut Vec<Name>, on: &mut impl FnMut(Step<'_>), ts: u64, target: &Name) {
+        if stack.contains(target) {
+            while stack.last() != Some(target) {
+                leave(stack, on, ts);
+            }
+        } else {
+            while !stack.is_empty() {
+                leave(stack, on, ts);
+            }
+            enter(stack, on, ts, target);
+        }
+    }
+
+    let mut ts = events.first().map_or(0, |t| t.ts);
+    let mut stack = Vec::new();
+    enter(&mut stack, &mut on, ts, entry);
+    let mut hops: u64 = 0;
+    let mut cut_target: Option<&Name> = None;
+    for t in events {
+        ts = t.ts;
+        on(Step::Event(t, &stack));
+        match &t.event {
+            Event::Call { callee, .. } => enter(&mut stack, &mut on, ts, callee),
+            Event::TailCall { callee, .. } => {
+                leave(&mut stack, &mut on, ts);
+                enter(&mut stack, &mut on, ts, callee);
+            }
+            Event::Return { .. } => leave(&mut stack, &mut on, ts),
+            Event::CutTo { target, .. } => cut_to(&mut stack, &mut on, ts, target),
+            Event::Rts(op) => match op {
+                RtsOp::FirstActivation { .. } => hops = 0,
+                RtsOp::NextActivation { moved: true, .. } => hops += 1,
+                RtsOp::SetCutToCont { target } => cut_target = target.as_ref(),
+                RtsOp::Resume {
+                    kind: ResumeKind::Cut,
+                    ok: true,
+                } => {
+                    if let Some(target) = cut_target.take() {
+                        cut_to(&mut stack, &mut on, ts, target);
+                    }
+                }
+                RtsOp::Resume { ok: true, .. } => {
+                    for _ in 0..=hops {
+                        leave(&mut stack, &mut on, ts);
+                    }
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+    while !stack.is_empty() {
+        leave(&mut stack, &mut on, ts);
+    }
 }
 
 impl Profile {
     /// Replays a recorded stream, attributing cost as described in the
     /// module documentation. `entry` is the procedure the run started
-    /// in (events alone cannot name it).
+    /// in.
     pub fn build(entry: &Name, events: &[TimedEvent]) -> Profile {
         let mut p = Profile::default();
-        let mut stack = vec![ShadowFrame {
-            name: entry.clone(),
-            self_cost: 0,
-        }];
-        p.procs.entry(entry.clone()).or_default().entries += 1;
+        // Self cost of each open frame, parallel to the replay's stack.
+        let mut open: Vec<u64> = Vec::new();
         // Both engine clocks start at zero, so the interval before the
         // first event belongs to the entry procedure.
         let mut prev_ts = 0u64;
-        let mut hops: u64 = 0;
-        let mut cut_target: Option<Name> = None;
-
-        for t in events {
-            // Charge the elapsed interval to the current stack.
-            let delta = t.ts.saturating_sub(prev_ts);
-            prev_ts = t.ts;
-            if delta > 0 {
-                if let Some(top) = stack.last_mut() {
-                    top.self_cost += delta;
-                    p.procs.entry(top.name.clone()).or_default().self_cost += delta;
-                }
-                let mut seen: Vec<&Name> = Vec::with_capacity(stack.len());
-                for f in &stack {
-                    if !seen.contains(&&f.name) {
-                        seen.push(&f.name);
-                        p.procs.entry(f.name.clone()).or_default().total_cost += delta;
+        replay(entry, events, |step| match step {
+            Step::Enter(_, name) => {
+                p.procs.entry(name.clone()).or_default().entries += 1;
+                open.push(0);
+            }
+            Step::Leave(_, name) => {
+                let self_cost = open.pop().expect("a frame was entered");
+                p.procs
+                    .entry(name.clone())
+                    .or_default()
+                    .finish_invocation(self_cost);
+            }
+            Step::Event(t, stack) => {
+                // Charge the elapsed interval to the current stack.
+                let delta = t.ts.saturating_sub(prev_ts);
+                prev_ts = t.ts;
+                if delta > 0 {
+                    if let (Some(top), Some(self_cost)) = (stack.last(), open.last_mut()) {
+                        *self_cost += delta;
+                        p.procs.entry(top.clone()).or_default().self_cost += delta;
                     }
+                    let mut seen: Vec<&Name> = Vec::with_capacity(stack.len());
+                    for name in stack {
+                        if !seen.contains(&name) {
+                            seen.push(name);
+                            p.procs.entry(name.clone()).or_default().total_cost += delta;
+                        }
+                    }
+                }
+                p.tally.record(&t.event);
+                match &t.event {
+                    Event::Return {
+                        proc,
+                        index,
+                        alternates,
+                    } => {
+                        let st = p.procs.entry(proc.clone()).or_default();
+                        st.returns += 1;
+                        if index < alternates {
+                            st.abnormal_returns += 1;
+                        }
+                    }
+                    Event::CutTo { proc, target, .. } => {
+                        p.procs.entry(proc.clone()).or_default().cuts_out += 1;
+                        p.procs.entry(target.clone()).or_default().cuts_in += 1;
+                    }
+                    _ => {}
                 }
             }
-
-            p.counts.record(&t.event);
-            p.strategies.record(&t.event);
-            match &t.event {
-                Event::Call { callee, .. } => {
-                    p.procs.entry(callee.clone()).or_default().entries += 1;
-                    stack.push(ShadowFrame {
-                        name: callee.clone(),
-                        self_cost: 0,
-                    });
-                }
-                Event::TailCall { callee, .. } => {
-                    Self::pop(&mut p, &mut stack);
-                    p.procs.entry(callee.clone()).or_default().entries += 1;
-                    stack.push(ShadowFrame {
-                        name: callee.clone(),
-                        self_cost: 0,
-                    });
-                }
-                Event::Return {
-                    proc,
-                    index,
-                    alternates,
-                } => {
-                    let st = p.procs.entry(proc.clone()).or_default();
-                    st.returns += 1;
-                    if index < alternates {
-                        st.abnormal_returns += 1;
-                    }
-                    Self::pop(&mut p, &mut stack);
-                }
-                Event::CutTo { proc, target, .. } => {
-                    p.procs.entry(proc.clone()).or_default().cuts_out += 1;
-                    p.procs.entry(target.clone()).or_default().cuts_in += 1;
-                    Self::truncate_to(&mut p, &mut stack, target);
-                }
-                Event::Yield { .. } => {}
-                Event::ContCapture { .. } | Event::ContDeath { .. } | Event::Chaos { .. } => {}
-                Event::Rts(op) => {
-                    *p.rts_ops.entry(op.name()).or_default() += 1;
-                    match op {
-                        RtsOp::FirstActivation { .. } => hops = 0,
-                        RtsOp::NextActivation { moved: true, .. } => hops += 1,
-                        RtsOp::SetCutToCont { target } => cut_target = target.clone(),
-                        RtsOp::Resume { kind, ok: true } => match kind {
-                            ResumeKind::Normal | ResumeKind::Unwind => {
-                                for _ in 0..=hops {
-                                    Self::pop(&mut p, &mut stack);
-                                }
-                            }
-                            ResumeKind::Cut => {
-                                if let Some(target) = cut_target.take() {
-                                    Self::truncate_to(&mut p, &mut stack, &target);
-                                }
-                            }
-                        },
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        while !stack.is_empty() {
-            Self::pop(&mut p, &mut stack);
-        }
+        });
         p.total_cost = prev_ts;
         p
-    }
-
-    fn pop(p: &mut Profile, stack: &mut Vec<ShadowFrame>) {
-        if let Some(f) = stack.pop() {
-            p.procs
-                .entry(f.name)
-                .or_default()
-                .finish_invocation(f.self_cost);
-        }
-    }
-
-    fn truncate_to(p: &mut Profile, stack: &mut Vec<ShadowFrame>, target: &Name) {
-        if stack.iter().any(|f| &f.name == target) {
-            while stack.last().is_some_and(|f| &f.name != target) {
-                Self::pop(p, stack);
-            }
-        } else {
-            while !stack.is_empty() {
-                Self::pop(p, stack);
-            }
-            p.procs.entry(target.clone()).or_default().entries += 1;
-            stack.push(ShadowFrame {
-                name: target.clone(),
-                self_cost: 0,
-            });
-        }
     }
 
     /// The `cmm profile` text report.
     pub fn report(&self, clock_label: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "total cost: {} {clock_label}", self.total_cost);
-        let c = &self.counts;
+        let c = &self.tally;
         let _ = writeln!(
             out,
             "transfers: {} calls, {} tail calls, {} returns ({} abnormal), {} cuts, {} yields",
             c.calls, c.tail_calls, c.returns, c.abnormal_returns, c.cuts, c.yields
         );
-        let s = &self.strategies;
-        let _ = writeln!(
-            out,
-            "strategies: cut x{}, unwind x{} ({} hops), abnormal-return x{}, normal-resume x{}",
-            s.cuts, s.unwind_resumes, s.unwind_hops, s.abnormal_returns, s.normal_resumes
-        );
-        if self.rts_ops.is_empty() {
+        let _ = writeln!(out, "{}", c.strategies_line());
+        if c.rts_ops() == 0 {
             let _ = writeln!(out, "runtime interface (Table 1): no calls");
         } else {
             let _ = writeln!(out, "runtime interface (Table 1):");
-            for (name, n) in &self.rts_ops {
+            let mut ops: Vec<(&str, u64)> = RtsOp::NAMES.into_iter().zip(c.rts).collect();
+            ops.sort_unstable();
+            for (name, n) in ops.into_iter().filter(|&(_, n)| n > 0) {
                 let _ = writeln!(out, "  {name:<16} x{n}");
             }
         }
@@ -388,7 +354,7 @@ mod tests {
             ),
         ];
         let p = Profile::build(&f, &events);
-        assert_eq!(p.strategies.cuts, 1);
+        assert_eq!(p.tally.mechanisms()[0], ("cut", 1));
         assert_eq!(p.procs[&g].cuts_out, 1);
         assert_eq!(p.procs[&f].cuts_in, 1);
         // After the cut, the remaining 5 units belong to f again.
@@ -403,5 +369,73 @@ mod tests {
         let r = p.report("steps");
         assert!(r.contains("per procedure"));
         assert!(r.contains("yields"));
+    }
+
+    #[test]
+    fn replay_pops_walked_frames_and_truncates_to_a_cut_target() {
+        fn n(name: &str) -> Name {
+            Name::from(name)
+        }
+        let call = |ts, caller: &str, callee: &str| {
+            ev(
+                ts,
+                Event::Call {
+                    caller: n(caller),
+                    callee: n(callee),
+                },
+            )
+        };
+        let rts = |ts, op| ev(ts, Event::Rts(op));
+        let resume = |ts, kind| rts(ts, RtsOp::Resume { kind, ok: true });
+        let events = vec![
+            call(1, "f", "g"),
+            call(2, "g", "h"),
+            call(3, "h", "yield"),
+            rts(4, RtsOp::FirstActivation { proc: Some(n("h")) }),
+            rts(
+                4,
+                RtsOp::NextActivation {
+                    moved: true,
+                    proc: Some(n("g")),
+                },
+            ),
+            // One hop: `yield` and `h` go, `g` resumes.
+            resume(5, ResumeKind::Unwind),
+            call(6, "g", "yield"),
+            rts(
+                7,
+                RtsOp::SetCutToCont {
+                    target: Some(n("f")),
+                },
+            ),
+            // A cut-class resume truncates to the target's frame.
+            resume(8, ResumeKind::Cut),
+            ev(
+                9,
+                Event::Return {
+                    proc: n("f"),
+                    index: 0,
+                    alternates: 0,
+                },
+            ),
+        ];
+        let mut steps = Vec::new();
+        replay(&n("f"), &events, |step| match step {
+            Step::Enter(ts, name) => steps.push(format!("{ts}+{name}")),
+            Step::Leave(ts, name) => steps.push(format!("{ts}-{name}")),
+            Step::Event(..) => {}
+        });
+        assert_eq!(
+            steps,
+            [
+                "1+f", "1+g", "2+h", "3+yield", "5-yield", "5-h", "6+yield", "8-yield", "8-g",
+                "9-f"
+            ]
+        );
+        let p = Profile::build(&n("f"), &events);
+        assert_eq!(p.procs[&n("yield")].entries, 2);
+        assert_eq!(p.procs[&n("g")].self_cost, 1 + 1);
+        assert_eq!(p.procs[&n("f")].self_cost, 1 + 1);
+        assert_eq!(p.tally.mechanisms()[0], ("cut", 1));
     }
 }

@@ -91,87 +91,9 @@ impl TraceSink for RecordingSink {
     }
 }
 
-/// Aggregate counters over an event stream — what the perf trajectory
-/// records next to instruction counts.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct EventCounts {
-    /// `Call` transfers.
-    pub calls: u64,
-    /// `Jump` (tail-call) transfers.
-    pub tail_calls: u64,
-    /// All returns.
-    pub returns: u64,
-    /// Returns through a branch-table arm other than the normal one.
-    pub abnormal_returns: u64,
-    /// `cut to` transfers.
-    pub cuts: u64,
-    /// Suspensions into the run-time system.
-    pub yields: u64,
-    /// Table 1 operations.
-    pub rts_ops: u64,
-    /// Continuation captures (abstract machine only).
-    pub cont_captures: u64,
-    /// Continuation deaths (abstract machine only).
-    pub cont_deaths: u64,
-    /// Chaos interventions: injected Table 1 faults and governor limit
-    /// trips (zero outside chaos runs).
-    pub chaos_events: u64,
-}
-
-impl EventCounts {
-    /// Folds one event into the counters.
-    pub fn record(&mut self, e: &Event) {
-        match e {
-            Event::Call { .. } => self.calls += 1,
-            Event::TailCall { .. } => self.tail_calls += 1,
-            Event::Return {
-                index, alternates, ..
-            } => {
-                self.returns += 1;
-                if index < alternates {
-                    self.abnormal_returns += 1;
-                }
-            }
-            Event::CutTo { .. } => self.cuts += 1,
-            Event::ContCapture { .. } => self.cont_captures += 1,
-            Event::ContDeath { .. } => self.cont_deaths += 1,
-            Event::Yield { .. } => self.yields += 1,
-            Event::Rts(_) => self.rts_ops += 1,
-            Event::Chaos { .. } => self.chaos_events += 1,
-        }
-    }
-
-    /// Counters for a recorded stream.
-    pub fn of(events: &[TimedEvent]) -> EventCounts {
-        let mut c = EventCounts::default();
-        for t in events {
-            c.record(&t.event);
-        }
-        c
-    }
-}
-
-/// Counts events without retaining them: constant memory, suitable for
-/// benchmark instrumentation runs.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct CountingSink {
-    /// The running totals.
-    pub counts: EventCounts,
-}
-
-impl TraceSink for CountingSink {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn event(&mut self, _now: u64, e: Event) {
-        self.counts.record(&e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmm_ir::Name;
 
     #[test]
     fn recording_sink_caps_and_counts_drops() {
@@ -181,28 +103,5 @@ mod tests {
         }
         assert_eq!(s.events.len(), 2);
         assert_eq!(s.dropped, 3);
-    }
-
-    #[test]
-    fn counts_classify_abnormal_returns() {
-        let mut s = CountingSink::default();
-        s.event(
-            0,
-            Event::Return {
-                proc: Name::from("g"),
-                index: 0,
-                alternates: 1,
-            },
-        );
-        s.event(
-            1,
-            Event::Return {
-                proc: Name::from("g"),
-                index: 1,
-                alternates: 1,
-            },
-        );
-        assert_eq!(s.counts.returns, 2);
-        assert_eq!(s.counts.abnormal_returns, 1);
     }
 }

@@ -40,8 +40,8 @@ use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolConfig, Pool
 use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
 use cmm_frontend::{run_thread, with_engine, Arenas, Setup, Strategy};
 use cmm_obs::{
-    json_escape, CacheSnapshot, MetricClass, MetricsRegistry, NopSink, SharedFlight, TraceSink,
-    RTS_OP_NAMES,
+    json_escape, CacheSnapshot, FlightRecorder, MetricClass, MetricsRegistry, NopSink, RtsOp,
+    Tally, TraceSink,
 };
 use cmm_opt::OptOptions;
 use cmm_snap::{fold_digest, source_digest, SnapMeta, Snapshot, FOLD_INIT};
@@ -222,9 +222,10 @@ pub struct BatchConfig {
     pub queue_cap: usize,
     /// Build a [`MetricsRegistry`] for the batch: mount the cache and
     /// pool counters, run every job through a flight-recorder sink,
-    /// flush per-job figures into the registry, and collect post-mortem
-    /// dumps for failed jobs. Off (the default), every job runs through
-    /// [`NopSink`] exactly as before — the whole layer compiles away.
+    /// write each job's figures into the registry after the run phase,
+    /// and collect post-mortem dumps for failed jobs. Off (the default),
+    /// every job runs through [`NopSink`] exactly as before — the whole
+    /// layer compiles away.
     pub metrics: bool,
     /// Checkpoint every C-- job at this fuel-slice granularity
     /// (`cmm batch --snapshot-every N`): at each boundary the machine
@@ -362,8 +363,8 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     };
 
     // The metrics runtime, when asked for: the cache's shard counters
-    // and both phases' pool meters become live registry views, and the
-    // per-job flush below adds the engine/strategy/Table 1 figures.
+    // and both phases' pool meters become live registry views, and
+    // `write_metrics` adds each job's engine/strategy/Table 1 figures.
     let registry = config.metrics.then(|| Arc::new(MetricsRegistry::new()));
     let compile_meter = PoolMeter::new();
     let run_meter = PoolMeter::new();
@@ -422,7 +423,8 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     // worker owns one pair of execution arenas, reused job after job so
     // the hot phase stops paying the allocator; the executor rebuilds a
     // worker's arenas from scratch if one of its jobs panics, so a
-    // half-mutated arena never reaches the next job.
+    // half-mutated arena never reaches the next job. A traced job hands
+    // back its tally; the registry is written from them afterwards.
     let outcomes = run_jobs_metered(
         &pool,
         (0..specs.len()).collect(),
@@ -431,38 +433,30 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
             let spec = &specs[i];
             let started = Instant::now();
             let g = group_of[i];
-            let (mut obs, pm) = match &compile_errs[g] {
-                Some(e) => (RunObs::failed("compile-error", e.clone()), None),
-                None => run_one(
-                    i,
-                    spec,
-                    cache,
-                    &groups[g].id,
-                    arenas,
-                    registry.as_deref(),
-                    config.snapshot_every,
-                ),
+            let (mut obs, tally, pm) = match &compile_errs[g] {
+                Some(e) => (RunObs::failed("compile-error", e.clone()), None, None),
+                None => run_one(i, spec, cache, &groups[g].id, arenas, config),
             };
             obs.ns = started.elapsed().as_nanos();
-            if let Some(reg) = &registry {
-                flush_outcome(spec, &obs, reg);
-            }
-            (record(i, spec, obs), pm)
+            (record(i, spec, obs), tally, pm)
         },
         &run_meter,
     );
     let mut jobs = Vec::with_capacity(specs.len());
     let mut postmortems = Vec::new();
     for (i, o) in outcomes.into_iter().enumerate() {
-        match o {
-            JobOutcome::Done((rec, pm)) => {
-                jobs.push(rec);
-                postmortems.extend(pm);
-            }
+        let (rec, tally, pm) = match o {
+            JobOutcome::Done(done) => done,
             JobOutcome::Panicked(msg) => {
-                jobs.push(record(i, &specs[i], RunObs::failed("panicked", msg)));
+                let rec = record(i, &specs[i], RunObs::failed("panicked", msg));
+                (rec, None, None)
             }
+        };
+        if let Some(reg) = &registry {
+            write_metrics(reg, &specs[i], &rec, tally.as_ref());
         }
+        jobs.push(rec);
+        postmortems.extend(pm);
     }
 
     let after = cache.snapshot();
@@ -508,14 +502,18 @@ fn outcome_class(outcome: &str) -> String {
         .to_string()
 }
 
-/// Per-job registry flush, part 1: figures known without a sink — the
-/// outcome tally and the deterministic virtual-clock latency (the
-/// cost-model total, read as 1 instruction = 1 virtual ns). Runs for
-/// every job, including compile errors and panics.
-fn flush_outcome(spec: &JobSpec, obs: &RunObs, reg: &MetricsRegistry) {
+/// Writes one job's figures into the batch registry. The outcome
+/// tally, the deterministic virtual-clock latency (the cost-model
+/// total, read as 1 instruction = 1 virtual ns) and the checkpoint
+/// totals cover every job, compile errors and panics included. A traced
+/// job's `tally` adds engine events by kind, Table 1 ops, dispatch
+/// mechanisms and chaos/governor interventions, keyed by its exception
+/// technique. Every key is registered even at zero so the exported
+/// label set is a function of the job set, not of which paths fired.
+fn write_metrics(reg: &MetricsRegistry, spec: &JobSpec, rec: &JobRecord, tally: Option<&Tally>) {
     let det = MetricClass::Deterministic;
     let engine = spec.engine.label();
-    let class = outcome_class(&obs.outcome);
+    let class = outcome_class(&rec.outcome);
     reg.counter(
         "cmm_jobs_total",
         &[("engine", engine), ("outcome", class.as_str())],
@@ -529,10 +527,9 @@ fn flush_outcome(spec: &JobSpec, obs: &RunObs, reg: &MetricsRegistry) {
         "Deterministic job latency on the virtual cost clock (1 instruction = 1 ns)",
         det,
     )
-    .observe(obs.instructions);
-    // Registered even at zero (and when checkpointing is off), so the
-    // exported label set is a function of the job set alone.
-    let snap = obs.snap.unwrap_or_default();
+    .observe(rec.instructions);
+    // Registered even when checkpointing is off.
+    let snap = rec.snap.unwrap_or_default();
     reg.counter(
         "cmm_snapshots_total",
         &[("engine", engine)],
@@ -547,112 +544,80 @@ fn flush_outcome(spec: &JobSpec, obs: &RunObs, reg: &MetricsRegistry) {
         det,
     )
     .add(snap.bytes);
-}
-
-/// Per-job registry flush, part 2: the flight recorder's whole-run
-/// tallies — engine events by kind, Table 1 ops, per-strategy dispatch
-/// mechanisms, and chaos/governor interventions, all keyed by the
-/// job's exception technique. Every key is registered even at zero so
-/// the exported label set is a function of the job set, not of which
-/// paths fired.
-fn flush_flight(spec: &JobSpec, flight: &SharedFlight, reg: &MetricsRegistry) {
-    let det = MetricClass::Deterministic;
-    let engine = spec.engine.label();
+    let Some(t) = tally else {
+        return;
+    };
     let tech = technique(spec);
-    flight.with(|f| {
-        let c = &f.counts;
-        for (kind, n) in [
-            ("call", c.calls),
-            ("tail-call", c.tail_calls),
-            ("return", c.returns),
-            ("abnormal-return", c.abnormal_returns),
-            ("cut", c.cuts),
-            ("yield", c.yields),
-            ("rts-op", c.rts_ops),
-            ("cont-capture", c.cont_captures),
-            ("cont-death", c.cont_deaths),
-            ("chaos", c.chaos_events),
-        ] {
+    for (kind, n) in t.kinds() {
+        reg.counter(
+            "cmm_engine_events_total",
+            &[("engine", engine), ("kind", kind), ("technique", tech)],
+            "Engine trace events by kind, engine, and exception technique",
+            det,
+        )
+        .add(n);
+    }
+    for (op, n) in RtsOp::NAMES.into_iter().zip(t.rts) {
+        reg.counter(
+            "cmm_rts_ops_total",
+            &[("engine", engine), ("op", op), ("technique", tech)],
+            "Table 1 run-time-interface calls by op and exception technique",
+            det,
+        )
+        .add(n);
+    }
+    for (mech, n) in t.mechanisms() {
+        reg.counter(
+            "cmm_strategy_dispatch_total",
+            &[("mech", mech), ("technique", tech)],
+            "Exception-dispatch mechanism uses by technique",
+            det,
+        )
+        .add(n);
+    }
+    for (what, &n) in &t.chaos {
+        if let Some(op) = what.strip_prefix("fault ") {
             reg.counter(
-                "cmm_engine_events_total",
-                &[("engine", engine), ("kind", kind), ("technique", tech)],
-                "Engine trace events by kind, engine, and exception technique",
+                "cmm_chaos_faults_total",
+                &[("op", op)],
+                "Injected Table 1 faults by operation",
+                det,
+            )
+            .add(n);
+        } else if let Some(resource) = what.strip_prefix("limit ") {
+            reg.counter(
+                "cmm_governor_trips_total",
+                &[("resource", resource)],
+                "Resource-governor limit trips by resource",
                 det,
             )
             .add(n);
         }
-        for (op, n) in RTS_OP_NAMES.iter().zip(f.rts_ops.iter()) {
-            reg.counter(
-                "cmm_rts_ops_total",
-                &[("engine", engine), ("op", op), ("technique", tech)],
-                "Table 1 run-time-interface calls by op and exception technique",
-                det,
-            )
-            .add(*n);
-        }
-        let s = &f.strategy;
-        for (mech, n) in [
-            ("cut", s.cuts),
-            ("unwind-hop", s.unwind_hops),
-            ("unwind-resume", s.unwind_resumes),
-            ("abnormal-return", s.abnormal_returns),
-            ("normal-resume", s.normal_resumes),
-        ] {
-            reg.counter(
-                "cmm_strategy_dispatch_total",
-                &[("mech", mech), ("technique", tech)],
-                "Exception-dispatch mechanism uses by technique",
-                det,
-            )
-            .add(n);
-        }
-        for (what, n) in &f.chaos_tally {
-            if let Some(op) = what.strip_prefix("fault ") {
-                reg.counter(
-                    "cmm_chaos_faults_total",
-                    &[("op", op)],
-                    "Injected Table 1 faults by operation",
-                    det,
-                )
-                .add(*n);
-            } else if let Some(resource) = what.strip_prefix("limit ") {
-                reg.counter(
-                    "cmm_governor_trips_total",
-                    &[("resource", resource)],
-                    "Resource-governor limit trips by resource",
-                    det,
-                )
-                .add(*n);
-            }
-        }
-    });
+    }
 }
 
 /// Runs one compiled job: through [`NopSink`] (identical
-/// monomorphization to the pre-metrics service) when `registry` is
-/// absent, or through a [`SharedFlight`] recorder — with the registry
-/// flush, panic capture, and a post-mortem dump on failure — when
-/// present.
+/// monomorphization to the pre-metrics service) unless the batch keeps
+/// metrics, and otherwise through a [`FlightRecorder`] lent to the
+/// engine inside the panic boundary, so the recording survives the
+/// engine dying under it. A traced job returns its tally and, when it
+/// failed, its post-mortem dump.
 fn run_one(
     id: usize,
     spec: &JobSpec,
     cache: &PipelineCache,
     source: &SourceId,
     arenas: &mut Arenas,
-    registry: Option<&MetricsRegistry>,
-    snap_every: Option<u64>,
-) -> (RunObs, Option<Postmortem>) {
-    let Some(reg) = registry else {
-        return (
-            execute(spec, cache, source, arenas, snap_every, NopSink),
-            None,
-        );
-    };
-    let flight = SharedFlight::new(FLIGHT_CAP);
-    // Catch the panic here (not in the executor) so the recording —
-    // held alive by our handle — survives the engine dying under it.
+    config: &BatchConfig,
+) -> (RunObs, Option<Tally>, Option<Postmortem>) {
+    let snap_every = config.snapshot_every;
+    if !config.metrics {
+        let obs = execute(spec, cache, source, arenas, snap_every, NopSink);
+        return (obs, None, None);
+    }
+    let mut flight = FlightRecorder::new(FLIGHT_CAP);
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        execute(spec, cache, source, arenas, snap_every, flight.clone())
+        execute(spec, cache, source, arenas, snap_every, &mut flight)
     }));
     let obs = match caught {
         Ok(obs) => obs,
@@ -663,11 +628,11 @@ fn run_one(
             RunObs::failed("panicked", panic_text(payload.as_ref()))
         }
     };
-    flush_flight(spec, &flight, reg);
     let failed = matches!(
         outcome_class(&obs.outcome).as_str(),
         "wrong" | "panicked" | "rts-error" | "error"
-    ) || flight.with(|f| f.chaos_faults() > 0 || f.governor_trips() > 0);
+    ) || flight.tally.chaos_faults() > 0
+        || flight.tally.governor_trips() > 0;
     let pm = failed.then(|| {
         let header = format!(
             "job {id} `{}` [{} {}] outcome: {}{}{}",
@@ -683,10 +648,10 @@ fn run_one(
             name: spec.name.clone(),
             engine: spec.engine.label(),
             outcome: obs.outcome.clone(),
-            text: flight.with(|f| f.dump(&header)),
+            text: flight.dump(&header),
         }
     });
-    (obs, pm)
+    (obs, Some(flight.tally), pm)
 }
 
 /// What a single execution observed (pre-record form).
@@ -742,7 +707,7 @@ fn governor(spec: &JobSpec) -> ResourceGovernor {
 /// from (and returning it to) the worker's arenas. Generic over the sink:
 /// the plain service passes [`NopSink`] and monomorphizes to exactly
 /// the zero-cost instantiation the perf trajectory measures; the
-/// metrics service passes a [`SharedFlight`] handle clone.
+/// metrics service lends a [`FlightRecorder`].
 fn execute<S: TraceSink>(
     spec: &JobSpec,
     cache: &PipelineCache,
