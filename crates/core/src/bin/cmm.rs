@@ -65,9 +65,10 @@
 //! units, serializes the suspended machine to `--out` in the versioned
 //! `cmm-snap` wire format. Without `--at` it simply runs to an end and
 //! prints `outcome:` / `instructions:` lines. `resume` decodes such a
-//! blob, verifies its source digest against the given file, rebuilds
-//! the engine recorded in the snapshot (or `--engine`, any tier of the
-//! same family — VM snapshots resume on any VM tier), restores the
+//! blob, picks the engine recorded in the snapshot (or `--engine`, any
+//! tier of the same family — VM snapshots resume on any VM tier),
+//! verifies the blob's program digest (source, build options, family)
+//! against the given file, rebuilds the engine, restores the
 //! state, and continues to an end, printing the same two lines — so a
 //! snap-at-K-then-resume pair is byte-comparable against one straight
 //! `cmm snap` run. `--snapshot-every F` on `run` and `batch` performs
@@ -296,15 +297,15 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
             let blob = std::fs::read(&snapfile).map_err(|e| format!("{snapfile}: {e}"))?;
             let snapshot = snap::Snapshot::decode(&blob).map_err(|e| format!("{snapfile}: {e}"))?;
-            if let Some(e) = engine_override {
-                // The structured family-mismatch diagnostic: names both
-                // engines, both families, and the blob digest.
-                snapshot.check_engine(e)?;
-            }
             let engine = engine_override.unwrap_or(snapshot.engine);
+            // The family first: the digest covers the family too, and
+            // a cross-family resume deserves the structured diagnostic
+            // (both engines, both families, the blob digest).
+            snapshot.check_engine(engine)?;
             let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+            let key = pool::SourceKey::cmm(&src, snapshot.meta.opt, engine.family());
             snapshot
-                .check_digest(snap::source_digest(&src, snapshot.meta.opt))
+                .check_digest(key.digest())
                 .map_err(|e| format!("{snapfile}: {e} (is `{file}` the snapshotted source?)"))?;
             let opts = if snapshot.meta.opt {
                 opt::OptOptions::default()
@@ -666,9 +667,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 report.jobs.len(),
                 cache.snapshot()
             );
-            // A failing job (compile error, panic, or a `wrong`
-            // verdict from the machine) must fail the batch loudly,
-            // naming the culprit — not just sit inside the JSON.
+            // A failing job (compile error, panic, `wrong` verdict,
+            // checkpoint failure or run-time error) must fail the
+            // batch loudly, naming the culprit — not just sit inside
+            // the JSON.
             let failing = report.failing_jobs();
             if failing.is_empty() {
                 Ok(())
@@ -687,7 +689,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     );
                 }
                 Err(format!(
-                    "{} job(s) failed (compile error, panic, or wrong)",
+                    "{} job(s) failed (compile error, panic, wrong, snapshot or run-time error)",
                     failing.len()
                 ))
             }
@@ -1046,7 +1048,7 @@ fn print_run(sem: &[Value], target: &[u64], cost: [u64; 4]) {
 /// `cmm resume`, and `cmm run --snapshot-every`.
 struct SnapCtx<'a> {
     engine: EngineId,
-    digest: [u64; 2],
+    digest: snap::Digest,
     entry: &'a str,
     args: &'a [u64],
     opt: bool,
@@ -1081,7 +1083,7 @@ impl<'a> SnapCtx<'a> {
         let opt = opts != opt::OptOptions::none();
         SnapCtx {
             engine,
-            digest: snap::source_digest(src, opt),
+            digest: pool::SourceKey::cmm(src, opt, engine.family()).digest(),
             entry,
             args,
             opt,

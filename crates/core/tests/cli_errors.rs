@@ -233,11 +233,24 @@ fn resume_rejects_garbage_and_mismatched_snapshots() {
             && err.contains("family sem"),
         "stderr should name both families:\n{err}"
     );
-    let digest = cmm_core::snap::digest_hex(snapshot.digest);
+    let digest = snapshot.digest.hex();
     assert!(
         err.contains(&digest),
         "stderr should name the blob digest {digest}:\n{err}"
     );
+}
+
+/// A blob in the retired version-1 wire format, as `cmm snap` wrote it
+/// before version 2, is refused by its version, and the message names
+/// the version it has and the one this build reads.
+#[test]
+fn resume_refuses_a_version_1_blob_by_name() {
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let blob = format!("{dir}/../snap/tests/fixtures/fig34_plain.v1.snap");
+    let src = format!("{dir}/../../examples/fig34_plain.cmm");
+    let out = cmm(&["resume", &blob, &src]);
+    assert_fails_mentioning(&out, "unsupported snapshot version 1");
+    assert_fails_mentioning(&out, "reads version 2");
 }
 
 /// The headline CLI contract: `cmm snap --at K` + `cmm resume` prints

@@ -31,9 +31,9 @@ use crate::oracle::{
 };
 use cmm_chaos::{dispatcher_fill, service_yield, EngineId, FaultPlan, InjectedFault, Stop, Table1};
 use cmm_obs::{RecordingSink, TimedEvent};
-use cmm_pool::{with_engine, Code, Setup};
+use cmm_pool::{with_engine, Code, Setup, SourceKey};
 use cmm_sem::ResolvedProgram;
-use cmm_snap::{source_digest, SnapMeta, Snapshot};
+use cmm_snap::{Digest, SnapMeta, Snapshot};
 
 /// Default fuel slice between snapshot boundaries: small enough that
 /// non-trivial programs cross many boundaries, large enough to keep the
@@ -139,7 +139,7 @@ struct Sliced<'a> {
     args: (u32, u32),
     limits: &'a Limits,
     slice: u64,
-    digest: [u64; 2],
+    digest: Digest,
     yields: Vec<u64>,
     budget: u64,
 }
@@ -228,7 +228,7 @@ fn sliced(
     limits: &Limits,
     slice: u64,
     plan: Option<&FaultPlan>,
-    digest: [u64; 2],
+    digest: Digest,
     stats: &mut SnapStats,
 ) -> Result<RunOut, Failure> {
     let mut run = Sliced {
@@ -329,7 +329,6 @@ pub fn run_source_snap(
     let module = cmm_parse::parse_module(src).map_err(|e| Failure::Parse(e.to_string()))?;
     let program = cmm_cfg::build_program(&module).map_err(|e| Failure::Build(e.to_string()))?;
     let vm_prog = cmm_vm::compile(&program).map_err(|e| Failure::Codegen(e.to_string()))?;
-    let digest = source_digest(src, false);
     let rp = ResolvedProgram::new(&program);
     let code = Code {
         program: Some(&program),
@@ -340,6 +339,7 @@ pub fn run_source_snap(
     let mut stats = SnapStats::default();
     for first in [EngineId::Sem, EngineId::Vm] {
         let family = first.family().name();
+        let digest = SourceKey::cmm(src, false, first.family()).digest();
         let want = guarded(&format!("{family}-snap/straight"), || {
             straight(first, &code, args, limits, plan)
         })??;

@@ -16,8 +16,9 @@
 //! capture/restore is exact, not merely close.
 
 use cmm_cfg::{build_program, Program};
+use cmm_pool::SourceKey;
 use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
-use cmm_snap::{source_digest, EngineId, MachineState, SnapMeta, Snapshot};
+use cmm_snap::{EngineId, MachineState, SnapMeta, Snapshot};
 use cmm_vm::{VmMachine, VmProgram, VmStatus};
 
 /// The Figures 3/4 loop (plain and branch-table variants) and the §4.2
@@ -123,7 +124,7 @@ fn minimal_fuel(mut probe: impl FnMut(u64) -> bool) -> u64 {
 fn wire_cycle(src: &str, engine: EngineId, n: u64, state: MachineState) -> Snapshot {
     let snap = Snapshot {
         engine,
-        digest: source_digest(src, false),
+        digest: SourceKey::cmm(src, false, engine.family()).digest(),
         meta: SnapMeta {
             entry: "f".into(),
             args: vec![n],

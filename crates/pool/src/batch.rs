@@ -44,7 +44,7 @@ use cmm_obs::{
     Tally, TraceSink,
 };
 use cmm_opt::OptOptions;
-use cmm_snap::{fold_digest, source_digest, SnapMeta, Snapshot, FOLD_INIT};
+use cmm_snap::{fold_digest, Digest, SnapMeta, Snapshot, FOLD_INIT};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -286,7 +286,7 @@ pub struct JobRecord {
     /// Call arguments.
     pub args: Vec<u32>,
     /// How the run ended (`halt [..]`, `result N`, `wrong`, `fuel`,
-    /// `rts-error`, `error`, `compile-error`, `panicked`).
+    /// `rts-error`, `error`, `compile-error`, `snap-error`, `panicked`).
     pub outcome: String,
     /// Engine-specific detail text (empty on clean halts).
     pub detail: String,
@@ -307,8 +307,10 @@ pub struct JobRecord {
 /// A flight-recorder post-mortem for one failed job: the dump text of
 /// the job's final events plus its whole-run tallies (see
 /// [`cmm_obs::FlightRecorder::dump`]). Produced only under
-/// [`BatchConfig::metrics`], for jobs that end in `wrong`, a panic, an
-/// `rts-error`/`error`, an injected chaos fault, or a governor trip.
+/// [`BatchConfig::metrics`], for every job that ran and then failed as
+/// [`BatchReport::failing_jobs`] counts failure (a group that did not
+/// compile never ran, so it leaves nothing to dump), and for any job
+/// that saw an injected chaos fault or a governor trip.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Postmortem {
     /// Submission index of the failed job.
@@ -494,12 +496,20 @@ fn technique(spec: &JobSpec) -> &'static str {
 /// The outcome-class label (`halt`, `result`, `wrong`, …): the first
 /// word of the outcome string, so `halt [0]` and `halt [7]` share a
 /// counter.
-fn outcome_class(outcome: &str) -> String {
-    outcome
-        .split_whitespace()
-        .next()
-        .unwrap_or("empty")
-        .to_string()
+fn outcome_class(outcome: &str) -> &str {
+    outcome.split_whitespace().next().unwrap_or("empty")
+}
+
+/// Whether a job that ended in `outcome` failed: it did not compile,
+/// panicked, went wrong, failed a checkpoint round-trip, or died in
+/// the run-time system (`rts-error` for C--, `error` for MiniM3). The
+/// one predicate behind both [`BatchReport::failing_jobs`] and the
+/// post-mortems a traced job leaves.
+fn failed(outcome: &str) -> bool {
+    matches!(
+        outcome_class(outcome),
+        "compile-error" | "panicked" | "wrong" | "snap-error" | "rts-error" | "error"
+    )
 }
 
 /// Writes one job's figures into the batch registry. The outcome
@@ -516,7 +526,7 @@ fn write_metrics(reg: &MetricsRegistry, spec: &JobSpec, rec: &JobRecord, tally: 
     let class = outcome_class(&rec.outcome);
     reg.counter(
         "cmm_jobs_total",
-        &[("engine", engine), ("outcome", class.as_str())],
+        &[("engine", engine), ("outcome", class)],
         "Batch jobs by engine and outcome class",
         det,
     )
@@ -628,12 +638,10 @@ fn run_one(
             RunObs::failed("panicked", panic_text(payload.as_ref()))
         }
     };
-    let failed = matches!(
-        outcome_class(&obs.outcome).as_str(),
-        "wrong" | "panicked" | "rts-error" | "error"
-    ) || flight.tally.chaos_faults() > 0
+    let dump = failed(&obs.outcome)
+        || flight.tally.chaos_faults() > 0
         || flight.tally.governor_trips() > 0;
-    let pm = failed.then(|| {
+    let pm = dump.then(|| {
         let header = format!(
             "job {id} `{}` [{} {}] outcome: {}{}{}",
             spec.name,
@@ -733,7 +741,7 @@ fn execute<S: TraceSink>(
     };
     with_engine(spec.engine, &code, sink, setup, |t| {
         let mut obs = match &spec.lang {
-            SourceLang::Cmm => drive_job(t, spec, snap_every),
+            SourceLang::Cmm => drive_job(t, spec, source.digest(), snap_every),
             SourceLang::MiniM3(strategy) => match run_thread(t, image, *strategy, &spec.args) {
                 Ok(v) => RunObs {
                     outcome: format!("result {v}"),
@@ -766,15 +774,16 @@ fn snap_meta(spec: &JobSpec, budget: u64, yields_done: u64) -> SnapMeta {
 }
 
 /// One in-process checkpoint: capture → encode → decode → restore into
-/// the same machine. Totals land in `sum`.
+/// the same machine. The blob carries `digest`, the job's program
+/// identity. Totals land in `sum`.
 fn checkpoint(
     t: &mut dyn Table1,
     spec: &JobSpec,
+    digest: Digest,
     budget: u64,
     yields_done: u64,
     sum: &mut SnapSummary,
 ) -> Result<(), String> {
-    let digest = source_digest(&spec.source, spec.opts != OptOptions::none());
     let meta = snap_meta(spec, budget, yields_done);
     let bytes = Snapshot::capture(t, digest, meta, Some(governor(spec)))?.encode();
     let decoded = Snapshot::decode(&bytes).map_err(|e| e.to_string())?;
@@ -792,7 +801,12 @@ fn checkpoint(
 /// granted `n` units at a time, checkpointing at every slice boundary;
 /// fuel accounting is exact on every engine, so the job's outcome,
 /// yields, and instruction count are identical to the unsliced run.
-fn drive_job(t: &mut dyn Table1, spec: &JobSpec, snap_every: Option<u64>) -> RunObs {
+fn drive_job(
+    t: &mut dyn Table1,
+    spec: &JobSpec,
+    digest: Digest,
+    snap_every: Option<u64>,
+) -> RunObs {
     let args: Vec<u64> = spec.args.iter().map(|&a| u64::from(a)).collect();
     if let Err(w) = t.start(&spec.entry, &args, spec.results) {
         return RunObs::failed("wrong", w);
@@ -804,7 +818,7 @@ fn drive_job(t: &mut dyn Table1, spec: &JobSpec, snap_every: Option<u64>) -> Run
     let mut obs = RunObs::failed("", String::new());
     let mut sum = SnapSummary::default();
     let end = drive(t, budget, &mut obs.yields, |t, left, done| {
-        checkpoint(t, spec, left, done, &mut sum)
+        checkpoint(t, spec, digest, left, done, &mut sum)
     });
     obs.snap = snap_every.map(|_| sum);
     let (outcome, detail, retired) = match end {
@@ -827,19 +841,13 @@ fn drive_job(t: &mut dyn Table1, spec: &JobSpec, snap_every: Option<u64>) -> Run
 
 impl BatchReport {
     /// Job records that make the batch a failure: compile errors,
-    /// panicked jobs, and `wrong` verdicts. The CLI exits non-zero and
-    /// names each of these — a broken job must never hide inside an
-    /// otherwise-green JSON report.
+    /// panics, `wrong` verdicts, checkpoint failures and run-time
+    /// errors — the outcomes for which a traced job leaves a
+    /// post-mortem. The CLI exits non-zero and names each of these — a
+    /// broken job must never hide inside an otherwise-green JSON
+    /// report.
     pub fn failing_jobs(&self) -> Vec<&JobRecord> {
-        self.jobs
-            .iter()
-            .filter(|j| {
-                matches!(
-                    j.outcome.as_str(),
-                    "compile-error" | "panicked" | "wrong" | "snap-error"
-                )
-            })
-            .collect()
+        self.jobs.iter().filter(|j| failed(&j.outcome)).collect()
     }
 
     /// Serializes the report. With `with_timing = false` every

@@ -15,7 +15,7 @@
 //! The digest covers the raw source bytes, the [`OptOptions`], and the
 //! engine [`Family`]: the two abstract-machine engines
 //! share one artifact chain, the three simulated-target engines another.
-//! See [`crate::digest`] for why the source is hashed byte-exactly.
+//! See [`Digest`] for why the source is hashed byte-exactly.
 //!
 //! **Sharding.** The map is lock-striped into [`SHARDS`] buckets keyed
 //! by the digest's low bits, each with its own mutex, condvar, and
@@ -46,7 +46,6 @@
 //! handed out keep their artifacts alive — eviction only forgets, it
 //! cannot invalidate.
 
-use crate::digest::Digest;
 use cmm_cfg::Program;
 use cmm_chaos::{EngineId, Family};
 use cmm_frontend::Code;
@@ -54,6 +53,7 @@ use cmm_ir::Module;
 use cmm_obs::{CacheSnapshot, ShardedCacheStats};
 use cmm_opt::OptOptions;
 use cmm_sem::ResolvedProgram;
+use cmm_snap::Digest;
 use cmm_vm::{DecodedCode, FusedCode, VmProgram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -89,6 +89,22 @@ pub struct SourceKey {
 }
 
 impl SourceKey {
+    /// A C-- source built for `family`, optimized with the default
+    /// pipeline or not at all — the two builds `cmm serve`, `cmm snap`
+    /// and `cmm resume` offer.
+    pub fn cmm(source: &str, opt: bool, family: Family) -> SourceKey {
+        SourceKey {
+            source: source.to_string(),
+            lang: SourceLang::Cmm,
+            opts: if opt {
+                OptOptions::default()
+            } else {
+                OptOptions::none()
+            },
+            family,
+        }
+    }
+
     /// The cache digest: raw source bytes + language/strategy tag +
     /// rendered [`OptOptions`] + engine-family tag, length-prefixed.
     pub fn digest(&self) -> Digest {

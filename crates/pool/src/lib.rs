@@ -9,7 +9,7 @@
 //! per job unless something memoizes it. This crate is that something:
 //!
 //! * [`cache`] — a [`PipelineCache`](cache::PipelineCache): every
-//!   pipeline stage memoized under a content [`Digest`](digest::Digest)
+//!   pipeline stage memoized under a content [`Digest`]
 //!   of (source bytes, optimization config, engine family), with
 //!   single-flight deduplication, LRU eviction under a byte budget,
 //!   and scheduling-independent hit/miss counters exported through
@@ -32,7 +32,6 @@
 
 pub mod batch;
 pub mod cache;
-pub mod digest;
 pub mod executor;
 
 pub use batch::{
@@ -47,7 +46,7 @@ pub use cache::{
 /// used for it.
 pub use cmm_chaos::EngineId as EngineKind;
 pub use cmm_frontend::engine::{with_engine, Arenas, Code, Setup};
-pub use digest::Digest;
+pub use cmm_snap::Digest;
 pub use executor::{
     run_jobs, run_jobs_ctx, run_jobs_metered, virtual_makespan, Crew, JobOutcome, PoolConfig,
     PoolMeter, PoolStats,

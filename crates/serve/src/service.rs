@@ -31,12 +31,11 @@
 
 use cmm_chaos::{service_yield, Family, FaultPlan, FaultPlanState, ResourceGovernor, Stop, Table1};
 use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry, NopSink};
-use cmm_opt::OptOptions;
 use cmm_pool::{
     virtual_makespan, with_engine, Arenas, Crew, JobOutcome, PipelineCache, Setup, SourceId,
-    SourceKey, SourceLang,
+    SourceKey,
 };
-use cmm_snap::{fold_digest, source_digest, EngineId, SnapMeta, Snapshot, FOLD_INIT};
+use cmm_snap::{fold_digest, EngineId, SnapMeta, Snapshot, FOLD_INIT};
 use cmm_vm::check_arity;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -267,15 +266,14 @@ pub struct TickReport {
     pub advance: u64,
 }
 
-/// A program's identity — its compilation key and digest, and its
-/// snapshot digest — hashed once per distinct program (source text,
-/// optimization, engine family) and shared by every thread that runs
-/// it. A thread's family is fixed: [`Service::set_engine`] refuses
-/// moves across families.
+/// A program's identity — its compilation key and the digest that
+/// both the cache and its threads' blobs carry — hashed once per
+/// distinct program (source text, optimization, engine family) and
+/// shared by every thread that runs it. A thread's family is fixed:
+/// [`Service::set_engine`] refuses moves across families.
 struct ProgramId {
     source: SourceId,
     opt: bool,
-    snap_digest: [u64; 2],
 }
 
 /// What a thread runs, fixed at submit and shared by every slice
@@ -649,17 +647,7 @@ impl Service {
             return Arc::clone(p);
         }
         let p = Arc::new(ProgramId {
-            snap_digest: source_digest(&source, opt),
-            source: SourceId::new(SourceKey {
-                source: source.clone(),
-                lang: SourceLang::Cmm,
-                opts: if opt {
-                    OptOptions::default()
-                } else {
-                    OptOptions::none()
-                },
-                family,
-            }),
+            source: SourceId::new(SourceKey::cmm(&source, opt, family)),
             opt,
         });
         self.programs
@@ -1045,7 +1033,7 @@ impl SliceJob {
             yields_done: self.yields_done,
             opt: ident.program.opt,
         };
-        let digest = ident.program.snap_digest;
+        let digest = ident.program.source.digest();
         Ok(Snapshot::capture(t, digest, meta, Some(self.governor()))?.encode())
     }
 }

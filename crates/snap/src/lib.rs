@@ -14,12 +14,14 @@
 //!   taken under one tier resumes under any other.
 //!
 //! A [`Snapshot`] is the state plus the envelope a *resume in another
-//! process* needs: which engine produced it, a digest of the program it
-//! was taken over, the drive-loop position (entry procedure, arguments,
-//! remaining fuel, yields completed), and the reproducibility baggage —
-//! the resource-governor configuration and the chaos fault-plan state,
-//! so an interrupted chaos run resumes mid-schedule and injects exactly
-//! the faults the uninterrupted run would.
+//! process* needs: which engine produced it, the [`Digest`] of the
+//! program it was taken over (the same identity the compilation cache
+//! keys its artifacts under), the drive-loop position (entry procedure,
+//! arguments, remaining fuel, yields completed), and the
+//! reproducibility baggage — the resource-governor configuration and
+//! the chaos fault-plan state, so an interrupted chaos run resumes
+//! mid-schedule and injects exactly the faults the uninterrupted run
+//! would.
 //!
 //! ## Format
 //!
@@ -27,16 +29,32 @@
 //!
 //! ```text
 //! "cmmsnap\0"  magic, 8 bytes
-//! version      u32 (currently 1)
+//! version      u32 (currently 2)
 //! engine       u8 (0 sem, 1 sem-resolved, 2 vm, 3 vm-decoded, 4 vm-fused)
-//! digest       2 × u64   FNV-1a/128 of the program source + build options
+//! digest       u128  the program's Digest: source bytes, language and
+//!                    strategy, optimization options, engine family
 //! meta         entry str · args vec<u64> · fuel_remaining u64 ·
 //!              yields_done u64 · opt bool
 //! governor     option of 4 optional limits
 //! chaos        option of fault-plan state (seed, schedule, counters, log)
 //! state        tagged payload: 0 = sem state, 1 = vm state
-//! checksum     u64   FNV-1a/64 of every preceding byte
+//! checksum     u64   word-at-a-time sum of every preceding byte
 //! ```
+//!
+//! A string is a u32 byte length and UTF-8 bytes; a vector is a u32
+//! count and its elements. The VM payload's register file is a u64 mask
+//! of the nonzero registers (bit `i` for register `i`) followed by
+//! their values in register order, so a zero register costs one bit;
+//! the decoder refuses a masked register whose value is zero, so every
+//! state still has exactly one encoding. Memory travels as
+//! `(address, byte)` pairs, zero bytes elided.
+//!
+//! The checksum folds in each little-endian 8-byte word with an xor, a
+//! multiply by an odd constant and a rotate, then the zero-padded tail
+//! and the body length, then a final avalanche. Each step is a
+//! bijection of the running sum, so changing any one word of a blob
+//! changes its sum. A blob of another version is refused as
+//! [`SnapError::UnsupportedVersion`]; this build reads only its own.
 //!
 //! Encoding is deterministic: the state types are canonically sorted
 //! (environments and globals by name, memory by address) before they
@@ -53,11 +71,12 @@
 //! slips past must still parse field by field.
 //!
 //! What a snapshot does *not* contain: the program (the digest pins its
-//! identity; a restore validates the state against the program the new
-//! machine was built over), the trace sink (a resumed machine starts a
-//! fresh sink; its clock continues from the restored step/cost
-//! counters), and the execution tier's derived code (re-derived by the
-//! resuming machine — this is what makes cross-tier resume work).
+//! identity, family included; a restore validates the state against the
+//! program the new machine was built over), the trace sink (a resumed
+//! machine starts a fresh sink; its clock continues from the restored
+//! step/cost counters), and the execution tier's derived code
+//! (re-derived by the resuming machine — this is what makes cross-tier
+//! resume work).
 
 use cmm_chaos::{FaultPlan, FaultPlanState, InjectedFault, ResourceGovernor, Table1, CHAOS_OPS};
 use cmm_ir::{Name, Width};
@@ -65,16 +84,18 @@ use cmm_sem::{FrameState, NodeRef, SemState, SnapStatus};
 use cmm_vm::isa::regs::NUM_REGS;
 use cmm_vm::{Cost, VmSnapStatus, VmState};
 
+mod digest;
 mod wire;
 
+pub use digest::Digest;
 pub use wire::SnapError;
-use wire::{fnv128, fnv64, Dec, Enc};
+use wire::{checksum, Dec, Enc};
 
 /// The leading magic bytes.
 pub const MAGIC: [u8; 8] = *b"cmmsnap\0";
 
 /// The format version this build writes and reads.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 pub use cmm_chaos::{EngineId, Family};
 
@@ -180,9 +201,10 @@ pub struct Snapshot {
     /// The engine that produced the snapshot (a resume may choose any
     /// engine of the same family).
     pub engine: EngineId,
-    /// FNV-1a/128 digest of the program source and build options —
-    /// see [`source_digest`].
-    pub digest: [u64; 2],
+    /// The [`Digest`] of the program the state runs over — the
+    /// compilation cache's key for it, which covers the source bytes,
+    /// language and strategy, optimization options and engine family.
+    pub digest: Digest,
     /// Drive-loop position.
     pub meta: SnapMeta,
     /// Resource-governor configuration to reinstall on resume.
@@ -192,17 +214,6 @@ pub struct Snapshot {
     pub chaos: Option<FaultPlanState>,
     /// The machine state.
     pub state: MachineState,
-}
-
-/// Digest of a program's identity: source text plus build options.
-/// Snapshots embed it; [`Snapshot::check_digest`] compares it before a
-/// restore is attempted against a freshly built program.
-pub fn source_digest(source: &str, opt: bool) -> [u64; 2] {
-    let mut bytes = Vec::with_capacity(source.len() + 2);
-    bytes.extend_from_slice(source.as_bytes());
-    bytes.push(0xff);
-    bytes.push(opt as u8);
-    fnv128(&bytes)
 }
 
 /// The starting value for [`fold_digest`] — the FNV-1a 64-bit offset
@@ -231,7 +242,7 @@ impl Snapshot {
     /// The engine's refusal to capture.
     pub fn capture<T: Table1 + ?Sized>(
         t: &T,
-        digest: [u64; 2],
+        digest: Digest,
         meta: SnapMeta,
         governor: Option<ResourceGovernor>,
     ) -> Result<Snapshot, String> {
@@ -262,12 +273,15 @@ impl Snapshot {
     /// Serializes the snapshot. Deterministic: equal snapshots produce
     /// byte-identical blobs.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        // Sized past the common blob (a few hundred bytes), so most
+        // encodes allocate once instead of doubling their way up.
+        let mut e = Enc {
+            buf: Vec::with_capacity(512),
+        };
         e.buf.extend_from_slice(&MAGIC);
         e.u32(VERSION);
         e.u8(engine_tag(self.engine));
-        e.u64(self.digest[0]);
-        e.u64(self.digest[1]);
+        e.u128(self.digest.0);
         e.str(&self.meta.entry);
         e.len(self.meta.args.len());
         for &a in &self.meta.args {
@@ -314,7 +328,7 @@ impl Snapshot {
                 enc_vm_state(&mut e, st);
             }
         }
-        let sum = fnv64(&e.buf);
+        let sum = checksum(&e.buf);
         e.u64(sum);
         e.buf
     }
@@ -342,13 +356,13 @@ impl Snapshot {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let sum = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv64(body) != sum {
+        if checksum(body) != sum {
             return Err(SnapError::ChecksumMismatch);
         }
         let mut d = Dec::new(&body[12..]);
         let engine = engine_from_tag(d.u8()?)?;
-        let digest = [d.u64()?, d.u64()?];
-        let entry = d.str("entry")?;
+        let digest = Digest(d.u128()?);
+        let entry = d.str("entry")?.to_owned();
         let nargs = d.len("args", 8)?;
         let mut args = Vec::with_capacity(nargs);
         for _ in 0..nargs {
@@ -430,14 +444,13 @@ impl Snapshot {
         })
     }
 
-    /// Compares the embedded program digest against `digest` (computed
-    /// with [`source_digest`] over the program about to be restored
-    /// into).
+    /// Compares the embedded program digest against `digest`, the
+    /// [`Digest`] of the program about to be restored into.
     ///
     /// # Errors
     ///
     /// [`SnapError::DigestMismatch`] if they differ.
-    pub fn check_digest(&self, digest: [u64; 2]) -> Result<(), SnapError> {
+    pub fn check_digest(&self, digest: Digest) -> Result<(), SnapError> {
         if self.digest != digest {
             return Err(SnapError::DigestMismatch);
         }
@@ -463,17 +476,11 @@ impl Snapshot {
              engine families differ",
             self.engine.name(),
             self.engine.family().name(),
-            digest_hex(self.digest),
+            self.digest,
             requested.name(),
             requested.family().name(),
         ))
     }
-}
-
-/// Renders a program digest as the canonical 32-hex-digit string used
-/// in resume diagnostics.
-pub fn digest_hex(d: [u64; 2]) -> String {
-    format!("{:016x}{:016x}", d[0], d[1])
 }
 
 fn opt_usize(v: Option<u64>, what: &'static str) -> Result<Option<usize>, SnapError> {
@@ -517,12 +524,12 @@ fn dec_value(d: &mut Dec) -> Result<cmm_sem::Value, SnapError> {
             })?;
             cmm_sem::Value::Bits(w, d.u64()?)
         }
-        1 => cmm_sem::Value::Code(Name::from(d.str("code-name")?.as_str())),
+        1 => cmm_sem::Value::Code(Name::from(d.str("code-name")?)),
         2 => {
             let proc = d.str("cont-proc")?;
             let node = d.u32()?;
             let uid = d.u64()?;
-            cmm_sem::Value::Cont(NodeRef::new(proc.as_str(), cmm_cfg::NodeId(node)), uid)
+            cmm_sem::Value::Cont(NodeRef::new(proc, cmm_cfg::NodeId(node)), uid)
         }
         tag => return Err(SnapError::BadTag { what: "value", tag }),
     })
@@ -540,7 +547,7 @@ fn dec_bindings(d: &mut Dec) -> Result<Vec<(Name, cmm_sem::Value)>, SnapError> {
     let n = d.len("bindings", 6)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = Name::from(d.str("binding-name")?.as_str());
+        let name = Name::from(d.str("binding-name")?);
         v.push((name, dec_value(d)?));
     }
     Ok(v)
@@ -557,7 +564,7 @@ fn dec_names(d: &mut Dec) -> Result<Vec<Name>, SnapError> {
     let n = d.len("names", 4)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
-        v.push(Name::from(d.str("name")?.as_str()));
+        v.push(Name::from(d.str("name")?));
     }
     Ok(v)
 }
@@ -601,7 +608,7 @@ fn enc_sem_state(e: &mut Enc, st: &SemState) {
 }
 
 fn dec_sem_state(d: &mut Dec) -> Result<SemState, SnapError> {
-    let proc = Name::from(d.str("proc")?.as_str());
+    let proc = Name::from(d.str("proc")?);
     let node = cmm_cfg::NodeId(d.u32()?);
     let rho = dec_bindings(d)?;
     let saves = dec_names(d)?;
@@ -621,7 +628,7 @@ fn dec_sem_state(d: &mut Dec) -> Result<SemState, SnapError> {
     let nstack = d.len("stack", 21)?;
     let mut stack = Vec::with_capacity(nstack);
     for _ in 0..nstack {
-        let proc = Name::from(d.str("frame-proc")?.as_str());
+        let proc = Name::from(d.str("frame-proc")?);
         let call_site = cmm_cfg::NodeId(d.u32()?);
         let rho = dec_bindings(d)?;
         let saves = dec_names(d)?;
@@ -642,7 +649,7 @@ fn dec_sem_state(d: &mut Dec) -> Result<SemState, SnapError> {
         let proc = d.str("cont-proc")?;
         let node = cmm_cfg::NodeId(d.u32()?);
         let uid = d.u64()?;
-        cont_encodings.push((NodeRef::new(proc.as_str(), node), uid));
+        cont_encodings.push((NodeRef::new(proc, node), uid));
     }
     let status = match d.u8()? {
         0 => SnapStatus::Suspended,
@@ -674,8 +681,16 @@ fn dec_sem_state(d: &mut Dec) -> Result<SemState, SnapError> {
 
 // ----- VM-family payload -----
 
+// The register mask is one u64: bit `i` set means register `i` is
+// nonzero and its value follows.
+const _: () = assert!(NUM_REGS == u64::BITS as usize);
+
 fn enc_vm_state(e: &mut Enc, st: &VmState) {
-    for &r in &st.regs {
+    let mask = (0..NUM_REGS)
+        .filter(|&i| st.regs[i] != 0)
+        .fold(0u64, |m, i| m | (1 << i));
+    e.u64(mask);
+    for &r in st.regs.iter().filter(|&&r| r != 0) {
         e.u64(r);
     }
     e.u32(st.pc);
@@ -699,8 +714,14 @@ fn enc_vm_state(e: &mut Enc, st: &VmState) {
 
 fn dec_vm_state(d: &mut Dec) -> Result<VmState, SnapError> {
     let mut regs = [0u64; NUM_REGS];
-    for r in &mut regs {
-        *r = d.u64()?;
+    let mut mask = d.u64()?;
+    while mask != 0 {
+        let i = mask.trailing_zeros() as usize;
+        regs[i] = d.u64()?;
+        if regs[i] == 0 {
+            return Err(SnapError::ZeroRegister(i));
+        }
+        mask &= mask - 1;
     }
     let pc = d.u32()?;
     let cost = Cost {
@@ -745,6 +766,13 @@ mod tests {
     use cmm_cfg::NodeId;
     use cmm_sem::Value;
 
+    /// A program digest over the parts `cmm-pool`'s `SourceKey::digest`
+    /// hashes: source bytes, language, optimization options, family.
+    fn program(src: &str, opt: bool, family: Family) -> Digest {
+        let opts: &[u8] = if opt { b"default" } else { b"none" };
+        Digest::of(&[src.as_bytes(), b"cmm", opts, family.name().as_bytes()])
+    }
+
     fn sem_snapshot() -> Snapshot {
         let state = SemState {
             proc: Name::from("main"),
@@ -776,7 +804,7 @@ mod tests {
         };
         Snapshot {
             engine: EngineId::SemResolved,
-            digest: source_digest("proc main() {}", false),
+            digest: program("proc main() {}", false, Family::Sem),
             meta: SnapMeta {
                 entry: "main".into(),
                 args: vec![1, 2, u64::MAX],
@@ -814,7 +842,7 @@ mod tests {
         regs[63] = u64::MAX;
         Snapshot {
             engine: EngineId::VmFused,
-            digest: source_digest("module M;", true),
+            digest: program("module M;", true, Family::Vm),
             meta: SnapMeta {
                 entry: "M_main".into(),
                 args: vec![],
@@ -881,14 +909,89 @@ mod tests {
         );
     }
 
+    /// Every single-bit flip of a blob is refused by the first check
+    /// that covers its position: the magic (bytes 0–7), the version
+    /// (8–11), then the checksum, which covers every later byte and is
+    /// itself covered (a flipped sum no longer matches).
     #[test]
-    fn flipped_byte_is_caught_by_checksum() {
-        let mut bytes = sem_snapshot().encode();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
+    fn every_single_bit_flip_is_refused() {
+        for base in [sem_snapshot().encode(), vm_snapshot().encode()] {
+            for i in 0..base.len() {
+                for bit in 0..8 {
+                    let mut bytes = base.clone();
+                    bytes[i] ^= 1 << bit;
+                    let want = match i {
+                        0..=7 => SnapError::BadMagic,
+                        8..=11 => {
+                            SnapError::UnsupportedVersion(VERSION ^ (1 << (8 * (i - 8) + bit)))
+                        }
+                        _ => SnapError::ChecksumMismatch,
+                    };
+                    assert_eq!(
+                        Snapshot::decode(&bytes).unwrap_err(),
+                        want,
+                        "bit {bit} of byte {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A version-1 blob, as `cmm snap` wrote it before version 2, is
+    /// refused by its version, and the message names both versions.
+    #[test]
+    fn a_version_1_blob_is_refused_by_name() {
+        let v1 = include_bytes!("../tests/fixtures/fig34_plain.v1.snap");
+        let err = Snapshot::decode(v1).unwrap_err();
+        assert_eq!(err, SnapError::UnsupportedVersion(1));
+        let text = err.to_string();
+        assert!(
+            text.contains("version 1") && text.contains("version 2"),
+            "{text}"
+        );
+    }
+
+    /// The register mask at both extremes: every register nonzero (a
+    /// full mask and 64 values) and none (an empty mask, no values).
+    #[test]
+    fn full_and_empty_register_files_round_trip() {
+        let mut sizes = Vec::new();
+        for regs in [std::array::from_fn(|i| i as u64 + 1), [0; NUM_REGS]] {
+            let mut snap = vm_snapshot();
+            let MachineState::Vm(st) = &mut snap.state else {
+                unreachable!()
+            };
+            st.regs = regs;
+            let bytes = snap.encode();
+            let decoded = Snapshot::decode(&bytes).unwrap();
+            assert_eq!(decoded, snap);
+            assert_eq!(decoded.encode(), bytes, "re-encoding diverged");
+            sizes.push(bytes.len());
+        }
+        assert_eq!(sizes[0] - sizes[1], 8 * NUM_REGS);
+    }
+
+    /// A mask that names a zero register is refused. The blob is
+    /// re-summed, so only the parser can catch it.
+    #[test]
+    fn a_masked_zero_register_is_refused() {
+        let snap = vm_snapshot();
+        let MachineState::Vm(st) = &snap.state else {
+            unreachable!()
+        };
+        let mut payload = Enc::default();
+        enc_vm_state(&mut payload, st);
+        let bytes = snap.encode();
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        // The payload ends the body; its first value (r1's) follows
+        // the 8-byte mask.
+        let r1 = body.len() - payload.buf.len() + 8;
+        body[r1..r1 + 8].fill(0);
+        let sum = wire::checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            Snapshot::decode(&bytes).unwrap_err(),
-            SnapError::ChecksumMismatch
+            Snapshot::decode(&body).unwrap_err(),
+            SnapError::ZeroRegister(1)
         );
     }
 
@@ -909,14 +1012,18 @@ mod tests {
     fn digest_check() {
         let snap = sem_snapshot();
         assert!(snap
-            .check_digest(source_digest("proc main() {}", false))
+            .check_digest(program("proc main() {}", false, Family::Sem))
             .is_ok());
         assert_eq!(
-            snap.check_digest(source_digest("proc main() {}", true)),
+            snap.check_digest(program("proc main() {}", true, Family::Sem)),
             Err(SnapError::DigestMismatch)
         );
         assert_eq!(
-            snap.check_digest(source_digest("proc other() {}", false)),
+            snap.check_digest(program("proc other() {}", false, Family::Sem)),
+            Err(SnapError::DigestMismatch)
+        );
+        assert_eq!(
+            snap.check_digest(program("proc main() {}", false, Family::Vm)),
             Err(SnapError::DigestMismatch)
         );
     }
@@ -932,7 +1039,7 @@ mod tests {
         // engine(1) + digest(16) + entry("main": 4+4).
         let off = 8 + 4 + 1 + 16 + 4 + 4;
         body[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = wire::fnv64(&body);
+        let sum = wire::checksum(&body);
         body.extend_from_slice(&sum.to_le_bytes());
         match Snapshot::decode(&body).unwrap_err() {
             SnapError::Truncated { .. } => {}

@@ -38,6 +38,10 @@ pub enum SnapError {
     TrailingBytes(usize),
     /// The trailing checksum does not match the bytes before it.
     ChecksumMismatch,
+    /// The VM register mask names register `n`, whose value is zero —
+    /// a zero register is encoded by leaving its bit clear, so every
+    /// state has exactly one encoding.
+    ZeroRegister(usize),
     /// The snapshot's program digest does not match the program it is
     /// being restored against.
     DigestMismatch,
@@ -61,7 +65,8 @@ impl fmt::Display for SnapError {
             SnapError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads version 1)"
+                    "unsupported snapshot version {v} (this build reads version {})",
+                    crate::VERSION
                 )
             }
             SnapError::BadTag { what, tag } => write!(f, "bad {what} tag byte {tag}"),
@@ -71,6 +76,9 @@ impl fmt::Display for SnapError {
             }
             SnapError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the snapshot"),
             SnapError::ChecksumMismatch => write!(f, "snapshot checksum mismatch (corrupted blob)"),
+            SnapError::ZeroRegister(n) => {
+                write!(f, "register mask names r{n}, whose value is zero")
+            }
             SnapError::DigestMismatch => {
                 write!(
                     f,
@@ -109,6 +117,10 @@ impl Enc {
     }
 
     pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -176,6 +188,11 @@ impl<'b> Dec<'b> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    pub fn u128(&mut self) -> Result<u128, SnapError> {
+        let bytes = self.take(16)?.try_into().expect("took 16 bytes");
+        Ok(u128::from_le_bytes(bytes))
+    }
+
     pub fn bool(&mut self, what: &'static str) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
@@ -209,7 +226,9 @@ impl<'b> Dec<'b> {
         Ok(n)
     }
 
-    pub fn str(&mut self, what: &'static str) -> Result<String, SnapError> {
+    /// A string, borrowed from the buffer: the caller makes the one
+    /// owned copy it needs (a `Name`, a `String`).
+    pub fn str(&mut self, what: &'static str) -> Result<&'b str, SnapError> {
         let n = self.len(what, 1)?;
         if n as u64 > MAX_STR {
             return Err(SnapError::TooLong {
@@ -217,10 +236,7 @@ impl<'b> Dec<'b> {
                 len: n as u64,
             });
         }
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(|s| s.to_owned())
-            .map_err(|_| SnapError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| SnapError::BadUtf8)
     }
 
     /// Fails unless the whole buffer was consumed.
@@ -232,27 +248,36 @@ impl<'b> Dec<'b> {
     }
 }
 
-/// FNV-1a over `bytes`, 64-bit — the trailing integrity checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The odd multiplier of the checksum's word fold (2^64 / φ).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One word of the checksum fold. For a fixed running sum the step is
+/// a bijection of the word (xor, then a multiply by an odd constant
+/// and a rotate, each invertible), and for a fixed word a bijection of
+/// the sum — so changing any one word of the input changes the result.
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(MIX).rotate_left(29)
 }
 
-/// Two independent 64-bit FNV-1a lanes (different offset bases) — the
-/// program-identity digest. Not cryptographic; collision resistance
-/// adequate for "is this the same source text and build options".
-pub(crate) fn fnv128(bytes: &[u8]) -> [u64; 2] {
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142;
-    for &x in bytes {
-        a ^= x as u64;
-        a = a.wrapping_mul(0x0000_0100_0000_01b3);
-        b = b.wrapping_mul(0x0000_0100_0000_01b3);
-        b ^= x as u64;
+/// The trailing integrity checksum, eight bytes at a time: each
+/// little-endian word is folded in, then the zero-padded tail and the
+/// length (so a tail that differs only in trailing zeros still
+/// differs), then a final avalanche (MurmurHash3's `fmix64`, itself a
+/// bijection) spreads every input bit over the whole sum.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0x243f_6a88_85a3_08d3;
+    for w in &mut words {
+        let word = w.try_into().expect("chunks_exact(8) yields 8 bytes");
+        h = fold(h, u64::from_le_bytes(word));
     }
-    [a, b]
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = fold(h, u64::from_le_bytes(tail));
+    h = fold(h, bytes.len() as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }

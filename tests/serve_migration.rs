@@ -237,7 +237,7 @@ fn a_cross_family_move_is_refused_with_the_structured_diagnostic() {
     }
     let digest = {
         let snap = Snapshot::decode(svc.parked_blob(id).unwrap()).unwrap();
-        cmm_snap::digest_hex(snap.digest)
+        snap.digest.hex()
     };
     let err = svc.set_engine(id, EngineId::SemResolved).unwrap_err();
     assert!(err.contains("engine families differ"), "{err}");

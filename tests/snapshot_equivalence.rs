@@ -14,11 +14,12 @@
 //! hand-rolled snapshot/resume cycle, so a divergence report names the
 //! engine rather than the family.
 
-use cmm_chaos::{schedule_seed, FaultPlan};
+use cmm_chaos::{schedule_seed, Family, FaultPlan};
 use cmm_difftest::oracle::{observe_sem_chaos, Limits, CHAOS_HORIZON};
 use cmm_difftest::{generate, run_source_snap, Rng, SNAP_SLICE};
+use cmm_pool::SourceKey;
 use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
-use cmm_snap::{source_digest, EngineId, MachineState, SnapMeta, Snapshot};
+use cmm_snap::{EngineId, MachineState, SnapMeta, Snapshot};
 use cmm_vm::{VmMachine, VmStatus};
 
 /// The Figures 3/4 and §4.2 workloads, reshaped to the oracle's fixed
@@ -209,7 +210,7 @@ const LOOP_SUM: u64 = 100 * 101 / 2 + 7;
 fn envelope(engine: EngineId, fuel_remaining: u64, state: MachineState) -> Snapshot {
     Snapshot {
         engine,
-        digest: source_digest(LOOP_SRC, false),
+        digest: SourceKey::cmm(LOOP_SRC, false, engine.family()).digest(),
         meta: SnapMeta {
             entry: "f".into(),
             args: vec![u64::from(LOOP_ARGS.0), u64::from(LOOP_ARGS.1)],
@@ -372,17 +373,17 @@ fn resume_refuses_a_different_program() {
     );
     let decoded = wire_cycle(&snap);
     decoded
-        .check_digest(source_digest(LOOP_SRC, false))
+        .check_digest(SourceKey::cmm(LOOP_SRC, false, Family::Sem).digest())
         .expect("same source must pass the digest check");
     let err = decoded
-        .check_digest(source_digest("f() { return (1); }", false))
+        .check_digest(SourceKey::cmm("f() { return (1); }", false, Family::Sem).digest())
         .expect_err("different source must fail the digest check");
     assert!(
         err.to_string().contains("different program"),
         "digest error should say what went wrong, got: {err}"
     );
     let err = decoded
-        .check_digest(source_digest(LOOP_SRC, true))
+        .check_digest(SourceKey::cmm(LOOP_SRC, true, Family::Sem).digest())
         .expect_err("different opt level must fail the digest check");
     assert!(err.to_string().contains("different program"));
 }
