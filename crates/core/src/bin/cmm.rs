@@ -1,28 +1,15 @@
 //! `cmm` — the command-line driver.
 //!
-//! ```text
-//! cmm run <file.cmm> <proc> [args...] [--results N] [-O0] [--snapshot-every F]
-//! cmm dump-cfg <file.cmm> [proc]      # Abstract C-- (Table 2 nodes)
-//! cmm dump-ssa <file.cmm> [proc]      # Figure 6-style SSA numbering
-//! cmm dump-vm <file.cmm>              # disassembled simulated target
-//! cmm m3 <file.m3> <strategy> [args...]   # MiniM3 with a chosen strategy
-//! cmm trace <file> <proc|strategy> [args...] [--sem] [--decoded|--fused] [-O0]
-//!           [--results N] [--out F]
-//! cmm profile <file> <proc|strategy> [args...] [--sem] [--decoded|--fused] [-O0]
-//!             [--results N]
-//! cmm snap <file.cmm> <proc> [args...] [--engine E] [--at K] [--fuel F]
-//!          [--results N] [-O0] [--out FILE]
-//! cmm resume <snapshot> <file.cmm> [--engine E] [--fuel F]
-//! cmm fuzz [--cases N] [--seed S] [--shrink] [--corpus DIR] [--jobs N]
-//!          [--chaos] [--fault-seed S] [--schedules K] [--snap] [--snap-slice F]
-//! cmm fuzz --replay DIR               # re-run checked-in reproducers
-//! cmm batch <manifest> [-j N] [--out F] [--no-timing] [--cache-bytes B]
-//!           [--metrics-out F] [--postmortem-dir DIR] [--snapshot-every F]
-//! cmm metrics <manifest> [-j N] [--json] [--no-timing] [--cache-bytes B]
-//! cmm serve --listen ADDR [-j N] [--quantum F]
-//! cmm serve --selftest [--tenants N] [--threads N] [--quanta N] [--seed S]
-//!           [-j N] [--quantum F] [--metrics-out F] [--events-out F]
-//! ```
+//! `cmm` with no arguments prints every subcommand's usage lines,
+//! rendered from the flag table in `args.rs`, which also decides which
+//! flags each subcommand and mode reads.
+//!
+//! `run` prints a procedure's results on both substrates (the formal
+//! semantics and the simulated target) and the target's cost.
+//! `dump-cfg` prints Abstract C-- (Table 2 nodes), `dump-ssa` the
+//! Figure 6-style SSA numbering, and `dump-vm` the disassembled target
+//! code. `m3` runs a MiniM3 program under a chosen strategy, and
+//! `fuzz --replay DIR` re-runs checked-in reproducers.
 //!
 //! `batch` executes a manifest of jobs (see `cmm-pool`'s docs for the
 //! format) on a caller-runs work queue, sharing compilations through the
@@ -87,6 +74,10 @@
 //! same fixed dispatcher policy the differential fuzzer uses, so a
 //! trace of a fuzz case reproduces the oracle's run exactly.
 
+#[path = "cmm/args.rs"]
+mod args;
+
+use args::Args;
 use chaos::{Budget, End, EngineId, Family, Table1};
 use cmm_core::sem::Value;
 use cmm_core::{chaos, frontend, ir, obs, opt, pool, serve, snap, vm, Compiler};
@@ -103,801 +94,485 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: Vec<String>) -> Result<(), String> {
-    let mut args = args.into_iter();
-    let cmd = args.next().ok_or_else(usage)?;
-    match cmd.as_str() {
-        "run" => {
-            let file = args.next().ok_or_else(usage)?;
-            let proc = args.next().ok_or_else(usage)?;
-            let rest: Vec<String> = args.collect();
-            let mut results = 1usize;
-            let mut opts = opt::OptOptions::default();
-            let mut every: Option<u64> = None;
-            let mut call_args: Vec<u64> = Vec::new();
-            let mut it = rest.into_iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--results" => {
-                        results = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--results needs a number")?;
-                    }
-                    "-O0" => opts = opt::OptOptions::none(),
-                    // Fuel intervals are u64 like every fuel budget in
-                    // the system; parse the full width so a large
-                    // interval is honored, not truncated.
-                    "--snapshot-every" => {
-                        every = Some(
-                            it.next()
-                                .and_then(|v| v.parse::<u64>().ok())
-                                .filter(|&n| n >= 1)
-                                .ok_or("--snapshot-every needs a number >= 1")?,
-                        );
-                    }
-                    // Arguments are machine words (bits32). Parsing as
-                    // u32 up front rejects oversized values instead of
-                    // letting the semantics see a truncated word while
-                    // the target sees the full u64.
-                    v => call_args.push(
-                        v.parse::<u32>()
-                            .map(u64::from)
-                            .map_err(|_| format!("bad argument `{v}`"))?,
-                    ),
-                }
-            }
-            let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let c = Compiler::new()
-                .source(&src)
-                .map_err(|e| e.to_string())?
-                .options(opts);
-            let sem_args = call_args.iter().map(|&a| Value::b32(a as u32)).collect();
-            let prog = c.program().map_err(|e| e.to_string())?;
-            let Some(every) = every else {
-                let sem = c
-                    .interpret_on(&prog, &proc, sem_args)
-                    .map_err(|e| e.to_string())?;
-                let vp = c.vm_program().map_err(|e| e.to_string())?;
-                let (vm_vals, cost) = c
-                    .execute_on(&vp, &proc, &call_args, results)
-                    .map_err(|e| e.to_string())?;
-                print_run(
-                    &sem,
-                    &vm_vals,
-                    [cost.instructions, cost.loads, cost.stores, cost.branches],
-                );
-                return Ok(());
-            };
-            // The same two runs, each round-tripping its machine through
-            // a snapshot at every interval boundary. The lines printed
-            // come from these runs, so their results and the target's
-            // whole cost vector must survive every round-trip; only the
-            // semantics' typed values, which `Table1` reports as bare
-            // words, come from a plain run that must agree.
-            let checkpointed = |engine: EngineId, code: Code| {
-                let cx = SnapCtx {
-                    every: Some(every),
-                    service: false,
-                    ..SnapCtx::new(engine, &src, &proc, &call_args, opts)
-                };
-                with_engine(engine, &code, obs::NopSink, Setup::default(), |t| {
-                    t.start(&proc, &call_args, results)
-                        .map_err(|w| format!("runtime error: {w}"))?;
-                    let (end, count, bytes) = snap_drive(t, &cx)?;
-                    Ok::<_, String>((end, t.deep_state().1, count, bytes))
-                })?
-            };
-            let stopped = |engine: EngineId, end: End| match end {
-                End::SuspensionBound => "program yielded to a missing run-time system".into(),
-                end => end_text(engine, &end),
-            };
-            let (end, _, sem_count, sem_bytes) = checkpointed(EngineId::Sem, Code::sem(&prog))?;
-            let End::Halted(sem_words) = end else {
-                return Err(stopped(EngineId::Sem, end));
-            };
-            let sem = c
-                .interpret_on(&prog, &proc, sem_args)
-                .map_err(|e| e.to_string())?;
-            let want: Vec<u64> = sem.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
-            if sem_words != want {
-                return Err(format!(
-                    "sem: the checkpointed run diverged from the plain run: halt {sem_words:?}"
-                ));
-            }
-            let vp = c.vm_program().map_err(|e| e.to_string())?;
-            let (end, cost, vm_count, vm_bytes) = checkpointed(EngineId::Vm, Code::vm(&vp))?;
-            let End::Halted(vm_vals) = end else {
-                return Err(stopped(EngineId::Vm, end));
-            };
-            // The target's deep state leads with instructions, loads,
-            // stores and branches.
-            print_run(&sem, &vm_vals, [cost[0], cost[1], cost[2], cost[3]]);
-            println!(
-                "snapshots: semantics {sem_count} checkpoint(s) ({sem_bytes} bytes), \
-                 target {vm_count} checkpoint(s) ({vm_bytes} bytes)"
-            );
-            Ok(())
-        }
-        "snap" => {
-            let file = args.next().ok_or_else(usage)?;
-            let proc = args.next().ok_or_else(usage)?;
-            let mut engine = EngineId::Vm;
-            let mut fuel = TRACE_FUEL;
-            let mut at: Option<u64> = None;
-            let mut out = "cmm.snap".to_string();
-            let mut results = 1usize;
-            let mut opts = opt::OptOptions::default();
-            let mut call_args: Vec<u64> = Vec::new();
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--engine" => {
-                        engine = EngineId::parse(&args.next().ok_or("--engine needs a name")?)?;
-                    }
-                    "--fuel" => {
-                        fuel = args
-                            .next()
-                            .and_then(|v| v.parse::<u64>().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--fuel needs a number >= 1")?;
-                    }
-                    "--at" => {
-                        at = Some(
-                            args.next()
-                                .and_then(|v| v.parse::<u64>().ok())
-                                .ok_or("--at needs a number")?,
-                        );
-                    }
-                    "--out" => out = args.next().ok_or("--out needs a path")?,
-                    "--results" => {
-                        results = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--results needs a number")?;
-                    }
-                    "-O0" => opts = opt::OptOptions::none(),
-                    v => call_args.push(
-                        v.parse::<u32>()
-                            .map(u64::from)
-                            .map_err(|_| format!("bad argument `{v}`"))?,
-                    ),
-                }
-            }
-            let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let cx = SnapCtx {
-                fuel,
-                first_budget: fuel,
-                at,
-                out: &out,
-                ..SnapCtx::new(engine, &src, &proc, &call_args, opts)
-            };
-            snap_session(&src, None, &cx, opts, results)
-        }
-        "resume" => {
-            let snapfile = args.next().ok_or_else(usage)?;
-            let file = args.next().ok_or_else(usage)?;
-            let mut engine_override: Option<EngineId> = None;
-            let mut fuel = TRACE_FUEL;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--engine" => {
-                        engine_override = Some(EngineId::parse(
-                            &args.next().ok_or("--engine needs a name")?,
-                        )?);
-                    }
-                    "--fuel" => {
-                        fuel = args
-                            .next()
-                            .and_then(|v| v.parse::<u64>().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--fuel needs a number >= 1")?;
-                    }
-                    other => return Err(format!("unknown resume option `{other}`")),
-                }
-            }
-            let blob = std::fs::read(&snapfile).map_err(|e| format!("{snapfile}: {e}"))?;
-            let snapshot = snap::Snapshot::decode(&blob).map_err(|e| format!("{snapfile}: {e}"))?;
-            let engine = engine_override.unwrap_or(snapshot.engine);
-            // The family first: the digest covers the family too, and
-            // a cross-family resume deserves the structured diagnostic
-            // (both engines, both families, the blob digest).
-            snapshot.check_engine(engine)?;
-            let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let key = pool::SourceKey::cmm(&src, snapshot.meta.opt, engine.family());
-            snapshot
-                .check_digest(key.digest())
-                .map_err(|e| format!("{snapfile}: {e} (is `{file}` the snapshotted source?)"))?;
-            let opts = if snapshot.meta.opt {
-                opt::OptOptions::default()
-            } else {
-                opt::OptOptions::none()
-            };
-            let cx = SnapCtx {
-                engine,
-                digest: snapshot.digest,
-                entry: &snapshot.meta.entry,
-                args: &snapshot.meta.args,
-                opt: snapshot.meta.opt,
-                fuel,
-                first_budget: snapshot.meta.fuel_remaining,
-                at: None,
-                every: None,
-                yields: snapshot.meta.yields_done,
-                service: true,
-                out: "",
-            };
-            snap_session(&src, Some(&snapshot), &cx, opts, 1)
-        }
-        "dump-cfg" | "dump-ssa" => {
-            let file = args.next().ok_or_else(usage)?;
-            let only = args.next();
-            no_more_args(&cmd, args)?;
-            let prog = compiler(&file)?.program().map_err(|e| e.to_string())?;
-            let mut shown = false;
-            for (name, g) in &prog.procs {
-                if only.as_deref().is_some_and(|o| name != o)
-                    || (cmd == "dump-ssa" && name == cmm_core::cfg::YIELD)
-                {
-                    continue;
-                }
-                shown = true;
-                if cmd == "dump-cfg" {
-                    print!("{}", cmm_core::cfg::display::graph_to_string(g));
-                } else {
-                    let ssa = opt::Ssa::build(g);
-                    print!("{}", opt::ssa::ssa_to_string(g, &ssa));
-                }
-            }
-            match only {
-                Some(o) if !shown => Err(format!("{file}: no procedure `{o}`")),
-                _ => Ok(()),
-            }
-        }
+fn run(argv: Vec<String>) -> Result<(), String> {
+    let a = args::parse(argv)?;
+    match a.cmd {
+        "run" => run_program(&a),
+        "snap" => snap_program(&a),
+        "resume" => resume(&a),
+        "dump-cfg" | "dump-ssa" => dump_graphs(&a),
         "dump-vm" => {
-            let file = args.next().ok_or_else(usage)?;
-            no_more_args(&cmd, args)?;
-            let vp = compiler(&file)?.vm_program().map_err(|e| e.to_string())?;
+            let c = compiler(&read(&a.pos[0])?, opt::OptOptions::default())?;
+            let vp = c.vm_program().map_err(|e| e.to_string())?;
             print!("{}", vm::disasm::disassemble(&vp));
             Ok(())
         }
-        "m3" => {
-            let file = args.next().ok_or_else(usage)?;
-            let strat = args.next().ok_or_else(usage)?;
-            let strategy = frontend::Strategy::parse(&strat)?;
-            let call_args: Vec<u32> = args
-                .map(|v| v.parse().map_err(|_| format!("bad argument `{v}`")))
-                .collect::<Result<_, _>>()?;
-            let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let module = frontend::compile_minim3(&src, strategy).map_err(|e| e.to_string())?;
-            let sem =
-                frontend::run_sem(&module, strategy, &call_args).map_err(|e| e.to_string())?;
-            let (vm_val, cost) =
-                frontend::run_vm(&module, strategy, &call_args).map_err(|e| e.to_string())?;
-            assert_eq!(sem, vm_val, "substrates disagree — please report a bug");
-            println!("result:    {vm_val}");
-            println!(
-                "cost:      {} instructions (+{} run-time system), {} loads, {} stores",
-                cost.instructions, cost.runtime_instructions, cost.loads, cost.stores
-            );
-            Ok(())
-        }
-        "trace" | "profile" => {
-            let file = args.next().ok_or_else(usage)?;
-            let entry_arg = args.next().ok_or_else(usage)?;
-            let mut use_sem = false;
-            let mut tier = EngineId::Vm;
-            let mut opts = opt::OptOptions::default();
-            let mut out: Option<String> = None;
-            let mut results = 1usize;
-            let mut call_args: Vec<u64> = Vec::new();
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--sem" => use_sem = true,
-                    "--decoded" => tier = EngineId::VmDecoded,
-                    "--fused" => tier = EngineId::VmFused,
-                    "-O0" => opts = opt::OptOptions::none(),
-                    "--out" => out = Some(args.next().ok_or("--out needs a path")?),
-                    "--results" => {
-                        results = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--results needs a number")?;
-                    }
-                    v => call_args.push(
-                        v.parse::<u32>()
-                            .map(u64::from)
-                            .map_err(|_| format!("bad argument `{v}`"))?,
-                    ),
-                }
-            }
-            if cmd == "profile" && out.is_some() {
-                return Err(
-                    "profile writes no file; use `cmm trace --out` for a Chrome trace".into(),
-                );
-            }
-            let engine = if use_sem { EngineId::Sem } else { tier };
-            let run = if file.ends_with(".m3") {
-                trace_m3(&file, &entry_arg, &call_args, &opts, engine)?
-            } else {
-                trace_cmm(&file, &entry_arg, &call_args, results, opts, engine)?
-            };
-            if cmd == "profile" {
-                let p = obs::Profile::build(&run.entry, &run.events);
-                println!("{file}: {} ({} events)", run.outcome, run.events.len());
-                if let Some(note) = run.truncation() {
-                    println!("{note}");
-                }
-                print!("{}", p.report(run.clock));
-                return Ok(());
-            }
-            if out.as_deref() != Some("-") {
-                for t in &run.events {
-                    println!("{:>12}  {}", t.ts, t.event.render());
-                }
-                let c = obs::Tally::of(&run.events);
-                println!(
-                    "{file}: {} — {} events ({} calls, {} returns [{} abnormal], \
-                     {} cuts, {} yields, {} rts ops)",
-                    run.outcome,
-                    run.events.len(),
-                    c.calls,
-                    c.returns,
-                    c.abnormal_returns,
-                    c.cuts,
-                    c.yields,
-                    c.rts_ops()
-                );
-            }
-            if let Some(note) = run.truncation() {
-                // `--out -` leaves stdout to the Chrome JSON.
-                if out.as_deref() == Some("-") {
-                    eprintln!("{note}");
-                } else {
-                    println!("{note}");
-                }
-            }
-            match out.as_deref() {
-                Some("-") => print!("{}", obs::chrome_trace_json(&run.entry, &run.events)),
-                Some(path) => {
-                    let json = obs::chrome_trace_json(&run.entry, &run.events);
-                    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-                    println!("chrome trace written to {path}");
-                }
-                None => {}
-            }
-            Ok(())
-        }
-        "fuzz" => {
-            let mut cfg = cmm_difftest::FuzzConfig {
-                shrink: false,
-                ..Default::default()
-            };
-            let mut replay_dir: Option<String> = None;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--replay" => {
-                        replay_dir = Some(args.next().ok_or("--replay needs a directory")?);
-                    }
-                    "--cases" => {
-                        cfg.cases = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--cases needs a number")?;
-                    }
-                    "--seed" => {
-                        cfg.seed = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--seed needs a number")?;
-                    }
-                    "--shrink" => cfg.shrink = true,
-                    "--corpus" => {
-                        cfg.corpus_dir =
-                            Some(args.next().ok_or("--corpus needs a directory")?.into());
-                    }
-                    "--chaos" => cfg.chaos = true,
-                    "--fault-seed" => {
-                        cfg.fault_seed = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--fault-seed needs a number")?;
-                    }
-                    "--schedules" => {
-                        cfg.schedules = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--schedules needs a number")?;
-                    }
-                    "--jobs" | "-j" => {
-                        cfg.jobs = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--jobs needs a number >= 1")?;
-                    }
-                    "--snap" => cfg.snap = true,
-                    "--snap-slice" => {
-                        cfg.snap_slice = args
-                            .next()
-                            .and_then(|v| v.parse::<u64>().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--snap-slice needs a number >= 1")?;
-                    }
-                    other => return Err(format!("unknown fuzz option `{other}`")),
-                }
-            }
-            if let Some(dir) = replay_dir {
-                let report = cmm_difftest::replay_corpus(dir.as_ref(), &cfg.limits)
-                    .map_err(|e| format!("{dir}: {e}"))?;
-                for f in &report.failures {
-                    eprintln!("reproducer {} diverges: {}", f.path.display(), f.failure);
-                }
-                println!(
-                    "fuzz replay: {} reproducer(s) from {dir}: {} failure(s)",
-                    report.files_run,
-                    report.failures.len()
-                );
-                return if report.ok() {
-                    Ok(())
-                } else {
-                    Err("corpus replay found divergence".into())
-                };
-            }
-            let report = cmm_difftest::run_fuzz(&cfg);
-            for f in &report.failures {
-                eprintln!("case {} (seed {}): {}", f.index, cfg.seed, f.failure);
-                let shown = f.shrunk.as_ref().unwrap_or(&f.case);
-                eprintln!(
-                    "--- {} program ---",
-                    if f.shrunk.is_some() {
-                        "shrunk"
-                    } else {
-                        "failing"
-                    }
-                );
-                eprint!("{}", shown.render());
-                if let Some(p) = &f.corpus_path {
-                    eprintln!("reproducer written to {}", p.display());
-                }
-                if let Some(p) = &f.events_path {
-                    eprintln!("divergence event logs written to {}", p.display());
-                }
-            }
-            println!(
-                "fuzz: {} cases, seed {}: {} failure(s)",
-                report.cases_run,
-                cfg.seed,
-                report.failures.len()
-            );
-            if report.ok() {
-                Ok(())
-            } else {
-                Err("differential fuzzing found divergence".into())
-            }
-        }
-        "batch" => {
-            let manifest = args.next().ok_or_else(usage)?;
-            let mut jobs = 1usize;
-            let mut out: Option<String> = None;
-            let mut timing = true;
-            let mut cache_bytes: Option<u64> = None;
-            let mut metrics_out: Option<String> = None;
-            let mut postmortem_dir: Option<String> = None;
-            let mut snapshot_every: Option<u64> = None;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--jobs" | "-j" => {
-                        jobs = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--jobs needs a number >= 1")?;
-                    }
-                    "--out" => out = Some(args.next().ok_or("--out needs a path")?),
-                    "--no-timing" => timing = false,
-                    "--cache-bytes" => {
-                        cache_bytes = Some(
-                            args.next()
-                                .and_then(|v| v.parse().ok())
-                                .ok_or("--cache-bytes needs a number")?,
-                        );
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?);
-                    }
-                    "--postmortem-dir" => {
-                        postmortem_dir =
-                            Some(args.next().ok_or("--postmortem-dir needs a directory")?);
-                    }
-                    "--snapshot-every" => {
-                        snapshot_every = Some(
-                            args.next()
-                                .and_then(|v| v.parse::<u64>().ok())
-                                .filter(|&n| n >= 1)
-                                .ok_or("--snapshot-every needs a number >= 1")?,
-                        );
-                    }
-                    other => return Err(format!("unknown batch option `{other}`")),
-                }
-            }
-            let specs = pool::load_manifest(manifest.as_ref())?;
-            if specs.is_empty() {
-                return Err(format!("{manifest}: no jobs"));
-            }
-            let cache = pool::PipelineCache::new(match cache_bytes {
-                Some(max_bytes) => pool::CacheConfig { max_bytes },
-                None => pool::CacheConfig::default(),
-            });
-            let report = pool::run_batch(
-                &specs,
-                &cache,
-                &pool::BatchConfig {
-                    workers: jobs,
-                    metrics: metrics_out.is_some() || postmortem_dir.is_some(),
-                    snapshot_every,
-                    ..Default::default()
-                },
-            );
-            let json = report.to_json(timing);
-            match out.as_deref() {
-                Some(path) => {
-                    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-                }
-                None => print!("{json}"),
-            }
-            if let Some(path) = &metrics_out {
-                let reg = report.registry.as_ref().expect("metrics enabled");
-                let mut m = reg.to_json(timing);
-                m.push('\n');
-                std::fs::write(path, &m).map_err(|e| format!("{path}: {e}"))?;
-            }
-            if let Some(dir) = &postmortem_dir {
-                std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-                for pm in &report.postmortems {
-                    let path = format!("{dir}/job-{}.txt", pm.job_id);
-                    std::fs::write(&path, &pm.text).map_err(|e| format!("{path}: {e}"))?;
-                    eprintln!(
-                        "batch: post-mortem for job {} ({} [{}] {}) written to {path}",
-                        pm.job_id, pm.name, pm.engine, pm.outcome
-                    );
-                }
-            }
-            eprintln!(
-                "batch: {} job(s) at -j{jobs}, cache {}",
-                report.jobs.len(),
-                cache.snapshot()
-            );
-            // A failing job (compile error, panic, `wrong` verdict,
-            // checkpoint failure or run-time error) must fail the
-            // batch loudly, naming the culprit — not just sit inside
-            // the JSON.
-            let failing = report.failing_jobs();
-            if failing.is_empty() {
-                Ok(())
-            } else {
-                for j in &failing {
-                    eprintln!(
-                        "batch: job {} failed: {} [{}] entry={} args={:?}: {}{}{}",
-                        j.id,
-                        j.name,
-                        j.engine,
-                        j.entry,
-                        j.args,
-                        j.outcome,
-                        if j.detail.is_empty() { "" } else { ": " },
-                        j.detail
-                    );
-                }
-                Err(format!(
-                    "{} job(s) failed (compile error, panic, wrong, snapshot or run-time error)",
-                    failing.len()
-                ))
-            }
-        }
-        "metrics" => {
-            let manifest = args.next().ok_or_else(usage)?;
-            let mut jobs = 1usize;
-            let mut json = false;
-            let mut timing = true;
-            let mut cache_bytes: Option<u64> = None;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--jobs" | "-j" => {
-                        jobs = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--jobs needs a number >= 1")?;
-                    }
-                    "--json" => json = true,
-                    "--no-timing" => timing = false,
-                    "--cache-bytes" => {
-                        cache_bytes = Some(
-                            args.next()
-                                .and_then(|v| v.parse().ok())
-                                .ok_or("--cache-bytes needs a number")?,
-                        );
-                    }
-                    other => return Err(format!("unknown metrics option `{other}`")),
-                }
-            }
-            let specs = pool::load_manifest(manifest.as_ref())?;
-            if specs.is_empty() {
-                return Err(format!("{manifest}: no jobs"));
-            }
-            let cache = pool::PipelineCache::new(match cache_bytes {
-                Some(max_bytes) => pool::CacheConfig { max_bytes },
-                None => pool::CacheConfig::default(),
-            });
-            let report = pool::run_batch(
-                &specs,
-                &cache,
-                &pool::BatchConfig {
-                    workers: jobs,
-                    metrics: true,
-                    ..Default::default()
-                },
-            );
-            let reg = report.registry.as_ref().expect("metrics enabled");
-            if json {
-                println!("{}", reg.to_json(timing));
-            } else {
-                print!("{}", reg.to_prometheus());
-            }
-            // The observability viewer reports failures instead of
-            // failing on them: a fleet dashboard scraping this output
-            // wants the counters, not a dead scrape target.
-            for pm in &report.postmortems {
-                eprintln!(
-                    "metrics: job {} `{}` [{}] ended {}",
-                    pm.job_id, pm.name, pm.engine, pm.outcome
-                );
-            }
-            Ok(())
-        }
-        "serve" => {
-            let mut listen: Option<String> = None;
-            let mut selftest = false;
-            let mut workers = 1usize;
-            let mut quantum = 2_000u64;
-            let mut tenants = 17usize;
-            let mut threads = 64usize;
-            let mut quanta = 0u64;
-            let mut seed = 0xC0FFEEu64;
-            let mut metrics_out: Option<String> = None;
-            let mut events_out: Option<String> = None;
-            // The first flag given that only the self-test reads.
-            let mut selftest_flag: Option<String> = None;
-            while let Some(a) = args.next() {
-                if matches!(
-                    a.as_str(),
-                    "--tenants"
-                        | "--threads"
-                        | "--quanta"
-                        | "--seed"
-                        | "--metrics-out"
-                        | "--events-out"
-                ) {
-                    selftest_flag.get_or_insert_with(|| a.clone());
-                }
-                match a.as_str() {
-                    "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
-                    "--selftest" => selftest = true,
-                    "--jobs" | "-j" => {
-                        workers = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--jobs needs a number >= 1")?;
-                    }
-                    "--quantum" => {
-                        quantum = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--quantum needs a number >= 1")?;
-                    }
-                    "--tenants" => {
-                        tenants = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--tenants needs a number >= 1")?;
-                    }
-                    "--threads" => {
-                        threads = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--threads needs a number >= 1")?;
-                    }
-                    "--quanta" => {
-                        quanta = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--quanta needs a number")?;
-                    }
-                    "--seed" => {
-                        seed = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--seed needs a number")?;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?)
-                    }
-                    "--events-out" => {
-                        events_out = Some(args.next().ok_or("--events-out needs a path")?)
-                    }
-                    other => return Err(format!("unknown serve option `{other}`")),
-                }
-            }
-            if listen.is_some() {
-                if selftest {
-                    return Err("serve: --listen and --selftest cannot be combined".into());
-                }
-                if let Some(flag) = selftest_flag {
-                    return Err(format!("serve: {flag} applies to --selftest, not --listen"));
-                }
-            }
-            let config = serve::ServeConfig {
-                quantum,
-                ..serve::load_config(workers)
-            };
-            if selftest {
-                let profile = serve::LoadProfile {
-                    tenants,
-                    threads_per_tenant: threads,
-                    quanta,
-                    seed,
-                };
-                let (svc, report) = serve::run_load(config, &profile);
-                // Deterministic figures first (byte-identical at every
-                // -j), wall-clock rates last, clearly separated.
-                println!(
-                    "threads:          {} submitted, {} completed, {} yields serviced",
-                    report.threads, report.completed, report.yields
-                );
-                println!(
-                    "scheduler:        {} quanta, {} migrations, parked high water {}",
-                    report.quanta, report.migrations, report.parked_high_water
-                );
-                println!(
-                    "virtual:          {} ns, {} responses/s",
-                    report.virtual_ns, report.virtual_rps
-                );
-                println!(
-                    "queue wait vns:   p50 {} p99 {}",
-                    report.queue_wait_p50, report.queue_wait_p99
-                );
-                println!(
-                    "turnaround vns:   p50 {} p99 {}",
-                    report.turnaround_p50, report.turnaround_p99
-                );
-                println!("event digest:     {:#018x}", report.event_digest);
-                println!(
-                    "wall (not gated): {} ms, {} responses/s",
-                    report.wall_ns / 1_000_000,
-                    report.wall_rps
-                );
-                if let Some(path) = &events_out {
-                    std::fs::write(path, svc.events_text()).map_err(|e| format!("{path}: {e}"))?;
-                }
-                if let Some(path) = &metrics_out {
-                    let reg = svc.registry().expect("selftest mounts metrics");
-                    std::fs::write(path, reg.to_json(false)).map_err(|e| format!("{path}: {e}"))?;
-                }
-                return Ok(());
-            }
-            let addr = listen.ok_or_else(usage)?;
-            let listener =
-                std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
-            let local = listener.local_addr().map_err(|e| e.to_string())?;
-            println!("serving on {local}");
-            serve::serve_on(listener, serve::Service::new(config)).map_err(|e| e.to_string())
-        }
-        _ => Err(usage()),
+        "m3" => run_m3(&a),
+        "trace" | "profile" => trace(&a),
+        "fuzz" => fuzz(&a),
+        "batch" => batch(&a),
+        "metrics" => metrics(&a),
+        "serve" => serve(&a),
+        other => unreachable!("`{other}` has a mode in the flag table but no handler"),
     }
+}
+
+/// The full optimizer pipeline, or none of it (`-O0`).
+fn opt_options(optimize: bool) -> opt::OptOptions {
+    if optimize {
+        opt::OptOptions::default()
+    } else {
+        opt::OptOptions::none()
+    }
+}
+
+fn run_program(a: &Args) -> Result<(), String> {
+    let (file, proc) = (&a.pos[0], a.pos[1].as_str());
+    let results = a.size("--results").unwrap_or(1);
+    let opts = opt_options(!a.on("-O0"));
+    let call_args = a.words64();
+    let src = read(file)?;
+    let c = compiler(&src, opts)?;
+    let sem_args = a.words.iter().map(|&w| Value::b32(w)).collect();
+    let prog = c.program().map_err(|e| e.to_string())?;
+    let Some(every) = a.num("--snapshot-every") else {
+        let sem = c
+            .interpret_on(&prog, proc, sem_args)
+            .map_err(|e| e.to_string())?;
+        let vp = c.vm_program().map_err(|e| e.to_string())?;
+        let (vm_vals, cost) = c
+            .execute_on(&vp, proc, &call_args, results)
+            .map_err(|e| e.to_string())?;
+        print_run(
+            &sem,
+            &vm_vals,
+            [cost.instructions, cost.loads, cost.stores, cost.branches],
+        );
+        return Ok(());
+    };
+    // The same two runs, each round-tripping its machine through
+    // a snapshot at every interval boundary. The lines printed
+    // come from these runs, so their results and the target's
+    // whole cost vector must survive every round-trip; only the
+    // semantics' typed values, which `Table1` reports as bare
+    // words, come from a plain run that must agree.
+    let checkpointed = |engine: EngineId, code: Code| {
+        let cx = SnapCtx {
+            every: Some(every),
+            service: false,
+            ..SnapCtx::new(engine, &src, proc, &call_args, opts)
+        };
+        with_engine(engine, &code, obs::NopSink, Setup::default(), |t| {
+            t.start(proc, &call_args, results)
+                .map_err(|w| format!("runtime error: {w}"))?;
+            let (end, count, bytes) = snap_drive(t, &cx)?;
+            Ok::<_, String>((end, t.deep_state().1, count, bytes))
+        })?
+    };
+    let stopped = |engine: EngineId, end: End| match end {
+        End::SuspensionBound => "program yielded to a missing run-time system".into(),
+        end => end_text(engine, &end),
+    };
+    let (end, _, sem_count, sem_bytes) = checkpointed(EngineId::Sem, Code::sem(&prog))?;
+    let End::Halted(sem_words) = end else {
+        return Err(stopped(EngineId::Sem, end));
+    };
+    let sem = c
+        .interpret_on(&prog, proc, sem_args)
+        .map_err(|e| e.to_string())?;
+    let want: Vec<u64> = sem.iter().map(|v| v.bits().unwrap_or(u64::MAX)).collect();
+    if sem_words != want {
+        return Err(format!(
+            "sem: the checkpointed run diverged from the plain run: halt {sem_words:?}"
+        ));
+    }
+    let vp = c.vm_program().map_err(|e| e.to_string())?;
+    let (end, cost, vm_count, vm_bytes) = checkpointed(EngineId::Vm, Code::vm(&vp))?;
+    let End::Halted(vm_vals) = end else {
+        return Err(stopped(EngineId::Vm, end));
+    };
+    // The target's deep state leads with instructions, loads,
+    // stores and branches.
+    print_run(&sem, &vm_vals, [cost[0], cost[1], cost[2], cost[3]]);
+    println!(
+        "snapshots: semantics {sem_count} checkpoint(s) ({sem_bytes} bytes), \
+         target {vm_count} checkpoint(s) ({vm_bytes} bytes)"
+    );
+    Ok(())
+}
+
+fn snap_program(a: &Args) -> Result<(), String> {
+    let (file, proc) = (&a.pos[0], a.pos[1].as_str());
+    let engine = EngineId::parse(a.text("--engine").unwrap_or("vm"))?;
+    let fuel = a.num("--fuel").unwrap_or(TRACE_FUEL);
+    let opts = opt_options(!a.on("-O0"));
+    let call_args = a.words64();
+    let src = read(file)?;
+    let cx = SnapCtx {
+        fuel,
+        first_budget: fuel,
+        at: a.num("--at"),
+        out: a.text("--out").unwrap_or("cmm.snap"),
+        ..SnapCtx::new(engine, &src, proc, &call_args, opts)
+    };
+    snap_session(&src, None, &cx, opts, a.size("--results").unwrap_or(1))
+}
+
+fn resume(a: &Args) -> Result<(), String> {
+    let (snapfile, file) = (&a.pos[0], &a.pos[1]);
+    let engine_override = a.text("--engine").map(EngineId::parse).transpose()?;
+    let blob = std::fs::read(snapfile).map_err(|e| format!("{snapfile}: {e}"))?;
+    let snapshot = snap::Snapshot::decode(&blob).map_err(|e| format!("{snapfile}: {e}"))?;
+    let engine = engine_override.unwrap_or(snapshot.engine);
+    // The family first: the digest covers the family too, and
+    // a cross-family resume deserves the structured diagnostic
+    // (both engines, both families, the blob digest).
+    snapshot.check_engine(engine)?;
+    let src = read(file)?;
+    let (meta, opts) = (&snapshot.meta, opt_options(snapshot.meta.opt));
+    let cx = SnapCtx {
+        fuel: a.num("--fuel").unwrap_or(TRACE_FUEL),
+        first_budget: meta.fuel_remaining,
+        yields: meta.yields_done,
+        ..SnapCtx::new(engine, &src, &meta.entry, &meta.args, opts)
+    };
+    snapshot
+        .check_digest(cx.digest)
+        .map_err(|e| format!("{snapfile}: {e} (is `{file}` the snapshotted source?)"))?;
+    snap_session(&src, Some(&snapshot), &cx, opts, 1)
+}
+
+fn dump_graphs(a: &Args) -> Result<(), String> {
+    let (file, only) = (&a.pos[0], a.pos.get(1).map(String::as_str));
+    let ssa = a.cmd == "dump-ssa";
+    let c = compiler(&read(file)?, opt::OptOptions::default())?;
+    let prog = c.program().map_err(|e| e.to_string())?;
+    let mut shown = false;
+    for (name, g) in &prog.procs {
+        if only.is_some_and(|o| name != o) || (ssa && name == cmm_core::cfg::YIELD) {
+            continue;
+        }
+        shown = true;
+        if ssa {
+            let numbering = opt::Ssa::build(g);
+            print!("{}", opt::ssa::ssa_to_string(g, &numbering));
+        } else {
+            print!("{}", cmm_core::cfg::display::graph_to_string(g));
+        }
+    }
+    match only {
+        Some(o) if !shown => Err(format!("{file}: no procedure `{o}`")),
+        _ => Ok(()),
+    }
+}
+
+fn run_m3(a: &Args) -> Result<(), String> {
+    let file = &a.pos[0];
+    let strategy = frontend::Strategy::parse(&a.pos[1])?;
+    let src = read(file)?;
+    let module = frontend::compile_minim3(&src, strategy).map_err(|e| e.to_string())?;
+    let sem = frontend::run_sem(&module, strategy, &a.words).map_err(|e| e.to_string())?;
+    let (vm_val, cost) =
+        frontend::run_vm(&module, strategy, &a.words).map_err(|e| e.to_string())?;
+    assert_eq!(sem, vm_val, "substrates disagree — please report a bug");
+    println!("result:    {vm_val}");
+    println!(
+        "cost:      {} instructions (+{} run-time system), {} loads, {} stores",
+        cost.instructions, cost.runtime_instructions, cost.loads, cost.stores
+    );
+    Ok(())
+}
+
+fn trace(a: &Args) -> Result<(), String> {
+    let (file, entry) = (&a.pos[0], &a.pos[1]);
+    let engine = match (a.on("--sem"), a.on("--decoded"), a.on("--fused")) {
+        (true, ..) => EngineId::Sem,
+        (_, true, _) => EngineId::VmDecoded,
+        (.., true) => EngineId::VmFused,
+        _ => EngineId::Vm,
+    };
+    let opts = opt_options(!a.on("-O0"));
+    let run = if file.ends_with(".m3") {
+        trace_m3(file, entry, &a.words, &opts, engine)?
+    } else {
+        let results = a.size("--results").unwrap_or(1);
+        trace_cmm(file, entry, &a.words64(), results, opts, engine)?
+    };
+    if a.cmd == "profile" {
+        let p = obs::Profile::build(&run.entry, &run.events);
+        println!("{file}: {} ({} events)", run.outcome, run.events.len());
+        if let Some(note) = run.truncation() {
+            println!("{note}");
+        }
+        print!("{}", p.report(run.clock));
+        return Ok(());
+    }
+    let out = a.text("--out");
+    if out != Some("-") {
+        for t in &run.events {
+            println!("{:>12}  {}", t.ts, t.event.render());
+        }
+        let c = obs::Tally::of(&run.events);
+        println!(
+            "{file}: {} — {} events ({} calls, {} returns [{} abnormal], \
+             {} cuts, {} yields, {} rts ops)",
+            run.outcome,
+            run.events.len(),
+            c.calls,
+            c.returns,
+            c.abnormal_returns,
+            c.cuts,
+            c.yields,
+            c.rts_ops()
+        );
+    }
+    if let Some(note) = run.truncation() {
+        // `--out -` leaves stdout to the Chrome JSON.
+        if out == Some("-") {
+            eprintln!("{note}");
+        } else {
+            println!("{note}");
+        }
+    }
+    match out {
+        Some("-") => print!("{}", obs::chrome_trace_json(&run.entry, &run.events)),
+        Some(path) => {
+            let json = obs::chrome_trace_json(&run.entry, &run.events);
+            std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+            println!("chrome trace written to {path}");
+        }
+        None => {}
+    }
+    Ok(())
+}
+
+fn fuzz(a: &Args) -> Result<(), String> {
+    let defaults = cmm_difftest::FuzzConfig::default();
+    if let Some(dir) = a.text("--replay") {
+        let report = cmm_difftest::replay_corpus(dir.as_ref(), &defaults.limits)
+            .map_err(|e| format!("{dir}: {e}"))?;
+        for f in &report.failures {
+            eprintln!("reproducer {} diverges: {}", f.path.display(), f.failure);
+        }
+        println!(
+            "fuzz replay: {} reproducer(s) from {dir}: {} failure(s)",
+            report.files_run,
+            report.failures.len()
+        );
+        return if report.ok() {
+            Ok(())
+        } else {
+            Err("corpus replay found divergence".into())
+        };
+    }
+    let cfg = cmm_difftest::FuzzConfig {
+        cases: a.size("--cases").unwrap_or(defaults.cases),
+        seed: a.num("--seed").unwrap_or(defaults.seed),
+        shrink: a.on("--shrink"),
+        corpus_dir: a.text("--corpus").map(Into::into),
+        chaos: a.on("--chaos"),
+        fault_seed: a.num("--fault-seed").unwrap_or(defaults.fault_seed),
+        schedules: a.num("--schedules").unwrap_or(defaults.schedules),
+        snap: a.on("--snap"),
+        snap_slice: a.num("--snap-slice").unwrap_or(defaults.snap_slice),
+        jobs: a.size("--jobs").unwrap_or(defaults.jobs),
+        ..defaults
+    };
+    let report = cmm_difftest::run_fuzz(&cfg);
+    for f in &report.failures {
+        eprintln!("case {} (seed {}): {}", f.index, cfg.seed, f.failure);
+        let shown = f.shrunk.as_ref().unwrap_or(&f.case);
+        eprintln!(
+            "--- {} program ---",
+            if f.shrunk.is_some() {
+                "shrunk"
+            } else {
+                "failing"
+            }
+        );
+        eprint!("{}", shown.render());
+        if let Some(p) = &f.corpus_path {
+            eprintln!("reproducer written to {}", p.display());
+        }
+        if let Some(p) = &f.events_path {
+            eprintln!("divergence event logs written to {}", p.display());
+        }
+    }
+    println!(
+        "fuzz: {} cases, seed {}: {} failure(s)",
+        report.cases_run,
+        cfg.seed,
+        report.failures.len()
+    );
+    if report.ok() {
+        Ok(())
+    } else {
+        Err("differential fuzzing found divergence".into())
+    }
+}
+
+/// Runs `batch`'s or `metrics`' manifest, refusing one with no jobs, on
+/// a fresh cache of `--cache-bytes` at `-j`, with the registry on if
+/// `metrics`.
+fn run_manifest(
+    a: &Args,
+    metrics: bool,
+) -> Result<(pool::BatchReport, pool::PipelineCache), String> {
+    let manifest = &a.pos[0];
+    let specs = pool::load_manifest(manifest.as_ref())?;
+    if specs.is_empty() {
+        return Err(format!("{manifest}: no jobs"));
+    }
+    let cache = pool::PipelineCache::new(match a.num("--cache-bytes") {
+        Some(max_bytes) => pool::CacheConfig { max_bytes },
+        None => pool::CacheConfig::default(),
+    });
+    let config = pool::BatchConfig {
+        workers: a.size("--jobs").unwrap_or(1),
+        metrics,
+        snapshot_every: a.num("--snapshot-every"),
+        ..Default::default()
+    };
+    Ok((pool::run_batch(&specs, &cache, &config), cache))
+}
+
+fn batch(a: &Args) -> Result<(), String> {
+    let timing = !a.on("--no-timing");
+    let metrics_out = a.text("--metrics-out");
+    let postmortem_dir = a.text("--postmortem-dir");
+    let (report, cache) = run_manifest(a, metrics_out.is_some() || postmortem_dir.is_some())?;
+    let json = report.to_json(timing);
+    match a.text("--out") {
+        Some(path) => {
+            std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+        }
+        None => print!("{json}"),
+    }
+    if let Some(path) = metrics_out {
+        let reg = report.registry.as_ref().expect("metrics enabled");
+        let mut m = reg.to_json(timing);
+        m.push('\n');
+        std::fs::write(path, &m).map_err(|e| format!("{path}: {e}"))?;
+    }
+    if let Some(dir) = postmortem_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+        for pm in &report.postmortems {
+            let path = format!("{dir}/job-{}.txt", pm.job_id);
+            std::fs::write(&path, &pm.text).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "batch: post-mortem for job {} ({} [{}] {}) written to {path}",
+                pm.job_id, pm.name, pm.engine, pm.outcome
+            );
+        }
+    }
+    eprintln!(
+        "batch: {} job(s) at -j{}, cache {}",
+        report.jobs.len(),
+        a.size("--jobs").unwrap_or(1),
+        cache.snapshot()
+    );
+    // A failing job (compile error, panic, `wrong` verdict,
+    // checkpoint failure or run-time error) must fail the
+    // batch loudly, naming the culprit — not just sit inside
+    // the JSON.
+    let failing = report.failing_jobs();
+    if failing.is_empty() {
+        return Ok(());
+    }
+    for j in &failing {
+        eprintln!(
+            "batch: job {} failed: {} [{}] entry={} args={:?}: {}{}{}",
+            j.id,
+            j.name,
+            j.engine,
+            j.entry,
+            j.args,
+            j.outcome,
+            if j.detail.is_empty() { "" } else { ": " },
+            j.detail
+        );
+    }
+    Err(format!(
+        "{} job(s) failed (compile error, panic, wrong, snapshot or run-time error)",
+        failing.len()
+    ))
+}
+
+fn metrics(a: &Args) -> Result<(), String> {
+    let (report, _) = run_manifest(a, true)?;
+    let reg = report.registry.as_ref().expect("metrics enabled");
+    let timing = !a.on("--no-timing");
+    if a.on("--json") {
+        println!("{}", reg.to_json(timing));
+    } else {
+        print!("{}", reg.to_prometheus(timing));
+    }
+    // The observability viewer reports failures instead of
+    // failing on them: a fleet dashboard scraping this output
+    // wants the counters, not a dead scrape target.
+    for pm in &report.postmortems {
+        eprintln!(
+            "metrics: job {} `{}` [{}] ended {}",
+            pm.job_id, pm.name, pm.engine, pm.outcome
+        );
+    }
+    Ok(())
+}
+
+fn serve(a: &Args) -> Result<(), String> {
+    let config = serve::ServeConfig {
+        quantum: a.num("--quantum").unwrap_or(2_000),
+        ..serve::load_config(a.size("--jobs").unwrap_or(1))
+    };
+    if let Some(addr) = a.text("--listen") {
+        let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?;
+        let local = listener.local_addr().map_err(|e| e.to_string())?;
+        println!("serving on {local}");
+        return serve::serve_on(listener, serve::Service::new(config)).map_err(|e| e.to_string());
+    }
+    let profile = serve::LoadProfile {
+        tenants: a.size("--tenants").unwrap_or(17),
+        threads_per_tenant: a.size("--threads").unwrap_or(64),
+        quanta: a.num("--quanta").unwrap_or(0),
+        seed: a.num("--seed").unwrap_or(0xC0FFEE),
+    };
+    let (svc, report) = serve::run_load(config, &profile);
+    // Deterministic figures first (byte-identical at every
+    // -j), wall-clock rates last, clearly separated.
+    println!(
+        "threads:          {} submitted, {} completed, {} yields serviced",
+        report.threads, report.completed, report.yields
+    );
+    println!(
+        "scheduler:        {} quanta, {} migrations, parked high water {}",
+        report.quanta, report.migrations, report.parked_high_water
+    );
+    println!(
+        "virtual:          {} ns, {} responses/s",
+        report.virtual_ns, report.virtual_rps
+    );
+    println!(
+        "queue wait vns:   p50 {} p99 {}",
+        report.queue_wait_p50, report.queue_wait_p99
+    );
+    println!(
+        "turnaround vns:   p50 {} p99 {}",
+        report.turnaround_p50, report.turnaround_p99
+    );
+    println!("event digest:     {:#018x}", report.event_digest);
+    println!(
+        "wall (not gated): {} ms, {} responses/s",
+        report.wall_ns / 1_000_000,
+        report.wall_rps
+    );
+    if let Some(path) = a.text("--events-out") {
+        std::fs::write(path, svc.events_text()).map_err(|e| format!("{path}: {e}"))?;
+    }
+    if let Some(path) = a.text("--metrics-out") {
+        let reg = svc.registry().expect("selftest mounts metrics");
+        std::fs::write(path, reg.to_json(false)).map_err(|e| format!("{path}: {e}"))?;
+    }
+    Ok(())
 }
 
 /// One traced run, ready for `trace` rendering or `profile`
@@ -942,24 +617,19 @@ fn clock(engine: EngineId) -> &'static str {
 fn trace_m3(
     file: &str,
     strat: &str,
-    args: &[u64],
+    args: &[u32],
     opts: &opt::OptOptions,
     engine: EngineId,
 ) -> Result<TraceRun, String> {
     let strategy = frontend::Strategy::parse(strat)?;
-    let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+    let src = read(file)?;
     let module = frontend::compile_minim3(&src, strategy).map_err(|e| e.to_string())?;
-    // MiniM3 arguments are 32-bit; reject rather than silently truncate.
-    let args32: Vec<u32> = args
-        .iter()
-        .map(|&a| u32::try_from(a).map_err(|_| format!("argument {a} out of range for MiniM3")))
-        .collect::<Result<_, _>>()?;
     let (r, rec) = match engine.family() {
         Family::Sem => {
-            frontend::run_sem_traced(&module, strategy, &args32).map_err(|e| e.to_string())?
+            frontend::run_sem_traced(&module, strategy, args).map_err(|e| e.to_string())?
         }
         Family::Vm => {
-            let (r, rec) = frontend::run_vm_traced(&module, strategy, &args32, opts, engine)
+            let (r, rec) = frontend::run_vm_traced(&module, strategy, args, opts, engine)
                 .map_err(|e| e.to_string())?;
             (r.map(|(v, _)| v), rec)
         }
@@ -989,7 +659,7 @@ fn trace_cmm(
     opts: opt::OptOptions,
     engine: EngineId,
 ) -> Result<TraceRun, String> {
-    let c = compiler(file)?.options(opts);
+    let c = compiler(&read(file)?, opts)?;
     let (prog, vp) = compile_for(&c, engine)?;
     let code = Code {
         program: prog.as_ref(),
@@ -1159,10 +829,7 @@ fn snap_session(
     opts: opt::OptOptions,
     results: usize,
 ) -> Result<(), String> {
-    let c = Compiler::new()
-        .source(src)
-        .map_err(|e| e.to_string())?
-        .options(opts);
+    let c = compiler(src, opts)?;
     let (prog, vp) = compile_for(&c, cx.engine)?;
     let code = Code {
         program: prog.as_ref(),
@@ -1205,40 +872,11 @@ fn compile_for(c: &Compiler, engine: EngineId) -> Result<Compiled, String> {
     })
 }
 
-/// Refuses an argument a command would otherwise ignore.
-fn no_more_args(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    match args.next() {
-        Some(a) => Err(format!("{cmd}: unexpected argument `{a}`")),
-        None => Ok(()),
-    }
+fn read(file: &str) -> Result<String, String> {
+    std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))
 }
 
-fn compiler(file: &str) -> Result<Compiler, String> {
-    let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-    Compiler::new().source(&src).map_err(|e| e.to_string())
-}
-
-fn usage() -> String {
-    "usage: cmm run <file> <proc> [args..] [--results N] [-O0] [--snapshot-every F]\n\
-     \x20      cmm dump-cfg <file> [proc]\n\
-     \x20      cmm dump-ssa <file> [proc]\n\
-     \x20      cmm dump-vm <file>\n\
-     \x20      cmm m3 <file> <strategy> [args..]\n\
-     \x20      cmm trace <file> <proc|strategy> [args..] [--sem] [--decoded|--fused] [-O0]\n\
-     \x20                [--results N] [--out F]\n\
-     \x20      cmm profile <file> <proc|strategy> [args..] [--sem] [--decoded|--fused] [-O0]\n\
-     \x20                  [--results N]\n\
-     \x20      cmm snap <file> <proc> [args..] [--engine E] [--at K] [--fuel F]\n\
-     \x20               [--results N] [-O0] [--out FILE]\n\
-     \x20      cmm resume <snapshot> <file> [--engine E] [--fuel F]\n\
-     \x20      cmm fuzz [--cases N] [--seed S] [--shrink] [--corpus DIR] [--jobs N]\n\
-     \x20               [--chaos] [--fault-seed S] [--schedules K] [--snap] [--snap-slice F]\n\
-     \x20      cmm fuzz --replay DIR\n\
-     \x20      cmm batch <manifest> [-j N] [--out F] [--no-timing] [--cache-bytes B]\n\
-     \x20                [--metrics-out F] [--postmortem-dir DIR] [--snapshot-every F]\n\
-     \x20      cmm metrics <manifest> [-j N] [--json] [--no-timing] [--cache-bytes B]\n\
-     \x20      cmm serve --listen ADDR [-j N] [--quantum F]\n\
-     \x20      cmm serve --selftest [--tenants N] [--threads N] [--quanta N] [--seed S]\n\
-     \x20                [-j N] [--quantum F] [--metrics-out F] [--events-out F]"
-        .into()
+fn compiler(src: &str, opts: opt::OptOptions) -> Result<Compiler, String> {
+    let c = Compiler::new().source(src).map_err(|e| e.to_string())?;
+    Ok(c.options(opts))
 }

@@ -562,3 +562,111 @@ fn serve_refuses_flags_its_mode_does_not_read() {
     );
     assert_fails_mentioning(&out, "--listen");
 }
+
+/// A `--jobs` too large to multiply by the fuzz wave width runs like
+/// any other worker count: the executor starts one helper per case
+/// beyond the first, and the report is the `--jobs 1` report.
+#[test]
+fn fuzz_takes_the_largest_jobs_value() {
+    let report = |jobs: &str| {
+        let out = cmm(&["fuzz", "--cases", "2", "--seed", "0", "--jobs", jobs]);
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "fuzz --jobs {jobs} panicked:\n{}",
+            stderr(&out)
+        );
+        assert!(out.status.success(), "fuzz --jobs {jobs}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let one = report("1");
+    assert!(one.contains("fuzz: 2 cases, seed 0: 0 failure(s)"), "{one}");
+    assert_eq!(report("18446744073709551615"), one);
+}
+
+const FIG34: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/fig34_plain.cmm"
+);
+const FIG2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/fig2_deep_raise.m3"
+);
+
+/// A MiniM3 trace takes no result count: a MiniM3 `main` returns one
+/// word.
+#[test]
+fn tracing_a_minim3_file_refuses_a_result_count() {
+    for cmd in ["trace", "profile"] {
+        let out = cmm(&[cmd, FIG2, "cutting", "5", "--results", "2"]);
+        assert_fails_mentioning(&out, "`--results`");
+    }
+}
+
+/// The MiniM3 semantics run the unoptimized program, so `-O0` under
+/// `--sem` would change nothing.
+#[test]
+fn tracing_a_minim3_file_under_sem_refuses_o0() {
+    for cmd in ["trace", "profile"] {
+        let out = cmm(&[cmd, FIG2, "cutting", "5", "--sem", "-O0"]);
+        assert_fails_mentioning(&out, "`-O0`");
+    }
+}
+
+/// `--sem` names an engine as `--decoded` and `--fused` do; given
+/// together, one of them would be dropped.
+#[test]
+fn sem_does_not_combine_with_a_vm_tier() {
+    for tier in ["--decoded", "--fused"] {
+        for cmd in ["trace", "profile"] {
+            let out = cmm(&[cmd, FIG34, "f", "3", "--sem", tier]);
+            assert_fails_mentioning(&out, tier);
+        }
+    }
+}
+
+#[test]
+fn decoded_does_not_combine_with_fused() {
+    for file in [FIG34, FIG2] {
+        let entry = if file == FIG34 { "f" } else { "cutting" };
+        let out = cmm(&["trace", file, entry, "3", "--decoded", "--fused"]);
+        assert_fails_mentioning(&out, "--decoded and --fused cannot be combined");
+    }
+}
+
+/// `fuzz --replay` re-runs the reproducers as they are: none of the
+/// generator's flags applies to it.
+#[test]
+fn fuzz_replay_refuses_the_generators_flags() {
+    let s = Scratch::new("replayflags");
+    let dir = s.0.to_str().unwrap();
+    for extra in [
+        &["--cases", "3"][..],
+        &["--seed", "7"],
+        &["--shrink"],
+        &["--corpus", dir],
+        &["--jobs", "2"],
+        &["--chaos"],
+        &["--fault-seed", "1"],
+        &["--schedules", "2"],
+        &["--snap"],
+        &["--snap-slice", "8"],
+    ] {
+        let mut args = vec!["fuzz", "--replay", dir];
+        args.extend(extra);
+        assert_fails_mentioning(&cmm(&args), &format!("`{}`", extra[0]));
+    }
+}
+
+/// A flag given twice, under either spelling, is refused rather than
+/// letting the last one win.
+#[test]
+fn a_flag_given_twice_is_refused() {
+    assert_fails_mentioning(
+        &cmm(&["fuzz", "--cases", "1", "--cases", "2"]),
+        "--cases given twice",
+    );
+    assert_fails_mentioning(
+        &cmm(&["fuzz", "--cases", "1", "-j", "1", "--jobs", "2"]),
+        "--jobs given twice",
+    );
+}

@@ -9,9 +9,12 @@
 //! `--snapshot-every`), full `cmm trace` / `cmm profile` output on
 //! the sem, vm, `--decoded` and `--fused` engines, the Chrome JSON of
 //! `cmm trace --out -`, the `cmm metrics --json --no-timing` registry
-//! on both committed manifests, and the post-mortem dumps that
+//! on both committed manifests, the post-mortem dumps that
 //! `cmm batch --postmortem-dir` writes for the chaos manifest (appended
-//! after the command's own output).
+//! after the command's own output), the success path of every other
+//! subcommand (`run`, `run -O0`, `m3`, `dump-*`, `fuzz`), the
+//! Prometheus text of `cmm metrics --no-timing`, and the usage lines
+//! `cmm` prints with no arguments.
 //!
 //! Set `CMM_BLESS=1` to rewrite the expected file from the current
 //! binary.
@@ -73,6 +76,29 @@ fn commands() -> Vec<String> {
         ));
     }
     cmds.push("batch examples/chaos.manifest --no-timing --postmortem-dir $TMP/pm".into());
+    // The success path of every remaining subcommand.
+    for target in [
+        "examples/fig34_plain.cmm f 20",
+        "examples/sec42_cuts.cmm f 8",
+    ] {
+        cmds.push(format!("run {target}"));
+        cmds.push(format!("run {target} -O0"));
+    }
+    for strategy in ["runtime-unwind", "cutting"] {
+        cmds.push(format!("m3 examples/fig2_deep_raise.m3 {strategy} 5"));
+    }
+    for cmd in ["dump-cfg", "dump-ssa"] {
+        cmds.push(format!("{cmd} examples/sec42_cuts.cmm"));
+        cmds.push(format!("{cmd} examples/sec42_cuts.cmm f"));
+    }
+    cmds.push("dump-vm examples/sec42_cuts.cmm".into());
+    cmds.push("fuzz --cases 16 --seed 0".into());
+    // The Prometheus text without its timing families.
+    for manifest in ["batch", "chaos"] {
+        cmds.push(format!("metrics examples/{manifest}.manifest --no-timing"));
+    }
+    // No arguments: the usage lines, rendered from the flag table.
+    cmds.push(String::new());
     cmds
 }
 
@@ -95,7 +121,7 @@ fn transcript(tmp: &Path) -> String {
             .output()
             .expect("spawn cmm");
         let text = |b: &[u8]| String::from_utf8_lossy(b).replace(tmp_str, "$TMP");
-        out.push_str(&format!("$ cmm {cmd}\n"));
+        out.push_str(&format!("{}\n", format!("$ cmm {cmd}").trim_end()));
         out.push_str(&text(&o.stdout));
         let err = text(&o.stderr);
         if !err.is_empty() {

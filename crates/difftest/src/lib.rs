@@ -199,11 +199,16 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, extra_passes: &[ExtraPass<'_>]) -> FuzzRe
         workers: cfg.jobs,
         queue_cap: 256,
     };
-    let wave = if cfg.jobs <= 1 { 1 } else { cfg.jobs * 8 };
+    // Both sums saturate: `jobs` is a command-line number of any size.
+    let wave = if cfg.jobs <= 1 {
+        1
+    } else {
+        cfg.jobs.saturating_mul(8)
+    };
     let total = cfg.cases as u64;
     let mut next = 0u64;
     'run: while next < total {
-        let hi = (next + wave as u64).min(total);
+        let hi = next.saturating_add(wave as u64).min(total);
         let outcomes = cmm_pool::run_jobs(&pool, (next..hi).collect(), |_, i| {
             check(&case_for(cfg.seed, i))
         });

@@ -278,7 +278,7 @@ mod tests {
         // The registry exports the very cell the cache updates — no
         // copy, no absorb pass.
         s.shard(1).hits.add(5);
-        let text = registry.to_prometheus();
+        let text = registry.to_prometheus(true);
         assert!(
             text.contains("cmm_cache_hits_total{shard=\"1\"} 5"),
             "{text}"

@@ -20,10 +20,11 @@
 //! tallies, cache hit/miss totals under the single-flight counting
 //! discipline, virtual-clock cost histograms); `Timing` metrics are
 //! wall-clock or scheduling artifacts (latency histograms, queue
-//! waits, steal counts). [`MetricsRegistry::to_json`] with
-//! `with_timing = false` emits only the deterministic class, which is
-//! how `cmm batch --metrics-out --no-timing` stays byte-identical
-//! across `-j1` and `-jN`.
+//! waits, steal counts). Both exporters, [`MetricsRegistry::to_json`]
+//! and [`MetricsRegistry::to_prometheus`], emit only the deterministic
+//! class with `with_timing = false`, which is how `cmm batch
+//! --metrics-out --no-timing` and `cmm metrics --no-timing` stay
+//! byte-identical across `-j1` and `-jN`.
 //!
 //! # Histograms and quantile error
 //!
@@ -417,24 +418,27 @@ impl MetricsRegistry {
     }
 
     /// Every entry, merged across stripes into one deterministically
-    /// ordered map.
-    fn collect(&self) -> BTreeMap<MetricId, Entry> {
+    /// ordered map; [`MetricClass::Timing`] entries only `with_timing`.
+    fn collect(&self, with_timing: bool) -> BTreeMap<MetricId, Entry> {
         let mut all = BTreeMap::new();
         for stripe in &self.stripes {
             for (id, e) in stripe.lock().expect("registry poisoned").iter() {
-                all.insert(id.clone(), e.clone());
+                if with_timing || e.class == MetricClass::Deterministic {
+                    all.insert(id.clone(), e.clone());
+                }
             }
         }
         all
     }
 
     /// Prometheus text exposition (`# HELP` / `# TYPE`, cumulative
-    /// `_bucket{le=...}` lines for histograms). Always includes both
-    /// metric classes — a scrape wants everything.
-    pub fn to_prometheus(&self) -> String {
+    /// `_bucket{le=...}` lines for histograms). With `with_timing =
+    /// false`, [`MetricClass::Timing`] families are omitted, as in
+    /// [`MetricsRegistry::to_json`].
+    pub fn to_prometheus(&self, with_timing: bool) -> String {
         let mut out = String::new();
         let mut last_name: Option<String> = None;
-        for (id, e) in self.collect() {
+        for (id, e) in self.collect(with_timing) {
             if last_name.as_deref() != Some(id.name.as_str()) {
                 let _ = writeln!(out, "# HELP {} {}", id.name, e.help);
                 let _ = writeln!(out, "# TYPE {} {}", id.name, e.metric.type_name());
@@ -479,11 +483,7 @@ impl MetricsRegistry {
     /// omitted entirely — the deterministic section `cmm batch` embeds.
     pub fn to_json(&self, with_timing: bool) -> String {
         let mut out = String::from("{\n");
-        let entries: Vec<(MetricId, Entry)> = self
-            .collect()
-            .into_iter()
-            .filter(|(_, e)| with_timing || e.class == MetricClass::Deterministic)
-            .collect();
+        let entries: Vec<(MetricId, Entry)> = self.collect(with_timing).into_iter().collect();
         for (i, (id, e)) in entries.iter().enumerate() {
             let _ = write!(out, "  \"{}\": ", id.render().replace('"', "'"));
             match &e.metric {
@@ -640,7 +640,7 @@ mod tests {
             Metric::Counter(c.clone()),
         );
         c.add(7);
-        assert!(r.to_prometheus().contains("ext_total 7"));
+        assert!(r.to_prometheus(false).contains("ext_total 7"));
         assert!(r.to_json(false).contains("\"ext_total\": 7"));
     }
 
@@ -679,7 +679,8 @@ mod tests {
         h.observe(1);
         h.observe(2);
         h.observe(3);
-        let text = r.to_prometheus();
+        assert!(r.to_prometheus(false).is_empty());
+        let text = r.to_prometheus(true);
         assert!(text.contains("# TYPE lat_ns histogram"));
         assert!(text.contains("lat_ns_bucket{le=\"1\"} 1"));
         assert!(text.contains("lat_ns_bucket{le=\"3\"} 3"));
