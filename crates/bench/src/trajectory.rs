@@ -1,7 +1,7 @@
 //! The benchmark trajectory: every paper workload run under **every**
 //! execution engine of each substrate — the reference step loops, the
-//! pre-decoded/pre-resolved fast paths, and the fused superinstruction
-//! tier — emitting one machine-readable JSON document
+//! pre-resolved abstract machine, and the VM's fast loop over a decoded
+//! and over a fused stream — emitting one machine-readable JSON document
 //! (`BENCH_trajectory.json`).
 //!
 //! Every figure in it is deterministic, so CI regenerates the document

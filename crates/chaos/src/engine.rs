@@ -29,9 +29,9 @@ pub enum EngineId {
     SemResolved,
     /// The simulated target, stepped over `Inst`.
     Vm,
-    /// The simulated target over the pre-decoded stream.
+    /// The simulated target's fast loop over the pre-decoded stream.
     VmDecoded,
-    /// The simulated target over the fused superinstruction stream.
+    /// The same loop over the stream with fused windows.
     VmFused,
 }
 

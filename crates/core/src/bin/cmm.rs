@@ -85,13 +85,26 @@ use frontend::{with_engine, Code, Setup};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run(std::env::args().skip(1).collect()) {
+    match utf8_args().and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cmm: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// The command line after the program name, refusing by position an
+/// argument that is not UTF-8.
+fn utf8_args() -> Result<Vec<String>, String> {
+    std::env::args_os()
+        .skip(1)
+        .enumerate()
+        .map(|(i, a)| {
+            a.into_string()
+                .map_err(|a| format!("argument {} is not UTF-8: {a:?}", i + 1))
+        })
+        .collect()
 }
 
 fn run(argv: Vec<String>) -> Result<(), String> {

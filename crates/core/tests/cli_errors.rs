@@ -670,3 +670,28 @@ fn a_flag_given_twice_is_refused() {
         "--jobs given twice",
     );
 }
+
+/// An argument that is not UTF-8 is refused by position with a `cmm:`
+/// diagnostic, not a panic inside the standard library's argument
+/// iterator.
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_argument_is_refused_by_position() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    let out = Command::new(env!("CARGO_BIN_EXE_cmm"))
+        .args([
+            OsStr::new("run"),
+            OsStr::from_bytes(b"\xff"),
+            OsStr::new("f"),
+        ])
+        .output()
+        .expect("spawn cmm");
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.starts_with("cmm: argument 2 is not UTF-8"),
+        "expected a positioned refusal, got:\n{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -155,8 +155,8 @@ pub fn observe_vm_decoded(prog: &VmProgram, args: (u32, u32), limits: &Limits) -
     observe_plain(EngineId::VmDecoded, &Code::vm(prog), args, limits)
 }
 
-/// [`observe_vm`] over the fused engine ([`cmm_vm::FusedCode`]) — the
-/// same policy, so its observation must be identical.
+/// [`observe_vm`] over the fused stream ([`cmm_vm::DecodedCode::fuse`])
+/// — the same policy, so its observation must be identical.
 pub fn observe_vm_fused(prog: &VmProgram, args: (u32, u32), limits: &Limits) -> (Obs, String) {
     observe_plain(EngineId::VmFused, &Code::vm(prog), args, limits)
 }

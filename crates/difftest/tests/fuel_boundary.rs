@@ -149,12 +149,12 @@ fn vm_engines_agree_at_every_fuel_boundary() {
             m.start("f", &[n], 1);
             m.run(fuel)
         };
-        let run_decoded = |fuel: u64| -> VmStatus {
+        let decoded_at = |fuel: u64| -> VmStatus {
             let mut m = VmMachine::new_decoded(&vp);
             m.start("f", &[n], 1);
             m.run(fuel)
         };
-        let run_fused = |fuel: u64| -> VmStatus {
+        let fused_at = |fuel: u64| -> VmStatus {
             let mut m = VmMachine::new_fused(&vp);
             m.start("f", &[n], 1);
             m.run(fuel)
@@ -163,9 +163,9 @@ fn vm_engines_agree_at_every_fuel_boundary() {
         assert!(fuel > 1, "{name}: completes implausibly fast");
         for f in [fuel - 1, fuel, fuel + 1] {
             let a = run_step(f);
-            let b = run_decoded(f);
+            let b = decoded_at(f);
             assert_eq!(a, b, "{name}: vm engines diverge at fuel {f}");
-            let c = run_fused(f);
+            let c = fused_at(f);
             assert_eq!(a, c, "{name}: fused engine diverges at fuel {f}");
             let complete = f >= fuel;
             assert_eq!(
@@ -179,9 +179,9 @@ fn vm_engines_agree_at_every_fuel_boundary() {
 
 /// The fused engine's fuel accounting is exact at **every** budget, not
 /// just the completion edge: a window head reached with less fuel than
-/// the window needs must delegate to the decoded loop rather than run
-/// ahead, so status, cost, and pc match the decoded engine at all
-/// budgets from 1 to completion.
+/// the window needs must retire the head alone and go on over plain
+/// slots rather than run ahead, so status, cost, and pc match the
+/// decoded engine at all budgets from 1 to completion.
 #[test]
 fn fused_engine_matches_decoded_at_every_fuel_level() {
     for (name, src, n) in workloads() {

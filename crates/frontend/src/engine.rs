@@ -11,7 +11,7 @@ use cmm_obs::TraceSink;
 use cmm_rt::chaos::{EngineId, FaultPlan, ResourceGovernor, Table1};
 use cmm_rt::Thread;
 use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, SemArena, SemEngine};
-use cmm_vm::{DecodedCode, FusedCode, VmArena, VmMachine, VmProgram, VmThread};
+use cmm_vm::{DecodedCode, VmArena, VmMachine, VmProgram, VmThread};
 use std::sync::Arc;
 
 /// The compiled code an engine runs: its family's program plus the
@@ -25,10 +25,9 @@ pub struct Code<'a> {
     pub resolved: Option<&'a ResolvedProgram>,
     /// The target program the VM tiers run.
     pub vm: Option<&'a VmProgram>,
-    /// A shared decoded stream for `vm-decoded` (and for fusing).
-    pub decoded: Option<Arc<DecodedCode>>,
-    /// A shared fused stream for `vm-fused`.
-    pub fused: Option<Arc<FusedCode>>,
+    /// A shared instruction stream for the fast VM tiers: decoded for
+    /// `vm-decoded`, fused for `vm-fused`.
+    pub stream: Option<Arc<DecodedCode>>,
 }
 
 impl<'a> Code<'a> {
@@ -173,19 +172,17 @@ pub fn vm_machine<'p, S: TraceSink>(
     let vp = code
         .vm
         .ok_or_else(|| format!("no compiled code for engine `{}`", engine.name()))?;
-    let decoded = || {
-        code.decoded
-            .clone()
-            .unwrap_or_else(|| Arc::new(DecodedCode::decode(vp)))
-    };
     Ok(match engine {
-        EngineId::VmDecoded => VmMachine::with_sink_shared_decoded_in(vp, decoded(), sink, arena),
-        EngineId::VmFused => {
-            let fused = code
-                .fused
-                .clone()
-                .unwrap_or_else(|| Arc::new(FusedCode::fuse(vp, decoded())));
-            VmMachine::with_sink_shared_fused_in(vp, fused, sink, arena)
+        EngineId::VmDecoded | EngineId::VmFused => {
+            let stream = code.stream.clone().unwrap_or_else(|| {
+                let decoded = Arc::new(DecodedCode::decode(vp));
+                match engine {
+                    EngineId::VmFused => Arc::new(DecodedCode::fuse(vp, decoded)),
+                    _ => decoded,
+                }
+            });
+            debug_assert_eq!(stream.tier, engine, "a stream runs only its own tier");
+            VmMachine::with_sink_shared_decoded_in(vp, stream, sink, arena)
         }
         EngineId::Vm => VmMachine::with_sink_in(vp, sink, arena),
         EngineId::Sem | EngineId::SemResolved => {

@@ -10,7 +10,7 @@
 //! | `Resolved` | `sem-resolved`'s tables, sharing the `Program` | `cmm-sem` resolve |
 //! | `VmCode`  | compiled `VmProgram` | `cmm-vm` codegen |
 //! | `Decoded` | pre-decoded instruction array | `cmm-vm` decode |
-//! | `Fused`   | fused superinstruction stream | `cmm-vm` fuse |
+//! | `Fused`   | the decoded stream with fused windows | `cmm-vm` fuse |
 //!
 //! The digest covers the raw source bytes, the [`OptOptions`], and the
 //! engine [`Family`]: the two abstract-machine engines
@@ -54,7 +54,7 @@ use cmm_obs::{CacheSnapshot, ShardedCacheStats};
 use cmm_opt::OptOptions;
 use cmm_sem::ResolvedProgram;
 use cmm_snap::Digest;
-use cmm_vm::{DecodedCode, FusedCode, VmProgram};
+use cmm_vm::{DecodedCode, VmProgram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
@@ -171,7 +171,8 @@ pub enum Stage {
     VmCode,
     /// Pre-decoded instruction array.
     Decoded,
-    /// Fused superinstruction stream (built over [`Stage::Decoded`]).
+    /// The decoded stream with fused windows (built over
+    /// [`Stage::Decoded`]).
     Fused,
 }
 
@@ -188,8 +189,8 @@ pub enum Artifact {
     VmCode(Arc<VmProgram>),
     /// [`Stage::Decoded`].
     Decoded(Arc<DecodedCode>),
-    /// [`Stage::Fused`].
-    Fused(Arc<FusedCode>),
+    /// [`Stage::Fused`]: the same stream type, with windows.
+    Fused(Arc<DecodedCode>),
 }
 
 impl Artifact {
@@ -216,10 +217,8 @@ impl Artifact {
                 512 + 32 * vp.code.len() as u64 + 24 * vp.image.bytes.len() as u64
             }
             Artifact::Decoded(d) => 64 + 48 * d.insts.len() as u64,
-            // The fused stream keeps its own 16-byte insts plus an Arc
-            // to the plain decoded stream it retains for fuel tails;
-            // the latter is shared with the Decoded entry, so only the
-            // fused array is charged here.
+            // A heuristic like the rest, held fixed because batch
+            // reports pin resident bytes.
             Artifact::Fused(f) => 64 + 16 * f.insts.len() as u64,
         }
     }
@@ -578,24 +577,26 @@ impl PipelineCache {
             EngineId::Vm => code.vm = Some(self.vm_code(id)?),
             EngineId::VmDecoded => {
                 let (vp, decoded) = self.decoded(id)?;
-                (code.vm, code.decoded) = (Some(vp), Some(decoded));
+                (code.vm, code.stream) = (Some(vp), Some(decoded));
             }
             EngineId::VmFused => {
                 let (vp, fused) = self.fused(id)?;
-                (code.vm, code.fused) = (Some(vp), Some(fused));
+                (code.vm, code.stream) = (Some(vp), Some(fused));
             }
         }
         Ok(code)
     }
 
-    /// The compiled program together with its fused superinstruction
-    /// stream. Builds on [`PipelineCache::decoded`]: the fused stream
-    /// retains the decoded stream, so a batch wanting both pays for
-    /// one decode.
-    pub fn fused(&self, id: &SourceId) -> Result<(Arc<VmProgram>, Arc<FusedCode>), String> {
+    /// The compiled program together with its fused stream. Builds on
+    /// [`PipelineCache::decoded`], so a batch wanting both pays for one
+    /// decode.
+    pub fn fused(&self, id: &SourceId) -> Result<(Arc<VmProgram>, Arc<DecodedCode>), String> {
         let (vp, dec) = self.decoded(id)?;
         let art = self.get_or_build(id.digest(), Stage::Fused, || {
-            Ok(Artifact::Fused(Arc::new(FusedCode::fuse(&vp, dec.clone()))))
+            Ok(Artifact::Fused(Arc::new(DecodedCode::fuse(
+                &vp,
+                dec.clone(),
+            ))))
         })?;
         match art {
             Artifact::Fused(f) => Ok((vp, f)),
@@ -611,8 +612,7 @@ pub struct EngineCode {
     program: Option<Arc<Program>>,
     resolved: Option<Arc<ResolvedProgram>>,
     vm: Option<Arc<VmProgram>>,
-    decoded: Option<Arc<DecodedCode>>,
-    fused: Option<Arc<FusedCode>>,
+    stream: Option<Arc<DecodedCode>>,
 }
 
 impl EngineCode {
@@ -622,8 +622,7 @@ impl EngineCode {
             program: self.program.as_deref(),
             resolved: self.resolved.as_deref(),
             vm: self.vm.as_deref(),
-            decoded: self.decoded.clone(),
-            fused: self.fused.clone(),
+            stream: self.stream.clone(),
         }
     }
 }

@@ -445,10 +445,9 @@ impl<'a> ProcGen<'a> {
         for (at, node) in std::mem::take(&mut self.node_fixups) {
             let pc = self.emitted[&node];
             match &mut out.code[at as usize] {
-                Inst::Bnz { target, .. }
-                | Inst::Bz { target, .. }
-                | Inst::Jmp { target }
-                | Inst::Call { target } => *target = pc,
+                Inst::Bz { target, .. } | Inst::Jmp { target } | Inst::Call { target } => {
+                    *target = pc
+                }
                 other => unreachable!("node fixup at {other:?}"),
             }
         }

@@ -1,8 +1,6 @@
 //! Disassembly of generated code (for `cmm dump-vm` and debugging).
 
 use crate::codegen::VmProgram;
-use crate::decode::DOp;
-use crate::fuse::{FInst, FOp};
 use crate::isa::{regs, Inst, Reg};
 use std::fmt::Write as _;
 
@@ -68,449 +66,12 @@ pub fn inst_to_string(i: &Inst) -> String {
                 reg_name(*rb)
             )
         }
-        Inst::Bnz { rs, target } => format!("bnz   {}, {target}", reg_name(*rs)),
         Inst::Bz { rs, target } => format!("bz    {}, {target}", reg_name(*rs)),
         Inst::Jmp { target } => format!("jmp   {target}"),
         Inst::Jr { rs, off } => format!("jr    {}+{off}", reg_name(*rs)),
         Inst::Call { target } => format!("call  {target}"),
         Inst::CallR { rs } => format!("callr {}", reg_name(*rs)),
         Inst::SysYield => "sys.yield".into(),
-    }
-}
-
-/// The mnemonic of the ALU/compare opcode a polymorphic fusion
-/// selected.
-fn sel_name(sel: DOp) -> &'static str {
-    match sel {
-        DOp::Li => "li",
-        DOp::Addi => "addi",
-        DOp::Mov => "mov",
-        DOp::Add32 => "add",
-        DOp::Sub32 => "sub",
-        DOp::Mul32 => "mul",
-        DOp::And32 => "and",
-        DOp::Or32 => "or",
-        DOp::Xor32 => "xor",
-        DOp::Eq32 => "eq",
-        DOp::Ne32 => "ne",
-        DOp::LtU32 => "ltu",
-        DOp::LeU32 => "leu",
-        DOp::GtU32 => "gtu",
-        DOp::GeU32 => "geu",
-        DOp::LtS32 => "lts",
-        DOp::LeS32 => "les",
-        DOp::GtS32 => "gts",
-        DOp::GeS32 => "ges",
-        _ => "?",
-    }
-}
-
-/// Renders one fused instruction. Plain slots (window length 1) render
-/// exactly as [`inst_to_string`] on the original instruction would;
-/// fused heads get a dotted mnemonic chain naming the collapsed
-/// sequence.
-pub fn fused_inst_to_string(f: &FInst, original: &Inst) -> String {
-    let r = |x: u8| reg_name(x);
-    match f.op {
-        FOp::CmpBz => format!(
-            "{}.bz {}, {}, {}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            f.imm2
-        ),
-        FOp::CmpBnz => format!(
-            "{}.bnz {}, {}, {}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            f.imm2
-        ),
-        FOp::LiCmpBz => format!(
-            "li.{}.bz {}, {}, {:#x}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            f.imm,
-            f.imm2
-        ),
-        FOp::LiCmpBnz => format!(
-            "li.{}.bnz {}, {}, {:#x}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            f.imm,
-            f.imm2
-        ),
-        FOp::AluJmp => format!(
-            "{}.jmp {}, {}, {}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            f.imm2
-        ),
-        FOp::AddiStore32 => format!(
-            "addi.st32 {}, {}, {}, {}({})",
-            r(f.a),
-            r(f.b),
-            f.imm as i32,
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::MovCall => format!("mov.call {}, {}, {}", r(f.a), r(f.b), f.imm2),
-        FOp::RetJr => format!(
-            "ld32.addi.jr {}, {}({}), {}, +{}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            f.imm2 as i32,
-            f.d
-        ),
-        FOp::CutJr => format!("cutjr {}, ({})", r(f.a), r(f.b)),
-        FOp::MovMov => format!("mov.mov {}, {}; {}, {}", r(f.a), r(f.b), r(f.c), r(f.d)),
-        FOp::MovLi => format!("mov.li {}, {}; {}, {:#x}", r(f.a), r(f.b), r(f.c), f.imm2),
-        FOp::MovLoad32 => format!(
-            "mov.ld32 {}, {}; {}, {}({})",
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::MovStore32 => format!(
-            "mov.st32 {}, {}; {}, {}({})",
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::LiMov => format!("li.mov {}, {:#x}; {}, {}", r(f.a), f.imm, r(f.c), r(f.d)),
-        FOp::LiStore32 => format!(
-            "li.st32 {}, {:#x}; {}, {}({})",
-            r(f.a),
-            f.imm,
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::LiBin32 => format!(
-            "li.{} {}, {:#x}; {}, {}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm,
-            r(f.d),
-            r(f.b),
-            r(f.c)
-        ),
-        FOp::Load32Mov => format!(
-            "ld32.mov {}, {}({}); {}, {}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            r(f.d)
-        ),
-        FOp::Load32Li => format!(
-            "ld32.li {}, {}({}); {}, {:#x}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2
-        ),
-        FOp::Load32Load32 => format!(
-            "ld32.ld32 {}, {}({}); {}, {}({})",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::Load32Addi => format!(
-            "ld32.addi {}, {}({}); {}, {}, {}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2 as i32
-        ),
-        FOp::Load32Store32 => format!(
-            "ld32.st32 {}, {}({}); {}, {}({})",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::Store32Mov => format!(
-            "st32.mov {}, {}({}); {}, {}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            r(f.d)
-        ),
-        FOp::Store32Li => format!(
-            "st32.li {}, {}({}); {}, {:#x}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2
-        ),
-        FOp::Store32Store32 => format!(
-            "st32.st32 {}, {}({}); {}, {}({})",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::Bin32Store32 => format!(
-            "{}.st32 {}, {}, {}; {}({})",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::Bin32Load32 => format!(
-            "{}.ld32 {}, {}, {}; {}, {}({})",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2,
-            r(f.a)
-        ),
-        FOp::Bin32Mov => format!(
-            "{}.mov {}, {}, {}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d)
-        ),
-        FOp::MovAddi => format!(
-            "mov.addi {}, {}; {}, {}, {}",
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2 as i32
-        ),
-        FOp::Store32Load32 => format!(
-            "st32.ld32 {}, {}({}); {}, {}({})",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::AddiJr => format!(
-            "addi.jr {}, {}, {}; {}+{}",
-            r(f.a),
-            r(f.b),
-            f.imm as i32,
-            r(f.c),
-            f.d
-        ),
-        FOp::Mov3 => format!(
-            "mov.mov.mov {}, {}; {}, {}; {}, {}",
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            r(f.imm as u8),
-            r((f.imm >> 8) as u8)
-        ),
-        FOp::Mov4 => format!(
-            "mov.mov.mov.mov {}, {}; {}, {}; {}, {}; {}, {}",
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            r(f.imm as u8),
-            r((f.imm >> 8) as u8),
-            r(f.imm2 as u8),
-            r((f.imm2 >> 8) as u8)
-        ),
-        FOp::Load32LiBin32 => format!(
-            "ld32.li.{} {}, {}({}); {}, {:#x}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            f.imm2,
-            r(f.d)
-        ),
-        FOp::MovMovCall => format!(
-            "mov.mov.call {}, {}; {}, {}; {}",
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2
-        ),
-        FOp::Load32MovCall => format!(
-            "ld32.mov.call {}, {}({}); {}, {}; {}",
-            r(f.a),
-            f.imm,
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2
-        ),
-        FOp::Load32LiBin32Store32Mov => format!(
-            "ld32.li.{}.st32.mov {}, {}({}); {}, {:#x}; {}; {}({}); {}, {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm & 0xffff,
-            r(f.b),
-            r(f.c),
-            f.imm2 & 0xffff,
-            r(f.d),
-            f.imm >> 16,
-            r(f.b),
-            r((f.imm2 >> 16) as u8),
-            r((f.imm2 >> 24) as u8)
-        ),
-        FOp::MovRun => format!("mov.run x{}, [{}..{}]", f.n, f.imm, f.imm + u32::from(f.n)),
-        FOp::Store32MovLoad32LiBin32 => format!(
-            "st32.mov.ld32.li.{} {}, {}({}); {}, {}; {}, {}({}); {}, {:#x}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm & 0xffff,
-            r(f.b),
-            r(f.a),
-            r(f.c),
-            r((f.imm2 >> 8) as u8),
-            f.imm >> 16,
-            r(f.d),
-            r((f.imm2 >> 16) as u8),
-            f.imm2 & 0xff,
-            r((f.imm2 >> 24) as u8)
-        ),
-        FOp::LiBin32Load32Mov => format!(
-            "li.{}.ld32.mov {}, {:#x}; {}, {}, {}; {}, {}({}); {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm,
-            r(f.d),
-            r(f.b),
-            r(f.c),
-            r((f.imm2 >> 16) as u8),
-            f.imm2 & 0xffff,
-            r(f.d),
-            r((f.imm2 >> 24) as u8)
-        ),
-        FOp::LiBin32Mov => format!(
-            "li.{}.mov {}, {:#x}; {}, {}, {}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm,
-            r(f.d),
-            r(f.b),
-            r(f.c),
-            r(f.imm2 as u8)
-        ),
-        FOp::LiBin32MovJmp => format!(
-            "li.{}.mov.jmp {}, {:#x}; {}, {}, {}; {}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm,
-            r(f.d),
-            r(f.b),
-            r(f.c),
-            r((f.imm2 >> 24) as u8),
-            f.imm2 & 0xff_ffff
-        ),
-        FOp::Load32Load32CmpBz => format!(
-            "ld32.ld32.{}.bz {}, {}({}); {}, {}({}); {}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm & 0xffff,
-            r(f.b),
-            r(f.c),
-            f.imm >> 16,
-            r(f.d),
-            r((f.imm2 >> 24) as u8),
-            f.imm2 & 0xff_ffff
-        ),
-        FOp::Load32LiBin32Store32Jmp => format!(
-            "ld32.li.{}.st32.jmp {}, {}({}); {}, {:#x}; {}; {}({}); {}",
-            sel_name(f.sel),
-            r(f.a),
-            f.imm & 0xffff,
-            r(f.b),
-            r(f.c),
-            f.imm2 >> 24,
-            r(f.d),
-            f.imm >> 16,
-            r(f.b),
-            f.imm2 & 0xff_ffff
-        ),
-        FOp::Load32MovLoad32MovCall => format!(
-            "ld32.mov.ld32.mov.call {}, {}({}); {}; {}, {}({}); {}; {}",
-            r(f.a),
-            f.imm & 0xffff,
-            r(f.b),
-            r((f.imm2 >> 16) as u8),
-            r(f.c),
-            f.imm >> 16,
-            r(f.d),
-            r((f.imm2 >> 24) as u8),
-            f.imm2 & 0xffff
-        ),
-        FOp::Bin32Li => format!(
-            "{}.li {}, {}, {}; {}, {:#x}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2
-        ),
-        FOp::Load32AddiJmp => format!(
-            "ld32.addi.jmp {}, {}({}); {}, {}, {}; {}",
-            r(f.a),
-            f.imm & 0xffff,
-            r(f.b),
-            r(f.c),
-            r(f.d),
-            f.imm2 as i32,
-            f.imm >> 16
-        ),
-        FOp::MovBin32Mov => format!(
-            "mov.{}.mov {}, {}; {}, {}, {}; {}",
-            sel_name(f.sel),
-            r(f.a),
-            r(f.b),
-            r(f.d),
-            r(f.c),
-            r(f.imm as u8),
-            r(f.imm2 as u8)
-        ),
-        FOp::WriteRun => format!(
-            "write.run x{}, [{}..{}]",
-            f.d,
-            f.imm,
-            f.imm + u32::from(f.d)
-        ),
-        FOp::ReadRun => format!("read.run x{}, [{}..{}]", f.d, f.imm, f.imm + u32::from(f.d)),
-        _ => inst_to_string(original),
     }
 }
 

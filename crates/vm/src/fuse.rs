@@ -1,438 +1,64 @@
-//! Fused execution engine: the third VM tier.
+//! The fusion pass: `vm-fused`'s stream.
 //!
-//! [`FusedCode`] is a further lowering of [`DecodedCode`]: a linear,
-//! index-preserving pass recognizes the short instruction sequences the
-//! profiler attributes most dispatch cost to — compare-and-branch,
-//! constant-compare-and-branch, assign-then-jump, the call/return
-//! epilogue (`ld32 ra; addi sp; jr ra+i`), the two-load stack cut, the
-//! frame-push store, and the argument-shuffle call — and collapses each
-//! into a single pre-resolved superinstruction ([`FInst`]). The flat
-//! dispatch loop then retires a whole window per match arm, with branch
-//! targets and register slots read straight out of the fused word.
+//! [`DecodedCode::fuse`] (also reachable as [`FusedCode::fuse`]) is a
+//! linear, index-preserving pass over a decoded stream. It recognizes
+//! the short instruction sequences the profiler attributes most
+//! dispatch cost to — compare-and-branch, constant-compare-and-branch,
+//! assign-then-jump, the call/return epilogue (`ld32 ra; addi sp;
+//! jr ra+i`), the two-load stack cut, the frame-push store, the
+//! argument-shuffle call, and the record build and restore of CPS
+//! lowering — and overwrites the head of each with a window opcode of
+//! the one [`DOp`] enum. The result is still a [`DecodedCode`], run by
+//! the same loop as a plain stream (`VmMachine::run_code`); only its
+//! [`DecodedCode::tier`] says `vm-fused`.
 //!
-//! Two invariants keep the tier honest:
+//! Four invariants keep the tier honest:
 //!
 //! * **Index preservation.** `insts[pc]` still corresponds to
-//!   `code[pc]`; a fused head carries its window length `n`, and every
-//!   *interior* slot of a window keeps its plain decoded opcode. A
-//!   transfer that lands mid-window (possible only when the fusion pass
-//!   missed an entry point — see below) therefore executes the plain
-//!   tail of the window one instruction at a time, bit-identically to
-//!   the decoded engine.
+//!   `code[pc]`; a window head carries its window length `n`, and every
+//!   *interior* slot of a window keeps its plain opcode. A transfer
+//!   that lands mid-window (possible only when the pass missed an entry
+//!   point — see below) therefore executes the plain tail of the window
+//!   one instruction at a time, bit-identically to the plain stream.
 //! * **Entry-point suppression.** A window is only formed when none of
 //!   its interior pcs can be entered directly: branch targets, call
 //!   return addresses (`pc+1` of every call/yield), branch-table rows
 //!   (`site..=site+alternates`), unwind continuation pcs, procedure
 //!   entries, image code addresses, and continuation entries all
 //!   suppress fusion across them. Heads may be entry points.
+//! * **Per-instruction accounting.** Execution inside a window is
+//!   strictly sequential over the original operand registers, so
+//!   operand aliasing (e.g. a `li` feeding the compare it fuses with,
+//!   or a cut loading over its own base register) behaves exactly as
+//!   on the plain stream. Costs are charged per *original* instruction
+//!   (a window of length `n` charges `n` instructions plus the same
+//!   load/store/branch/call breakdown), trace events fire with the same
+//!   payloads at the same cost-clock stamps, and the resource governor
+//!   is consulted at the same transitions (mapped-byte check after the
+//!   store of a fused frame push, stack-floor check at the call of a
+//!   fused argument shuffle).
+//! * **Fuel boundaries.** If the remaining fuel cannot cover a whole
+//!   window, the loop finishes the slice on the reference
+//!   [`VmMachine::step`], one original instruction at a time, so
+//!   fuel-boundary behaviour (N−1/N/N+1) is inherited rather than
+//!   re-implemented.
 //!
-//! Execution inside a window is strictly sequential over the original
-//! operand registers, so operand aliasing (e.g. a `li` feeding the
-//! compare it fuses with, or a cut loading over its own base register)
-//! behaves exactly as in the decoded engine. Costs are charged per
-//! *original* instruction (a window of length `n` charges `n`
-//! instructions plus the same load/store/branch/call breakdown), trace
-//! events fire with the same payloads at the same cost-clock stamps, and
-//! the resource governor is consulted at the same transitions
-//! (mapped-byte check after the store of a fused frame push, stack-floor
-//! check at the call of a fused argument shuffle). If the remaining fuel
-//! cannot cover a whole window the engine delegates the rest of the
-//! slice to [`VmMachine::run_decoded`] over the retained plain stream,
-//! so fuel-boundary behaviour (N−1/N/N+1) is inherited rather than
-//! re-implemented.
+//! Every window opcode forms on a committed program (the
+//! `every_window_opcode_forms_on_a_committed_program` test), so a new
+//! pattern comes with a program that forms it.
+//!
+//! [`VmMachine::step`]: crate::machine::VmMachine::step
 
 use crate::codegen::VmProgram;
-use crate::decode::{DInst, DOp, DecodedCode};
+use crate::decode::{DInst, DOp, DecodedCode, FieldStep};
 use crate::isa::{regs, Inst};
-use crate::machine::{name_at, Cost, VmMachine, VmStatus};
-use cmm_ir::expr::sign_extend;
-use cmm_ir::Width;
-use cmm_obs::{Event, TraceSink};
+use cmm_chaos::EngineId;
 use std::sync::Arc;
 
-/// A fused opcode: every plain [`DOp`] has a 1:1 counterpart (so plain
-/// slots dispatch in the same flat match), plus one variant per fused
-/// pattern.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum FOp {
-    /// Plain [`DOp::Halt`].
-    Halt,
-    /// Plain [`DOp::Li`].
-    Li,
-    /// Plain [`DOp::Addi`].
-    Addi,
-    /// Plain [`DOp::Mov`].
-    Mov,
-    /// Plain [`DOp::Add32`].
-    Add32,
-    /// Plain [`DOp::Sub32`].
-    Sub32,
-    /// Plain [`DOp::Mul32`].
-    Mul32,
-    /// Plain [`DOp::And32`].
-    And32,
-    /// Plain [`DOp::Or32`].
-    Or32,
-    /// Plain [`DOp::Xor32`].
-    Xor32,
-    /// Plain [`DOp::Eq32`].
-    Eq32,
-    /// Plain [`DOp::Ne32`].
-    Ne32,
-    /// Plain [`DOp::LtU32`].
-    LtU32,
-    /// Plain [`DOp::LeU32`].
-    LeU32,
-    /// Plain [`DOp::GtU32`].
-    GtU32,
-    /// Plain [`DOp::GeU32`].
-    GeU32,
-    /// Plain [`DOp::LtS32`].
-    LtS32,
-    /// Plain [`DOp::LeS32`].
-    LeS32,
-    /// Plain [`DOp::GtS32`].
-    GtS32,
-    /// Plain [`DOp::GeS32`].
-    GeS32,
-    /// Plain [`DOp::BinSlow`].
-    BinSlow,
-    /// Plain [`DOp::UnSlow`].
-    UnSlow,
-    /// Plain [`DOp::Load8`].
-    Load8,
-    /// Plain [`DOp::Load16`].
-    Load16,
-    /// Plain [`DOp::Load32`].
-    Load32,
-    /// Plain [`DOp::Load64`].
-    Load64,
-    /// Plain [`DOp::Store8`].
-    Store8,
-    /// Plain [`DOp::Store16`].
-    Store16,
-    /// Plain [`DOp::Store32`].
-    Store32,
-    /// Plain [`DOp::Store64`].
-    Store64,
-    /// Plain [`DOp::Bnz`].
-    Bnz,
-    /// Plain [`DOp::Bz`].
-    Bz,
-    /// Plain [`DOp::Jmp`].
-    Jmp,
-    /// Plain [`DOp::Jr`].
-    Jr,
-    /// Plain [`DOp::Call`].
-    Call,
-    /// Plain [`DOp::CallR`].
-    CallR,
-    /// Plain [`DOp::SysYield`].
-    SysYield,
-    /// Fused 32-bit compare (`sel`) + `bz`: `a ← cmp(b, c); if a == 0
-    /// goto imm2`. Window length 2.
-    CmpBz,
-    /// Fused 32-bit compare (`sel`) + `bnz`. Window length 2.
-    CmpBnz,
-    /// Fused `li c, imm` + 32-bit compare (`sel`, right operand `c`) +
-    /// `bz a, imm2`. Window length 3.
-    LiCmpBz,
-    /// As [`FOp::LiCmpBz`] with a `bnz` tail. Window length 3.
-    LiCmpBnz,
-    /// Fused ALU op (`sel` ∈ li/addi/mov/fast-bin32) + `jmp imm2`.
-    /// Window length 2.
-    AluJmp,
-    /// Fused `addi a, b, imm` + `st32 c, imm2(d)` (most often the frame
-    /// push `addi sp, sp, -frame; st32 ra, off(sp)`, where `d = a`; the
-    /// store base may be any register). Window length 2.
-    AddiStore32,
-    /// Fused `mov a, b` + `call imm2` (argument shuffle feeding a
-    /// direct call). Window length 2.
-    MovCall,
-    /// Fused return epilogue: `ld32 a, imm(b); addi b, b, imm2;
-    /// jr a+d` (in the generated code `b` = sp, `a` = ra, `d` the
-    /// branch-table row). Window length 3.
-    RetJr,
-    /// Fused stack cut: `ld32 a, 0(b); ld32 sp, 4(b); jr a+0` — the
-    /// §5.4 "restores 2 pointers" sequence. Window length 3.
-    CutJr,
-    // --- generic straight-line pairs ---
-    //
-    // Two adjacent independent ALU / 32-bit memory operations packed
-    // into one dispatch. Slots execute strictly in order over the
-    // original registers, so operand aliasing between the two halves
-    // behaves exactly as in the decoded engine. All are window
-    // length 2.
-    /// `mov a, b; mov c, d`.
-    MovMov,
-    /// `mov a, b; li c, imm2`.
-    MovLi,
-    /// `mov a, b; ld32 c, imm2(d)`.
-    MovLoad32,
-    /// `mov a, b; st32 c, imm2(d)`.
-    MovStore32,
-    /// `li a, imm; mov c, d`.
-    LiMov,
-    /// `li a, imm; st32 c, imm2(d)`.
-    LiStore32,
-    /// `li a, imm; bin32 d, b, c` (`sel` names the 32-bit binary op).
-    LiBin32,
-    /// `ld32 a, imm(b); mov c, d`.
-    Load32Mov,
-    /// `ld32 a, imm(b); li c, imm2`.
-    Load32Li,
-    /// `ld32 a, imm(b); ld32 c, imm2(d)`.
-    Load32Load32,
-    /// `ld32 a, imm(b); addi c, d, imm2`.
-    Load32Addi,
-    /// `ld32 a, imm(b); st32 c, imm2(d)`.
-    Load32Store32,
-    /// `st32 a, imm(b); mov c, d`.
-    Store32Mov,
-    /// `st32 a, imm(b); li c, imm2`.
-    Store32Li,
-    /// `st32 a, imm(b); st32 c, imm2(d)`.
-    Store32Store32,
-    /// `bin32 a, b, c (sel); st32 a, imm2(d)` — compute then store the
-    /// result (store value must be the ALU destination).
-    Bin32Store32,
-    /// `bin32 a, b, c (sel); ld32 d, imm2(a)` — compute an address then
-    /// load through it (load base must be the ALU destination).
-    Bin32Load32,
-    /// `bin32 a, b, c (sel); mov d, a` — compute then copy the result
-    /// (move source must be the ALU destination).
-    Bin32Mov,
-    /// `mov a, b; addi c, d, imm2`.
-    MovAddi,
-    /// `st32 a, imm(b); ld32 c, imm2(d)`.
-    Store32Load32,
-    /// `addi a, b, imm; jr c + d` — frame pop feeding an indirect jump
-    /// (the jump offset must fit `d`'s byte).
-    AddiJr,
-    // Wider windows (length 3 and 4). Extra register operands beyond
-    // `a`–`d` are packed into the immediate words, one byte per
-    // register, little-endian.
-    /// `mov a, b; mov c, d; mov imm[0], imm[1]` — a run of three moves.
-    Mov3,
-    /// `mov a, b; mov c, d; mov imm[0], imm[1]; mov imm2[0], imm2[1]` —
-    /// a run of four moves.
-    Mov4,
-    /// `ld32 a, imm(b); li c, imm2; bin32 d, a, c` (`sel` names the
-    /// 32-bit binary op; its operands must be the two just-defined
-    /// registers, in order).
-    Load32LiBin32,
-    /// `mov a, b; mov c, d; call imm2` — argument shuffle feeding a
-    /// call.
-    MovMovCall,
-    /// `ld32 a, imm(b); mov c, d; call imm2` — reload plus argument
-    /// shuffle feeding a call.
-    Load32MovCall,
-    /// The whole `x op= k` stack-slot body plus the trailing shuffle:
-    /// `ld32 a, lo16(imm)(b); li c, imm2[0..16]; bin32 d, a, c;
-    /// st32 d, hi16(imm)(b); mov imm2[2], imm2[3]`. Both offsets and
-    /// the literal must fit sixteen bits, and the store must write the
-    /// ALU result back through the load's base register. Window
-    /// length 5.
-    Load32LiBin32Store32Mov,
-    /// A run of `n` moves (`5 ≤ n ≤ 255`), register pairs held in the
-    /// [`FusedCode::mov_runs`] side table starting at index `imm`
-    /// (destination in the low byte, source in the high byte). The long
-    /// continuation argument shuffles CPS lowering produces.
-    MovRun,
-    /// The record write-out step: `st32 a, lo16(imm)(b); mov a, c;
-    /// ld32 imm2[1], hi16(imm)(d); li imm2[2], imm2[0];
-    /// bin32 imm2[3], imm2[1], imm2[2]` — store a field, stage the next
-    /// value into the store register, recompute the field pointer. The
-    /// move must overwrite the store's value register, both offsets
-    /// must fit sixteen bits, and the literal must fit one byte.
-    /// Window length 5.
-    Store32MovLoad32LiBin32,
-    /// The record read-in step: `li a, imm; bin32 d, b, c;
-    /// ld32 imm2[2], lo16(imm2)(d); mov imm2[3], imm2[2]` — materialise
-    /// a field offset, compute the field pointer, load through it, move
-    /// the value home. The load must go through the ALU destination and
-    /// the move must copy the loaded register; the load offset must fit
-    /// sixteen bits. Window length 4.
-    LiBin32Load32Mov,
-    /// `li a, imm; bin32 d, b, c; mov imm2[0], d` — compute into a
-    /// temporary and copy the result home. The move source must be the
-    /// ALU destination. Window length 3.
-    LiBin32Mov,
-    /// As [`FOp::LiBin32Mov`] plus a trailing `jmp` — the counted-loop
-    /// tail `x = x op k; goto head`. The move destination packs into
-    /// the top byte of `imm2`, above the 24-bit jump target. Window
-    /// length 4.
-    LiBin32MovJmp,
-    /// `ld32 a, lo16(imm)(b); ld32 c, hi16(imm)(d); cmp e, a, c;
-    /// bz e, imm2[0..24]` — the counted-loop header: reload the counter
-    /// and the bound, compare, exit if done. The compare destination
-    /// packs into the top byte of `imm2`, above the 24-bit branch
-    /// target. Window length 4.
-    Load32Load32CmpBz,
-    /// The whole `slot op= k; goto head` loop back-edge:
-    /// `ld32 a, lo16(imm)(b); li c, imm2[3]; bin32 d, a, c;
-    /// st32 d, hi16(imm)(b); jmp imm2[0..24]`. Both offsets must fit
-    /// sixteen bits, the literal one byte, the target twenty-four, and
-    /// the store must write the ALU result back through the load's base
-    /// register. Window length 5.
-    Load32LiBin32Store32Jmp,
-    /// The two-argument reload-and-shuffle call:
-    /// `ld32 a, lo16(imm)(b); mov imm2[2], a; ld32 c, hi16(imm)(d);
-    /// mov imm2[3], c; call imm2[0..16]`. Each move must copy the
-    /// just-loaded register; offsets and the call target must fit
-    /// sixteen bits. Window length 5.
-    Load32MovLoad32MovCall,
-    /// `bin32 a, b, c (sel); li d, imm2` — compute, then materialise an
-    /// independent constant. Window length 2.
-    Bin32Li,
-    /// `ld32 a, lo16(imm)(b); addi c, d, imm2; jmp hi16(imm)` — reload,
-    /// adjust a pointer, and take the block's unconditional exit.
-    /// Window length 3.
-    Load32AddiJmp,
-    /// A run of `2 ≤ rows ≤ 51` consecutive record write-out steps
-    /// (each the five-instruction [`FOp::Store32MovLoad32LiBin32`]
-    /// sequence), rows held in the [`FusedCode::field_runs`] side table
-    /// starting at index `imm`. The CPS record build emits one step per
-    /// saved live variable; the whole build retires in one dispatch.
-    /// Window length `5 * rows`.
-    WriteRun,
-    /// A run of `2 ≤ rows ≤ 63` consecutive record read-in steps (each
-    /// the four-instruction [`FOp::LiBin32Load32Mov`] sequence), rows
-    /// held in the [`FusedCode::field_runs`] side table starting at
-    /// index `imm`. The continuation entry restores every saved live
-    /// variable; the whole restore retires in one dispatch. Window
-    /// length `4 * rows`.
-    ReadRun,
-    /// `mov a, b; bin32 d, c, imm[0]; mov imm2[0], d` — shuffle an
-    /// argument, compute into a temporary, copy the result home. The
-    /// move source must be the ALU destination. Window length 3.
-    MovBin32Mov,
-}
-
-/// One row of a [`FOp::WriteRun`] or [`FOp::ReadRun`] window: the
-/// pre-decoded operands of one record-field step. For a write row the
-/// fields name `st32 a, off1(b); mov a, c; ld32 e, off2(d); li g, k;
-/// bin32(op) h, e, g`; for a read row `li a, k; bin32(op) d, b, c;
-/// ld32 e, off1(d); mov g, e`.
-#[derive(Clone, Copy, Debug)]
-pub struct FieldStep {
-    /// The row's 32-bit binary opcode (the field-pointer arithmetic).
-    pub op: DOp,
-    /// First register operand (see the per-kind layout above).
-    pub a: u8,
-    /// Second register operand.
-    pub b: u8,
-    /// Third register operand.
-    pub c: u8,
-    /// Fourth register operand.
-    pub d: u8,
-    /// Fifth register operand (the loaded register).
-    pub e: u8,
-    /// Sixth register operand (write: the `li` destination; read: the
-    /// move destination).
-    pub g: u8,
-    /// Seventh register operand (write: the ALU destination; unused
-    /// for read rows).
-    pub h: u8,
-    /// First byte offset.
-    pub off1: u32,
-    /// Second byte offset (write rows only).
-    pub off2: u32,
-    /// The literal.
-    pub k: u32,
-}
-
-/// One fused instruction word: flat opcode, the selecting plain opcode
-/// for polymorphic fusions (`sel`), four register/row operands, the
-/// window length `n`, and two immediates. Sixteen bytes.
-#[derive(Clone, Copy, Debug)]
-pub struct FInst {
-    /// Fused opcode.
-    pub op: FOp,
-    /// For polymorphic fusions ([`FOp::CmpBz`]/[`FOp::AluJmp`]/…): the
-    /// plain opcode of the selected head operation. For plain slots:
-    /// the slot's own decoded opcode.
-    pub sel: DOp,
-    /// First operand (destination, or stored/tested source).
-    pub a: u8,
-    /// Second operand (source/base register).
-    pub b: u8,
-    /// Third operand (second source, or stored value register).
-    pub c: u8,
-    /// Fourth operand ([`FOp::RetJr`]: the `jr` offset / branch-table
-    /// row).
-    pub d: u8,
-    /// Window length: how many original instructions this word retires
-    /// (1 for plain slots).
-    pub n: u8,
-    /// First immediate (value or byte offset).
-    pub imm: u32,
-    /// Second immediate (branch/jump/call target, or second offset).
-    pub imm2: u32,
-}
-
-/// The fused form of a whole program. Index-preserving: `insts[pc]`
-/// corresponds to `code[pc]`; interior slots of fused windows keep
-/// their plain opcode. The plain decoded stream is retained for
-/// fuel-boundary delegation.
-#[derive(Debug)]
-pub struct FusedCode {
-    /// The dense fused array, index-aligned with the source code.
-    pub insts: Vec<FInst>,
-    /// Register pairs for [`FOp::MovRun`] windows (destination in the
-    /// low byte, source in the high byte), in execution order.
-    pub mov_runs: Vec<u16>,
-    /// Rows for [`FOp::WriteRun`] and [`FOp::ReadRun`] windows, in
-    /// execution order.
-    pub field_runs: Vec<FieldStep>,
-    /// The plain decoded stream this was fused from (shared; used when
-    /// a fuel slice ends inside a window).
-    pub plain: Arc<DecodedCode>,
-}
-
-/// The 1:1 plain lowering of a decoded opcode.
-fn plain_op(op: DOp) -> FOp {
-    match op {
-        DOp::Halt => FOp::Halt,
-        DOp::Li => FOp::Li,
-        DOp::Addi => FOp::Addi,
-        DOp::Mov => FOp::Mov,
-        DOp::Add32 => FOp::Add32,
-        DOp::Sub32 => FOp::Sub32,
-        DOp::Mul32 => FOp::Mul32,
-        DOp::And32 => FOp::And32,
-        DOp::Or32 => FOp::Or32,
-        DOp::Xor32 => FOp::Xor32,
-        DOp::Eq32 => FOp::Eq32,
-        DOp::Ne32 => FOp::Ne32,
-        DOp::LtU32 => FOp::LtU32,
-        DOp::LeU32 => FOp::LeU32,
-        DOp::GtU32 => FOp::GtU32,
-        DOp::GeU32 => FOp::GeU32,
-        DOp::LtS32 => FOp::LtS32,
-        DOp::LeS32 => FOp::LeS32,
-        DOp::GtS32 => FOp::GtS32,
-        DOp::GeS32 => FOp::GeS32,
-        DOp::BinSlow => FOp::BinSlow,
-        DOp::UnSlow => FOp::UnSlow,
-        DOp::Load8 => FOp::Load8,
-        DOp::Load16 => FOp::Load16,
-        DOp::Load32 => FOp::Load32,
-        DOp::Load64 => FOp::Load64,
-        DOp::Store8 => FOp::Store8,
-        DOp::Store16 => FOp::Store16,
-        DOp::Store32 => FOp::Store32,
-        DOp::Store64 => FOp::Store64,
-        DOp::Bnz => FOp::Bnz,
-        DOp::Bz => FOp::Bz,
-        DOp::Jmp => FOp::Jmp,
-        DOp::Jr => FOp::Jr,
-        DOp::Call => FOp::Call,
-        DOp::CallR => FOp::CallR,
-        DOp::SysYield => FOp::SysYield,
-    }
-}
+/// The fused stream's type: a [`DecodedCode`] whose
+/// [`DecodedCode::tier`] is `vm-fused`. The name stays because the
+/// repository benchmark builds `vm-fused` through [`FusedCode::fuse`].
+pub type FusedCode = DecodedCode;
 
 fn is_cmp32(op: DOp) -> bool {
     matches!(
@@ -466,8 +92,8 @@ fn is_alu(op: DOp) -> bool {
 }
 
 /// The fast 32-bit binary ops (arithmetic, bitwise, compares) — the
-/// `sel` domain of the [`FOp::LiBin32`]/[`FOp::Bin32Store32`]/
-/// [`FOp::Bin32Load32`]/[`FOp::Bin32Mov`] fusions.
+/// `sel` domain of the [`DOp::LiBin32`]/[`DOp::Bin32Store32`]/
+/// [`DOp::Bin32Mov`] fusions and of the record-step rows.
 fn is_bin32(op: DOp) -> bool {
     matches!(
         op,
@@ -494,9 +120,7 @@ fn entry_points(program: &VmProgram, n: usize) -> Vec<bool> {
     }
     for (pc, inst) in program.code.iter().enumerate() {
         match *inst {
-            Inst::Bnz { target, .. } | Inst::Bz { target, .. } | Inst::Jmp { target } => {
-                mark(target)
-            }
+            Inst::Bz { target, .. } | Inst::Jmp { target } => mark(target),
             Inst::Call { target } => {
                 mark(target);
                 mark(pc as u32 + 1);
@@ -535,23 +159,23 @@ fn entry_points(program: &VmProgram, n: usize) -> Vec<bool> {
 /// let any earlier window straddle one, so a cheap straight-line pair
 /// formed two slots upstream can never shear the high-value window
 /// off its head.
-const fn is_anchor(op: FOp) -> bool {
+const fn is_anchor(op: DOp) -> bool {
     matches!(
         op,
-        FOp::CutJr
-            | FOp::RetJr
-            | FOp::AddiJr
-            | FOp::LiBin32MovJmp
-            | FOp::Load32Load32CmpBz
-            | FOp::Load32LiBin32Store32Jmp
-            | FOp::Load32MovLoad32MovCall
+        DOp::CutJr
+            | DOp::RetJr
+            | DOp::AddiJr
+            | DOp::LiBin32MovJmp
+            | DOp::Load32Load32CmpBz
+            | DOp::Load32LiBin32Store32Jmp
+            | DOp::Load32MovLoad32MovCall
     )
 }
 
 /// Does the record write-out step head at `pc`? (`st32; mov; ld32;
 /// li; bin32`, with the move overwriting the store's value register
-/// and the ALU consuming the two just-defined registers — the
-/// [`FOp::Store32MovLoad32LiBin32`] shape without immediate limits.)
+/// and the ALU consuming the two just-defined registers: a write row
+/// of [`FieldStep`].)
 fn write_step_at(d: &[DInst], pc: usize) -> bool {
     pc + 4 < d.len() && {
         let (i0, i1, i2, i3, i4) = (d[pc], d[pc + 1], d[pc + 2], d[pc + 3], d[pc + 4]);
@@ -584,8 +208,8 @@ fn write_step(d: &[DInst], pc: usize) -> FieldStep {
 }
 
 /// Does the record read-in step head at `pc`? (`li; bin32; ld32; mov`,
-/// loading through the ALU destination and copying the loaded register
-/// — the [`FOp::LiBin32Load32Mov`] shape without immediate limits.)
+/// loading through the ALU destination and copying the loaded
+/// register: a read row of [`FieldStep`].)
 fn read_step_at(d: &[DInst], pc: usize) -> bool {
     pc + 3 < d.len() && {
         let (i0, i1, i2, i3) = (d[pc], d[pc + 1], d[pc + 2], d[pc + 3]);
@@ -618,10 +242,10 @@ fn read_step(d: &[DInst], pc: usize) -> FieldStep {
 /// Attempts to fuse a window starting at `pc`. Interior slots must not
 /// be entry points or protected anchor heads (heads may be either).
 /// Longest patterns win.
-fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<FInst> {
+fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<DInst> {
     let clear = |len: usize| (pc + 1..pc + len).all(|i| !entry[i] && !protect[i]);
     let f = |op, sel, a, b, c, dd, n, imm, imm2| {
-        Some(FInst {
+        Some(DInst {
             op,
             sel,
             a,
@@ -637,34 +261,6 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
     // --- 5-instruction windows ---
     if pc + 4 < d.len() && clear(5) {
         let (i1, i2, i3, i4) = (d[pc + 1], d[pc + 2], d[pc + 3], d[pc + 4]);
-        // ld32 a, off(b); li c, k; bin32 d, a, c; st32 d, off2(b);
-        // mov e, f — the `x op= k` read-modify-write body plus its
-        // trailing shuffle. Offsets and literal must fit 16 bits.
-        if i0.op == DOp::Load32
-            && i1.op == DOp::Li
-            && is_bin32(i2.op)
-            && i2.b == i0.a
-            && i2.c == i1.a
-            && i3.op == DOp::Store32
-            && i3.a == i2.a
-            && i3.b == i0.b
-            && i4.op == DOp::Mov
-            && i0.imm <= 0xffff
-            && i3.imm <= 0xffff
-            && i1.imm <= 0xffff
-        {
-            return f(
-                FOp::Load32LiBin32Store32Mov,
-                i2.op,
-                i0.a,
-                i0.b,
-                i1.a,
-                i2.a,
-                5,
-                i0.imm | i3.imm << 16,
-                i1.imm | u32::from(i4.a) << 16 | u32::from(i4.b) << 24,
-            );
-        }
         // ld32 a, off(b); li c, k; bin32 d, a, c; st32 d, off2(b);
         // jmp t — the whole `slot op= k; goto head` loop back-edge.
         if i0.op == DOp::Load32
@@ -682,7 +278,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i4.imm <= 0xff_ffff
         {
             return f(
-                FOp::Load32LiBin32Store32Jmp,
+                DOp::Load32LiBin32Store32Jmp,
                 i2.op,
                 i0.a,
                 i0.b,
@@ -707,7 +303,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i4.imm <= 0xffff
         {
             return f(
-                FOp::Load32MovLoad32MovCall,
+                DOp::Load32MovLoad32MovCall,
                 DOp::Call,
                 i0.a,
                 i0.b,
@@ -718,33 +314,6 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                 i4.imm | u32::from(i1.a) << 16 | u32::from(i3.a) << 24,
             );
         }
-        // st32 a, off(b); mov a, c; ld32 e, off2(d); li g, k;
-        // bin32 h, e, g — the record write-out step. The three result
-        // registers and the one-byte literal pack into imm2.
-        if i0.op == DOp::Store32
-            && i1.op == DOp::Mov
-            && i1.a == i0.a
-            && i2.op == DOp::Load32
-            && i3.op == DOp::Li
-            && is_bin32(i4.op)
-            && i4.b == i2.a
-            && i4.c == i3.a
-            && i0.imm <= 0xffff
-            && i2.imm <= 0xffff
-            && i3.imm <= 0xff
-        {
-            return f(
-                FOp::Store32MovLoad32LiBin32,
-                i4.op,
-                i0.a,
-                i0.b,
-                i1.b,
-                i2.b,
-                5,
-                i0.imm | i2.imm << 16,
-                i3.imm | u32::from(i2.a) << 8 | u32::from(i3.a) << 16 | u32::from(i4.a) << 24,
-            );
-        }
     }
     // --- 4-instruction windows ---
     if pc + 3 < d.len() && clear(4) {
@@ -752,7 +321,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // A run of four moves (continuation argument shuffles).
         if [i0.op, i1.op, i2.op, i3.op] == [DOp::Mov; 4] {
             return f(
-                FOp::Mov4,
+                DOp::Mov4,
                 DOp::Mov,
                 i0.a,
                 i0.b,
@@ -761,29 +330,6 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                 4,
                 u32::from(i2.a) | u32::from(i2.b) << 8,
                 u32::from(i3.a) | u32::from(i3.b) << 8,
-            );
-        }
-        // li a, imm; bin32 d, b, c; ld32 e, off(d); mov f, e — the
-        // record read-in step. Load and move destinations pack into
-        // imm2 above the sixteen-bit load offset.
-        if i0.op == DOp::Li
-            && is_bin32(i1.op)
-            && i2.op == DOp::Load32
-            && i2.b == i1.a
-            && i3.op == DOp::Mov
-            && i3.b == i2.a
-            && i2.imm <= 0xffff
-        {
-            return f(
-                FOp::LiBin32Load32Mov,
-                i1.op,
-                i0.a,
-                i1.b,
-                i1.c,
-                i1.a,
-                4,
-                i0.imm,
-                i2.imm | u32::from(i2.a) << 16 | u32::from(i3.a) << 24,
             );
         }
         // li a, k; bin32 d, b, c; mov e, d; jmp t — the counted-loop
@@ -796,7 +342,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i3.imm <= 0xff_ffff
         {
             return f(
-                FOp::LiBin32MovJmp,
+                DOp::LiBin32MovJmp,
                 i1.op,
                 i0.a,
                 i1.b,
@@ -821,7 +367,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i3.imm <= 0xff_ffff
         {
             return f(
-                FOp::Load32Load32CmpBz,
+                DOp::Load32Load32CmpBz,
                 i2.op,
                 i0.a,
                 i0.b,
@@ -846,7 +392,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i2.imm <= u32::from(u8::MAX)
         {
             return f(
-                FOp::RetJr,
+                DOp::RetJr,
                 DOp::Jr,
                 i0.a,
                 i0.b,
@@ -868,7 +414,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i2.a == i0.a
             && i2.imm == 0
         {
-            return f(FOp::CutJr, DOp::Jr, i0.a, i0.b, 0, 0, 3, 0, 0);
+            return f(DOp::CutJr, DOp::Jr, i0.a, i0.b, 0, 0, 3, 0, 0);
         }
         // ld32 a, off(b); addi c, d, imm2; jmp t — reload, pointer
         // adjust, block exit.
@@ -879,7 +425,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i2.imm <= 0xffff
         {
             return f(
-                FOp::Load32AddiJmp,
+                DOp::Load32AddiJmp,
                 DOp::Addi,
                 i0.a,
                 i0.b,
@@ -890,19 +436,14 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                 i1.imm,
             );
         }
-        // li c, imm; cmp a, b, c; bz/bnz a.
-        if i0.op == DOp::Li && is_cmp32(i1.op) && i1.c == i0.a && i2.a == i1.a {
-            if i2.op == DOp::Bz {
-                return f(FOp::LiCmpBz, i1.op, i1.a, i1.b, i0.a, 0, 3, i0.imm, i2.imm);
-            }
-            if i2.op == DOp::Bnz {
-                return f(FOp::LiCmpBnz, i1.op, i1.a, i1.b, i0.a, 0, 3, i0.imm, i2.imm);
-            }
+        // li c, imm; cmp a, b, c; bz a.
+        if i0.op == DOp::Li && is_cmp32(i1.op) && i1.c == i0.a && i2.op == DOp::Bz && i2.a == i1.a {
+            return f(DOp::LiCmpBz, i1.op, i1.a, i1.b, i0.a, 0, 3, i0.imm, i2.imm);
         }
         // A run of three moves.
         if [i0.op, i1.op, i2.op] == [DOp::Mov; 3] {
             return f(
-                FOp::Mov3,
+                DOp::Mov3,
                 DOp::Mov,
                 i0.a,
                 i0.b,
@@ -916,7 +457,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // mov a, b; mov c, d; call imm2 (argument shuffle feeding a call).
         if i0.op == DOp::Mov && i1.op == DOp::Mov && i2.op == DOp::Call {
             return f(
-                FOp::MovMovCall,
+                DOp::MovMovCall,
                 DOp::Call,
                 i0.a,
                 i0.b,
@@ -930,7 +471,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // ld32 a, imm(b); mov c, d; call imm2.
         if i0.op == DOp::Load32 && i1.op == DOp::Mov && i2.op == DOp::Call {
             return f(
-                FOp::Load32MovCall,
+                DOp::Load32MovCall,
                 DOp::Call,
                 i0.a,
                 i0.b,
@@ -950,7 +491,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             && i2.c == i1.a
         {
             return f(
-                FOp::Load32LiBin32,
+                DOp::Load32LiBin32,
                 i2.op,
                 i0.a,
                 i0.b,
@@ -965,7 +506,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // and copy the result home.
         if i0.op == DOp::Li && is_bin32(i1.op) && i2.op == DOp::Mov && i2.b == i1.a {
             return f(
-                FOp::LiBin32Mov,
+                DOp::LiBin32Mov,
                 i1.op,
                 i0.a,
                 i1.b,
@@ -980,7 +521,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // compute into a temporary, copy the result home.
         if i0.op == DOp::Mov && is_bin32(i1.op) && i2.op == DOp::Mov && i2.b == i1.a {
             return f(
-                FOp::MovBin32Mov,
+                DOp::MovBin32Mov,
                 i1.op,
                 i0.a,
                 i0.b,
@@ -995,23 +536,18 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
     // --- 2-instruction windows ---
     if pc + 1 < d.len() && clear(2) {
         let i1 = d[pc + 1];
-        // cmp a, b, c; bz/bnz a.
-        if is_cmp32(i0.op) && i1.a == i0.a {
-            if i1.op == DOp::Bz {
-                return f(FOp::CmpBz, i0.op, i0.a, i0.b, i0.c, 0, 2, 0, i1.imm);
-            }
-            if i1.op == DOp::Bnz {
-                return f(FOp::CmpBnz, i0.op, i0.a, i0.b, i0.c, 0, 2, 0, i1.imm);
-            }
+        // cmp a, b, c; bz a.
+        if is_cmp32(i0.op) && i1.op == DOp::Bz && i1.a == i0.a {
+            return f(DOp::CmpBz, i0.op, i0.a, i0.b, i0.c, 0, 2, 0, i1.imm);
         }
         // alu; jmp (the Assign;Branch tail of a basic block).
         if is_alu(i0.op) && i1.op == DOp::Jmp {
-            return f(FOp::AluJmp, i0.op, i0.a, i0.b, i0.c, 0, 2, i0.imm, i1.imm);
+            return f(DOp::AluJmp, i0.op, i0.a, i0.b, i0.c, 0, 2, i0.imm, i1.imm);
         }
         // addi a, b, imm; st32 c, imm2(d) (frame push when d = a).
         if i0.op == DOp::Addi && i1.op == DOp::Store32 {
             return f(
-                FOp::AddiStore32,
+                DOp::AddiStore32,
                 DOp::Store32,
                 i0.a,
                 i0.b,
@@ -1025,7 +561,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // addi a, b, imm; jr c + d (frame pop feeding an indirect jump).
         if i0.op == DOp::Addi && i1.op == DOp::Jr && i1.imm <= u32::from(u8::MAX) {
             return f(
-                FOp::AddiJr,
+                DOp::AddiJr,
                 DOp::Jr,
                 i0.a,
                 i0.b,
@@ -1038,7 +574,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         }
         // mov a, b; call imm2 (argument shuffle feeding a call).
         if i0.op == DOp::Mov && i1.op == DOp::Call {
-            return f(FOp::MovCall, DOp::Call, i0.a, i0.b, 0, 0, 2, 0, i1.imm);
+            return f(DOp::MovCall, DOp::Call, i0.a, i0.b, 0, 0, 2, 0, i1.imm);
         }
         // Generic straight-line pairs: two adjacent independent ALU /
         // 32-bit memory operations. None of these overlap the specific
@@ -1046,14 +582,14 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
         // jumps), so ordering within this match is immaterial.
         match (i0.op, i1.op) {
             (DOp::Mov, DOp::Mov) => {
-                return f(FOp::MovMov, DOp::Mov, i0.a, i0.b, i1.a, i1.b, 2, 0, 0)
+                return f(DOp::MovMov, DOp::Mov, i0.a, i0.b, i1.a, i1.b, 2, 0, 0)
             }
             (DOp::Mov, DOp::Li) => {
-                return f(FOp::MovLi, DOp::Li, i0.a, i0.b, i1.a, 0, 2, 0, i1.imm)
+                return f(DOp::MovLi, DOp::Li, i0.a, i0.b, i1.a, 0, 2, 0, i1.imm)
             }
             (DOp::Mov, DOp::Load32) => {
                 return f(
-                    FOp::MovLoad32,
+                    DOp::MovLoad32,
                     DOp::Load32,
                     i0.a,
                     i0.b,
@@ -1064,25 +600,12 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                     i1.imm,
                 )
             }
-            (DOp::Mov, DOp::Store32) => {
-                return f(
-                    FOp::MovStore32,
-                    DOp::Store32,
-                    i0.a,
-                    i0.b,
-                    i1.a,
-                    i1.b,
-                    2,
-                    0,
-                    i1.imm,
-                )
-            }
             (DOp::Li, DOp::Mov) => {
-                return f(FOp::LiMov, DOp::Mov, i0.a, 0, i1.a, i1.b, 2, i0.imm, 0)
+                return f(DOp::LiMov, DOp::Mov, i0.a, 0, i1.a, i1.b, 2, i0.imm, 0)
             }
             (DOp::Li, DOp::Store32) => {
                 return f(
-                    FOp::LiStore32,
+                    DOp::LiStore32,
                     DOp::Store32,
                     i0.a,
                     0,
@@ -1094,11 +617,11 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                 )
             }
             (DOp::Li, op1) if is_bin32(op1) => {
-                return f(FOp::LiBin32, op1, i0.a, i1.b, i1.c, i1.a, 2, i0.imm, 0)
+                return f(DOp::LiBin32, op1, i0.a, i1.b, i1.c, i1.a, 2, i0.imm, 0)
             }
             (DOp::Load32, DOp::Mov) => {
                 return f(
-                    FOp::Load32Mov,
+                    DOp::Load32Mov,
                     DOp::Mov,
                     i0.a,
                     i0.b,
@@ -1109,36 +632,10 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                     0,
                 )
             }
-            (DOp::Load32, DOp::Li) => {
-                return f(
-                    FOp::Load32Li,
-                    DOp::Li,
-                    i0.a,
-                    i0.b,
-                    i1.a,
-                    0,
-                    2,
-                    i0.imm,
-                    i1.imm,
-                )
-            }
             (DOp::Load32, DOp::Load32) => {
                 return f(
-                    FOp::Load32Load32,
+                    DOp::Load32Load32,
                     DOp::Load32,
-                    i0.a,
-                    i0.b,
-                    i1.a,
-                    i1.b,
-                    2,
-                    i0.imm,
-                    i1.imm,
-                )
-            }
-            (DOp::Load32, DOp::Addi) => {
-                return f(
-                    FOp::Load32Addi,
-                    DOp::Addi,
                     i0.a,
                     i0.b,
                     i1.a,
@@ -1150,7 +647,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             }
             (DOp::Load32, DOp::Store32) => {
                 return f(
-                    FOp::Load32Store32,
+                    DOp::Load32Store32,
                     DOp::Store32,
                     i0.a,
                     i0.b,
@@ -1163,7 +660,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             }
             (DOp::Store32, DOp::Mov) => {
                 return f(
-                    FOp::Store32Mov,
+                    DOp::Store32Mov,
                     DOp::Mov,
                     i0.a,
                     i0.b,
@@ -1176,7 +673,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             }
             (DOp::Store32, DOp::Li) => {
                 return f(
-                    FOp::Store32Li,
+                    DOp::Store32Li,
                     DOp::Li,
                     i0.a,
                     i0.b,
@@ -1189,7 +686,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             }
             (DOp::Store32, DOp::Store32) => {
                 return f(
-                    FOp::Store32Store32,
+                    DOp::Store32Store32,
                     DOp::Store32,
                     i0.a,
                     i0.b,
@@ -1201,20 +698,17 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
                 )
             }
             (op0, DOp::Store32) if is_bin32(op0) && i1.a == i0.a => {
-                return f(FOp::Bin32Store32, op0, i0.a, i0.b, i0.c, i1.b, 2, 0, i1.imm)
-            }
-            (op0, DOp::Load32) if is_bin32(op0) && i1.b == i0.a => {
-                return f(FOp::Bin32Load32, op0, i0.a, i0.b, i0.c, i1.a, 2, 0, i1.imm)
+                return f(DOp::Bin32Store32, op0, i0.a, i0.b, i0.c, i1.b, 2, 0, i1.imm)
             }
             (op0, DOp::Mov) if is_bin32(op0) && i1.b == i0.a => {
-                return f(FOp::Bin32Mov, op0, i0.a, i0.b, i0.c, i1.a, 2, 0, 0)
+                return f(DOp::Bin32Mov, op0, i0.a, i0.b, i0.c, i1.a, 2, 0, 0)
             }
             (op0, DOp::Li) if is_bin32(op0) => {
-                return f(FOp::Bin32Li, op0, i0.a, i0.b, i0.c, i1.a, 2, 0, i1.imm)
+                return f(DOp::Bin32Li, op0, i0.a, i0.b, i0.c, i1.a, 2, 0, i1.imm)
             }
             (DOp::Mov, DOp::Addi) => {
                 return f(
-                    FOp::MovAddi,
+                    DOp::MovAddi,
                     DOp::Addi,
                     i0.a,
                     i0.b,
@@ -1227,7 +721,7 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
             }
             (DOp::Store32, DOp::Load32) => {
                 return f(
-                    FOp::Store32Load32,
+                    DOp::Store32Load32,
                     DOp::Load32,
                     i0.a,
                     i0.b,
@@ -1244,30 +738,20 @@ fn try_fuse(d: &[DInst], entry: &[bool], protect: &[bool], pc: usize) -> Option<
     None
 }
 
-fn plain_inst(di: DInst) -> FInst {
-    FInst {
-        op: plain_op(di.op),
-        sel: di.op,
-        a: di.a,
-        b: di.b,
-        c: di.c,
-        d: 0,
-        n: 1,
-        imm: di.imm,
-        imm2: 0,
-    }
-}
-
-impl FusedCode {
-    /// Runs the fusion pass over an already decoded stream. Pure
-    /// function of the program; `plain` must come from
-    /// [`DecodedCode::decode`] on this same `program`.
-    pub fn fuse(program: &VmProgram, plain: Arc<DecodedCode>) -> FusedCode {
-        let d = plain.insts.as_slice();
-        let entry = entry_points(program, d.len());
-        let mut insts: Vec<FInst> = d.iter().map(|&di| plain_inst(di)).collect();
-        let mut mov_runs: Vec<u16> = Vec::new();
-        let mut field_runs: Vec<FieldStep> = Vec::new();
+impl DecodedCode {
+    /// Runs the fusion pass over a decoded stream. Pure function of the
+    /// program; `plain` must come from [`DecodedCode::decode`] on this
+    /// same `program`. The pass rewrites heads in place, so a `plain`
+    /// nothing else holds is reused rather than copied.
+    pub fn fuse(program: &VmProgram, plain: Arc<DecodedCode>) -> DecodedCode {
+        debug_assert_eq!(plain.tier, EngineId::VmDecoded, "fuse takes a plain stream");
+        let mut code = Arc::unwrap_or_clone(plain);
+        code.tier = EngineId::VmFused;
+        let entry = entry_points(program, code.insts.len());
+        // Every read below is at or after the slot the pass stands on,
+        // and every write is to that slot just before the pass moves
+        // past it, so heads are rewritten in place.
+        let d = &mut code.insts;
         // Prepass: mark the heads of anchor windows (pre-resolved
         // transfers — see `is_anchor`) so the greedy pass below cannot
         // shear one off its head with a cheaper window formed a slot or
@@ -1299,23 +783,13 @@ impl FusedCode {
                 .take_while(|&(i, di)| di.op == DOp::Mov && (i == 0 || !entry[pc + i]))
                 .count();
             if run >= 5 {
-                let base = mov_runs.len() as u32;
-                mov_runs.extend(
+                let base = code.mov_runs.len() as u32;
+                code.mov_runs.extend(
                     d[pc..pc + run]
                         .iter()
                         .map(|di| u16::from(di.a) | u16::from(di.b) << 8),
                 );
-                insts[pc] = FInst {
-                    op: FOp::MovRun,
-                    sel: DOp::Mov,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    d: 0,
-                    n: run as u8,
-                    imm: base,
-                    imm2: 0,
-                };
+                d[pc] = window(DOp::MovRun, DOp::Mov, 0, run as u8, base);
                 pc += run;
                 continue;
             }
@@ -1329,19 +803,16 @@ impl FusedCode {
                 wrows += 1;
             }
             if wrows >= 2 {
-                let base = field_runs.len() as u32;
-                field_runs.extend((0..wrows).map(|i| write_step(d, pc + 5 * i)));
-                insts[pc] = FInst {
-                    op: FOp::WriteRun,
-                    sel: DOp::Store32,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    d: wrows as u8,
-                    n: (5 * wrows) as u8,
-                    imm: base,
-                    imm2: 0,
-                };
+                let base = code.field_runs.len() as u32;
+                code.field_runs
+                    .extend((0..wrows).map(|i| write_step(d, pc + 5 * i)));
+                d[pc] = window(
+                    DOp::WriteRun,
+                    DOp::Store32,
+                    wrows as u8,
+                    (5 * wrows) as u8,
+                    base,
+                );
                 pc += 5 * wrows;
                 continue;
             }
@@ -1350,36 +821,21 @@ impl FusedCode {
                 rrows += 1;
             }
             if rrows >= 2 {
-                let base = field_runs.len() as u32;
-                field_runs.extend((0..rrows).map(|i| read_step(d, pc + 4 * i)));
-                insts[pc] = FInst {
-                    op: FOp::ReadRun,
-                    sel: DOp::Li,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    d: rrows as u8,
-                    n: (4 * rrows) as u8,
-                    imm: base,
-                    imm2: 0,
-                };
+                let base = code.field_runs.len() as u32;
+                code.field_runs
+                    .extend((0..rrows).map(|i| read_step(d, pc + 4 * i)));
+                d[pc] = window(DOp::ReadRun, DOp::Li, rrows as u8, (4 * rrows) as u8, base);
                 pc += 4 * rrows;
                 continue;
             }
             if let Some(fi) = try_fuse(d, &entry, &protect, pc) {
-                let n = fi.n as usize;
-                insts[pc] = fi;
-                pc += n;
+                d[pc] = fi;
+                pc += fi.n as usize;
             } else {
                 pc += 1;
             }
         }
-        FusedCode {
-            insts,
-            mov_runs,
-            field_runs,
-            plain,
-        }
+        code
     }
 
     /// Number of fused window heads (length > 1) in the stream.
@@ -1388,994 +844,19 @@ impl FusedCode {
     }
 }
 
-const M32: u64 = 0xffff_ffff;
-
-fn s32(v: u64) -> i64 {
-    sign_extend(v, Width::W32)
-}
-
-/// One 32-bit binary ALU step for the run-window row helpers (the
-/// opcode domain of [`is_bin32`]).
-fn bin32_eval(op: DOp, x: u64, y: u64) -> u64 {
-    match op {
-        DOp::Add32 => x.wrapping_add(y) & M32,
-        DOp::Sub32 => x.wrapping_sub(y) & M32,
-        DOp::Mul32 => x.wrapping_mul(y) & M32,
-        DOp::And32 => x & y & M32,
-        DOp::Or32 => (x | y) & M32,
-        DOp::Xor32 => (x ^ y) & M32,
-        DOp::Eq32 => u64::from(x & M32 == y & M32),
-        DOp::Ne32 => u64::from(x & M32 != y & M32),
-        DOp::LtU32 => u64::from(x & M32 < y & M32),
-        DOp::LeU32 => u64::from(x & M32 <= y & M32),
-        DOp::GtU32 => u64::from(x & M32 > y & M32),
-        DOp::GeU32 => u64::from(x & M32 >= y & M32),
-        DOp::LtS32 => u64::from(s32(x) < s32(y)),
-        DOp::LeS32 => u64::from(s32(x) <= s32(y)),
-        DOp::GtS32 => u64::from(s32(x) > s32(y)),
-        DOp::GeS32 => u64::from(s32(x) >= s32(y)),
-        _ => unreachable!("run rows only select 32-bit binary opcodes"),
-    }
-}
-
-impl<S: TraceSink> VmMachine<'_, S> {
-    /// Executes the rows of a [`FOp::WriteRun`] window. `base` is the
-    /// cost at the window head (head dispatch already charged); the
-    /// caller charges the rows' totals arithmetically on success, so
-    /// the hot dispatch loop never leaks `cost`'s address into this
-    /// call. Returns `false` (with pc/cost/status flushed to the
-    /// decoded-identical trip point) if a governor trip ended the
-    /// slice at one of the rows' stores. Kept out of line so the
-    /// dispatch loop's hot arms stay compact.
-    #[inline(never)]
-    fn write_run_rows(&mut self, steps: &[FieldStep], mut base: Cost, pc: u32) -> bool {
-        const RM: usize = crate::isa::regs::NUM_REGS - 1;
-        for (i, s) in steps.iter().enumerate() {
-            let addr = (self.regs[s.b as usize & RM] as u32).wrapping_add(s.off1);
-            self.mem
-                .write_wide(Width::W32, addr, self.regs[s.a as usize & RM]);
-            if let Some(g) = self.governor {
-                let bytes = self.mem.mapped_bytes();
-                if let Some(trip) = g.check_memory(bytes) {
-                    // Row i's store is the (5i + 1)-th instruction of
-                    // the window; reconstruct the decoded-identical
-                    // observation at that point.
-                    base.instructions += 5 * i as u64;
-                    base.stores += i as u64 + 1;
-                    base.loads += i as u64;
-                    self.pc = pc + 5 * i as u32;
-                    self.cost = base;
-                    self.trip_limit(trip, bytes as u64);
-                    return false;
-                }
-            }
-            self.regs[s.a as usize & RM] = self.regs[s.c as usize & RM];
-            let addr2 = (self.regs[s.d as usize & RM] as u32).wrapping_add(s.off2);
-            self.regs[s.e as usize & RM] = self.mem.read_wide(Width::W32, addr2);
-            self.regs[s.g as usize & RM] = u64::from(s.k);
-            self.regs[s.h as usize & RM] = bin32_eval(
-                s.op,
-                self.regs[s.e as usize & RM],
-                self.regs[s.g as usize & RM],
-            );
-        }
-        true
-    }
-
-    /// Executes the rows of a [`FOp::ReadRun`] window. No governed
-    /// transitions occur inside (loads never trip the governor), so
-    /// the caller charges all cost arithmetically and this never ends
-    /// the slice. Kept out of line so the dispatch loop's hot arms
-    /// stay compact.
-    #[inline(never)]
-    fn read_run_rows(&mut self, steps: &[FieldStep]) {
-        const RM: usize = crate::isa::regs::NUM_REGS - 1;
-        for s in steps {
-            self.regs[s.a as usize & RM] = u64::from(s.k);
-            self.regs[s.d as usize & RM] = bin32_eval(
-                s.op,
-                self.regs[s.b as usize & RM],
-                self.regs[s.c as usize & RM],
-            );
-            let addr = (self.regs[s.d as usize & RM] as u32).wrapping_add(s.off1);
-            self.regs[s.e as usize & RM] = self.mem.read_wide(Width::W32, addr);
-            self.regs[s.g as usize & RM] = self.regs[s.e as usize & RM];
-        }
-    }
-
-    /// Runs up to `fuel` instructions over the fused stream. Exactly
-    /// the semantics (status transitions, costs, error strings, trace
-    /// events, governor trips) of [`VmMachine::run_decoded`], but
-    /// retiring a whole window per dispatch where the fusion pass
-    /// formed one. A fuel slice that ends inside a window is delegated
-    /// to the decoded engine over the retained plain stream, so
-    /// fuel-boundary behaviour is inherited, and a resumption that
-    /// lands on an interior slot executes its plain opcode.
-    pub(crate) fn run_fused(&mut self, fused: &FusedCode, fuel: u64) -> VmStatus {
-        if matches!(self.status, VmStatus::OutOfFuel) {
-            self.status = VmStatus::Running;
-        }
-        if !matches!(self.status, VmStatus::Running) {
-            return self.status.clone();
-        }
-        let prog = self.program;
-        let code = fused.insts.as_slice();
-        let mut pc = self.pc;
-        let mut cost = self.cost;
-        // See `run_decoded`: operand indices are below NUM_REGS (a
-        // power of two), so masking drops the bounds checks.
-        const RM: usize = crate::isa::regs::NUM_REGS - 1;
-        macro_rules! r {
-            ($i:expr) => {
-                self.regs[$i as usize & RM]
-            };
-        }
-        // Every exit must flush the pc of the *original* instruction
-        // that caused it (mid-window exits name the interior pc, so
-        // the flushed state is indistinguishable from the decoded
-        // engine's).
-        macro_rules! flush {
-            ($at:expr, $status:expr) => {{
-                self.pc = $at;
-                self.cost = cost;
-                self.status = $status;
-                return self.status.clone();
-            }};
-        }
-        macro_rules! govern_mem {
-            ($at:expr) => {
-                if let Some(g) = self.governor {
-                    let bytes = self.mem.mapped_bytes();
-                    if let Some(trip) = g.check_memory(bytes) {
-                        self.pc = $at;
-                        self.cost = cost;
-                        self.trip_limit(trip, bytes as u64);
-                        return self.status.clone();
-                    }
-                }
-            };
-        }
-        macro_rules! govern_sp {
-            ($at:expr) => {
-                if let Some(g) = self.governor {
-                    let sp = self.regs[regs::SP as usize];
-                    if let Some(trip) = g.check_sp(sp) {
-                        self.pc = $at;
-                        self.cost = cost;
-                        self.trip_limit(trip, sp);
-                        return self.status.clone();
-                    }
-                }
-            };
-        }
-        // One ALU step for the polymorphic fusions, selected by the
-        // plain opcode recorded in `sel`.
-        macro_rules! alu {
-            ($sel:expr, $a:expr, $b:expr, $c:expr, $imm:expr) => {
-                match $sel {
-                    DOp::Li => r!($a) = u64::from($imm),
-                    DOp::Addi => {
-                        let v = (r!($b) as u32).wrapping_add($imm);
-                        r!($a) = u64::from(v);
-                    }
-                    DOp::Mov => r!($a) = r!($b),
-                    DOp::Add32 => r!($a) = r!($b).wrapping_add(r!($c)) & M32,
-                    DOp::Sub32 => r!($a) = r!($b).wrapping_sub(r!($c)) & M32,
-                    DOp::Mul32 => r!($a) = r!($b).wrapping_mul(r!($c)) & M32,
-                    DOp::And32 => r!($a) = r!($b) & r!($c) & M32,
-                    DOp::Or32 => r!($a) = (r!($b) | r!($c)) & M32,
-                    DOp::Xor32 => r!($a) = (r!($b) ^ r!($c)) & M32,
-                    DOp::Eq32 => r!($a) = u64::from(r!($b) & M32 == r!($c) & M32),
-                    DOp::Ne32 => r!($a) = u64::from(r!($b) & M32 != r!($c) & M32),
-                    DOp::LtU32 => r!($a) = u64::from(r!($b) & M32 < r!($c) & M32),
-                    DOp::LeU32 => r!($a) = u64::from(r!($b) & M32 <= r!($c) & M32),
-                    DOp::GtU32 => r!($a) = u64::from(r!($b) & M32 > r!($c) & M32),
-                    DOp::GeU32 => r!($a) = u64::from(r!($b) & M32 >= r!($c) & M32),
-                    DOp::LtS32 => r!($a) = u64::from(s32(r!($b)) < s32(r!($c))),
-                    DOp::LeS32 => r!($a) = u64::from(s32(r!($b)) <= s32(r!($c))),
-                    DOp::GtS32 => r!($a) = u64::from(s32(r!($b)) > s32(r!($c))),
-                    DOp::GeS32 => r!($a) = u64::from(s32(r!($b)) >= s32(r!($c))),
-                    _ => unreachable!("fusion only selects ALU opcodes"),
-                }
-            };
-        }
-        let mut remaining = fuel;
-        while remaining > 0 {
-            let Some(&FInst {
-                op,
-                sel,
-                a,
-                b,
-                c,
-                d,
-                n,
-                imm,
-                imm2,
-            }) = code.get(pc as usize)
-            else {
-                flush!(pc, VmStatus::Error(format!("pc {pc} out of range")));
-            };
-            // Plain slots pay exactly the decoded engine's dispatch
-            // cost; fused arms claim the rest of their window with
-            // `win!` before any effect.
-            remaining -= 1;
-            cost.instructions += 1;
-            let mut next = pc + 1;
-            // Claims the remaining `w - 1` fuel of a `w`-wide window.
-            // If the slice ends inside the window, gives back the head
-            // charge and finishes the slice on the plain stream,
-            // instruction by instruction, so partial-window state is
-            // exactly the decoded engine's. Charging the interior
-            // slots' `cost.instructions` is left to the arm, so
-            // governor trips observe the same cost the decoded engine
-            // would at the same transition.
-            macro_rules! win {
-                ($w:literal) => {{
-                    win!($w, jump);
-                    next = pc + $w;
-                }};
-                // Arms that always transfer control skip the
-                // fall-through `next` assignment.
-                ($w:literal, jump) => {{
-                    if remaining < $w - 1 {
-                        cost.instructions -= 1;
-                        self.pc = pc;
-                        self.cost = cost;
-                        return self.run_decoded(&fused.plain, remaining + 1);
-                    }
-                    remaining -= $w - 1;
-                }};
-            }
-            match op {
-                // --- fused windows ---
-                FOp::CmpBz => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.branches += 1;
-                    alu!(sel, a, b, c, imm);
-                    if r!(a) == 0 {
-                        next = imm2;
-                    }
-                }
-                FOp::CmpBnz => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.branches += 1;
-                    alu!(sel, a, b, c, imm);
-                    if r!(a) != 0 {
-                        next = imm2;
-                    }
-                }
-                FOp::LiCmpBz => {
-                    win!(3);
-                    cost.instructions += 2;
-                    cost.branches += 1;
-                    r!(c) = u64::from(imm);
-                    alu!(sel, a, b, c, 0u32);
-                    if r!(a) == 0 {
-                        next = imm2;
-                    }
-                }
-                FOp::LiCmpBnz => {
-                    win!(3);
-                    cost.instructions += 2;
-                    cost.branches += 1;
-                    r!(c) = u64::from(imm);
-                    alu!(sel, a, b, c, 0u32);
-                    if r!(a) != 0 {
-                        next = imm2;
-                    }
-                }
-                FOp::AluJmp => {
-                    win!(2, jump);
-                    cost.instructions += 1;
-                    cost.branches += 1;
-                    alu!(sel, a, b, c, imm);
-                    if S::ENABLED {
-                        self.emit_jmp_site(cost.total(), pc + 1, imm2);
-                    }
-                    next = imm2;
-                }
-                FOp::AddiStore32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.stores += 1;
-                    let v = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = u64::from(v);
-                    let addr = (r!(d) as u32).wrapping_add(imm2);
-                    self.mem.write_wide(Width::W32, addr, r!(c));
-                    govern_mem!(pc + 1);
-                }
-                FOp::MovCall => {
-                    win!(2, jump);
-                    cost.instructions += 1;
-                    r!(a) = r!(b);
-                    cost.branches += 1;
-                    cost.calls += 1;
-                    govern_sp!(pc + 1);
-                    if S::ENABLED {
-                        let e = Event::Call {
-                            caller: name_at(prog, pc + 1),
-                            callee: name_at(prog, imm2),
-                        };
-                        self.sink.event(cost.total(), e);
-                    }
-                    self.regs[regs::RA as usize] = u64::from(pc + 2);
-                    next = imm2;
-                }
-                FOp::RetJr => {
-                    win!(3, jump);
-                    cost.instructions += 2;
-                    cost.loads += 1;
-                    cost.branches += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    let v = (r!(b) as u32).wrapping_add(imm2);
-                    r!(b) = u64::from(v);
-                    match self.code_target(r!(a)) {
-                        Ok(base) => {
-                            next = base.wrapping_add(u32::from(d));
-                            if S::ENABLED {
-                                self.emit_jr_site(cost.total(), pc + 2, next);
-                            }
-                        }
-                        Err(e) => flush!(
-                            pc + 2,
-                            VmStatus::Error(format!("{e}{}", prog.locate(pc + 2)))
-                        ),
-                    }
-                }
-                FOp::CutJr => {
-                    win!(3, jump);
-                    cost.instructions += 2;
-                    cost.loads += 2;
-                    cost.branches += 1;
-                    let base = r!(b) as u32;
-                    r!(a) = self.mem.read_wide(Width::W32, base);
-                    let base2 = (r!(b) as u32).wrapping_add(4);
-                    self.regs[regs::SP as usize] = self.mem.read_wide(Width::W32, base2);
-                    match self.code_target(r!(a)) {
-                        Ok(t) => {
-                            next = t;
-                            if S::ENABLED {
-                                self.emit_jr_site(cost.total(), pc + 2, next);
-                            }
-                        }
-                        Err(e) => flush!(
-                            pc + 2,
-                            VmStatus::Error(format!("{e}{}", prog.locate(pc + 2)))
-                        ),
-                    }
-                }
-                // --- generic straight-line pairs (window length 2) ---
-                FOp::MovMov => {
-                    win!(2);
-                    cost.instructions += 1;
-                    r!(a) = r!(b);
-                    r!(c) = r!(d);
-                }
-                FOp::MovLi => {
-                    win!(2);
-                    cost.instructions += 1;
-                    r!(a) = r!(b);
-                    r!(c) = u64::from(imm2);
-                }
-                FOp::MovLoad32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    r!(a) = r!(b);
-                    let addr = (r!(d) as u32).wrapping_add(imm2);
-                    r!(c) = self.mem.read_wide(Width::W32, addr);
-                }
-                FOp::MovStore32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.stores += 1;
-                    r!(a) = r!(b);
-                    let addr = (r!(d) as u32).wrapping_add(imm2);
-                    self.mem.write_wide(Width::W32, addr, r!(c));
-                    govern_mem!(pc + 1);
-                }
-                FOp::LiMov => {
-                    win!(2);
-                    cost.instructions += 1;
-                    r!(a) = u64::from(imm);
-                    r!(c) = r!(d);
-                }
-                FOp::LiStore32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.stores += 1;
-                    r!(a) = u64::from(imm);
-                    let addr = (r!(d) as u32).wrapping_add(imm2);
-                    self.mem.write_wide(Width::W32, addr, r!(c));
-                    govern_mem!(pc + 1);
-                }
-                FOp::LiBin32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    r!(a) = u64::from(imm);
-                    alu!(sel, d, b, c, 0u32);
-                }
-                FOp::Load32Mov => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!(c) = r!(d);
-                }
-                FOp::Load32Li => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!(c) = u64::from(imm2);
-                }
-                FOp::Load32Load32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 2;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    let addr2 = (r!(d) as u32).wrapping_add(imm2);
-                    r!(c) = self.mem.read_wide(Width::W32, addr2);
-                }
-                FOp::Load32Addi => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    let v = (r!(d) as u32).wrapping_add(imm2);
-                    r!(c) = u64::from(v);
-                }
-                FOp::Load32Store32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    let addr2 = (r!(d) as u32).wrapping_add(imm2);
-                    self.mem.write_wide(Width::W32, addr2, r!(c));
-                    govern_mem!(pc + 1);
-                }
-                FOp::Store32Mov => {
-                    win!(2);
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
-                    r!(c) = r!(d);
-                }
-                FOp::Store32Li => {
-                    win!(2);
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
-                    r!(c) = u64::from(imm2);
-                }
-                FOp::Store32Store32 => {
-                    win!(2);
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
-                    cost.stores += 1;
-                    let addr2 = (r!(d) as u32).wrapping_add(imm2);
-                    self.mem.write_wide(Width::W32, addr2, r!(c));
-                    govern_mem!(pc + 1);
-                }
-                FOp::Bin32Store32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.stores += 1;
-                    alu!(sel, a, b, c, 0u32);
-                    let addr = (r!(d) as u32).wrapping_add(imm2);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc + 1);
-                }
-                FOp::Bin32Load32 => {
-                    win!(2);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    alu!(sel, a, b, c, 0u32);
-                    let addr = (r!(a) as u32).wrapping_add(imm2);
-                    r!(d) = self.mem.read_wide(Width::W32, addr);
-                }
-                FOp::Bin32Mov => {
-                    win!(2);
-                    cost.instructions += 1;
-                    alu!(sel, a, b, c, 0u32);
-                    r!(d) = r!(a);
-                }
-                FOp::MovAddi => {
-                    win!(2);
-                    cost.instructions += 1;
-                    r!(a) = r!(b);
-                    let v = (r!(d) as u32).wrapping_add(imm2);
-                    r!(c) = u64::from(v);
-                }
-                FOp::Store32Load32 => {
-                    win!(2);
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
-                    cost.loads += 1;
-                    let addr2 = (r!(d) as u32).wrapping_add(imm2);
-                    r!(c) = self.mem.read_wide(Width::W32, addr2);
-                }
-                FOp::AddiJr => {
-                    win!(2, jump);
-                    cost.instructions += 1;
-                    cost.branches += 1;
-                    let v = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = u64::from(v);
-                    match self.code_target(r!(c)) {
-                        Ok(base) => {
-                            next = base.wrapping_add(u32::from(d));
-                            if S::ENABLED {
-                                self.emit_jr_site(cost.total(), pc + 1, next);
-                            }
-                        }
-                        Err(e) => flush!(
-                            pc + 1,
-                            VmStatus::Error(format!("{e}{}", prog.locate(pc + 1)))
-                        ),
-                    }
-                }
-                // --- wider windows (length 3 and 4) ---
-                FOp::Mov3 => {
-                    win!(3);
-                    cost.instructions += 2;
-                    r!(a) = r!(b);
-                    r!(c) = r!(d);
-                    r!(imm as u8) = r!((imm >> 8) as u8);
-                }
-                FOp::Mov4 => {
-                    win!(4);
-                    cost.instructions += 3;
-                    r!(a) = r!(b);
-                    r!(c) = r!(d);
-                    r!(imm as u8) = r!((imm >> 8) as u8);
-                    r!(imm2 as u8) = r!((imm2 >> 8) as u8);
-                }
-                FOp::Load32LiBin32 => {
-                    win!(3);
-                    cost.instructions += 2;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!(c) = u64::from(imm2);
-                    alu!(sel, d, a, c, 0u32);
-                }
-                FOp::MovMovCall => {
-                    win!(3, jump);
-                    cost.instructions += 2;
-                    r!(a) = r!(b);
-                    r!(c) = r!(d);
-                    cost.branches += 1;
-                    cost.calls += 1;
-                    govern_sp!(pc + 2);
-                    if S::ENABLED {
-                        let e = Event::Call {
-                            caller: name_at(prog, pc + 2),
-                            callee: name_at(prog, imm2),
-                        };
-                        self.sink.event(cost.total(), e);
-                    }
-                    self.regs[regs::RA as usize] = u64::from(pc + 3);
-                    next = imm2;
-                }
-                FOp::Load32LiBin32Store32Mov => {
-                    win!(5);
-                    cost.instructions += 3;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm & 0xffff);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!(c) = u64::from(imm2 & 0xffff);
-                    alu!(sel, d, a, c, 0u32);
-                    cost.stores += 1;
-                    let saddr = (r!(b) as u32).wrapping_add(imm >> 16);
-                    self.mem.write_wide(Width::W32, saddr, r!(d));
-                    govern_mem!(pc + 3);
-                    cost.instructions += 1;
-                    r!((imm2 >> 16) as u8) = r!((imm2 >> 24) as u8);
-                }
-                FOp::Store32MovLoad32LiBin32 => {
-                    win!(5);
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm & 0xffff);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc);
-                    cost.instructions += 4;
-                    cost.loads += 1;
-                    r!(a) = r!(c);
-                    let e = (imm2 >> 8) as u8;
-                    let g = (imm2 >> 16) as u8;
-                    let h = (imm2 >> 24) as u8;
-                    let addr2 = (r!(d) as u32).wrapping_add(imm >> 16);
-                    r!(e) = self.mem.read_wide(Width::W32, addr2);
-                    r!(g) = u64::from(imm2 & 0xff);
-                    alu!(sel, h, e, g, 0u32);
-                }
-                FOp::LiBin32Load32Mov => {
-                    win!(4);
-                    cost.instructions += 3;
-                    cost.loads += 1;
-                    r!(a) = u64::from(imm);
-                    alu!(sel, d, b, c, 0u32);
-                    let e = (imm2 >> 16) as u8;
-                    let addr = (r!(d) as u32).wrapping_add(imm2 & 0xffff);
-                    r!(e) = self.mem.read_wide(Width::W32, addr);
-                    r!((imm2 >> 24) as u8) = r!(e);
-                }
-                FOp::LiBin32Mov => {
-                    win!(3);
-                    cost.instructions += 2;
-                    r!(a) = u64::from(imm);
-                    alu!(sel, d, b, c, 0u32);
-                    r!(imm2 as u8) = r!(d);
-                }
-                FOp::MovBin32Mov => {
-                    win!(3);
-                    cost.instructions += 2;
-                    r!(a) = r!(b);
-                    let e = imm as u8;
-                    alu!(sel, d, c, e, 0u32);
-                    r!(imm2 as u8) = r!(d);
-                }
-                FOp::LiBin32MovJmp => {
-                    win!(4, jump);
-                    cost.instructions += 3;
-                    cost.branches += 1;
-                    r!(a) = u64::from(imm);
-                    alu!(sel, d, b, c, 0u32);
-                    r!((imm2 >> 24) as u8) = r!(d);
-                    let target = imm2 & 0xff_ffff;
-                    if S::ENABLED {
-                        self.emit_jmp_site(cost.total(), pc + 3, target);
-                    }
-                    next = target;
-                }
-                FOp::Load32Load32CmpBz => {
-                    win!(4, jump);
-                    cost.instructions += 3;
-                    cost.loads += 2;
-                    cost.branches += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm & 0xffff);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    let addr2 = (r!(d) as u32).wrapping_add(imm >> 16);
-                    r!(c) = self.mem.read_wide(Width::W32, addr2);
-                    let e = (imm2 >> 24) as u8;
-                    alu!(sel, e, a, c, 0u32);
-                    next = if r!(e) == 0 { imm2 & 0xff_ffff } else { pc + 4 };
-                }
-                FOp::Load32LiBin32Store32Jmp => {
-                    win!(5, jump);
-                    cost.instructions += 3;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm & 0xffff);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!(c) = u64::from(imm2 >> 24);
-                    alu!(sel, d, a, c, 0u32);
-                    cost.stores += 1;
-                    let saddr = (r!(b) as u32).wrapping_add(imm >> 16);
-                    self.mem.write_wide(Width::W32, saddr, r!(d));
-                    govern_mem!(pc + 3);
-                    cost.instructions += 1;
-                    cost.branches += 1;
-                    let target = imm2 & 0xff_ffff;
-                    if S::ENABLED {
-                        self.emit_jmp_site(cost.total(), pc + 4, target);
-                    }
-                    next = target;
-                }
-                FOp::Load32MovLoad32MovCall => {
-                    win!(5, jump);
-                    cost.instructions += 4;
-                    cost.loads += 2;
-                    let addr = (r!(b) as u32).wrapping_add(imm & 0xffff);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!((imm2 >> 16) as u8) = r!(a);
-                    let addr2 = (r!(d) as u32).wrapping_add(imm >> 16);
-                    r!(c) = self.mem.read_wide(Width::W32, addr2);
-                    r!((imm2 >> 24) as u8) = r!(c);
-                    cost.branches += 1;
-                    cost.calls += 1;
-                    govern_sp!(pc + 4);
-                    let target = imm2 & 0xffff;
-                    if S::ENABLED {
-                        let e = Event::Call {
-                            caller: name_at(prog, pc + 4),
-                            callee: name_at(prog, target),
-                        };
-                        self.sink.event(cost.total(), e);
-                    }
-                    self.regs[regs::RA as usize] = u64::from(pc + 5);
-                    next = target;
-                }
-                FOp::Bin32Li => {
-                    win!(2);
-                    cost.instructions += 1;
-                    alu!(sel, a, b, c, 0u32);
-                    r!(d) = u64::from(imm2);
-                }
-                FOp::Load32AddiJmp => {
-                    win!(3, jump);
-                    cost.instructions += 2;
-                    cost.loads += 1;
-                    cost.branches += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm & 0xffff);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    let v = (r!(d) as u32).wrapping_add(imm2);
-                    r!(c) = u64::from(v);
-                    let target = imm >> 16;
-                    if S::ENABLED {
-                        self.emit_jmp_site(cost.total(), pc + 2, target);
-                    }
-                    next = target;
-                }
-                FOp::WriteRun => {
-                    let w = u64::from(n);
-                    if remaining < w - 1 {
-                        cost.instructions -= 1;
-                        self.pc = pc;
-                        self.cost = cost;
-                        return self.run_decoded(&fused.plain, remaining + 1);
-                    }
-                    remaining -= w - 1;
-                    next = pc + u32::from(n);
-                    let rows = u64::from(d);
-                    let steps = &fused.field_runs[imm as usize..][..usize::from(d)];
-                    if !self.write_run_rows(steps, cost, pc) {
-                        return self.status.clone();
-                    }
-                    cost.instructions += 5 * rows - 1;
-                    cost.stores += rows;
-                    cost.loads += rows;
-                }
-                FOp::ReadRun => {
-                    let w = u64::from(n);
-                    if remaining < w - 1 {
-                        cost.instructions -= 1;
-                        self.pc = pc;
-                        self.cost = cost;
-                        return self.run_decoded(&fused.plain, remaining + 1);
-                    }
-                    remaining -= w - 1;
-                    cost.instructions += w - 1;
-                    cost.loads += u64::from(d);
-                    next = pc + u32::from(n);
-                    self.read_run_rows(&fused.field_runs[imm as usize..][..usize::from(d)]);
-                }
-                FOp::MovRun => {
-                    let w = u64::from(n);
-                    if remaining < w - 1 {
-                        cost.instructions -= 1;
-                        self.pc = pc;
-                        self.cost = cost;
-                        return self.run_decoded(&fused.plain, remaining + 1);
-                    }
-                    remaining -= w - 1;
-                    cost.instructions += w - 1;
-                    next = pc + u32::from(n);
-                    let base = imm as usize;
-                    for &pair in &fused.mov_runs[base..base + usize::from(n)] {
-                        r!(pair as u8) = r!((pair >> 8) as u8);
-                    }
-                }
-                FOp::Load32MovCall => {
-                    win!(3, jump);
-                    cost.instructions += 2;
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                    r!(c) = r!(d);
-                    cost.branches += 1;
-                    cost.calls += 1;
-                    govern_sp!(pc + 2);
-                    if S::ENABLED {
-                        let e = Event::Call {
-                            caller: name_at(prog, pc + 2),
-                            callee: name_at(prog, imm2),
-                        };
-                        self.sink.event(cost.total(), e);
-                    }
-                    self.regs[regs::RA as usize] = u64::from(pc + 3);
-                    next = imm2;
-                }
-                // --- plain slots (window length 1) ---
-                FOp::Halt => {
-                    if pc == 0 {
-                        let results = (0..self.expected_results)
-                            .map(|i| self.regs[regs::ARG0 as usize + i])
-                            .collect();
-                        flush!(pc, VmStatus::Halted(results));
-                    }
-                    flush!(
-                        pc,
-                        VmStatus::Error(format!("abnormal top-level return (pc {pc})"))
-                    );
-                }
-                FOp::Li => r!(a) = u64::from(imm),
-                FOp::Addi => {
-                    let v = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = u64::from(v);
-                }
-                FOp::Mov => r!(a) = r!(b),
-                FOp::Add32 => r!(a) = r!(b).wrapping_add(r!(c)) & M32,
-                FOp::Sub32 => r!(a) = r!(b).wrapping_sub(r!(c)) & M32,
-                FOp::Mul32 => r!(a) = r!(b).wrapping_mul(r!(c)) & M32,
-                FOp::And32 => r!(a) = r!(b) & r!(c) & M32,
-                FOp::Or32 => r!(a) = (r!(b) | r!(c)) & M32,
-                FOp::Xor32 => r!(a) = (r!(b) ^ r!(c)) & M32,
-                FOp::Eq32 => r!(a) = u64::from(r!(b) & M32 == r!(c) & M32),
-                FOp::Ne32 => r!(a) = u64::from(r!(b) & M32 != r!(c) & M32),
-                FOp::LtU32 => r!(a) = u64::from(r!(b) & M32 < r!(c) & M32),
-                FOp::LeU32 => r!(a) = u64::from(r!(b) & M32 <= r!(c) & M32),
-                FOp::GtU32 => r!(a) = u64::from(r!(b) & M32 > r!(c) & M32),
-                FOp::GeU32 => r!(a) = u64::from(r!(b) & M32 >= r!(c) & M32),
-                FOp::LtS32 => r!(a) = u64::from(s32(r!(b)) < s32(r!(c))),
-                FOp::LeS32 => r!(a) = u64::from(s32(r!(b)) <= s32(r!(c))),
-                FOp::GtS32 => r!(a) = u64::from(s32(r!(b)) > s32(r!(c))),
-                FOp::GeS32 => r!(a) = u64::from(s32(r!(b)) >= s32(r!(c))),
-                FOp::BinSlow => {
-                    let Inst::Bin { op, w, rd, ra, rb } = prog.code[pc as usize] else {
-                        unreachable!("fusion preserved instruction indices");
-                    };
-                    match op.eval(w, r!(ra), r!(rb)) {
-                        Ok((v, _)) => r!(rd) = v,
-                        Err(e) => flush!(
-                            pc,
-                            VmStatus::Error(format!("fault at pc {pc}{}: {e}", prog.locate(pc)))
-                        ),
-                    }
-                }
-                FOp::UnSlow => {
-                    let Inst::Un { op, w, rd, ra } = prog.code[pc as usize] else {
-                        unreachable!("fusion preserved instruction indices");
-                    };
-                    let (v, _) = op.eval(w, r!(ra));
-                    r!(rd) = v;
-                }
-                FOp::Load8 => {
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W8, addr);
-                }
-                FOp::Load16 => {
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W16, addr);
-                }
-                FOp::Load32 => {
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W32, addr);
-                }
-                FOp::Load64 => {
-                    cost.loads += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    r!(a) = self.mem.read_wide(Width::W64, addr);
-                }
-                FOp::Store8 => {
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W8, addr, r!(a));
-                    govern_mem!(pc);
-                }
-                FOp::Store16 => {
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W16, addr, r!(a));
-                    govern_mem!(pc);
-                }
-                FOp::Store32 => {
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W32, addr, r!(a));
-                    govern_mem!(pc);
-                }
-                FOp::Store64 => {
-                    cost.stores += 1;
-                    let addr = (r!(b) as u32).wrapping_add(imm);
-                    self.mem.write_wide(Width::W64, addr, r!(a));
-                    govern_mem!(pc);
-                }
-                FOp::Bnz => {
-                    cost.branches += 1;
-                    if r!(a) != 0 {
-                        next = imm;
-                    }
-                }
-                FOp::Bz => {
-                    cost.branches += 1;
-                    if r!(a) == 0 {
-                        next = imm;
-                    }
-                }
-                FOp::Jmp => {
-                    cost.branches += 1;
-                    if S::ENABLED {
-                        self.emit_jmp_site(cost.total(), pc, imm);
-                    }
-                    next = imm;
-                }
-                FOp::Jr => {
-                    cost.branches += 1;
-                    match self.code_target(r!(a)) {
-                        Ok(base) => {
-                            next = base.wrapping_add(imm);
-                            if S::ENABLED {
-                                self.emit_jr_site(cost.total(), pc, next);
-                            }
-                        }
-                        Err(e) => {
-                            flush!(pc, VmStatus::Error(format!("{e}{}", prog.locate(pc))))
-                        }
-                    }
-                }
-                FOp::Call => {
-                    cost.branches += 1;
-                    cost.calls += 1;
-                    govern_sp!(pc);
-                    if S::ENABLED {
-                        let e = Event::Call {
-                            caller: name_at(prog, pc),
-                            callee: name_at(prog, imm),
-                        };
-                        self.sink.event(cost.total(), e);
-                    }
-                    self.regs[regs::RA as usize] = u64::from(pc + 1);
-                    next = imm;
-                }
-                FOp::CallR => {
-                    cost.branches += 1;
-                    cost.calls += 1;
-                    govern_sp!(pc);
-                    match self.code_target(r!(a)) {
-                        Ok(t) => {
-                            if S::ENABLED {
-                                let e = Event::Call {
-                                    caller: name_at(prog, pc),
-                                    callee: name_at(prog, t),
-                                };
-                                self.sink.event(cost.total(), e);
-                            }
-                            self.regs[regs::RA as usize] = u64::from(pc + 1);
-                            next = t;
-                        }
-                        Err(e) => {
-                            flush!(pc, VmStatus::Error(format!("{e}{}", prog.locate(pc))))
-                        }
-                    }
-                }
-                FOp::SysYield => {
-                    if S::ENABLED {
-                        let e = Event::Yield {
-                            code: self.regs[regs::ARG0 as usize],
-                        };
-                        self.sink.event(cost.total(), e);
-                    }
-                    flush!(pc + 1, VmStatus::Suspended);
-                }
-            }
-            pc = next;
-        }
-        self.pc = pc;
-        self.cost = cost;
-        self.status = VmStatus::OutOfFuel;
-        self.status.clone()
+/// The head of a side-table-backed run window: `rows` rows (or none,
+/// for a move run) starting at side-table index `base`, `n` wide.
+fn window(op: DOp, sel: DOp, rows: u8, n: u8, base: u32) -> DInst {
+    DInst {
+        op,
+        sel,
+        a: 0,
+        b: 0,
+        c: 0,
+        d: rows,
+        n,
+        imm: base,
+        imm2: 0,
     }
 }
 
@@ -2383,6 +864,7 @@ impl<S: TraceSink> VmMachine<'_, S> {
 mod tests {
     use super::*;
     use crate::codegen::compile;
+    use crate::machine::{VmMachine, VmStatus};
     use cmm_cfg::build_program;
     use cmm_parse::parse_module;
 
@@ -2409,8 +891,10 @@ mod tests {
     #[test]
     fn fuse_is_index_aligned_and_interiors_stay_plain() {
         let vp = program(RECURSIVE);
+        let plain = DecodedCode::decode(&vp);
         let fu = fuse_of(&vp);
         assert_eq!(fu.insts.len(), vp.code.len());
+        assert_eq!(fu.tier, EngineId::VmFused);
         let mut pc = 0usize;
         while pc < fu.insts.len() {
             let fi = fu.insts[pc];
@@ -2418,7 +902,7 @@ mod tests {
             for k in 1..n {
                 let interior = fu.insts[pc + k];
                 assert_eq!(interior.n, 1, "interior slot at {} must stay plain", pc + k);
-                assert_eq!(interior.sel, fu.plain.insts[pc + k].op);
+                assert_eq!(interior.op, plain.insts[pc + k].op);
             }
             pc += n;
         }
@@ -2437,7 +921,7 @@ mod tests {
             crate::disasm::disassemble(&vp)
         );
         assert!(
-            fu.insts.iter().any(|i| i.op == FOp::RetJr),
+            fu.insts.iter().any(|i| i.op == DOp::RetJr),
             "expected a fused return epilogue"
         );
     }

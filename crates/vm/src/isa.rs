@@ -119,13 +119,6 @@ pub enum Inst {
         /// Byte offset.
         off: i32,
     },
-    /// Branch to `target` if `rs` is non-zero.
-    Bnz {
-        /// Condition register.
-        rs: Reg,
-        /// Target instruction index.
-        target: u32,
-    },
     /// Branch to `target` if `rs` is zero.
     Bz {
         /// Condition register.
@@ -169,8 +162,7 @@ impl Inst {
     pub fn is_branch(&self) -> bool {
         matches!(
             self,
-            Inst::Bnz { .. }
-                | Inst::Bz { .. }
+            Inst::Bz { .. }
                 | Inst::Jmp { .. }
                 | Inst::Jr { .. }
                 | Inst::Call { .. }

@@ -35,6 +35,13 @@
 //! branches, and calls. The integration tests cross-check the VM against
 //! the `cmm-sem` abstract machine on the same programs: both must
 //! produce identical results.
+//!
+//! The machine runs in one of three tiers, all over the same state: `vm`
+//! steps the assembled [`isa::Inst`] array ([`VmMachine::step`]), and
+//! `vm-decoded` and `vm-fused` run one loop over a [`DecodedCode`]
+//! stream — plain slots from [`DecodedCode::decode`], or with windows
+//! formed by the fusion pass ([`DecodedCode::fuse`]). The stream names
+//! its tier, so a machine reports it without inspecting the code.
 
 pub mod arch;
 pub mod codegen;
@@ -51,7 +58,7 @@ pub mod snapshot;
 pub use arch::ArchProfile;
 pub use codegen::{compile, CodegenError, VmProgram};
 pub use decode::{DInst, DOp, DecodedCode};
-pub use fuse::{FInst, FOp, FusedCode};
+pub use fuse::FusedCode;
 pub use isa::{Inst, Reg};
 pub use machine::{check_arity, Cost, VmArena, VmMachine, VmStatus};
 pub use runtime::VmThread;

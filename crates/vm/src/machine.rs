@@ -2,10 +2,9 @@
 
 use crate::codegen::{TraceSite, VmProgram};
 use crate::decode::DecodedCode;
-use crate::fuse::FusedCode;
 use crate::isa::{regs, Inst};
 use crate::mem::Memory;
-use cmm_chaos::{LimitTrip, ResourceGovernor};
+use cmm_chaos::{EngineId, LimitTrip, ResourceGovernor};
 use cmm_ir::Name;
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::sync::Arc;
@@ -89,14 +88,10 @@ pub struct VmMachine<'p, S: TraceSink = NopSink> {
     pub cost: Cost,
     pub(crate) status: VmStatus,
     pub(crate) expected_results: usize,
-    /// When present, `run` executes over this pre-decoded stream
-    /// instead of the original `Inst` array (see [`crate::decode`]).
-    /// Shared so cloning a machine shares the lowering.
+    /// When present, `run` executes over this stream, decoded or fused
+    /// (see [`crate::decode`]), instead of stepping the original `Inst`
+    /// array. Shared so cloning a machine shares the lowering.
     decoded: Option<Arc<DecodedCode>>,
-    /// When present, `run` executes over this fused superinstruction
-    /// stream (see [`crate::fuse`]); takes precedence over `decoded`.
-    /// Shared so cloning a machine shares the lowering.
-    fused: Option<Arc<FusedCode>>,
     /// Optional `cmm-chaos` resource governor. In this family the stack
     /// limit is a floor on `sp` (activation records live in simulated
     /// memory) and the memory cap counts mapped page bytes.
@@ -119,29 +114,22 @@ impl<'p> VmMachine<'p> {
         VmMachine::with_sink_decoded(program, NopSink)
     }
 
-    /// [`VmMachine::new_decoded`] over an *already decoded* stream,
-    /// e.g. one memoized by `cmm-pool`'s compilation cache: the caller
-    /// pays the lowering once and every machine after that shares it.
-    /// `decoded` must come from [`DecodedCode::decode`] on this same
-    /// `program`.
+    /// [`VmMachine::new_decoded`] over an *already built* stream,
+    /// decoded or fused, e.g. one memoized by `cmm-pool`'s compilation
+    /// cache: the caller pays the lowering once and every machine after
+    /// that shares it. `decoded` must come from [`DecodedCode::decode`]
+    /// (and perhaps [`DecodedCode::fuse`]) on this same `program`.
     pub fn new_shared_decoded(program: &'p VmProgram, decoded: Arc<DecodedCode>) -> VmMachine<'p> {
         VmMachine::with_sink_shared_decoded(program, decoded, NopSink)
     }
 
-    /// Creates a machine that executes via the fused engine: the
+    /// Creates a machine that executes via the fused stream: the
     /// instruction stream is decoded and then fused once (see
-    /// [`crate::fuse`]) and `run` dispatches whole superinstruction
-    /// windows. Observable behaviour is identical to
-    /// [`VmMachine::new`]; only the step loop differs.
+    /// [`crate::fuse`]) and `run` dispatches whole windows. Observable
+    /// behaviour is identical to [`VmMachine::new`]; only the step loop
+    /// differs.
     pub fn new_fused(program: &'p VmProgram) -> VmMachine<'p> {
         VmMachine::with_sink_fused(program, NopSink)
-    }
-
-    /// [`VmMachine::new_fused`] over an *already fused* stream, e.g.
-    /// one memoized by `cmm-pool`'s compilation cache. `fused` must
-    /// come from [`FusedCode::fuse`] on this same `program`.
-    pub fn new_shared_fused(program: &'p VmProgram, fused: Arc<FusedCode>) -> VmMachine<'p> {
-        VmMachine::with_sink_shared_fused(program, fused, NopSink)
     }
 }
 
@@ -233,7 +221,6 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
             status: VmStatus::Idle,
             expected_results: 0,
             decoded: None,
-            fused: None,
             governor: None,
             sink,
         }
@@ -271,8 +258,8 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
         m
     }
 
-    /// Creates a tracing pre-decoded machine over a shared, already
-    /// decoded stream (see [`VmMachine::new_shared_decoded`]).
+    /// Creates a tracing machine over a shared, already built stream,
+    /// decoded or fused (see [`VmMachine::new_shared_decoded`]).
     pub fn with_sink_shared_decoded(
         program: &'p VmProgram,
         decoded: Arc<DecodedCode>,
@@ -300,31 +287,8 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     /// [`VmMachine::new_fused`]).
     pub fn with_sink_fused(program: &'p VmProgram, sink: S) -> VmMachine<'p, S> {
         let plain = Arc::new(DecodedCode::decode(program));
-        let fused = Arc::new(FusedCode::fuse(program, plain));
-        VmMachine::with_sink_shared_fused(program, fused, sink)
-    }
-
-    /// Creates a tracing fused machine over a shared, already fused
-    /// stream (see [`VmMachine::new_shared_fused`]).
-    pub fn with_sink_shared_fused(
-        program: &'p VmProgram,
-        fused: Arc<FusedCode>,
-        sink: S,
-    ) -> VmMachine<'p, S> {
-        VmMachine::with_sink_shared_fused_in(program, fused, sink, &mut VmArena::new())
-    }
-
-    /// [`VmMachine::with_sink_shared_fused`] drawing the machine's
-    /// heap structures from `arena` (see [`VmMachine::with_sink_in`]).
-    pub fn with_sink_shared_fused_in(
-        program: &'p VmProgram,
-        fused: Arc<FusedCode>,
-        sink: S,
-        arena: &mut VmArena,
-    ) -> VmMachine<'p, S> {
-        let mut m = VmMachine::with_sink_in(program, sink, arena);
-        m.fused = Some(fused);
-        m
+        let fused = Arc::new(DecodedCode::fuse(program, plain));
+        VmMachine::with_sink_shared_decoded(program, fused, sink)
     }
 
     /// Consumes the machine and banks its heap allocations in `arena`
@@ -395,14 +359,10 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
         }
     }
 
-    /// True if this machine runs over the pre-decoded stream.
-    pub fn is_decoded(&self) -> bool {
-        self.decoded.is_some()
-    }
-
-    /// True if this machine runs over the fused stream.
-    pub fn is_fused(&self) -> bool {
-        self.fused.is_some()
+    /// The tier this machine runs: `vm` when it steps the original
+    /// instructions, else the tier its stream names.
+    pub fn tier(&self) -> EngineId {
+        self.decoded.as_ref().map_or(EngineId::Vm, |d| d.tier)
     }
 
     /// Current status.
@@ -474,14 +434,18 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
             Some(g) => g.slice(fuel),
             None => fuel,
         };
-        if let Some(fused) = &self.fused {
-            let fused = Arc::clone(fused);
-            return self.run_fused(&fused, fuel);
-        }
         if let Some(decoded) = &self.decoded {
             let decoded = Arc::clone(decoded);
-            return self.run_decoded(&decoded, fuel);
+            return self.run_code(&decoded, fuel);
         }
+        self.run_steps(fuel)
+    }
+
+    /// Runs up to `fuel` instructions through [`VmMachine::step`]: the
+    /// stepped tier's loop, and where the fast loop finishes a slice
+    /// that ends inside a fused window.
+    #[inline(never)]
+    pub(crate) fn run_steps(&mut self, fuel: u64) -> VmStatus {
         if matches!(self.status, VmStatus::OutOfFuel) {
             self.status = VmStatus::Running;
         }
@@ -562,11 +526,6 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
                         self.trip_limit(trip, bytes as u64);
                         return;
                     }
-                }
-            }
-            Inst::Bnz { rs, target } => {
-                if self.regs[rs as usize] != 0 {
-                    next = target;
                 }
             }
             Inst::Bz { rs, target } => {

@@ -93,16 +93,16 @@ impl<'p> VmThread<'p> {
         VmThread::with_sink(program, NopSink)
     }
 
-    /// Creates a thread whose machine runs the pre-decoded engine (see
-    /// [`crate::decode`]). The runtime interface is engine-agnostic: it
-    /// reads registers, memory, and pc, all of which the two engines
-    /// maintain identically.
+    /// Creates a thread whose machine runs the pre-decoded stream (see
+    /// [`crate::decode`]). The runtime interface is tier-agnostic: it
+    /// reads registers, memory, and pc, all of which every tier
+    /// maintains identically.
     pub fn new_decoded(program: &'p VmProgram) -> VmThread<'p> {
         VmThread::with_sink_decoded(program, NopSink)
     }
 
-    /// Creates a thread whose machine runs the fused engine (see
-    /// [`crate::fuse`]). The runtime interface is engine-agnostic.
+    /// Creates a thread whose machine runs the fused stream (see
+    /// [`crate::fuse`]). The runtime interface is tier-agnostic.
     pub fn new_fused(program: &'p VmProgram) -> VmThread<'p> {
         VmThread::with_sink_fused(program, NopSink)
     }
@@ -130,10 +130,10 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         VmThread::over(VmMachine::with_sink_decoded(program, sink))
     }
 
-    /// Creates a tracing thread over a shared, already decoded stream
-    /// (see [`VmMachine::new_shared_decoded`]): the lowering is paid
-    /// once — e.g. by `cmm-pool`'s compilation cache — and every thread
-    /// after that reuses it.
+    /// Creates a tracing thread over a shared, already built stream,
+    /// decoded or fused (see [`VmMachine::new_shared_decoded`]): the
+    /// lowering is paid once — e.g. by `cmm-pool`'s compilation cache —
+    /// and every thread after that reuses it.
     pub fn with_sink_shared_decoded(
         program: &'p VmProgram,
         decoded: std::sync::Arc<crate::decode::DecodedCode>,
@@ -148,14 +148,14 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         VmThread::over(VmMachine::with_sink_fused(program, sink))
     }
 
-    /// Creates a tracing thread over a shared, already fused stream
-    /// (see [`VmMachine::new_shared_fused`]).
+    /// [`VmThread::with_sink_shared_decoded`] under the name the
+    /// repository benchmark calls for `vm-fused`.
     pub fn with_sink_shared_fused(
         program: &'p VmProgram,
-        fused: std::sync::Arc<crate::fuse::FusedCode>,
+        fused: std::sync::Arc<crate::decode::DecodedCode>,
         sink: S,
     ) -> VmThread<'p, S> {
-        VmThread::over(VmMachine::with_sink_shared_fused(program, fused, sink))
+        VmThread::with_sink_shared_decoded(program, fused, sink)
     }
 
     /// [`VmThread::with_sink`] with the machine's heap structures drawn
@@ -168,16 +168,16 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         VmThread::over(VmMachine::with_sink_in(program, sink, arena))
     }
 
-    /// [`VmThread::with_sink_shared_fused`] with the machine's heap
+    /// [`VmThread::with_sink_shared_decoded`] with the machine's heap
     /// structures drawn from `arena` (see [`VmMachine::with_sink_in`]).
-    pub fn with_sink_shared_fused_in(
+    pub fn with_sink_shared_decoded_in(
         program: &'p VmProgram,
-        fused: std::sync::Arc<crate::fuse::FusedCode>,
+        decoded: std::sync::Arc<crate::decode::DecodedCode>,
         sink: S,
         arena: &mut crate::machine::VmArena,
     ) -> VmThread<'p, S> {
-        VmThread::over(VmMachine::with_sink_shared_fused_in(
-            program, fused, sink, arena,
+        VmThread::over(VmMachine::with_sink_shared_decoded_in(
+            program, decoded, sink, arena,
         ))
     }
 
@@ -544,13 +544,7 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
 /// Table 1 over words: the handle lives in the thread's cursor.
 impl<S: TraceSink> Table1 for VmThread<'_, S> {
     fn engine(&self) -> EngineId {
-        if self.machine.is_fused() {
-            EngineId::VmFused
-        } else if self.machine.is_decoded() {
-            EngineId::VmDecoded
-        } else {
-            EngineId::Vm
-        }
+        self.machine.tier()
     }
 
     fn start(&mut self, entry: &str, args: &[u64], results: usize) -> Result<(), String> {

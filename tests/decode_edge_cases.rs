@@ -3,17 +3,19 @@
 //! rather than execution — empty procedures, continuations nothing
 //! ever targets, programs pushed past the small-index boundaries,
 //! fusable sequences split by control-flow boundaries — plus the
-//! checked-in corpus reproducers replayed on the new engines, and a
-//! golden disassembly table covering every fused opcode.
+//! checked-in corpus reproducers replayed on the new engines.
 //!
-//! Each case asserts the new engine's observation equals the reference
-//! engine's, using the `cmm-difftest` oracle observers.
+//! Each such case asserts the new engine's observation equals the
+//! reference engine's, using the `cmm-difftest` oracle observers. Two
+//! checks guard the fusion pass itself: every window opcode forms on a
+//! committed program, and a fused stream that formed no window is
+//! still the `vm-fused` tier, for the engine id and the snapshot tag.
 
 use cmm_cfg::Program;
 use cmm_difftest::{
     observe_sem, observe_sem_resolved, observe_vm, observe_vm_decoded, observe_vm_fused, Limits,
 };
-use cmm_vm::{DInst, DOp, DecodedCode, FInst, FOp, FusedCode, VmProgram};
+use cmm_vm::{DInst, DOp, DecodedCode, FusedCode, VmProgram};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -73,7 +75,7 @@ fn static_targets(plain: &DecodedCode) -> Vec<u32> {
         .insts
         .iter()
         .filter_map(|i: &DInst| match i.op {
-            DOp::Bz | DOp::Bnz | DOp::Jmp | DOp::Call => Some(i.imm),
+            DOp::Bz | DOp::Jmp | DOp::Call => Some(i.imm),
             _ => None,
         })
         .collect()
@@ -307,96 +309,172 @@ fn continuation_params_live_across_fused_window() {
     engines_agree(src, (15, 4));
 }
 
-/// Golden disassembly for **every** fused opcode: one representative
-/// `FInst` per window-forming `FOp` variant, rendered through
-/// `fused_inst_to_string`. Plain mirrors fall through to the original
-/// instruction's rendering and are covered by the final case. Registers
-/// 1..=8 render as t0..t6 and a0.
+/// The window opcodes, in declaration order. A new pattern joins this
+/// list together with a committed program that forms it.
+const WINDOW_OPS: [DOp; 40] = [
+    DOp::CmpBz,
+    DOp::LiCmpBz,
+    DOp::AluJmp,
+    DOp::AddiStore32,
+    DOp::MovCall,
+    DOp::RetJr,
+    DOp::CutJr,
+    DOp::MovMov,
+    DOp::MovLi,
+    DOp::MovLoad32,
+    DOp::LiMov,
+    DOp::LiStore32,
+    DOp::LiBin32,
+    DOp::Load32Mov,
+    DOp::Load32Load32,
+    DOp::Load32Store32,
+    DOp::Store32Mov,
+    DOp::Store32Li,
+    DOp::Store32Store32,
+    DOp::Bin32Store32,
+    DOp::Bin32Mov,
+    DOp::MovAddi,
+    DOp::Store32Load32,
+    DOp::AddiJr,
+    DOp::Mov3,
+    DOp::Mov4,
+    DOp::Load32LiBin32,
+    DOp::MovMovCall,
+    DOp::Load32MovCall,
+    DOp::MovRun,
+    DOp::LiBin32Mov,
+    DOp::LiBin32MovJmp,
+    DOp::Load32Load32CmpBz,
+    DOp::Load32LiBin32Store32Jmp,
+    DOp::Load32MovLoad32MovCall,
+    DOp::Bin32Li,
+    DOp::Load32AddiJmp,
+    DOp::WriteRun,
+    DOp::ReadRun,
+    DOp::MovBin32Mov,
+];
+
+/// Every window opcode forms at least once on the committed programs,
+/// optimized: the C-- examples, Figure 2's deep raise, and the MiniM3
+/// workloads under all seven strategies. A pattern nothing forms is
+/// dispatch arms and fusion code that no program pays for.
 #[test]
-fn disasm_goldens_cover_every_fused_opcode() {
-    use cmm_vm::disasm::fused_inst_to_string;
-    let fi = |op, sel, a, b, c, d, n, imm, imm2| FInst {
-        op,
-        sel,
-        a,
-        b,
-        c,
-        d,
-        n,
-        imm,
-        imm2,
-    };
-    let add = DOp::Add32;
-    let eq = DOp::Eq32;
-    #[rustfmt::skip]
-    let goldens: Vec<(FInst, &str)> = vec![
-        (fi(FOp::CmpBz, eq, 1, 2, 3, 0, 2, 0, 7), "eq.bz t0, t1, t2, 7"),
-        (fi(FOp::CmpBnz, eq, 1, 2, 3, 0, 2, 0, 7), "eq.bnz t0, t1, t2, 7"),
-        (fi(FOp::LiCmpBz, eq, 1, 2, 0, 0, 3, 0x2a, 7), "li.eq.bz t0, t1, 0x2a, 7"),
-        (fi(FOp::LiCmpBnz, eq, 1, 2, 0, 0, 3, 0x2a, 7), "li.eq.bnz t0, t1, 0x2a, 7"),
-        (fi(FOp::AluJmp, add, 1, 2, 3, 0, 2, 0, 7), "add.jmp t0, t1, t2, 7"),
-        (fi(FOp::AddiStore32, DOp::Addi, 1, 2, 0, 4, 2, 5, 12), "addi.st32 t0, t1, 5, 12(t3)"),
-        (fi(FOp::MovCall, DOp::Mov, 1, 2, 0, 0, 2, 0, 9), "mov.call t0, t1, 9"),
-        (fi(FOp::RetJr, DOp::Jr, 1, 2, 0, 4, 3, 8, 4), "ld32.addi.jr t0, 8(t1), 4, +4"),
-        (fi(FOp::CutJr, DOp::Jr, 1, 2, 0, 0, 2, 0, 0), "cutjr t0, (t1)"),
-        (fi(FOp::MovMov, DOp::Mov, 1, 2, 3, 4, 2, 0, 0), "mov.mov t0, t1; t2, t3"),
-        (fi(FOp::MovLi, DOp::Mov, 1, 2, 3, 0, 2, 0, 0x2a), "mov.li t0, t1; t2, 0x2a"),
-        (fi(FOp::MovLoad32, DOp::Mov, 1, 2, 3, 4, 2, 0, 12), "mov.ld32 t0, t1; t2, 12(t3)"),
-        (fi(FOp::MovStore32, DOp::Mov, 1, 2, 3, 4, 2, 0, 12), "mov.st32 t0, t1; t2, 12(t3)"),
-        (fi(FOp::LiMov, DOp::Li, 1, 0, 3, 4, 2, 0x2a, 0), "li.mov t0, 0x2a; t2, t3"),
-        (fi(FOp::LiStore32, DOp::Li, 1, 0, 3, 4, 2, 0x2a, 12), "li.st32 t0, 0x2a; t2, 12(t3)"),
-        (fi(FOp::LiBin32, add, 1, 2, 3, 4, 2, 0x2a, 0), "li.add t0, 0x2a; t3, t1, t2"),
-        (fi(FOp::Load32Mov, DOp::Load32, 1, 2, 3, 4, 2, 8, 0), "ld32.mov t0, 8(t1); t2, t3"),
-        (fi(FOp::Load32Li, DOp::Load32, 1, 2, 3, 0, 2, 8, 0x2a), "ld32.li t0, 8(t1); t2, 0x2a"),
-        (fi(FOp::Load32Load32, DOp::Load32, 1, 2, 3, 4, 2, 8, 12), "ld32.ld32 t0, 8(t1); t2, 12(t3)"),
-        (fi(FOp::Load32Addi, DOp::Load32, 1, 2, 3, 4, 2, 8, 5), "ld32.addi t0, 8(t1); t2, t3, 5"),
-        (fi(FOp::Load32Store32, DOp::Load32, 1, 2, 3, 4, 2, 8, 12), "ld32.st32 t0, 8(t1); t2, 12(t3)"),
-        (fi(FOp::Store32Mov, DOp::Store32, 1, 2, 3, 4, 2, 8, 0), "st32.mov t0, 8(t1); t2, t3"),
-        (fi(FOp::Store32Li, DOp::Store32, 1, 2, 3, 0, 2, 8, 0x2a), "st32.li t0, 8(t1); t2, 0x2a"),
-        (fi(FOp::Store32Store32, DOp::Store32, 1, 2, 3, 4, 2, 8, 12), "st32.st32 t0, 8(t1); t2, 12(t3)"),
-        (fi(FOp::Bin32Store32, add, 1, 2, 3, 4, 2, 0, 12), "add.st32 t0, t1, t2; 12(t3)"),
-        (fi(FOp::Bin32Load32, add, 1, 2, 3, 4, 2, 0, 12), "add.ld32 t0, t1, t2; t3, 12(t0)"),
-        (fi(FOp::Bin32Mov, add, 1, 2, 3, 4, 2, 0, 0), "add.mov t0, t1, t2; t3"),
-        (fi(FOp::MovAddi, DOp::Mov, 1, 2, 3, 4, 2, 0, 5), "mov.addi t0, t1; t2, t3, 5"),
-        (fi(FOp::Store32Load32, DOp::Store32, 1, 2, 3, 4, 2, 8, 12), "st32.ld32 t0, 8(t1); t2, 12(t3)"),
-        (fi(FOp::AddiJr, DOp::Addi, 1, 2, 3, 4, 2, 5, 0), "addi.jr t0, t1, 5; t2+4"),
-        (fi(FOp::Mov3, DOp::Mov, 1, 2, 3, 4, 3, 5 | 6 << 8, 0), "mov.mov.mov t0, t1; t2, t3; t4, t5"),
-        (fi(FOp::Mov4, DOp::Mov, 1, 2, 3, 4, 4, 5 | 6 << 8, 7 | 8 << 8), "mov.mov.mov.mov t0, t1; t2, t3; t4, t5; t6, a0"),
-        (fi(FOp::Load32LiBin32, add, 1, 2, 3, 4, 3, 8, 0x2a), "ld32.li.add t0, 8(t1); t2, 0x2a; t3"),
-        (fi(FOp::MovMovCall, DOp::Call, 1, 2, 3, 4, 3, 0, 9), "mov.mov.call t0, t1; t2, t3; 9"),
-        (fi(FOp::Load32MovCall, DOp::Call, 1, 2, 3, 4, 3, 8, 9), "ld32.mov.call t0, 8(t1); t2, t3; 9"),
-        (fi(FOp::Load32LiBin32Store32Mov, add, 1, 2, 3, 4, 5, 8 | 12 << 16, 0x2a | 5 << 16 | 6 << 24), "ld32.li.add.st32.mov t0, 8(t1); t2, 0x2a; t3; 12(t1); t4, t5"),
-        (fi(FOp::MovRun, DOp::Mov, 0, 0, 0, 0, 3, 2, 0), "mov.run x3, [2..5]"),
-        (fi(FOp::Store32MovLoad32LiBin32, add, 1, 2, 3, 4, 5, 8 | 12 << 16, 0x2a | 5 << 8 | 6 << 16 | 7 << 24), "st32.mov.ld32.li.add t0, 8(t1); t0, t2; t4, 12(t3); t5, 0x2a; t6"),
-        (fi(FOp::LiBin32Load32Mov, add, 1, 2, 3, 4, 4, 0x2a, 12 | 5 << 16 | 6 << 24), "li.add.ld32.mov t0, 0x2a; t3, t1, t2; t4, 12(t3); t5"),
-        (fi(FOp::LiBin32Mov, add, 1, 2, 3, 4, 3, 0x2a, 5), "li.add.mov t0, 0x2a; t3, t1, t2; t4"),
-        (fi(FOp::LiBin32MovJmp, add, 1, 2, 3, 4, 4, 0x2a, 9 | 5 << 24), "li.add.mov.jmp t0, 0x2a; t3, t1, t2; t4; 9"),
-        (fi(FOp::Load32Load32CmpBz, eq, 1, 2, 3, 4, 4, 8 | 12 << 16, 9 | 5 << 24), "ld32.ld32.eq.bz t0, 8(t1); t2, 12(t3); t4; 9"),
-        (fi(FOp::Load32LiBin32Store32Jmp, add, 1, 2, 3, 4, 5, 8 | 12 << 16, 9 | 0x2a << 24), "ld32.li.add.st32.jmp t0, 8(t1); t2, 0x2a; t3; 12(t1); 9"),
-        (fi(FOp::Load32MovLoad32MovCall, DOp::Call, 1, 2, 3, 4, 5, 8 | 12 << 16, 9 | 5 << 16 | 6 << 24), "ld32.mov.ld32.mov.call t0, 8(t1); t4; t2, 12(t3); t5; 9"),
-        (fi(FOp::Bin32Li, add, 1, 2, 3, 4, 2, 0, 0x2a), "add.li t0, t1, t2; t3, 0x2a"),
-        (fi(FOp::Load32AddiJmp, DOp::Addi, 1, 2, 3, 4, 3, 8 | 9 << 16, 5), "ld32.addi.jmp t0, 8(t1); t2, t3, 5; 9"),
-        (fi(FOp::WriteRun, DOp::Store32, 0, 0, 0, 3, 15, 2, 0), "write.run x3, [2..5]"),
-        (fi(FOp::ReadRun, DOp::Li, 0, 0, 0, 2, 8, 0, 0), "read.run x2, [0..2]"),
-        (fi(FOp::MovBin32Mov, add, 1, 2, 3, 4, 3, 5, 6), "mov.add.mov t0, t1; t3, t2, t4; t5"),
-    ];
-    assert_eq!(goldens.len(), 49, "one golden per fused opcode");
-    let original = cmm_vm::Inst::Halt;
-    for (f, want) in &goldens {
-        assert_eq!(
-            &fused_inst_to_string(f, &original),
-            want,
-            "golden mismatch for {:?}",
-            f.op
-        );
+fn every_window_opcode_forms_on_a_committed_program() {
+    use cmm_frontend::workloads::{GAME, NO_RAISE, RAISE_FREQUENCY};
+    use cmm_frontend::{compile_minim3, Strategy};
+    use cmm_vm::arch::{ALPHA_DIGITAL_UNIX, PENTIUM_LINUX, SPARC_SOLARIS};
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let read = |name: &str| std::fs::read_to_string(root.join(name)).expect("read example");
+    let mut programs: Vec<(String, Program)> = Vec::new();
+    for entry in std::fs::read_dir(&root).expect("examples directory exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "cmm") {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let prog = build(&read(&name));
+            programs.push((name, prog));
+        }
     }
-    // Distinct opcodes — no variant is golden-tested twice in place of
-    // a missed one.
-    let mut ops: Vec<String> = goldens.iter().map(|(f, _)| format!("{:?}", f.op)).collect();
-    ops.sort();
-    ops.dedup();
-    assert_eq!(ops.len(), 49, "every golden names a distinct opcode");
-    // Plain slots fall through to the original instruction's rendering.
-    let plain_slot = fi(FOp::Halt, DOp::Halt, 0, 0, 0, 0, 1, 0, 0);
-    assert_eq!(fused_inst_to_string(&plain_slot, &original), "halt");
+    let m3 = [
+        ("fig2_deep_raise.m3", read("fig2_deep_raise.m3")),
+        ("GAME", GAME.to_string()),
+        ("RAISE_FREQUENCY", RAISE_FREQUENCY.to_string()),
+        ("NO_RAISE", NO_RAISE.to_string()),
+    ];
+    let mut strategies = Strategy::CORE.to_vec();
+    strategies.extend([PENTIUM_LINUX, SPARC_SOLARIS, ALPHA_DIGITAL_UNIX].map(Strategy::Sjlj));
+    for (label, src) in &m3 {
+        for &s in &strategies {
+            let module = compile_minim3(src, s).expect("workload lowers");
+            let prog = cmm_cfg::build_program(&module).expect("workload builds");
+            programs.push((format!("{label} {}", s.label()), prog));
+        }
+    }
+    let mut formed = vec![0usize; WINDOW_OPS.len()];
+    for (name, mut prog) in programs {
+        cmm_opt::optimize_program(&mut prog, &cmm_opt::OptOptions::default());
+        let vp = cmm_vm::compile(&prog).expect("program compiles");
+        let fused = FusedCode::fuse(&vp, Arc::new(DecodedCode::decode(&vp)));
+        for head in fused.insts.iter().filter(|i| i.n > 1) {
+            let Some(k) = WINDOW_OPS.iter().position(|&op| op == head.op) else {
+                panic!("{name}: {:?} forms a window but is not listed", head.op);
+            };
+            formed[k] += 1;
+        }
+    }
+    let never: Vec<DOp> = WINDOW_OPS
+        .iter()
+        .zip(&formed)
+        .filter(|&(_, &count)| count == 0)
+        .map(|(&op, _)| op)
+        .collect();
+    assert!(
+        never.is_empty(),
+        "window opcodes no committed program forms: {never:?}"
+    );
+}
+
+/// A fused stream in which the pass formed no window is still the
+/// `vm-fused` tier: the stream names its tier, so neither the engine
+/// id a thread reports nor the tag a snapshot carries depends on how
+/// many windows formed. The snapshot still resumes on `vm-decoded`.
+#[test]
+fn a_fused_stream_without_windows_is_still_vm_fused() {
+    use cmm_chaos::{EngineId, Family, Table1};
+    use cmm_pool::SourceKey;
+    use cmm_snap::{SnapMeta, Snapshot};
+    use cmm_vm::{VmStatus, VmThread};
+
+    // Every compiled program forms a window: code generation always
+    // emits the `yield` stub, whose frame push and pop fuse. So the
+    // compiled `f() { return; }` is rewritten to the leaf `f: jr ra+0`,
+    // every other slot a `halt`, which nothing fuses.
+    let src = "f() { return; }";
+    let mut vp = cmm_vm::compile(&build(src)).expect("program compiles");
+    let entry = vp.entries["f"] as usize;
+    for (pc, inst) in vp.code.iter_mut().enumerate().skip(8) {
+        *inst = if pc == entry {
+            cmm_vm::Inst::Jr {
+                rs: cmm_vm::isa::regs::RA,
+                off: 0,
+            }
+        } else {
+            cmm_vm::Inst::Halt
+        };
+    }
+    let fused = FusedCode::fuse(&vp, Arc::new(DecodedCode::decode(&vp)));
+    assert_eq!(fused.fused_heads(), 0, "expected no window");
+
+    let mut straight = VmThread::new_fused(&vp);
+    assert_eq!(straight.engine(), EngineId::VmFused);
+    straight.start("f", &[], 0);
+    let VmStatus::Halted(want) = straight.run(1 << 20) else {
+        panic!("straight run did not halt");
+    };
+
+    let mut t = VmThread::new_fused(&vp);
+    t.start("f", &[], 0);
+    assert_eq!(t.run(1), VmStatus::OutOfFuel);
+    let meta = SnapMeta {
+        entry: "f".into(),
+        args: Vec::new(),
+        fuel_remaining: 1 << 20,
+        yields_done: 0,
+        opt: false,
+    };
+    let digest = SourceKey::cmm(src, false, Family::Vm).digest();
+    let snap = Snapshot::capture(&t, digest, meta, None).expect("capture at a fuel boundary");
+    let blob = Snapshot::decode(&snap.encode()).expect("decode own encoding");
+    assert_eq!(
+        blob.engine,
+        EngineId::VmFused,
+        "the blob carries the fused tag"
+    );
+
+    let mut resumed = VmThread::new_decoded(&vp);
+    blob.restore_into(&mut resumed)
+        .expect("a fused blob restores on vm-decoded");
+    assert_eq!(resumed.engine(), EngineId::VmDecoded);
+    assert_eq!(resumed.run(1 << 20), VmStatus::Halted(want));
+    assert_eq!(resumed.machine.cost, straight.machine.cost);
 }

@@ -493,7 +493,7 @@ fn recycled_arenas_make_identical_observations() {
         let fresh = drive_vm(&mut VmThread::new_fused(&vp), case.args);
         let plain = Arc::new(cmm_vm::DecodedCode::decode(&vp));
         let stream = Arc::new(cmm_vm::FusedCode::fuse(&vp, plain));
-        let mut t = VmThread::with_sink_shared_fused_in(&vp, stream, NopSink, &mut vm_arena);
+        let mut t = VmThread::with_sink_shared_decoded_in(&vp, stream, NopSink, &mut vm_arena);
         let recycled = drive_vm(&mut t, case.args);
         t.into_machine().recycle_into(&mut vm_arena);
         assert_eq!(
