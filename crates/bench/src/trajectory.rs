@@ -754,7 +754,7 @@ pub fn run_serve_figures() -> ServeFigures {
         clock: SERVE_CLOCK,
         tenants: profile.tenants as u64,
         threads: r1.threads,
-        lanes: config.lanes as u64,
+        lanes: cmm_serve::service::LANES as u64,
         quantum: config.quantum,
         completed: r1.completed,
         yields: r1.yields,

@@ -214,15 +214,6 @@ impl Node {
         }
     }
 
-    /// True if control can leave the procedure at this node (no
-    /// fall-through successor).
-    pub fn is_exit_like(&self) -> bool {
-        matches!(
-            self,
-            Node::Exit { .. } | Node::Jump { .. } | Node::CutTo { .. } | Node::Yield
-        )
-    }
-
     /// A short mnemonic for display.
     pub fn kind_name(&self) -> &'static str {
         match self {

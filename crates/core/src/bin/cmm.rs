@@ -444,7 +444,6 @@ fn run_manifest(
         workers: a.size("--jobs").unwrap_or(1),
         metrics,
         snapshot_every: a.num("--snapshot-every"),
-        ..Default::default()
     };
     Ok((pool::run_batch(&specs, &cache, &config), cache))
 }

@@ -195,10 +195,6 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, extra_passes: &[ExtraPass<'_>]) -> FuzzRe
     // wave may check a few cases past the cutoff; their results are
     // discarded by the fold exactly as the sequential loop would never
     // have reached them.
-    let pool = cmm_pool::PoolConfig {
-        workers: cfg.jobs,
-        queue_cap: 256,
-    };
     // Both sums saturate: `jobs` is a command-line number of any size.
     let wave = if cfg.jobs <= 1 {
         1
@@ -209,7 +205,7 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, extra_passes: &[ExtraPass<'_>]) -> FuzzRe
     let mut next = 0u64;
     'run: while next < total {
         let hi = next.saturating_add(wave as u64).min(total);
-        let outcomes = cmm_pool::run_jobs(&pool, (next..hi).collect(), |_, i| {
+        let outcomes = cmm_pool::run_jobs(cfg.jobs, (next..hi).collect(), |_, i| {
             check(&case_for(cfg.seed, i))
         });
         for (k, outcome) in outcomes.into_iter().enumerate() {

@@ -24,31 +24,19 @@
 //!
 //! # Example
 //!
-//! Build the `sp1` procedure of the paper's Figure 1 programmatically:
+//! Front ends build IR with the [`Stmt`] and [`Expr`] constructors, as
+//! the MiniM3 lowering does:
 //!
 //! ```
-//! use cmm_ir::{build::ProcBuilder, Expr, Ty};
+//! use cmm_ir::{pretty::proc_to_string, BodyItem, Expr, Name, Proc, Stmt, Ty};
 //!
-//! let sp1 = ProcBuilder::new("sp1")
-//!     .formal("n", Ty::B32)
-//!     .locals([("s", Ty::B32), ("p", Ty::B32)])
-//!     .build_with(|b| {
-//!         b.if_(
-//!             Expr::eq(Expr::var("n"), Expr::b32(1)),
-//!             |t| { t.return_([Expr::b32(1), Expr::b32(1)]); },
-//!             |e| {
-//!                 e.call(["s", "p"], "sp1", [Expr::sub(Expr::var("n"), Expr::b32(1))]);
-//!                 e.return_([
-//!                     Expr::add(Expr::var("s"), Expr::var("n")),
-//!                     Expr::mul(Expr::var("p"), Expr::var("n")),
-//!                 ]);
-//!             },
-//!         );
-//!     });
-//! assert_eq!(sp1.name.as_str(), "sp1");
+//! let mut f = Proc::new("f");
+//! f.formals.push((Name::from("n"), Ty::B32));
+//! let n_plus_1 = Expr::add(Expr::var("n"), Expr::b32(1));
+//! f.body.push(BodyItem::Stmt(Stmt::return_([n_plus_1])));
+//! assert_eq!(proc_to_string(&f).lines().next(), Some("f(bits32 n) {"));
 //! ```
 
-pub mod build;
 pub mod expr;
 pub mod module;
 pub mod name;

@@ -331,7 +331,6 @@ fn write_expr(out: &mut String, e: &Expr) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::ProcBuilder;
     use crate::expr::BinOp;
 
     #[test]
@@ -351,28 +350,6 @@ mod tests {
         assert_eq!(lit_str(&Lit::b32(42)), "42");
         assert_eq!(lit_str(&Lit::bits(Width::W8, 255)), "255::bits8");
         assert_eq!(lit_str(&Lit::f64(1.5)), "1.5::float64");
-    }
-
-    #[test]
-    fn proc_printing_includes_annotations() {
-        let p = ProcBuilder::new("f")
-            .formal("x", Ty::B32)
-            .local("y", Ty::B32)
-            .build_with(|b| {
-                b.call_ann(
-                    ["y"],
-                    "g",
-                    [Expr::var("x")],
-                    Annotations::cuts_to(["k"]).and_aborts(),
-                );
-                b.return_([Expr::var("y")]);
-                b.continuation("k", ["y"]);
-                b.return_([Expr::var("y")]);
-            });
-        let s = proc_to_string(&p);
-        assert!(s.contains("f(bits32 x) {"), "{s}");
-        assert!(s.contains("y = g(x) also cuts to k also aborts;"), "{s}");
-        assert!(s.contains("continuation k(y):"), "{s}");
     }
 
     #[test]

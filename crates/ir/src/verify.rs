@@ -280,21 +280,12 @@ impl ProcCx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::ProcBuilder;
     use crate::ty::Ty;
 
     fn verify_src_ok(p: Proc) -> Vec<String> {
         let mut m = Module::new();
         m.push_proc(p);
         verify_module(&m)
-    }
-
-    #[test]
-    fn accepts_well_formed_procedure() {
-        let p = ProcBuilder::new("f").formal("x", Ty::B32).build_with(|b| {
-            b.return_([Expr::var("x")]);
-        });
-        assert_eq!(verify_src_ok(p), Vec::<String>::new());
     }
 
     #[test]
@@ -381,77 +372,5 @@ mod tests {
             errors.iter().any(|e| e.contains("duplicate top-level")),
             "{errors:?}"
         );
-    }
-
-    #[test]
-    fn parsed_figure_style_program_is_well_formed() {
-        let src = r#"
-            data d { bits32 1, 2; }
-            f(bits32 x) {
-                bits32 r, e;
-                r = g(x, k) also cuts to k also unwinds to ku also descriptor d;
-                return (r);
-                continuation k(e):
-                return (e + 1);
-                continuation ku(e):
-                return (e + 2);
-            }
-            g(bits32 x, bits32 kk) {
-                if x == 0 { cut to kk(7); }
-                return (x);
-            }
-        "#;
-        let m = cmm_parse_stub(src);
-        assert_eq!(verify_module(&m), Vec::<String>::new());
-    }
-
-    // The ir crate cannot depend on cmm-parse (cycle); build the same
-    // module programmatically for the figure-style test above.
-    fn cmm_parse_stub(_src: &str) -> Module {
-        use crate::expr::Lit;
-        use crate::module::{DataBlock, DataItem};
-        let mut m = Module::new();
-        m.push_data(DataBlock::new(
-            "d",
-            vec![DataItem::Words(Ty::B32, vec![Lit::b32(1), Lit::b32(2)])],
-        ));
-        let f = ProcBuilder::new("f")
-            .formal("x", Ty::B32)
-            .locals([("r", Ty::B32), ("e", Ty::B32)])
-            .build_with(|b| {
-                b.stmt(Stmt::Call {
-                    results: vec![Name::from("r")],
-                    callee: Expr::var("g"),
-                    args: vec![Expr::var("x"), Expr::var("k")],
-                    anns: Annotations::cuts_to(["k"])
-                        .and_unwinds_to(["ku"])
-                        .and_descriptor("d"),
-                });
-                b.return_([Expr::var("r")]);
-                b.continuation("k", ["e"]);
-                b.return_([Expr::add(Expr::var("e"), Expr::b32(1))]);
-                b.continuation("ku", ["e"]);
-                b.return_([Expr::add(Expr::var("e"), Expr::b32(2))]);
-            });
-        m.push_proc(f);
-        let g = ProcBuilder::new("g")
-            .formal("x", Ty::B32)
-            .formal("kk", Ty::B32)
-            .build_with(|b| {
-                b.if_(
-                    Expr::eq(Expr::var("x"), Expr::b32(0)),
-                    |t| {
-                        t.stmt(Stmt::CutTo {
-                            cont: Expr::var("kk"),
-                            args: vec![Expr::b32(7)],
-                            anns: Annotations::none(),
-                        });
-                    },
-                    |_| {},
-                );
-                b.return_([Expr::var("x")]);
-            });
-        m.push_proc(g);
-        m
     }
 }

@@ -1,6 +1,6 @@
-//! The live metrics runtime: a sharded registry of counters, gauges,
-//! and log-bucketed histograms, exportable as Prometheus text
-//! exposition or as a deterministic JSON section.
+//! The live metrics runtime: a registry of counters, gauges, and
+//! log-bucketed histograms, exportable as Prometheus text exposition
+//! or as a deterministic JSON section.
 //!
 //! # Design
 //!
@@ -9,9 +9,11 @@
 //! registry state, so hot paths (engine dispatch loops via the flight
 //! recorder, pool workers, cache shards) never contend on anything but
 //! their own cache line. The [`MetricsRegistry`] itself is only a
-//! *directory* — name/labels → handle — consulted on registration and
-//! export, and it is lock-striped so even concurrent registration from
-//! a worker pool stays contention-free.
+//! *directory* — name/labels → handle, one ordered map behind one
+//! mutex — consulted on registration and export. Registration happens
+//! on one thread (when a component mounts its meters, and when a batch
+//! writes its jobs' figures after the run phase), so the lock is not
+//! contended.
 //!
 //! # Determinism
 //!
@@ -40,7 +42,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Histogram bucket count: bucket 0 for zero, buckets `1..=64` for
 /// each power-of-two magnitude of a `u64`.
@@ -296,16 +298,11 @@ struct Entry {
     metric: Metric,
 }
 
-/// Number of registry lock stripes. Registration is rare, but a worker
-/// pool registering per-job label sets concurrently should not funnel
-/// through one mutex.
-const STRIPES: usize = 8;
-
 /// The metric directory: name + labels → shared handle. See the module
 /// docs for the design.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    stripes: [Mutex<BTreeMap<MetricId, Entry>>; STRIPES],
+    entries: Mutex<BTreeMap<MetricId, Entry>>,
 }
 
 impl MetricsRegistry {
@@ -314,15 +311,8 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn stripe(&self, name: &str) -> &Mutex<BTreeMap<MetricId, Entry>> {
-        // FNV-1a over the name: same hash the pipeline cache digests
-        // use, tiny and deterministic.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.stripes[(h as usize) % STRIPES]
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<MetricId, Entry>> {
+        self.entries.lock().expect("registry poisoned")
     }
 
     fn get_or_insert(
@@ -334,7 +324,7 @@ impl MetricsRegistry {
         fresh: impl FnOnce() -> Metric,
     ) -> Metric {
         let id = MetricId::new(name, labels);
-        let mut map = self.stripe(name).lock().expect("registry poisoned");
+        let mut map = self.lock();
         let entry = map.entry(id).or_insert_with(|| Entry {
             help,
             class,
@@ -407,28 +397,22 @@ impl MetricsRegistry {
         metric: Metric,
     ) {
         let id = MetricId::new(name, labels);
-        self.stripe(name).lock().expect("registry poisoned").insert(
-            id,
-            Entry {
-                help,
-                class,
-                metric,
-            },
-        );
+        let entry = Entry {
+            help,
+            class,
+            metric,
+        };
+        self.lock().insert(id, entry);
     }
 
-    /// Every entry, merged across stripes into one deterministically
-    /// ordered map; [`MetricClass::Timing`] entries only `with_timing`.
-    fn collect(&self, with_timing: bool) -> BTreeMap<MetricId, Entry> {
-        let mut all = BTreeMap::new();
-        for stripe in &self.stripes {
-            for (id, e) in stripe.lock().expect("registry poisoned").iter() {
-                if with_timing || e.class == MetricClass::Deterministic {
-                    all.insert(id.clone(), e.clone());
-                }
-            }
-        }
-        all
+    /// Every entry in the map's order; [`MetricClass::Timing`] entries
+    /// only `with_timing`.
+    fn collect(&self, with_timing: bool) -> Vec<(MetricId, Entry)> {
+        let map = self.lock();
+        map.iter()
+            .filter(|(_, e)| with_timing || e.class == MetricClass::Deterministic)
+            .map(|(id, e)| (id.clone(), e.clone()))
+            .collect()
     }
 
     /// Prometheus text exposition (`# HELP` / `# TYPE`, cumulative
@@ -483,7 +467,7 @@ impl MetricsRegistry {
     /// omitted entirely — the deterministic section `cmm batch` embeds.
     pub fn to_json(&self, with_timing: bool) -> String {
         let mut out = String::from("{\n");
-        let entries: Vec<(MetricId, Entry)> = self.collect(with_timing).into_iter().collect();
+        let entries = self.collect(with_timing);
         for (i, (id, e)) in entries.iter().enumerate() {
             let _ = write!(out, "  \"{}\": ", id.render().replace('"', "'"));
             match &e.metric {

@@ -36,7 +36,7 @@
 //! `-j1` and `-jN`; CI diffs exactly that.
 
 use crate::cache::{PipelineCache, SourceId, SourceKey, SourceLang};
-use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolConfig, PoolMeter};
+use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolMeter};
 use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
 use cmm_frontend::{run_thread, with_engine, Arenas, Setup, Strategy};
 use cmm_obs::{
@@ -218,8 +218,6 @@ pub fn parse_manifest(
 pub struct BatchConfig {
     /// Worker threads (`1` = run inline).
     pub workers: usize,
-    /// Work-queue bound (see [`PoolConfig`]).
-    pub queue_cap: usize,
     /// Build a [`MetricsRegistry`] for the batch: mount the cache and
     /// pool counters, run every job through a flight-recorder sink,
     /// write each job's figures into the registry after the run phase,
@@ -243,7 +241,6 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             workers: 1,
-            queue_cap: 256,
             metrics: false,
             snapshot_every: None,
         }
@@ -359,10 +356,6 @@ pub struct BatchReport {
 pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig) -> BatchReport {
     let before = cache.snapshot();
     let t0 = Instant::now();
-    let pool = PoolConfig {
-        workers: config.workers,
-        queue_cap: config.queue_cap,
-    };
 
     // The metrics runtime, when asked for: the cache's shard counters
     // and both phases' pool meters become live registry views, and
@@ -405,7 +398,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
 
     // Phase A: compile each group once, in parallel.
     let compile_errs: Vec<Option<String>> = run_jobs_metered(
-        &pool,
+        config.workers,
         (0..groups.len()).collect(),
         |_| (),
         |(), _, g| {
@@ -428,7 +421,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
     // half-mutated arena never reaches the next job. A traced job hands
     // back its tally; the registry is written from them afterwards.
     let outcomes = run_jobs_metered(
-        &pool,
+        config.workers,
         (0..specs.len()).collect(),
         |_| Arenas::default(),
         |arenas, _, i| {

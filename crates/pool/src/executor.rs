@@ -1,18 +1,21 @@
 //! A caller-runs work queue over `std::thread`, with two lifetimes.
 //!
 //! The core is one mutex-guarded FIFO that the calling thread drains
-//! together with up to `workers − 1` helper threads. The caller runs
-//! jobs instead of waiting for them; it sleeps only once the queue is
-//! empty while helpers still hold jobs, and the last of them wakes it.
-//! A worker hands each outcome back under the lock it takes its next
-//! job with. A helper that cannot be spawned is simply not there: the
+//! together with its helper threads, [`helper_count`] of them: one
+//! fewer than the workers asked for, no more than the jobs can use,
+//! and never more than [`MAX_WORKERS`]` − 1`. The caller runs jobs
+//! instead of waiting for them; it sleeps only once the queue is empty
+//! while helpers still hold jobs, and the last of them wakes it. A
+//! worker hands each outcome back under the lock it takes its next job
+//! with. A helper that cannot be spawned is simply not there: the
 //! caller still runs every job, so a short pool is slower, never wrong.
+//!
+//! Both lifetimes queue a whole batch at once, through one submit
+//! path, and the queue has no bound: the items are already in memory.
 //!
 //! * [`run_jobs`], [`run_jobs_ctx`] and [`run_jobs_metered`] use the
 //!   queue for one call, over scoped helpers that may borrow the
-//!   caller's data. Submission is bounded: once `queue_cap` jobs are
-//!   pending, the caller runs the oldest one itself before queueing
-//!   the next (backpressure toward the submitter).
+//!   caller's data.
 //! * A [`Crew`] keeps its helpers for its whole life: they sleep on a
 //!   condvar between [`Crew::run`]s and are joined when the crew is
 //!   dropped, so a long-lived caller hands each batch to threads that
@@ -35,31 +38,24 @@
 //! carry state that later jobs *observe*; they are for reusing
 //! allocations, not for sharing results. `init` itself must not panic.
 
-use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry};
+use cmm_obs::{Counter, Histogram, Metric, MetricClass, MetricsRegistry};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
-/// Executor configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PoolConfig {
-    /// Workers, the calling thread included. `0` and `1` both mean
-    /// "run inline on the calling thread".
-    pub workers: usize,
-    /// Queue bound: once this many jobs are pending, the submitting
-    /// thread runs the oldest one before it queues the next.
-    pub queue_cap: usize,
-}
+/// The most workers, the calling thread included, that one pool
+/// runs: the largest `-j` any test or CI step passes. A fixed bound
+/// rather than the host's core count keeps a `-j8` concurrency test at
+/// eight threads on a small host.
+pub const MAX_WORKERS: usize = 64;
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            workers: 1,
-            queue_cap: 256,
-        }
-    }
+/// Helper threads a pool starts beside the calling thread for `jobs`
+/// jobs at `workers` workers: `min(workers, jobs, MAX_WORKERS) − 1`.
+/// `0` and `1` workers both run inline.
+pub fn helper_count(workers: usize, jobs: usize) -> usize {
+    workers.min(jobs).min(MAX_WORKERS).saturating_sub(1)
 }
 
 /// Deterministic list schedule: jobs are placed in submission order on
@@ -100,14 +96,9 @@ impl<R> JobOutcome<R> {
     }
 }
 
-/// What one pool run did, mechanically. Scheduling figures — unlike
-/// the outcomes, these legitimately vary run to run and must never be
-/// folded into a deterministic report.
+/// What one pool run did, mechanically.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct PoolStats {
-    /// Deepest the queue ever got (bounded by `queue_cap` in a scoped
-    /// run: the submitter runs a job rather than exceed it).
-    pub queue_high_water: usize,
     /// Worker contexts discarded and rebuilt after a panicking job.
     pub ctx_rebuilds: u64,
 }
@@ -119,12 +110,8 @@ pub struct PoolStats {
 /// through [`PoolStats`] — one substrate, two views.
 #[derive(Clone, Debug, Default)]
 pub struct PoolMeter {
-    /// Deepest the queue ever got.
-    pub queue_high_water: Gauge,
     /// Worker contexts discarded and rebuilt after a panicking job.
     pub ctx_rebuilds: Counter,
-    /// Times the submitter found the queue full and ran a job itself.
-    pub backpressure_waits: Counter,
     /// Nanoseconds each job sat queued before a worker picked it up.
     pub queue_wait_ns: Histogram,
     /// Wall-clock nanoseconds each job spent executing.
@@ -140,7 +127,6 @@ impl PoolMeter {
     /// A [`PoolStats`] snapshot of the current values.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            queue_high_water: self.queue_high_water.get() as usize,
             ctx_rebuilds: self.ctx_rebuilds.get(),
         }
     }
@@ -152,25 +138,11 @@ impl PoolMeter {
     pub fn mount(&self, registry: &MetricsRegistry, phase: &str) {
         let labels: [(&str, &str); 1] = [("phase", phase)];
         registry.mount(
-            "cmm_pool_queue_high_water",
-            &labels,
-            "Deepest the work queue ever got",
-            MetricClass::Timing,
-            Metric::Gauge(self.queue_high_water.clone()),
-        );
-        registry.mount(
             "cmm_pool_ctx_rebuilds_total",
             &labels,
             "Worker contexts rebuilt after a panicking job",
             MetricClass::Deterministic,
             Metric::Counter(self.ctx_rebuilds.clone()),
-        );
-        registry.mount(
-            "cmm_pool_backpressure_waits_total",
-            &labels,
-            "Times the submitter found the queue full and ran a job itself",
-            MetricClass::Timing,
-            Metric::Counter(self.backpressure_waits.clone()),
         );
         registry.mount(
             "cmm_pool_queue_wait_ns",
@@ -231,6 +203,16 @@ impl<T, R> Queue<T, R> {
 
     fn lock(&self) -> MutexGuard<'_, State<T, R>> {
         self.state.lock().expect("pool queue poisoned")
+    }
+
+    /// Queues a whole batch, its jobs indexed from 0. The caller wakes
+    /// any helper that sleeps.
+    fn submit(&self, items: Vec<T>) {
+        let queued = Instant::now();
+        let jobs = items.into_iter().enumerate();
+        self.lock()
+            .jobs
+            .extend(jobs.map(|(i, item)| (i, queued, item)));
     }
 
     /// Closes the queue and wakes every sleeping helper so it can exit.
@@ -320,13 +302,13 @@ impl<T, R> Queue<T, R> {
 
 /// Runs `f(index, item)` for every item and returns the outcomes in
 /// submission order. See the module docs for the execution model.
-pub fn run_jobs<T, R, F>(config: &PoolConfig, items: Vec<T>, f: F) -> Vec<JobOutcome<R>>
+pub fn run_jobs<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<JobOutcome<R>>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    run_jobs_ctx(config, items, |_| (), |(), i, item| f(i, item)).0
+    run_jobs_ctx(workers, items, |_| (), |(), i, item| f(i, item)).0
 }
 
 /// Runs `f(&mut ctx, index, item)` for every item, where each worker
@@ -335,7 +317,7 @@ where
 /// Returns the outcomes in submission order plus the run's
 /// [`PoolStats`].
 pub fn run_jobs_ctx<C, T, R, I, F>(
-    config: &PoolConfig,
+    workers: usize,
     items: Vec<T>,
     init: I,
     f: F,
@@ -347,17 +329,17 @@ where
     F: Fn(&mut C, usize, T) -> R + Sync,
 {
     let meter = PoolMeter::new();
-    let out = run_jobs_metered(config, items, init, f, &meter);
+    let out = run_jobs_metered(workers, items, init, f, &meter);
     let stats = meter.stats();
     (out, stats)
 }
 
-/// [`run_jobs_ctx`] with the caller's own [`PoolMeter`]: scheduling
-/// figures, per-job queue-wait, and per-job wall latency land in the
+/// [`run_jobs_ctx`] with the caller's own [`PoolMeter`]: context
+/// rebuilds, per-job queue-wait, and per-job wall latency land in the
 /// meter's cells as the run progresses (live, if the meter is mounted
 /// in a registry) instead of only in a final snapshot.
 pub fn run_jobs_metered<C, T, R, I, F>(
-    config: &PoolConfig,
+    workers: usize,
     items: Vec<T>,
     init: I,
     f: F,
@@ -372,31 +354,18 @@ where
     let n = items.len();
     let queue = Queue::new(meter.clone());
     let mut ctx = init(0);
+    // The whole batch is queued and the queue closed before any helper
+    // starts, so a helper never sleeps: it runs jobs until none is left.
+    queue.submit(items);
+    queue.close();
     std::thread::scope(|scope| {
-        for id in 1..config.workers.min(n) {
+        for id in 1..=helper_count(workers, n) {
             let (queue, init, f) = (&queue, &init, &f);
             let helper = move || queue.work(id, &mut init(id), init, f);
             if Builder::new().spawn_scoped(scope, helper).is_err() {
                 break;
             }
         }
-        let cap = config.queue_cap.max(1);
-        for (i, item) in items.into_iter().enumerate() {
-            let mut state = queue.lock();
-            // A full queue makes the submitter run its oldest job.
-            let full = state.jobs.len() >= cap;
-            let oldest = if full { state.jobs.pop_front() } else { None };
-            state.jobs.push_back((i, Instant::now(), item));
-            meter.queue_high_water.set_max(state.jobs.len() as u64);
-            drop(state);
-            queue.work.notify_one();
-            if let Some(job) = oldest {
-                meter.backpressure_waits.inc();
-                let outcome = queue.run_one(0, &mut ctx, &init, &f, job);
-                queue.lock().done.push(outcome);
-            }
-        }
-        queue.close();
         queue.work(0, &mut ctx, &init, &f);
     });
     queue.outcomes(n)
@@ -451,13 +420,8 @@ impl<C: 'static, T: Send + 'static, R: Send + 'static> Crew<C, T, R> {
     /// the calling thread's context (worker `0`); a panicking job run
     /// here replaces it with `init(0)`.
     pub fn run(&self, ctx: &mut C, items: Vec<T>) -> Vec<JobOutcome<R>> {
-        let (n, queued) = (items.len(), Instant::now());
-        let mut state = self.queue.lock();
-        let jobs = items.into_iter().enumerate();
-        state.jobs.extend(jobs.map(|(i, item)| (i, queued, item)));
-        let depth = state.jobs.len() as u64;
-        drop(state);
-        self.queue.meter.queue_high_water.set_max(depth);
+        let n = items.len();
+        self.queue.submit(items);
         if !self.helpers.is_empty() {
             self.queue.work.notify_all();
         }
@@ -505,14 +469,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
+    fn helpers_are_capped_by_workers_jobs_and_max_workers() {
+        assert_eq!(helper_count(100_000, 100_000), MAX_WORKERS - 1);
+        assert_eq!(helper_count(1 << 20, 32), 31);
+        assert_eq!(helper_count(8, 3), 2);
+        assert_eq!(helper_count(0, 5), 0);
+        assert_eq!(helper_count(1, 5), 0);
+        assert_eq!(helper_count(4, 0), 0);
+    }
+
+    #[test]
     fn results_are_in_submission_order() {
         for workers in [1, 2, 4] {
-            let cfg = PoolConfig {
-                workers,
-                queue_cap: 4, // small: exercises backpressure
-            };
             let items: Vec<u64> = (0..100).collect();
-            let out = run_jobs(&cfg, items, |i, x| {
+            let out = run_jobs(workers, items, |i, x| {
                 assert_eq!(i as u64, x);
                 x * x
             });
@@ -524,11 +494,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_isolated() {
-        let cfg = PoolConfig {
-            workers: 3,
-            queue_cap: 8,
-        };
-        let out = run_jobs(&cfg, (0..20).collect::<Vec<u64>>(), |_, x| {
+        let out = run_jobs(3, (0..20).collect::<Vec<u64>>(), |_, x| {
             if x == 7 {
                 panic!("job {x} exploded");
             }
@@ -546,11 +512,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let cfg = PoolConfig {
-            workers: 4,
-            queue_cap: 2,
-        };
-        let out = run_jobs(&cfg, vec![(); 257], |_, ()| {
+        let out = run_jobs(4, vec![(); 257], |_, ()| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(out.len(), 257);
@@ -559,23 +521,15 @@ mod tests {
 
     #[test]
     fn zero_items_and_zero_workers() {
-        let cfg = PoolConfig {
-            workers: 0,
-            queue_cap: 1,
-        };
-        let out = run_jobs(&cfg, Vec::<u8>::new(), |_, x| x);
+        let out = run_jobs(0, Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn contexts_are_built_once_per_worker_and_reused() {
         let builds = AtomicUsize::new(0);
-        let cfg = PoolConfig {
-            workers: 2,
-            queue_cap: 8,
-        };
         let (out, stats) = run_jobs_ctx(
-            &cfg,
+            2,
             (0..50u64).collect::<Vec<_>>(),
             |id| {
                 builds.fetch_add(1, Ordering::Relaxed);
@@ -596,15 +550,11 @@ mod tests {
 
     #[test]
     fn a_panic_discards_the_worker_context() {
-        let cfg = PoolConfig {
-            workers: 1,
-            queue_cap: 8,
-        };
         // The context accumulates a tally; job 3 panics after bumping
         // it. The rebuild means job 4 onward sees a fresh tally, so
         // the panic's half-done mutation never leaks forward.
         let (out, stats) = run_jobs_ctx(
-            &cfg,
+            1,
             (0..6u64).collect::<Vec<_>>(),
             |_| 0u64,
             |tally, i, _| {

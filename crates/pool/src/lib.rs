@@ -15,11 +15,11 @@
 //!   and scheduling-independent hit/miss counters exported through
 //!   `cmm-obs`'s [`CacheStats`](cmm_obs::CacheStats).
 //! * [`executor`] — one caller-runs work queue over plain
-//!   `std::thread`, drained by the calling thread and its helpers:
-//!   scoped for one call (backpressure on submission) or kept alive
-//!   across calls as a [`Crew`](executor::Crew); per-job panic
-//!   isolation, results keyed by submission index so outputs are
-//!   byte-identical at `-j1` and `-jN`.
+//!   `std::thread`, drained by the calling thread and at most
+//!   [`MAX_WORKERS`]` − 1` helpers: scoped for one call or kept alive
+//!   across calls as a [`Crew`], each queueing a whole batch at once;
+//!   per-job panic isolation, results keyed by submission index so
+//!   outputs are byte-identical at `-j1` and `-jN`.
 //! * [`batch`] — the service tying both together: manifest parsing,
 //!   per-job fuel budgets through the `cmm-chaos` resource governor,
 //!   and a deterministic JSON report.
@@ -48,8 +48,8 @@ pub use cmm_chaos::EngineId as EngineKind;
 pub use cmm_frontend::engine::{with_engine, Arenas, Code, Setup};
 pub use cmm_snap::Digest;
 pub use executor::{
-    run_jobs, run_jobs_ctx, run_jobs_metered, virtual_makespan, Crew, JobOutcome, PoolConfig,
-    PoolMeter, PoolStats,
+    helper_count, run_jobs, run_jobs_ctx, run_jobs_metered, virtual_makespan, Crew, JobOutcome,
+    PoolMeter, PoolStats, MAX_WORKERS,
 };
 
 #[cfg(test)]

@@ -143,12 +143,6 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
         &self.machine
     }
 
-    /// Mutable access to the engine (the run-time system may read and
-    /// write memory and global registers while suspended).
-    pub fn machine_mut(&mut self) -> &mut M {
-        &mut self.machine
-    }
-
     /// Consumes the thread, returning the engine (used to recover a
     /// trace sink after a run).
     pub fn into_machine(self) -> M {
@@ -504,19 +498,9 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
 
     // ----- conveniences for front-end run-time systems -----
 
-    /// Reads a word of the native pointer type from memory.
-    pub fn read_ptr(&self, addr: u64) -> u64 {
-        self.machine.load(Ty::NATIVE_PTR, addr).bits().unwrap_or(0)
-    }
-
     /// Reads a 32-bit word from memory.
     pub fn read_u32(&self, addr: u64) -> u32 {
         self.machine.load(Ty::B32, addr).bits().unwrap_or(0) as u32
-    }
-
-    /// Writes a 32-bit word to memory.
-    pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.machine.store(Ty::B32, addr, u64::from(v));
     }
 }
 

@@ -91,9 +91,6 @@ pub trait SemEngine<'p> {
     /// Loads a typed value from memory.
     fn load(&self, ty: Ty, addr: u64) -> Value;
 
-    /// Stores bits to memory with the width of `ty`.
-    fn store(&mut self, ty: Ty, addr: u64, bits: u64);
-
     /// The whole memory as sorted `(address, byte)` pairs, zero bytes
     /// elided — a canonical form for cross-engine equivalence checks.
     fn mem_snapshot(&self) -> Vec<(u64, u8)>;
@@ -188,10 +185,6 @@ impl<'p, S: TraceSink> SemEngine<'p> for Machine<'p, S> {
 
     fn load(&self, ty: Ty, addr: u64) -> Value {
         Machine::load(self, ty, addr)
-    }
-
-    fn store(&mut self, ty: Ty, addr: u64, bits: u64) {
-        Machine::store(self, ty, addr, bits)
     }
 
     fn mem_snapshot(&self) -> Vec<(u64, u8)> {

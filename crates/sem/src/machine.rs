@@ -699,21 +699,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         self.globals.get(name)
     }
 
-    /// Writes a global register.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no such register is declared.
-    pub fn set_global(&mut self, name: &str, v: Value) -> Result<(), Wrong> {
-        match self.globals.get_mut(name) {
-            Some(slot) => {
-                *slot = v;
-                Ok(())
-            }
-            None => Err(Wrong::UnboundName(self.here(), Name::from(name))),
-        }
-    }
-
     // ----- the run-time system's window on a suspended thread -----
 
     /// The values passed to `yield` (available while suspended).

@@ -1527,10 +1527,6 @@ impl<'p, S: TraceSink> crate::engine::SemEngine<'p> for ResolvedMachine<'p, S> {
         ResolvedMachine::load(self, ty, addr)
     }
 
-    fn store(&mut self, ty: Ty, addr: u64, bits: u64) {
-        ResolvedMachine::store(self, ty, addr, bits)
-    }
-
     fn mem_snapshot(&self) -> Vec<(u64, u8)> {
         ResolvedMachine::mem_snapshot(self)
     }

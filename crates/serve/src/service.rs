@@ -23,7 +23,7 @@
 //! folds the results back into the scheduler sequentially. Time is the
 //! engines' virtual cost-model clock: the tick advances the service
 //! clock by the deterministic list-schedule makespan of the slice
-//! costs over the configured lanes. Everything observable — the event
+//! costs over [`LANES`] fixed lanes. Everything observable — the event
 //! log, outcomes, queue-wait and turnaround histograms, every
 //! `Deterministic`-class metric — is therefore byte-identical at any
 //! worker count; wall-clock time appears only in `Timing`-class
@@ -32,8 +32,8 @@
 use cmm_chaos::{service_yield, Family, FaultPlan, FaultPlanState, ResourceGovernor, Stop, Table1};
 use cmm_obs::{Counter, Gauge, Histogram, Metric, MetricClass, MetricsRegistry, NopSink};
 use cmm_pool::{
-    virtual_makespan, with_engine, Arenas, Crew, JobOutcome, PipelineCache, Setup, SourceId,
-    SourceKey,
+    helper_count, virtual_makespan, with_engine, Arenas, Crew, JobOutcome, PipelineCache, Setup,
+    SourceId, SourceKey,
 };
 use cmm_snap::{fold_digest, EngineId, SnapMeta, Snapshot, FOLD_INIT};
 use cmm_vm::check_arity;
@@ -76,24 +76,26 @@ pub enum MigrationPolicy {
     Rotate,
 }
 
+/// Virtual execution lanes the deterministic clock schedules over.
+/// This — not [`ServeConfig::workers`] — is what a tick's makespan
+/// advance uses, so the event log and every latency figure are
+/// byte-identical at any `-j`.
+pub const LANES: usize = 8;
+
+/// Most threads one tick dispatches.
+pub const WINDOW: usize = 4 * LANES;
+
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads executing slices, the calling thread included;
-    /// `0`/`1` run inline, and more than a window's worth are never
-    /// started. Workers change wall-clock time and **nothing else**:
-    /// the virtual schedule is computed over
-    /// [`lanes`](ServeConfig::lanes).
+    /// `0`/`1` run inline, and no more than a tick's [`WINDOW`] are
+    /// started (see [`helper_count`]). Workers change wall-clock time
+    /// and **nothing else**: the virtual schedule is computed over
+    /// [`LANES`].
     pub workers: usize,
     /// Fuel granted per scheduling slice.
     pub quantum: u64,
-    /// Virtual execution lanes the deterministic clock schedules over.
-    /// This — not `workers` — is what the makespan advance uses, so
-    /// the event log and every latency figure are byte-identical at
-    /// any `-j`.
-    pub lanes: usize,
-    /// Max threads dispatched per tick; `0` means `4 × lanes`.
-    pub window: usize,
     /// Per-tenant cap on live (not yet finished) threads; submissions
     /// over the cap are rejected.
     pub max_live_per_tenant: usize,
@@ -107,24 +109,11 @@ pub struct ServeConfig {
     pub max_memory_bytes: Option<usize>,
 }
 
-impl ServeConfig {
-    /// Max threads dispatched per tick.
-    fn window(&self) -> usize {
-        if self.window == 0 {
-            self.lanes.max(1) * 4
-        } else {
-            self.window
-        }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 1,
             quantum: 2_000,
-            lanes: 8,
-            window: 0,
             max_live_per_tenant: 4_096,
             migration: MigrationPolicy::Pinned,
             metrics: false,
@@ -480,9 +469,8 @@ impl Service {
         } else {
             (None, None)
         };
-        let helpers = config.workers.min(config.window()).saturating_sub(1);
         let crew = Crew::new(
-            helpers,
+            helper_count(config.workers, WINDOW),
             |_| Arenas::default(),
             move |arenas, _, job: SliceJob| run_slice(&cache, &job, arenas),
         );
@@ -791,9 +779,8 @@ impl Service {
     /// Takes up to a window of threads off the run queue and detaches
     /// their slices, logging each migration.
     fn dispatch(&mut self) -> Vec<SliceJob> {
-        let window = self.config.window();
         let mut jobs: Vec<SliceJob> = Vec::new();
-        while jobs.len() < window {
+        while jobs.len() < WINDOW {
             let Some(id) = self.run_queue.pop_front() else {
                 break;
             };
@@ -859,7 +846,7 @@ impl Service {
         let costs: Vec<u64> = results.iter().map(|r| r.used).collect();
         let mut report = TickReport {
             dispatched: ids.len(),
-            advance: virtual_makespan(&costs, self.config.lanes.max(1)),
+            advance: virtual_makespan(&costs, LANES),
             ..TickReport::default()
         };
         let end_vns = self.stats.vclock + report.advance;
@@ -1377,19 +1364,12 @@ mod tests {
     /// never more than a tick's window can use.
     #[test]
     fn the_crew_is_bounded_by_the_window() {
-        for (workers, window, helpers) in [
-            (0, 0, 0),
-            (1, 0, 0),
-            (2, 0, 1),
-            (1 << 20, 0, 31),
-            (1 << 20, 3, 2),
-        ] {
+        for (workers, helpers) in [(0, 0), (1, 0), (2, 1), (1 << 20, 31)] {
             let svc = Service::new(ServeConfig {
                 workers,
-                window,
                 ..ServeConfig::default()
             });
-            assert_eq!(svc.crew.helpers(), helpers, "-j{workers} window {window}");
+            assert_eq!(svc.crew.helpers(), helpers, "-j{workers}");
         }
     }
 

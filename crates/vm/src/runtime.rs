@@ -410,7 +410,10 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
     ///
     /// # Errors
     ///
-    /// Fails if the thread is not suspended.
+    /// Fails if the thread is not suspended or `k` is not a
+    /// continuation: the pc of its pair is not one code generation
+    /// stored as a continuation value. A refusal leaves the suspension
+    /// as it was.
     pub fn set_cut_to_cont(&mut self, k: u32) -> Result<(), String> {
         if let Some(fault) = self.trip(ChaosOp::SetCutToCont) {
             return Err(chaos_err(fault));
@@ -432,10 +435,10 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         // it keys the back end's parameter-count table and lies within
         // the owning procedure's code.
         let pc = self.machine.mem.read32(k);
-        let (count, target) = match self.program().cont_params.get(&pc) {
-            Some(&count) => (count, self.program().proc_at_pc(pc).map(|m| m.name.clone())),
-            None => (0, None),
+        let Some(&count) = self.program().cont_params.get(&pc) else {
+            return Err("SetCutToCont: not a continuation".into());
         };
+        let target = self.program().proc_at_pc(pc).map(|m| m.name.clone());
         self.pending = Some(VmPending::Cut {
             k,
             params: vec![0; count],
@@ -611,7 +614,8 @@ impl<S: TraceSink> Table1 for VmThread<'_, S> {
     }
 
     fn set_cut_to_cont(&mut self, k: u64) -> Result<(), String> {
-        VmThread::set_cut_to_cont(self, k as u32)
+        let k = u32::try_from(k).map_err(|_| "SetCutToCont: not a continuation")?;
+        VmThread::set_cut_to_cont(self, k)
     }
 
     fn set_cont_param(&mut self, n: usize, word: u64) -> bool {

@@ -76,7 +76,6 @@ fn deterministic_metrics_are_byte_identical_at_every_worker_count() {
             &cache,
             &BatchConfig {
                 workers,
-                queue_cap: 8,
                 metrics: true,
                 ..BatchConfig::default()
             },
@@ -218,7 +217,6 @@ fn a_chaos_failed_job_writes_a_postmortem_with_its_final_events() {
             &cache,
             &BatchConfig {
                 workers,
-                queue_cap: 8,
                 metrics: true,
                 ..BatchConfig::default()
             },

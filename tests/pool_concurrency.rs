@@ -20,8 +20,8 @@
 //!   matter how many threads were inserting.
 
 use cmm_pool::{
-    run_jobs, run_jobs_ctx, Artifact, CacheConfig, Crew, Digest, JobOutcome, PipelineCache,
-    PoolConfig, Stage, SHARDS,
+    run_jobs, run_jobs_ctx, Artifact, CacheConfig, Crew, Digest, JobOutcome, PipelineCache, Stage,
+    SHARDS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -221,35 +221,6 @@ fn byte_budget_holds_under_concurrent_insertion_pressure() {
     );
 }
 
-/// Backpressure: with a tiny queue and more jobs than slots, the
-/// queue's high-water mark never exceeds the configured bound — the
-/// submitter runs jobs itself instead of buffering them.
-#[test]
-fn submission_backpressure_bounds_the_queue() {
-    let config = PoolConfig {
-        workers: 2,
-        queue_cap: 4,
-    };
-    let (outcomes, stats) = run_jobs_ctx(
-        &config,
-        (0..64u64).collect(),
-        |_| (),
-        |(), _, n| {
-            // Slow consumers so the submitter actually hits the cap.
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            n * 2
-        },
-    );
-    assert!(
-        stats.queue_high_water <= 4,
-        "queue grew past its cap: {}",
-        stats.queue_high_water
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        assert_eq!(o, &JobOutcome::Done(i as u64 * 2), "job {i}");
-    }
-}
-
 /// A panicking job at `-j8` is isolated: its slot reports `Panicked`
 /// with the payload text, every other job completes normally, and the
 /// worker that caught the panic rebuilt its context rather than
@@ -258,12 +229,8 @@ fn submission_backpressure_bounds_the_queue() {
 fn a_panicking_job_at_j8_poisons_nothing_else() {
     const JOBS: usize = 200;
     const CULPRIT: usize = 77;
-    let config = PoolConfig {
-        workers: 8,
-        queue_cap: 16,
-    };
     let (outcomes, stats) = run_jobs_ctx(
-        &config,
+        8,
         (0..JOBS).collect(),
         |_| 0u64, // per-worker tally, rebuilt after a panic
         |tally, _, n| {
@@ -297,11 +264,7 @@ fn a_panicking_job_at_j8_poisons_nothing_else() {
 fn two_hundred_jobs_come_back_in_submission_order_at_every_j() {
     const JOBS: u64 = 200;
     let run = |workers: usize| {
-        let config = PoolConfig {
-            workers,
-            queue_cap: 8,
-        };
-        run_jobs(&config, (0..JOBS).collect(), |i, n| {
+        run_jobs(workers, (0..JOBS).collect(), |i, n| {
             assert_eq!(i as u64, n, "index/item pairing is preserved");
             n.wrapping_mul(2654435761) >> 7
         })
@@ -321,11 +284,7 @@ fn two_hundred_jobs_come_back_in_submission_order_at_every_j() {
 fn executor_plus_cache_still_single_flights() {
     let cache = PipelineCache::default();
     let builds = AtomicUsize::new(0);
-    let config = PoolConfig {
-        workers: 8,
-        queue_cap: 16,
-    };
-    let outcomes = run_jobs(&config, (0..64u64).collect(), |_, n| {
+    let outcomes = run_jobs(8, (0..64u64).collect(), |_, n| {
         let art = cache
             .get_or_build(Digest(u128::from(n % 8)), Stage::Module, || {
                 builds.fetch_add(1, Ordering::Relaxed);
@@ -353,16 +312,12 @@ fn a_crew_matches_the_scoped_runner_run_after_run() {
     for helpers in [0, 1, 3] {
         let crew = Crew::new(helpers, |_| (), mix);
         assert_eq!(crew.helpers(), helpers);
-        let config = PoolConfig {
-            workers: helpers + 1,
-            queue_cap: 8,
-        };
         for run in 0..1000u64 {
             let items: Vec<u64> = (0..run % 40).map(|k| k * 31 + run).collect();
             let expect: Vec<_> = (items.iter().enumerate())
                 .map(|(i, &n)| JobOutcome::Done(mix(&mut (), i, n)))
                 .collect();
-            let scoped = run_jobs_ctx(&config, items.clone(), |_| (), mix).0;
+            let scoped = run_jobs_ctx(helpers + 1, items.clone(), |_| (), mix).0;
             assert_eq!(scoped, expect, "scoped run {run}, {helpers} helper(s)");
             assert_eq!(
                 crew.run(&mut (), items),

@@ -52,7 +52,6 @@ fn batch_reports_are_byte_identical_at_every_worker_count() {
             &cache,
             &BatchConfig {
                 workers,
-                queue_cap: 8,
                 ..BatchConfig::default()
             },
         );
@@ -74,14 +73,7 @@ fn checkpointed_batches_are_deterministic_and_outcome_preserving() {
     // worker count, and the checkpointing changes *nothing* observable
     // about any job — outcome, yields, instruction count.
     let specs = specs();
-    let plain = run_batch(
-        &specs,
-        &PipelineCache::default(),
-        &BatchConfig {
-            queue_cap: 8,
-            ..BatchConfig::default()
-        },
-    );
+    let plain = run_batch(&specs, &PipelineCache::default(), &BatchConfig::default());
     let mut snapped = Vec::new();
     for workers in [1, 2, 8] {
         let report = run_batch(
@@ -89,7 +81,6 @@ fn checkpointed_batches_are_deterministic_and_outcome_preserving() {
             &PipelineCache::default(),
             &BatchConfig {
                 workers,
-                queue_cap: 8,
                 snapshot_every: Some(16),
                 ..BatchConfig::default()
             },
@@ -128,7 +119,6 @@ fn a_batch_over_a_fresh_cache_still_finishes_warm() {
         &cache,
         &BatchConfig {
             workers: 4,
-            queue_cap: 8,
             ..BatchConfig::default()
         },
     );
@@ -144,7 +134,6 @@ fn a_batch_over_a_fresh_cache_still_finishes_warm() {
         &cache1,
         &BatchConfig {
             workers: 1,
-            queue_cap: 8,
             ..BatchConfig::default()
         },
     );

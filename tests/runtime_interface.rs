@@ -255,6 +255,13 @@ fn the_table1_trait_cuts_to_a_stored_continuation_on_every_engine() {
             t.start("f", &[], 1).unwrap();
             assert_eq!(t.run(1_000_000), Stop::Suspended);
             let k = u64::from(t.read_u32(t.yield_arg(1)));
+            // A word that is not a continuation is refused, and the
+            // refusal leaves the thread suspended as it was.
+            for bogus in [12345, (1 << 32) | k] {
+                let name = engine.name();
+                assert!(t.set_cut_to_cont(bogus).is_err(), "{name} took {bogus:#x}");
+                assert!(t.capture().is_ok(), "{name} left its suspension");
+            }
             t.set_cut_to_cont(k).unwrap();
             assert!(t.set_cont_param(0, 14));
             t.resume().unwrap();
