@@ -382,7 +382,7 @@ pub fn run_chaos_histogram(
     fault_seed: u64,
     schedules: u64,
 ) -> ChaosHistogram {
-    use cmm_difftest::oracle::{observe_sem_chaos, Limits, Outcome, CHAOS_HORIZON};
+    use cmm_difftest::oracle::{observe_sem_chaos, Limits, Outcome};
     let limits = Limits::default();
     let mut h = ChaosHistogram {
         cases,
@@ -396,10 +396,7 @@ pub fn run_chaos_histogram(
         let prog = build_program(&parse_module(&case.render()).expect("generated cases parse"))
             .expect("generated cases build");
         for k in 0..schedules {
-            let plan = cmm_chaos::FaultPlan::seeded(
-                cmm_chaos::schedule_seed(fault_seed, k),
-                CHAOS_HORIZON,
-            );
+            let plan = cmm_chaos::FaultPlan::seeded(cmm_chaos::schedule_seed(fault_seed, k));
             let (obs, _, log) = observe_sem_chaos(&prog, case.args, &limits, &plan);
             match obs.outcome {
                 Outcome::Halt(_) => h.halt += 1,

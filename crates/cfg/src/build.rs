@@ -57,12 +57,22 @@ pub enum BuildError {
         /// The missing label.
         label: Name,
     },
-    /// A name is not declared anywhere (not a variable, continuation,
-    /// procedure, data block, global register, or import).
+    /// A name in an expression (a callee included) is not a variable or
+    /// continuation of the procedure, nor a procedure, data block or
+    /// global register of the module.
     UnknownName {
         /// The procedure mentioning the name.
         proc: Name,
         /// The unknown name.
+        name: Name,
+    },
+    /// An assignment target is not a variable of the procedure or a
+    /// global register, or a call result is not a variable of the
+    /// procedure.
+    NotAVariable {
+        /// The procedure with the assignment.
+        proc: Name,
+        /// The name assigned to.
         name: Name,
     },
     /// Two variables, labels, or continuations share a name.
@@ -86,10 +96,43 @@ pub enum BuildError {
         /// The offending parameter.
         param: Name,
     },
-    /// A procedure uses the reserved name `yield` or a `%` name.
+    /// A declaration takes the reserved name `yield` or a `%` name.
     ReservedName(Name),
     /// An unknown `%%` primitive is called.
     UnknownPrimitive(Name),
+    /// A `%%` primitive is called with other than 2 arguments and 1
+    /// result.
+    PrimitiveArity {
+        /// The procedure with the call.
+        proc: Name,
+        /// The primitive.
+        prim: Name,
+    },
+    /// A parallel assignment has more or fewer values than targets.
+    AssignArity {
+        /// The procedure with the assignment.
+        proc: Name,
+        /// Number of targets.
+        targets: usize,
+        /// Number of values.
+        values: usize,
+    },
+    /// `return <i/n>` with `i > n`.
+    ReturnIndex {
+        /// The procedure with the return.
+        proc: Name,
+        /// The alternate index.
+        index: u32,
+        /// The alternate count.
+        count: u32,
+    },
+    /// An `also descriptor` name is not a data block.
+    NotADescriptor {
+        /// The procedure with the annotation.
+        proc: Name,
+        /// The name.
+        name: Name,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -101,8 +144,12 @@ impl fmt::Display for BuildError {
             BuildError::UnknownLabel { proc, label } => {
                 write!(f, "procedure `{proc}`: goto targets unknown label `{label}`")
             }
-            BuildError::UnknownName { proc, name } => {
-                write!(f, "procedure `{proc}`: unknown name `{name}`")
+            BuildError::UnknownName { proc, name } => write!(
+                f,
+                "procedure `{proc}`: `{name}` is not a variable, continuation, procedure, data block or global register"
+            ),
+            BuildError::NotAVariable { proc, name } => {
+                write!(f, "procedure `{proc}`: `{name}` is not a variable it can assign")
             }
             BuildError::DuplicateName { proc, name } => {
                 write!(f, "procedure `{proc}`: duplicate name `{name}`")
@@ -115,51 +162,103 @@ impl fmt::Display for BuildError {
             ),
             BuildError::ReservedName(n) => write!(f, "`{n}` is a reserved name"),
             BuildError::UnknownPrimitive(n) => write!(f, "unknown checked primitive `{n}`"),
+            BuildError::PrimitiveArity { proc, prim } => write!(
+                f,
+                "procedure `{proc}`: checked primitive `{prim}` takes 2 arguments and 1 result"
+            ),
+            BuildError::AssignArity {
+                proc,
+                targets,
+                values,
+            } => write!(
+                f,
+                "procedure `{proc}`: parallel assignment of {targets} targets from {values} values"
+            ),
+            BuildError::ReturnIndex { proc, index, count } => write!(
+                f,
+                "procedure `{proc}`: `return <{index}/{count}>` index exceeds the alternate count"
+            ),
+            BuildError::NotADescriptor { proc, name } => {
+                write!(f, "procedure `{proc}`: descriptor `{name}` is not a data block")
+            }
         }
     }
 }
 
 impl std::error::Error for BuildError {}
 
+/// What a top-level name declares. Imports declare nothing a procedure
+/// body may use.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Top {
+    Proc,
+    Data,
+    Register,
+}
+
+/// `yield` and the `%` names belong to the builder's own calls (the
+/// run-time system and the checked primitives), so no declaration may
+/// take one.
+fn check_unreserved(n: &Name) -> Result<(), BuildError> {
+    if n == YIELD || n.as_str().starts_with('%') {
+        return Err(BuildError::ReservedName(n.clone()));
+    }
+    Ok(())
+}
+
+/// Declares a variable, label or continuation of `p`.
+fn declare(p: &Proc, seen: &mut BTreeSet<Name>, n: &Name) -> Result<(), BuildError> {
+    check_unreserved(n)?;
+    if !seen.insert(n.clone()) {
+        return Err(BuildError::DuplicateName {
+            proc: p.name.clone(),
+            name: n.clone(),
+        });
+    }
+    Ok(())
+}
+
 /// Translates a module into an Abstract C-- [`Program`].
+///
+/// This is the one well-formedness check. The back ends rely on it and
+/// never re-check a name; dynamic mismatches (cutting to a value that
+/// is not a continuation, a `return <i/n>` whose `n` differs from the
+/// call site's) stay the unchecked run-time errors of §4. It checks
+/// each name where the source statement uses it:
+///
+/// * an operand or callee is a variable or continuation of the
+///   procedure, or a procedure, data block or global register of the
+///   module; a known `%%` primitive may only be a call's callee, with
+///   2 arguments and 1 result (§4.3);
+/// * an assignment target is a variable or global register, and a call
+///   result or continuation parameter (§4.1) a variable of the
+///   procedure;
+/// * an annotation names continuations of the procedure (§4.4) and
+///   data blocks as descriptors;
+/// * a parallel assignment has one value per target, and
+///   `return <i/n>` has `i ≤ n`.
+///
+/// Top-level, variable, label and continuation names are unique, and
+/// none is `yield` or a `%` name.
 ///
 /// # Errors
 ///
-/// Returns a [`BuildError`] for unresolved names, duplicate declarations,
-/// malformed annotations, or undefined data symbols.
+/// Returns the first [`BuildError`] found.
 pub fn build_program(module: &Module) -> Result<Program, BuildError> {
     let image = DataImage::link(module).map_err(BuildError::UndefinedSymbol)?;
 
-    // Known top-level names.
-    let mut top: BTreeSet<Name> = BTreeSet::new();
-    let mut check_dup = |n: &Name| -> Result<(), BuildError> {
-        if !top.insert(n.clone()) {
+    let mut top: BTreeMap<Name, Top> = BTreeMap::new();
+    let decls = module
+        .procs()
+        .map(|p| (&p.name, Top::Proc))
+        .chain(module.data_blocks().map(|b| (&b.name, Top::Data)))
+        .chain(module.registers().map(|r| (&r.name, Top::Register)));
+    for (n, kind) in decls {
+        check_unreserved(n)?;
+        if top.insert(n.clone(), kind).is_some() {
             return Err(BuildError::DuplicateSymbol(n.clone()));
         }
-        Ok(())
-    };
-    for p in module.procs() {
-        if p.name == YIELD || p.name.as_str().starts_with('%') {
-            return Err(BuildError::ReservedName(p.name.clone()));
-        }
-        check_dup(&p.name)?;
     }
-    for b in module.data_blocks() {
-        check_dup(&b.name)?;
-    }
-    for r in module.registers() {
-        check_dup(&r.name)?;
-    }
-
-    let mut known_top: BTreeSet<Name> = module.procs().map(|p| p.name.clone()).collect();
-    known_top.extend(module.data_blocks().map(|b| b.name.clone()));
-    known_top.extend(module.registers().map(|r| r.name.clone()));
-    for d in &module.decls {
-        if let cmm_ir::Decl::Import(ns) = d {
-            known_top.extend(ns.iter().cloned());
-        }
-    }
-    known_top.insert(Name::from(YIELD));
 
     let mut program = Program {
         procs: BTreeMap::new(),
@@ -167,9 +266,9 @@ pub fn build_program(module: &Module) -> Result<Program, BuildError> {
         image,
     };
 
-    let mut used_prims: BTreeSet<Name> = BTreeSet::new();
+    let mut used_prims: BTreeMap<Name, BinOp> = BTreeMap::new();
     for p in module.procs() {
-        let g = GraphBuilder::new(p, &known_top)?.run(p, &mut used_prims)?;
+        let g = GraphBuilder::new(p, &top)?.run(p, &mut used_prims)?;
         program.procs.insert(p.name.clone(), g);
     }
 
@@ -186,9 +285,7 @@ pub fn build_program(module: &Module) -> Result<Program, BuildError> {
     program.procs.insert(Name::from(YIELD), yield_graph);
 
     // Synthesize checking procedures for the fallible primitives used.
-    for prim in used_prims {
-        let op = BinOp::checked_primitive(prim.as_str())
-            .ok_or_else(|| BuildError::UnknownPrimitive(prim.clone()))?;
+    for (prim, op) in used_prims {
         let g = synthesize_checked(&prim, op);
         program.procs.insert(prim, g);
     }
@@ -272,25 +369,23 @@ fn synthesize_checked(name: &Name, op: BinOp) -> Graph {
     g
 }
 
-struct GraphBuilder {
+struct GraphBuilder<'a> {
     g: Graph,
+    /// How many of `g.vars` the source declares (formals, then locals);
+    /// the temporaries the translation adds follow them.
+    declared: usize,
     labels: BTreeMap<Name, NodeId>,
     conts: BTreeMap<Name, NodeId>,
     cont_order: Vec<Name>,
-    known_top: BTreeSet<Name>,
+    top: &'a BTreeMap<Name, Top>,
 }
 
-impl GraphBuilder {
-    fn new(p: &Proc, known_top: &BTreeSet<Name>) -> Result<GraphBuilder, BuildError> {
+impl<'a> GraphBuilder<'a> {
+    fn new(p: &Proc, top: &'a BTreeMap<Name, Top>) -> Result<GraphBuilder<'a>, BuildError> {
         let mut vars: Vec<(Name, Ty)> = Vec::new();
         let mut seen = BTreeSet::new();
         for (n, ty) in p.formals.iter().chain(p.locals.iter()) {
-            if !seen.insert(n.clone()) {
-                return Err(BuildError::DuplicateName {
-                    proc: p.name.clone(),
-                    name: n.clone(),
-                });
-            }
+            declare(p, &mut seen, n)?;
             vars.push((n.clone(), *ty));
         }
         let g = Graph {
@@ -301,11 +396,12 @@ impl GraphBuilder {
             vars,
         };
         let mut b = GraphBuilder {
+            declared: g.vars.len(),
             g,
             labels: BTreeMap::new(),
             conts: BTreeMap::new(),
             cont_order: Vec::new(),
-            known_top: known_top.clone(),
+            top,
         };
         // Pre-allocate placeholder nodes for every label and continuation
         // so that forward references resolve. Placeholders are patched to
@@ -323,24 +419,14 @@ impl GraphBuilder {
         for item in items {
             match item {
                 BodyItem::Label(l) => {
-                    if !seen.insert(l.clone()) {
-                        return Err(BuildError::DuplicateName {
-                            proc: p.name.clone(),
-                            name: l.clone(),
-                        });
-                    }
+                    declare(p, seen, l)?;
                     let id = self.g.add(Node::Yield); // placeholder
                     self.labels.insert(l.clone(), id);
                 }
                 BodyItem::Continuation { name, params } => {
-                    if !seen.insert(name.clone()) {
-                        return Err(BuildError::DuplicateName {
-                            proc: p.name.clone(),
-                            name: name.clone(),
-                        });
-                    }
+                    declare(p, seen, name)?;
                     for param in params {
-                        if self.g.var_ty(param).is_none() {
+                        if !self.is_var(param) {
                             return Err(BuildError::UndeclaredContParam {
                                 proc: p.name.clone(),
                                 cont: name.clone(),
@@ -362,7 +448,11 @@ impl GraphBuilder {
         Ok(())
     }
 
-    fn run(mut self, p: &Proc, used_prims: &mut BTreeSet<Name>) -> Result<Graph, BuildError> {
+    fn run(
+        mut self,
+        p: &Proc,
+        used_prims: &mut BTreeMap<Name, BinOp>,
+    ) -> Result<Graph, BuildError> {
         // Falling off the end of a body behaves as a plain `return;`.
         let implicit_return = self.g.add(Node::Exit {
             index: 0,
@@ -384,8 +474,75 @@ impl GraphBuilder {
             next: copyin,
         });
         self.g.entry = entry;
-        self.validate_names(p)?;
         Ok(self.g)
+    }
+
+    /// A variable the source declares (not a translation temporary).
+    fn is_var(&self, n: &Name) -> bool {
+        self.g.vars[..self.declared].iter().any(|(v, _)| v == n)
+    }
+
+    /// Checks every name in an expression: a variable or continuation
+    /// of this procedure, or a procedure, data block or global register
+    /// of the module.
+    fn check_expr(&self, p: &Proc, e: &Expr) -> Result<(), BuildError> {
+        let mut bad = None;
+        e.visit_names(&mut |n| {
+            if bad.is_none()
+                && !self.is_var(n)
+                && !self.conts.contains_key(n)
+                && !self.top.contains_key(n)
+            {
+                bad = Some(n.clone());
+            }
+        });
+        match bad {
+            Some(name) => Err(BuildError::UnknownName {
+                proc: p.name.clone(),
+                name,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    fn check_exprs(&self, p: &Proc, es: &[Expr]) -> Result<(), BuildError> {
+        es.iter().try_for_each(|e| self.check_expr(p, e))
+    }
+
+    /// Checks a name assigned to: a variable of this procedure, or (for
+    /// an assignment, `global` set) a global register.
+    fn check_target(&self, p: &Proc, n: &Name, global: bool) -> Result<(), BuildError> {
+        if self.is_var(n) || (global && self.top.get(n) == Some(&Top::Register)) {
+            return Ok(());
+        }
+        Err(BuildError::NotAVariable {
+            proc: p.name.clone(),
+            name: n.clone(),
+        })
+    }
+
+    /// Checks a statement's annotations: "the names appearing in
+    /// annotations are always names of continuations declared in the
+    /// same procedure as the call site" (§4.4), and each descriptor is
+    /// a data block.
+    fn check_anns(&self, p: &Proc, anns: &Annotations) -> Result<(), BuildError> {
+        if let Some(k) = anns.continuations().find(|k| !self.conts.contains_key(*k)) {
+            return Err(BuildError::UnknownContinuation {
+                proc: p.name.clone(),
+                cont: k.clone(),
+            });
+        }
+        if let Some(d) = anns
+            .descriptors
+            .iter()
+            .find(|d| self.top.get(*d) != Some(&Top::Data))
+        {
+            return Err(BuildError::NotADescriptor {
+                proc: p.name.clone(),
+                name: d.clone(),
+            });
+        }
+        Ok(())
     }
 
     /// Translates a statement sequence, given the node that follows it.
@@ -395,7 +552,7 @@ impl GraphBuilder {
         p: &Proc,
         items: &[BodyItem],
         follow: NodeId,
-        used_prims: &mut BTreeSet<Name>,
+        used_prims: &mut BTreeMap<Name, BinOp>,
     ) -> Result<NodeId, BuildError> {
         let mut next = follow;
         for item in items.iter().rev() {
@@ -404,35 +561,20 @@ impl GraphBuilder {
         Ok(next)
     }
 
-    fn resolve_conts(&self, p: &Proc, names: &[Name]) -> Result<Vec<NodeId>, BuildError> {
-        names
-            .iter()
-            .map(|n| {
-                self.conts
-                    .get(n)
-                    .copied()
-                    .ok_or_else(|| BuildError::UnknownContinuation {
-                        proc: p.name.clone(),
-                        cont: n.clone(),
-                    })
-            })
-            .collect()
+    /// The nodes of continuations `check_anns` accepted.
+    fn resolve_conts(&self, names: &[Name]) -> Vec<NodeId> {
+        names.iter().map(|n| self.conts[n]).collect()
     }
 
-    fn bundle(
-        &mut self,
-        p: &Proc,
-        anns: &Annotations,
-        normal_return: NodeId,
-    ) -> Result<Bundle, BuildError> {
-        let mut returns = self.resolve_conts(p, &anns.returns_to)?;
+    fn bundle(&self, anns: &Annotations, normal_return: NodeId) -> Bundle {
+        let mut returns = self.resolve_conts(&anns.returns_to);
         returns.push(normal_return);
-        Ok(Bundle {
+        Bundle {
             returns,
-            unwinds: self.resolve_conts(p, &anns.unwinds_to)?,
-            cuts: self.resolve_conts(p, &anns.cuts_to)?,
+            unwinds: self.resolve_conts(&anns.unwinds_to),
+            cuts: self.resolve_conts(&anns.cuts_to),
             aborts: anns.aborts,
-        })
+        }
     }
 
     fn item(
@@ -440,7 +582,7 @@ impl GraphBuilder {
         p: &Proc,
         item: &BodyItem,
         next: NodeId,
-        used_prims: &mut BTreeSet<Name>,
+        used_prims: &mut BTreeMap<Name, BinOp>,
     ) -> Result<NodeId, BuildError> {
         match item {
             BodyItem::Label(l) => {
@@ -465,11 +607,28 @@ impl GraphBuilder {
         p: &Proc,
         s: &Stmt,
         next: NodeId,
-        used_prims: &mut BTreeSet<Name>,
+        used_prims: &mut BTreeMap<Name, BinOp>,
     ) -> Result<NodeId, BuildError> {
         match s {
-            Stmt::Assign { lhs, rhs } => Ok(self.assign(lhs, rhs, next)),
+            Stmt::Assign { lhs, rhs } => {
+                if lhs.len() != rhs.len() {
+                    return Err(BuildError::AssignArity {
+                        proc: p.name.clone(),
+                        targets: lhs.len(),
+                        values: rhs.len(),
+                    });
+                }
+                for l in lhs {
+                    match l {
+                        Lvalue::Var(v) => self.check_target(p, v, true)?,
+                        Lvalue::Mem(_, a) => self.check_expr(p, a)?,
+                    }
+                }
+                self.check_exprs(p, rhs)?;
+                Ok(self.assign(lhs, rhs, next))
+            }
             Stmt::If { cond, then_, else_ } => {
+                self.check_expr(p, cond)?;
                 let t = self.items(p, then_, next, used_prims)?;
                 let f = self.items(p, else_, next, used_prims)?;
                 Ok(self.g.add(Node::Branch {
@@ -493,16 +652,32 @@ impl GraphBuilder {
                 args,
                 anns,
             } => {
-                if let Expr::Name(n) = callee {
-                    if n.is_checked_primitive() {
-                        used_prims.insert(n.clone());
-                    }
+                for r in results {
+                    self.check_target(p, r, false)?;
                 }
+                match callee {
+                    // `%%` names are the checked primitives, which "take
+                    // the form of procedure calls" (§4.3).
+                    Expr::Name(n) if n.is_checked_primitive() => {
+                        let op = BinOp::checked_primitive(n.as_str())
+                            .ok_or_else(|| BuildError::UnknownPrimitive(n.clone()))?;
+                        if args.len() != 2 || results.len() != 1 {
+                            return Err(BuildError::PrimitiveArity {
+                                proc: p.name.clone(),
+                                prim: n.clone(),
+                            });
+                        }
+                        used_prims.insert(n.clone(), op);
+                    }
+                    _ => self.check_expr(p, callee)?,
+                }
+                self.check_exprs(p, args)?;
+                self.check_anns(p, anns)?;
                 let copyin = self.g.add(Node::CopyIn {
                     vars: results.clone(),
                     next,
                 });
-                let bundle = self.bundle(p, anns, copyin)?;
+                let bundle = self.bundle(anns, copyin);
                 let call = self.g.add(Node::Call {
                     callee: callee.clone(),
                     bundle,
@@ -514,6 +689,8 @@ impl GraphBuilder {
                 }))
             }
             Stmt::Jump { callee, args } => {
+                self.check_expr(p, callee)?;
+                self.check_exprs(p, args)?;
                 let jump = self.g.add(Node::Jump {
                     callee: callee.clone(),
                 });
@@ -527,6 +704,14 @@ impl GraphBuilder {
                     Some(a) => (a.index, a.count),
                     None => (0, 0),
                 };
+                if index > alternates {
+                    return Err(BuildError::ReturnIndex {
+                        proc: p.name.clone(),
+                        index,
+                        count: alternates,
+                    });
+                }
+                self.check_exprs(p, args)?;
                 let exit = self.g.add(Node::Exit { index, alternates });
                 Ok(self.g.add(Node::CopyOut {
                     exprs: args.clone(),
@@ -534,10 +719,12 @@ impl GraphBuilder {
                 }))
             }
             Stmt::CutTo { cont, args, anns } => {
-                let cuts = self.resolve_conts(p, &anns.cuts_to)?;
+                self.check_expr(p, cont)?;
+                self.check_exprs(p, args)?;
+                self.check_anns(p, anns)?;
                 let cut = self.g.add(Node::CutTo {
                     cont: cont.clone(),
-                    cuts,
+                    cuts: self.resolve_conts(&anns.cuts_to),
                 });
                 Ok(self.g.add(Node::CopyOut {
                     exprs: args.clone(),
@@ -545,8 +732,10 @@ impl GraphBuilder {
                 }))
             }
             Stmt::Yield { args, anns } => {
+                self.check_exprs(p, args)?;
+                self.check_anns(p, anns)?;
                 let copyin = self.g.add(Node::CopyIn { vars: vec![], next });
-                let bundle = self.bundle(p, anns, copyin)?;
+                let bundle = self.bundle(anns, copyin);
                 let call = self.g.add(Node::Call {
                     callee: Expr::var(YIELD),
                     bundle,
@@ -600,72 +789,6 @@ impl GraphBuilder {
             });
         }
         head
-    }
-
-    /// Checks that every name mentioned in the graph is declared
-    /// somewhere.
-    fn validate_names(&self, p: &Proc) -> Result<(), BuildError> {
-        let check = |e: &Expr| -> Result<(), BuildError> {
-            let mut bad = None;
-            e.visit_names(&mut |n| {
-                if bad.is_some() {
-                    return;
-                }
-                let known = self.g.var_ty(n).is_some()
-                    || self.conts.contains_key(n)
-                    || self.known_top.contains(n)
-                    || n.as_str().starts_with('%');
-                if !known {
-                    bad = Some(n.clone());
-                }
-            });
-            match bad {
-                Some(n) => Err(BuildError::UnknownName {
-                    proc: p.name.clone(),
-                    name: n,
-                }),
-                None => Ok(()),
-            }
-        };
-        for n in &self.g.nodes {
-            match n {
-                Node::Assign { lhs, rhs, .. } => {
-                    if let Lvalue::Mem(_, a) = lhs {
-                        check(a)?;
-                    }
-                    if let Lvalue::Var(v) = lhs {
-                        if self.g.var_ty(v).is_none() && !self.known_top.contains(v) {
-                            return Err(BuildError::UnknownName {
-                                proc: p.name.clone(),
-                                name: v.clone(),
-                            });
-                        }
-                    }
-                    check(rhs)?;
-                }
-                Node::Branch { cond, .. } => check(cond)?,
-                Node::CopyOut { exprs, .. } => {
-                    for e in exprs {
-                        check(e)?;
-                    }
-                }
-                Node::CopyIn { vars, .. } => {
-                    for v in vars {
-                        if self.g.var_ty(v).is_none() {
-                            return Err(BuildError::UnknownName {
-                                proc: p.name.clone(),
-                                name: v.clone(),
-                            });
-                        }
-                    }
-                }
-                Node::Call { callee, .. } => check(callee)?,
-                Node::Jump { callee } => check(callee)?,
-                Node::CutTo { cont, .. } => check(cont)?,
-                _ => {}
-            }
-        }
-        Ok(())
     }
 }
 
@@ -882,6 +1005,163 @@ mod tests {
         let p = build("register bits32 exn_top; f() { exn_top = exn_top + 4; return; }");
         assert_eq!(p.globals.len(), 1);
         assert_eq!(p.globals[0].name, Name::from("exn_top"));
+    }
+
+    #[test]
+    fn accepts_well_formed_procedure() {
+        build("f(bits32 x) { return (x); }");
+    }
+
+    #[test]
+    fn parsed_figure_style_program_is_well_formed() {
+        build(
+            r#"
+            data d { bits32 1, 2; }
+            f(bits32 x) {
+                bits32 r, e;
+                r = g(x, k) also cuts to k also unwinds to ku also descriptor d;
+                return (r);
+                continuation k(e):
+                return (e + 1);
+                continuation ku(e):
+                return (e + 2);
+            }
+            g(bits32 x, bits32 kk) {
+                if x == 0 { cut to kk(7); }
+                return (x);
+            }
+            "#,
+        );
+    }
+
+    fn module_of(procs: Vec<Proc>) -> Module {
+        let mut m = Module::new();
+        for p in procs {
+            m.push_proc(p);
+        }
+        m
+    }
+
+    fn err(m: &Module) -> BuildError {
+        build_program(m).unwrap_err()
+    }
+
+    #[test]
+    fn rejects_unknown_names_and_targets() {
+        let mut p = Proc::new("f");
+        p.body
+            .push(BodyItem::Stmt(Stmt::assign("x", Expr::var("y"))));
+        p.body.push(BodyItem::Stmt(Stmt::Goto {
+            target: Name::from("nowhere"),
+        }));
+        let f = Name::from("f");
+        assert_eq!(
+            err(&module_of(vec![p.clone()])),
+            BuildError::UnknownLabel {
+                proc: f.clone(),
+                label: Name::from("nowhere")
+            }
+        );
+        p.body.pop();
+        assert_eq!(
+            err(&module_of(vec![p.clone()])),
+            BuildError::NotAVariable {
+                proc: f.clone(),
+                name: Name::from("x")
+            }
+        );
+        p.locals.push((Name::from("x"), Ty::B32));
+        assert_eq!(
+            err(&module_of(vec![p])),
+            BuildError::UnknownName {
+                proc: f,
+                name: Name::from("y")
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_annotation_to_missing_continuation() {
+        let mut p = Proc::new("f");
+        p.locals.push((Name::from("r"), Ty::B32));
+        p.body.push(BodyItem::Stmt(Stmt::Call {
+            results: vec![Name::from("r")],
+            callee: Expr::var("f"),
+            args: vec![],
+            anns: Annotations::cuts_to(["k"]),
+        }));
+        assert_eq!(
+            err(&module_of(vec![p])),
+            BuildError::UnknownContinuation {
+                proc: Name::from("f"),
+                cont: Name::from("k")
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_continuation_param_not_declared() {
+        let mut p = Proc::new("f");
+        p.body.push(BodyItem::Continuation {
+            name: Name::from("k"),
+            params: vec![Name::from("ghost")],
+        });
+        assert_eq!(
+            err(&module_of(vec![p])),
+            BuildError::UndeclaredContParam {
+                proc: Name::from("f"),
+                cont: Name::from("k"),
+                param: Name::from("ghost")
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_bad_checked_primitive() {
+        let mut p = Proc::new("f");
+        p.locals.push((Name::from("r"), Ty::B32));
+        p.body.push(BodyItem::Stmt(Stmt::Call {
+            results: vec![Name::from("r")],
+            callee: Expr::var("%%frobnicate"),
+            args: vec![Expr::b32(1), Expr::b32(2)],
+            anns: Annotations::none(),
+        }));
+        assert_eq!(
+            err(&module_of(vec![p])),
+            BuildError::UnknownPrimitive(Name::from("%%frobnicate"))
+        );
+    }
+
+    #[test]
+    fn rejects_arity_mismatch_and_duplicates() {
+        let mut p = Proc::new("f");
+        p.locals.push((Name::from("x"), Ty::B32));
+        p.locals.push((Name::from("x"), Ty::B32));
+        p.body.push(BodyItem::Stmt(Stmt::Assign {
+            lhs: vec![Lvalue::var("x")],
+            rhs: vec![Expr::b32(1), Expr::b32(2)],
+        }));
+        let f = Name::from("f");
+        assert_eq!(
+            err(&module_of(vec![p.clone(), Proc::new("f")])),
+            BuildError::DuplicateSymbol(f.clone())
+        );
+        assert_eq!(
+            err(&module_of(vec![p.clone()])),
+            BuildError::DuplicateName {
+                proc: f.clone(),
+                name: Name::from("x")
+            }
+        );
+        p.locals.pop();
+        assert_eq!(
+            err(&module_of(vec![p])),
+            BuildError::AssignArity {
+                proc: f,
+                targets: 1,
+                values: 2
+            }
+        );
     }
 
     #[test]

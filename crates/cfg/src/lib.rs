@@ -24,6 +24,8 @@
 //! [`build::build_program`] implements the §5.3 translation from C--
 //! source (the `cmm-ir` AST) into Abstract C--, including the synthesis of
 //! checking procedures for the `%%divu`-style fallible primitives of §4.3.
+//! It is also the one well-formedness check, whose guarantees every
+//! back end relies on.
 //!
 //! A [`Program`] is the partial map *X* from names to procedures of §5,
 //! together with a linked [`image::DataImage`] of the module's static data

@@ -6,8 +6,8 @@
 //!
 //! * [`ir`] — C-- abstract syntax (§3–§4);
 //! * [`parse`] — concrete syntax;
-//! * [`cfg`] — Abstract C--: the control-flow-graph form of Table 2 and
-//!   the §5.3 translation;
+//! * [`cfg`](mod@cfg) — Abstract C--: the control-flow-graph form of
+//!   Table 2 and the §5.3 translation;
 //! * [`sem`] — the §5.2 operational semantics (the abstract machine);
 //! * [`rt`] — the Table 1 run-time interface;
 //! * [`opt`] — Table 3 dataflow and the optimizer (§6);

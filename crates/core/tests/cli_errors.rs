@@ -398,6 +398,43 @@ fn batch_compile_errors_fail_the_run_but_stay_in_the_report() {
     assert!(stderr(&out).contains("2 job(s) failed"));
 }
 
+/// `build_program` refuses these before any engine runs: an assignment
+/// to a procedure, a use of an imported name, and a checked primitive
+/// that is not a call's callee. VM code generation cannot compile any
+/// of them, so a translation error is the only answer that is not a
+/// panic.
+#[test]
+fn ill_formed_modules_are_translation_errors() {
+    let s = Scratch::new("wellformed");
+    for (name, src) in [
+        ("assign.cmm", "f(bits32 n) { f = 3; return (n); }"),
+        ("import.cmm", "import ext; f(bits32 n) { return (ext); }"),
+        ("jump.cmm", "f(bits32 n) { jump %%divu(n, n); }"),
+    ] {
+        let path = s.file(name, src);
+        let path = path.to_str().unwrap();
+        for out in [cmm(&["trace", path, "f", "1"]), cmm(&["dump-vm", path])] {
+            assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr(&out));
+            assert_fails_mentioning(&out, "cmm: translation error:");
+        }
+    }
+}
+
+/// One refusal, whatever the engine: the abstract machines would run
+/// the assignment to `f` until it went wrong, and the VM's compiler
+/// cannot compile it.
+#[test]
+fn a_batch_reports_one_compile_error_on_every_engine() {
+    let s = Scratch::new("assignproc");
+    s.file("assign.cmm", "f(bits32 n) { f = 3; return (n); }");
+    let m = s.file("m.manifest", "assign.cmm sem,vm entry=f args=1\n");
+    let out = cmm(&["batch", m.to_str().unwrap(), "--no-timing"]);
+    assert!(!out.status.success(), "a compile error must fail the run");
+    let json = stdout(&out);
+    let refusal = "\"outcome\": \"compile-error\", \"detail\": \"procedure `f`: `f` is not a variable it can assign\"";
+    assert_eq!(json.matches(refusal).count(), 2, "{json}");
+}
+
 #[test]
 fn batch_reports_are_byte_identical_across_jobs_and_share_compiles() {
     let s = Scratch::new("determinism");

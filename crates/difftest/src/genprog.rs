@@ -2,9 +2,10 @@
 //!
 //! A [`TestCase`] is a *tree*, not a string: generation and shrinking both
 //! operate on the tree, and [`TestCase::render`] turns it into concrete
-//! C-- syntax. Every rendered program is well formed (checked by the
-//! `cmm-ir` verifier as a post-condition in the fuzz driver) and
-//! structurally terminating:
+//! C-- syntax. Every rendered program is well formed (the fuzz driver
+//! hands it to `cmm_cfg::build_program`, the one well-formedness check,
+//! and counts a refusal as a generator bug) and structurally
+//! terminating:
 //!
 //! * the driver procedure `f` runs a counted loop (`i` iterations, at
 //!   most [`MAX_LOOP`]);
@@ -699,21 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn generated_programs_parse_and_verify() {
+    fn generated_programs_build_to_cfg() {
         for seed in 0..200 {
             let src = case(seed).render();
             let m = cmm_parse::parse_module(&src)
                 .unwrap_or_else(|e| panic!("seed {seed} does not parse: {e}\n{src}"));
-            let errors = cmm_ir::verify_module(&m);
-            assert!(errors.is_empty(), "seed {seed}: {errors:?}\n{src}");
-        }
-    }
-
-    #[test]
-    fn generated_programs_build_to_cfg() {
-        for seed in 0..100 {
-            let src = case(seed).render();
-            let m = cmm_parse::parse_module(&src).unwrap();
             cmm_cfg::build_program(&m)
                 .unwrap_or_else(|e| panic!("seed {seed} does not build: {e}\n{src}"));
         }

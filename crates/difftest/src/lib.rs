@@ -13,13 +13,14 @@
 //!    paper's exceptional-control-flow features — weak continuations,
 //!    `cut to`, `also unwinds to` / `also returns to` / `also aborts`,
 //!    tail calls, `yield`, and fallible/checked primitives — that are
-//!    well formed by construction (re-checked with `cmm-ir`'s verifier)
-//!    and terminate structurally;
-//! 2. [`oracle`] runs each program through the reference semantics, each
-//!    optimization pass individually, the full pipeline, and the VM,
-//!    comparing final results, "went wrong" states, and the sequence of
-//!    yield codes serviced by a fixed deterministic run-time policy;
-//! 3. [`shrink`] delta-debugs any divergence down to a minimal
+//!    well formed by construction and terminate structurally;
+//! 2. [`oracle`] builds each program with `cmm_cfg::build_program`, the
+//!    one well-formedness check (a refusal is a generator bug), and runs
+//!    it through the reference semantics, each optimization pass
+//!    individually, the full pipeline, and the VM, comparing final
+//!    results, "went wrong" states, and the sequence of yield codes
+//!    serviced by a fixed deterministic run-time policy;
+//! 3. [`shrink()`] delta-debugs any divergence down to a minimal
 //!    reproducer, which [`run_fuzz`] writes to a corpus directory as a
 //!    standalone `.cmm` file.
 //!
@@ -173,10 +174,7 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, extra_passes: &[ExtraPass<'_>]) -> FuzzRe
         if cfg.snap {
             let src = case.render();
             snap_oracle::run_source_snap(&src, case.args, &cfg.limits, cfg.snap_slice, None)?;
-            let plan = cmm_chaos::FaultPlan::seeded(
-                cmm_chaos::schedule_seed(cfg.fault_seed, 0),
-                oracle::CHAOS_HORIZON,
-            );
+            let plan = cmm_chaos::FaultPlan::seeded(cmm_chaos::schedule_seed(cfg.fault_seed, 0));
             snap_oracle::run_source_snap(
                 &src,
                 case.args,
@@ -484,10 +482,8 @@ pub fn replay_corpus(dir: &Path, limits: &Limits) -> std::io::Result<ReplayRepor
                 Some(slice) => {
                     snap_oracle::run_source_snap(&text, args, limits, slice, None)?;
                     if let Some((fault_seed, _)) = chaos_header(&text) {
-                        let plan = cmm_chaos::FaultPlan::seeded(
-                            cmm_chaos::schedule_seed(fault_seed, 0),
-                            oracle::CHAOS_HORIZON,
-                        );
+                        let plan =
+                            cmm_chaos::FaultPlan::seeded(cmm_chaos::schedule_seed(fault_seed, 0));
                         snap_oracle::run_source_snap(&text, args, limits, slice, Some(&plan))?;
                     }
                     Ok(())

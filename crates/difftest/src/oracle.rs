@@ -34,11 +34,6 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Latest invocation (per Table 1 op) at which a seeded fault plan may
-/// schedule its failure. Small, so most scheduled faults actually fire
-/// within a dispatch exchange or two.
-pub const CHAOS_HORIZON: u64 = 4;
-
 /// Execution limits shared by every oracle.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
@@ -289,7 +284,7 @@ pub fn run_source_chaos(
         ..Code::default()
     };
     for k in 0..schedules {
-        let plan = FaultPlan::seeded(schedule_seed(fault_seed, k), CHAOS_HORIZON);
+        let plan = FaultPlan::seeded(schedule_seed(fault_seed, k));
         let run = |engine: EngineId| {
             guarded(&format!("{}@chaos{k}", engine.name()), || {
                 observe(engine, &code, args, limits, Some(&plan), NopSink)
@@ -412,11 +407,10 @@ pub fn pass_variants() -> Vec<(&'static str, OptOptions)> {
 pub enum Failure {
     /// The rendered program did not parse (a generator bug).
     Parse(String),
-    /// The parsed module failed the `cmm-ir` verifier (a generator bug).
-    Verify(Vec<String>),
     /// Pretty-printing then re-parsing did not reproduce the module.
     RoundTrip(String),
-    /// CFG construction failed.
+    /// CFG construction failed: `cmm_cfg::build_program` found the
+    /// module ill formed (a generator bug).
     Build(String),
     /// VM code generation failed.
     Codegen(String),
@@ -453,7 +447,6 @@ impl Failure {
     pub fn classify(&self) -> &'static str {
         match self {
             Failure::Parse(_) => "parse",
-            Failure::Verify(_) => "verify",
             Failure::RoundTrip(_) => "round-trip",
             Failure::Build(_) => "build",
             Failure::Codegen(_) => "codegen",
@@ -468,11 +461,6 @@ impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Failure::Parse(e) => write!(f, "generated program does not parse: {e}"),
-            Failure::Verify(errs) => write!(
-                f,
-                "verifier rejected generated program: {}",
-                errs.join("; ")
-            ),
             Failure::RoundTrip(e) => write!(f, "pretty-print round trip failed: {e}"),
             Failure::Build(e) => write!(f, "CFG construction failed: {e}"),
             Failure::Codegen(e) => write!(f, "VM code generation failed: {e}"),
@@ -559,10 +547,6 @@ fn run_source_with(
     extra_passes: &[ExtraPass<'_>],
 ) -> Result<(), Failure> {
     let module = cmm_parse::parse_module(src).map_err(|e| Failure::Parse(e.to_string()))?;
-    let errors = cmm_ir::verify_module(&module);
-    if !errors.is_empty() {
-        return Err(Failure::Verify(errors));
-    }
     let printed = cmm_ir::pretty::module_to_string(&module);
     let reparsed = cmm_parse::parse_module(&printed)
         .map_err(|e| Failure::RoundTrip(format!("pretty output does not re-parse: {e}")))?;
@@ -767,7 +751,7 @@ mod tests {
             let prog = cmm_cfg::build_program(&m).unwrap();
             let vp = cmm_vm::compile(&prog).unwrap();
             for k in 0..5 {
-                let plan = FaultPlan::seeded(schedule_seed(seed, k), CHAOS_HORIZON);
+                let plan = FaultPlan::seeded(schedule_seed(seed, k));
                 let (o1, _, log) = observe_sem_chaos(&prog, case.args, &limits, &plan);
                 if log.is_empty() {
                     continue;
@@ -800,7 +784,7 @@ mod tests {
         let prog = cmm_cfg::build_program(&m).unwrap();
         let vp = cmm_vm::compile(&prog).unwrap();
         for k in 0..5 {
-            let plan = FaultPlan::seeded(schedule_seed(99, k), CHAOS_HORIZON);
+            let plan = FaultPlan::seeded(schedule_seed(99, k));
             assert_eq!(
                 observe_sem_chaos(&prog, case.args, &limits, &plan),
                 observe_sem_chaos(&prog, case.args, &limits, &plan),

@@ -355,7 +355,6 @@ pub fn run_source_snap(
 mod tests {
     use super::*;
     use crate::genprog::generate;
-    use crate::oracle::CHAOS_HORIZON;
     use crate::rng::Rng;
     use cmm_chaos::schedule_seed;
 
@@ -379,7 +378,7 @@ mod tests {
         let mut faulted = false;
         for seed in 0..20 {
             let case = generate(&mut Rng::new(seed));
-            let plan = FaultPlan::seeded(schedule_seed(seed, 0), CHAOS_HORIZON);
+            let plan = FaultPlan::seeded(schedule_seed(seed, 0));
             match run_source_snap(&case.render(), case.args, &limits, SNAP_SLICE, Some(&plan)) {
                 Ok(_) => {}
                 Err(f) => panic!("seed {seed} chaos snap failed: {f}\n{}", case.render()),

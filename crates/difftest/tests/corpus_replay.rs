@@ -2,7 +2,7 @@
 //! guard in it must not be vacuous: its seeded schedules have to inject
 //! faults into the dispatch exchange, or the file guards nothing.
 
-use cmm_difftest::oracle::{observe_sem_chaos, run_source_chaos, Limits, CHAOS_HORIZON};
+use cmm_difftest::oracle::{observe_sem_chaos, run_source_chaos, Limits};
 use cmm_difftest::replay_corpus;
 use std::path::Path;
 
@@ -32,7 +32,7 @@ fn chaos_guard_reproducer_fires_faults() {
     let prog = cmm_cfg::build_program(&m).unwrap();
     let fired: usize = (0..5)
         .map(|k| {
-            let plan = cmm_chaos::FaultPlan::seeded(cmm_chaos::schedule_seed(0, k), CHAOS_HORIZON);
+            let plan = cmm_chaos::FaultPlan::seeded(cmm_chaos::schedule_seed(0, k));
             let (_, _, log) = observe_sem_chaos(&prog, (3, 4), &limits, &plan);
             log.len()
         })

@@ -21,7 +21,7 @@
 //!
 //! Control flow that crosses a split (the code after an `if`, a loop, or
 //! a `try`) is routed through *state procedures* that receive the live
-//! variables directly; the [`Finish`] value threaded through the
+//! variables directly; the `Finish` value threaded through the
 //! lowering says where a statement sequence goes when it falls off the
 //! end.
 //!

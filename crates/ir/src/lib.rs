@@ -44,7 +44,6 @@ pub mod pretty;
 pub mod proc;
 pub mod stmt;
 pub mod ty;
-pub mod verify;
 
 pub use expr::{BinOp, Expr, Lit, UnOp};
 pub use module::{DataBlock, DataItem, Decl, GlobalReg, Module};
@@ -52,4 +51,3 @@ pub use name::Name;
 pub use proc::{BodyItem, Proc};
 pub use stmt::{AltReturn, Annotations, Lvalue, Stmt};
 pub use ty::{FWidth, Ty, Width};
-pub use verify::verify_module;

@@ -88,7 +88,7 @@ impl Span {
 }
 
 /// The SSA overlay for one graph. Variables are named by their
-/// position in the graph's locals index ([`Ssa::locals`]); uses of
+/// position in the graph's locals index (`Ssa::locals`); uses of
 /// names that are not tracked (globals, procedure and data names) are
 /// absent.
 #[derive(Clone, Debug, Default)]

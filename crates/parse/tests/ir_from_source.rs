@@ -1,38 +1,8 @@
-//! `cmm-ir`'s verifier and pretty-printer on modules parsed from
-//! source text. They live here because `cmm-ir` cannot depend on the
-//! parser.
+//! `cmm-ir`'s pretty-printer on modules parsed from source text. It
+//! lives here because `cmm-ir` cannot depend on the parser.
 
 use cmm_ir::pretty::proc_to_string;
-use cmm_ir::verify_module;
 use cmm_parse::parse_module;
-
-#[test]
-fn accepts_well_formed_procedure() {
-    let m = parse_module("f(bits32 x) { return (x); }").expect("source parses");
-    assert_eq!(verify_module(&m), Vec::<String>::new());
-}
-
-#[test]
-fn parsed_figure_style_program_is_well_formed() {
-    let src = r#"
-        data d { bits32 1, 2; }
-        f(bits32 x) {
-            bits32 r, e;
-            r = g(x, k) also cuts to k also unwinds to ku also descriptor d;
-            return (r);
-            continuation k(e):
-            return (e + 1);
-            continuation ku(e):
-            return (e + 2);
-        }
-        g(bits32 x, bits32 kk) {
-            if x == 0 { cut to kk(7); }
-            return (x);
-        }
-    "#;
-    let m = parse_module(src).expect("source parses");
-    assert_eq!(verify_module(&m), Vec::<String>::new());
-}
 
 #[test]
 fn proc_printing_includes_annotations() {

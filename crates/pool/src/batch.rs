@@ -51,12 +51,6 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The chaos horizon a `chaos=SEED` manifest key installs: each
-/// Table 1 op either passes or fails once within its first four
-/// invocations (seed-dependent) — the same wall difftest's chaos
-/// oracles run against.
-const CHAOS_HORIZON: u64 = 4;
-
 /// Flight-recorder ring capacity (events retained per job) when
 /// [`BatchConfig::metrics`] is on.
 const FLIGHT_CAP: usize = 64;
@@ -87,7 +81,7 @@ pub struct JobSpec {
     /// Suspensions serviced before the run is cut off.
     pub max_yields: usize,
     /// Chaos seed: install [`FaultPlan::seeded`] on the job's thread
-    /// (horizon [`CHAOS_HORIZON`], difftest's wall). `None` runs clean.
+    /// (difftest's wall). `None` runs clean.
     pub chaos: Option<u64>,
 }
 
@@ -727,9 +721,7 @@ fn execute<S: TraceSink>(
         .expect("engine_code holds the engine's program");
     let setup = Setup {
         governor: Some(governor(spec)),
-        chaos: spec
-            .chaos
-            .map(|seed| FaultPlan::seeded(seed, CHAOS_HORIZON)),
+        chaos: spec.chaos.map(FaultPlan::seeded),
         arenas: Some(arenas),
     };
     with_engine(spec.engine, &code, sink, setup, |t| {

@@ -5,8 +5,8 @@
 //!
 //! | [`Stage`] | artifact | produced by |
 //! |---|---|---|
-//! | `Module`  | parsed (and for C-- sources, verified) AST | `cmm-parse` / `cmm-frontend` |
-//! | `Program` | CFG after the configured optimization pipeline | `cmm-cfg` + `cmm-opt` |
+//! | `Module`  | parsed or lowered AST | `cmm-parse` / `cmm-frontend` |
+//! | `Program` | checked CFG after the configured optimization pipeline | `cmm-cfg` + `cmm-opt` |
 //! | `Resolved` | `sem-resolved`'s tables, sharing the `Program` | `cmm-sem` resolve |
 //! | `VmCode`  | compiled `VmProgram` | `cmm-vm` codegen |
 //! | `Decoded` | pre-decoded instruction array | `cmm-vm` decode |
@@ -62,12 +62,10 @@ use std::sync::{Arc, Condvar, Mutex};
 /// What language the source text is in, and how to lower it.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SourceLang {
-    /// A C-- module, parsed by `cmm-parse` and checked by the
-    /// `cmm-ir` verifier.
+    /// A C-- module, parsed by `cmm-parse`.
     Cmm,
     /// A MiniM3 module, lowered by `cmm-frontend` with the given
-    /// exception-implementation strategy. (The lowering is validated
-    /// by the cross-strategy equivalence suite, not re-verified here.)
+    /// exception-implementation strategy.
     MiniM3(cmm_frontend::Strategy),
 }
 
@@ -481,18 +479,14 @@ impl PipelineCache {
         }
     }
 
-    /// The parsed [`Module`] for `id` (verified, for C-- sources).
+    /// The parsed (C--) or lowered (MiniM3) [`Module`] for `id`.
+    /// [`Self::program`]'s `build_program` is what checks it.
     pub fn module(&self, id: &SourceId) -> Result<Arc<Module>, String> {
         let key = id.key();
         let art = self.get_or_build(id.digest(), Stage::Module, || {
             let module = match &key.lang {
                 SourceLang::Cmm => {
-                    let m = cmm_parse::parse_module(&key.source).map_err(|e| e.to_string())?;
-                    let errors = cmm_ir::verify_module(&m);
-                    if !errors.is_empty() {
-                        return Err(format!("verifier: {}", errors.join("; ")));
-                    }
-                    m
+                    cmm_parse::parse_module(&key.source).map_err(|e| e.to_string())?
                 }
                 SourceLang::MiniM3(strategy) => {
                     cmm_frontend::compile_minim3(&key.source, *strategy)

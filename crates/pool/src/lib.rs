@@ -8,7 +8,7 @@
 //! trajectory's throughput workload — repeats that compilation work
 //! per job unless something memoizes it. This crate is that something:
 //!
-//! * [`cache`] — a [`PipelineCache`](cache::PipelineCache): every
+//! * [`cache`] — a [`PipelineCache`]: every
 //!   pipeline stage memoized under a content [`Digest`]
 //!   of (source bytes, optimization config, engine family), with
 //!   single-flight deduplication, LRU eviction under a byte budget,

@@ -883,7 +883,7 @@ mod tests {
         // The same plan, installed on both sem engines, injects at the
         // same dispatch point and leaves the same log.
         fn drive<'p, M: SemEngine<'p>>(mut t: Thread<'p, M>) -> Vec<InjectedFault> {
-            t.set_chaos(FaultPlan::seeded(7, 4));
+            t.set_chaos(FaultPlan::seeded(7));
             t.start("f", vec![]).unwrap();
             assert_eq!(t.run(100_000), Status::Suspended);
             if let Some(mut a) = t.first_activation() {

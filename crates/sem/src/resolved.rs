@@ -11,7 +11,7 @@
 //! once per step:
 //!
 //! * each procedure's statement stream is flattened into an
-//!   index-aligned [`RNode`] arena (node ids are preserved, so every
+//!   index-aligned `RNode` arena (node ids are preserved, so every
 //!   [`NodeRef`] the engine reports — in `Wrong` values, continuation
 //!   values, activation sites — is identical to the reference
 //!   machine's);

@@ -12,11 +12,11 @@
 //! family — work migration costs nothing beyond the snapshot the
 //! scheduler was going to take anyway.
 //!
-//! * [`service`] — the in-process [`Service`](service::Service) API:
-//!   the scheduler, the per-tenant resource governors, the virtual
-//!   clock, and the deterministic event log.
+//! * [`service`] — the in-process [`Service`] API:
+//!   the scheduler, the per-tenant live-thread caps, the fuel-slice
+//!   governor, the virtual clock, and the deterministic event log.
 //! * [`server`] — the wire protocol: newline-delimited JSON over TCP,
-//!   a thin loop over [`handle_line`](server::handle_line).
+//!   a thin loop over [`handle_line`].
 //! * [`json`] — the hand-rolled flat-JSON reader the protocol parses
 //!   requests with (the workspace has no JSON dependency).
 //! * [`loadgen`] — the deterministic load generator: a seed-derived

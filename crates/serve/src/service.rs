@@ -41,12 +41,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Fault-schedule horizon for chaos-seeded threads — the same horizon
-/// the batch runner and the difftest oracles use, so a serve thread
-/// with `chaos = Some(s)` sees exactly the fault plan a batch job with
-/// `chaos=s` would.
-pub const CHAOS_HORIZON: u64 = 4;
-
 /// The fixed dispatcher's continuation-parameter fill value — the
 /// reply word the deterministic load generator (and any tenant that
 /// wants to replay an oracle run) sends for yield code `code`.
@@ -103,10 +97,6 @@ pub struct ServeConfig {
     pub migration: MigrationPolicy,
     /// Mount the `cmm_serve_*` metrics in a registry.
     pub metrics: bool,
-    /// Per-thread activation-stack depth cap (governor).
-    pub max_depth: Option<usize>,
-    /// Per-thread mapped-memory cap in bytes (governor).
-    pub max_memory_bytes: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -117,8 +107,6 @@ impl Default for ServeConfig {
             max_live_per_tenant: 4_096,
             migration: MigrationPolicy::Pinned,
             metrics: false,
-            max_depth: None,
-            max_memory_bytes: None,
         }
     }
 }
@@ -824,8 +812,6 @@ impl Service {
                 reply: rec.reply.take(),
                 blob,
                 yields_done: rec.yields.len() as u64,
-                max_depth: self.config.max_depth,
-                max_memory_bytes: self.config.max_memory_bytes,
             });
         }
         jobs
@@ -976,8 +962,6 @@ struct SliceJob {
     reply: Option<u64>,
     blob: Option<Vec<u8>>,
     yields_done: u64,
-    max_depth: Option<usize>,
-    max_memory_bytes: Option<usize>,
 }
 
 enum SliceEnd {
@@ -1004,8 +988,6 @@ impl SliceJob {
     fn governor(&self) -> ResourceGovernor {
         ResourceGovernor {
             fuel_slice: Some(self.slice_fuel),
-            max_depth: self.max_depth,
-            max_memory_bytes: self.max_memory_bytes,
             ..ResourceGovernor::unlimited()
         }
     }
@@ -1077,7 +1059,7 @@ fn slice(t: &mut dyn Table1, job: &SliceJob) -> SliceResult {
         None => {
             let ident = &job.ident;
             if let Some(seed) = ident.chaos {
-                t.set_chaos(FaultPlan::seeded(seed, CHAOS_HORIZON));
+                t.set_chaos(FaultPlan::seeded(seed));
             }
             if let Err(w) = t.start(&ident.entry, &ident.args, ident.results) {
                 return done("wrong", w, 1);

@@ -893,7 +893,7 @@ mod tests {
     #[test]
     fn chaos_schedule_is_identical_over_the_decoded_engine() {
         fn drive(mut t: VmThread<'_>) -> Vec<cmm_chaos::InjectedFault> {
-            t.set_chaos(FaultPlan::seeded(7, 4));
+            t.set_chaos(FaultPlan::seeded(7));
             t.start("f", &[], 1);
             assert_eq!(t.run(100_000), VmStatus::Suspended);
             if let Some(mut a) = t.first_activation() {

@@ -1,7 +1,7 @@
 //! Portable suspended-state capture for the VM family.
 //!
 //! A [`VmState`] is everything that distinguishes one suspended
-//! [`VmMachine`](crate::VmMachine) from another built over the same
+//! [`VmMachine`] from another built over the same
 //! [`VmProgram`](crate::VmProgram): the register file, the program
 //! counter, the cost counters, the expected-results count of the
 //! in-flight activation, and memory (sorted, zero bytes elided — the
@@ -87,7 +87,7 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     ///
     /// Fails if the pc is outside the compiled code or the expected
     /// result count exceeds the calling convention
-    /// ([`check_arity`](crate::machine::check_arity)); the machine is
+    /// ([`check_arity`]); the machine is
     /// unchanged on error.
     pub fn restore(&mut self, st: &VmState) -> Result<(), String> {
         if st.pc as usize >= self.program.code.len() {

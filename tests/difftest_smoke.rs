@@ -3,9 +3,9 @@
 //! Full-scale runs (`cmm fuzz --cases 2000 --seed 0` and up) are for the
 //! command line and CI; these tests keep a fixed, small case budget so
 //! `cargo test` stays fast while still executing every stage of the
-//! pipeline: generation, the verifier post-condition, the
-//! pretty-print/re-parse round trip, all oracles, the minimizer, and the
-//! corpus writer.
+//! pipeline: generation, the pretty-print/re-parse round trip, the
+//! `build_program` well-formedness post-condition, all oracles, the
+//! minimizer, and the corpus writer.
 
 use cmm_cfg::{Node, NodeId, Program};
 use cmm_difftest::{

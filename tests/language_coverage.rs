@@ -161,8 +161,8 @@ fn comments_and_whitespace_are_ignored() {
 
 #[test]
 fn imports_are_declarative_only() {
-    // Imported names may be referenced (they resolve for validation)
-    // even though calling them would fail.
+    // An import may be declared, not used: `build_program` refuses a
+    // body that names one (tests/well_formedness.rs).
     let src = "import external_thing; f() { return (1); }";
     assert_eq!(interp(src, "f", vec![]), vec![Value::b32(1)]);
 }

@@ -15,7 +15,7 @@
 //! engine rather than the family.
 
 use cmm_chaos::{schedule_seed, Family, FaultPlan};
-use cmm_difftest::oracle::{observe_sem_chaos, Limits, CHAOS_HORIZON};
+use cmm_difftest::oracle::{observe_sem_chaos, Limits};
 use cmm_difftest::{generate, run_source_snap, Rng, SNAP_SLICE};
 use cmm_pool::SourceKey;
 use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
@@ -158,7 +158,7 @@ fn paper_workloads_agree_under_chaos() {
     let mut fired = false;
     for (name, src) in &workloads {
         for seed in 0..3u64 {
-            let plan = FaultPlan::seeded(schedule_seed(seed, 0), CHAOS_HORIZON);
+            let plan = FaultPlan::seeded(schedule_seed(seed, 0));
             run_source_snap(src, (20, 3), &limits, SNAP_SLICE, Some(&plan))
                 .unwrap_or_else(|f| panic!("{name} diverged under chaos seed {seed}: {f}"));
             let m = cmm_parse::parse_module(src).unwrap();
