@@ -76,10 +76,11 @@ impl Graph {
     /// Node ids reachable from the entry, in reverse postorder.
     pub fn reverse_postorder(&self) -> Vec<NodeId> {
         let mut seen = vec![false; self.nodes.len()];
-        let mut post = Vec::new();
+        let mut post = Vec::with_capacity(self.nodes.len());
         // Iterative DFS to avoid recursion limits on long chains; each
         // frame holds its node's remaining successors.
-        let mut stack = vec![(self.entry, self.node(self.entry).succ_iter())];
+        let mut stack = Vec::with_capacity(self.nodes.len());
+        stack.push((self.entry, self.node(self.entry).succ_iter()));
         seen[self.entry.index()] = true;
         while let Some((id, succs)) = stack.last_mut() {
             if let Some(c) = succs.next() {
@@ -94,15 +95,6 @@ impl Graph {
         }
         post.reverse();
         post
-    }
-
-    /// Node ids reachable from the entry (unordered set, as a bitmask).
-    pub fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.nodes.len()];
-        for id in self.reverse_postorder() {
-            seen[id.index()] = true;
-        }
-        seen
     }
 
     /// The type of a variable, if declared.

@@ -43,7 +43,7 @@ pub struct CalleeSavesStats {
 /// edges, so it takes the analyses it was handed (reusing whatever
 /// liveness the earlier passes left valid) and ends their life.
 pub fn promote_callee_saves(g: &mut Graph, mut an: Analyses, max_regs: usize) -> CalleeSavesStats {
-    let (live, rpo) = an.liveness(g);
+    let (live, rpo, _) = an.liveness(g);
     let locals = live.locals();
     let mut stats = CalleeSavesStats::default();
     let calls: Vec<NodeId> = rpo

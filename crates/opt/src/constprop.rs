@@ -16,9 +16,10 @@
 //! substitution and folding could not change it.
 
 use crate::analyses::Analyses;
-use crate::ssa::Ssa;
+use crate::ssa::{DefId, Ssa};
 use cmm_cfg::{Graph, Node, NodeId};
-use cmm_ir::{Expr, Lit, Lvalue, Ty, Width};
+use cmm_ir::{BinOp, Expr, Lit, Lvalue, Ty, Width};
+use std::cell::Cell;
 
 /// The constant lattice.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,39 +43,27 @@ fn join(a: Lat, b: Lat) -> Lat {
 /// Runs constant propagation and folding; returns the number of
 /// expressions rewritten.
 pub fn constprop(g: &mut Graph, an: &mut Analyses) -> usize {
-    let ssa = Ssa::over(g, an.locals(), an.rpo());
+    let ssa = an.ssa(g);
     let values = solve(g, &ssa, an.rpo());
 
-    // Rewrite: substitute constant uses, then fold.
+    // Rewrite: substitute constant uses, then fold. A node's use row
+    // lists its names in the order the rewrite meets them, so each
+    // expression takes the next entries of the row.
     let mut changed = 0;
     let mut folded_branch = false;
+    let mut rewritten = Vec::new();
     for &id in an.rpo() {
-        let consts = ssa
-            .uses_at(id)
-            .iter()
-            .any(|&(_, d)| matches!(values[d], Lat::Const(..)));
-        // The rewritten expression, if it differs.
-        let rewrite = |e: &Expr| -> Option<Expr> {
-            if !consts && !has_literal_operand(e) {
-                return None;
-            }
-            let new = fold(
-                &e.substitute(&|n| match ssa.reaching(id, n).map(|d| values[d]) {
-                    Some(Lat::Const(w, v)) => Some(Expr::Lit(Lit::bits(w, v))),
-                    _ => None,
-                }),
-            );
-            (new != *e).then_some(new)
-        };
+        let mut row = ssa.uses_at(id);
+        let before = changed;
         let node = g.node_mut(id);
         match node {
             Node::Assign { rhs, lhs, .. } => {
-                if let Some(new) = rewrite(rhs) {
+                if let Some(new) = rewrite(rhs, &mut row, &values) {
                     *rhs = new;
                     changed += 1;
                 }
                 if let Lvalue::Mem(_, a) = lhs {
-                    if let Some(new) = rewrite(a) {
+                    if let Some(new) = rewrite(a, &mut row, &values) {
                         *a = new;
                         changed += 1;
                     }
@@ -82,14 +71,14 @@ pub fn constprop(g: &mut Graph, an: &mut Analyses) -> usize {
             }
             Node::CopyOut { exprs, .. } => {
                 for e in exprs {
-                    if let Some(new) = rewrite(e) {
+                    if let Some(new) = rewrite(e, &mut row, &values) {
                         *e = new;
                         changed += 1;
                     }
                 }
             }
             Node::Branch { cond, t, f } => {
-                let new = rewrite(cond);
+                let new = rewrite(cond, &mut row, &values);
                 if let Expr::Lit(l) = new.as_ref().unwrap_or(cond) {
                     // Branch on a constant: become a skip to the taken arm.
                     let taken = if l.bits != 0 { *t } else { *f };
@@ -106,27 +95,70 @@ pub fn constprop(g: &mut Graph, an: &mut Analyses) -> usize {
             }
             _ => {}
         }
+        if changed > before {
+            rewritten.push(id);
+        }
     }
     if folded_branch {
-        an.rerouted(g);
+        an.rerouted(g, &rewritten);
     } else if changed > 0 {
-        an.rewrote();
+        an.rewrote(g, &rewritten);
     }
     changed
 }
 
-/// True if some operator in `e` has a literal operand: the only places
-/// folding can start.
-fn has_literal_operand(e: &Expr) -> bool {
+/// The lattice value of a use row entry.
+fn value_of(values: &[Lat], &(_, def): &(u32, DefId)) -> Lat {
+    Ssa::reaching(def).map_or(Lat::Bottom, |d| values[d]) // untracked
+}
+
+/// The rewrite of `e`, whose names are the first entries of `row`, if
+/// it differs from `e`; moves `row` past those entries. An expression
+/// that uses no constant and that folding could not change is left
+/// alone without being copied.
+fn rewrite(e: &Expr, row: &mut &[(u32, DefId)], values: &[Lat]) -> Option<Expr> {
+    let mut names = 0;
+    e.visit_names(&mut |_| names += 1);
+    let (own, rest) = row.split_at(names);
+    *row = rest;
+    let consts = own
+        .iter()
+        .any(|u| matches!(value_of(values, u), Lat::Const(..)));
+    if !consts && !may_fold(e) {
+        return None;
+    }
+    let next = Cell::new(0);
+    let new = fold(&e.substitute(&|_| {
+        let u = &own[next.get()];
+        next.set(next.get() + 1);
+        match value_of(values, u) {
+            Lat::Const(w, v) => Some(Expr::Lit(Lit::bits(w, v))),
+            _ => None,
+        }
+    }));
+    (new != *e).then_some(new)
+}
+
+/// True if [`fold`] could change `e`: some operator has only literal
+/// operands, or is one of the identities `x + 0`, `0 + x`, `x - 0`,
+/// `x * 1` and `1 * x`.
+fn may_fold(e: &Expr) -> bool {
+    let lit = |x: &Expr| matches!(x, Expr::Lit(_));
+    let bits = |x: &Expr, v: u64| matches!(x, Expr::Lit(l) if l.bits == v && l.ty.is_bits());
     match e {
         Expr::Lit(_) | Expr::Name(_) => false,
-        Expr::Mem(_, a) => has_literal_operand(a),
-        Expr::Unary(_, a) => matches!(**a, Expr::Lit(_)) || has_literal_operand(a),
-        Expr::Binary(_, a, b) => {
-            matches!(**a, Expr::Lit(_))
-                || matches!(**b, Expr::Lit(_))
-                || has_literal_operand(a)
-                || has_literal_operand(b)
+        Expr::Mem(_, a) => may_fold(a),
+        Expr::Unary(_, a) => lit(a) || may_fold(a),
+        Expr::Binary(op, a, b) => {
+            (lit(a) && lit(b))
+                || match op {
+                    BinOp::Add => bits(a, 0) || bits(b, 0),
+                    BinOp::Sub => bits(b, 0),
+                    BinOp::Mul => bits(a, 1) || bits(b, 1),
+                    _ => false,
+                }
+                || may_fold(a)
+                || may_fold(b)
         }
     }
 }
@@ -143,27 +175,28 @@ fn solve(g: &Graph, ssa: &Ssa, rpo: &[NodeId]) -> Vec<Lat> {
         for &id in rpo {
             // φ defs at this node.
             for phi in ssa.phis_at(id) {
-                let v = if phi.args.is_empty() {
+                let args = ssa.args(phi);
+                let v = if args.is_empty() {
                     Lat::Bottom
                 } else {
-                    phi.args
-                        .iter()
-                        .fold(Lat::Top, |v, &(_, d)| join(v, values[d]))
+                    args.iter().fold(Lat::Top, |v, &(_, d)| join(v, values[d]))
                 };
                 if values[phi.def] != v {
                     values[phi.def] = v;
                     changed = true;
                 }
             }
-            // Ordinary defs: an `Assign` defines its variable; `CopyIn`
-            // and `Entry` have unknown inputs.
+            // Ordinary defs: an `Assign` defines its variable, whose
+            // value its right-hand side's names (the first entries of
+            // the use row) decide; `CopyIn` and `Entry` have unknown
+            // inputs.
             for &(_, d) in ssa.defs_at(id) {
                 let v = match g.node(id) {
                     Node::Assign {
                         lhs: Lvalue::Var(_),
                         rhs,
                         ..
-                    } => eval_lat(ssa, id, rhs, &values),
+                    } => eval_lat(rhs, &mut ssa.uses_at(id).iter(), &values),
                     _ => Lat::Bottom,
                 };
                 if values[d] != v {
@@ -176,7 +209,9 @@ fn solve(g: &Graph, ssa: &Ssa, rpo: &[NodeId]) -> Vec<Lat> {
     values
 }
 
-fn eval_lat(ssa: &Ssa, at: NodeId, e: &Expr, values: &[Lat]) -> Lat {
+/// The lattice value of `e`, whose names take the next entries of
+/// `row` in order.
+fn eval_lat(e: &Expr, row: &mut std::slice::Iter<(u32, DefId)>, values: &[Lat]) -> Lat {
     match e {
         Expr::Lit(l) => match l.ty {
             Ty::Bits(w) => Lat::Const(w, l.bits),
@@ -189,12 +224,12 @@ fn eval_lat(ssa: &Ssa, at: NodeId, e: &Expr, values: &[Lat]) -> Lat {
                 l.bits,
             ),
         },
-        Expr::Name(n) => match ssa.reaching(at, n) {
-            Some(d) => values[d],
-            None => Lat::Bottom, // global, symbol, or untracked
-        },
-        Expr::Mem(..) => Lat::Bottom,
-        Expr::Unary(op, a) => match eval_lat(ssa, at, a, values) {
+        Expr::Name(_) => value_of(values, row.next().expect("one row entry per name")),
+        Expr::Mem(_, a) => {
+            eval_lat(a, row, values); // passes the address's names
+            Lat::Bottom
+        }
+        Expr::Unary(op, a) => match eval_lat(a, row, values) {
             Lat::Top => Lat::Top,
             Lat::Const(w, v) => {
                 let (r, rw) = op.eval(w, v);
@@ -203,7 +238,7 @@ fn eval_lat(ssa: &Ssa, at: NodeId, e: &Expr, values: &[Lat]) -> Lat {
             Lat::Bottom => Lat::Bottom,
         },
         Expr::Binary(op, a, b) => {
-            let (la, lb) = (eval_lat(ssa, at, a, values), eval_lat(ssa, at, b, values));
+            let (la, lb) = (eval_lat(a, row, values), eval_lat(b, row, values));
             match (la, lb) {
                 (Lat::Top, _) | (_, Lat::Top) => Lat::Top,
                 (Lat::Const(wa, va), Lat::Const(wb, vb)) => {

@@ -12,6 +12,7 @@
 //! so its definition is correctly retained — with no special-casing here.
 
 use crate::analyses::Analyses;
+use crate::locals::UNTRACKED;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::Lvalue;
 
@@ -22,18 +23,22 @@ use cmm_ir::Lvalue;
 pub fn dce(g: &mut Graph, an: &mut Analyses) -> usize {
     let mut removed_total = 0;
     loop {
-        let (live, rpo) = an.liveness(g);
+        let (live, rpo, refs) = an.liveness(g);
         // Each dead node's successor; `None` for live nodes.
         let mut redirect: Vec<Option<NodeId>> = vec![None; g.nodes.len()];
         let mut removed = 0;
         for &id in rpo {
             if let Node::Assign {
-                lhs: Lvalue::Var(v),
+                lhs: Lvalue::Var(_),
                 rhs,
                 next,
             } = g.node(id)
             {
-                if live.locals().contains(v) && !live.live_out(id).contains(v) && !rhs.can_fail() {
+                // The assigned variable, if the locals index tracks it.
+                let &[v] = refs.defs(id) else {
+                    unreachable!("an assignment defines one variable")
+                };
+                if v != UNTRACKED && !live.live_out(id).has(v as usize) && !rhs.can_fail() {
                     redirect[id.index()] = Some(*next);
                     removed += 1;
                 }

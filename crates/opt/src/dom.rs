@@ -12,33 +12,60 @@ const NONE: u32 = u32::MAX;
 /// Per-node lists in one flat array: node `i`'s list is
 /// `items[at[i]..at[i + 1]]`.
 #[derive(Clone, Debug)]
-struct Lists {
+pub(crate) struct Lists<T> {
     at: Vec<u32>,
-    items: Vec<NodeId>,
+    pub(crate) items: Vec<T>,
 }
 
-impl Lists {
-    /// Groups `(node, item)` pairs by node, keeping their order within
-    /// each node.
-    fn group(n: usize, pairs: &[(NodeId, NodeId)]) -> Lists {
+impl<T> Default for Lists<T> {
+    fn default() -> Lists<T> {
+        Lists {
+            at: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> Lists<T> {
+    /// Groups `(node, item)` pairs by node (each below `n`), keeping
+    /// their order within each node.
+    pub(crate) fn group(n: usize, pairs: &[(NodeId, T)]) -> Lists<T> {
+        // Count each node's items at `at[k]`, sum so that `at[k]` is
+        // the end of node `k`'s run, then place the items backwards:
+        // each placement moves `at[k]` down to the run's start.
         let mut at = vec![0u32; n + 1];
         for &(k, _) in pairs {
-            at[k.index() + 1] += 1;
+            at[k.index()] += 1;
         }
-        for i in 0..n {
-            at[i + 1] += at[i];
+        for i in 1..=n {
+            at[i] += at[i - 1];
         }
-        let mut fill = at.clone();
-        let mut items = vec![NodeId(0); pairs.len()];
-        for &(k, v) in pairs {
-            items[fill[k.index()] as usize] = v;
-            fill[k.index()] += 1;
+        let mut items = Vec::with_capacity(pairs.len());
+        if let Some(&(_, first)) = pairs.first() {
+            items.resize(pairs.len(), first);
+        }
+        for &(k, v) in pairs.iter().rev() {
+            at[k.index()] -= 1;
+            items[at[k.index()] as usize] = v;
         }
         Lists { at, items }
     }
 
-    fn get(&self, n: NodeId) -> &[NodeId] {
-        &self.items[self.at[n.index()] as usize..self.at[n.index() + 1] as usize]
+    /// The same lists with each item mapped.
+    pub(crate) fn map<U>(self, f: impl FnMut(T) -> U) -> Lists<U> {
+        Lists {
+            at: self.at,
+            items: self.items.into_iter().map(f).collect(),
+        }
+    }
+
+    /// The positions in `items` of node `n`'s list.
+    pub(crate) fn range(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.at[n.index()] as usize..self.at[n.index() + 1] as usize
+    }
+
+    pub(crate) fn get(&self, n: NodeId) -> &[T] {
+        &self.items[self.range(n)]
     }
 }
 
@@ -48,13 +75,16 @@ pub struct Dominators {
     /// Position of each node in the reverse postorder (`NONE` for
     /// unreachable nodes).
     rpo_index: Vec<u32>,
+    /// Reachable predecessors of each node, one per edge, in arena
+    /// order.
+    preds: Lists<NodeId>,
     /// Immediate dominator of each node (the entry maps to itself;
     /// `NONE` for unreachable nodes).
     idom: Vec<u32>,
     /// Dominance frontier of each node.
-    frontier: Lists,
+    frontier: Lists<NodeId>,
     /// Children in the dominator tree, in reverse postorder.
-    children: Lists,
+    children: Lists<NodeId>,
 }
 
 impl Dominators {
@@ -73,7 +103,7 @@ impl Dominators {
         }
         // Predecessors restricted to reachable nodes, in arena order
         // (one entry per edge).
-        let mut edges = Vec::new();
+        let mut edges = Vec::with_capacity(2 * rpo.len());
         for p in g.ids().filter(|p| rpo_index[p.index()] != NONE) {
             edges.extend(g.node(p).succ_iter().map(|s| (s, p)));
         }
@@ -105,7 +135,7 @@ impl Dominators {
 
         // Dominance frontiers: `(runner, join)` pairs in discovery
         // order, each join recorded once per runner.
-        let mut pairs = Vec::new();
+        let mut pairs = Vec::with_capacity(2 * rpo.len());
         let mut last_join = vec![NONE; n];
         for &b in rpo {
             let ps = preds.get(b);
@@ -135,6 +165,7 @@ impl Dominators {
 
         Dominators {
             rpo_index,
+            preds,
             idom,
             frontier,
             children,
@@ -151,6 +182,11 @@ impl Dominators {
     pub fn idom(&self, n: NodeId) -> NodeId {
         debug_assert!(self.is_reachable(n), "{n} is unreachable");
         NodeId(self.idom[n.index()])
+    }
+
+    /// The reachable predecessors of a node, one per edge.
+    pub(crate) fn preds(&self, n: NodeId) -> &[NodeId] {
+        self.preds.get(n)
     }
 
     /// The dominance frontier of a node (empty if unreachable).

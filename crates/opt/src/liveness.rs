@@ -8,8 +8,7 @@
 //! and the Drew–Gough–Ledermann register allocator, which had to treat
 //! handlers specially or spill every shared variable to the stack.)
 
-use crate::dataflow::{each_var_def, each_var_use};
-use crate::locals::{set_bit, Locals, VarSet};
+use crate::locals::{set_bit, Locals, Refs, VarSet, UNTRACKED};
 use cmm_cfg::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -28,33 +27,33 @@ pub struct Liveness {
 impl Liveness {
     /// Computes liveness for the reachable part of a graph.
     pub fn compute(g: &Graph) -> Liveness {
-        Liveness::over(g, &Arc::new(Locals::of(g)), &g.reverse_postorder())
+        let locals = Locals::of(g);
+        let refs = Refs::of(g, &locals);
+        Liveness::over(g, &Arc::new(locals), &refs, &g.reverse_postorder())
     }
 
-    /// Computes liveness over the graph's locals index and the reverse
-    /// postorder of its reachable nodes.
-    pub(crate) fn over(g: &Graph, locals: &Arc<Locals>, rpo: &[NodeId]) -> Liveness {
+    /// Computes liveness over the graph's locals index, its resolved
+    /// uses and definitions, and the reverse postorder of its reachable
+    /// nodes.
+    pub(crate) fn over(g: &Graph, locals: &Arc<Locals>, refs: &Refs, rpo: &[NodeId]) -> Liveness {
         let n = g.nodes.len();
         let w = locals.words();
-        // Per-node use (gen) and def (kill) rows, and a flat successor
-        // array: node i's successors are succ[succ_at[i]..succ_at[i + 1]].
-        let mut gen = vec![0u64; n * w];
-        let mut kill = vec![0u64; n * w];
-        let mut succ_at = Vec::with_capacity(n + 1);
-        let mut succ: Vec<u32> = Vec::with_capacity(n + n / 2);
-        for id in g.ids() {
-            let i = id.index();
-            let row = i * w..(i + 1) * w;
-            each_var_use(g, id, |v| {
-                if let Some(b) = locals.index(v) {
-                    set_bit(&mut gen[row.clone()], b);
-                }
-            });
-            each_var_def(g, id, |v| {
-                if let Some(b) = locals.index(v) {
-                    set_bit(&mut kill[row.clone()], b);
-                }
-            });
+        // Per-node use (gen) and def (kill) rows and a flat successor
+        // array, by position in `rpo`: the node at position k has
+        // successors succ[succ_at[k]..succ_at[k + 1]].
+        let m = rpo.len();
+        let mut gen = vec![0u64; m * w];
+        let mut kill = vec![0u64; m * w];
+        let mut succ_at = Vec::with_capacity(m + 1);
+        let mut succ: Vec<u32> = Vec::with_capacity(2 * m);
+        for (k, &id) in rpo.iter().enumerate() {
+            let row = k * w..(k + 1) * w;
+            for &v in refs.uses(id).iter().filter(|&&v| v != UNTRACKED) {
+                set_bit(&mut gen[row.clone()], v as usize);
+            }
+            for &v in refs.defs(id).iter().filter(|&&v| v != UNTRACKED) {
+                set_bit(&mut kill[row.clone()], v as usize);
+            }
             succ_at.push(succ.len() as u32);
             succ.extend(g.node(id).succ_iter().map(|s| s.0));
         }
@@ -66,15 +65,15 @@ impl Liveness {
         let mut changed = true;
         while changed {
             changed = false;
-            for &id in rpo.iter().rev() {
+            for (k, &id) in rpo.iter().enumerate().rev() {
                 let i = id.index();
-                let succs = &succ[succ_at[i] as usize..succ_at[i + 1] as usize];
-                for k in 0..w {
+                let succs = &succ[succ_at[k] as usize..succ_at[k + 1] as usize];
+                for j in 0..w {
                     let out = succs
                         .iter()
-                        .fold(0, |acc, &s| acc | live_in[s as usize * w + k]);
-                    let at = i * w + k;
-                    let inn = gen[at] | (out & !kill[at]);
+                        .fold(0, |acc, &s| acc | live_in[s as usize * w + j]);
+                    let at = i * w + j;
+                    let inn = gen[k * w + j] | (out & !kill[k * w + j]);
                     if out != live_out[at] || inn != live_in[at] {
                         live_out[at] = out;
                         live_in[at] = inn;

@@ -9,14 +9,16 @@
 //!
 //! invalidating entries when an operand is redefined, and invalidating
 //! all memory-dependent and non-local-dependent entries at `Call` nodes
-//! (a callee may write memory and global registers). While both tables
-//! are empty no expression can change, so none is copied or hashed.
+//! (a callee may write memory and global registers). Each assignment
+//! already scans every entry to invalidate, so each table is a vector
+//! scanned in order rather than a hash map, and one pair serves every
+//! chain of the graph. While both tables are empty no expression can
+//! change, so none is copied or compared.
 
 use crate::analyses::Analyses;
 use crate::locals::Locals;
 use cmm_cfg::{Graph, Node, NodeId};
 use cmm_ir::{Expr, Lvalue, Name};
-use std::collections::HashMap;
 
 /// Runs both local passes; returns the number of rewrites.
 pub fn localopt(g: &mut Graph, an: &mut Analyses) -> usize {
@@ -31,6 +33,8 @@ pub fn localopt(g: &mut Graph, an: &mut Analyses) -> usize {
     }
     let mut in_chain = vec![false; g.nodes.len()];
     let mut chain = Vec::new();
+    let mut rewritten = Vec::new();
+    let mut st = LocalState::default();
     let mut changed = 0;
     for &start in rpo {
         if in_chain[start.index()] {
@@ -54,19 +58,20 @@ pub fn localopt(g: &mut Graph, an: &mut Analyses) -> usize {
             in_chain[next.index()] = true;
             cur = next;
         }
-        changed += run_chain(g, &chain, an.locals());
+        changed += run_chain(g, &chain, an.locals(), &mut st, &mut rewritten);
     }
     if changed > 0 {
-        an.rewrote();
+        an.rewrote(g, &rewritten);
     }
     changed
 }
 
+#[derive(Default)]
 struct LocalState {
     /// Copy environment: `v` currently holds the same value as `w`.
-    copies: HashMap<Name, Name>,
+    copies: Vec<(Name, Name)>,
     /// Available expressions: canonical rhs already held in a variable.
-    avail: HashMap<Expr, Name>,
+    avail: Vec<(Expr, Name)>,
 }
 
 /// True if `e` mentions the name `v`.
@@ -77,27 +82,36 @@ fn mentions(e: &Expr, v: &Name) -> bool {
 }
 
 impl LocalState {
+    /// What `v` is a copy of.
+    fn copy(&self, v: &Name) -> Option<&Name> {
+        self.copies.iter().find(|(c, _)| c == v).map(|(_, w)| w)
+    }
+
+    /// The variable holding the value of `e`.
+    fn holder(&self, e: &Expr) -> Option<&Name> {
+        self.avail.iter().find(|(x, _)| x == e).map(|(_, v)| v)
+    }
+
     fn invalidate_var(&mut self, v: &Name) {
-        self.copies.remove(v);
-        self.copies.retain(|_, w| w != v);
+        self.copies.retain(|(c, w)| c != v && w != v);
         self.avail
-            .retain(|e, holder| holder != v && !mentions(e, v));
+            .retain(|(e, holder)| holder != v && !mentions(e, v));
     }
 
     fn invalidate_memory(&mut self) {
-        self.avail.retain(|e, _| !e.reads_memory());
+        self.avail.retain(|(e, _)| !e.reads_memory());
     }
 
     /// At a call, memory and every non-local name may change.
     fn invalidate_for_call(&mut self, locals: &Locals) {
         self.invalidate_memory();
-        self.avail.retain(|e, holder| {
+        self.avail.retain(|(e, holder)| {
             let mut all_local = locals.contains(holder);
             e.visit_names(&mut |n| all_local &= locals.contains(n));
             all_local
         });
         self.copies
-            .retain(|v, w| locals.contains(v) && locals.contains(w));
+            .retain(|(v, w)| locals.contains(v) && locals.contains(w));
     }
 
     /// The rewrite of `e` by the copy environment, then by the
@@ -108,10 +122,10 @@ impl LocalState {
             if self.avail.is_empty() || matches!(e, Expr::Name(_) | Expr::Lit(_)) {
                 return None;
             }
-            return self.avail.get(e).map(|v| Expr::Name(v.clone()));
+            return self.holder(e).map(|v| Expr::Name(v.clone()));
         }
-        let copied = e.substitute(&|n| self.copies.get(n).cloned().map(Expr::Name));
-        let new = match self.avail.get(&copied) {
+        let copied = e.substitute(&|n| self.copy(n).cloned().map(Expr::Name));
+        let new = match self.holder(&copied) {
             Some(v) if !matches!(copied, Expr::Name(_) | Expr::Lit(_)) => Expr::Name(v.clone()),
             _ => copied,
         };
@@ -130,16 +144,23 @@ fn rewrite_in_place(e: &mut Expr, st: &LocalState) -> usize {
     }
 }
 
-fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &Locals) -> usize {
-    let mut st = LocalState {
-        copies: HashMap::new(),
-        avail: HashMap::new(),
-    };
+/// Rewrites one chain; returns the number of rewrites and adds each
+/// rewritten node to `rewritten`.
+fn run_chain(
+    g: &mut Graph,
+    chain: &[NodeId],
+    locals: &Locals,
+    st: &mut LocalState,
+    rewritten: &mut Vec<NodeId>,
+) -> usize {
+    st.copies.clear();
+    st.avail.clear();
     let mut changed = 0;
     for &id in chain {
+        let before = changed;
         match g.node_mut(id) {
             Node::Assign { lhs, rhs, .. } => {
-                changed += rewrite_in_place(rhs, &st);
+                changed += rewrite_in_place(rhs, st);
                 match lhs {
                     Lvalue::Var(v) => {
                         st.invalidate_var(v);
@@ -150,34 +171,41 @@ fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &Locals) -> usize {
                             // is valid; keep tracking conservatively off.
                         } else {
                             match &*rhs {
+                                // `invalidate_var` dropped every entry of
+                                // `v`, and the rewrite left no right-hand
+                                // side the table already holds, so each
+                                // key is new. An expression that reads
+                                // `v` itself names its old value, not
+                                // what `v` now holds.
                                 Expr::Name(w) if locals.contains(w) && w != v => {
-                                    st.copies.insert(v.clone(), w.clone());
+                                    st.copies.push((v.clone(), w.clone()));
                                 }
                                 e if !matches!(e, Expr::Lit(_) | Expr::Name(_))
-                                    && !e.can_fail() =>
+                                    && !e.can_fail()
+                                    && !mentions(e, v) =>
                                 {
-                                    st.avail.insert(e.clone(), v.clone());
+                                    st.avail.push((e.clone(), v.clone()));
                                 }
                                 _ => {}
                             }
                         }
                     }
                     Lvalue::Mem(_, a) => {
-                        changed += rewrite_in_place(a, &st);
+                        changed += rewrite_in_place(a, st);
                         st.invalidate_memory();
                     }
                 }
             }
             Node::CopyOut { exprs, .. } => {
                 for e in exprs {
-                    changed += rewrite_in_place(e, &st);
+                    changed += rewrite_in_place(e, st);
                 }
             }
-            Node::Branch { cond, .. } => changed += rewrite_in_place(cond, &st),
-            Node::CutTo { cont, .. } => changed += rewrite_in_place(cont, &st),
-            Node::Jump { callee } => changed += rewrite_in_place(callee, &st),
+            Node::Branch { cond, .. } => changed += rewrite_in_place(cond, st),
+            Node::CutTo { cont, .. } => changed += rewrite_in_place(cont, st),
+            Node::Jump { callee } => changed += rewrite_in_place(callee, st),
             Node::Call { callee, .. } => {
-                changed += rewrite_in_place(callee, &st);
+                changed += rewrite_in_place(callee, st);
                 st.invalidate_for_call(locals);
             }
             Node::CopyIn { vars, .. } => {
@@ -186,6 +214,9 @@ fn run_chain(g: &mut Graph, chain: &[NodeId], locals: &Locals) -> usize {
                 }
             }
             Node::Entry { .. } | Node::Exit { .. } | Node::CalleeSaves { .. } | Node::Yield => {}
+        }
+        if changed > before {
+            rewritten.push(id);
         }
     }
     changed
@@ -311,6 +342,22 @@ mod tests {
                 .count(),
             2,
             "possibly-failing division is recomputed, not reused: {rhs:?}"
+        );
+    }
+
+    #[test]
+    fn an_assignment_that_reads_its_target_makes_nothing_available() {
+        // After `x = x + 1`, `x + 1` is one more than x holds.
+        let mut g =
+            graph("f(bits32 a) { bits32 x, y; x = bits32[a]; x = x + 1; y = x + 1; return (y); }");
+        localopt(&mut g);
+        let rhs = rhs_list(&g);
+        assert_eq!(
+            rhs.iter()
+                .filter(|e| **e == Expr::add(Expr::var("x"), Expr::b32(1)))
+                .count(),
+            2,
+            "y = x + 1 must not become y = x: {rhs:?}"
         );
     }
 

@@ -74,31 +74,47 @@ pub struct OptStats {
 }
 
 /// Optimizes a single graph in place.
+///
+/// Each pass is a function of the graph alone, so a pass that changed
+/// nothing is not run again until another pass changes the graph: it
+/// would change nothing again. Dead-code elimination repeats its rounds
+/// until one removes nothing, so it leaves nothing for itself either.
 pub fn optimize_graph(g: &mut Graph, opts: &OptOptions) -> OptStats {
     let mut stats = OptStats::default();
     let mut an = Analyses::new(g);
+    type Pass = fn(&mut Graph, &mut Analyses) -> usize;
+    // Each pass, whether it is on, and whether it runs to its own
+    // fixpoint.
+    let passes: [(bool, Pass, bool); 3] = [
+        (opts.constprop, constprop, false),
+        (opts.localopt, localopt, false),
+        (opts.dce, dce, true),
+    ];
+    let (mut counts, mut quiet) = ([0; 3], [false; 3]);
     for _ in 0..opts.max_iters {
         stats.iterations += 1;
         let mut changed = 0;
-        if opts.constprop {
-            let n = constprop(g, &mut an);
-            stats.constprop_rewrites += n;
-            changed += n;
-        }
-        if opts.localopt {
-            let n = localopt(g, &mut an);
-            stats.local_rewrites += n;
-            changed += n;
-        }
-        if opts.dce {
-            let n = dce(g, &mut an);
-            stats.dce_removed += n;
+        for (i, &(on, pass, settles)) in passes.iter().enumerate() {
+            if !on || quiet[i] {
+                continue;
+            }
+            let n = pass(g, &mut an);
+            counts[i] += n;
+            if n > 0 {
+                quiet = [false; 3];
+            }
+            quiet[i] = n == 0 || settles;
             changed += n;
         }
         if changed == 0 {
             break;
         }
     }
+    [
+        stats.constprop_rewrites,
+        stats.local_rewrites,
+        stats.dce_removed,
+    ] = counts;
     if opts.callee_save_regs > 0 {
         stats.callee_saves = promote_callee_saves(g, an, opts.callee_save_regs);
     }

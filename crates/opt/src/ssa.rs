@@ -8,9 +8,9 @@
 //! prologues chosen by the dispatcher "roughly correspond to φ-nodes in
 //! SSA form", §4.2 footnote.)
 
-use crate::dataflow::{each_var_def, each_var_use};
-use crate::dom::Dominators;
-use crate::locals::Locals;
+use crate::analyses::Analyses;
+use crate::dom::{Dominators, Lists};
+use crate::locals::{Locals, Refs, Span, UNTRACKED};
 use cmm_cfg::{Graph, NodeId};
 use cmm_ir::Name;
 use std::sync::Arc;
@@ -18,8 +18,12 @@ use std::sync::Arc;
 /// Index of a definition in [`Ssa::sites`].
 pub type DefId = usize;
 
-/// Where a definition comes from.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// The reaching definition of a use that has none: an untracked name.
+const NO_DEF: DefId = DefId::MAX;
+
+/// Where a definition comes from. Variables are named by their position
+/// in the graph's locals index.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DefSite {
     /// An ordinary definition performed by a node (`Assign`, `CopyIn`,
     /// or the implicit all-variables definition at `Entry`).
@@ -27,22 +31,22 @@ pub enum DefSite {
         /// The defining node.
         node: NodeId,
         /// The variable defined.
-        var: Name,
+        local: usize,
     },
     /// A φ-definition at a join point.
     Phi {
         /// The join node.
         node: NodeId,
         /// The variable merged.
-        var: Name,
+        local: usize,
     },
 }
 
 impl DefSite {
     /// The variable this definition defines.
-    pub fn var(&self) -> &Name {
+    pub fn local(&self) -> usize {
         match self {
-            DefSite::Node { var, .. } | DefSite::Phi { var, .. } => var,
+            DefSite::Node { local, .. } | DefSite::Phi { local, .. } => *local,
         }
     }
 
@@ -55,42 +59,21 @@ impl DefSite {
 }
 
 /// A φ-function: `var.k = φ(pred₁: var.i, pred₂: var.j, ...)`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Phi {
-    /// The variable merged.
-    pub var: Name,
-    /// Its position in the locals index.
-    local: usize,
+    /// The variable merged: its position in the locals index.
+    pub local: usize,
     /// The definition this φ creates.
     pub def: DefId,
-    /// One argument per predecessor edge: which definition flows in.
-    pub args: Vec<(NodeId, DefId)>,
-}
-
-/// A node's slice of a flat row array.
-#[derive(Clone, Copy, Default, Debug)]
-struct Span {
-    start: u32,
-    end: u32,
-}
-
-impl Span {
-    fn of<T>(rows: &[T], start: usize) -> Span {
-        Span {
-            start: start as u32,
-            end: rows.len() as u32,
-        }
-    }
-
-    fn get<T>(self, rows: &[T]) -> &[T] {
-        &rows[self.start as usize..self.end as usize]
-    }
+    /// Its arguments in [`Ssa::args`]' array.
+    args: Span,
 }
 
 /// The SSA overlay for one graph. Variables are named by their
-/// position in the graph's locals index (`Ssa::locals`); uses of
-/// names that are not tracked (globals, procedure and data names) are
-/// absent.
+/// position in the graph's locals index ([`Ssa::var`] gives a
+/// definition's name). Every table is a flat array sized before
+/// renaming starts: per-node rows are spans of one array, and so are
+/// each φ's arguments.
 #[derive(Clone, Debug, Default)]
 pub struct Ssa {
     locals: Arc<Locals>,
@@ -101,50 +84,71 @@ pub struct Ssa {
     pub versions: Vec<u32>,
     /// Every φ-function, grouped by join node in node order, each
     /// node's in name order.
-    phis: Vec<Phi>,
-    /// Node `i`'s φs are `phis[phi_at[i]..phi_at[i + 1]]`.
-    phi_at: Vec<u32>,
-    /// `(var, reaching def)` for each tracked use, per node in use
-    /// order.
-    uses: Vec<(usize, DefId)>,
+    phis: Lists<Phi>,
+    /// `(pred, def)` arguments of every φ: room for one per reachable
+    /// predecessor edge of its join.
+    args: Vec<(NodeId, DefId)>,
+    /// `(var, reaching def)` for each use at a node, one per entry of
+    /// its [`Refs`] use row (`NO_DEF` for untracked names).
+    uses: Vec<(u32, DefId)>,
     use_at: Vec<Span>,
     /// `(var, def)` for each tracked definition made at a node (not
     /// φs), per node in definition order.
-    defs: Vec<(usize, DefId)>,
+    defs: Vec<(u32, DefId)>,
     def_at: Vec<Span>,
 }
 
 impl Ssa {
     /// Builds the SSA overlay for a graph.
     pub fn build(g: &Graph) -> Ssa {
-        Ssa::over(g, &Arc::new(Locals::of(g)), &g.reverse_postorder())
+        Analyses::new(g).ssa(g)
     }
 
-    /// Builds the SSA overlay over the graph's locals index and the
-    /// reverse postorder of its reachable nodes.
-    pub(crate) fn over(g: &Graph, locals: &Arc<Locals>, rpo: &[NodeId]) -> Ssa {
-        let doms = Dominators::over(g, rpo);
+    /// Builds the SSA overlay over the graph's locals index, its
+    /// resolved uses and definitions, the reverse postorder of its
+    /// reachable nodes and their dominators.
+    pub(crate) fn over(
+        g: &Graph,
+        locals: &Arc<Locals>,
+        refs: &Refs,
+        rpo: &[NodeId],
+        doms: &Dominators,
+    ) -> Ssa {
         let (n, nv) = (g.nodes.len(), locals.len());
 
-        // Definition sites per variable.
-        let mut def_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); nv];
+        // Definition sites per variable, in reverse postorder: variable
+        // `v`'s are `def_nodes[def_at[v]..def_at[v + 1]]`. Count, sum
+        // so that `def_at[v]` ends `v`'s run, then place backwards.
+        let (mut uses_n, mut defs_n) = (0, 0);
+        let mut def_at = vec![0u32; nv + 1];
         for &x in rpo {
-            each_var_def(g, x, |v| {
-                if let Some(v) = locals.index(v) {
-                    def_nodes[v].push(x);
-                }
-            });
+            uses_n += refs.uses(x).len();
+            for &v in refs.defs(x).iter().filter(|&&v| v != UNTRACKED) {
+                def_at[v as usize] += 1;
+                defs_n += 1;
+            }
+        }
+        for v in 1..=nv {
+            def_at[v] += def_at[v - 1];
+        }
+        let mut def_nodes = vec![NodeId(0); defs_n];
+        for &x in rpo.iter().rev() {
+            for &v in refs.defs(x).iter().rev().filter(|&&v| v != UNTRACKED) {
+                def_at[v as usize] -= 1;
+                def_nodes[def_at[v as usize] as usize] = x;
+            }
         }
 
         // φ placement by iterated dominance frontier, one variable at a
-        // time in index order, so each join's variables come out in name
-        // order. `placed` and `site` hold the variable a node was last
-        // marked for.
-        let mut placed = vec![usize::MAX; n];
-        let mut site = vec![usize::MAX; n];
-        let mut phi_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut work: Vec<NodeId> = Vec::new();
-        for (v, sites) in def_nodes.iter().enumerate() {
+        // time in index order, so that grouping the `(join, var)` pairs
+        // by join keeps each join's variables in name order. `placed`
+        // and `site` hold the variable a node was last marked for.
+        let mut placed = vec![u32::MAX; n];
+        let mut site = vec![u32::MAX; n];
+        let mut pairs: Vec<(NodeId, (NodeId, u32))> = Vec::with_capacity(n);
+        let mut work: Vec<NodeId> = Vec::with_capacity(n);
+        for v in 0..nv as u32 {
+            let sites = &def_nodes[def_at[v as usize] as usize..def_at[v as usize + 1] as usize];
             for x in sites {
                 site[x.index()] = v;
             }
@@ -153,7 +157,7 @@ impl Ssa {
                 for &y in doms.frontier(x) {
                     if placed[y.index()] != v {
                         placed[y.index()] = v;
-                        phi_vars[y.index()].push(v);
+                        pairs.push((y, (y, v)));
                         if site[y.index()] != v {
                             work.push(y);
                         }
@@ -161,46 +165,50 @@ impl Ssa {
                 }
             }
         }
-
+        // φ defs come first, in node order, so a φ's definition is its
+        // position; each has room for one argument per reachable
+        // predecessor edge of its join. Renaming numbers them and fills
+        // their arguments.
+        let mut args_n = 0;
+        let phis = Lists::group(n, &pairs).map(|(join, v)| {
+            let args = Span::empty_at(args_n);
+            args_n += doms.preds(join).len();
+            (join, v as usize, args)
+        });
+        let sites_n = phis.items.len() + defs_n;
         let mut ssa = Ssa {
+            locals: Arc::clone(locals),
+            sites: Vec::with_capacity(sites_n),
+            versions: Vec::with_capacity(sites_n),
+            phis: Lists::default(),
+            args: vec![(NodeId(0), NO_DEF); args_n],
+            uses: Vec::with_capacity(uses_n),
             use_at: vec![Span::default(); n],
+            defs: Vec::with_capacity(defs_n),
             def_at: vec![Span::default(); n],
-            ..Ssa::default()
         };
-        // Create φ defs up front, in node order (renaming fills their
-        // arguments).
-        for (x, vars) in phi_vars.iter().enumerate() {
-            ssa.phi_at.push(ssa.phis.len() as u32);
-            for &v in vars {
-                let def = ssa.sites.len();
-                let var = locals.name(v).clone();
-                ssa.sites.push(DefSite::Phi {
-                    node: NodeId(x as u32),
-                    var: var.clone(),
-                });
-                ssa.versions.push(0); // assigned during renaming
-                ssa.phis.push(Phi {
-                    var,
-                    local: v,
-                    def,
-                    args: Vec::new(),
-                });
+        ssa.phis = phis.map(|(node, local, args)| {
+            ssa.sites.push(DefSite::Phi { node, local });
+            ssa.versions.push(0); // assigned during renaming
+            Phi {
+                local,
+                def: ssa.sites.len() - 1,
+                args,
             }
-        }
-        ssa.phi_at.push(ssa.phis.len() as u32);
+        });
 
         // Renaming: iterative DFS over the dominator tree. `cur` is the
         // top of each variable's definition stack; `undo` logs what each
         // push replaced, so leaving a node restores its parent's view.
-        const UNDEF: DefId = DefId::MAX;
         let mut count = vec![0u32; nv];
-        let mut cur = vec![UNDEF; nv];
-        let mut undo: Vec<(usize, DefId)> = Vec::new();
+        let mut cur = vec![NO_DEF; nv];
+        let mut undo: Vec<(usize, DefId)> = Vec::with_capacity(sites_n);
         enum Action {
             Enter(NodeId),
             Leave(usize), // undo-log length at entry
         }
-        let mut work = vec![Action::Enter(g.entry)];
+        let mut work = Vec::with_capacity(2 * rpo.len() + 1);
+        work.push(Action::Enter(g.entry));
         while let Some(action) = work.pop() {
             let b = match action {
                 Action::Enter(b) => b,
@@ -213,7 +221,7 @@ impl Ssa {
             };
             let mark = undo.len();
             // φ defs first.
-            for phi in &ssa.phis[ssa.phi_range(b)] {
+            for phi in ssa.phis.get(b) {
                 count[phi.local] += 1;
                 ssa.versions[phi.def] = count[phi.local];
                 undo.push((phi.local, cur[phi.local]));
@@ -221,89 +229,84 @@ impl Ssa {
             }
             // Uses see the state before the node's own defs.
             let start = ssa.uses.len();
-            each_var_use(g, b, |v| {
-                if let Some(v) = locals.index(v) {
-                    if cur[v] != UNDEF {
-                        ssa.uses.push((v, cur[v]));
-                    }
-                }
-            });
+            for &v in refs.uses(b) {
+                let def = if v == UNTRACKED {
+                    NO_DEF
+                } else {
+                    cur[v as usize]
+                };
+                ssa.uses.push((v, def));
+            }
             ssa.use_at[b.index()] = Span::of(&ssa.uses, start);
             // Ordinary defs.
             let start = ssa.defs.len();
-            each_var_def(g, b, |name| {
-                if let Some(v) = locals.index(name) {
-                    let def = ssa.sites.len();
-                    ssa.sites.push(DefSite::Node {
-                        node: b,
-                        var: name.clone(),
-                    });
-                    count[v] += 1;
-                    ssa.versions.push(count[v]);
-                    ssa.defs.push((v, def));
-                    undo.push((v, cur[v]));
-                    cur[v] = def;
-                }
-            });
+            for &v in refs.defs(b).iter().filter(|&&v| v != UNTRACKED) {
+                let def = ssa.sites.len();
+                ssa.sites.push(DefSite::Node {
+                    node: b,
+                    local: v as usize,
+                });
+                count[v as usize] += 1;
+                ssa.versions.push(count[v as usize]);
+                ssa.defs.push((v, def));
+                undo.push((v as usize, cur[v as usize]));
+                cur[v as usize] = def;
+            }
             ssa.def_at[b.index()] = Span::of(&ssa.defs, start);
             // Fill φ arguments of CFG successors.
             for s in g.node(b).succ_iter() {
-                if !doms.is_reachable(s) {
-                    continue;
-                }
-                let range = ssa.phi_range(s);
-                for phi in &mut ssa.phis[range] {
-                    if cur[phi.local] != UNDEF {
-                        phi.args.push((b, cur[phi.local]));
+                let range = ssa.phis.range(s);
+                for phi in &mut ssa.phis.items[range] {
+                    if cur[phi.local] != NO_DEF {
+                        phi.args.push(&mut ssa.args, (b, cur[phi.local]));
                     }
                 }
             }
             work.push(Action::Leave(mark));
             work.extend(doms.children(b).iter().map(|&c| Action::Enter(c)));
         }
-        ssa.locals = Arc::clone(locals);
         ssa
     }
 
     /// Every φ-function, grouped by node.
     pub fn phis(&self) -> &[Phi] {
-        &self.phis
+        &self.phis.items
     }
 
     /// The φ-functions at a node, in name order.
     pub fn phis_at(&self, n: NodeId) -> &[Phi] {
-        &self.phis[self.phi_range(n)]
+        self.phis.get(n)
     }
 
-    fn phi_range(&self, n: NodeId) -> std::ops::Range<usize> {
-        self.phi_at[n.index()] as usize..self.phi_at[n.index() + 1] as usize
+    /// One argument per reachable predecessor edge of a φ's join: which
+    /// definition flows in along it.
+    pub fn args(&self, phi: &Phi) -> &[(NodeId, DefId)] {
+        phi.args.get(&self.args)
     }
 
-    /// `(var, reaching def)` for each tracked use at a node, in use
-    /// order (a variable used twice appears twice).
-    pub(crate) fn uses_at(&self, n: NodeId) -> &[(usize, DefId)] {
+    /// `(var, reaching def)` for each use at a node, in use order (a
+    /// variable used twice appears twice), one per entry of the node's
+    /// [`Refs`] use row: an untracked name has var [`UNTRACKED`] and no
+    /// reaching definition.
+    pub(crate) fn uses_at(&self, n: NodeId) -> &[(u32, DefId)] {
         self.use_at[n.index()].get(&self.uses)
+    }
+
+    /// The reaching definition of a use row entry, if it has one.
+    pub(crate) fn reaching(def: DefId) -> Option<DefId> {
+        (def != NO_DEF).then_some(def)
     }
 
     /// `(var, def)` for each tracked definition a node makes, in
     /// definition order.
-    pub(crate) fn defs_at(&self, n: NodeId) -> &[(usize, DefId)] {
+    pub(crate) fn defs_at(&self, n: NodeId) -> &[(u32, DefId)] {
         self.def_at[n.index()].get(&self.defs)
-    }
-
-    /// The reaching definition for a use of `v` at node `n`, if tracked.
-    pub fn reaching(&self, n: NodeId, v: &Name) -> Option<DefId> {
-        let v = self.locals.index(v)?;
-        self.uses_at(n)
-            .iter()
-            .find(|&&(u, _)| u == v)
-            .map(|&(_, d)| d)
     }
 
     /// The definition created *at* node `n` for the variable at
     /// position `v` (excluding φs): the last, if the node defines it
     /// more than once.
-    fn node_def(&self, n: NodeId, v: usize) -> Option<DefId> {
+    fn node_def(&self, n: NodeId, v: u32) -> Option<DefId> {
         self.defs_at(n)
             .iter()
             .rev()
@@ -311,9 +314,14 @@ impl Ssa {
             .map(|&(_, d)| d)
     }
 
+    /// The variable a definition defines.
+    pub fn var(&self, d: DefId) -> &Name {
+        self.locals.name(self.sites[d].local())
+    }
+
     /// `var.version` display form of a definition.
     pub fn def_name(&self, d: DefId) -> String {
-        format!("{}.{}", self.sites[d].var(), self.versions[d])
+        format!("{}.{}", self.var(d), self.versions[d])
     }
 
     /// Checks the central SSA invariant: every use's reaching definition
@@ -323,16 +331,16 @@ impl Ssa {
         let doms = Dominators::compute(g);
         let mut bad = Vec::new();
         for node in g.ids().filter(|&n| doms.is_reachable(n)) {
-            for &(v, def) in self.uses_at(node) {
-                if !doms.dominates(self.sites[def].node(), node) {
-                    bad.push((node, self.locals.name(v).clone()));
+            for &(_, def) in self.uses_at(node) {
+                if def != NO_DEF && !doms.dominates(self.sites[def].node(), node) {
+                    bad.push((node, self.var(def).clone()));
                 }
             }
         }
-        for phi in &self.phis {
-            for &(pred, def) in &phi.args {
+        for phi in self.phis() {
+            for &(pred, def) in self.args(phi) {
                 if !doms.dominates(self.sites[def].node(), pred) {
-                    bad.push((pred, phi.var.clone()));
+                    bad.push((pred, self.var(phi.def).clone()));
                 }
             }
         }
@@ -346,8 +354,8 @@ pub fn ssa_to_string(g: &Graph, ssa: &Ssa) -> String {
     let mut out = format!("SSA for {}:\n", g.name);
     for id in g.reverse_postorder() {
         for phi in ssa.phis_at(id) {
-            let args: Vec<String> = phi
-                .args
+            let args: Vec<String> = ssa
+                .args(phi)
                 .iter()
                 .map(|&(p, d)| format!("{p}: {}", ssa.def_name(d)))
                 .collect();
@@ -363,7 +371,7 @@ pub fn ssa_to_string(g: &Graph, ssa: &Ssa) -> String {
         let uses: Vec<String> = ssa
             .uses_at(id)
             .iter()
-            .map(|&(_, d)| ssa.def_name(d))
+            .filter_map(|&(_, d)| Ssa::reaching(d).map(|d| ssa.def_name(d)))
             .collect();
         let defs: Vec<String> = ssa
             .defs_at(id)
@@ -408,7 +416,7 @@ mod tests {
             .sites
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.var() == &Name::from("b") && matches!(s, DefSite::Node { .. }))
+            .filter(|(i, s)| ssa.var(*i) == "b" && matches!(s, DefSite::Node { .. }))
             .collect();
         // Entry also defines b once; plus the two assignments.
         assert_eq!(b_defs.len(), 3);
@@ -426,10 +434,10 @@ mod tests {
             "#,
         );
         let ssa = Ssa::build(&g);
-        let phi_count: usize = ssa.phis().iter().filter(|p| p.var == "s").count();
+        let phi_count: usize = ssa.phis().iter().filter(|p| ssa.var(p.def) == "s").count();
         assert_eq!(phi_count, 1, "{}", ssa_to_string(&g, &ssa));
-        let phi = ssa.phis().iter().find(|p| p.var == "s").unwrap();
-        assert_eq!(phi.args.len(), 2);
+        let phi = ssa.phis().iter().find(|p| ssa.var(p.def) == "s").unwrap();
+        assert_eq!(ssa.args(phi).len(), 2);
         assert!(ssa.verify(&g).is_empty());
     }
 
@@ -446,7 +454,7 @@ mod tests {
             "#,
         );
         let ssa = Ssa::build(&g);
-        let phi_vars: BTreeSet<&Name> = ssa.phis().iter().map(|p| &p.var).collect();
+        let phi_vars: BTreeSet<&Name> = ssa.phis().iter().map(|p| ssa.var(p.def)).collect();
         assert!(phi_vars.contains(&Name::from("s")));
         assert!(phi_vars.contains(&Name::from("n")));
         assert!(ssa.verify(&g).is_empty());
@@ -489,7 +497,7 @@ mod tests {
             .sites
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.var() == &Name::from("b"))
+            .filter(|(i, _)| ssa.var(*i) == "b")
             .map(|(i, _)| ssa.versions[i])
             .collect();
         versions.sort_unstable();

@@ -7,6 +7,7 @@ use cmm_ir::{
     Annotations, BinOp, BodyItem, DataBlock, DataItem, Decl, Expr, GlobalReg, Lit, Lvalue, Module,
     Name, Proc, Stmt, Ty, UnOp, Width,
 };
+use std::collections::HashMap;
 
 /// Parses a complete C-- module.
 ///
@@ -88,16 +89,27 @@ struct Parser<'a> {
     hoisted: Vec<DataBlock>,
     /// Current nesting, bounded by [`MAX_DEPTH`].
     depth: usize,
+    /// One `Name` per distinct identifier of the source, shared by
+    /// every occurrence.
+    names: HashMap<&'a str, Name>,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Parser<'a>, ParseError> {
+        let toks = lex(src)?;
         Ok(Parser {
-            toks: lex(src)?,
+            // Sized from the token count, so that it seldom grows.
+            names: HashMap::with_capacity(toks.len() / 8),
+            toks,
             at: 0,
             hoisted: Vec::new(),
             depth: 0,
         })
+    }
+
+    /// The source's one `Name` for an identifier.
+    fn name(&mut self, s: &'a str) -> Name {
+        self.names.entry(s).or_insert_with(|| Name::from(s)).clone()
     }
 
     fn peek(&self) -> Tok<'a> {
@@ -185,7 +197,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(Name::from(s))
+                Ok(self.name(s))
             }
             other => Err(self.err(format!("expected {what}, found {other}"))),
         }
@@ -774,7 +786,7 @@ impl<'a> Parser<'a> {
                     return self.primitive(s, args);
                 }
                 self.bump();
-                Ok(Expr::Name(Name::from(s)))
+                Ok(Expr::Name(self.name(s)))
             }
             other => Err(self.err(format!("expected an expression, found {other}"))),
         }
@@ -872,6 +884,25 @@ fn infix(t: Tok) -> Option<(BinOp, u8)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_occurrence_of_an_identifier_shares_one_name() {
+        let m = parse_module("f(bits32 n) { bits32 s; s = n + n; return (s); }").unwrap();
+        let p = m.proc("f").unwrap();
+        let BodyItem::Stmt(Stmt::Assign { lhs, rhs }) = &p.body[0] else {
+            panic!("first statement is `s = n + n`")
+        };
+        let at = |n: &Name| n.as_str().as_ptr();
+        let (Lvalue::Var(s), Expr::Binary(_, a, b)) = (&lhs[0], &rhs[0]) else {
+            panic!("`s = n + n` is a variable assignment of a sum")
+        };
+        let (Expr::Name(a), Expr::Name(b)) = (&**a, &**b) else {
+            panic!("both operands are names")
+        };
+        assert_eq!(at(a), at(&p.formals[0].0));
+        assert_eq!(at(b), at(&p.formals[0].0));
+        assert_eq!(at(s), at(&p.locals[0].0));
+    }
 
     #[test]
     fn parses_figure1_sp1() {

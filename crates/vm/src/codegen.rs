@@ -12,9 +12,11 @@ use crate::frame::{CallSiteMeta, Loc, ProcMeta};
 use crate::isa::{regs, Inst, Reg};
 use cmm_cfg::{Bundle, DataImage, Graph, Node, NodeId, Program, YIELD};
 use cmm_ir::{Expr, FWidth, Lvalue, Name, Ty, Width};
-use cmm_opt::Liveness;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use cmm_opt::locals::UNTRACKED;
+use cmm_opt::{Analyses, Locals};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors the code generator can report.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -258,24 +260,41 @@ fn gen_yield(out: &mut VmProgram, entry: u32) {
         ra_offset: 0,
         saved_callee: vec![],
         cont_slots: vec![],
-        var_locs: HashMap::new(),
+        var_locs: BTreeMap::new(),
         arity: 1,
     });
 }
+
+/// Where a name the procedure's locals index tracks lives.
+#[derive(Clone, Copy, Debug)]
+enum Home {
+    /// A variable: its location and width.
+    Var(Loc, Width),
+    /// A continuation whose `(pc, sp)` pair is at this frame offset.
+    Cont(u32),
+    /// A continuation whose value is never taken.
+    Unused,
+}
+
+/// Marks a node with no code yet in [`ProcGen::emitted`].
+const NOT_EMITTED: u32 = u32::MAX;
 
 struct ProcGen<'a> {
     prog: &'a Program,
     g: &'a Graph,
     global_regs: &'a HashMap<Name, Reg>,
     meta_index: usize,
-    var_locs: HashMap<Name, Loc>,
-    var_widths: HashMap<Name, Width>,
-    cont_slots: Vec<(Name, u32)>,
-    cont_slot_of: HashMap<NodeId, u32>,
+    locals: Arc<Locals>,
+    /// Where each name of the locals index lives, by position.
+    homes: Vec<Home>,
+    /// The continuations whose values are taken, in slot order: each
+    /// one's node and the frame offset of its `(pc, sp)` pair.
+    cont_slots: Vec<(NodeId, u32)>,
     saved_callee: Vec<(Reg, u32)>,
     frame_bytes: u32,
     ra_offset: u32,
-    emitted: HashMap<NodeId, u32>,
+    /// First pc of each node's code, by node id (`NOT_EMITTED` if none).
+    emitted: Vec<u32>,
     node_fixups: Vec<(u32, NodeId)>,
     cont_pc_fixups: Vec<(u32, NodeId)>,
     site_fixups: Vec<(u32, Vec<NodeId>)>, // call-site key -> unwind cont nodes
@@ -283,84 +302,40 @@ struct ProcGen<'a> {
 }
 
 impl<'a> ProcGen<'a> {
+    /// Lays out a procedure's variables and frame, per §4.2: promoted
+    /// variables get callee-saves registers; variables live across
+    /// calls but not promoted (including everything live into a cut
+    /// continuation) get frame slots; everything else gets caller-saves
+    /// registers. One reverse postorder and one liveness over one
+    /// locals index decide it all.
     fn new(
         prog: &'a Program,
         g: &'a Graph,
         global_regs: &'a HashMap<Name, Reg>,
         meta_index: usize,
     ) -> ProcGen<'a> {
-        ProcGen {
-            prog,
-            g,
-            global_regs,
-            meta_index,
-            var_locs: HashMap::new(),
-            var_widths: HashMap::new(),
-            cont_slots: Vec::new(),
-            cont_slot_of: HashMap::new(),
-            saved_callee: Vec::new(),
-            frame_bytes: 0,
-            ra_offset: 0,
-            emitted: HashMap::new(),
-            node_fixups: Vec::new(),
-            cont_pc_fixups: Vec::new(),
-            site_fixups: Vec::new(),
-            pending: Vec::new(),
-        }
-    }
-
-    /// Continuation names used as values in some expression (those need
-    /// a materialized `(pc, sp)` pair in the frame).
-    fn value_continuations(&self) -> BTreeSet<Name> {
-        let cont_names: BTreeSet<Name> = self
-            .g
-            .continuations()
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
-        let mut used = BTreeSet::new();
-        let mut visit = |e: &Expr| {
-            e.visit_names(&mut |n| {
-                if cont_names.contains(n) {
-                    used.insert(n.clone());
-                }
-            });
-        };
-        // Only reachable nodes count: the optimizer can strand a call
-        // site that took a continuation's value without pruning the node
-        // from the arena, and a slot for such a use would fix up against
-        // a body that is never emitted.
-        let reachable = self.g.reachable();
-        for id in self.g.ids().filter(|id| reachable[id.index()]) {
-            match self.g.node(id) {
-                Node::Assign { lhs, rhs, .. } => {
-                    visit(rhs);
-                    if let Lvalue::Mem(_, a) = lhs {
-                        visit(a);
+        let mut an = Analyses::new(g);
+        let locals = Arc::clone(an.locals());
+        let (live, rpo, refs) = an.liveness(g);
+        let mut promoted = vec![false; locals.len()];
+        let mut across = vec![0u64; locals.words()];
+        // A continuation needs a materialized (pc, sp) pair only if its
+        // name is used as a *value* by a reachable node — continuations
+        // reached purely through annotations (branch tables, unwind
+        // tables) cost nothing at run time, which is the "zero overhead
+        // to enter the scope of a handler" half of the §4.2 trade-off.
+        // (The optimizer can strand a call site that took a
+        // continuation's value without pruning the node from the arena;
+        // a slot for such a use would fix up against a body that is
+        // never emitted.)
+        let mut used = vec![false; locals.len()];
+        for &id in rpo {
+            match g.node(id) {
+                Node::CalleeSaves { vars, .. } => {
+                    for i in vars.iter().filter_map(|v| locals.index(v)) {
+                        promoted[i] = true;
                     }
                 }
-                Node::Branch { cond, .. } => visit(cond),
-                Node::CopyOut { exprs, .. } => exprs.iter().for_each(&mut visit),
-                Node::Call { callee, .. } => visit(callee),
-                Node::Jump { callee } => visit(callee),
-                Node::CutTo { cont, .. } => visit(cont),
-                _ => {}
-            }
-        }
-        used
-    }
-
-    /// Variable classification, per §4.2: promoted variables get
-    /// callee-saves registers; variables live across calls but not
-    /// promoted (including everything live into a cut continuation) get
-    /// frame slots; everything else gets caller-saves registers.
-    fn allocate(&mut self) {
-        let live = Liveness::compute(self.g);
-        let mut promoted: BTreeSet<Name> = BTreeSet::new();
-        let mut across = vec![0u64; live.locals().words()];
-        for id in self.g.reverse_postorder() {
-            match self.g.node(id) {
-                Node::CalleeSaves { vars, .. } => promoted.extend(vars.iter().cloned()),
                 Node::Call { bundle, .. } => {
                     for t in bundle.targets() {
                         live.live_in(t).or_into(&mut across);
@@ -368,55 +343,76 @@ impl<'a> ProcGen<'a> {
                 }
                 _ => {}
             }
+            for &v in refs.uses(id).iter().filter(|&&v| v != UNTRACKED) {
+                used[v as usize] = true;
+            }
         }
-        let across = live.locals().set(&across);
+        let across = locals.set(&across);
+        let mut homes = vec![Home::Unused; locals.len()];
         let mut callee_next = 0u8;
         let mut caller_next = 0u8;
-        let mut frame_vars: Vec<Name> = Vec::new();
-        for (v, ty) in &self.g.vars {
-            self.var_widths.insert(v.clone(), width_of(*ty));
-            let loc = if promoted.contains(v) && callee_next < regs::NUM_CALLEE {
+        let mut frame_vars: Vec<usize> = Vec::new();
+        for (v, ty) in &g.vars {
+            let i = locals.index(v).expect("declared variables are tracked");
+            let loc = if promoted[i] && callee_next < regs::NUM_CALLEE {
                 let r = regs::CALLEE0 + callee_next;
                 callee_next += 1;
                 Loc::CalleeReg(r)
-            } else if !across.contains(v) && caller_next < regs::NUM_CALLER {
+            } else if !across.has(i) && caller_next < regs::NUM_CALLER {
                 let r = regs::CALLER0 + caller_next;
                 caller_next += 1;
                 Loc::CallerReg(r)
             } else {
-                frame_vars.push(v.clone());
+                frame_vars.push(i);
                 Loc::Frame(0) // offset assigned below
             };
-            self.var_locs.insert(v.clone(), loc);
+            homes[i] = Home::Var(loc, width_of(*ty));
         }
         // Frame layout: continuation pairs, saved callee regs, frame
-        // vars, saved ra. A continuation needs a materialized (pc, sp)
-        // pair only if its name is used as a *value* somewhere in the
-        // procedure — continuations reached purely through annotations
-        // (branch tables, unwind tables) cost nothing at run time, which
-        // is the "zero overhead to enter the scope of a handler" half of
-        // the §4.2 trade-off.
-        let value_conts = self.value_continuations();
+        // vars, saved ra.
         let mut off = 0u32;
-        for (name, node) in self.g.continuations() {
-            if !value_conts.contains(name) {
-                continue;
+        let mut cont_slots = Vec::new();
+        for (name, node) in g.continuations() {
+            let i = locals.index(name).expect("continuations are tracked");
+            if used[i] {
+                homes[i] = Home::Cont(off);
+                cont_slots.push((*node, off));
+                off += 8;
             }
-            self.cont_slots.push((name.clone(), off));
-            self.cont_slot_of.insert(*node, off);
-            off += 8;
         }
+        let mut saved_callee = Vec::with_capacity(callee_next as usize);
         for i in 0..callee_next {
-            self.saved_callee.push((regs::CALLEE0 + i, off));
+            saved_callee.push((regs::CALLEE0 + i, off));
             off += 4;
         }
-        for v in frame_vars {
-            self.var_locs.insert(v, Loc::Frame(off));
+        for i in frame_vars {
+            if let Home::Var(loc, _) = &mut homes[i] {
+                *loc = Loc::Frame(off);
+            }
             off += 8;
         }
-        self.ra_offset = off;
-        off += 4;
-        self.frame_bytes = (off + 7) & !7;
+        ProcGen {
+            prog,
+            g,
+            global_regs,
+            meta_index,
+            locals,
+            homes,
+            cont_slots,
+            saved_callee,
+            frame_bytes: (off + 4 + 7) & !7,
+            ra_offset: off,
+            emitted: vec![NOT_EMITTED; g.nodes.len()],
+            node_fixups: Vec::new(),
+            cont_pc_fixups: Vec::new(),
+            site_fixups: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Where a name lives, if the locals index tracks it.
+    fn home(&self, n: &Name) -> Option<Home> {
+        self.locals.index(n).map(|i| self.homes[i])
     }
 
     fn run(
@@ -424,26 +420,29 @@ impl<'a> ProcGen<'a> {
         out: &mut VmProgram,
         call_fixups: &mut Vec<(u32, Name)>,
     ) -> Result<(), CodegenError> {
-        self.allocate();
         let entry_pc = out.code.len() as u32;
         self.prologue(out);
         // A continuation whose (pc, sp) pair is materialized can be
         // entered through `SetCutToCont` even when no surviving call
         // site names it in an annotation, so its body must be emitted.
-        self.pending.extend(self.cont_slot_of.keys().copied());
+        // They go on the worklist in slot order: the code layout, and so
+        // every pc a snapshot stores, must be the same in every process
+        // that compiles the source.
+        self.pending
+            .extend(self.cont_slots.iter().map(|&(node, _)| node));
         // Emit the body starting at the entry node's successor.
         let Node::Entry { next, .. } = self.g.node(self.g.entry) else {
             unreachable!("procedure graphs start with Entry");
         };
         self.emit_chain(out, *next, call_fixups)?;
         while let Some(n) = self.pending.pop() {
-            if !self.emitted.contains_key(&n) {
+            if self.emitted[n.index()] == NOT_EMITTED {
                 self.emit_chain(out, n, call_fixups)?;
             }
         }
         // Patch intra-procedure fixups.
         for (at, node) in std::mem::take(&mut self.node_fixups) {
-            let pc = self.emitted[&node];
+            let pc = self.emitted[node.index()];
             match &mut out.code[at as usize] {
                 Inst::Bz { target, .. } | Inst::Jmp { target } | Inst::Call { target } => {
                     *target = pc
@@ -452,7 +451,7 @@ impl<'a> ProcGen<'a> {
             }
         }
         for (at, node) in std::mem::take(&mut self.cont_pc_fixups) {
-            let pc = self.emitted[&node];
+            let pc = self.emitted[node.index()];
             match &mut out.code[at as usize] {
                 Inst::Li { imm, .. } => *imm = pc,
                 other => unreachable!("cont fixup at {other:?}"),
@@ -467,21 +466,39 @@ impl<'a> ProcGen<'a> {
             out.cont_params.insert(pc, params);
         }
         for (site, nodes) in std::mem::take(&mut self.site_fixups) {
-            let pcs: Vec<u32> = nodes.iter().map(|n| self.emitted[n]).collect();
+            let pcs: Vec<u32> = nodes.iter().map(|n| self.emitted[n.index()]).collect();
             out.call_sites
                 .get_mut(&site)
                 .expect("site registered")
                 .unwind_pcs = pcs;
         }
+        let cont_slots = self
+            .g
+            .continuations()
+            .iter()
+            .filter_map(|(k, _)| match self.home(k) {
+                Some(Home::Cont(off)) => Some((k.clone(), off)),
+                _ => None,
+            })
+            .collect();
+        let var_locs = self
+            .g
+            .vars
+            .iter()
+            .filter_map(|(v, _)| match self.home(v) {
+                Some(Home::Var(loc, _)) => Some((v.clone(), loc)),
+                _ => None,
+            })
+            .collect();
         out.proc_meta.push(ProcMeta {
             name: self.g.name.clone(),
             entry: entry_pc,
             end: out.code.len() as u32,
             frame_bytes: self.frame_bytes,
             ra_offset: self.ra_offset,
-            saved_callee: self.saved_callee.clone(),
-            cont_slots: self.cont_slots.clone(),
-            var_locs: self.var_locs.clone(),
+            saved_callee: self.saved_callee,
+            cont_slots,
+            var_locs,
             arity: self.g.arity,
         });
         Ok(())
@@ -509,10 +526,7 @@ impl<'a> ProcGen<'a> {
         }
         // Initialize continuation (pc, sp) pairs — "2 pointers" (§2) —
         // for the continuations whose values are actually taken.
-        let mut slots: Vec<(NodeId, u32)> =
-            self.cont_slot_of.iter().map(|(&n, &o)| (n, o)).collect();
-        slots.sort_by_key(|&(_, o)| o);
-        for (node, off) in slots {
+        for &(node, off) in &self.cont_slots {
             let li_at = out.code.len() as u32;
             out.code.push(Inst::Li {
                 rd: regs::SCRATCH0,
@@ -565,11 +579,12 @@ impl<'a> ProcGen<'a> {
         let g = self.g;
         let mut cur = start;
         loop {
-            if let Some(&pc) = self.emitted.get(&cur) {
+            let pc = self.emitted[cur.index()];
+            if pc != NOT_EMITTED {
                 out.code.push(Inst::Jmp { target: pc });
                 return Ok(());
             }
-            self.emitted.insert(cur, out.code.len() as u32);
+            self.emitted[cur.index()] = out.code.len() as u32;
             out.node_map.push((out.code.len() as u32, cur));
             match g.node(cur) {
                 Node::Entry { .. } => unreachable!("entry emitted via prologue"),
@@ -778,20 +793,19 @@ impl<'a> ProcGen<'a> {
     }
 
     fn store_var(&mut self, out: &mut VmProgram, v: &Name, from: Reg) {
-        match self.var_locs.get(v) {
-            Some(Loc::CallerReg(r)) | Some(Loc::CalleeReg(r)) => {
-                out.code.push(Inst::Mov { rd: *r, rs: from });
+        match self.home(v) {
+            Some(Home::Var(Loc::CallerReg(r) | Loc::CalleeReg(r), _)) => {
+                out.code.push(Inst::Mov { rd: r, rs: from });
             }
-            Some(Loc::Frame(off)) => {
-                let w = self.var_widths.get(v).copied().unwrap_or(Width::W32);
+            Some(Home::Var(Loc::Frame(off), w)) => {
                 out.code.push(Inst::Store {
                     w,
                     rs: from,
                     rb: regs::SP,
-                    off: *off as i32,
+                    off: off as i32,
                 });
             }
-            None => {
+            _ => {
                 // A global register.
                 let r = self.global_regs[v];
                 out.code.push(Inst::Mov { rd: r, rs: from });
@@ -819,33 +833,26 @@ impl<'a> ProcGen<'a> {
                 Ok(dst)
             }
             Expr::Name(n) => {
-                match self.var_locs.get(n) {
-                    Some(Loc::CallerReg(r)) | Some(Loc::CalleeReg(r)) => return Ok(*r),
-                    Some(Loc::Frame(off)) => {
-                        let w = self.var_widths.get(n).copied().unwrap_or(Width::W32);
+                let home = self.home(n);
+                match home {
+                    Some(Home::Var(Loc::CallerReg(r) | Loc::CalleeReg(r), _)) => return Ok(r),
+                    Some(Home::Var(Loc::Frame(off), w)) => {
                         out.code.push(Inst::Load {
                             w,
                             rd: dst,
                             rb: regs::SP,
-                            off: *off as i32,
+                            off: off as i32,
                         });
                         return Ok(dst);
                     }
-                    None => {}
+                    _ => {}
                 }
                 if let Some(r) = self.global_regs.get(n) {
                     return Ok(*r);
                 }
                 // A continuation bound at entry: its value is the
                 // address of the (pc, sp) pair in this frame.
-                if let Some(&node) = self
-                    .g
-                    .continuations()
-                    .iter()
-                    .find(|(cn, _)| cn == n)
-                    .map(|(_, id)| id)
-                {
-                    let off = self.cont_slot_of[&node];
+                if let Some(Home::Cont(off)) = home {
                     out.code.push(Inst::Addi {
                         rd: dst,
                         rs: regs::SP,
@@ -909,7 +916,10 @@ impl<'a> ProcGen<'a> {
     fn infer_width(&self, e: &Expr) -> Width {
         match e {
             Expr::Lit(l) => width_of(l.ty),
-            Expr::Name(n) => self.var_widths.get(n).copied().unwrap_or(Width::W32),
+            Expr::Name(n) => match self.home(n) {
+                Some(Home::Var(_, w)) => w,
+                _ => Width::W32,
+            },
             Expr::Mem(ty, _) => width_of(*ty),
             Expr::Unary(op, a) => op.eval(self.infer_width(a), 0).1,
             Expr::Binary(op, a, _) => {

@@ -7,7 +7,7 @@
 //! tables.
 
 use cmm_ir::Name;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Where a C-- variable lives in generated code.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,7 +43,7 @@ pub struct ProcMeta {
     /// pair).
     pub cont_slots: Vec<(Name, u32)>,
     /// Where each variable lives.
-    pub var_locs: HashMap<Name, Loc>,
+    pub var_locs: BTreeMap<Name, Loc>,
     /// Number of formal parameters.
     pub arity: usize,
 }
@@ -92,7 +92,7 @@ mod tests {
             ra_offset: 12,
             saved_callee: vec![],
             cont_slots: vec![],
-            var_locs: HashMap::new(),
+            var_locs: BTreeMap::new(),
             arity: 0,
         };
         assert!(m.contains(10));

@@ -23,9 +23,13 @@
 //!   promotion picks candidates in name order (`v0, v1, v10, ...`),
 //!   not declaration order.
 //!
-//! The second test checks the allocation-free use/def visitors against
-//! the Table 3 rules (`flow`) on every node of every graph of the same
-//! corpus, before and after optimization.
+//! The second test checks the allocation-free use/def visitors, and
+//! the per-node rows of locals-index positions the analyses read
+//! (`Refs`), against the Table 3 rules (`flow`) on every node of every
+//! graph of the same corpus, before and after optimization, and checks
+//! the SSA invariant (`Ssa::verify`) on each of those graphs. The rows
+//! the passes keep current as they rewrite are checked after every
+//! pass.
 //!
 //! Set `CMM_BLESS=1` to rewrite the expected file.
 
@@ -33,9 +37,13 @@ use cmm_cfg::display::graph_to_string;
 use cmm_cfg::{build_program, Graph, Program};
 use cmm_frontend::workloads::{deep_raise, GAME, NO_RAISE, RAISE_FREQUENCY};
 use cmm_frontend::{compile_minim3, Strategy};
+use cmm_opt::constprop::constprop;
 use cmm_opt::dataflow::{each_var_def, each_var_use};
+use cmm_opt::dce::dce;
+use cmm_opt::localopt::localopt;
+use cmm_opt::locals::{Refs, UNTRACKED};
 use cmm_opt::ssa::{ssa_to_string, Ssa};
-use cmm_opt::{flow, optimize_program, OptOptions, Slot};
+use cmm_opt::{flow, optimize_program, Analyses, Locals, OptOptions, Slot};
 use cmm_pool::Digest;
 use cmm_vm::arch::{ALPHA_DIGITAL_UNIX, PENTIUM_LINUX, SPARC_SOLARIS};
 use std::collections::BTreeMap;
@@ -222,14 +230,61 @@ fn optimizer_output_matches_golden() {
 }
 
 /// The visitors must yield exactly the `Slot::Var` entries of the
-/// Table 3 rules, with the same names in the same order.
-fn check_visitors(label: &str, g: &Graph) {
+/// Table 3 rules, with the same names in the same order, and each
+/// node's `Refs` rows exactly those entries' positions in the locals
+/// index (`UNTRACKED` for globals and symbols). The graph's SSA
+/// numbering must satisfy the SSA invariant.
+fn check_graph(label: &str, g: &Graph) {
+    let locals = Locals::of(g);
+    check_rows(label, g, &locals, &Refs::of(g, &locals));
+    if g.name != cmm_cfg::YIELD {
+        let bad = Ssa::build(g).verify(g);
+        assert!(bad.is_empty(), "{label}: {} breaks SSA at {bad:?}", g.name);
+    }
+}
+
+/// Runs the value passes as `optimize_graph` does, checking after each
+/// one that the rows its analyses keep agree with Table 3.
+fn check_kept_rows(label: &str, mut g: Graph) {
+    let mut an = Analyses::new(&g);
+    for _ in 0..OptOptions::default().max_iters {
+        let mut changed = constprop(&mut g, &mut an);
+        check_rows(
+            &format!("{label} after constprop"),
+            &g,
+            an.locals(),
+            an.refs(),
+        );
+        changed += localopt(&mut g, &mut an);
+        check_rows(
+            &format!("{label} after localopt"),
+            &g,
+            an.locals(),
+            an.refs(),
+        );
+        changed += dce(&mut g, &mut an);
+        check_rows(&format!("{label} after dce"), &g, an.locals(), an.refs());
+        if changed == 0 {
+            break;
+        }
+    }
+}
+
+fn check_rows(label: &str, g: &Graph, locals: &Locals, refs: &Refs) {
     for id in g.ids() {
         let f = flow(g, id, &[]);
-        let var = |s: Vec<Slot>| -> Vec<String> {
-            s.into_iter()
+        let var = |s: &[Slot]| -> Vec<String> {
+            s.iter()
                 .filter_map(|s| match s {
                     Slot::Var(v) => Some(v.to_string()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let pos = |s: &[Slot]| -> Vec<u32> {
+            s.iter()
+                .filter_map(|s| match s {
+                    Slot::Var(v) => Some(locals.index(v).map_or(UNTRACKED, |i| i as u32)),
                     _ => None,
                 })
                 .collect()
@@ -238,8 +293,20 @@ fn check_visitors(label: &str, g: &Graph) {
         each_var_use(g, id, |v| uses.push(v.to_string()));
         let mut defs = Vec::new();
         each_var_def(g, id, |v| defs.push(v.to_string()));
-        assert_eq!(uses, var(f.uses), "{label}: uses at {}.{id}", g.name);
-        assert_eq!(defs, var(f.defs), "{label}: defs at {}.{id}", g.name);
+        assert_eq!(uses, var(&f.uses), "{label}: uses at {}.{id}", g.name);
+        assert_eq!(defs, var(&f.defs), "{label}: defs at {}.{id}", g.name);
+        assert_eq!(
+            refs.uses(id),
+            pos(&f.uses),
+            "{label}: use row at {}.{id}",
+            g.name
+        );
+        assert_eq!(
+            refs.defs(id),
+            pos(&f.defs),
+            "{label}: def row at {}.{id}",
+            g.name
+        );
     }
 }
 
@@ -248,11 +315,14 @@ fn use_def_visitors_agree_with_table_3() {
     for e in corpus() {
         let mut p = e.program;
         for g in p.procs.values() {
-            check_visitors(&e.name, g);
+            check_graph(&e.name, g);
+            if g.name != cmm_cfg::YIELD {
+                check_kept_rows(&e.name, g.clone());
+            }
         }
         optimize_program(&mut p, &OptOptions::default());
         for g in p.procs.values() {
-            check_visitors(&e.name, g);
+            check_graph(&e.name, g);
         }
     }
 }

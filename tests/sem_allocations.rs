@@ -13,6 +13,11 @@
 //! source, so lexing a source twice as long may cost only a constant
 //! number of extra allocations (the token vector growing), never one
 //! per token.
+//!
+//! SSA construction and liveness build flat tables sized up front, so
+//! a procedure with twice the nodes, φs and definitions may cost them
+//! only a constant number of extra allocations (a vector growing),
+//! never one per node, φ or definition.
 
 use cmm_cfg::Program;
 use cmm_sem::{Machine, ResolvedMachine, ResolvedProgram, Status, Value};
@@ -144,5 +149,44 @@ fn lexing_allocates_no_more_for_more_tokens() {
     assert!(
         twice <= once + 2,
         "lexing 8 copies allocated {once} times and 16 copies {twice}"
+    );
+}
+
+/// A procedure of `n` diamonds in a row, each assigning `s` on both
+/// arms and `t` on one, so each join holds a φ of both: doubling `n`
+/// doubles the nodes, the φs and the definitions.
+fn diamonds(n: usize) -> cmm_cfg::Graph {
+    let mut src = String::from("f(bits32 a) {\n    bits32 s, t;\n    s = 0;\n    t = a;\n");
+    for i in 0..n {
+        src.push_str(&format!(
+            "    if a == {i} {{ s = s + 1; t = s; }} else {{ s = s + 2; }}\n"
+        ));
+    }
+    src.push_str("    return (s + t);\n}\n");
+    compile(&src, false).proc("f").expect("f").clone()
+}
+
+#[test]
+fn ssa_and_liveness_allocate_no_more_for_more_nodes() {
+    const N: usize = 64;
+    let (small, large) = (diamonds(N), diamonds(2 * N));
+    let ssa = |g: &cmm_cfg::Graph| {
+        allocations(|| {
+            let ssa = cmm_opt::Ssa::build(g);
+            assert!(ssa.phis().len() >= 2 * N, "{} φs", ssa.phis().len());
+        })
+    };
+    let (once, twice) = (ssa(&small), ssa(&large));
+    assert!(
+        twice <= once + 6,
+        "SSA construction allocated {once} times for {N} diamonds and {twice} for {}",
+        2 * N
+    );
+    let live = |g: &cmm_cfg::Graph| allocations(|| drop(cmm_opt::Liveness::compute(g)));
+    let (once, twice) = (live(&small), live(&large));
+    assert!(
+        twice <= once + 6,
+        "liveness allocated {once} times for {N} diamonds and {twice} for {}",
+        2 * N
     );
 }

@@ -12,7 +12,9 @@
 //! here aim that oracle at the paper workloads and a generated
 //! population, and additionally pin each engine *individually* with a
 //! hand-rolled snapshot/resume cycle, so a divergence report names the
-//! engine rather than the family.
+//! engine rather than the family. Two more pin that a VM blob stays
+//! valid across compiles of its source, as `cmm resume` needs: the code
+//! layout may depend on the program alone.
 
 use cmm_chaos::{schedule_seed, Family, FaultPlan};
 use cmm_difftest::oracle::{observe_sem_chaos, Limits};
@@ -349,6 +351,62 @@ fn vm_tiers_snapshot_and_resume_across_every_pair() {
             };
             assert_eq!(got, want, "{from:?}->{to:?}: resumed results differ");
             assert_eq!(b.cost, want_cost, "{from:?}->{to:?}: resumed cost differs");
+        }
+    }
+}
+
+/// The layout probe of the corpus: `k1` and `k2` are used only as the
+/// values of `cut to` statements, so no call annotation reaches them
+/// and only code generation's worklist order decides where their bodies
+/// go.
+fn layout_probe(optimize: bool) -> cmm_cfg::Program {
+    let src = include_str!("../corpus/vm-layout-self-cut.cmm");
+    let mut p = cmm_cfg::build_program(&cmm_parse::parse_module(src).unwrap()).unwrap();
+    if optimize {
+        cmm_opt::optimize_program(&mut p, &cmm_opt::OptOptions::default());
+    }
+    p
+}
+
+/// VM code is a function of the program alone: every compile of the
+/// probe lays its code out the same way.
+#[test]
+fn vm_code_layout_is_the_same_on_every_compile() {
+    for optimize in [false, true] {
+        let p = layout_probe(optimize);
+        let first = cmm_vm::compile(&p).unwrap();
+        for i in 1..16 {
+            let again = cmm_vm::compile(&p).unwrap();
+            assert_eq!(
+                again.code, first.code,
+                "compile {i} (optimized: {optimize}) laid the probe out differently"
+            );
+        }
+    }
+}
+
+/// What `cmm resume` does: a VM snapshot captured on one compile, after
+/// the prologue stored both continuations' (pc, sp) pairs, restores
+/// into other compiles of the same source and ends as the straight run
+/// does (`k1`, so 100).
+#[test]
+fn vm_snapshot_resumes_on_another_compile() {
+    for optimize in [false, true] {
+        let p = layout_probe(optimize);
+        let vp = cmm_vm::compile(&p).unwrap();
+        let mut a = VmMachine::new(&vp);
+        a.start("f", &[0, 0], 1);
+        assert!(matches!(a.run(30), VmStatus::OutOfFuel));
+        let state = a.capture().unwrap();
+        for i in 1..16 {
+            let other = cmm_vm::compile(&p).unwrap();
+            let mut b = VmMachine::new(&other);
+            b.restore(&state).unwrap();
+            assert_eq!(
+                b.run(1 << 20),
+                VmStatus::Halted(vec![100]),
+                "compile {i} (optimized: {optimize}) resumed into the wrong continuation"
+            );
         }
     }
 }
