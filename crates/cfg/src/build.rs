@@ -82,6 +82,13 @@ pub enum BuildError {
         /// The duplicated name.
         name: Name,
     },
+    /// A variable, label or continuation takes a top-level name.
+    ShadowsTopLevel {
+        /// The procedure with the declaration.
+        proc: Name,
+        /// The name it declares.
+        name: Name,
+    },
     /// Two top-level declarations share a name.
     DuplicateSymbol(Name),
     /// A `sym` initializer refers to an undefined symbol.
@@ -154,6 +161,9 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateName { proc, name } => {
                 write!(f, "procedure `{proc}`: duplicate name `{name}`")
             }
+            BuildError::ShadowsTopLevel { proc, name } => {
+                write!(f, "procedure `{proc}`: `{name}` is a top-level symbol")
+            }
             BuildError::DuplicateSymbol(n) => write!(f, "duplicate top-level symbol `{n}`"),
             BuildError::UndefinedSymbol(n) => write!(f, "undefined symbol `{n}` in data block"),
             BuildError::UndeclaredContParam { proc, cont, param } => write!(
@@ -206,18 +216,6 @@ fn check_unreserved(n: &Name) -> Result<(), BuildError> {
     Ok(())
 }
 
-/// Declares a variable, label or continuation of `p`.
-fn declare(p: &Proc, seen: &mut BTreeSet<Name>, n: &Name) -> Result<(), BuildError> {
-    check_unreserved(n)?;
-    if !seen.insert(n.clone()) {
-        return Err(BuildError::DuplicateName {
-            proc: p.name.clone(),
-            name: n.clone(),
-        });
-    }
-    Ok(())
-}
-
 /// Translates a module into an Abstract C-- [`Program`].
 ///
 /// This is the one well-formedness check. The back ends rely on it and
@@ -238,8 +236,9 @@ fn declare(p: &Proc, seen: &mut BTreeSet<Name>, n: &Name) -> Result<(), BuildErr
 /// * a parallel assignment has one value per target, and
 ///   `return <i/n>` has `i ≤ n`.
 ///
-/// Top-level, variable, label and continuation names are unique, and
-/// none is `yield` or a `%` name.
+/// Top-level, variable, label and continuation names are unique, no
+/// variable, label or continuation takes a top-level name, and none is
+/// `yield` or a `%` name.
 ///
 /// # Errors
 ///
@@ -377,54 +376,65 @@ struct GraphBuilder<'a> {
     labels: BTreeMap<Name, NodeId>,
     conts: BTreeMap<Name, NodeId>,
     cont_order: Vec<Name>,
+    /// The procedure's variable, label and continuation names so far.
+    declared_names: BTreeSet<Name>,
     top: &'a BTreeMap<Name, Top>,
 }
 
 impl<'a> GraphBuilder<'a> {
     fn new(p: &Proc, top: &'a BTreeMap<Name, Top>) -> Result<GraphBuilder<'a>, BuildError> {
-        let mut vars: Vec<(Name, Ty)> = Vec::new();
-        let mut seen = BTreeSet::new();
-        for (n, ty) in p.formals.iter().chain(p.locals.iter()) {
-            declare(p, &mut seen, n)?;
-            vars.push((n.clone(), *ty));
-        }
-        let g = Graph {
-            name: p.name.clone(),
-            nodes: Vec::new(),
-            entry: NodeId(0),
-            arity: p.formals.len(),
-            vars,
-        };
         let mut b = GraphBuilder {
-            declared: g.vars.len(),
-            g,
+            g: Graph {
+                name: p.name.clone(),
+                nodes: Vec::new(),
+                entry: NodeId(0),
+                arity: p.formals.len(),
+                vars: Vec::new(),
+            },
+            declared: p.formals.len() + p.locals.len(),
             labels: BTreeMap::new(),
             conts: BTreeMap::new(),
             cont_order: Vec::new(),
+            declared_names: BTreeSet::new(),
             top,
         };
+        for (n, ty) in p.formals.iter().chain(p.locals.iter()) {
+            b.declare(p, n)?;
+            b.g.vars.push((n.clone(), *ty));
+        }
         // Pre-allocate placeholder nodes for every label and continuation
         // so that forward references resolve. Placeholders are patched to
         // CopyIn nodes during translation.
-        b.prescan(p, &p.body, &mut seen)?;
+        b.prescan(p, &p.body)?;
         Ok(b)
     }
 
-    fn prescan(
-        &mut self,
-        p: &Proc,
-        items: &[BodyItem],
-        seen: &mut BTreeSet<Name>,
-    ) -> Result<(), BuildError> {
+    /// Declares a variable, label or continuation of `p`. None may take
+    /// a top-level name: the sem engines look a name up in the
+    /// procedure first and VM code generation in the module first.
+    fn declare(&mut self, p: &Proc, n: &Name) -> Result<(), BuildError> {
+        check_unreserved(n)?;
+        if self.top.contains_key(n) || !self.declared_names.insert(n.clone()) {
+            let (proc, name) = (p.name.clone(), n.clone());
+            return Err(if self.top.contains_key(n) {
+                BuildError::ShadowsTopLevel { proc, name }
+            } else {
+                BuildError::DuplicateName { proc, name }
+            });
+        }
+        Ok(())
+    }
+
+    fn prescan(&mut self, p: &Proc, items: &[BodyItem]) -> Result<(), BuildError> {
         for item in items {
             match item {
                 BodyItem::Label(l) => {
-                    declare(p, seen, l)?;
+                    self.declare(p, l)?;
                     let id = self.g.add(Node::Yield); // placeholder
                     self.labels.insert(l.clone(), id);
                 }
                 BodyItem::Continuation { name, params } => {
-                    declare(p, seen, name)?;
+                    self.declare(p, name)?;
                     for param in params {
                         if !self.is_var(param) {
                             return Err(BuildError::UndeclaredContParam {
@@ -439,8 +449,8 @@ impl<'a> GraphBuilder<'a> {
                     self.cont_order.push(name.clone());
                 }
                 BodyItem::Stmt(Stmt::If { then_, else_, .. }) => {
-                    self.prescan(p, then_, seen)?;
-                    self.prescan(p, else_, seen)?;
+                    self.prescan(p, then_)?;
+                    self.prescan(p, else_)?;
                 }
                 BodyItem::Stmt(_) => {}
             }
@@ -931,14 +941,18 @@ mod tests {
 
     #[test]
     fn unknown_continuation_rejected() {
-        let m = parse_module("f() { g() also cuts to nowhere; } g() { return; }").unwrap();
-        assert_eq!(
-            build_program(&m).unwrap_err(),
-            BuildError::UnknownContinuation {
-                proc: Name::from("f"),
-                cont: Name::from("nowhere")
-            }
-        );
+        for kind in ["cuts", "unwinds", "returns"] {
+            let src = format!("f() {{ g() also {kind} to nowhere; }} g() {{ return; }}");
+            let m = parse_module(&src).unwrap();
+            assert_eq!(
+                build_program(&m).unwrap_err(),
+                BuildError::UnknownContinuation {
+                    proc: Name::from("f"),
+                    cont: Name::from("nowhere")
+                },
+                "also {kind} to"
+            );
+        }
     }
 
     #[test]

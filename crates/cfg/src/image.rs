@@ -10,9 +10,6 @@
 //! The layout is:
 //!
 //! * data blocks from [`DataImage::DATA_BASE`] upward, 8-byte aligned;
-//! * a "heap" region (for front-end run-time structures such as
-//!   Figure 10's dynamic exception stack) from the end of the data
-//!   upward, [`DataImage::HEAP_SIZE`] bytes;
 //! * code addresses from [`DataImage::CODE_BASE`] upward, 16 bytes apart
 //!   (so they can never collide with data addresses).
 
@@ -35,8 +32,6 @@ pub struct DataImage {
 impl DataImage {
     /// Base address of static data.
     pub const DATA_BASE: u64 = 0x1000;
-    /// Size of the scratch heap that follows the data.
-    pub const HEAP_SIZE: u64 = 0x10_0000;
     /// Base of the synthetic code-address range.
     pub const CODE_BASE: u64 = 0x4000_0000;
 
@@ -48,16 +43,6 @@ impl DataImage {
     /// The procedure name a synthetic code address denotes, if any.
     pub fn code_symbol_at(&self, addr: u64) -> Option<&Name> {
         self.code_syms.get(&addr)
-    }
-
-    /// Base of the scratch heap region (8-byte aligned, above the data).
-    pub fn heap_base(&self) -> u64 {
-        align8(self.data_end.max(Self::DATA_BASE))
-    }
-
-    /// First address past the scratch heap.
-    pub fn heap_end(&self) -> u64 {
-        self.heap_base() + Self::HEAP_SIZE
     }
 
     /// Builds the image for a module. Procedure names get code
@@ -203,7 +188,5 @@ mod tests {
         assert_eq!(a % 8, 0);
         assert_eq!(b % 8, 0);
         assert!(b >= a + 4);
-        assert!(img.heap_base() >= img.data_end);
-        assert_eq!(img.heap_end() - img.heap_base(), DataImage::HEAP_SIZE);
     }
 }

@@ -1,25 +1,21 @@
-//! # cmm-chaos — deterministic fault injection and resource governance
+//! # cmm-chaos — deterministic fault injection and fuel slicing
 //!
 //! The paper's Table 1 runtime interface is the one channel through
 //! which a front-end run-time system manipulates a suspended thread.
 //! This crate makes that channel *hostile on demand*: a [`FaultPlan`] is
 //! a seeded, engine-independent schedule that makes any Table 1
 //! operation fail at its Nth invocation, and a [`ResourceGovernor`]
-//! bounds the resources an engine may consume between yields — memory,
-//! activation-stack depth, and per-resume fuel — on top of the ordinary
+//! clips the fuel of each `run` call to a slice, on top of the ordinary
 //! fuel counter.
 //!
 //! Both pieces are deliberately dependency-free and engine-agnostic:
-//!
-//! * the *same* `FaultPlan` (same seed) installed on the
-//!   `cmm-rt` dispatcher and on the `cmm-vm` dispatcher trips the same
-//!   operations at the same invocation counts, so all five engines
-//!   observe an identical fault schedule and — if the engines are
-//!   correct — fail identically;
-//! * the governor expresses limits in engine-family terms (frames and
-//!   environment bytes for the abstract machines, a stack floor and
-//!   mapped pages for the simulated target) so within a family both
-//!   engines of a pair trip at exactly the same transition.
+//! the *same* `FaultPlan` (same seed) installed on the `cmm-rt`
+//! dispatcher and on the `cmm-vm` dispatcher trips the same operations
+//! at the same invocation counts, so all five engines observe an
+//! identical fault schedule and — if the engines are correct — fail
+//! identically; and every engine counts fuel in its own transitions,
+//! so within a family both engines of a pair stop at exactly the same
+//! slice boundary.
 //!
 //! Every decision is a pure function of the seed: a chaos run is
 //! bit-reproducible from `(case seed, fault seed)`.
@@ -291,76 +287,20 @@ pub struct FaultPlanState {
     pub log: Vec<InjectedFault>,
 }
 
-/// Which resource limit tripped.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LimitTrip {
-    /// Activation-stack depth exceeded `max_depth` frames.
-    StackDepth,
-    /// Live memory exceeded `max_memory_bytes`.
-    Memory,
-}
-
-impl fmt::Display for LimitTrip {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LimitTrip::StackDepth => f.write_str("stack-depth"),
-            LimitTrip::Memory => f.write_str("memory"),
-        }
-    }
-}
-
-/// Resource limits an engine enforces between yields, alongside the
-/// ordinary fuel counter.
-///
-/// Limits are expressed in engine-family units (documented per field);
-/// within one family both engines of a pair must trip at exactly the
-/// same transition, which the equivalence tests assert.
+/// The one resource limit an engine enforces beyond the fuel counter:
+/// a per-`run` fuel slice. Batch jobs and serve threads set it, and
+/// snapshot blobs record it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ResourceGovernor {
-    /// Maximum activation-stack depth, in frames (abstract machines:
-    /// `stack.len()`; the simulated target bounds its stack via
-    /// `stack_floor` instead).
-    pub max_depth: Option<usize>,
-    /// Maximum live memory: written bytes for the abstract machines,
-    /// mapped page bytes for the simulated target.
-    pub max_memory_bytes: Option<usize>,
-    /// Lowest stack-pointer value the simulated target may call with
-    /// (its activation records live in simulated memory, so depth is a
-    /// stack floor there).
-    pub stack_floor: Option<u64>,
     /// Upper bound on the fuel any single `run` call may consume: the
     /// per-yield slice. `run(fuel)` becomes `run(min(fuel, slice))`.
     pub fuel_slice: Option<u64>,
 }
 
 impl ResourceGovernor {
-    /// A governor with no limits (never trips).
+    /// A governor with no slice: `run(fuel)` keeps all its fuel.
     pub fn unlimited() -> ResourceGovernor {
         ResourceGovernor::default()
-    }
-
-    /// Checks an activation-stack depth (frames) against `max_depth`.
-    pub fn check_depth(&self, depth: usize) -> Option<LimitTrip> {
-        match self.max_depth {
-            Some(max) if depth > max => Some(LimitTrip::StackDepth),
-            _ => None,
-        }
-    }
-
-    /// Checks a live-memory figure (bytes) against `max_memory_bytes`.
-    pub fn check_memory(&self, bytes: usize) -> Option<LimitTrip> {
-        match self.max_memory_bytes {
-            Some(max) if bytes > max => Some(LimitTrip::Memory),
-            _ => None,
-        }
-    }
-
-    /// Checks a stack-pointer value against `stack_floor`.
-    pub fn check_sp(&self, sp: u64) -> Option<LimitTrip> {
-        match self.stack_floor {
-            Some(floor) if sp < floor => Some(LimitTrip::StackDepth),
-            _ => None,
-        }
     }
 
     /// The fuel actually granted for one `run` call.
@@ -442,21 +382,11 @@ mod tests {
     #[test]
     fn governor_checks() {
         let g = ResourceGovernor {
-            max_depth: Some(4),
-            max_memory_bytes: Some(100),
-            stack_floor: Some(0x1000),
             fuel_slice: Some(10),
         };
-        assert_eq!(g.check_depth(4), None);
-        assert_eq!(g.check_depth(5), Some(LimitTrip::StackDepth));
-        assert_eq!(g.check_memory(100), None);
-        assert_eq!(g.check_memory(101), Some(LimitTrip::Memory));
-        assert_eq!(g.check_sp(0x1000), None);
-        assert_eq!(g.check_sp(0xfff), Some(LimitTrip::StackDepth));
         assert_eq!(g.slice(25), 10);
         assert_eq!(g.slice(3), 3);
         let u = ResourceGovernor::unlimited();
-        assert_eq!(u.check_depth(usize::MAX), None);
         assert_eq!(u.slice(25), 25);
     }
 

@@ -221,7 +221,6 @@ fn governor_fuel_slice_respects_the_boundary() {
         if let Some(s) = slice {
             m.set_governor(cmm_chaos::ResourceGovernor {
                 fuel_slice: Some(s),
-                ..cmm_chaos::ResourceGovernor::unlimited()
             });
         }
         m.start("f", vec![Value::b32(n as u32)]).unwrap();

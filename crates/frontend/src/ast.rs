@@ -113,15 +113,3 @@ pub enum M3Op {
     /// `>=`
     Ge,
 }
-
-impl M3Expr {
-    /// Integer literal helper.
-    pub fn num(v: u32) -> M3Expr {
-        M3Expr::Num(v)
-    }
-
-    /// Variable helper.
-    pub fn var(n: &str) -> M3Expr {
-        M3Expr::Var(n.to_string())
-    }
-}

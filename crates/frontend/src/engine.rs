@@ -69,8 +69,8 @@ pub struct Arenas {
 /// How to set a thread up before it runs.
 #[derive(Default)]
 pub struct Setup<'a> {
-    /// Resource limits to install on the machine.
-    pub governor: Option<ResourceGovernor>,
+    /// The fuel slice every `run` call on the machine is clipped to.
+    pub governor: ResourceGovernor,
     /// A fault plan for the Table 1 ops.
     pub chaos: Option<FaultPlan>,
     /// Draw the machine from (and return it to) these arenas.
@@ -104,9 +104,7 @@ pub fn with_engine<'p, S: TraceSink, R>(
             let recycle = arenas.is_some();
             let arena = arenas.map_or(&mut own, |a| &mut a.sem);
             let mut m = Machine::with_sink_in(program, sink, arena);
-            if let Some(g) = governor {
-                m.set_governor(g);
-            }
+            m.set_governor(governor);
             let (r, m) = run_sem(m, chaos, f);
             if recycle {
                 m.recycle_into(arena);
@@ -127,9 +125,7 @@ pub fn with_engine<'p, S: TraceSink, R>(
             let recycle = arenas.is_some();
             let arena = arenas.map_or(&mut own, |a| &mut a.sem);
             let mut m = ResolvedMachine::with_sink_in(rp, sink, arena);
-            if let Some(g) = governor {
-                m.set_governor(g);
-            }
+            m.set_governor(governor);
             let (r, m) = run_sem(m, chaos, f);
             if recycle {
                 m.recycle_into(arena);
@@ -141,9 +137,7 @@ pub fn with_engine<'p, S: TraceSink, R>(
             let recycle = arenas.is_some();
             let arena = arenas.map_or(&mut own, |a| &mut a.vm);
             let mut t = VmThread::over(vm_machine(engine, code, sink, arena)?);
-            if let Some(g) = governor {
-                t.machine.set_governor(g);
-            }
+            t.machine.set_governor(governor);
             if let Some(plan) = chaos {
                 t.set_chaos(plan);
             }

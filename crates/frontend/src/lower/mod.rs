@@ -140,6 +140,7 @@ pub fn compile_minim3(src: &str, strategy: Strategy) -> Result<Module, LowerErro
 /// Returns a [`LowerError`] for semantic errors.
 pub fn compile_program(prog: &M3Program, strategy: Strategy) -> Result<Module, LowerError> {
     validate(prog)?;
+    let prog = &unshadow(prog);
     let mut module = Module::new();
     // Exception tags: one data block per exception; its address is the
     // tag, and its contents (the name) aid diagnostics.
@@ -204,6 +205,84 @@ fn validate(prog: &M3Program) -> Result<(), LowerError> {
     Ok(())
 }
 
+/// The names without a `$` that a lowering or C-- gives a meaning of
+/// its own: the global registers `exn_top` (cutting, sjlj) and `hp`
+/// (CPS), the closure formals every CPS procedure takes, and `yield`.
+const LOWERING_NAMES: [&str; 5] = [direct::EXN_TOP, cps::HP, "retk", "exnk", cmm_cfg::YIELD];
+
+/// Renames the identifiers C-- would take for another symbol. MiniM3
+/// looks a callee up among procedures only, so a variable may share a
+/// procedure's name, and any identifier may be one of
+/// [`LOWERING_NAMES`]; but `build_program` refuses a formal or local
+/// named like a procedure or register. Such a variable `x` becomes
+/// `x$v`, and a procedure `f` named like one of [`LOWERING_NAMES`]
+/// becomes `f$p`, at its definition and every call: no MiniM3
+/// identifier contains `$`, and a lowering makes no name of either
+/// form. A program without such a name comes back unchanged.
+fn unshadow(prog: &M3Program) -> M3Program {
+    let mut prog = prog.clone();
+    let procs: Vec<String> = prog.procs.iter().map(|p| p.name.clone()).collect();
+    let mut rename = |n: &mut String, callee: bool| {
+        if LOWERING_NAMES.contains(&n.as_str()) || !callee && procs.contains(n) {
+            n.push_str(if callee { "$p" } else { "$v" });
+        }
+    };
+    for p in &mut prog.procs {
+        rename(&mut p.name, true);
+        for n in p.params.iter_mut().chain(&mut p.locals) {
+            rename(n, false);
+        }
+        walk_names(&mut p.body, &mut rename);
+    }
+    prog
+}
+
+/// Calls `f` on every name in `stmts`, with `true` for a callee and
+/// `false` for a variable.
+fn walk_names(stmts: &mut [M3Stmt], f: &mut impl FnMut(&mut String, bool)) {
+    fn expr(e: &mut M3Expr, f: &mut impl FnMut(&mut String, bool)) {
+        match e {
+            M3Expr::Num(_) => {}
+            M3Expr::Var(n) => f(n, false),
+            M3Expr::Bin(_, a, b) => {
+                expr(a, f);
+                expr(b, f);
+            }
+        }
+    }
+    for s in stmts {
+        match s {
+            M3Stmt::Assign(x, e) => {
+                f(x, false);
+                expr(e, f);
+            }
+            M3Stmt::Call { dst, callee, args } => {
+                dst.iter_mut().for_each(|d| f(d, false));
+                f(callee, true);
+                args.iter_mut().for_each(|a| expr(a, f));
+            }
+            M3Stmt::If(c, a, b) => {
+                expr(c, f);
+                walk_names(a, f);
+                walk_names(b, f);
+            }
+            M3Stmt::While(c, b) => {
+                expr(c, f);
+                walk_names(b, f);
+            }
+            M3Stmt::Return(e) | M3Stmt::Raise(_, Some(e)) => expr(e, f),
+            M3Stmt::Raise(_, None) => {}
+            M3Stmt::Try { body, handlers } => {
+                walk_names(body, f);
+                for h in handlers {
+                    h.binds.iter_mut().for_each(|b| f(b, false));
+                    walk_names(&mut h.body, f);
+                }
+            }
+        }
+    }
+}
+
 /// Compiles a pure MiniM3 expression to a C-- expression.
 pub fn lower_expr(e: &M3Expr) -> Expr {
     match e {
@@ -259,6 +338,25 @@ mod tests {
             compile_program(&bad_arity, Strategy::Cutting).unwrap_err(),
             LowerError::ArityMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn unshadow_renames_only_names_c_minus_minus_would_take() {
+        let src = "proc hp(x) { return x; } \
+                   proc main(n) { var hp, r; hp = n; r = hp(hp); r = hp + r; return r; }";
+        let prog = parse_minim3(src).unwrap();
+        let renamed = unshadow(&prog);
+        assert_eq!(renamed.procs[0].name, "hp$p");
+        let main = &renamed.procs[1];
+        assert_eq!(main.params, ["n"]);
+        assert_eq!(main.locals, ["hp$v", "r"]);
+        let M3Stmt::Call { dst, callee, args } = &main.body[1] else {
+            panic!("{:?}", main.body[1]);
+        };
+        assert_eq!((dst.as_deref(), callee.as_str()), (Some("r"), "hp$p"));
+        assert_eq!(args, &[M3Expr::Var("hp$v".into())]);
+        let plain = parse_minim3("proc main(n) { var r; r = n; return r; }").unwrap();
+        assert_eq!(unshadow(&plain), plain);
     }
 
     #[test]

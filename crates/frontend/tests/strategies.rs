@@ -83,6 +83,31 @@ fn handler_uses_enclosing_locals() {
 }
 
 #[test]
+fn variables_may_share_a_procedure_or_lowering_name() {
+    // MiniM3 resolves callees among procedures only; the lowering renames
+    // what C-- would read as a procedure, register or CPS formal.
+    let src = r#"
+        exception E;
+        proc sq(x) { return x * x; }
+        proc exnk(x) { return x + 1; }
+        proc main(n) {
+            var sq, hp;
+            sq = sq(n);
+            hp = exnk(sq);
+            try { raise E(hp); } except { E(exnk) => { sq = exnk + 1; } }
+            return sq;
+        }
+    "#;
+    check_everywhere(src, &[3], 11);
+    let src = "proc sq(x) { return x * x; } proc main(n) { var sq; sq = n; return sq; }";
+    check_everywhere(src, &[4], 4);
+    let src =
+        "proc main(exn_top) { var retk, yield; retk = exn_top + 1; yield = retk; return yield; }";
+    check_everywhere(src, &[4], 5);
+    check_everywhere("proc main(main) { return main + 1; }", &[4], 5);
+}
+
+#[test]
 fn plain_computation_without_exceptions() {
     let src = r#"
         proc fib(n) {

@@ -67,14 +67,6 @@ impl Lit {
             _ => f64::from_bits(self.bits),
         }
     }
-
-    /// Interprets the bit pattern as a signed integer of the literal's width.
-    pub fn as_signed(&self) -> i64 {
-        match self.ty {
-            Ty::Bits(w) => sign_extend(self.bits, w),
-            Ty::Float(_) => self.bits as i64,
-        }
-    }
 }
 
 impl fmt::Display for Lit {
@@ -519,16 +511,6 @@ impl Expr {
     /// `a == b`.
     pub fn eq(a: Expr, b: Expr) -> Expr {
         Expr::binary(BinOp::Eq, a, b)
-    }
-
-    /// `a != b`.
-    pub fn ne(a: Expr, b: Expr) -> Expr {
-        Expr::binary(BinOp::Ne, a, b)
-    }
-
-    /// Unsigned `a < b`.
-    pub fn lt(a: Expr, b: Expr) -> Expr {
-        Expr::binary(BinOp::LtU, a, b)
     }
 
     /// Visits every name mentioned in the expression.

@@ -158,12 +158,6 @@ impl Module {
     pub fn push_register(&mut self, r: GlobalReg) {
         self.decls.push(Decl::Register(r));
     }
-
-    /// Merges another module's declarations into this one (simple
-    /// "linking" for tests and front ends that emit several modules).
-    pub fn merge(&mut self, other: Module) {
-        self.decls.extend(other.decls);
-    }
 }
 
 #[cfg(test)]
@@ -198,15 +192,5 @@ mod tests {
         assert!(m.proc("g").is_none());
         assert!(m.data_block("d").is_some());
         assert_eq!(m.registers().count(), 1);
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let mut a = Module::new();
-        a.push_proc(Proc::new("f"));
-        let mut b = Module::new();
-        b.push_proc(Proc::new("g"));
-        a.merge(b);
-        assert_eq!(a.procs().count(), 2);
     }
 }

@@ -85,11 +85,6 @@ impl Proc {
             .map(|&(_, ty)| ty)
     }
 
-    /// Iterates over all declared variables (formals then locals).
-    pub fn all_vars(&self) -> impl Iterator<Item = &(Name, Ty)> {
-        self.formals.iter().chain(self.locals.iter())
-    }
-
     /// All continuation definitions in the body, in order of appearance.
     pub fn continuations(&self) -> Vec<(Name, Vec<Name>)> {
         let mut out = Vec::new();

@@ -107,24 +107,6 @@ impl Annotations {
         self
     }
 
-    /// Adds `also cuts to` continuations.
-    pub fn and_cuts_to<N: Into<Name>>(mut self, ks: impl IntoIterator<Item = N>) -> Annotations {
-        self.cuts_to.extend(ks.into_iter().map(Into::into));
-        self
-    }
-
-    /// Adds `also unwinds to` continuations.
-    pub fn and_unwinds_to<N: Into<Name>>(mut self, ks: impl IntoIterator<Item = N>) -> Annotations {
-        self.unwinds_to.extend(ks.into_iter().map(Into::into));
-        self
-    }
-
-    /// Adds `also returns to` continuations.
-    pub fn and_returns_to<N: Into<Name>>(mut self, ks: impl IntoIterator<Item = N>) -> Annotations {
-        self.returns_to.extend(ks.into_iter().map(Into::into));
-        self
-    }
-
     /// Adds a descriptor data block.
     pub fn and_descriptor(mut self, d: impl Into<Name>) -> Annotations {
         self.descriptors.push(d.into());
@@ -306,11 +288,11 @@ mod tests {
 
     #[test]
     fn annotations_builders_compose() {
-        let a = Annotations::cuts_to(["k1"])
-            .and_unwinds_to(["k2", "k3"])
-            .and_returns_to(["k4"])
+        let mut a = Annotations::cuts_to(["k1"])
             .and_aborts()
             .and_descriptor("d0");
+        a.unwinds_to = vec![Name::from("k2"), Name::from("k3")];
+        a.returns_to = vec![Name::from("k4")];
         assert_eq!(a.cuts_to, vec![Name::from("k1")]);
         assert_eq!(a.unwinds_to.len(), 2);
         assert_eq!(a.returns_to, vec![Name::from("k4")]);

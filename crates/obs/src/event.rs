@@ -203,13 +203,10 @@ pub enum Event {
     },
     /// A Table 1 operation.
     Rts(RtsOp),
-    /// A `cmm-chaos` intervention: an injected Table 1 fault or a
-    /// resource-governor limit trip. Instrumentation, not semantics —
-    /// excluded from the projection (governor trips are expressed in
-    /// engine-family units and need not align across families).
+    /// A `cmm-chaos` intervention: an injected Table 1 fault.
+    /// Instrumentation, not semantics — excluded from the projection.
     Chaos {
-        /// What was injected or tripped, e.g. `"fault resume #2"` or
-        /// `"limit stack-depth"`.
+        /// What was injected, e.g. `"fault resume #2"`.
         what: String,
     },
 }

@@ -9,9 +9,9 @@
 //! actionable either. The flight recorder is the middle ground: the
 //! ring holds the final control transfers (the part of the stream a
 //! post-mortem actually reads), while the tally covers the whole run in
-//! constant memory. When a job ends in Wrong, a panic, an injected
-//! chaos fault, or a governor trip, [`FlightRecorder::dump`] renders
-//! the post-mortem artifact.
+//! constant memory. When a job ends in Wrong, a panic or an injected
+//! chaos fault, [`FlightRecorder::dump`] renders the post-mortem
+//! artifact.
 //!
 //! The batch layer lends the recorder to an engine as `&mut` inside
 //! its panic boundary, so the recording survives even if the engine

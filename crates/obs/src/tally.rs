@@ -41,9 +41,8 @@ pub struct Tally {
     /// Successful cut-class resumptions.
     pub cut_resumes: u64,
     /// Chaos interventions by description with the invocation ordinal
-    /// stripped: `"fault resume #2"` tallies under `"fault resume"`,
-    /// `"limit stack-depth"` under itself. Bounded by the op/resource
-    /// vocabulary, not the run length.
+    /// stripped: `"fault resume #2"` tallies under `"fault resume"`.
+    /// Bounded by the op vocabulary, not the run length.
     pub chaos: BTreeMap<String, u64>,
 }
 
@@ -104,24 +103,6 @@ impl Tally {
     /// Chaos interventions of every kind.
     pub fn chaos_events(&self) -> u64 {
         self.chaos.values().sum()
-    }
-
-    /// Injected Table 1 faults (chaos `fault` events).
-    pub fn chaos_faults(&self) -> u64 {
-        self.chaos_with_prefix("fault ")
-    }
-
-    /// Resource-governor limit trips (chaos `limit` events).
-    pub fn governor_trips(&self) -> u64 {
-        self.chaos_with_prefix("limit ")
-    }
-
-    fn chaos_with_prefix(&self, prefix: &str) -> u64 {
-        self.chaos
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, n)| n)
-            .sum()
     }
 
     /// Events by kind, under the registry's `kind` labels.
@@ -213,7 +194,7 @@ mod tests {
         t.record(&resume(ResumeKind::Unwind, true));
         t.record(&resume(ResumeKind::Cut, true));
         t.record(&resume(ResumeKind::Normal, false));
-        for what in ["fault resume #2", "fault resume #5", "limit stack-depth"] {
+        for what in ["fault resume #2", "fault resume #5"] {
             t.record(&Event::Chaos { what: what.into() });
         }
         let resume_op = RtsOp::Resume {
@@ -229,7 +210,6 @@ mod tests {
         );
         assert_eq!(t.mechanisms()[0], ("cut", 1));
         assert_eq!(t.chaos["fault resume"], 2);
-        assert_eq!((t.chaos_faults(), t.governor_trips()), (2, 1));
-        assert_eq!(t.chaos_events(), 3);
+        assert_eq!(t.chaos_events(), 2);
     }
 }

@@ -301,7 +301,7 @@ pub struct JobRecord {
 /// [`BatchConfig::metrics`], for every job that ran and then failed as
 /// [`BatchReport::failing_jobs`] counts failure (a group that did not
 /// compile never ran, so it leaves nothing to dump), and for any job
-/// that saw an injected chaos fault or a governor trip.
+/// that saw an injected chaos fault.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Postmortem {
     /// Submission index of the failed job.
@@ -504,7 +504,7 @@ fn failed(outcome: &str) -> bool {
 /// total, read as 1 instruction = 1 virtual ns) and the checkpoint
 /// totals cover every job, compile errors and panics included. A traced
 /// job's `tally` adds engine events by kind, Table 1 ops, dispatch
-/// mechanisms and chaos/governor interventions, keyed by its exception
+/// mechanisms and injected chaos faults, keyed by its exception
 /// technique. Every key is registered even at zero so the exported
 /// label set is a function of the job set, not of which paths fired.
 fn write_metrics(reg: &MetricsRegistry, spec: &JobSpec, rec: &JobRecord, tally: Option<&Tally>) {
@@ -581,14 +581,6 @@ fn write_metrics(reg: &MetricsRegistry, spec: &JobSpec, rec: &JobRecord, tally: 
                 det,
             )
             .add(n);
-        } else if let Some(resource) = what.strip_prefix("limit ") {
-            reg.counter(
-                "cmm_governor_trips_total",
-                &[("resource", resource)],
-                "Resource-governor limit trips by resource",
-                det,
-            )
-            .add(n);
         }
     }
 }
@@ -625,9 +617,7 @@ fn run_one(
             RunObs::failed("panicked", panic_text(payload.as_ref()))
         }
     };
-    let dump = failed(&obs.outcome)
-        || flight.tally.chaos_faults() > 0
-        || flight.tally.governor_trips() > 0;
+    let dump = failed(&obs.outcome) || flight.tally.chaos_events() > 0;
     let pm = dump.then(|| {
         let header = format!(
             "job {id} `{}` [{} {}] outcome: {}{}{}",
@@ -693,7 +683,6 @@ fn record(id: usize, spec: &JobSpec, obs: RunObs) -> JobRecord {
 fn governor(spec: &JobSpec) -> ResourceGovernor {
     ResourceGovernor {
         fuel_slice: Some(spec.fuel),
-        ..ResourceGovernor::unlimited()
     }
 }
 
@@ -720,7 +709,7 @@ fn execute<S: TraceSink>(
         .image()
         .expect("engine_code holds the engine's program");
     let setup = Setup {
-        governor: Some(governor(spec)),
+        governor: governor(spec),
         chaos: spec.chaos.map(FaultPlan::seeded),
         arenas: Some(arenas),
     };

@@ -15,9 +15,8 @@
 //! cleared on recycle, so a machine built from an arena starts from
 //! exactly the state a fresh one would. Clearing keeps capacity —
 //! that retained capacity is the entire point — and capacity is not
-//! observable in any oracle (the governor's footprint figures count
-//! live entries, not reserved slots). The engine-equivalence suite
-//! locks the fresh-vs-recycled equality in.
+//! observable in any oracle. The engine-equivalence suite locks the
+//! fresh-vs-recycled equality in.
 //!
 //! The reference machine's frames borrow the program they run, so its
 //! stack, and the environments its frames hold, are not banked.

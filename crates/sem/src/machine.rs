@@ -5,8 +5,7 @@ use crate::state::{call_bundle, ContTable, Env, Frame, NodeRef};
 use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{Graph, Node, NodeId, Program};
-use cmm_chaos::{LimitTrip, ResourceGovernor};
-use cmm_ir::expr::sign_extend;
+use cmm_chaos::ResourceGovernor;
 use cmm_ir::{BinOp, Expr, FWidth, Lit, Lvalue, Name, Ty, Width};
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::collections::{BTreeSet, HashMap};
@@ -86,7 +85,7 @@ pub struct Machine<'p, S: TraceSink = NopSink> {
     status: Status,
     /// Number of transitions taken so far (for cost measurements).
     pub steps: u64,
-    governor: Option<ResourceGovernor>,
+    governor: ResourceGovernor,
     sink: S,
 }
 
@@ -139,7 +138,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             conts,
             status: Status::Idle,
             steps: 0,
-            governor: None,
+            governor: ResourceGovernor::unlimited(),
             sink,
         }
     }
@@ -163,33 +162,10 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         arena.conts = conts;
     }
 
-    /// Installs a resource governor: depth and memory limits are
-    /// enforced at the matching transition rules, and `run`'s fuel is
-    /// clipped to the governor's per-resume slice. Both abstract-machine
-    /// engines place the checks at identical transitions, so a governed
-    /// pair stays observationally equal.
+    /// Installs a resource governor: `run`'s fuel is clipped to the
+    /// governor's per-resume slice.
     pub fn set_governor(&mut self, g: ResourceGovernor) {
-        self.governor = Some(g);
-    }
-
-    /// The installed governor, if any.
-    pub fn governor(&self) -> Option<&ResourceGovernor> {
-        self.governor.as_ref()
-    }
-
-    /// Emits the chaos event for a limit trip (when tracing) and builds
-    /// the `Wrong` that reports it.
-    #[cold]
-    pub(crate) fn limit_wrong(&mut self, trip: LimitTrip, observed: u64) -> Wrong {
-        if S::ENABLED {
-            self.emit(Event::Chaos {
-                what: format!("limit {trip}"),
-            });
-        }
-        Wrong::LimitTripped {
-            limit: trip.to_string(),
-            observed,
-        }
+        self.governor = g;
     }
 
     /// The trace sink (to read back recorded events or counters).
@@ -255,14 +231,10 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         u
     }
 
-    /// Runs up to `fuel` transitions; returns the resulting status.
-    /// A governed machine additionally clips `fuel` to the governor's
-    /// per-resume slice.
+    /// Runs up to `fuel` transitions, clipped to the governor's
+    /// per-resume slice; returns the resulting status.
     pub fn run(&mut self, fuel: u64) -> Status {
-        let fuel = match &self.governor {
-            Some(g) => g.slice(fuel),
-            None => fuel,
-        };
+        let fuel = self.governor.slice(fuel);
         if matches!(self.status, Status::OutOfFuel) {
             self.status = Status::Running;
         }
@@ -398,12 +370,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                         let addr = self.eval_bits(a)?.1;
                         let bits = self.flatten(v)?;
                         self.store(*ty, addr, bits);
-                        if let Some(g) = self.governor {
-                            let bytes = self.mem.len();
-                            if let Some(trip) = g.check_memory(bytes) {
-                                return Err(self.limit_wrong(trip, bytes as u64));
-                            }
-                        }
                     }
                 }
                 self.node = *next;
@@ -419,12 +385,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             // the call site, whose node holds the bundle Γ.
             Node::Call { callee, .. } => {
                 let target = self.resolve_code(callee)?;
-                if let Some(g) = self.governor {
-                    let depth = self.stack.len() + 1;
-                    if let Some(trip) = g.check_depth(depth) {
-                        return Err(self.limit_wrong(trip, depth as u64));
-                    }
-                }
                 if S::ENABLED {
                     self.emit(Event::Call {
                         caller: g.name.clone(),
@@ -856,14 +816,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             a += 1;
         }
     }
-
-    /// Interprets a `Bits` value as a signed integer of its width.
-    pub fn as_signed(v: &Value) -> Option<i64> {
-        match v {
-            Value::Bits(w, b) => Some(sign_extend(*b, *w)),
-            _ => None,
-        }
-    }
 }
 
 /// Parameter count of the continuation at `node` of `g`, if it is a
@@ -986,9 +938,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     ///
     /// Explicitly-written zero bytes are not distinguishable from
     /// untouched memory after a restore (the canonical memory form
-    /// elides them); a `max_memory_bytes` governor counts written
-    /// bytes, so reinstalled governors should be used with snapshots
-    /// only for fuel slicing.
+    /// elides them).
     ///
     /// # Errors
     ///

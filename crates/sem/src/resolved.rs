@@ -49,7 +49,7 @@ use crate::state::{ContTable, NodeRef};
 use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{Bundle, Graph, Node, NodeId, Program};
-use cmm_chaos::{LimitTrip, ResourceGovernor};
+use cmm_chaos::ResourceGovernor;
 use cmm_ir::{BinOp, Expr, Lvalue, Name, Ty, UnOp, Width};
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::collections::HashMap;
@@ -526,7 +526,7 @@ pub struct ResolvedMachine<'p, S: TraceSink = NopSink> {
     status: Status,
     /// Number of transitions taken so far (for cost measurements).
     pub steps: u64,
-    governor: Option<ResourceGovernor>,
+    governor: ResourceGovernor,
     sink: S,
 }
 
@@ -581,7 +581,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             spare,
             status: Status::Idle,
             steps: 0,
-            governor: None,
+            governor: ResourceGovernor::unlimited(),
             sink,
         }
     }
@@ -622,31 +622,10 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     }
 
     /// Installs a resource governor (see
-    /// [`Machine::set_governor`](crate::Machine::set_governor)): checks
-    /// sit at exactly the reference machine's transitions, preserving
-    /// observational equality for governed pairs.
+    /// [`Machine::set_governor`](crate::Machine::set_governor)): `run`'s
+    /// fuel is clipped to its per-resume slice.
     pub fn set_governor(&mut self, g: ResourceGovernor) {
-        self.governor = Some(g);
-    }
-
-    /// The installed governor, if any.
-    pub fn governor(&self) -> Option<&ResourceGovernor> {
-        self.governor.as_ref()
-    }
-
-    /// Emits the chaos event for a limit trip (when tracing) and builds
-    /// the `Wrong` that reports it.
-    #[cold]
-    fn limit_wrong(&mut self, trip: LimitTrip, observed: u64) -> Wrong {
-        if S::ENABLED {
-            self.emit(Event::Chaos {
-                what: format!("limit {trip}"),
-            });
-        }
-        Wrong::LimitTripped {
-            limit: trip.to_string(),
-            observed,
-        }
+        self.governor = g;
     }
 
     /// The trace sink (to read back recorded events or counters).
@@ -716,14 +695,10 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         Ok(())
     }
 
-    /// Runs up to `fuel` transitions; returns the resulting status.
-    /// A governed machine additionally clips `fuel` to the governor's
-    /// per-resume slice.
+    /// Runs up to `fuel` transitions, clipped to the governor's
+    /// per-resume slice; returns the resulting status.
     pub fn run(&mut self, fuel: u64) -> Status {
-        let fuel = match &self.governor {
-            Some(g) => g.slice(fuel),
-            None => fuel,
-        };
+        let fuel = self.governor.slice(fuel);
         if matches!(self.status, Status::OutOfFuel) {
             self.status = Status::Running;
         }
@@ -859,12 +834,6 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 let a = self.eval_bits(addr)?.1;
                 let bits = self.flatten(v)?;
                 self.store(*ty, a, bits);
-                if let Some(g) = self.governor {
-                    let bytes = self.mem.len();
-                    if let Some(trip) = g.check_memory(bytes) {
-                        return Err(self.limit_wrong(trip, bytes as u64));
-                    }
-                }
                 self.cur_node = *next;
                 Ok(())
             }
@@ -875,12 +844,6 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             }
             RNode::Call { callee, .. } => {
                 let target = self.resolve_code(callee)?;
-                if let Some(g) = self.governor {
-                    let depth = self.stack.len() + 1;
-                    if let Some(trip) = g.check_depth(depth) {
-                        return Err(self.limit_wrong(trip, depth as u64));
-                    }
-                }
                 if S::ENABLED {
                     let callee_name = match &target {
                         Ok(idx) => self.rp.procs[*idx].name.clone(),
@@ -1740,7 +1703,7 @@ mod tests {
     "#;
 
     /// Runs `f(1000)` on both engines under one governor and asserts
-    /// they trip the same limit at the same transition.
+    /// they stop at the same transition.
     fn both_governed(src: &str, g: ResourceGovernor) -> Status {
         let p = prog(src);
         let rp = ResolvedProgram::new(&p);
@@ -1758,50 +1721,9 @@ mod tests {
     }
 
     #[test]
-    fn governor_depth_limit_trips_identically_on_both_engines() {
-        let g = ResourceGovernor {
-            max_depth: Some(40),
-            ..ResourceGovernor::unlimited()
-        };
-        match both_governed(DEEP, g) {
-            Status::Wrong(Wrong::LimitTripped { limit, observed }) => {
-                assert_eq!(limit, "stack-depth");
-                assert!(observed > 40);
-            }
-            other => panic!("expected a depth trip, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn governor_memory_limit_trips_identically_on_both_engines() {
-        let src = r#"
-            data base { bits32 0; }
-            f(bits32 n) {
-                bits32 i;
-                i = 0;
-              loop:
-                if i == n { return (i); }
-                else { bits32[base + i * 4] = i; i = i + 1; goto loop; }
-            }
-        "#;
-        let g = ResourceGovernor {
-            max_memory_bytes: Some(64),
-            ..ResourceGovernor::unlimited()
-        };
-        match both_governed(src, g) {
-            Status::Wrong(Wrong::LimitTripped { limit, observed }) => {
-                assert_eq!(limit, "memory");
-                assert!(observed > 64);
-            }
-            other => panic!("expected a memory trip, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn governor_fuel_slice_clips_each_run_call() {
         let g = ResourceGovernor {
             fuel_slice: Some(10),
-            ..ResourceGovernor::unlimited()
         };
         assert_eq!(both_governed(DEEP, g), Status::OutOfFuel);
     }

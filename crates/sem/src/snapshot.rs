@@ -31,7 +31,7 @@
 //! additionally carries a source digest), the trace sink (a resumed
 //! machine starts with a fresh sink; its clock continues from the
 //! restored `steps`), and the resource governor (pure configuration,
-//! reinstalled by the driver).
+//! installed on each machine as it is built).
 
 use crate::state::NodeRef;
 use crate::value::Value;

@@ -66,14 +66,6 @@ pub enum Wrong {
         /// The 1-based invocation count at which it tripped.
         invocation: u64,
     },
-    /// A `cmm-chaos` resource-governor limit tripped (stack depth or
-    /// memory), expressed in this engine family's units.
-    LimitTripped {
-        /// Which limit (`"stack-depth"` or `"memory"`).
-        limit: String,
-        /// The observed figure that exceeded the limit.
-        observed: u64,
-    },
 }
 
 impl fmt::Display for Wrong {
@@ -107,9 +99,6 @@ impl fmt::Display for Wrong {
             Wrong::NotRunnable => write!(f, "machine is not in a runnable state"),
             Wrong::ChaosFault { op, invocation } => {
                 write!(f, "chaos: injected fault in {op} at invocation {invocation}")
-            }
-            Wrong::LimitTripped { limit, observed } => {
-                write!(f, "chaos: {limit} limit tripped at {observed}")
             }
         }
     }

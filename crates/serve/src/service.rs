@@ -988,7 +988,6 @@ impl SliceJob {
     fn governor(&self) -> ResourceGovernor {
         ResourceGovernor {
             fuel_slice: Some(self.slice_fuel),
-            ..ResourceGovernor::unlimited()
         }
     }
 
@@ -1029,7 +1028,7 @@ fn run_slice(cache: &PipelineCache, job: &SliceJob, arenas: &mut Arenas) -> Slic
         Err(e) => return done("compile-error", e, 1),
     };
     let setup = Setup {
-        governor: Some(job.governor()),
+        governor: job.governor(),
         arenas: Some(arenas),
         ..Setup::default()
     };

@@ -18,8 +18,9 @@
 //! program it was taken over (the same identity the compilation cache
 //! keys its artifacts under), the drive-loop position (entry procedure,
 //! arguments, remaining fuel, yields completed), and the
-//! reproducibility baggage — the resource-governor configuration and
-//! the chaos fault-plan state, so an interrupted chaos run resumes
+//! reproducibility baggage — the resource governor the run was driven
+//! under, recorded for the reader (nothing reinstalls it on resume),
+//! and the chaos fault-plan state, so an interrupted chaos run resumes
 //! mid-schedule and injects exactly the faults the uninterrupted run
 //! would.
 //!
@@ -35,7 +36,8 @@
 //!                    strategy, optimization options, engine family
 //! meta         entry str · args vec<u64> · fuel_remaining u64 ·
 //!              yields_done u64 · opt bool
-//! governor     option of 4 optional limits
+//! governor     option of 4 optional limits: max-depth, max-memory and
+//!              stack-floor, always absent, then the fuel slice
 //! chaos        option of fault-plan state (seed, schedule, counters, log)
 //! state        tagged payload: 0 = sem state, 1 = vm state
 //! checksum     u64   word-at-a-time sum of every preceding byte
@@ -46,8 +48,11 @@
 //! of the nonzero registers (bit `i` for register `i`) followed by
 //! their values in register order, so a zero register costs one bit;
 //! the decoder refuses a masked register whose value is zero, so every
-//! state still has exactly one encoding. Memory travels as
-//! `(address, byte)` pairs, zero bytes elided.
+//! state still has exactly one encoding. For the same reason it refuses
+//! a governor whose max-depth, max-memory or stack-floor slot is
+//! present: no engine enforces those limits, so the encoder always
+//! writes them absent. Memory travels as `(address, byte)` pairs, zero
+//! bytes elided.
 //!
 //! The checksum folds in each little-endian 8-byte word with an xor, a
 //! multiply by an odd constant and a rotate, then the zero-padded tail
@@ -98,6 +103,10 @@ pub const MAGIC: [u8; 8] = *b"cmmsnap\0";
 pub const VERSION: u32 = 2;
 
 pub use cmm_chaos::{EngineId, Family};
+
+/// The governor slots ahead of the fuel slice that no engine enforces:
+/// written absent, and refused by name when present.
+const ABSENT_LIMITS: [&str; 3] = ["max-depth", "max-memory", "stack-floor"];
 
 /// The wire tag of each engine (the `engine` byte of the format).
 fn engine_tag(e: EngineId) -> u8 {
@@ -207,7 +216,8 @@ pub struct Snapshot {
     pub digest: Digest,
     /// Drive-loop position.
     pub meta: SnapMeta,
-    /// Resource-governor configuration to reinstall on resume.
+    /// The resource governor the run was driven under: recorded, but
+    /// nothing reinstalls it on resume.
     pub governor: Option<ResourceGovernor>,
     /// Chaos fault-plan state: restoring it resumes the fault schedule
     /// mid-flight.
@@ -294,9 +304,9 @@ impl Snapshot {
             None => e.u8(0),
             Some(g) => {
                 e.u8(1);
-                e.opt_u64(g.max_depth.map(|v| v as u64));
-                e.opt_u64(g.max_memory_bytes.map(|v| v as u64));
-                e.opt_u64(g.stack_floor);
+                for _ in ABSENT_LIMITS {
+                    e.opt_u64(None);
+                }
                 e.opt_u64(g.fuel_slice);
             }
         }
@@ -372,15 +382,13 @@ impl Snapshot {
         let yields_done = d.u64()?;
         let opt = d.bool("opt")?;
         let governor = if d.bool("governor")? {
-            let max_depth = opt_usize(d.opt_u64("max-depth")?, "max-depth")?;
-            let max_memory_bytes = opt_usize(d.opt_u64("max-memory")?, "max-memory")?;
-            let stack_floor = d.opt_u64("stack-floor")?;
-            let fuel_slice = d.opt_u64("fuel-slice")?;
+            for what in ABSENT_LIMITS {
+                if d.bool(what)? {
+                    return Err(SnapError::BadTag { what, tag: 1 });
+                }
+            }
             Some(ResourceGovernor {
-                max_depth,
-                max_memory_bytes,
-                stack_floor,
-                fuel_slice,
+                fuel_slice: d.opt_u64("fuel-slice")?,
             })
         } else {
             None
@@ -480,15 +488,6 @@ impl Snapshot {
             requested.name(),
             requested.family().name(),
         ))
-    }
-}
-
-fn opt_usize(v: Option<u64>, what: &'static str) -> Result<Option<usize>, SnapError> {
-    match v {
-        None => Ok(None),
-        Some(x) => usize::try_from(x)
-            .map(Some)
-            .map_err(|_| SnapError::TooLong { what, len: x }),
     }
 }
 
@@ -813,9 +812,6 @@ mod tests {
                 opt: false,
             },
             governor: Some(ResourceGovernor {
-                max_depth: Some(64),
-                max_memory_bytes: None,
-                stack_floor: Some(0x8000),
                 fuel_slice: Some(128),
             }),
             chaos: Some(FaultPlanState {
@@ -993,6 +989,53 @@ mod tests {
             Snapshot::decode(&body).unwrap_err(),
             SnapError::ZeroRegister(1)
         );
+    }
+
+    /// The offset of a blob's governor presence byte: the envelope
+    /// fields before it are magic, version, engine, digest and `meta`.
+    fn governor_offset(meta: &SnapMeta) -> usize {
+        8 + 4 + 1 + 16 + (4 + meta.entry.len()) + (4 + 8 * meta.args.len()) + 8 + 8 + 1
+    }
+
+    /// A governor that sets only the fuel slice, as batch jobs and serve
+    /// threads record it, round-trips byte-identically and travels as
+    /// three absent slots and the slice.
+    #[test]
+    fn a_fuel_slice_governor_round_trips() {
+        let mut snap = vm_snapshot();
+        snap.governor = Some(ResourceGovernor {
+            fuel_slice: Some(4096),
+        });
+        let bytes = snap.encode();
+        let decoded = Snapshot::decode(&bytes).unwrap();
+        assert_eq!(decoded, snap);
+        assert_eq!(decoded.encode(), bytes, "re-encoding diverged");
+        let off = governor_offset(&snap.meta);
+        let mut want = vec![1, 0, 0, 0, 1];
+        want.extend_from_slice(&4096u64.to_le_bytes());
+        assert_eq!(bytes[off..off + want.len()], want[..]);
+    }
+
+    /// A blob that sets a max-depth, max-memory or stack-floor slot is
+    /// refused with a tag error naming the slot. The blob is re-summed,
+    /// so only the parser can catch it.
+    #[test]
+    fn a_present_absent_limit_slot_is_refused_by_name() {
+        let snap = sem_snapshot();
+        let bytes = snap.encode();
+        let off = governor_offset(&snap.meta);
+        for (k, slot) in ABSENT_LIMITS.into_iter().enumerate() {
+            let mut body = bytes[..bytes.len() - 8].to_vec();
+            let at = off + 1 + k;
+            assert_eq!(body[at], 0, "{slot} slot written present");
+            body[at] = 1;
+            body.splice(at + 1..at + 1, 64u64.to_le_bytes());
+            let sum = wire::checksum(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            let err = Snapshot::decode(&body).unwrap_err();
+            assert_eq!(err, SnapError::BadTag { what: slot, tag: 1 });
+            assert!(err.to_string().contains(slot), "{err}");
+        }
     }
 
     /// A blob whose engine byte and state payload disagree is rejected

@@ -122,14 +122,6 @@ impl VmProgram {
         self.proc_meta[..i].last().filter(|m| m.contains(pc))
     }
 
-    /// Number of instructions generated for a procedure.
-    pub fn proc_len(&self, name: &str) -> Option<u32> {
-        self.proc_meta
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.end - m.entry)
-    }
-
     /// The graph node whose code contains `pc`, with its procedure: the
     /// source statement behind a machine fault or trace event. `None`
     /// for pcs outside generated node code (halt vector, prologues, the
@@ -963,7 +955,6 @@ mod tests {
             "#,
         );
         assert!(vp.entries.contains_key("sp1"));
-        assert!(vp.proc_len("sp1").unwrap() > 10);
         assert_eq!(vp.code[0], Inst::Halt);
         assert!(
             vp.entries["sp1"] >= 8,

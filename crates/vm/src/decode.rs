@@ -28,7 +28,7 @@
 
 use crate::codegen::VmProgram;
 use crate::isa::{regs, Inst};
-use crate::machine::{name_at, Cost, VmMachine, VmStatus};
+use crate::machine::{name_at, VmMachine, VmStatus};
 use cmm_chaos::EngineId;
 use cmm_ir::expr::sign_extend;
 use cmm_ir::{BinOp, Width};
@@ -465,36 +465,17 @@ fn bin32_eval(op: DOp, x: u64, y: u64) -> u64 {
 }
 
 impl<S: TraceSink> VmMachine<'_, S> {
-    /// Executes the rows of a [`DOp::WriteRun`] window. `base` is the
-    /// cost at the window head (head dispatch already charged); the
-    /// caller charges the rows' totals arithmetically on success, so
-    /// the hot dispatch loop never leaks `cost`'s address into this
-    /// call. Returns `false` (with pc/cost/status flushed to the
-    /// plain-stream trip point) if a governor trip ended the slice at
-    /// one of the rows' stores. Kept out of line so the dispatch loop's
-    /// hot arms stay compact.
+    /// Executes the rows of a [`DOp::WriteRun`] window. The caller
+    /// charges their costs arithmetically, so the hot dispatch loop
+    /// never leaks `cost`'s address into this call. Kept out of line so
+    /// the dispatch loop's hot arms stay compact.
     #[inline(never)]
-    fn write_run_rows(&mut self, steps: &[FieldStep], mut base: Cost, pc: u32) -> bool {
+    fn write_run_rows(&mut self, steps: &[FieldStep]) {
         const RM: usize = crate::isa::regs::NUM_REGS - 1;
-        for (i, s) in steps.iter().enumerate() {
+        for s in steps {
             let addr = (self.regs[s.b as usize & RM] as u32).wrapping_add(s.off1);
             self.mem
                 .write_wide(Width::W32, addr, self.regs[s.a as usize & RM]);
-            if let Some(g) = self.governor {
-                let bytes = self.mem.mapped_bytes();
-                if let Some(trip) = g.check_memory(bytes) {
-                    // Row i's store is the (5i + 1)-th instruction of
-                    // the window; reconstruct the plain-stream
-                    // observation at that point.
-                    base.instructions += 5 * i as u64;
-                    base.stores += i as u64 + 1;
-                    base.loads += i as u64;
-                    self.pc = pc + 5 * i as u32;
-                    self.cost = base;
-                    self.trip_limit(trip, bytes as u64);
-                    return false;
-                }
-            }
             self.regs[s.a as usize & RM] = self.regs[s.c as usize & RM];
             let addr2 = (self.regs[s.d as usize & RM] as u32).wrapping_add(s.off2);
             self.regs[s.e as usize & RM] = self.mem.read_wide(Width::W32, addr2);
@@ -505,14 +486,11 @@ impl<S: TraceSink> VmMachine<'_, S> {
                 self.regs[s.g as usize & RM],
             );
         }
-        true
     }
 
-    /// Executes the rows of a [`DOp::ReadRun`] window. No governed
-    /// transitions occur inside (loads never trip the governor), so
-    /// the caller charges all cost arithmetically and this never ends
-    /// the slice. Kept out of line so the dispatch loop's hot arms
-    /// stay compact.
+    /// Executes the rows of a [`DOp::ReadRun`] window; the caller
+    /// charges their costs arithmetically. Kept out of line so the
+    /// dispatch loop's hot arms stay compact.
     #[inline(never)]
     fn read_run_rows(&mut self, steps: &[FieldStep]) {
         const RM: usize = crate::isa::regs::NUM_REGS - 1;
@@ -531,7 +509,7 @@ impl<S: TraceSink> VmMachine<'_, S> {
 
     /// Runs up to `fuel` instructions over `code`, decoded or fused.
     /// Exactly the semantics (status transitions, costs, error strings,
-    /// trace events, governor trips) of the reference
+    /// trace events) of the reference
     /// [`VmMachine::run`]/`step` loop, with the program counter and
     /// cost counters held in locals, one flat match per dispatch, and a
     /// whole window retired per dispatch where the fusion pass formed
@@ -568,34 +546,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                 self.status = $status;
                 return self.status.clone();
             }};
-        }
-        // Governor checks at the same transition points as `step`:
-        // mapped-page bytes after a store, the stack floor at a call.
-        macro_rules! govern_mem {
-            ($at:expr) => {
-                if let Some(g) = self.governor {
-                    let bytes = self.mem.mapped_bytes();
-                    if let Some(trip) = g.check_memory(bytes) {
-                        self.pc = $at;
-                        self.cost = cost;
-                        self.trip_limit(trip, bytes as u64);
-                        return self.status.clone();
-                    }
-                }
-            };
-        }
-        macro_rules! govern_sp {
-            ($at:expr) => {
-                if let Some(g) = self.governor {
-                    let sp = self.regs[regs::SP as usize];
-                    if let Some(trip) = g.check_sp(sp) {
-                        self.pc = $at;
-                        self.cost = cost;
-                        self.trip_limit(trip, sp);
-                        return self.status.clone();
-                    }
-                }
-            };
         }
         // One ALU step for the polymorphic windows, selected by the
         // plain opcode recorded in `sel`.
@@ -648,9 +598,9 @@ impl<S: TraceSink> VmMachine<'_, S> {
             // charge and finishes the slice on the reference `step`, one
             // original instruction at a time, so partial-window state is
             // exactly the plain stream's. Charging the interior slots'
-            // `cost.instructions` is left to the arm, so governor trips
-            // observe the same cost the plain stream would at the same
-            // transition.
+            // costs is left to the arm, which must finish it before any
+            // trace event, so the event carries the cost-clock stamp the
+            // plain stream would give it.
             macro_rules! win {
                 ($w:expr) => {{
                     win!($w, jump);
@@ -749,25 +699,21 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     cost.stores += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W8, addr, r!(i.a));
-                    govern_mem!(pc);
                 }
                 DOp::Store16 => {
                     cost.stores += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W16, addr, r!(i.a));
-                    govern_mem!(pc);
                 }
                 DOp::Store32 => {
                     cost.stores += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W32, addr, r!(i.a));
-                    govern_mem!(pc);
                 }
                 DOp::Store64 => {
                     cost.stores += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W64, addr, r!(i.a));
-                    govern_mem!(pc);
                 }
                 DOp::Bz => {
                     cost.branches += 1;
@@ -799,7 +745,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                 DOp::Call => {
                     cost.branches += 1;
                     cost.calls += 1;
-                    govern_sp!(pc);
                     if S::ENABLED {
                         let e = Event::Call {
                             caller: name_at(prog, pc),
@@ -813,7 +758,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                 DOp::CallR => {
                     cost.branches += 1;
                     cost.calls += 1;
-                    govern_sp!(pc);
                     match self.code_target(r!(i.a)) {
                         Ok(t) => {
                             if S::ENABLED {
@@ -878,7 +822,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!(i.a) = u64::from(v);
                     let addr = (r!(i.d) as u32).wrapping_add(i.imm2);
                     self.mem.write_wide(Width::W32, addr, r!(i.c));
-                    govern_mem!(pc + 1);
                 }
                 DOp::MovCall => {
                     win!(2, jump);
@@ -886,7 +829,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!(i.a) = r!(i.b);
                     cost.branches += 1;
                     cost.calls += 1;
-                    govern_sp!(pc + 1);
                     if S::ENABLED {
                         let e = Event::Call {
                             caller: name_at(prog, pc + 1),
@@ -974,7 +916,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!(i.a) = u64::from(i.imm);
                     let addr = (r!(i.d) as u32).wrapping_add(i.imm2);
                     self.mem.write_wide(Width::W32, addr, r!(i.c));
-                    govern_mem!(pc + 1);
                 }
                 DOp::LiBin32 => {
                     win!(2);
@@ -1008,37 +949,31 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!(i.a) = self.mem.read_wide(Width::W32, addr);
                     let addr2 = (r!(i.d) as u32).wrapping_add(i.imm2);
                     self.mem.write_wide(Width::W32, addr2, r!(i.c));
-                    govern_mem!(pc + 1);
                 }
                 DOp::Store32Mov => {
                     win!(2);
+                    cost.instructions += 1;
                     cost.stores += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W32, addr, r!(i.a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
                     r!(i.c) = r!(i.d);
                 }
                 DOp::Store32Li => {
                     win!(2);
+                    cost.instructions += 1;
                     cost.stores += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W32, addr, r!(i.a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
                     r!(i.c) = u64::from(i.imm2);
                 }
                 DOp::Store32Store32 => {
                     win!(2);
-                    cost.stores += 1;
+                    cost.instructions += 1;
+                    cost.stores += 2;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W32, addr, r!(i.a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
-                    cost.stores += 1;
                     let addr2 = (r!(i.d) as u32).wrapping_add(i.imm2);
                     self.mem.write_wide(Width::W32, addr2, r!(i.c));
-                    govern_mem!(pc + 1);
                 }
                 DOp::Bin32Store32 => {
                     win!(2);
@@ -1047,7 +982,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     alu!(i.sel, i.a, i.b, i.c, 0u32);
                     let addr = (r!(i.d) as u32).wrapping_add(i.imm2);
                     self.mem.write_wide(Width::W32, addr, r!(i.a));
-                    govern_mem!(pc + 1);
                 }
                 DOp::Bin32Mov => {
                     win!(2);
@@ -1064,12 +998,11 @@ impl<S: TraceSink> VmMachine<'_, S> {
                 }
                 DOp::Store32Load32 => {
                     win!(2);
+                    cost.instructions += 1;
                     cost.stores += 1;
+                    cost.loads += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm);
                     self.mem.write_wide(Width::W32, addr, r!(i.a));
-                    govern_mem!(pc);
-                    cost.instructions += 1;
-                    cost.loads += 1;
                     let addr2 = (r!(i.d) as u32).wrapping_add(i.imm2);
                     r!(i.c) = self.mem.read_wide(Width::W32, addr2);
                 }
@@ -1123,7 +1056,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!(i.c) = r!(i.d);
                     cost.branches += 1;
                     cost.calls += 1;
-                    govern_sp!(pc + 2);
                     if S::ENABLED {
                         let e = Event::Call {
                             caller: name_at(prog, pc + 2),
@@ -1143,7 +1075,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!(i.c) = r!(i.d);
                     cost.branches += 1;
                     cost.calls += 1;
-                    govern_sp!(pc + 2);
                     if S::ENABLED {
                         let e = Event::Call {
                             caller: name_at(prog, pc + 2),
@@ -1202,18 +1133,16 @@ impl<S: TraceSink> VmMachine<'_, S> {
                 }
                 DOp::Load32LiBin32Store32Jmp => {
                     win!(5, jump);
-                    cost.instructions += 3;
+                    cost.instructions += 4;
                     cost.loads += 1;
+                    cost.stores += 1;
+                    cost.branches += 1;
                     let addr = (r!(i.b) as u32).wrapping_add(i.imm & 0xffff);
                     r!(i.a) = self.mem.read_wide(Width::W32, addr);
                     r!(i.c) = u64::from(i.imm2 >> 24);
                     alu!(i.sel, i.d, i.a, i.c, 0u32);
-                    cost.stores += 1;
                     let saddr = (r!(i.b) as u32).wrapping_add(i.imm >> 16);
                     self.mem.write_wide(Width::W32, saddr, r!(i.d));
-                    govern_mem!(pc + 3);
-                    cost.instructions += 1;
-                    cost.branches += 1;
                     let target = i.imm2 & 0xff_ffff;
                     if S::ENABLED {
                         self.emit_jmp_site(cost.total(), pc + 4, target);
@@ -1232,7 +1161,6 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     r!((i.imm2 >> 24) as u8) = r!(i.c);
                     cost.branches += 1;
                     cost.calls += 1;
-                    govern_sp!(pc + 4);
                     let target = i.imm2 & 0xffff;
                     if S::ENABLED {
                         let e = Event::Call {
@@ -1270,9 +1198,7 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     next = pc + u32::from(i.n);
                     let rows = u64::from(i.d);
                     let steps = &code.field_runs[i.imm as usize..][..usize::from(i.d)];
-                    if !self.write_run_rows(steps, cost, pc) {
-                        return self.status.clone();
-                    }
+                    self.write_run_rows(steps);
                     cost.instructions += 5 * rows - 1;
                     cost.stores += rows;
                     cost.loads += rows;
@@ -1403,7 +1329,7 @@ mod tests {
         }
     "#;
 
-    /// Runs `f(1000)` governed on both engines and asserts they trip at
+    /// Runs `f(1000)` governed on both engines and asserts they stop at
     /// the same transition with the same cost breakdown.
     fn both_governed(src: &str, g: cmm_chaos::ResourceGovernor) -> VmStatus {
         let vp = program(src);
@@ -1425,59 +1351,9 @@ mod tests {
     }
 
     #[test]
-    fn governor_stack_floor_trips_identically_on_both_engines() {
-        // Find the floor empirically: run once ungoverned, note how far
-        // SP descends, then set a floor strictly inside that range.
-        let vp = program(DEEP);
-        let mut probe = VmMachine::new(&vp);
-        let sp0 = probe.reg(regs::SP);
-        probe.start("f", &[1000], 1);
-        let mut min_sp = sp0;
-        while matches!(probe.status(), VmStatus::Running) {
-            probe.step();
-            min_sp = min_sp.min(probe.reg(regs::SP));
-        }
-        assert!(matches!(probe.status(), VmStatus::Halted(_)));
-        let floor = (sp0 + min_sp) / 2;
-        let g = cmm_chaos::ResourceGovernor {
-            stack_floor: Some(floor),
-            ..cmm_chaos::ResourceGovernor::unlimited()
-        };
-        match both_governed(DEEP, g) {
-            VmStatus::Error(e) => assert!(e.contains("stack-depth"), "unexpected error {e:?}"),
-            other => panic!("expected a stack-floor trip, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn governor_memory_limit_trips_identically_on_both_engines() {
-        // Each store lands on a fresh page, so mapped bytes climb by a
-        // page per iteration until the cap trips.
-        let src = r#"
-            data base { bits32 0; }
-            f(bits32 n) {
-                bits32 i;
-                i = 0;
-              loop:
-                if i == n { return (i); }
-                else { bits32[base + i * 4096] = i; i = i + 1; goto loop; }
-            }
-        "#;
-        let g = cmm_chaos::ResourceGovernor {
-            max_memory_bytes: Some(16 * 4096),
-            ..cmm_chaos::ResourceGovernor::unlimited()
-        };
-        match both_governed(src, g) {
-            VmStatus::Error(e) => assert!(e.contains("memory"), "unexpected error {e:?}"),
-            other => panic!("expected a memory trip, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn governor_fuel_slice_clips_each_run_call() {
         let g = cmm_chaos::ResourceGovernor {
             fuel_slice: Some(10),
-            ..cmm_chaos::ResourceGovernor::unlimited()
         };
         assert_eq!(both_governed(DEEP, g), VmStatus::OutOfFuel);
     }

@@ -4,7 +4,7 @@ use crate::codegen::{TraceSite, VmProgram};
 use crate::decode::DecodedCode;
 use crate::isa::{regs, Inst};
 use crate::mem::Memory;
-use cmm_chaos::{EngineId, LimitTrip, ResourceGovernor};
+use cmm_chaos::{EngineId, ResourceGovernor};
 use cmm_ir::Name;
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::sync::Arc;
@@ -92,10 +92,9 @@ pub struct VmMachine<'p, S: TraceSink = NopSink> {
     /// (see [`crate::decode`]), instead of stepping the original `Inst`
     /// array. Shared so cloning a machine shares the lowering.
     decoded: Option<Arc<DecodedCode>>,
-    /// Optional `cmm-chaos` resource governor. In this family the stack
-    /// limit is a floor on `sp` (activation records live in simulated
-    /// memory) and the memory cap counts mapped page bytes.
-    pub(crate) governor: Option<ResourceGovernor>,
+    /// The `cmm-chaos` resource governor: its fuel slice clips each
+    /// `run` call.
+    governor: ResourceGovernor,
     pub(crate) sink: S,
 }
 
@@ -221,33 +220,15 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
             status: VmStatus::Idle,
             expected_results: 0,
             decoded: None,
-            governor: None,
+            governor: ResourceGovernor::unlimited(),
             sink,
         }
     }
 
-    /// Installs a `cmm-chaos` resource governor. `stack_floor` bounds
-    /// how far `sp` may descend and `max_memory_bytes` caps mapped page
-    /// bytes; `fuel_slice` clips each `run` call's fuel.
+    /// Installs a `cmm-chaos` resource governor: `fuel_slice` clips
+    /// each `run` call's fuel.
     pub fn set_governor(&mut self, g: ResourceGovernor) {
-        self.governor = Some(g);
-    }
-
-    /// The installed governor, if any.
-    pub fn governor(&self) -> Option<&ResourceGovernor> {
-        self.governor.as_ref()
-    }
-
-    /// Records a governor limit trip: emits a `chaos` trace event and
-    /// moves the machine into the corresponding error status.
-    #[cold]
-    pub(crate) fn trip_limit(&mut self, trip: LimitTrip, observed: u64) {
-        if S::ENABLED {
-            self.emit(Event::Chaos {
-                what: format!("limit {trip}"),
-            });
-        }
-        self.status = VmStatus::Error(format!("chaos: {trip} limit tripped at {observed}"));
+        self.governor = g;
     }
 
     /// Creates a pre-decoded machine emitting trace events into `sink`
@@ -428,12 +409,9 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
         self.status = VmStatus::Running;
     }
 
-    /// Runs up to `fuel` instructions.
+    /// Runs up to `fuel` instructions, clipped to the governor's slice.
     pub fn run(&mut self, fuel: u64) -> VmStatus {
-        let fuel = match &self.governor {
-            Some(g) => g.slice(fuel),
-            None => fuel,
-        };
+        let fuel = self.governor.slice(fuel);
         if let Some(decoded) = &self.decoded {
             let decoded = Arc::clone(decoded);
             return self.run_code(&decoded, fuel);
@@ -520,13 +498,6 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
                 self.cost.stores += 1;
                 let addr = (self.regs[rb as usize] as u32).wrapping_add(off as u32);
                 self.mem.write(w, addr, self.regs[rs as usize]);
-                if let Some(g) = self.governor {
-                    let bytes = self.mem.mapped_bytes();
-                    if let Some(trip) = g.check_memory(bytes) {
-                        self.trip_limit(trip, bytes as u64);
-                        return;
-                    }
-                }
             }
             Inst::Bz { rs, target } => {
                 if self.regs[rs as usize] == 0 {
@@ -553,13 +524,6 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
             },
             Inst::Call { target } => {
                 self.cost.calls += 1;
-                if let Some(g) = self.governor {
-                    let sp = self.regs[regs::SP as usize];
-                    if let Some(trip) = g.check_sp(sp) {
-                        self.trip_limit(trip, sp);
-                        return;
-                    }
-                }
                 if S::ENABLED {
                     self.emit(Event::Call {
                         caller: name_at(self.program, self.pc),
@@ -571,13 +535,6 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
             }
             Inst::CallR { rs } => {
                 self.cost.calls += 1;
-                if let Some(g) = self.governor {
-                    let sp = self.regs[regs::SP as usize];
-                    if let Some(trip) = g.check_sp(sp) {
-                        self.trip_limit(trip, sp);
-                        return;
-                    }
-                }
                 match self.code_target(self.regs[rs as usize]) {
                     Ok(t) => {
                         if S::ENABLED {

@@ -35,9 +35,8 @@ const EMPTY_LEAF: Option<Box<Leaf>> = None;
 /// page but banks the allocations, and subsequent writes draw from the
 /// bank before touching the allocator. The pool is invisible to every
 /// observation — reads, [`Memory::snapshot`], and [`Memory::mapped_bytes`]
-/// (the `cmm-chaos` footprint figure) see only mapped pages — which is
-/// what lets a batch worker reuse one `Memory` across jobs without
-/// perturbing governed runs.
+/// see only mapped pages — which is what lets a batch worker reuse one
+/// `Memory` across jobs unobserved.
 #[derive(Debug)]
 pub struct Memory {
     roots: Box<[Option<Box<Leaf>>; ROOT_LEN]>,
@@ -103,8 +102,8 @@ impl Memory {
         }
     }
 
-    /// Bytes of mapped pages — the footprint figure the `cmm-chaos`
-    /// resource governor caps in this engine family.
+    /// Bytes of mapped pages: how a test observes that recycling
+    /// unmaps every page and that cloning maps the same ones.
     pub fn mapped_bytes(&self) -> usize {
         self.mapped.len() * PAGE_SIZE
     }

@@ -78,10 +78,7 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     /// Restores a captured state into this machine, replacing its
     /// registers, pc, costs, and whole memory. The state may come from
     /// any tier of the family; this machine keeps its own tier, sink,
-    /// and governor (with the usual caveat that a governor's
-    /// mapped-bytes cap sees the restored — nonzero-elided — memory
-    /// shape, so snapshots compose with governors only for fuel
-    /// slicing).
+    /// and governor.
     ///
     /// # Errors
     ///

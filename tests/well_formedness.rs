@@ -179,6 +179,49 @@ fn modules_the_engines_disagreed_on_are_refused() {
     );
 }
 
+/// A variable, label or continuation named like a procedure, data
+/// block or global register: the sem engines read the procedure's own
+/// name first and VM code generation the module's, so each is refused.
+#[test]
+fn procedure_scope_names_that_repeat_top_level_names_are_refused() {
+    let probes = [
+        // A call through a local named like a procedure.
+        (
+            "g(bits32 a) { return (a + 100); }
+             f(bits32 n) { bits32 g, r; g = 0; r = g(n); return (r); }",
+            "g",
+        ),
+        // A jump through the same local.
+        (
+            "g(bits32 a) { return (a + 100); }
+             f(bits32 n) { bits32 g; g = 0; jump g(n); }",
+            "g",
+        ),
+        // A continuation named like a global register.
+        (
+            "register bits32 k;
+             f() {
+                 bits32 r;
+                 k = 7;
+                 r = k;
+                 if r == 7 { return (1); } else { return (2); }
+               continuation k(r):
+                 return (3);
+             }",
+            "k",
+        ),
+    ];
+    for (src, shadowed) in probes {
+        let m = cmm_parse::parse_module(src).expect("source parses");
+        match cmm_cfg::build_program(&m) {
+            Err(cmm_cfg::BuildError::ShadowsTopLevel { proc, name }) => {
+                assert_eq!((proc.as_str(), name.as_str()), ("f", shadowed), "{src}");
+            }
+            other => panic!("expected a shadowing refusal, got {other:?}:\n{src}"),
+        }
+    }
+}
+
 /// What VM code generation cannot compile: a body that uses an
 /// imported name, and an assignment to a procedure or data block.
 #[test]
