@@ -19,7 +19,7 @@
 //! }
 //! ```
 
-use crate::graph::{Graph, NodeId, Program};
+use crate::graph::{Graph, NodeId, Procs, Program};
 use crate::image::DataImage;
 use crate::node::{Bundle, Node};
 use crate::YIELD;
@@ -260,7 +260,7 @@ pub fn build_program(module: &Module) -> Result<Program, BuildError> {
     }
 
     let mut program = Program {
-        procs: BTreeMap::new(),
+        procs: Procs::default(),
         globals: module.registers().cloned().collect(),
         image,
     };
@@ -268,7 +268,7 @@ pub fn build_program(module: &Module) -> Result<Program, BuildError> {
     let mut used_prims: BTreeMap<Name, BinOp> = BTreeMap::new();
     for p in module.procs() {
         let g = GraphBuilder::new(p, &top)?.run(p, &mut used_prims)?;
-        program.procs.insert(p.name.clone(), g);
+        program.procs.insert(g);
     }
 
     // Synthesize the run-time system's yield procedure: a single Yield
@@ -281,12 +281,11 @@ pub fn build_program(module: &Module) -> Result<Program, BuildError> {
         arity: 1,
         vars: Vec::new(),
     };
-    program.procs.insert(Name::from(YIELD), yield_graph);
+    program.procs.insert(yield_graph);
 
     // Synthesize checking procedures for the fallible primitives used.
     for (prim, op) in used_prims {
-        let g = synthesize_checked(&prim, op);
-        program.procs.insert(prim, g);
+        program.procs.insert(synthesize_checked(&prim, op));
     }
 
     Ok(program)

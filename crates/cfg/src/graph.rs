@@ -2,8 +2,7 @@
 
 use crate::image::DataImage;
 use crate::node::Node;
-use cmm_ir::{GlobalReg, Name, Ty};
-use std::collections::BTreeMap;
+use cmm_ir::{GlobalReg, Name, ProcId, ProcNames, Ty};
 
 /// An index into a graph's node arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -133,13 +132,107 @@ impl Graph {
     }
 }
 
+/// The procedures of a [`Program`], kept sorted by name. A procedure's
+/// [`ProcId`] is its position here: both engine families are built
+/// from one program, so they number its procedures alike, and the
+/// numbering follows the names alone, not the order a module declared
+/// them in or a map hashed them.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct Procs(Vec<Graph>);
+
+impl Procs {
+    /// The id of the procedure named `name`.
+    pub fn id<Q: AsRef<str> + ?Sized>(&self, name: &Q) -> Option<ProcId> {
+        let name = name.as_ref();
+        self.0
+            .binary_search_by(|g| g.name.as_str().cmp(name))
+            .ok()
+            .map(|i| ProcId(i as u32))
+    }
+
+    /// The procedure named `name`.
+    pub fn get<Q: AsRef<str> + ?Sized>(&self, name: &Q) -> Option<&Graph> {
+        self.id(name).map(|id| &self[id])
+    }
+
+    /// Whether a procedure is named `name`.
+    pub fn contains_key<Q: AsRef<str> + ?Sized>(&self, name: &Q) -> bool {
+        self.id(name).is_some()
+    }
+
+    /// The procedure with id `id`, if the program has one.
+    pub fn by_id(&self, id: ProcId) -> Option<&Graph> {
+        self.0.get(id.index())
+    }
+
+    /// Adds `g` under its own name, returning the procedure it
+    /// replaces. Adding a new name renumbers the procedures after it.
+    pub fn insert(&mut self, g: Graph) -> Option<Graph> {
+        match self.0.binary_search_by(|h| h.name.cmp(&g.name)) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i], g)),
+            Err(i) => {
+                self.0.insert(i, g);
+                None
+            }
+        }
+    }
+
+    /// The number of procedures.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The names, in id order.
+    pub fn keys(&self) -> impl Iterator<Item = &Name> {
+        self.0.iter().map(|g| &g.name)
+    }
+
+    /// The procedures, in id order.
+    pub fn values(&self) -> std::slice::Iter<'_, Graph> {
+        self.0.iter()
+    }
+
+    /// The procedures, to rewrite in place. A rewrite keeps each
+    /// procedure's name, which fixes its id.
+    pub fn values_mut(&mut self) -> std::slice::IterMut<'_, Graph> {
+        self.0.iter_mut()
+    }
+
+    /// `(name, procedure)` pairs, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Name, &Graph)> {
+        self.0.iter().map(|g| (&g.name, g))
+    }
+}
+
+impl std::ops::Index<ProcId> for Procs {
+    type Output = Graph;
+
+    fn index(&self, id: ProcId) -> &Graph {
+        &self.0[id.index()]
+    }
+}
+
+impl<'a> IntoIterator for &'a Procs {
+    type Item = (&'a Name, &'a Graph);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, Graph>, fn(&Graph) -> (&Name, &Graph)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|g| (&g.name, g))
+    }
+}
+
 /// A whole Abstract C-- program: the partial map *X* from names to
 /// procedures (§5), plus linked static data.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// The procedures, including any synthesized checking procedures for
     /// fallible primitives and the `yield` procedure.
-    pub procs: BTreeMap<Name, Graph>,
+    pub procs: Procs,
     /// Global registers with their initial values.
     pub globals: Vec<GlobalReg>,
     /// The linked static-data image.
@@ -159,8 +252,14 @@ impl Program {
     }
 
     /// The procedure whose synthetic code address is `addr`.
-    pub fn proc_at(&self, addr: u64) -> Option<&Name> {
-        self.image.code_symbol_at(addr)
+    pub fn proc_at(&self, addr: u64) -> Option<ProcId> {
+        self.procs.id(self.image.code_symbol_at(addr)?)
+    }
+}
+
+impl ProcNames for Program {
+    fn proc_name(&self, id: ProcId) -> &str {
+        self.procs.by_id(id).map_or("?", |g| g.name.as_str())
     }
 }
 
@@ -168,6 +267,7 @@ impl Program {
 mod tests {
     use super::*;
     use cmm_ir::Expr;
+    use std::collections::BTreeMap;
 
     fn linear_graph() -> Graph {
         // entry -> assign -> branch -> (exit | assign2 -> exit)

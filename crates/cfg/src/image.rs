@@ -114,8 +114,9 @@ impl DataImage {
     }
 
     /// Reads `bytes` little-endian bytes from the image (zero where
-    /// uninitialized); used by tests and by machine initialization.
-    pub fn read_le(&self, addr: u64, bytes: u64) -> u64 {
+    /// uninitialized), for the tests to check a layout.
+    #[cfg(test)]
+    fn read_le(&self, addr: u64, bytes: u64) -> u64 {
         let mut v = 0u64;
         for i in 0..bytes {
             v |= u64::from(*self.bytes.get(&(addr + i)).unwrap_or(&0)) << (8 * i);

@@ -39,7 +39,8 @@ pub mod image;
 pub mod node;
 
 pub use build::{build_program, BuildError};
-pub use graph::{Graph, NodeId, Program};
+pub use cmm_ir::{ProcId, ProcNames};
+pub use graph::{Graph, NodeId, Procs, Program};
 pub use image::DataImage;
 pub use node::{Bundle, Node};
 

@@ -79,7 +79,7 @@ mod args;
 
 use args::Args;
 use chaos::{Budget, End, EngineId, Family, Table1};
-use cmm_core::sem::Value;
+use cmm_core::sem::{StateValue, Value};
 use cmm_core::{chaos, frontend, ir, obs, opt, pool, serve, snap, vm, Compiler};
 use frontend::{with_engine, Code, Setup};
 use std::process::ExitCode;
@@ -157,6 +157,7 @@ fn run_program(a: &Args) -> Result<(), String> {
             .execute_on(&vp, proc, &call_args, results)
             .map_err(|e| e.to_string())?;
         print_run(
+            &prog,
             &sem,
             &vm_vals,
             [cost.instructions, cost.loads, cost.stores, cost.branches],
@@ -206,7 +207,7 @@ fn run_program(a: &Args) -> Result<(), String> {
     };
     // The target's deep state leads with instructions, loads,
     // stores and branches.
-    print_run(&sem, &vm_vals, [cost[0], cost[1], cost[2], cost[3]]);
+    print_run(&prog, &sem, &vm_vals, [cost[0], cost[1], cost[2], cost[3]]);
     println!(
         "snapshots: semantics {sem_count} checkpoint(s) ({sem_bytes} bytes), \
          target {vm_count} checkpoint(s) ({vm_bytes} bytes)"
@@ -312,18 +313,18 @@ fn trace(a: &Args) -> Result<(), String> {
         trace_cmm(file, entry, &a.words64(), results, opts, engine)?
     };
     if a.cmd == "profile" {
-        let p = obs::Profile::build(&run.entry, &run.events);
+        let p = obs::Profile::build(run.entry, &run.events);
         println!("{file}: {} ({} events)", run.outcome, run.events.len());
         if let Some(note) = run.truncation() {
             println!("{note}");
         }
-        print!("{}", p.report(run.clock));
+        print!("{}", p.report(run.clock, &run.names));
         return Ok(());
     }
     let out = a.text("--out");
     if out != Some("-") {
         for t in &run.events {
-            println!("{:>12}  {}", t.ts, t.event.render());
+            println!("{:>12}  {}", t.ts, t.event.render(&run.names));
         }
         let c = obs::Tally::of(&run.events);
         println!(
@@ -348,9 +349,12 @@ fn trace(a: &Args) -> Result<(), String> {
         }
     }
     match out {
-        Some("-") => print!("{}", obs::chrome_trace_json(&run.entry, &run.events)),
+        Some("-") => print!(
+            "{}",
+            obs::chrome_trace_json(run.entry, &run.events, &run.names)
+        ),
         Some(path) => {
-            let json = obs::chrome_trace_json(&run.entry, &run.events);
+            let json = obs::chrome_trace_json(run.entry, &run.events, &run.names);
             std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
             println!("chrome trace written to {path}");
         }
@@ -590,7 +594,10 @@ fn serve(a: &Args) -> Result<(), String> {
 /// One traced run, ready for `trace` rendering or `profile`
 /// aggregation.
 struct TraceRun {
-    entry: ir::Name,
+    /// The traced program's procedure names, in id order, and past
+    /// them the entry's name if the program has no such procedure.
+    names: Vec<ir::Name>,
+    entry: ir::ProcId,
     clock: &'static str,
     outcome: String,
     events: Vec<obs::TimedEvent>,
@@ -599,6 +606,27 @@ struct TraceRun {
 }
 
 impl TraceRun {
+    fn new(
+        mut names: Vec<ir::Name>,
+        entry: &str,
+        clock: &'static str,
+        outcome: String,
+        rec: obs::RecordingSink,
+    ) -> TraceRun {
+        let i = names.iter().position(|n| n == entry).unwrap_or_else(|| {
+            names.push(ir::Name::from(entry));
+            names.len() - 1
+        });
+        TraceRun {
+            names,
+            entry: ir::ProcId(i as u32),
+            clock,
+            outcome,
+            events: rec.events,
+            dropped: rec.dropped,
+        }
+    }
+
     /// What a reader of a truncated trace must be told: every count
     /// printed from it covers only the recorded prefix.
     fn truncation(&self) -> Option<String> {
@@ -650,13 +678,15 @@ fn trace_m3(
         Ok(v) => format!("result {v}"),
         Err(e) => e.to_string(),
     };
-    Ok(TraceRun {
-        entry: ir::Name::from(frontend::lower::ENTRY),
-        clock: clock(engine),
+    let prog = cmm_core::cfg::build_program(&module).map_err(|e| e.to_string())?;
+    let names = prog.procs.keys().cloned().collect();
+    Ok(TraceRun::new(
+        names,
+        frontend::lower::ENTRY,
+        clock(engine),
         outcome,
-        events: rec.events,
-        dropped: rec.dropped,
-    })
+        rec,
+    ))
 }
 
 /// Traces a raw C-- program on the chosen engine, servicing
@@ -689,13 +719,12 @@ fn trace_cmm(
             Err(e) => e,
         }
     })?;
-    Ok(TraceRun {
-        entry: ir::Name::from(proc),
-        clock: clock(engine),
-        outcome,
-        events: rec.events,
-        dropped: rec.dropped,
-    })
+    let names = match (&prog, &vp) {
+        (Some(p), _) => p.procs.keys().cloned().collect(),
+        (_, Some(vp)) => vp.proc_meta.iter().map(|m| m.name.clone()).collect(),
+        _ => Vec::new(),
+    };
+    Ok(TraceRun::new(names, proc, clock(engine), outcome, rec))
 }
 
 /// How a drive ended, as `trace`, `profile` and `snap` report it.
@@ -714,11 +743,12 @@ fn end_text(engine: EngineId, end: &End) -> String {
     }
 }
 
-/// Prints `cmm run`'s three result lines: the semantics' values, the
-/// target's words, and the target's instructions, loads, stores and
-/// branches.
-fn print_run(sem: &[Value], target: &[u64], cost: [u64; 4]) {
+/// Prints `cmm run`'s three result lines: the semantics' values (code
+/// and continuation values naming their procedures), the target's
+/// words, and the target's instructions, loads, stores and branches.
+fn print_run(prog: &cmm_core::cfg::Program, sem: &[Value], target: &[u64], cost: [u64; 4]) {
     let [instructions, loads, stores, branches] = cost;
+    let sem: Vec<StateValue> = sem.iter().map(|v| StateValue::of(v, prog)).collect();
     println!("semantics: {sem:?}");
     println!("target:    {target:?}");
     println!(

@@ -42,6 +42,7 @@ pub use rng::Rng;
 pub use shrink::shrink;
 pub use snap_oracle::{run_source_snap, SnapStats, SNAP_SLICE};
 
+use cmm_ir::Name;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -377,10 +378,16 @@ pub fn write_divergence_events(
     );
     let reference = oracle::observe_traced(src, "reference", args, limits);
     let observed = oracle::observe_traced(src, oracle_name, args, limits);
+    // Both runs number procedures as the program built from `src` does.
+    let names: Vec<Name> = cmm_parse::parse_module(src)
+        .ok()
+        .and_then(|m| cmm_cfg::build_program(&m).ok())
+        .map(|p| p.procs.keys().cloned().collect())
+        .unwrap_or_default();
     match (&reference, &observed) {
         (Ok((_, _, re)), Ok((_, _, oe))) => {
-            let rp = cmm_obs::projection(re);
-            let op = cmm_obs::projection(oe);
+            let rp = cmm_obs::named_projection(re, &names);
+            let op = cmm_obs::named_projection(oe, &names);
             match cmm_obs::first_divergence(&rp, &op) {
                 Ok(()) => {
                     let _ = writeln!(
@@ -404,7 +411,7 @@ pub fn write_divergence_events(
             Ok((obs, detail, events)) => {
                 let _ = writeln!(text, "\n== {label}: {} ==", obs.describe(detail));
                 for t in events {
-                    let _ = writeln!(text, "{:>10}  {}", t.ts, t.event.render());
+                    let _ = writeln!(text, "{:>10}  {}", t.ts, t.event.render(&names));
                 }
             }
             Err(e) => {

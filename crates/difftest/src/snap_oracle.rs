@@ -30,6 +30,7 @@ use crate::oracle::{
     describe_chaos, fault_log, guarded, observe_thread, Failure, Limits, Obs, Outcome,
 };
 use cmm_chaos::{dispatcher_fill, service_yield, EngineId, FaultPlan, InjectedFault, Stop, Table1};
+use cmm_ir::ProcNames;
 use cmm_obs::{RecordingSink, TimedEvent};
 use cmm_pool::{with_engine, Code, Setup, SourceKey};
 use cmm_sem::ResolvedProgram;
@@ -264,8 +265,14 @@ fn sliced(
 // ----- comparison and entry point -----
 
 /// Compares a straight run against its sliced+snapshotted twin on
-/// observation, fault log, exception projection, and deep final state.
-fn compare(family: &str, straight: &RunOut, sliced: &RunOut) -> Result<(), Failure> {
+/// observation, fault log, exception projection (procedures named from
+/// `names`), and deep final state.
+fn compare(
+    family: &str,
+    straight: &RunOut,
+    sliced: &RunOut,
+    names: &dyn ProcNames,
+) -> Result<(), Failure> {
     if sliced.obs != straight.obs || sliced.log != straight.log {
         return Err(Failure::Diverged {
             oracle: format!("{family}-snap"),
@@ -273,8 +280,8 @@ fn compare(family: &str, straight: &RunOut, sliced: &RunOut) -> Result<(), Failu
             observed: describe_chaos(&sliced.obs, &sliced.detail, &sliced.log),
         });
     }
-    let want = cmm_obs::projection(&straight.events);
-    let got = cmm_obs::projection(&sliced.events);
+    let want = cmm_obs::named_projection(&straight.events, names);
+    let got = cmm_obs::named_projection(&sliced.events, names);
     if let Err((i, a, b)) = cmm_obs::first_divergence(&want, &got) {
         return Err(Failure::Diverged {
             oracle: format!("{family}-snap@projection"),
@@ -346,7 +353,7 @@ pub fn run_source_snap(
         let got = guarded(&format!("{family}-snap/sliced"), || {
             sliced(first, &code, args, limits, slice, plan, digest, &mut stats)
         })??;
-        compare(family, &want, &got)?;
+        compare(family, &want, &got, code.names())?;
     }
     Ok(stats)
 }

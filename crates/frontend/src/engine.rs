@@ -7,6 +7,7 @@
 //! [`EngineId`] variant and one [`Table1`] impl.
 
 use cmm_cfg::{DataImage, Program};
+use cmm_ir::{Name, ProcNames};
 use cmm_obs::TraceSink;
 use cmm_rt::chaos::{EngineId, FaultPlan, ResourceGovernor, Table1};
 use cmm_rt::Thread;
@@ -52,6 +53,21 @@ impl<'a> Code<'a> {
     pub fn image(&self) -> Option<&'a DataImage> {
         let program = self.program.or(self.resolved.map(|rp| rp.program()));
         program.map(|p| &p.image).or(self.vm.map(|vp| &vp.image))
+    }
+
+    /// The procedure-id table of whichever program the code holds, to
+    /// name the procedures of a trace or post-mortem. Every program
+    /// built from one source numbers its procedures alike.
+    pub fn names(&self) -> &'a dyn ProcNames {
+        let program = self.program.or(self.resolved.map(|rp| rp.program()));
+        match (program, self.vm) {
+            (Some(p), _) => p,
+            (None, Some(vp)) => vp,
+            (None, None) => {
+                static NONE: Vec<Name> = Vec::new();
+                &NONE
+            }
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 pub mod cps;
 pub mod direct;
 
-use crate::ast::{M3Expr, M3Op, M3Program, M3Stmt};
+use crate::ast::{M3Expr, M3Op, M3Proc, M3Program, M3Stmt};
 use crate::parse::parse_minim3;
 use cmm_ir::{BinOp, DataBlock, DataItem, Expr, Module, Name};
 use cmm_vm::ArchProfile;
@@ -86,6 +86,14 @@ pub enum LowerError {
     UndefinedException(String),
     /// No `main` procedure.
     NoMain,
+    /// A procedure reads or assigns a name it does not declare as a
+    /// parameter or local (a procedure's name is no value).
+    UndeclaredVariable {
+        /// The procedure.
+        proc: String,
+        /// The undeclared identifier.
+        var: String,
+    },
     /// Wrong number of arguments at a call.
     ArityMismatch {
         /// The callee.
@@ -104,6 +112,9 @@ impl fmt::Display for LowerError {
             LowerError::UndefinedProc(p) => write!(f, "call to undefined procedure `{p}`"),
             LowerError::UndefinedException(e) => write!(f, "undeclared exception `{e}`"),
             LowerError::NoMain => write!(f, "program has no `main` procedure"),
+            LowerError::UndeclaredVariable { proc, var } => {
+                write!(f, "procedure `{proc}` uses undeclared variable `{var}`")
+            }
             LowerError::ArityMismatch { callee, got, want } => {
                 write!(f, "`{callee}` takes {want} arguments, {got} supplied")
             }
@@ -161,11 +172,25 @@ fn validate(prog: &M3Program) -> Result<(), LowerError> {
     if prog.proc("main").is_none() {
         return Err(LowerError::NoMain);
     }
-    let check_stmts = |stmts: &[M3Stmt]| -> Result<(), LowerError> {
-        let mut stack: Vec<&M3Stmt> = stmts.iter().collect();
+    let check_proc = |proc: &M3Proc| -> Result<(), LowerError> {
+        let var = |n: &String| {
+            if proc.params.contains(n) || proc.locals.contains(n) {
+                Ok(())
+            } else {
+                Err(LowerError::UndeclaredVariable {
+                    proc: proc.name.clone(),
+                    var: n.clone(),
+                })
+            }
+        };
+        let mut stack: Vec<&M3Stmt> = proc.body.iter().collect();
         while let Some(s) = stack.pop() {
             match s {
-                M3Stmt::Call { callee, args, .. } => {
+                M3Stmt::Assign(x, e) => {
+                    var(x)?;
+                    expr_vars(e, &var)?;
+                }
+                M3Stmt::Call { dst, callee, args } => {
                     let Some(p) = prog.proc(callee) else {
                         return Err(LowerError::UndefinedProc(callee.clone()));
                     };
@@ -176,15 +201,25 @@ fn validate(prog: &M3Program) -> Result<(), LowerError> {
                             want: p.params.len(),
                         });
                     }
+                    dst.iter().try_for_each(var)?;
+                    args.iter().try_for_each(|a| expr_vars(a, &var))?;
                 }
-                M3Stmt::Raise(e, _) if !prog.exceptions.iter().any(|x| x == e) => {
-                    return Err(LowerError::UndefinedException(e.clone()));
+                M3Stmt::Return(e) => expr_vars(e, &var)?,
+                M3Stmt::Raise(e, v) => {
+                    if !prog.exceptions.iter().any(|x| x == e) {
+                        return Err(LowerError::UndefinedException(e.clone()));
+                    }
+                    v.iter().try_for_each(|v| expr_vars(v, &var))?;
                 }
-                M3Stmt::If(_, a, b) => {
+                M3Stmt::If(c, a, b) => {
+                    expr_vars(c, &var)?;
                     stack.extend(a.iter());
                     stack.extend(b.iter());
                 }
-                M3Stmt::While(_, b) => stack.extend(b.iter()),
+                M3Stmt::While(c, b) => {
+                    expr_vars(c, &var)?;
+                    stack.extend(b.iter());
+                }
                 M3Stmt::Try { body, handlers } => {
                     stack.extend(body.iter());
                     for h in handlers {
@@ -194,15 +229,23 @@ fn validate(prog: &M3Program) -> Result<(), LowerError> {
                         stack.extend(h.body.iter());
                     }
                 }
-                _ => {}
             }
         }
         Ok(())
     };
-    for p in &prog.procs {
-        check_stmts(&p.body)?;
+    prog.procs.iter().try_for_each(check_proc)
+}
+
+/// Calls `var` on every variable `e` reads, stopping at its first error.
+fn expr_vars<E>(e: &M3Expr, var: &impl Fn(&String) -> Result<(), E>) -> Result<(), E> {
+    match e {
+        M3Expr::Num(_) => Ok(()),
+        M3Expr::Var(n) => var(n),
+        M3Expr::Bin(_, a, b) => {
+            expr_vars(a, var)?;
+            expr_vars(b, var)
+        }
     }
-    Ok(())
 }
 
 /// The names without a `$` that a lowering or C-- gives a meaning of
@@ -338,6 +381,44 @@ mod tests {
             compile_program(&bad_arity, Strategy::Cutting).unwrap_err(),
             LowerError::ArityMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn undeclared_variables_are_refused_by_their_minim3_name() {
+        let refusal = |src: &str| {
+            let prog = parse_minim3(src).unwrap();
+            compile_program(&prog, Strategy::Cutting)
+                .unwrap_err()
+                .to_string()
+        };
+        // A procedure's name is not a value: C-- would have refused the
+        // lowered program, naming the renamed `sq$v`.
+        assert_eq!(
+            refusal("proc sq(v) { return v * v; } proc main(n) { return sq + n; }"),
+            "procedure `main` uses undeclared variable `sq`"
+        );
+        for (src, var) in [
+            ("proc main(n) { y = n; return n; }", "y"),
+            (
+                "proc main(n) { var r; r = f(q); return r; } proc f(a) { return a; }",
+                "q",
+            ),
+            (
+                "proc main(n) { z = f(n); return n; } proc f(a) { return a; }",
+                "z",
+            ),
+            ("proc main(n) { while n < k { n = n + 1; } return n; }", "k"),
+            ("exception E; proc main(n) { raise E(w); }", "w"),
+        ] {
+            assert_eq!(
+                refusal(src),
+                format!("procedure `main` uses undeclared variable `{var}`"),
+                "{src}"
+            );
+        }
+        let ok = "exception E; proc main(n) { var r; try { raise E(n); } \
+                  except { E(x) => { r = x; } } return r; }";
+        assert!(compile_program(&parse_minim3(ok).unwrap(), Strategy::Cutting).is_ok());
     }
 
     #[test]

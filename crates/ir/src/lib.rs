@@ -47,7 +47,7 @@ pub mod ty;
 
 pub use expr::{BinOp, Expr, Lit, UnOp};
 pub use module::{DataBlock, DataItem, Decl, GlobalReg, Module};
-pub use name::Name;
+pub use name::{Name, ProcId, ProcNames};
 pub use proc::{BodyItem, Proc};
 pub use stmt::{AltReturn, Annotations, Lvalue, Stmt};
 pub use ty::{FWidth, Ty, Width};

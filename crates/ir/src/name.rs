@@ -1,8 +1,12 @@
-//! Interned identifier names.
+//! Interned identifier names, and the ids that stand for procedure
+//! names where a machine runs.
 //!
 //! C-- names denote local variables, global registers, procedures,
 //! continuations, labels, and data blocks. [`Name`] is a cheap-to-clone,
-//! hashable wrapper around a shared string.
+//! hashable wrapper around a shared string. A running machine names a
+//! procedure by its [`ProcId`] instead, plain data that costs nothing
+//! to copy, and turns it back into text through [`ProcNames`] only
+//! where text is made.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -101,6 +105,45 @@ impl PartialEq<str> for Name {
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == *other
+    }
+}
+
+/// A procedure's position in the program it belongs to (`cmm-cfg`'s
+/// `Program` numbers its procedures in name order). Machine values,
+/// frames and trace events carry it instead of the procedure's
+/// [`Name`], so copying one touches no shared reference count.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct ProcId(pub u32);
+
+impl ProcId {
+    /// The id of no procedure: what the target machine reports for a
+    /// pc outside every procedure's code. It renders as `?`.
+    pub const NONE: ProcId = ProcId(u32::MAX);
+
+    /// The id as `usize`, to index a program's tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A program's table from procedure ids back to names, read where
+/// text is made: event renderings, profiles, post-mortems and fault
+/// messages.
+pub trait ProcNames {
+    /// The name of procedure `id`, or `"?"` if the program has no such
+    /// procedure.
+    fn proc_name(&self, id: ProcId) -> &str;
+}
+
+impl ProcNames for [Name] {
+    fn proc_name(&self, id: ProcId) -> &str {
+        self.get(id.index()).map_or("?", Name::as_str)
+    }
+}
+
+impl ProcNames for Vec<Name> {
+    fn proc_name(&self, id: ProcId) -> &str {
+        self[..].proc_name(id)
     }
 }
 

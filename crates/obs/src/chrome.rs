@@ -12,7 +12,7 @@
 use crate::event::{Event, TimedEvent};
 use crate::json::json_escape;
 use crate::metrics::{replay, Step};
-use cmm_ir::Name;
+use cmm_ir::{ProcId, ProcNames};
 use std::fmt::Write as _;
 
 struct Writer {
@@ -69,13 +69,19 @@ impl Writer {
     }
 }
 
-/// Renders a recorded stream as Chrome `trace_event` JSON. `entry` is
-/// the procedure the run started in.
-pub fn chrome_trace_json(entry: &Name, events: &[TimedEvent]) -> String {
+/// Renders a recorded stream as Chrome `trace_event` JSON, naming
+/// procedures from `names`. `entry` is the procedure the run started
+/// in.
+pub fn chrome_trace_json(
+    entry: ProcId,
+    events: &[TimedEvent],
+    names: &(impl ProcNames + ?Sized),
+) -> String {
+    let n = |id: &ProcId| names.proc_name(*id);
     let mut w = Writer::new();
     replay(entry, events, |step| match step {
-        Step::Enter(ts, name) => w.begin(ts, name.as_str()),
-        Step::Leave(ts, name) => w.end(ts, name.as_str()),
+        Step::Enter(ts, id) => w.begin(ts, n(&id)),
+        Step::Leave(ts, id) => w.end(ts, n(&id)),
         Step::Event(t, _) => {
             let ts = t.ts;
             match &t.event {
@@ -88,27 +94,25 @@ pub fn chrome_trace_json(entry: &Name, events: &[TimedEvent]) -> String {
                     if index < alternates {
                         w.instant(
                             ts,
-                            &format!("return <{index}/{alternates}> {proc}"),
+                            &format!("return <{index}/{alternates}> {}", n(proc)),
                             "abret",
                         );
                     }
                 }
                 Event::CutTo { proc, target, .. } => {
-                    w.instant(ts, &format!("cut {proc} -> {target}"), "cut");
+                    w.instant(ts, &format!("cut {} -> {}", n(proc), n(target)), "cut");
                 }
                 Event::ContCapture { proc, conts, .. } => {
-                    w.instant(ts, &format!("cont-capture {proc} x{conts}"), "cont");
+                    w.instant(ts, &format!("cont-capture {} x{conts}", n(proc)), "cont");
                 }
                 Event::ContDeath { proc, .. } => {
-                    w.instant(ts, &format!("cont-death {proc}"), "cont");
+                    w.instant(ts, &format!("cont-death {}", n(proc)), "cont");
                 }
                 Event::Yield { code } => {
                     w.instant(ts, &format!("yield {code}"), "yield");
                 }
-                Event::Chaos { what } => {
-                    w.instant(ts, &format!("chaos {what}"), "chaos");
-                }
-                Event::Rts(_) => w.instant(ts, &t.event.render(), "rts"),
+                Event::Chaos { .. } => w.instant(ts, &t.event.render(names), "chaos"),
+                Event::Rts(_) => w.instant(ts, &t.event.render(names), "rts"),
             }
         }
     });
@@ -121,14 +125,13 @@ mod tests {
 
     #[test]
     fn output_is_balanced_json() {
-        let f = Name::from("f");
-        let g = Name::from("g");
+        let (f, g) = (ProcId(0), ProcId(1));
         let events = vec![
             TimedEvent {
                 ts: 1,
                 event: Event::Call {
-                    caller: f.clone(),
-                    callee: g.clone(),
+                    caller: f,
+                    callee: g,
                 },
             },
             TimedEvent {
@@ -136,12 +139,14 @@ mod tests {
                 event: Event::Yield { code: 2 },
             },
         ];
-        let json = chrome_trace_json(&f, &events);
+        let names = [cmm_ir::Name::from("f"), cmm_ir::Name::from("g")];
+        let json = chrome_trace_json(f, &events, &names[..]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.trim_end().ends_with('}'));
         let b = json.matches("\"ph\":\"B\"").count();
         let e = json.matches("\"ph\":\"E\"").count();
         assert_eq!(b, e, "every B has an E:\n{json}");
         assert!(json.contains("yield 2"));
+        assert!(json.contains("\"name\":\"g\""), "{json}");
     }
 }

@@ -16,8 +16,13 @@
 //! model units, the semantics in transitions. The projection keeps
 //! exactly the engine-independent part, and `tests/trace_equivalence.rs`
 //! holds all five engines to it.
+//!
+//! Events name procedures by [`ProcId`], so recording one copies plain
+//! data and touches no shared name. Text is made from a program's
+//! [`ProcNames`] table, by [`Event::render`] and [`projection`].
 
-use cmm_ir::Name;
+use cmm_ir::{ProcId, ProcNames};
+use std::fmt;
 
 /// Which continuation class a `Resume` re-enters (§5.2's three `Yield`
 /// rules).
@@ -51,14 +56,14 @@ pub enum RtsOp {
     /// thread is suspended with a non-empty stack.
     FirstActivation {
         /// The procedure of that activation.
-        proc: Option<Name>,
+        proc: Option<ProcId>,
     },
     /// `NextActivation`: one hop toward the caller.
     NextActivation {
         /// Whether the walk moved (false at the stack bottom).
         moved: bool,
         /// The procedure of the new activation, when it moved.
-        proc: Option<Name>,
+        proc: Option<ProcId>,
     },
     /// `SetActivation`: choose an activation to resume, discarding
     /// everything above it.
@@ -77,7 +82,7 @@ pub enum RtsOp {
     /// `SetCutToCont(k)`: choose a continuation *value* to cut to.
     SetCutToCont {
         /// The procedure owning the continuation, when decodable.
-        target: Option<Name>,
+        target: Option<ProcId>,
     },
     /// `FindContParam(n)`: locate the `n`-th parameter slot of the
     /// chosen continuation.
@@ -143,24 +148,24 @@ pub enum Event {
     /// A `Call` node / `call` instruction transferred to `callee`.
     Call {
         /// The calling procedure.
-        caller: Name,
+        caller: ProcId,
         /// The procedure entered.
-        callee: Name,
+        callee: ProcId,
     },
     /// A `Jump` node / tail-call transfer: the caller's activation is
     /// replaced, not stacked.
     TailCall {
         /// The jumping procedure.
-        caller: Name,
+        caller: ProcId,
         /// The procedure entered.
-        callee: Name,
+        callee: ProcId,
     },
     /// A `return <index/alternates>`: `index == alternates` is the
     /// normal return, anything smaller an abnormal return through the
     /// Figure 3/4 branch table.
     Return {
         /// The returning procedure.
-        proc: Name,
+        proc: ProcId,
         /// The chosen branch-table arm.
         index: u32,
         /// The call site's alternate count.
@@ -169,9 +174,9 @@ pub enum Event {
     /// A `cut to` transfer (constant-time strategy).
     CutTo {
         /// The cutting procedure.
-        proc: Name,
+        proc: ProcId,
         /// The procedure owning the target continuation.
-        target: Name,
+        target: ProcId,
         /// Callee-saves bindings killed by the cut (abstract machine
         /// only; the VM reports 0 — excluded from the projection).
         killed_saves: u32,
@@ -180,7 +185,7 @@ pub enum Event {
     /// machine only).
     ContCapture {
         /// The procedure whose continuations were captured.
-        proc: Name,
+        proc: ProcId,
         /// The activation uid baked into the continuation values.
         uid: u64,
         /// How many continuations were bound.
@@ -191,7 +196,7 @@ pub enum Event {
     /// only).
     ContDeath {
         /// The discarded activation's procedure.
-        proc: Name,
+        proc: ProcId,
         /// Its uid.
         uid: u64,
     },
@@ -206,8 +211,11 @@ pub enum Event {
     /// A `cmm-chaos` intervention: an injected Table 1 fault.
     /// Instrumentation, not semantics — excluded from the projection.
     Chaos {
-        /// What was injected, e.g. `"fault resume #2"`.
-        what: String,
+        /// The faulted operation's stable name (`ChaosOp::name`, e.g.
+        /// `"resume"`).
+        op: &'static str,
+        /// The 1-based invocation at which it tripped.
+        invocation: u64,
     },
 }
 
@@ -221,31 +229,43 @@ impl Event {
         )
     }
 
-    /// A canonical one-line rendering. Projection-relevant fields only:
-    /// engine-private detail (uids, killed callee-saves counts) is kept
-    /// out so the same line compares equal across engines.
-    pub fn render(&self) -> String {
+    /// A canonical one-line rendering, naming procedures from `names`.
+    /// Projection-relevant fields only: engine-private detail (uids,
+    /// killed callee-saves counts) is kept out so the same line
+    /// compares equal across engines.
+    pub fn render(&self, names: &(impl ProcNames + ?Sized)) -> String {
+        self.render_with(|id| names.proc_name(id))
+    }
+
+    /// [`Event::render`] with each procedure written by `name`.
+    fn render_with<D: fmt::Display>(&self, name: impl Fn(ProcId) -> D) -> String {
         match self {
-            Event::Call { caller, callee } => format!("call {caller} -> {callee}"),
-            Event::TailCall { caller, callee } => format!("tail {caller} -> {callee}"),
+            Event::Call { caller, callee } => {
+                format!("call {} -> {}", name(*caller), name(*callee))
+            }
+            Event::TailCall { caller, callee } => {
+                format!("tail {} -> {}", name(*caller), name(*callee))
+            }
             Event::Return {
                 proc,
                 index,
                 alternates,
-            } => format!("return {proc} <{index}/{alternates}>"),
-            Event::CutTo { proc, target, .. } => format!("cut {proc} -> {target}"),
-            Event::ContCapture { proc, conts, .. } => {
-                format!("cont-capture {proc} ({conts})")
+            } => format!("return {} <{index}/{alternates}>", name(*proc)),
+            Event::CutTo { proc, target, .. } => {
+                format!("cut {} -> {}", name(*proc), name(*target))
             }
-            Event::ContDeath { proc, .. } => format!("cont-death {proc}"),
+            Event::ContCapture { proc, conts, .. } => {
+                format!("cont-capture {} ({conts})", name(*proc))
+            }
+            Event::ContDeath { proc, .. } => format!("cont-death {}", name(*proc)),
             Event::Yield { code } => format!("yield {code}"),
             Event::Rts(op) => match op {
                 RtsOp::FirstActivation { proc } => match proc {
-                    Some(p) => format!("rts FirstActivation -> {p}"),
+                    Some(p) => format!("rts FirstActivation -> {}", name(*p)),
                     None => "rts FirstActivation -> none".into(),
                 },
                 RtsOp::NextActivation { moved, proc } => match (moved, proc) {
-                    (true, Some(p)) => format!("rts NextActivation -> {p}"),
+                    (true, Some(p)) => format!("rts NextActivation -> {}", name(*p)),
                     _ => "rts NextActivation -> bottom".into(),
                 },
                 RtsOp::SetActivation { ok } => format!("rts SetActivation ok={ok}"),
@@ -253,7 +273,7 @@ impl Event {
                     format!("rts SetUnwindCont {index} ok={ok}")
                 }
                 RtsOp::SetCutToCont { target } => match target {
-                    Some(p) => format!("rts SetCutToCont -> {p}"),
+                    Some(p) => format!("rts SetCutToCont -> {}", name(*p)),
                     None => "rts SetCutToCont -> dead".into(),
                 },
                 RtsOp::FindContParam { index, found } => {
@@ -266,7 +286,20 @@ impl Event {
                     format!("rts GetDescriptor {index} found={found}")
                 }
             },
-            Event::Chaos { what } => format!("chaos {what}"),
+            Event::Chaos { op, invocation } => format!("chaos fault {op} #{invocation}"),
+        }
+    }
+}
+
+/// A procedure written by id, `#2` (`?` for [`ProcId::NONE`]).
+struct ById(ProcId);
+
+impl fmt::Display for ById {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 == ProcId::NONE {
+            f.write_str("?")
+        } else {
+            write!(f, "#{}", self.0 .0)
         }
     }
 }
@@ -283,13 +316,24 @@ pub struct TimedEvent {
 
 /// The engine-independent exception projection of an event stream:
 /// the canonical rendering of every projection-relevant event, in
-/// order, timestamps dropped. Two engines running the same program
-/// under the same dispatcher policy must produce equal projections.
+/// order, timestamps dropped, procedures written by id (`call #0 ->
+/// #2`). Every engine built from one program numbers its procedures
+/// alike, so two engines running the same program under the same
+/// dispatcher policy must produce equal projections.
 pub fn projection(events: &[TimedEvent]) -> Vec<String> {
+    project(events, |e| e.render_with(ById))
+}
+
+/// [`projection`] with procedures named from `names`, for reports.
+pub fn named_projection(events: &[TimedEvent], names: &(impl ProcNames + ?Sized)) -> Vec<String> {
+    project(events, |e| e.render(names))
+}
+
+fn project(events: &[TimedEvent], render: impl Fn(&Event) -> String) -> Vec<String> {
     events
         .iter()
         .filter(|t| t.event.in_projection())
-        .map(|t| t.event.render())
+        .map(|t| render(&t.event))
         .collect()
 }
 
@@ -317,13 +361,19 @@ pub fn first_divergence(a: &[String], b: &[String]) -> Result<(), (usize, String
 mod tests {
     use super::*;
 
+    use cmm_ir::Name;
+
+    fn names() -> Vec<Name> {
+        vec![Name::from("f"), Name::from("g")]
+    }
+
     #[test]
     fn projection_drops_engine_private_events() {
         let events = vec![
             TimedEvent {
                 ts: 0,
                 event: Event::ContCapture {
-                    proc: Name::from("f"),
+                    proc: ProcId(0),
                     uid: 1,
                     conts: 2,
                 },
@@ -338,17 +388,40 @@ mod tests {
 
     #[test]
     fn cut_rendering_hides_killed_saves() {
-        let a = Event::CutTo {
-            proc: Name::from("g"),
-            target: Name::from("f"),
-            killed_saves: 3,
+        let cut = |killed_saves| Event::CutTo {
+            proc: ProcId(1),
+            target: ProcId(0),
+            killed_saves,
         };
-        let b = Event::CutTo {
-            proc: Name::from("g"),
-            target: Name::from("f"),
-            killed_saves: 0,
+        assert_eq!(cut(3).render(&names()[..]), "cut g -> f");
+        assert_eq!(cut(3).render(&names()[..]), cut(0).render(&names()[..]));
+    }
+
+    #[test]
+    fn the_projection_writes_ids_and_the_named_one_names() {
+        let events = [TimedEvent {
+            ts: 3,
+            event: Event::Call {
+                caller: ProcId(1),
+                callee: ProcId::NONE,
+            },
+        }];
+        assert_eq!(projection(&events), ["call #1 -> ?"]);
+        assert_eq!(named_projection(&events, &names()), ["call g -> ?"]);
+    }
+
+    #[test]
+    fn an_unknown_id_renders_as_a_question_mark() {
+        let call = Event::Call {
+            caller: ProcId(0),
+            callee: ProcId::NONE,
         };
-        assert_eq!(a.render(), b.render());
+        assert_eq!(call.render(&names()[..]), "call f -> ?");
+        let chaos = Event::Chaos {
+            op: "resume",
+            invocation: 2,
+        };
+        assert_eq!(chaos.render(&names()[..]), "chaos fault resume #2");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use crate::event::{Event, RtsOp, TimedEvent};
 use crate::sink::TraceSink;
 use crate::tally::Tally;
+use cmm_ir::ProcNames;
 use std::fmt::Write as _;
 
 /// A bounded last-N event recorder with whole-stream tallies. See the
@@ -90,8 +91,9 @@ impl FlightRecorder {
     }
 
     /// The post-mortem text: a header, the whole-stream tallies, and
-    /// the retained tail of the event stream.
-    pub fn dump(&self, header: &str) -> String {
+    /// the retained tail of the event stream, its procedures named from
+    /// `names`.
+    pub fn dump(&self, header: &str, names: &(impl ProcNames + ?Sized)) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "=== flight recorder post-mortem ===");
         let _ = writeln!(out, "{header}");
@@ -126,12 +128,12 @@ impl FlightRecorder {
             }
             let _ = writeln!(out, "{line}");
         }
-        for (what, n) in &c.chaos {
-            let _ = writeln!(out, "chaos: {what} x{n}");
+        for (op, n) in &c.chaos {
+            let _ = writeln!(out, "chaos: fault {op} x{n}");
         }
         let _ = writeln!(out, "--- final {} event(s) ---", self.ring.len());
         for t in self.events() {
-            let _ = writeln!(out, "{:>12}  {}", t.ts, t.event.render());
+            let _ = writeln!(out, "{:>12}  {}", t.ts, t.event.render(names));
         }
         out
     }
@@ -149,7 +151,7 @@ impl TraceSink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmm_ir::Name;
+    use cmm_ir::{Name, ProcId};
 
     fn yield_ev(code: u64) -> Event {
         Event::Yield { code }
@@ -201,14 +203,15 @@ mod tests {
         fr.record(
             0,
             Event::Call {
-                caller: Name::from("f"),
-                callee: Name::from("g"),
+                caller: ProcId(0),
+                callee: ProcId(1),
             },
         );
         for i in 1..5u64 {
             fr.record(i, yield_ev(i));
         }
-        let text = fr.dump("job 17 [vm] ended wrong");
+        let names = [Name::from("f"), Name::from("g")];
+        let text = fr.dump("job 17 [vm] ended wrong", &names[..]);
         assert!(text.contains("job 17 [vm] ended wrong"));
         assert!(text.contains("5 total (2 retained, 3 dropped)"));
         assert!(text.contains("yield 4"), "{text}");

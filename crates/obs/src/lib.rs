@@ -18,8 +18,10 @@
 //! On top of the raw streams sit:
 //!
 //! * [`projection`] / [`first_divergence`] — the engine-independent
-//!   exception projection used by `tests/trace_equivalence.rs` and by
-//!   difftest's divergence artifacts;
+//!   exception projection used by `tests/trace_equivalence.rs`, and
+//!   [`named_projection`], the same with procedure names, in
+//!   difftest's divergence artifacts. Events name procedures by
+//!   `ProcId`; text gets names from a `cmm_ir::ProcNames` table;
 //! * [`Tally`] — the one fold over a stream: transfers, Table 1 ops,
 //!   unwind hops, resumes by class and chaos interventions, read by
 //!   every surface below that reports a count;
@@ -48,7 +50,9 @@ pub mod tally;
 
 pub use chrome::chrome_trace_json;
 pub use counters::{CacheSnapshot, CacheStats, ShardedCacheStats};
-pub use event::{first_divergence, projection, Event, ResumeKind, RtsOp, TimedEvent};
+pub use event::{
+    first_divergence, named_projection, projection, Event, ResumeKind, RtsOp, TimedEvent,
+};
 pub use flight::FlightRecorder;
 pub use json::json_escape;
 pub use metrics::{ProcStats, Profile};

@@ -20,7 +20,7 @@
 
 use crate::event::{Event, ResumeKind, RtsOp, TimedEvent};
 use crate::tally::Tally;
-use cmm_ir::Name;
+use cmm_ir::{ProcId, ProcNames};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -65,8 +65,8 @@ impl ProcStats {
 /// The aggregated profile of one run.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
-    /// Per-procedure metrics, keyed by name.
-    pub procs: BTreeMap<Name, ProcStats>,
+    /// Per-procedure metrics, keyed by procedure id.
+    pub procs: BTreeMap<ProcId, ProcStats>,
     /// Whole-stream counts.
     pub tally: Tally,
     /// Total engine time covered by the stream (last timestamp minus
@@ -78,30 +78,30 @@ pub struct Profile {
 pub(crate) enum Step<'a> {
     /// An event, reported before the frames it enters or leaves, with
     /// the shadow stack it happened on (entry procedure first).
-    Event(&'a TimedEvent, &'a [Name]),
+    Event(&'a TimedEvent, &'a [ProcId]),
     /// A frame entered at the given engine time.
-    Enter(u64, &'a Name),
+    Enter(u64, ProcId),
     /// A frame left at the given engine time.
-    Leave(u64, &'a Name),
+    Leave(u64, ProcId),
 }
 
 /// Replays a recorded stream onto a shadow call stack that starts with
 /// `entry` (events alone cannot name it), reporting each event and
 /// each frame entered and left; see the module documentation. Frames
 /// still open at the end are left at the last event's time.
-pub(crate) fn replay(entry: &Name, events: &[TimedEvent], mut on: impl FnMut(Step<'_>)) {
-    fn leave(stack: &mut Vec<Name>, on: &mut impl FnMut(Step<'_>), ts: u64) {
+pub(crate) fn replay(entry: ProcId, events: &[TimedEvent], mut on: impl FnMut(Step<'_>)) {
+    fn leave(stack: &mut Vec<ProcId>, on: &mut impl FnMut(Step<'_>), ts: u64) {
         if let Some(top) = stack.pop() {
-            on(Step::Leave(ts, &top));
+            on(Step::Leave(ts, top));
         }
     }
-    fn enter(stack: &mut Vec<Name>, on: &mut impl FnMut(Step<'_>), ts: u64, name: &Name) {
-        on(Step::Enter(ts, name));
-        stack.push(name.clone());
+    fn enter(stack: &mut Vec<ProcId>, on: &mut impl FnMut(Step<'_>), ts: u64, id: ProcId) {
+        on(Step::Enter(ts, id));
+        stack.push(id);
     }
-    fn cut_to(stack: &mut Vec<Name>, on: &mut impl FnMut(Step<'_>), ts: u64, target: &Name) {
-        if stack.contains(target) {
-            while stack.last() != Some(target) {
+    fn cut_to(stack: &mut Vec<ProcId>, on: &mut impl FnMut(Step<'_>), ts: u64, target: ProcId) {
+        if stack.contains(&target) {
+            while stack.last() != Some(&target) {
                 leave(stack, on, ts);
             }
         } else {
@@ -116,22 +116,22 @@ pub(crate) fn replay(entry: &Name, events: &[TimedEvent], mut on: impl FnMut(Ste
     let mut stack = Vec::new();
     enter(&mut stack, &mut on, ts, entry);
     let mut hops: u64 = 0;
-    let mut cut_target: Option<&Name> = None;
+    let mut cut_target: Option<ProcId> = None;
     for t in events {
         ts = t.ts;
         on(Step::Event(t, &stack));
         match &t.event {
-            Event::Call { callee, .. } => enter(&mut stack, &mut on, ts, callee),
+            Event::Call { callee, .. } => enter(&mut stack, &mut on, ts, *callee),
             Event::TailCall { callee, .. } => {
                 leave(&mut stack, &mut on, ts);
-                enter(&mut stack, &mut on, ts, callee);
+                enter(&mut stack, &mut on, ts, *callee);
             }
             Event::Return { .. } => leave(&mut stack, &mut on, ts),
-            Event::CutTo { target, .. } => cut_to(&mut stack, &mut on, ts, target),
+            Event::CutTo { target, .. } => cut_to(&mut stack, &mut on, ts, *target),
             Event::Rts(op) => match op {
                 RtsOp::FirstActivation { .. } => hops = 0,
                 RtsOp::NextActivation { moved: true, .. } => hops += 1,
-                RtsOp::SetCutToCont { target } => cut_target = target.as_ref(),
+                RtsOp::SetCutToCont { target } => cut_target = *target,
                 RtsOp::Resume {
                     kind: ResumeKind::Cut,
                     ok: true,
@@ -159,7 +159,7 @@ impl Profile {
     /// Replays a recorded stream, attributing cost as described in the
     /// module documentation. `entry` is the procedure the run started
     /// in.
-    pub fn build(entry: &Name, events: &[TimedEvent]) -> Profile {
+    pub fn build(entry: ProcId, events: &[TimedEvent]) -> Profile {
         let mut p = Profile::default();
         // Self cost of each open frame, parallel to the replay's stack.
         let mut open: Vec<u64> = Vec::new();
@@ -167,16 +167,13 @@ impl Profile {
         // first event belongs to the entry procedure.
         let mut prev_ts = 0u64;
         replay(entry, events, |step| match step {
-            Step::Enter(_, name) => {
-                p.procs.entry(name.clone()).or_default().entries += 1;
+            Step::Enter(_, id) => {
+                p.procs.entry(id).or_default().entries += 1;
                 open.push(0);
             }
-            Step::Leave(_, name) => {
+            Step::Leave(_, id) => {
                 let self_cost = open.pop().expect("a frame was entered");
-                p.procs
-                    .entry(name.clone())
-                    .or_default()
-                    .finish_invocation(self_cost);
+                p.procs.entry(id).or_default().finish_invocation(self_cost);
             }
             Step::Event(t, stack) => {
                 // Charge the elapsed interval to the current stack.
@@ -185,13 +182,13 @@ impl Profile {
                 if delta > 0 {
                     if let (Some(top), Some(self_cost)) = (stack.last(), open.last_mut()) {
                         *self_cost += delta;
-                        p.procs.entry(top.clone()).or_default().self_cost += delta;
+                        p.procs.entry(*top).or_default().self_cost += delta;
                     }
-                    let mut seen: Vec<&Name> = Vec::with_capacity(stack.len());
-                    for name in stack {
-                        if !seen.contains(&name) {
-                            seen.push(name);
-                            p.procs.entry(name.clone()).or_default().total_cost += delta;
+                    let mut seen: Vec<ProcId> = Vec::with_capacity(stack.len());
+                    for &id in stack {
+                        if !seen.contains(&id) {
+                            seen.push(id);
+                            p.procs.entry(id).or_default().total_cost += delta;
                         }
                     }
                 }
@@ -202,15 +199,15 @@ impl Profile {
                         index,
                         alternates,
                     } => {
-                        let st = p.procs.entry(proc.clone()).or_default();
+                        let st = p.procs.entry(*proc).or_default();
                         st.returns += 1;
                         if index < alternates {
                             st.abnormal_returns += 1;
                         }
                     }
                     Event::CutTo { proc, target, .. } => {
-                        p.procs.entry(proc.clone()).or_default().cuts_out += 1;
-                        p.procs.entry(target.clone()).or_default().cuts_in += 1;
+                        p.procs.entry(*proc).or_default().cuts_out += 1;
+                        p.procs.entry(*target).or_default().cuts_in += 1;
                     }
                     _ => {}
                 }
@@ -220,8 +217,8 @@ impl Profile {
         p
     }
 
-    /// The `cmm profile` text report.
-    pub fn report(&self, clock_label: &str) -> String {
+    /// The `cmm profile` text report, naming procedures from `names`.
+    pub fn report(&self, clock_label: &str, names: &(impl ProcNames + ?Sized)) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "total cost: {} {clock_label}", self.total_cost);
         let c = &self.tally;
@@ -247,7 +244,11 @@ impl Profile {
             "  {:<20} {:>7} {:>7} {:>5} {:>5} {:>5} {:>10} {:>10}  cost-histogram",
             "name", "entries", "rets", "abn", "cut>", ">cut", "self", "total"
         );
-        let mut rows: Vec<(&Name, &ProcStats)> = self.procs.iter().collect();
+        let mut rows: Vec<(&str, &ProcStats)> = self
+            .procs
+            .iter()
+            .map(|(&id, st)| (names.proc_name(id), st))
+            .collect();
         rows.sort_by(|a, b| b.1.self_cost.cmp(&a.1.self_cost).then(a.0.cmp(b.0)));
         for (name, st) in rows {
             let mut hist = String::new();
@@ -263,7 +264,7 @@ impl Profile {
             let _ = writeln!(
                 out,
                 "  {:<20} {:>7} {:>7} {:>5} {:>5} {:>5} {:>10} {:>10}  {}",
-                name.as_str(),
+                name,
                 st.entries,
                 st.returns,
                 st.abnormal_returns,
@@ -288,20 +289,19 @@ mod tests {
 
     #[test]
     fn call_return_attributes_self_cost() {
-        let f = Name::from("f");
-        let g = Name::from("g");
+        let (f, g) = (ProcId(0), ProcId(1));
         let events = vec![
             ev(
                 2,
                 Event::Call {
-                    caller: f.clone(),
-                    callee: g.clone(),
+                    caller: f,
+                    callee: g,
                 },
             ),
             ev(
                 7,
                 Event::Return {
-                    proc: g.clone(),
+                    proc: g,
                     index: 0,
                     alternates: 0,
                 },
@@ -309,13 +309,13 @@ mod tests {
             ev(
                 10,
                 Event::Return {
-                    proc: f.clone(),
+                    proc: f,
                     index: 0,
                     alternates: 0,
                 },
             ),
         ];
-        let p = Profile::build(&f, &events);
+        let p = Profile::build(f, &events);
         assert_eq!(p.procs[&g].self_cost, 5);
         assert_eq!(p.procs[&f].self_cost, 5);
         assert_eq!(p.procs[&f].total_cost, 10);
@@ -326,34 +326,33 @@ mod tests {
 
     #[test]
     fn cut_truncates_the_shadow_stack() {
-        let f = Name::from("f");
-        let g = Name::from("g");
+        let (f, g) = (ProcId(0), ProcId(1));
         let events = vec![
             ev(
                 1,
                 Event::Call {
-                    caller: f.clone(),
-                    callee: g.clone(),
+                    caller: f,
+                    callee: g,
                 },
             ),
             ev(
                 4,
                 Event::CutTo {
-                    proc: g.clone(),
-                    target: f.clone(),
+                    proc: g,
+                    target: f,
                     killed_saves: 1,
                 },
             ),
             ev(
                 9,
                 Event::Return {
-                    proc: f.clone(),
+                    proc: f,
                     index: 0,
                     alternates: 0,
                 },
             ),
         ];
-        let p = Profile::build(&f, &events);
+        let p = Profile::build(f, &events);
         assert_eq!(p.tally.mechanisms()[0], ("cut", 1));
         assert_eq!(p.procs[&g].cuts_out, 1);
         assert_eq!(p.procs[&f].cuts_in, 1);
@@ -364,17 +363,19 @@ mod tests {
 
     #[test]
     fn report_is_renderable() {
-        let f = Name::from("f");
-        let p = Profile::build(&f, &[ev(0, Event::Yield { code: 3 })]);
-        let r = p.report("steps");
+        let p = Profile::build(ProcId(0), &[ev(0, Event::Yield { code: 3 })]);
+        let r = p.report("steps", &[cmm_ir::Name::from("f")][..]);
         assert!(r.contains("per procedure"));
+        assert!(r.contains("  f "), "{r}");
         assert!(r.contains("yields"));
     }
 
     #[test]
     fn replay_pops_walked_frames_and_truncates_to_a_cut_target() {
-        fn n(name: &str) -> Name {
-            Name::from(name)
+        // Ids in name order: f, g, h, yield.
+        fn n(name: &str) -> ProcId {
+            let names = ["f", "g", "h", "yield"];
+            ProcId(names.iter().position(|&m| m == name).unwrap() as u32)
         }
         let call = |ts, caller: &str, callee: &str| {
             ev(
@@ -420,9 +421,11 @@ mod tests {
             ),
         ];
         let mut steps = Vec::new();
-        replay(&n("f"), &events, |step| match step {
-            Step::Enter(ts, name) => steps.push(format!("{ts}+{name}")),
-            Step::Leave(ts, name) => steps.push(format!("{ts}-{name}")),
+        let names = ["f", "g", "h", "yield"].map(cmm_ir::Name::from);
+        let name = |id| names[..].proc_name(id).to_string();
+        replay(n("f"), &events, |step| match step {
+            Step::Enter(ts, id) => steps.push(format!("{ts}+{}", name(id))),
+            Step::Leave(ts, id) => steps.push(format!("{ts}-{}", name(id))),
             Step::Event(..) => {}
         });
         assert_eq!(
@@ -432,7 +435,7 @@ mod tests {
                 "9-f"
             ]
         );
-        let p = Profile::build(&n("f"), &events);
+        let p = Profile::build(n("f"), &events);
         assert_eq!(p.procs[&n("yield")].entries, 2);
         assert_eq!(p.procs[&n("g")].self_cost, 1 + 1);
         assert_eq!(p.procs[&n("f")].self_cost, 1 + 1);

@@ -40,10 +40,10 @@ pub struct Tally {
     pub unwind_resumes: u64,
     /// Successful cut-class resumptions.
     pub cut_resumes: u64,
-    /// Chaos interventions by description with the invocation ordinal
-    /// stripped: `"fault resume #2"` tallies under `"fault resume"`.
-    /// Bounded by the op vocabulary, not the run length.
-    pub chaos: BTreeMap<String, u64>,
+    /// Injected chaos faults by the faulted operation's stable name:
+    /// `resume`'s faults at invocations 2 and 5 tally as `"resume"`
+    /// twice. Bounded by the op vocabulary, not the run length.
+    pub chaos: BTreeMap<&'static str, u64>,
 }
 
 impl Tally {
@@ -76,13 +76,7 @@ impl Tally {
                     _ => {}
                 }
             }
-            Event::Chaos { what } => {
-                let key = match what.find(" #") {
-                    Some(cut) => &what[..cut],
-                    None => what.as_str(),
-                };
-                *self.chaos.entry(key.to_string()).or_default() += 1;
-            }
+            Event::Chaos { op, .. } => *self.chaos.entry(op).or_default() += 1,
         }
     }
 
@@ -93,6 +87,29 @@ impl Tally {
             t.record(&e.event);
         }
         t
+    }
+
+    /// Adds another stream's counts to these, as if its events had
+    /// been recorded here too.
+    pub fn merge(&mut self, other: &Tally) {
+        self.calls += other.calls;
+        self.tail_calls += other.tail_calls;
+        self.returns += other.returns;
+        self.abnormal_returns += other.abnormal_returns;
+        self.cuts += other.cuts;
+        self.yields += other.yields;
+        self.cont_captures += other.cont_captures;
+        self.cont_deaths += other.cont_deaths;
+        for (n, m) in self.rts.iter_mut().zip(other.rts) {
+            *n += m;
+        }
+        self.unwind_hops += other.unwind_hops;
+        self.normal_resumes += other.normal_resumes;
+        self.unwind_resumes += other.unwind_resumes;
+        self.cut_resumes += other.cut_resumes;
+        for (&op, &n) in &other.chaos {
+            *self.chaos.entry(op).or_default() += n;
+        }
     }
 
     /// Table 1 operations of every kind.
@@ -159,7 +176,7 @@ impl TraceSink for Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmm_ir::Name;
+    use cmm_ir::ProcId;
 
     #[test]
     fn returns_are_classified_by_their_arm() {
@@ -168,7 +185,7 @@ mod tests {
             t.event(
                 u64::from(index),
                 Event::Return {
-                    proc: Name::from("g"),
+                    proc: ProcId(0),
                     index,
                     alternates: 1,
                 },
@@ -185,7 +202,7 @@ mod tests {
         let resume = |kind, ok| Event::Rts(RtsOp::Resume { kind, ok });
         t.record(&Event::Rts(RtsOp::NextActivation {
             moved: true,
-            proc: Some(Name::from("f")),
+            proc: Some(ProcId(0)),
         }));
         t.record(&Event::Rts(RtsOp::NextActivation {
             moved: false,
@@ -194,8 +211,11 @@ mod tests {
         t.record(&resume(ResumeKind::Unwind, true));
         t.record(&resume(ResumeKind::Cut, true));
         t.record(&resume(ResumeKind::Normal, false));
-        for what in ["fault resume #2", "fault resume #5"] {
-            t.record(&Event::Chaos { what: what.into() });
+        for invocation in [2, 5] {
+            t.record(&Event::Chaos {
+                op: "resume",
+                invocation,
+            });
         }
         let resume_op = RtsOp::Resume {
             kind: ResumeKind::Normal,
@@ -209,7 +229,11 @@ mod tests {
             (1, 1, 0)
         );
         assert_eq!(t.mechanisms()[0], ("cut", 1));
-        assert_eq!(t.chaos["fault resume"], 2);
+        assert_eq!(t.chaos["resume"], 2);
         assert_eq!(t.chaos_events(), 2);
+        let mut sum = t.clone();
+        sum.merge(&t);
+        assert_eq!((sum.rts_ops(), sum.chaos["resume"]), (10, 4));
+        assert_eq!(sum.mechanisms()[0], ("cut", 2));
     }
 }

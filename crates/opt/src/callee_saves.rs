@@ -286,7 +286,7 @@ mod tests {
         let mut opt_prog = prog.clone();
         let mut g = opt_prog.procs.get("f").unwrap().clone();
         promote(&mut g, 4);
-        opt_prog.procs.insert(g.name.clone(), g);
+        opt_prog.procs.insert(g);
 
         let run = |p: &cmm_cfg::Program| {
             let mut m = cmm_sem::Machine::new(p);

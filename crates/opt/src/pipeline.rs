@@ -126,13 +126,11 @@ pub fn optimize_graph(g: &mut Graph, opts: &OptOptions) -> OptStats {
 /// optimized procedure", Table 3).
 pub fn optimize_program(p: &mut Program, opts: &OptOptions) -> OptStats {
     let mut total = OptStats::default();
-    let names: Vec<_> = p.procs.keys().cloned().collect();
-    for name in names {
-        if name == YIELD {
+    for g in p.procs.values_mut() {
+        if g.name == YIELD {
             continue;
         }
-        let mut g = p.procs.remove(&name).expect("procedure present");
-        let s = optimize_graph(&mut g, opts);
+        let s = optimize_graph(g, opts);
         total.constprop_rewrites += s.constprop_rewrites;
         total.local_rewrites += s.local_rewrites;
         total.dce_removed += s.dce_removed;
@@ -140,7 +138,6 @@ pub fn optimize_program(p: &mut Program, opts: &OptOptions) -> OptStats {
         total.callee_saves.vars_promoted += s.callee_saves.vars_promoted;
         total.callee_saves.vars_blocked_by_cuts += s.callee_saves.vars_blocked_by_cuts;
         total.iterations = total.iterations.max(s.iterations);
-        p.procs.insert(name, g);
     }
     total
 }

@@ -35,16 +35,18 @@
 //! `with_timing = false` therefore yields byte-identical output at
 //! `-j1` and `-jN`; CI diffs exactly that.
 
-use crate::cache::{PipelineCache, SourceId, SourceKey, SourceLang};
+use crate::cache::{EngineCode, PipelineCache, SourceId, SourceKey, SourceLang};
 use crate::executor::{panic_text, run_jobs_metered, JobOutcome, PoolMeter};
 use cmm_chaos::{drive, Budget, End, EngineId, Family, FaultPlan, ResourceGovernor, Table1};
 use cmm_frontend::{run_thread, with_engine, Arenas, Setup, Strategy};
+use cmm_ir::Name;
 use cmm_obs::{
     json_escape, CacheSnapshot, FlightRecorder, MetricClass, MetricsRegistry, NopSink, RtsOp,
     Tally, TraceSink,
 };
 use cmm_opt::OptOptions;
 use cmm_snap::{fold_digest, Digest, SnapMeta, Snapshot, FOLD_INIT};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -432,6 +434,7 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
         &run_meter,
     );
     let mut jobs = Vec::with_capacity(specs.len());
+    let mut tallies = Vec::with_capacity(specs.len());
     let mut postmortems = Vec::new();
     for (i, o) in outcomes.into_iter().enumerate() {
         let (rec, tally, pm) = match o {
@@ -441,11 +444,12 @@ pub fn run_batch(specs: &[JobSpec], cache: &PipelineCache, config: &BatchConfig)
                 (rec, None, None)
             }
         };
-        if let Some(reg) = &registry {
-            write_metrics(reg, &specs[i], &rec, tally.as_ref());
-        }
         jobs.push(rec);
+        tallies.push(tally);
         postmortems.extend(pm);
+    }
+    if let Some(reg) = &registry {
+        write_metrics(reg, specs, &jobs, &tallies);
     }
 
     let after = cache.snapshot();
@@ -499,89 +503,124 @@ fn failed(outcome: &str) -> bool {
     )
 }
 
-/// Writes one job's figures into the batch registry. The outcome
-/// tally, the deterministic virtual-clock latency (the cost-model
-/// total, read as 1 instruction = 1 virtual ns) and the checkpoint
-/// totals cover every job, compile errors and panics included. A traced
-/// job's `tally` adds engine events by kind, Table 1 ops, dispatch
-/// mechanisms and injected chaos faults, keyed by its exception
-/// technique. Every key is registered even at zero so the exported
-/// label set is a function of the job set, not of which paths fired.
-fn write_metrics(reg: &MetricsRegistry, spec: &JobSpec, rec: &JobRecord, tally: Option<&Tally>) {
+/// Writes the batch's figures into its registry. The jobs' figures are
+/// summed per label set first, so each registry cell is looked up once
+/// per batch, not once per job. The outcome tally, the deterministic
+/// virtual-clock latency (the cost-model total, read as 1 instruction =
+/// 1 virtual ns) and the checkpoint totals cover every job, compile
+/// errors and panics included. A traced job's tally adds engine events
+/// by kind, Table 1 ops, dispatch mechanisms and injected chaos faults,
+/// keyed by its exception technique. Every key is registered even at
+/// zero so the exported label set is a function of the job set, not of
+/// which paths fired.
+fn write_metrics(
+    reg: &MetricsRegistry,
+    specs: &[JobSpec],
+    jobs: &[JobRecord],
+    tallies: &[Option<Tally>],
+) {
     let det = MetricClass::Deterministic;
-    let engine = spec.engine.label();
-    let class = outcome_class(&rec.outcome);
-    reg.counter(
-        "cmm_jobs_total",
-        &[("engine", engine), ("outcome", class)],
-        "Batch jobs by engine and outcome class",
-        det,
-    )
-    .inc();
-    reg.histogram(
-        "cmm_job_virtual_ns",
-        &[("engine", engine), ("phase", "run")],
-        "Deterministic job latency on the virtual cost clock (1 instruction = 1 ns)",
-        det,
-    )
-    .observe(rec.instructions);
-    // Registered even when checkpointing is off.
-    let snap = rec.snap.unwrap_or_default();
-    reg.counter(
-        "cmm_snapshots_total",
-        &[("engine", engine)],
-        "Machine-state snapshots taken at fuel-slice boundaries",
-        det,
-    )
-    .add(snap.count);
-    reg.counter(
-        "cmm_snapshot_bytes_total",
-        &[("engine", engine)],
-        "Encoded snapshot bytes across fuel-slice checkpoints",
-        det,
-    )
-    .add(snap.bytes);
-    let Some(t) = tally else {
-        return;
-    };
-    let tech = technique(spec);
-    for (kind, n) in t.kinds() {
+    let mut outcomes: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    let mut latencies: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+    let mut snaps: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    let mut traced: BTreeMap<(&str, &str), Tally> = BTreeMap::new();
+    for ((spec, rec), tally) in specs.iter().zip(jobs).zip(tallies) {
+        let engine = spec.engine.label();
+        *outcomes
+            .entry((engine, outcome_class(&rec.outcome)))
+            .or_default() += 1;
+        latencies.entry(engine).or_default().push(rec.instructions);
+        // Registered even when checkpointing is off.
+        let snap = rec.snap.unwrap_or_default();
+        let (count, bytes) = snaps.entry(engine).or_default();
+        *count += snap.count;
+        *bytes += snap.bytes;
+        if let Some(t) = tally {
+            traced
+                .entry((engine, technique(spec)))
+                .or_default()
+                .merge(t);
+        }
+    }
+    for ((engine, class), n) in outcomes {
         reg.counter(
-            "cmm_engine_events_total",
-            &[("engine", engine), ("kind", kind), ("technique", tech)],
-            "Engine trace events by kind, engine, and exception technique",
+            "cmm_jobs_total",
+            &[("engine", engine), ("outcome", class)],
+            "Batch jobs by engine and outcome class",
             det,
         )
         .add(n);
     }
-    for (op, n) in RtsOp::NAMES.into_iter().zip(t.rts) {
+    for (engine, latencies) in latencies {
+        let h = reg.histogram(
+            "cmm_job_virtual_ns",
+            &[("engine", engine), ("phase", "run")],
+            "Deterministic job latency on the virtual cost clock (1 instruction = 1 ns)",
+            det,
+        );
+        for ns in latencies {
+            h.observe(ns);
+        }
+    }
+    for (engine, (count, bytes)) in snaps {
         reg.counter(
-            "cmm_rts_ops_total",
-            &[("engine", engine), ("op", op), ("technique", tech)],
-            "Table 1 run-time-interface calls by op and exception technique",
+            "cmm_snapshots_total",
+            &[("engine", engine)],
+            "Machine-state snapshots taken at fuel-slice boundaries",
             det,
         )
-        .add(n);
-    }
-    for (mech, n) in t.mechanisms() {
+        .add(count);
         reg.counter(
-            "cmm_strategy_dispatch_total",
-            &[("mech", mech), ("technique", tech)],
-            "Exception-dispatch mechanism uses by technique",
+            "cmm_snapshot_bytes_total",
+            &[("engine", engine)],
+            "Encoded snapshot bytes across fuel-slice checkpoints",
             det,
         )
-        .add(n);
+        .add(bytes);
     }
-    for (what, &n) in &t.chaos {
-        if let Some(op) = what.strip_prefix("fault ") {
+    let mut by_tech: BTreeMap<&str, Tally> = BTreeMap::new();
+    for ((engine, tech), t) in &traced {
+        for (kind, n) in t.kinds() {
             reg.counter(
-                "cmm_chaos_faults_total",
-                &[("op", op)],
-                "Injected Table 1 faults by operation",
+                "cmm_engine_events_total",
+                &[("engine", engine), ("kind", kind), ("technique", tech)],
+                "Engine trace events by kind, engine, and exception technique",
                 det,
             )
             .add(n);
         }
+        for (op, n) in RtsOp::NAMES.into_iter().zip(t.rts) {
+            reg.counter(
+                "cmm_rts_ops_total",
+                &[("engine", engine), ("op", op), ("technique", tech)],
+                "Table 1 run-time-interface calls by op and exception technique",
+                det,
+            )
+            .add(n);
+        }
+        by_tech.entry(tech).or_default().merge(t);
+    }
+    let mut total = Tally::default();
+    for (tech, t) in &by_tech {
+        for (mech, n) in t.mechanisms() {
+            reg.counter(
+                "cmm_strategy_dispatch_total",
+                &[("mech", mech), ("technique", tech)],
+                "Exception-dispatch mechanism uses by technique",
+                det,
+            )
+            .add(n);
+        }
+        total.merge(t);
+    }
+    for (op, n) in total.chaos {
+        reg.counter(
+            "cmm_chaos_faults_total",
+            &[("op", op)],
+            "Injected Table 1 faults by operation",
+            det,
+        )
+        .add(n);
     }
 }
 
@@ -600,13 +639,14 @@ fn run_one(
     config: &BatchConfig,
 ) -> (RunObs, Option<Tally>, Option<Postmortem>) {
     let snap_every = config.snapshot_every;
+    let cached = cache.engine_code(source, spec.engine);
     if !config.metrics {
-        let obs = execute(spec, cache, source, arenas, snap_every, NopSink);
+        let obs = execute(spec, &cached, source, arenas, snap_every, NopSink);
         return (obs, None, None);
     }
     let mut flight = FlightRecorder::new(FLIGHT_CAP);
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        execute(spec, cache, source, arenas, snap_every, &mut flight)
+        execute(spec, &cached, source, arenas, snap_every, &mut flight)
     }));
     let obs = match caught {
         Ok(obs) => obs,
@@ -633,7 +673,10 @@ fn run_one(
             name: spec.name.clone(),
             engine: spec.engine.label(),
             outcome: obs.outcome.clone(),
-            text: flight.dump(&header),
+            text: match &cached {
+                Ok(c) => flight.dump(&header, c.code().names()),
+                Err(_) => flight.dump(&header, &Vec::<Name>::new()),
+            },
         }
     });
     (obs, Some(flight.tally), pm)
@@ -686,23 +729,24 @@ fn governor(spec: &JobSpec) -> ResourceGovernor {
     }
 }
 
-/// Runs one job against the warm cache (looked up by its group's
-/// `source` identity, hashed once per batch), drawing machine state
-/// from (and returning it to) the worker's arenas. Generic over the sink:
+/// Runs one job on the code the warm cache holds for its group's
+/// `source` identity (hashed once per batch), or reports the group's
+/// compile error, drawing machine state from (and returning it to) the
+/// worker's arenas. Generic over the sink:
 /// the plain service passes [`NopSink`] and monomorphizes to exactly
 /// the zero-cost instantiation the perf trajectory measures; the
 /// metrics service lends a [`FlightRecorder`].
 fn execute<S: TraceSink>(
     spec: &JobSpec,
-    cache: &PipelineCache,
+    cached: &Result<EngineCode, String>,
     source: &SourceId,
     arenas: &mut Arenas,
     snap_every: Option<u64>,
     sink: S,
 ) -> RunObs {
-    let cached = match cache.engine_code(source, spec.engine) {
+    let cached = match cached {
         Ok(c) => c,
-        Err(e) => return RunObs::failed("compile-error", e),
+        Err(e) => return RunObs::failed("compile-error", e.clone()),
     };
     let code = cached.code();
     let image = code

@@ -2,7 +2,7 @@
 
 use cmm_cfg::{Bundle, Graph, Node, Program};
 use cmm_chaos::{ChaosOp, EngineId, FaultPlan, InjectedFault, Stop, Table1};
-use cmm_ir::{Name, Ty};
+use cmm_ir::{Name, ProcId, Ty};
 use cmm_obs::{Event, ResumeKind, RtsOp};
 use cmm_sem::{
     Frame, Machine, ResolvedMachine, ResolvedProgram, RtsTarget, SemEngine, SemState, Status,
@@ -118,7 +118,8 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
         let fault = self.chaos.as_mut()?.trip(op)?;
         if self.machine.trace_enabled() {
             self.machine.trace(Event::Chaos {
-                what: format!("fault {fault}"),
+                op: fault.op.name(),
+                invocation: fault.invocation,
             });
         }
         Some(fault)
@@ -166,7 +167,7 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
     /// node's bundle, so this recovers exactly what the frame holds.
     fn call_site(&self, index: usize) -> Option<(&'p Graph, &'p Bundle, &'p [Name])> {
         let site = self.machine.activation_site(index)?;
-        let g = self.machine.program().proc(site.proc.as_str())?;
+        let g = self.machine.program().procs.by_id(site.proc)?;
         let Node::Call {
             bundle,
             descriptors,
@@ -235,8 +236,9 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
 
     /// The procedure of the activation behind a handle (for inspection
     /// and diagnostics).
-    pub fn activation_proc(&self, a: &Activation) -> Option<Name> {
-        self.machine.activation_site(a.index).map(|s| s.proc)
+    pub fn activation_proc(&self, a: &Activation) -> Option<&'p Name> {
+        let site = self.machine.activation_site(a.index)?;
+        Some(&self.machine.program().procs.by_id(site.proc)?.name)
     }
 
     /// `GetDescriptor(a, n)`: "returns a pointer to the n'th descriptor
@@ -337,9 +339,10 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
             .machine
             .activation_site(pops)
             .ok_or_else(|| Wrong::RtsViolation("stale activation handle".into()))?;
-        let (g, bundle, _) = self
-            .call_site(pops)
-            .ok_or_else(|| Wrong::NoSuchProc(site.clone(), site.proc.clone()))?;
+        let (g, bundle, _) = self.call_site(pops).ok_or_else(|| {
+            let at = site.named(self.machine.program());
+            Wrong::NoSuchProc(at.clone(), at.proc)
+        })?;
         let Some(&node) = bundle.unwinds.get(n) else {
             return Err(Wrong::RtsViolation(format!(
                 "call site has {} unwind continuations; {n} requested",
@@ -377,7 +380,7 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
         r.map(|_| ())
     }
 
-    fn set_cut_to_cont_inner(&mut self, k: Value) -> Result<Option<Name>, Wrong> {
+    fn set_cut_to_cont_inner(&mut self, k: Value) -> Result<Option<ProcId>, Wrong> {
         self.require_suspended()?;
         let (target, _) = self
             .machine
@@ -385,14 +388,13 @@ impl<'p, M: SemEngine<'p>> Thread<'p, M> {
             .ok_or_else(|| Wrong::RtsViolation("SetCutToCont: not a continuation".into()))?;
         let count = self
             .machine
-            .cont_param_count(&target.proc, target.node)
+            .cont_param_count(target.proc, target.node)
             .unwrap_or(0);
-        let target_proc = target.proc;
         self.pending = Some(Pending::CutTo {
             cont: k,
             params: vec![Value::Bits(cmm_ir::Width::W32, 0); count],
         });
-        Ok(Some(target_proc))
+        Ok(Some(target.proc))
     }
 
     /// `FindContParam(t, n)`: "returns a pointer to the location in

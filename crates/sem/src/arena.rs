@@ -36,7 +36,7 @@ pub struct SemArena {
     /// The continuation-encoding table, shared by both machines.
     pub(crate) conts: ContTable,
     /// Reference machine: the global-register table.
-    pub(crate) globals: Env,
+    pub(crate) globals: Env<cmm_ir::Name>,
     /// Resolved machine: the activation stack.
     pub(crate) r_stack: Vec<RFrame>,
     /// Resolved machine: the indexed global-register table.

@@ -17,7 +17,7 @@ use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{NodeId, Program};
 use cmm_chaos::EngineId;
-use cmm_ir::{Name, Ty};
+use cmm_ir::{ProcId, Ty};
 use cmm_obs::{Event, TraceSink};
 
 /// One thread of C-- execution, as seen by the front-end run-time
@@ -86,7 +86,7 @@ pub trait SemEngine<'p> {
 
     /// Parameter count of the continuation at `node`, if it is a
     /// `CopyIn` node.
-    fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize>;
+    fn cont_param_count(&self, proc: ProcId, node: NodeId) -> Option<usize>;
 
     /// Loads a typed value from memory.
     fn load(&self, ty: Ty, addr: u64) -> Value;
@@ -179,7 +179,7 @@ impl<'p, S: TraceSink> SemEngine<'p> for Machine<'p, S> {
         Machine::decode_cont(self, v)
     }
 
-    fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
+    fn cont_param_count(&self, proc: ProcId, node: NodeId) -> Option<usize> {
         Machine::cont_param_count(self, proc, node)
     }
 

@@ -5,7 +5,8 @@
 //! has seven components:
 //!
 //! 1. the **control** `p`, the current node (here the current
-//!    procedure's graph and a node of it; [`NodeRef`] names one);
+//!    procedure's graph and a node of it; [`NodeRef`] names one by
+//!    procedure id, [`NamedNode`] by procedure name);
 //! 2. the **local environment** `ρ`, mapping names to values;
 //! 3. a set `s` of the variables of `ρ` stored in callee-saves registers;
 //! 4. a unique integer **uid**, "used to enforce the restriction against
@@ -76,7 +77,7 @@ pub use arena::SemArena;
 pub use engine::SemEngine;
 pub use machine::{Machine, RtsTarget, Status};
 pub use resolved::{ResolvedMachine, ResolvedProgram};
-pub use snapshot::{FrameState, SemState, SnapStatus};
-pub use state::{Frame, NodeRef};
+pub use snapshot::{FrameState, SemState, SnapStatus, StateValue};
+pub use state::{Env, Frame, NamedNode, NodeRef};
 pub use value::Value;
 pub use wrong::Wrong;

@@ -1,14 +1,14 @@
 //! The abstract machine: every transition rule of §5.2.
 
-use crate::snapshot::{FrameState, SemState, SnapStatus};
-use crate::state::{call_bundle, ContTable, Env, Frame, NodeRef};
+use crate::snapshot::{local_name, FrameState, SemState, SnapStatus, StateValue};
+use crate::state::{call_bundle, ContTable, Env, Frame, NamedNode, NodeRef};
 use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{Graph, Node, NodeId, Program};
 use cmm_chaos::ResourceGovernor;
-use cmm_ir::{BinOp, Expr, FWidth, Lit, Lvalue, Name, Ty, Width};
+use cmm_ir::{BinOp, Expr, FWidth, Lit, Lvalue, Name, ProcId, Ty, Width};
 use cmm_obs::{Event, NopSink, TraceSink};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::LazyLock;
 
 /// The execution status of a [`Machine`].
@@ -60,10 +60,11 @@ static IDLE: LazyLock<Graph> = LazyLock::new(|| Graph {
 /// The C-- abstract machine: one thread of §5.2, together with its
 /// memory, global registers, and stack.
 ///
-/// The control component is the current procedure's graph and a node
-/// in it, and every frame holds its procedure's graph, so the program's
-/// procedure map is consulted only to evaluate a procedure name and to
-/// enter a `Code` value.
+/// The control component is the current procedure's graph, its id and a
+/// node in it, and every frame holds its procedure's graph and id, so
+/// the program's procedure table is searched by name only to evaluate a
+/// procedure name; a `Code` value is entered by its id. ρ binds the
+/// program's own variable names by reference.
 ///
 /// The machine is generic over a [`TraceSink`]; the default
 /// [`NopSink`] compiles every emission away (guarded by
@@ -72,9 +73,10 @@ static IDLE: LazyLock<Graph> = LazyLock::new(|| Graph {
 pub struct Machine<'p, S: TraceSink = NopSink> {
     prog: &'p Program,
     graph: &'p Graph,
+    proc: ProcId,
     node: NodeId,
-    rho: Env,
-    saves: BTreeSet<Name>,
+    rho: Env<&'p Name>,
+    saves: Vec<&'p Name>,
     uid: u64,
     mem: HashMap<u64, u8>,
     area: Vec<Value>,
@@ -119,16 +121,17 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         globals.clear();
         for g in &prog.globals {
             let v = g.init.map(|l| l.bits).unwrap_or(0);
-            globals.bind(&g.name, Value::Bits(width_of(g.ty), v));
+            globals.bind(g.name.clone(), Value::Bits(width_of(g.ty), v));
         }
         let mut conts = std::mem::take(&mut arena.conts);
         conts.clear();
         Machine {
             prog,
             graph: &IDLE,
+            proc: ProcId::NONE,
             node: NodeId(0),
             rho: Env::new(),
-            saves: BTreeSet::new(),
+            saves: Vec::new(),
             uid: 0,
             mem,
             area: Vec::new(),
@@ -210,15 +213,13 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         if matches!(self.status, Status::Suspended) {
             return Err(Wrong::NotRunnable);
         }
-        let g = self
-            .prog
-            .proc(proc)
-            .ok_or_else(|| Wrong::NoSuchProc(NodeRef::new(proc, NodeId(0)), Name::from(proc)))?;
-        self.graph = g;
-        self.node = g.entry;
+        let id =
+            self.prog.procs.id(proc).ok_or_else(|| {
+                Wrong::NoSuchProc(NamedNode::new(proc, NodeId(0)), Name::from(proc))
+            })?;
+        self.enter(id);
         self.rho.clear();
         self.saves.clear();
-        self.uid = self.fresh_uid();
         self.area = args;
         self.stack.clear();
         self.status = Status::Running;
@@ -261,12 +262,9 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
     }
 
-    /// The control component as a [`NodeRef`].
-    fn here(&self) -> NodeRef {
-        NodeRef {
-            proc: self.graph.name.clone(),
-            node: self.node,
-        }
+    /// The control component, named for a [`Wrong`].
+    fn at(&self) -> NamedNode {
+        NamedNode::new(&self.graph.name, self.node)
     }
 
     fn transition(&mut self) -> Result<(), Wrong> {
@@ -279,13 +277,16 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             Node::Entry { conts, next } => {
                 self.rho.clear();
                 for (name, id) in conts {
-                    let k = Value::Cont(NodeRef::new(&g.name, *id), self.uid);
-                    self.rho.bind(name, k);
+                    let k = NodeRef {
+                        proc: self.proc,
+                        node: *id,
+                    };
+                    self.rho.bind(name, Value::Cont(k, self.uid));
                 }
                 self.saves.clear();
                 if S::ENABLED && !conts.is_empty() {
                     self.emit(Event::ContCapture {
-                        proc: g.name.clone(),
+                        proc: self.proc,
                         uid: self.uid,
                         conts: conts.len() as u32,
                     });
@@ -299,7 +300,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                     if *index == 0 && *alternates == 0 {
                         if S::ENABLED {
                             self.emit(Event::Return {
-                                proc: g.name.clone(),
+                                proc: self.proc,
                                 index: *index,
                                 alternates: *alternates,
                             });
@@ -307,25 +308,26 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                         self.status = Status::Terminated(self.area.clone());
                         return Ok(());
                     }
-                    return Err(Wrong::AbnormalTopLevelExit(self.here()));
+                    return Err(Wrong::AbnormalTopLevelExit(self.at()));
                 };
                 let bundle = frame.bundle();
                 if bundle.alternates() != *alternates || *index > *alternates {
                     self.stack.push(frame);
                     return Err(Wrong::ReturnArityMismatch {
-                        at: self.here(),
+                        at: self.at(),
                         claimed: *alternates,
                         actual: bundle.alternates(),
                     });
                 }
                 if S::ENABLED {
                     self.emit(Event::Return {
-                        proc: g.name.clone(),
+                        proc: self.proc,
                         index: *index,
                         alternates: *alternates,
                     });
                 }
                 self.graph = frame.graph;
+                self.proc = frame.id;
                 self.node = bundle.returns[*index as usize];
                 self.rho = frame.rho;
                 self.saves = frame.saves;
@@ -335,7 +337,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             // CopyIn pv p: ρ[pv ⟵ A]; A := nil.
             Node::CopyIn { vars, next } => {
                 if self.area.len() < vars.len() {
-                    return Err(Wrong::TooFewValues(self.here()));
+                    return Err(Wrong::TooFewValues(self.at()));
                 }
                 for (v, val) in vars.iter().zip(self.area.drain(..)) {
                     self.rho.bind(v, val);
@@ -355,9 +357,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             }
             // CalleeSaves s' p: s := s'.
             Node::CalleeSaves { vars, next } => {
-                if self.saves != *vars {
-                    self.saves.clone_from(vars);
-                }
+                self.saves.clear();
+                self.saves.extend(vars);
                 self.node = *next;
                 Ok(())
             }
@@ -387,73 +388,71 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 let target = self.resolve_code(callee)?;
                 if S::ENABLED {
                     self.emit(Event::Call {
-                        caller: g.name.clone(),
-                        callee: target.clone(),
+                        caller: self.proc,
+                        callee: target,
                     });
                 }
                 let frame = Frame {
                     graph: g,
+                    id: self.proc,
                     call_site: self.node,
                     rho: std::mem::take(&mut self.rho),
                     saves: std::mem::take(&mut self.saves),
                     uid: self.uid,
                 };
                 self.stack.push(frame);
-                self.enter(&target)
+                self.enter(target);
+                Ok(())
             }
             // Jump e_f: the continuation bundle is already on the stack.
             Node::Jump { callee } => {
                 let target = self.resolve_code(callee)?;
                 if S::ENABLED {
                     self.emit(Event::TailCall {
-                        caller: g.name.clone(),
-                        callee: target.clone(),
+                        caller: self.proc,
+                        callee: target,
                     });
                 }
                 self.rho.clear();
                 self.saves.clear();
-                self.enter(&target)
+                self.enter(target);
+                Ok(())
             }
             // CutTo e.
             Node::CutTo { cont, cuts } => {
                 let v = self.eval(cont)?;
                 let (target, tuid) = self
                     .decode_cont(&v)
-                    .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-                if tuid == self.uid && target.proc == g.name {
+                    .ok_or_else(|| Wrong::DeadContinuation(self.at()))?;
+                let cutter = self.proc;
+                if tuid == self.uid && target.proc == cutter {
                     // Cut within the current activation: requires an
                     // `also cuts to` annotation on the `cut to` itself.
                     if !cuts.contains(&target.node) {
-                        return Err(Wrong::CutNotAnnotated(self.here()));
+                        return Err(Wrong::CutNotAnnotated(self.at()));
                     }
-                    let killed = std::mem::take(&mut self.saves);
-                    for s in &killed {
+                    for s in &self.saves {
                         self.rho.remove(s.as_str());
                     }
+                    let killed = self.saves.len() as u32;
+                    self.saves.clear();
                     if S::ENABLED {
                         self.emit(Event::CutTo {
-                            proc: g.name.clone(),
-                            target: target.proc.clone(),
-                            killed_saves: killed.len() as u32,
+                            proc: cutter,
+                            target: target.proc,
+                            killed_saves: killed,
                         });
                     }
                     self.node = target.node;
                     return Ok(());
                 }
-                let cutter = if S::ENABLED {
-                    Some((g.name.clone(), target.proc.clone()))
-                } else {
-                    None
-                };
                 let killed = self.cut_stack(target, tuid)?;
                 if S::ENABLED {
-                    if let Some((proc, target)) = cutter {
-                        self.emit(Event::CutTo {
-                            proc,
-                            target,
-                            killed_saves: killed,
-                        });
-                    }
+                    self.emit(Event::CutTo {
+                        proc: cutter,
+                        target: target.proc,
+                        killed_saves: killed,
+                    });
                 }
                 Ok(())
             }
@@ -476,11 +475,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     fn cut_stack(&mut self, target: NodeRef, tuid: u64) -> Result<u32, Wrong> {
         loop {
             let Some(top) = self.stack.last() else {
-                return Err(Wrong::DeadContinuation(self.here()));
+                return Err(Wrong::DeadContinuation(self.at()));
             };
             if top.uid == tuid {
-                if *top.proc() != target.proc || !top.bundle().cuts.contains(&target.node) {
-                    return Err(Wrong::CutNotAnnotated(self.here()));
+                if top.id != target.proc || !top.bundle().cuts.contains(&target.node) {
+                    return Err(Wrong::CutNotAnnotated(self.at()));
                 }
                 let mut frame = self.stack.pop().expect("frame checked above");
                 // "cut to does not restore values stored in callee-saves
@@ -490,50 +489,51 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 for s in &frame.saves {
                     frame.rho.remove(s.as_str());
                 }
+                frame.saves.clear();
                 self.graph = frame.graph;
+                self.proc = frame.id;
                 self.node = target.node;
                 self.rho = frame.rho;
-                self.saves = BTreeSet::new();
+                self.saves = frame.saves;
                 self.uid = frame.uid;
                 return Ok(killed);
             }
             if !top.bundle().aborts {
-                return Err(Wrong::NotAbortable(top.site()));
+                return Err(Wrong::NotAbortable(top.site().named(self.prog)));
             }
             let dead = self.stack.pop().expect("frame checked above");
             if S::ENABLED {
                 self.emit(Event::ContDeath {
-                    proc: dead.proc().clone(),
+                    proc: dead.id,
                     uid: dead.uid,
                 });
             }
         }
     }
 
-    fn enter(&mut self, proc: &Name) -> Result<(), Wrong> {
-        let g = self
-            .prog
-            .proc(proc.as_str())
-            .ok_or_else(|| Wrong::NoSuchProc(self.here(), proc.clone()))?;
+    /// Enters procedure `id` (one [`Machine::resolve_code`] returned)
+    /// at its entry node, in a fresh activation.
+    fn enter(&mut self, id: ProcId) {
+        let g = &self.prog.procs[id];
         self.graph = g;
+        self.proc = id;
         self.node = g.entry;
         self.uid = self.fresh_uid();
-        Ok(())
     }
 
-    fn resolve_code(&mut self, callee: &Expr) -> Result<Name, Wrong> {
-        match self.eval(callee)? {
-            Value::Code(n) => Ok(n),
-            Value::Bits(_, addr) => self
-                .prog
-                .proc_at(addr)
-                .cloned()
-                .ok_or_else(|| Wrong::NotCode(self.here())),
-            Value::Cont(..) => Err(Wrong::NotCode(self.here())),
-        }
+    /// The procedure a callee denotes: a `Code` value, or a code
+    /// address, naming a procedure of the program.
+    fn resolve_code(&mut self, callee: &Expr) -> Result<ProcId, Wrong> {
+        let id = match self.eval(callee)? {
+            Value::Code(id) => Some(id),
+            Value::Bits(_, addr) => self.prog.proc_at(addr),
+            Value::Cont(..) => None,
+        };
+        id.filter(|id| id.index() < self.prog.procs.len())
+            .ok_or_else(|| Wrong::NotCode(self.at()))
     }
 
-    fn write_var(&mut self, n: &Name, v: Value) -> Result<(), Wrong> {
+    fn write_var(&mut self, n: &'p Name, v: Value) -> Result<(), Wrong> {
         if self.graph.var_ty(n).is_some() {
             self.rho.bind(n, v);
             Ok(())
@@ -541,7 +541,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             *slot = v;
             Ok(())
         } else {
-            Err(Wrong::UnboundName(self.here(), n.clone()))
+            Err(Wrong::UnboundName(self.at(), n.clone()))
         }
     }
 
@@ -572,11 +572,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 let (wb, vb) = self.eval_bits(b)?;
                 let shiftish = matches!(op, BinOp::Shl | BinOp::ShrU | BinOp::ShrS);
                 if wa != wb && !shiftish {
-                    return Err(Wrong::WidthMismatch(self.here()));
+                    return Err(Wrong::WidthMismatch(self.at()));
                 }
                 let (r, rw) = op
                     .eval(wa, va, vb)
-                    .map_err(|e| Wrong::OpFailed(self.here(), e))?;
+                    .map_err(|e| Wrong::OpFailed(self.at(), e))?;
                 Ok(Value::Bits(rw, r))
             }
         }
@@ -600,15 +600,15 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         if let Some(v) = self.globals.get(n.as_str()) {
             return Ok(v.clone());
         }
-        if self.prog.procs.contains_key(n) {
-            return Ok(Value::Code(n.clone()));
+        if let Some(id) = self.prog.procs.id(n) {
+            return Ok(Value::Code(id));
         }
         if let Some(addr) = self.prog.image.symbol(n.as_str()) {
             // A data-block name denotes the immutable address of the
             // block (§3.1). (Procedure names were handled above.)
             return Ok(Value::Bits(Width::W32, addr));
         }
-        Err(Wrong::UnboundName(self.here(), n.clone()))
+        Err(Wrong::UnboundName(self.at(), n.clone()))
     }
 
     /// Converts a value to raw bits: `Code` becomes its synthetic code
@@ -617,10 +617,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     fn flatten(&mut self, v: Value) -> Result<u64, Wrong> {
         match v {
             Value::Bits(_, b) => Ok(b),
-            Value::Code(n) => self
-                .prog
-                .proc_addr(n.as_str())
-                .ok_or_else(|| Wrong::NoSuchProc(self.here(), n)),
+            Value::Code(id) => code_addr(self.prog, id, || self.at()),
             Value::Cont(p, u) => Ok(self.conts.encode(p, u)),
         }
     }
@@ -629,7 +626,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// encoding.
     pub fn decode_cont(&self, v: &Value) -> Option<(NodeRef, u64)> {
         match v {
-            Value::Cont(p, u) => Some((p.clone(), *u)),
+            Value::Cont(p, u) => Some((*p, *u)),
             Value::Bits(_, b) => self.conts.decode(*b),
             Value::Code(_) => None,
         }
@@ -696,12 +693,12 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             return Err(Wrong::RtsViolation("no activation to discard".into()));
         };
         if !top.bundle().aborts {
-            return Err(Wrong::NotAbortable(top.site()));
+            return Err(Wrong::NotAbortable(top.site().named(self.prog)));
         }
         let dead = self.stack.pop().expect("frame checked above");
         if S::ENABLED {
             self.emit(Event::ContDeath {
-                proc: dead.proc().clone(),
+                proc: dead.id,
                 uid: dead.uid,
             });
         }
@@ -746,6 +743,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             frame.saves.clear();
         }
         self.graph = frame.graph;
+        self.proc = frame.id;
         self.node = node;
         self.rho = frame.rho;
         self.saves = frame.saves;
@@ -768,8 +766,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         self.require_suspended()?;
         let (target, tuid) = self
             .decode_cont(cont)
-            .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-        check_param_count(self.cont_param_count(&target.proc, target.node), args.len())?;
+            .ok_or_else(|| Wrong::DeadContinuation(self.at()))?;
+        check_param_count(self.cont_param_count(target.proc, target.node), args.len())?;
         // Try the cut on a scratch copy of the control state so a failed
         // cut leaves the suspension intact.
         let saved_stack = self.stack.clone();
@@ -788,8 +786,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
 
     /// Number of parameters the continuation at `node` expects, if it is
     /// a `CopyIn` node.
-    pub fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
-        copy_in_arity(self.prog.proc(proc.as_str())?, node)
+    pub fn cont_param_count(&self, proc: ProcId, node: NodeId) -> Option<usize> {
+        copy_in_arity(self.prog.procs.by_id(proc)?, node)
     }
 
     fn require_suspended(&self) -> Result<(), Wrong> {
@@ -818,10 +816,26 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 }
 
+/// The synthetic code address of procedure `id`, for a `Code` value
+/// flattened to bits. The synthesized procedures (`yield`, the `%%`
+/// checks) have no address, and an id the program does not have is not
+/// code; either goes wrong at `at()`.
+pub(crate) fn code_addr(
+    prog: &Program,
+    id: ProcId,
+    at: impl FnOnce() -> NamedNode,
+) -> Result<u64, Wrong> {
+    let Some(g) = prog.procs.by_id(id) else {
+        return Err(Wrong::NotCode(at()));
+    };
+    prog.proc_addr(g.name.as_str())
+        .ok_or_else(|| Wrong::NoSuchProc(at(), g.name.clone()))
+}
+
 /// Parameter count of the continuation at `node` of `g`, if it is a
 /// `CopyIn` node.
 fn copy_in_arity(g: &Graph, node: NodeId) -> Option<usize> {
-    match g.node(node) {
+    match g.nodes.get(node.index())? {
         Node::CopyIn { vars, .. } => Some(vars.len()),
         _ => None,
     }
@@ -899,17 +913,20 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             Status::OutOfFuel => SnapStatus::OutOfFuel,
             other => return Err(format!("not at a resumable point (status {other:?})")),
         };
-        let pairs = |m: &Env| -> Vec<(Name, Value)> {
-            m.iter().map(|(n, v)| (n.clone(), v.clone())).collect()
+        let prog = self.prog;
+        let value = |v: &Value| StateValue::of(v, prog);
+        let pairs = |m: &Env<&Name>| -> Vec<(Name, StateValue)> {
+            m.iter().map(|(n, v)| (n.clone(), value(v))).collect()
         };
+        let names = |s: &[&Name]| s.iter().map(|&n| n.clone()).collect();
         Ok(SemState {
             proc: self.graph.name.clone(),
             node: self.node,
             rho: pairs(&self.rho),
-            saves: self.saves.iter().cloned().collect(),
+            saves: names(&self.saves),
             uid: self.uid,
             mem: self.mem_snapshot(),
-            area: self.area.clone(),
+            area: self.area.iter().map(value).collect(),
             stack: self
                 .stack
                 .iter()
@@ -917,13 +934,22 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                     proc: f.proc().clone(),
                     call_site: f.call_site,
                     rho: pairs(&f.rho),
-                    saves: f.saves.iter().cloned().collect(),
+                    saves: names(&f.saves),
                     uid: f.uid,
                 })
                 .collect(),
-            globals: pairs(&self.globals),
+            globals: self
+                .globals
+                .iter()
+                .map(|(n, v)| (n.clone(), value(v)))
+                .collect(),
             next_uid: self.next_uid,
-            cont_encodings: self.conts.entries().to_vec(),
+            cont_encodings: self
+                .conts
+                .entries()
+                .iter()
+                .map(|&(r, u)| (r.named(prog), u))
+                .collect(),
             status,
             steps: self.steps,
         })
@@ -944,41 +970,52 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     ///
     /// Returns a message naming the first component that does not fit
     /// the program: unknown procedure, node out of bounds, a call site
-    /// that is not a `Call`, or a continuation encoding outside the
+    /// that is not a `Call`, a binding that names no variable of its
+    /// procedure, or a value or continuation encoding outside the
     /// program. The machine is unchanged on error.
     pub fn restore(&mut self, st: &SemState) -> Result<(), String> {
-        let graph = check_ref(self.prog, &st.proc, st.node, "control")?;
-        for (i, ce) in st.cont_encodings.iter().enumerate() {
-            check_ref(
-                self.prog,
-                &ce.0.proc,
-                ce.0.node,
-                &format!("cont-encoding {i}"),
-            )?;
+        let prog = self.prog;
+        let (here, graph) = NamedNode::new(&st.proc, st.node).resolve(prog, "control")?;
+        let values = |vs: &[StateValue]| -> Result<Vec<Value>, String> {
+            vs.iter().map(|v| v.value(prog)).collect()
+        };
+        let mut conts = Vec::with_capacity(st.cont_encodings.len());
+        for (i, (n, u)) in st.cont_encodings.iter().enumerate() {
+            conts.push((n.resolve(prog, &format!("cont-encoding {i}"))?.0, *u));
         }
+        let (rho, saves) = restore_locals(prog, graph, &st.rho, &st.saves, "")?;
         let mut stack = Vec::with_capacity(st.stack.len());
         for (i, f) in st.stack.iter().enumerate() {
-            let graph = call_site_graph(self.prog, &f.proc, f.call_site)
+            let frame = format!("frame {i} ");
+            let (id, graph) = call_site_graph(prog, &f.proc, f.call_site)
                 .map_err(|e| format!("frame {i}: {e}"))?;
+            let (rho, saves) = restore_locals(prog, graph, &f.rho, &f.saves, &frame)?;
             stack.push(Frame {
                 graph,
+                id,
                 call_site: f.call_site,
-                rho: f.rho.iter().cloned().collect(),
-                saves: f.saves.iter().cloned().collect(),
+                rho,
+                saves,
                 uid: f.uid,
             });
         }
+        let mut globals = Env::new();
+        for (n, v) in &st.globals {
+            globals.bind(n.clone(), v.value(prog)?);
+        }
+        let area = values(&st.area)?;
         self.graph = graph;
+        self.proc = here.proc;
         self.node = st.node;
-        self.rho = st.rho.iter().cloned().collect();
-        self.saves = st.saves.iter().cloned().collect();
+        self.rho = rho;
+        self.saves = saves;
         self.uid = st.uid;
         self.mem = st.mem.iter().copied().collect();
-        self.area = st.area.clone();
+        self.area = area;
         self.stack = stack;
-        self.globals = st.globals.iter().cloned().collect();
+        self.globals = globals;
         self.next_uid = st.next_uid;
-        self.conts.restore(&st.cont_encodings);
+        self.conts.restore(conts);
         self.status = match st.status {
             SnapStatus::Suspended => Status::Suspended,
             SnapStatus::OutOfFuel => Status::OutOfFuel,
@@ -988,41 +1025,47 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 }
 
-/// Checks that `proc` exists in `prog` and `node` indexes its graph
-/// (restore validation, shared with the pre-resolved engine); returns
-/// the graph.
-pub(crate) fn check_ref<'q>(
-    prog: &'q Program,
-    proc: &Name,
-    node: NodeId,
-    what: &str,
-) -> Result<&'q Graph, String> {
-    let g = prog
-        .procs
-        .get(proc)
-        .ok_or_else(|| format!("{what}: no procedure `{proc}`"))?;
-    if node.index() >= g.nodes.len() {
-        return Err(format!(
-            "{what}: node {node} out of bounds for `{proc}` ({} nodes)",
-            g.nodes.len()
-        ));
+/// Translates one captured activation's environment and callee-saves
+/// set into `g`'s own variable names. `frame` names the activation in
+/// error messages (`""` for the current one).
+#[allow(clippy::type_complexity)]
+fn restore_locals<'p>(
+    prog: &Program,
+    g: &'p Graph,
+    rho: &[(Name, StateValue)],
+    saves: &[Name],
+    frame: &str,
+) -> Result<(Env<&'p Name>, Vec<&'p Name>), String> {
+    let local = |n: &Name, what: &str| {
+        local_name(g, n.as_str())
+            .ok_or_else(|| format!("{frame}{what}: `{n}` is not a variable of `{}`", g.name))
+    };
+    let mut env = Env::new();
+    for (n, v) in rho {
+        env.bind(local(n, "environment")?, v.value(prog)?);
     }
-    Ok(g)
+    let saves = saves
+        .iter()
+        .map(|n| local(n, "callee-saves"))
+        .collect::<Result<_, _>>()?;
+    Ok((env, saves))
 }
 
 /// The graph of a restored frame's procedure, checked to have a `Call`
-/// node at the frame's call site (the node that holds its bundle).
+/// node at the frame's call site (the node that holds its bundle), with
+/// the procedure's id.
 pub(crate) fn call_site_graph<'q>(
     prog: &'q Program,
     proc: &Name,
     call_site: NodeId,
-) -> Result<&'q Graph, String> {
-    let g = prog
+) -> Result<(ProcId, &'q Graph), String> {
+    let id = prog
         .procs
-        .get(proc)
+        .id(proc)
         .ok_or_else(|| format!("no procedure `{proc}`"))?;
+    let g = &prog.procs[id];
     call_bundle(g, call_site)?;
-    Ok(g)
+    Ok((id, g))
 }
 
 #[cfg(test)]

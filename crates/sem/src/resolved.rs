@@ -2,19 +2,19 @@
 //! hoisted out of the step loop.
 //!
 //! The reference [`Machine`](crate::Machine) interprets the CFG
-//! directly. Its control holds the current procedure's graph, but every
-//! variable access still compares [`Name`]s along a sorted list, every
-//! assignment scans the procedure's declared variables, every call
-//! evaluates its callee to a `Code` name and looks the procedure up by
-//! it, and every activation builds its environment map node by node.
+//! directly. Its control holds the current procedure's graph and id,
+//! but every variable access still compares [`Name`]s along a sorted
+//! list, every assignment scans the procedure's declared variables,
+//! every call evaluates its callee by looking a procedure name up, and
+//! every activation builds its environment map node by node.
 //! [`ResolvedProgram`] performs that work once per program instead of
 //! once per step:
 //!
 //! * each procedure's statement stream is flattened into an
-//!   index-aligned `RNode` arena (node ids are preserved, so every
-//!   [`NodeRef`] the engine reports — in `Wrong` values, continuation
-//!   values, activation sites — is identical to the reference
-//!   machine's);
+//!   index-aligned `RNode` arena, one per [`ProcId`] (node ids are
+//!   preserved, so every [`NodeRef`] the engine reports — in
+//!   continuation values and activation sites, and by name in `Wrong`
+//!   values — is identical to the reference machine's);
 //! * the environment ρ becomes an indexed frame: every name that can
 //!   ever be bound locally (declared variables, continuation names)
 //!   gets a slot computed at resolve time, and `ρ(x)` is a vector
@@ -41,16 +41,16 @@
 //! over generated programs.
 
 use crate::machine::{
-    call_site_graph, check_param_count, check_ref, load_bits, mem_snapshot, store_bits, width_of,
+    call_site_graph, check_param_count, code_addr, load_bits, mem_snapshot, store_bits, width_of,
     RtsTarget, Status,
 };
-use crate::snapshot::{sorted_bindings, FrameState, SemState, SnapStatus};
-use crate::state::{ContTable, NodeRef};
+use crate::snapshot::{sorted_bindings, FrameState, SemState, SnapStatus, StateValue};
+use crate::state::{ContTable, NamedNode, NodeRef};
 use crate::value::Value;
 use crate::wrong::Wrong;
 use cmm_cfg::{Bundle, Graph, Node, NodeId, Program};
 use cmm_chaos::ResourceGovernor;
-use cmm_ir::{BinOp, Expr, Lvalue, Name, Ty, UnOp, Width};
+use cmm_ir::{BinOp, Expr, Lvalue, Name, ProcId, Ty, UnOp, Width};
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -106,7 +106,7 @@ enum RExpr {
 enum RCallee {
     /// A name that can only denote this procedure (not shadowable by a
     /// local or global).
-    Direct(usize),
+    Direct(ProcId),
     /// Anything else: evaluate, then resolve as the reference machine
     /// does.
     Dynamic(RExpr),
@@ -205,7 +205,7 @@ enum RNode {
 /// One procedure, pre-resolved.
 #[derive(Debug)]
 struct RProc {
-    /// The procedure's name (for `NodeRef`s and continuation values).
+    /// The procedure's name (for `Wrong` locations and captured states).
     name: Name,
     /// Entry node.
     entry: NodeId,
@@ -227,7 +227,7 @@ struct RProc {
 #[derive(Debug)]
 pub struct ResolvedProgram {
     prog: Arc<Program>,
-    /// One per procedure, in the program's (name) order.
+    /// One per procedure, indexed by [`ProcId`].
     procs: Vec<RProc>,
     globals_init: Vec<(Name, Value)>,
     globals_idx: HashMap<Name, u32>,
@@ -257,9 +257,8 @@ impl ResolvedProgram {
             globals_init,
             globals_idx,
         };
-        let names: Vec<&Name> = prog.procs.keys().collect();
         for g in prog.procs.values() {
-            let resolver = Resolver::new(&rp, &names, g);
+            let resolver = Resolver::new(&rp, g);
             rp.procs.push(resolver.resolve());
         }
         rp
@@ -270,16 +269,14 @@ impl ResolvedProgram {
         &self.prog
     }
 
-    fn idx_of(&self, name: &str) -> Option<usize> {
-        self.procs
-            .binary_search_by(|p| p.name.as_str().cmp(name))
-            .ok()
+    fn proc(&self, id: ProcId) -> &RProc {
+        &self.procs[id.index()]
     }
 
     /// A frame's continuation bundle, found from its `(proc,
     /// call_site)` pair.
     fn bundle(&self, frame: &RFrame) -> &Bundle {
-        match &self.procs[frame.proc].nodes[frame.call_site.index()] {
+        match &self.proc(frame.proc).nodes[frame.call_site.index()] {
             RNode::Call { bundle, .. } => bundle,
             _ => unreachable!("frames are pushed and restored only at Call nodes"),
         }
@@ -290,7 +287,7 @@ impl RProc {
     /// Parameter count of the continuation at `node`, if it is a
     /// `CopyIn` node.
     fn copy_in_arity(&self, node: NodeId) -> Option<usize> {
-        match &self.nodes[node.index()] {
+        match self.nodes.get(node.index())? {
             RNode::CopyIn { slots, .. } => Some(slots.len()),
             _ => None,
         }
@@ -300,15 +297,12 @@ impl RProc {
 /// Per-procedure resolution state.
 struct Resolver<'r> {
     rp: &'r ResolvedProgram,
-    /// Every procedure name, in the program's order (the order of
-    /// `rp.procs` once it is built).
-    names: &'r [&'r Name],
     g: &'r Graph,
     slot_of: HashMap<Name, Slot>,
 }
 
 impl<'r> Resolver<'r> {
-    fn new(rp: &'r ResolvedProgram, names: &'r [&'r Name], g: &'r Graph) -> Resolver<'r> {
+    fn new(rp: &'r ResolvedProgram, g: &'r Graph) -> Resolver<'r> {
         // The slot universe: every name that can ever be bound in ρ.
         // Bindings enter only through `Entry` (continuation names),
         // `CopyIn` (parameters), and `Assign` to a declared variable,
@@ -342,12 +336,7 @@ impl<'r> Resolver<'r> {
                 _ => {}
             }
         }
-        Resolver {
-            rp,
-            names,
-            g,
-            slot_of,
-        }
+        Resolver { rp, g, slot_of }
     }
 
     fn resolve(self) -> RProc {
@@ -437,8 +426,8 @@ impl<'r> Resolver<'r> {
     }
 
     fn name(&self, n: &Name) -> RName {
-        let fallback = if self.rp.prog.procs.contains_key(n) {
-            Some(Value::Code(n.clone()))
+        let fallback = if let Some(id) = self.rp.prog.procs.id(n) {
+            Some(Value::Code(id))
         } else {
             self.rp
                 .prog
@@ -477,8 +466,8 @@ impl<'r> Resolver<'r> {
         // not in the slot universe, not a global, and a procedure.
         if let Expr::Name(n) = e {
             if !self.slot_of.contains_key(n) && !self.rp.globals_idx.contains_key(n) {
-                if let Ok(idx) = self.names.binary_search(&n) {
-                    return RCallee::Direct(idx);
+                if let Some(id) = self.rp.prog.procs.id(n) {
+                    return RCallee::Direct(id);
                 }
             }
         }
@@ -493,11 +482,19 @@ pub(crate) type Locals = (Vec<Option<Value>>, Vec<Slot>);
 /// site's bundle is looked up from `(proc, call_site)`.
 #[derive(Clone, Debug)]
 pub(crate) struct RFrame {
-    proc: usize,
+    proc: ProcId,
     call_site: NodeId,
     rho: Vec<Option<Value>>,
     saves: Vec<Slot>,
     uid: u64,
+}
+
+/// The call site a frame is suspended at.
+fn site_of(frame: &RFrame) -> NodeRef {
+    NodeRef {
+        proc: frame.proc,
+        node: frame.call_site,
+    }
 }
 
 /// The pre-resolved abstract machine. Observationally equal to
@@ -509,7 +506,7 @@ pub(crate) struct RFrame {
 #[derive(Clone, Debug)]
 pub struct ResolvedMachine<'p, S: TraceSink = NopSink> {
     rp: &'p ResolvedProgram,
-    cur_proc: usize,
+    cur_proc: ProcId,
     cur_node: NodeId,
     rho: Vec<Option<Value>>,
     saves: Vec<Slot>,
@@ -567,7 +564,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         let (rho, saves) = spare.pop().unwrap_or_default();
         ResolvedMachine {
             rp,
-            cur_proc: 0,
+            cur_proc: ProcId(0),
             cur_node: NodeId(0),
             rho,
             saves,
@@ -659,14 +656,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     }
 
     fn proc(&self) -> &'p RProc {
-        &self.rp.procs[self.cur_proc]
+        self.rp.proc(self.cur_proc)
     }
 
-    fn here(&self) -> NodeRef {
-        NodeRef {
-            proc: self.rp.procs[self.cur_proc].name.clone(),
-            node: self.cur_node,
-        }
+    /// The control component, named for a [`Wrong`].
+    fn at(&self) -> NamedNode {
+        NamedNode::new(&self.proc().name, self.cur_node)
     }
 
     /// Begins execution of the named procedure (see
@@ -680,12 +675,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         if matches!(self.status, Status::Suspended) {
             return Err(Wrong::NotRunnable);
         }
-        let idx = self
-            .rp
-            .idx_of(proc)
-            .ok_or_else(|| Wrong::NoSuchProc(NodeRef::new(proc, NodeId(0)), Name::from(proc)))?;
-        self.cur_proc = idx;
-        self.cur_node = self.rp.procs[idx].entry;
+        let id =
+            self.rp.prog.procs.id(proc).ok_or_else(|| {
+                Wrong::NoSuchProc(NamedNode::new(proc, NodeId(0)), Name::from(proc))
+            })?;
+        self.cur_proc = id;
+        self.cur_node = self.rp.proc(id).entry;
         self.rho.clear();
         self.saves.clear();
         self.uid = self.fresh_uid();
@@ -733,18 +728,16 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 self.rho.clear();
                 self.rho.resize(p.nslots, None);
                 for &(slot, id) in conts {
-                    self.rho[slot as usize] = Some(Value::Cont(
-                        NodeRef {
-                            proc: p.name.clone(),
-                            node: id,
-                        },
-                        self.uid,
-                    ));
+                    let k = NodeRef {
+                        proc: self.cur_proc,
+                        node: id,
+                    };
+                    self.rho[slot as usize] = Some(Value::Cont(k, self.uid));
                 }
                 self.saves.clear();
                 if S::ENABLED && !conts.is_empty() {
                     self.emit(Event::ContCapture {
-                        proc: p.name.clone(),
+                        proc: self.cur_proc,
                         uid: self.uid,
                         conts: conts.len() as u32,
                     });
@@ -757,7 +750,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                     if *index == 0 && *alternates == 0 {
                         if S::ENABLED {
                             self.emit(Event::Return {
-                                proc: p.name.clone(),
+                                proc: self.cur_proc,
                                 index: *index,
                                 alternates: *alternates,
                             });
@@ -765,20 +758,20 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                         self.status = Status::Terminated(self.area.clone());
                         return Ok(());
                     }
-                    return Err(Wrong::AbnormalTopLevelExit(self.here()));
+                    return Err(Wrong::AbnormalTopLevelExit(self.at()));
                 };
                 let bundle = self.rp.bundle(&frame);
                 if bundle.alternates() != *alternates || *index > *alternates {
                     self.stack.push(frame);
                     return Err(Wrong::ReturnArityMismatch {
-                        at: self.here(),
+                        at: self.at(),
                         claimed: *alternates,
                         actual: bundle.alternates(),
                     });
                 }
                 if S::ENABLED {
                     self.emit(Event::Return {
-                        proc: p.name.clone(),
+                        proc: self.cur_proc,
                         index: *index,
                         alternates: *alternates,
                     });
@@ -791,7 +784,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             }
             RNode::CopyIn { slots, next } => {
                 if self.area.len() < slots.len() {
-                    return Err(Wrong::TooFewValues(self.here()));
+                    return Err(Wrong::TooFewValues(self.at()));
                 }
                 for (&slot, val) in slots.iter().zip(self.area.drain(..)) {
                     self.rho[slot as usize] = Some(val);
@@ -819,7 +812,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 match target {
                     Target::Slot(s) => self.rho[*s as usize] = Some(v),
                     Target::Global(g) => self.globals[*g as usize] = v,
-                    Target::Unbound(n) => return Err(Wrong::UnboundName(self.here(), n.clone())),
+                    Target::Unbound(n) => return Err(Wrong::UnboundName(self.at(), n.clone())),
                 }
                 self.cur_node = *next;
                 Ok(())
@@ -845,13 +838,9 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             RNode::Call { callee, .. } => {
                 let target = self.resolve_code(callee)?;
                 if S::ENABLED {
-                    let callee_name = match &target {
-                        Ok(idx) => self.rp.procs[*idx].name.clone(),
-                        Err(n) => n.clone(),
-                    };
                     self.emit(Event::Call {
-                        caller: p.name.clone(),
-                        callee: callee_name,
+                        caller: self.cur_proc,
+                        callee: target,
                     });
                 }
                 let (rho, saves) = self.spare.pop().unwrap_or_default();
@@ -863,32 +852,31 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                     uid: self.uid,
                 };
                 self.stack.push(frame);
-                self.enter(target)
+                self.enter(target);
+                Ok(())
             }
             RNode::Jump { callee } => {
                 let target = self.resolve_code(callee)?;
                 if S::ENABLED {
-                    let callee_name = match &target {
-                        Ok(idx) => self.rp.procs[*idx].name.clone(),
-                        Err(n) => n.clone(),
-                    };
                     self.emit(Event::TailCall {
-                        caller: p.name.clone(),
-                        callee: callee_name,
+                        caller: self.cur_proc,
+                        callee: target,
                     });
                 }
                 self.rho.clear();
                 self.saves.clear();
-                self.enter(target)
+                self.enter(target);
+                Ok(())
             }
             RNode::CutTo { cont, cuts } => {
                 let v = self.eval(cont)?;
                 let (target, tuid) = self
                     .decode_cont(&v)
-                    .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-                if tuid == self.uid && target.proc == p.name {
+                    .ok_or_else(|| Wrong::DeadContinuation(self.at()))?;
+                let cutter = self.cur_proc;
+                if tuid == self.uid && target.proc == cutter {
                     if !cuts.contains(&target.node) {
-                        return Err(Wrong::CutNotAnnotated(self.here()));
+                        return Err(Wrong::CutNotAnnotated(self.at()));
                     }
                     for &s in &self.saves {
                         self.rho[s as usize] = None;
@@ -897,28 +885,21 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                     self.saves.clear();
                     if S::ENABLED {
                         self.emit(Event::CutTo {
-                            proc: p.name.clone(),
-                            target: target.proc.clone(),
+                            proc: cutter,
+                            target: target.proc,
                             killed_saves: killed,
                         });
                     }
                     self.cur_node = target.node;
                     return Ok(());
                 }
-                let cutter = if S::ENABLED {
-                    Some((p.name.clone(), target.proc.clone()))
-                } else {
-                    None
-                };
                 let killed = self.cut_stack(target, tuid)?;
                 if S::ENABLED {
-                    if let Some((proc, target)) = cutter {
-                        self.emit(Event::CutTo {
-                            proc,
-                            target,
-                            killed_saves: killed,
-                        });
-                    }
+                    self.emit(Event::CutTo {
+                        proc: cutter,
+                        target: target.proc,
+                        killed_saves: killed,
+                    });
                 }
                 Ok(())
             }
@@ -949,13 +930,11 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     fn cut_stack(&mut self, target: NodeRef, tuid: u64) -> Result<u32, Wrong> {
         loop {
             let Some(top) = self.stack.last() else {
-                return Err(Wrong::DeadContinuation(self.here()));
+                return Err(Wrong::DeadContinuation(self.at()));
             };
             if top.uid == tuid {
-                if self.rp.procs[top.proc].name != target.proc
-                    || !self.rp.bundle(top).cuts.contains(&target.node)
-                {
-                    return Err(Wrong::CutNotAnnotated(self.here()));
+                if top.proc != target.proc || !self.rp.bundle(top).cuts.contains(&target.node) {
+                    return Err(Wrong::CutNotAnnotated(self.at()));
                 }
                 let mut frame = self.stack.pop().expect("frame checked above");
                 let killed = frame.saves.len() as u32;
@@ -970,12 +949,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 return Ok(killed);
             }
             if !self.rp.bundle(top).aborts {
-                return Err(Wrong::NotAbortable(self.site_of(top)));
+                return Err(Wrong::NotAbortable(site_of(top).named(self.rp.program())));
             }
             let dead = self.stack.pop().expect("frame checked above");
             if S::ENABLED {
                 self.emit(Event::ContDeath {
-                    proc: self.rp.procs[dead.proc].name.clone(),
+                    proc: dead.proc,
                     uid: dead.uid,
                 });
             }
@@ -983,48 +962,27 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         }
     }
 
-    fn site_of(&self, frame: &RFrame) -> NodeRef {
-        NodeRef {
-            proc: self.rp.procs[frame.proc].name.clone(),
-            node: frame.call_site,
-        }
-    }
-
-    fn enter(&mut self, target: Result<usize, Name>) -> Result<(), Wrong> {
-        let idx = match target {
-            Ok(idx) => idx,
-            Err(name) => return Err(Wrong::NoSuchProc(self.here(), name)),
-        };
-        self.cur_proc = idx;
-        self.cur_node = self.rp.procs[idx].entry;
+    /// Enters procedure `id` (one [`Self::resolve_code`] returned) at
+    /// its entry node, in a fresh activation.
+    fn enter(&mut self, id: ProcId) {
+        self.cur_proc = id;
+        self.cur_node = self.rp.proc(id).entry;
         self.uid = self.fresh_uid();
-        Ok(())
     }
 
-    /// Resolves a call target. `Ok(Ok(idx))` is a live procedure;
-    /// `Ok(Err(name))` is a `Code` value naming a missing procedure
-    /// (which, as in the reference machine, goes wrong only in `enter`,
-    /// *after* a `Call` has pushed its frame).
-    #[allow(clippy::type_complexity)]
-    fn resolve_code(&mut self, callee: &RCallee) -> Result<Result<usize, Name>, Wrong> {
-        match callee {
-            RCallee::Direct(idx) => Ok(Ok(*idx)),
+    /// Resolves a call target, as the reference machine does: a `Code`
+    /// value or a code address naming a procedure of the program.
+    fn resolve_code(&mut self, callee: &RCallee) -> Result<ProcId, Wrong> {
+        let id = match callee {
+            RCallee::Direct(id) => return Ok(*id),
             RCallee::Dynamic(e) => match self.eval(e)? {
-                Value::Code(n) => Ok(self.rp.idx_of(n.as_str()).ok_or(n)),
-                Value::Bits(_, addr) => {
-                    let name = self
-                        .rp
-                        .program()
-                        .proc_at(addr)
-                        .ok_or_else(|| Wrong::NotCode(self.here()))?;
-                    Ok(Ok(self
-                        .rp
-                        .idx_of(name.as_str())
-                        .expect("proc_at returns live procs")))
-                }
-                Value::Cont(..) => Err(Wrong::NotCode(self.here())),
+                Value::Code(id) => Some(id),
+                Value::Bits(_, addr) => self.rp.program().proc_at(addr),
+                Value::Cont(..) => None,
             },
-        }
+        };
+        id.filter(|id| id.index() < self.rp.procs.len())
+            .ok_or_else(|| Wrong::NotCode(self.at()))
     }
 
     // ----- expression evaluation -----
@@ -1064,11 +1022,11 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 let (wa, va) = self.eval_bits(a)?;
                 let (wb, vb) = self.eval_bits(b)?;
                 if wa != wb && !*shiftish {
-                    return Err(Wrong::WidthMismatch(self.here()));
+                    return Err(Wrong::WidthMismatch(self.at()));
                 }
                 let (r, rw) = op
                     .eval(wa, va, vb)
-                    .map_err(|e| Wrong::OpFailed(self.here(), e))?;
+                    .map_err(|e| Wrong::OpFailed(self.at(), e))?;
                 Ok((rw, r))
             }
         }
@@ -1085,17 +1043,13 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         }
         n.fallback
             .as_ref()
-            .ok_or_else(|| Wrong::UnboundName(self.here(), n.name.clone()))
+            .ok_or_else(|| Wrong::UnboundName(self.at(), n.name.clone()))
     }
 
     fn flatten(&mut self, v: Value) -> Result<u64, Wrong> {
         match v {
             Value::Bits(_, b) => Ok(b),
-            Value::Code(n) => self
-                .rp
-                .program()
-                .proc_addr(n.as_str())
-                .ok_or_else(|| Wrong::NoSuchProc(self.here(), n)),
+            Value::Code(id) => code_addr(self.rp.program(), id, || self.at()),
             Value::Cont(p, u) => Ok(self.conts.encode(p, u)),
         }
     }
@@ -1104,7 +1058,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// encoding.
     pub fn decode_cont(&self, v: &Value) -> Option<(NodeRef, u64)> {
         match v {
-            Value::Cont(p, u) => Some((p.clone(), *u)),
+            Value::Cont(p, u) => Some((*p, *u)),
             Value::Bits(_, b) => self.conts.decode(*b),
             Value::Code(_) => None,
         }
@@ -1144,7 +1098,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     pub fn activation_site(&self, i: usize) -> Option<NodeRef> {
         let len = self.stack.len();
         if i < len {
-            Some(self.site_of(&self.stack[len - 1 - i]))
+            Some(site_of(&self.stack[len - 1 - i]))
         } else {
             None
         }
@@ -1171,12 +1125,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             return Err(Wrong::RtsViolation("no activation to discard".into()));
         };
         if !self.rp.bundle(top).aborts {
-            return Err(Wrong::NotAbortable(self.site_of(top)));
+            return Err(Wrong::NotAbortable(site_of(top).named(self.rp.program())));
         }
         let dead = self.stack.pop().expect("frame checked above");
         if S::ENABLED {
             self.emit(Event::ContDeath {
-                proc: self.rp.procs[dead.proc].name.clone(),
+                proc: dead.proc,
                 uid: dead.uid,
             });
         }
@@ -1205,7 +1159,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 "{target:?} not present in the bundle"
             )));
         };
-        check_param_count(self.rp.procs[top.proc].copy_in_arity(node), args.len())?;
+        check_param_count(self.rp.proc(top.proc).copy_in_arity(node), args.len())?;
         let mut frame = self.stack.pop().expect("frame checked above");
         if !restore {
             for &s in &frame.saves {
@@ -1231,8 +1185,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         self.require_suspended()?;
         let (target, tuid) = self
             .decode_cont(cont)
-            .ok_or_else(|| Wrong::DeadContinuation(self.here()))?;
-        check_param_count(self.cont_param_count(&target.proc, target.node), args.len())?;
+            .ok_or_else(|| Wrong::DeadContinuation(self.at()))?;
+        check_param_count(self.cont_param_count(target.proc, target.node), args.len())?;
         let saved_stack = self.stack.clone();
         match self.cut_stack(target, tuid) {
             Ok(_) => {
@@ -1249,8 +1203,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
 
     /// Number of parameters the continuation at `node` expects, if it
     /// is a `CopyIn` node.
-    pub fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
-        self.rp.procs[self.rp.idx_of(proc.as_str())?].copy_in_arity(node)
+    pub fn cont_param_count(&self, proc: ProcId, node: NodeId) -> Option<usize> {
+        self.rp.procs.get(proc.index())?.copy_in_arity(node)
     }
 
     // ----- snapshot capture and restore -----
@@ -1271,12 +1225,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             Status::OutOfFuel => SnapStatus::OutOfFuel,
             other => return Err(format!("not at a resumable point (status {other:?})")),
         };
+        let prog = self.rp.program();
         let env = |p: &RProc, rho: &[Option<Value>]| {
-            sorted_bindings(
-                rho.iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.as_ref().map(|v| (p.slot_names[i].clone(), v.clone()))),
-            )
+            sorted_bindings(rho.iter().enumerate().filter_map(|(i, v)| {
+                v.as_ref()
+                    .map(|v| (p.slot_names[i].clone(), StateValue::of(v, prog)))
+            }))
         };
         let names = |p: &RProc, slots: &[Slot]| {
             let mut v: Vec<Name> = slots
@@ -1286,7 +1240,7 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             v.sort();
             v
         };
-        let p = &self.rp.procs[self.cur_proc];
+        let p = self.proc();
         Ok(SemState {
             proc: p.name.clone(),
             node: self.cur_node,
@@ -1294,12 +1248,12 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
             saves: names(p, &self.saves),
             uid: self.uid,
             mem: self.mem_snapshot(),
-            area: self.area.clone(),
+            area: self.area.iter().map(|v| StateValue::of(v, prog)).collect(),
             stack: self
                 .stack
                 .iter()
                 .map(|f| {
-                    let fp = &self.rp.procs[f.proc];
+                    let fp = self.rp.proc(f.proc);
                     FrameState {
                         proc: fp.name.clone(),
                         call_site: f.call_site,
@@ -1313,11 +1267,16 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 self.rp
                     .globals_init
                     .iter()
-                    .map(|(n, _)| n.clone())
-                    .zip(self.globals.iter().cloned()),
+                    .zip(&self.globals)
+                    .map(|((n, _), v)| (n.clone(), StateValue::of(v, prog))),
             ),
             next_uid: self.next_uid,
-            cont_encodings: self.conts.entries().to_vec(),
+            cont_encodings: self
+                .conts
+                .entries()
+                .iter()
+                .map(|&(r, u)| (r.named(prog), u))
+                .collect(),
             status,
             steps: self.steps,
         })
@@ -1326,9 +1285,8 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// Restores a captured state, translating names back into this
     /// engine's slot space. The state may come from either engine of
     /// the family; validation mirrors
-    /// [`Machine::restore`](crate::Machine::restore), with the extra
-    /// check that every restored binding names a variable of its
-    /// procedure's slot universe.
+    /// [`Machine::restore`](crate::Machine::restore): every restored
+    /// binding names a variable of its procedure's slot universe.
     ///
     /// # Errors
     ///
@@ -1336,25 +1294,23 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
     /// unchanged on error.
     pub fn restore(&mut self, st: &SemState) -> Result<(), String> {
         let prog = self.rp.program();
-        check_ref(prog, &st.proc, st.node, "control")?;
-        for (i, ce) in st.cont_encodings.iter().enumerate() {
-            check_ref(prog, &ce.0.proc, ce.0.node, &format!("cont-encoding {i}"))?;
+        let (here, _) = NamedNode::new(&st.proc, st.node).resolve(prog, "control")?;
+        let mut conts = Vec::with_capacity(st.cont_encodings.len());
+        for (i, (n, u)) in st.cont_encodings.iter().enumerate() {
+            conts.push((n.resolve(prog, &format!("cont-encoding {i}"))?.0, *u));
         }
         let rp = self.rp;
-        let cur = rp
-            .idx_of(st.proc.as_str())
-            .expect("checked by check_ref above");
+        let cur = here.proc;
         let spare = self.spare.pop().unwrap_or_default();
-        let locals = resolve_locals(&rp.procs[cur], &st.rho, &st.saves, "", spare)?;
+        let locals = resolve_locals(prog, rp.proc(cur), &st.rho, &st.saves, "", spare)?;
         let mut stack = Vec::with_capacity(st.stack.len());
         for (i, f) in st.stack.iter().enumerate() {
-            call_site_graph(prog, &f.proc, f.call_site).map_err(|e| format!("frame {i}: {e}"))?;
-            let fi = rp
-                .idx_of(f.proc.as_str())
-                .expect("call_site_graph found the procedure");
+            let (fi, _) = call_site_graph(prog, &f.proc, f.call_site)
+                .map_err(|e| format!("frame {i}: {e}"))?;
             let spare = self.spare.pop().unwrap_or_default();
             let (rho, saves) = resolve_locals(
-                &rp.procs[fi],
+                prog,
+                rp.proc(fi),
                 &f.rho,
                 &f.saves,
                 &format!("frame {i} "),
@@ -1380,8 +1336,13 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
                 .globals_idx
                 .get(n)
                 .ok_or_else(|| format!("global `{n}` is not declared by the program"))?;
-            globals[*g as usize] = v.clone();
+            globals[*g as usize] = v.value(prog)?;
         }
+        let area = st
+            .area
+            .iter()
+            .map(|v| v.value(prog))
+            .collect::<Result<_, _>>()?;
         for f in std::mem::replace(&mut self.stack, stack) {
             self.park((f.rho, f.saves));
         }
@@ -1390,10 +1351,10 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
         self.cur_node = st.node;
         self.uid = st.uid;
         self.mem = st.mem.iter().copied().collect();
-        self.area = st.area.clone();
+        self.area = area;
         self.globals = globals;
         self.next_uid = st.next_uid;
-        self.conts.restore(&st.cont_encodings);
+        self.conts.restore(conts);
         self.status = match st.status {
             SnapStatus::Suspended => Status::Suspended,
             SnapStatus::OutOfFuel => Status::OutOfFuel,
@@ -1407,8 +1368,9 @@ impl<'p, S: TraceSink> ResolvedMachine<'p, S> {
 /// set into `p`'s slots, filling the vectors of `locals`. `frame` names
 /// the activation in error messages (`""` for the current one).
 fn resolve_locals(
+    prog: &Program,
     p: &RProc,
-    rho_pairs: &[(Name, Value)],
+    rho_pairs: &[(Name, StateValue)],
     save_names: &[Name],
     frame: &str,
     (mut rho, mut saves): Locals,
@@ -1422,7 +1384,7 @@ fn resolve_locals(
     rho.clear();
     rho.resize(p.nslots, None);
     for (n, v) in rho_pairs {
-        rho[slot(n, "environment")?] = Some(v.clone());
+        rho[slot(n, "environment")?] = Some(v.value(prog)?);
     }
     saves.clear();
     for n in save_names {
@@ -1482,7 +1444,7 @@ impl<'p, S: TraceSink> crate::engine::SemEngine<'p> for ResolvedMachine<'p, S> {
         ResolvedMachine::decode_cont(self, v)
     }
 
-    fn cont_param_count(&self, proc: &Name, node: NodeId) -> Option<usize> {
+    fn cont_param_count(&self, proc: ProcId, node: NodeId) -> Option<usize> {
         ResolvedMachine::cont_param_count(self, proc, node)
     }
 

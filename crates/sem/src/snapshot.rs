@@ -5,8 +5,9 @@
 //! plus the bookkeeping a resumption needs (uid counter, continuation
 //! encodings, status, step count), written entirely in *name space*:
 //! environments are sorted `(name, value)` pairs, callee-saves sets are
-//! sorted name lists, and control is a `(procedure, node)` pair. Nothing
-//! in it refers to slot numbers, program pointers, or any other
+//! sorted name lists, control is a `(procedure, node)` pair, and values
+//! name procedures as text ([`StateValue`]). Nothing in it refers to
+//! slot numbers, procedure ids, program pointers, or any other
 //! engine-private representation, so a state captured from the
 //! reference [`Machine`](crate::Machine) restores into the pre-resolved
 //! [`ResolvedMachine`](crate::ResolvedMachine) and vice versa — the
@@ -33,10 +34,97 @@
 //! restored `steps`), and the resource governor (pure configuration,
 //! installed on each machine as it is built).
 
-use crate::state::NodeRef;
+use crate::state::{proc_name, NamedNode, NodeRef};
 use crate::value::Value;
-use cmm_cfg::NodeId;
-use cmm_ir::Name;
+use cmm_cfg::{Graph, Node, NodeId, Program};
+use cmm_ir::{Name, Width};
+
+/// A [`Value`] in name space: a code pointer or a continuation names
+/// its procedure as text.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum StateValue {
+    /// `Bits_n k`.
+    Bits(Width, u64),
+    /// `Code p`, by the procedure's name.
+    Code(Name),
+    /// `Cont (p, u)`, by the node and the activation uid.
+    Cont(NamedNode, u64),
+}
+
+impl StateValue {
+    /// `v` with its procedure named from `prog`.
+    pub fn of(v: &Value, prog: &Program) -> StateValue {
+        match v {
+            Value::Bits(w, b) => StateValue::Bits(*w, *b),
+            Value::Code(id) => StateValue::Code(proc_name(prog, *id)),
+            Value::Cont(r, u) => StateValue::Cont(r.named(prog), *u),
+        }
+    }
+
+    /// The value this stands for in `prog`, whose procedure (and node)
+    /// must exist there.
+    pub(crate) fn value(&self, prog: &Program) -> Result<Value, String> {
+        Ok(match self {
+            StateValue::Bits(w, b) => Value::Bits(*w, *b),
+            StateValue::Code(n) => Value::Code(
+                prog.procs
+                    .id(n)
+                    .ok_or_else(|| format!("code value: no procedure `{n}`"))?,
+            ),
+            StateValue::Cont(n, u) => Value::Cont(n.resolve(prog, "continuation value")?.0, *u),
+        })
+    }
+}
+
+impl NamedNode {
+    /// The node this names in `prog`, with its procedure's graph:
+    /// restore validation, shared by both engines. Names `what` in the
+    /// message if the procedure does not exist or `node` is out of
+    /// bounds.
+    pub(crate) fn resolve<'q>(
+        &self,
+        prog: &'q Program,
+        what: &str,
+    ) -> Result<(NodeRef, &'q Graph), String> {
+        let proc = &self.proc;
+        let id = prog
+            .procs
+            .id(proc)
+            .ok_or_else(|| format!("{what}: no procedure `{proc}`"))?;
+        let g = &prog.procs[id];
+        if self.node.index() >= g.nodes.len() {
+            return Err(format!(
+                "{what}: node {} out of bounds for `{proc}` ({} nodes)",
+                self.node,
+                g.nodes.len()
+            ));
+        }
+        Ok((
+            NodeRef {
+                proc: id,
+                node: self.node,
+            },
+            g,
+        ))
+    }
+}
+
+/// The name `g` gives the local variable or continuation `n`: the
+/// program's own `Name`, which a restored environment binds. Every name
+/// an activation can bind is a declared variable, a continuation, or a
+/// `CopyIn` or `CalleeSaves` name (the pre-resolved engine's slot
+/// universe).
+pub(crate) fn local_name<'p>(g: &'p Graph, n: &str) -> Option<&'p Name> {
+    let declared = g.vars.iter().map(|(v, _)| v);
+    let conts = g.continuations().iter().map(|(k, _)| k);
+    declared.chain(conts).find(|v| *v == n).or_else(|| {
+        g.nodes.iter().find_map(|node| match node {
+            Node::CopyIn { vars, .. } => vars.iter().find(|v| *v == n),
+            Node::CalleeSaves { vars, .. } => vars.iter().find(|v| *v == n),
+            _ => None,
+        })
+    })
+}
 
 /// The status a captured state was suspended in — the two resumable
 /// points of the machine's lifecycle.
@@ -62,7 +150,7 @@ pub struct FrameState {
     /// The `Call` node at which the activation is suspended.
     pub call_site: NodeId,
     /// The suspended environment ρ', sorted by name.
-    pub rho: Vec<(Name, Value)>,
+    pub rho: Vec<(Name, StateValue)>,
     /// The suspended callee-saves set, sorted.
     pub saves: Vec<Name>,
     /// The unique id of the suspended activation.
@@ -78,7 +166,7 @@ pub struct SemState {
     /// The current node within that procedure's graph.
     pub node: NodeId,
     /// The local environment ρ, sorted by name.
-    pub rho: Vec<(Name, Value)>,
+    pub rho: Vec<(Name, StateValue)>,
     /// The callee-saves set, sorted.
     pub saves: Vec<Name>,
     /// The unique id of the current activation.
@@ -87,16 +175,16 @@ pub struct SemState {
     pub mem: Vec<(u64, u8)>,
     /// The argument-passing area (also the `yield` arguments while
     /// suspended).
-    pub area: Vec<Value>,
+    pub area: Vec<StateValue>,
     /// The activation stack, bottom first.
     pub stack: Vec<FrameState>,
     /// Global registers, sorted by name.
-    pub globals: Vec<(Name, Value)>,
+    pub globals: Vec<(Name, StateValue)>,
     /// The next unique activation id to allocate.
     pub next_uid: u64,
     /// The continuation-flattening side table, in allocation order
     /// (index `i` is the encoding at `CONT_BASE + 8 i`).
-    pub cont_encodings: Vec<(NodeRef, u64)>,
+    pub cont_encodings: Vec<(NamedNode, u64)>,
     /// The status the machine was captured in.
     pub status: SnapStatus,
     /// Transitions taken so far (the machine's trace clock).
@@ -105,8 +193,10 @@ pub struct SemState {
 
 /// Sorts an iterator of owned `(name, value)` bindings into the
 /// canonical capture order.
-pub(crate) fn sorted_bindings(it: impl Iterator<Item = (Name, Value)>) -> Vec<(Name, Value)> {
-    let mut v: Vec<(Name, Value)> = it.collect();
+pub(crate) fn sorted_bindings(
+    it: impl Iterator<Item = (Name, StateValue)>,
+) -> Vec<(Name, StateValue)> {
+    let mut v: Vec<(Name, StateValue)> = it.collect();
     v.sort_by(|a, b| a.0.cmp(&b.0));
     v
 }

@@ -2,34 +2,63 @@
 //! the continuation-encoding table.
 
 use crate::value::Value;
-use cmm_cfg::{Bundle, Graph, Node, NodeId};
-use cmm_ir::Name;
+use cmm_cfg::{Bundle, Graph, Node, NodeId, Program};
+use cmm_ir::{Name, ProcId};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// A reference to one node of one procedure's graph, by name: how
-/// continuation values, `Wrong` payloads and captured states name a
-/// point of control.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
+/// A reference to one node of one procedure's graph: how continuation
+/// values, frames and the run-time interface name a point of control.
+/// Plain data; [`NodeRef::named`] writes it as text.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct NodeRef {
     /// Which procedure.
-    pub proc: Name,
+    pub proc: ProcId,
     /// Which node within that procedure's graph.
     pub node: NodeId,
 }
 
 impl NodeRef {
-    /// Creates a node reference.
-    pub fn new(proc: impl Into<Name>, node: NodeId) -> NodeRef {
-        NodeRef {
+    /// This node with its procedure named from `prog`.
+    pub fn named(self, prog: &Program) -> NamedNode {
+        NamedNode {
+            proc: proc_name(prog, self.proc),
+            node: self.node,
+        }
+    }
+}
+
+/// The name of procedure `id` in `prog` (`?` if it has none).
+pub(crate) fn proc_name(prog: &Program, id: ProcId) -> Name {
+    prog.procs
+        .by_id(id)
+        .map_or_else(|| Name::from("?"), |g| g.name.clone())
+}
+
+/// A node of a procedure named as text: where a [`Wrong`](crate::Wrong)
+/// happened, and how a captured state writes a point of control, so
+/// that both read without the program.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
+pub struct NamedNode {
+    /// The procedure's name.
+    pub proc: Name,
+    /// Which node within that procedure's graph.
+    pub node: NodeId,
+}
+
+impl NamedNode {
+    /// Creates a named node.
+    pub fn new(proc: impl Into<Name>, node: NodeId) -> NamedNode {
+        NamedNode {
             proc: proc.into(),
             node,
         }
     }
 }
 
-impl fmt::Display for NodeRef {
+impl fmt::Display for NamedNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.proc, self.node)
     }
@@ -40,12 +69,22 @@ impl fmt::Display for NodeRef {
 /// by name, so a lookup hashes no name, a capture reads them out in
 /// order, and an activation's few bindings cost one small allocation
 /// (an ordered tree map would allocate an eleven-slot node for each).
-#[derive(Clone, Debug, Default)]
-pub struct Env(Vec<(Name, Value)>);
+///
+/// The reference machine's ρ binds the program's own variable names by
+/// reference (`Env<&'p Name>`), so a binding counts no reference; the
+/// global registers, bound once per run, own theirs (`Env<Name>`).
+#[derive(Clone, Debug)]
+pub struct Env<K = Name>(Vec<(K, Value)>);
 
-impl Env {
+impl<K> Default for Env<K> {
+    fn default() -> Env<K> {
+        Env(Vec::new())
+    }
+}
+
+impl<K: Borrow<Name>> Env<K> {
     /// The empty environment.
-    pub fn new() -> Env {
+    pub fn new() -> Env<K> {
         Env(Vec::new())
     }
 
@@ -54,7 +93,7 @@ impl Env {
     /// below `n` beats a binary search.
     fn find(&self, n: &str) -> Result<usize, usize> {
         for (i, (k, _)) in self.0.iter().enumerate() {
-            match k.as_str().cmp(n) {
+            match k.borrow().as_str().cmp(n) {
                 Ordering::Less => {}
                 Ordering::Equal => return Ok(i),
                 Ordering::Greater => return Err(i),
@@ -73,11 +112,11 @@ impl Env {
         self.find(n).ok().map(|i| &mut self.0[i].1)
     }
 
-    /// `ρ[n ⟵ v]`, cloning the name only when `n` is not bound yet.
-    pub fn bind(&mut self, n: &Name, v: Value) {
-        match self.find(n.as_str()) {
+    /// `ρ[n ⟵ v]`.
+    pub fn bind(&mut self, n: K, v: Value) {
+        match self.find(n.borrow().as_str()) {
             Ok(i) => self.0[i].1 = v,
-            Err(i) => self.0.insert(i, (n.clone(), v)),
+            Err(i) => self.0.insert(i, (n, v)),
         }
     }
 
@@ -95,16 +134,16 @@ impl Env {
 
     /// The bindings, sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = (&Name, &Value)> {
-        self.0.iter().map(|(n, v)| (n, v))
+        self.0.iter().map(|(n, v)| (n.borrow(), v))
     }
 }
 
-impl FromIterator<(Name, Value)> for Env {
+impl<K: Borrow<Name>> FromIterator<(K, Value)> for Env<K> {
     /// Binds each pair in turn, so a later binding of a name wins.
-    fn from_iter<I: IntoIterator<Item = (Name, Value)>>(it: I) -> Env {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(it: I) -> Env<K> {
         let mut env = Env::new();
         for (n, v) in it {
-            env.bind(&n, v);
+            env.bind(n, v);
         }
         env
     }
@@ -124,12 +163,14 @@ impl FromIterator<(Name, Value)> for Env {
 pub struct Frame<'p> {
     /// The graph of the procedure whose activation this frame is.
     pub graph: &'p Graph,
+    /// That procedure's id.
+    pub id: ProcId,
     /// The `Call` node at which the activation is suspended.
     pub call_site: NodeId,
     /// The suspended local environment ρ'.
-    pub rho: Env,
-    /// The suspended callee-saves set s'.
-    pub saves: BTreeSet<Name>,
+    pub rho: Env<&'p Name>,
+    /// The suspended callee-saves set s', in name order.
+    pub saves: Vec<&'p Name>,
     /// The unique id of the suspended activation.
     pub uid: u64,
 }
@@ -150,7 +191,7 @@ impl<'p> Frame<'p> {
     /// The `NodeRef` of the suspended call site.
     pub fn site(&self) -> NodeRef {
         NodeRef {
-            proc: self.graph.name.clone(),
+            proc: self.id,
             node: self.call_site,
         }
     }
@@ -197,8 +238,8 @@ impl ContTable {
     /// The encoding of `Cont (p, u)`, interning it on first use.
     pub(crate) fn encode(&mut self, p: NodeRef, u: u64) -> u64 {
         let next = self.entries.len();
-        let i = *self.index.entry((p, u)).or_insert_with_key(|k| {
-            self.entries.push(k.clone());
+        let i = *self.index.entry((p, u)).or_insert_with_key(|&k| {
+            self.entries.push(k);
             next
         });
         CONT_BASE + (i as u64) * 8
@@ -207,7 +248,7 @@ impl ContTable {
     /// The continuation an encoding stands for, if it is one.
     pub(crate) fn decode(&self, bits: u64) -> Option<(NodeRef, u64)> {
         if bits >= CONT_BASE && (bits - CONT_BASE).is_multiple_of(8) {
-            self.entries.get(((bits - CONT_BASE) / 8) as usize).cloned()
+            self.entries.get(((bits - CONT_BASE) / 8) as usize).copied()
         } else {
             None
         }
@@ -220,11 +261,11 @@ impl ContTable {
 
     /// Replaces the table with `entries` (a captured one) and rebuilds
     /// the index.
-    pub(crate) fn restore(&mut self, entries: &[(NodeRef, u64)]) {
+    pub(crate) fn restore(&mut self, entries: impl IntoIterator<Item = (NodeRef, u64)>) {
         self.clear();
-        self.entries.extend_from_slice(entries);
-        for (i, e) in entries.iter().enumerate() {
-            self.index.entry(e.clone()).or_insert(i);
+        self.entries.extend(entries);
+        for (i, &e) in self.entries.iter().enumerate() {
+            self.index.entry(e).or_insert(i);
         }
     }
 
@@ -240,8 +281,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noderef_display() {
-        let r = NodeRef::new("f", NodeId(3));
-        assert_eq!(r.to_string(), "f:n3");
+    fn named_node_display() {
+        assert_eq!(NamedNode::new("f", NodeId(3)).to_string(), "f:n3");
     }
 }

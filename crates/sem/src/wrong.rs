@@ -1,12 +1,13 @@
 //! The ways a program can go wrong.
 
-use crate::state::NodeRef;
+use crate::state::NamedNode;
 use cmm_ir::expr::OpError;
 use cmm_ir::Name;
 use std::fmt;
 
 /// Why the abstract machine went wrong (reached a state with no permitted
-/// transition other than normal termination).
+/// transition other than normal termination). Locations name their
+/// procedure as text, so a `Wrong` reads without the program.
 ///
 /// Going wrong models the paper's *unchecked run-time errors*: for
 /// example, "invoking a dead continuation is an unchecked run-time
@@ -17,44 +18,45 @@ use std::fmt;
 pub enum Wrong {
     /// A name was evaluated that is bound nowhere (use before
     /// definition, or an undeclared name that escaped validation).
-    UnboundName(NodeRef, Name),
-    /// A call's callee did not evaluate to code.
-    NotCode(NodeRef),
+    UnboundName(NamedNode, Name),
+    /// A call's callee did not evaluate to the code of a procedure of
+    /// the program.
+    NotCode(NamedNode),
     /// An operand that must be `Bits` was a `Code` or `Cont` value.
-    NotBits(NodeRef),
+    NotBits(NamedNode),
     /// Binary operands had different widths.
-    WidthMismatch(NodeRef),
+    WidthMismatch(NamedNode),
     /// A fast-but-dangerous primitive failed (`%divu` by zero, ...).
-    OpFailed(NodeRef, OpError),
+    OpFailed(NamedNode, OpError),
     /// `cut to` targeted a continuation whose activation is dead
     /// (uid not found on the stack).
-    DeadContinuation(NodeRef),
+    DeadContinuation(NamedNode),
     /// `cut to` found the continuation's activation, but the suspended
     /// call site does not list the continuation in `also cuts to`.
-    CutNotAnnotated(NodeRef),
+    CutNotAnnotated(NamedNode),
     /// Unwinding or cutting tried to discard an activation whose
     /// suspended call site has no `also aborts` annotation.
-    NotAbortable(NodeRef),
+    NotAbortable(NamedNode),
     /// `Exit <j/n>` did not match the suspended call site's number of
     /// alternate return continuations.
     ReturnArityMismatch {
         /// Where the return happened.
-        at: NodeRef,
+        at: NamedNode,
         /// `n` claimed by the `return <j/n>`.
         claimed: u32,
         /// Alternates actually declared at the call site.
         actual: u32,
     },
     /// A `CopyIn` needed more values than the argument-passing area held.
-    TooFewValues(NodeRef),
+    TooFewValues(NamedNode),
     /// The program exited abnormally (`Exit <j/n>`, j ≠ n or n ≠ 0) with
     /// an empty stack.
-    AbnormalTopLevelExit(NodeRef),
+    AbnormalTopLevelExit(NamedNode),
     /// The run-time system attempted an operation the `Yield` rules do
     /// not permit (e.g. resuming at a node not in the topmost bundle).
     RtsViolation(String),
     /// There is no procedure with the given name.
-    NoSuchProc(NodeRef, Name),
+    NoSuchProc(NamedNode, Name),
     /// The machine was used while not in a usable status (e.g. `run`
     /// after it went wrong).
     NotRunnable,
@@ -113,7 +115,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let at = NodeRef::new("f", NodeId(2));
+        let at = NamedNode::new("f", NodeId(2));
         assert!(Wrong::DeadContinuation(at.clone())
             .to_string()
             .contains("dead"));

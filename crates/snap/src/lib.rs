@@ -85,7 +85,7 @@
 
 use cmm_chaos::{FaultPlan, FaultPlanState, InjectedFault, ResourceGovernor, Table1, CHAOS_OPS};
 use cmm_ir::{Name, Width};
-use cmm_sem::{FrameState, NodeRef, SemState, SnapStatus};
+use cmm_sem::{FrameState, NamedNode, SemState, SnapStatus, StateValue};
 use cmm_vm::isa::regs::NUM_REGS;
 use cmm_vm::{Cost, VmSnapStatus, VmState};
 
@@ -493,18 +493,18 @@ impl Snapshot {
 
 // ----- sem-family payload -----
 
-fn enc_value(e: &mut Enc, v: &cmm_sem::Value) {
+fn enc_value(e: &mut Enc, v: &StateValue) {
     match v {
-        cmm_sem::Value::Bits(w, bits) => {
+        StateValue::Bits(w, bits) => {
             e.u8(0);
             e.u8(w.bits() as u8);
             e.u64(*bits);
         }
-        cmm_sem::Value::Code(name) => {
+        StateValue::Code(name) => {
             e.u8(1);
             e.str(name.as_str());
         }
-        cmm_sem::Value::Cont(r, uid) => {
+        StateValue::Cont(r, uid) => {
             e.u8(2);
             e.str(r.proc.as_str());
             e.u32(r.node.0);
@@ -513,7 +513,7 @@ fn enc_value(e: &mut Enc, v: &cmm_sem::Value) {
     }
 }
 
-fn dec_value(d: &mut Dec) -> Result<cmm_sem::Value, SnapError> {
+fn dec_value(d: &mut Dec) -> Result<StateValue, SnapError> {
     Ok(match d.u8()? {
         0 => {
             let wb = d.u8()?;
@@ -521,20 +521,20 @@ fn dec_value(d: &mut Dec) -> Result<cmm_sem::Value, SnapError> {
                 what: "width",
                 tag: wb,
             })?;
-            cmm_sem::Value::Bits(w, d.u64()?)
+            StateValue::Bits(w, d.u64()?)
         }
-        1 => cmm_sem::Value::Code(Name::from(d.str("code-name")?)),
+        1 => StateValue::Code(Name::from(d.str("code-name")?)),
         2 => {
             let proc = d.str("cont-proc")?;
             let node = d.u32()?;
             let uid = d.u64()?;
-            cmm_sem::Value::Cont(NodeRef::new(proc, cmm_cfg::NodeId(node)), uid)
+            StateValue::Cont(NamedNode::new(proc, cmm_cfg::NodeId(node)), uid)
         }
         tag => return Err(SnapError::BadTag { what: "value", tag }),
     })
 }
 
-fn enc_bindings(e: &mut Enc, bs: &[(Name, cmm_sem::Value)]) {
+fn enc_bindings(e: &mut Enc, bs: &[(Name, StateValue)]) {
     e.len(bs.len());
     for (n, v) in bs {
         e.str(n.as_str());
@@ -542,7 +542,7 @@ fn enc_bindings(e: &mut Enc, bs: &[(Name, cmm_sem::Value)]) {
     }
 }
 
-fn dec_bindings(d: &mut Dec) -> Result<Vec<(Name, cmm_sem::Value)>, SnapError> {
+fn dec_bindings(d: &mut Dec) -> Result<Vec<(Name, StateValue)>, SnapError> {
     let n = d.len("bindings", 6)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
@@ -648,7 +648,7 @@ fn dec_sem_state(d: &mut Dec) -> Result<SemState, SnapError> {
         let proc = d.str("cont-proc")?;
         let node = cmm_cfg::NodeId(d.u32()?);
         let uid = d.u64()?;
-        cont_encodings.push((NodeRef::new(proc, node), uid));
+        cont_encodings.push((NamedNode::new(proc, node), uid));
     }
     let status = match d.u8()? {
         0 => SnapStatus::Suspended,
@@ -763,7 +763,7 @@ fn dec_vm_state(d: &mut Dec) -> Result<VmState, SnapError> {
 mod tests {
     use super::*;
     use cmm_cfg::NodeId;
-    use cmm_sem::Value;
+    use cmm_sem::StateValue as Value;
 
     /// A program digest over the parts `cmm-pool`'s `SourceKey::digest`
     /// hashes: source bytes, language, optimization options, family.
@@ -779,7 +779,7 @@ mod tests {
             rho: vec![
                 (
                     Name::from("k"),
-                    Value::Cont(NodeRef::new("main", NodeId(3)), 2),
+                    Value::Cont(NamedNode::new("main", NodeId(3)), 2),
                 ),
                 (Name::from("p"), Value::Code(Name::from("helper"))),
                 (Name::from("x"), Value::Bits(Width::W32, 41)),
@@ -797,7 +797,7 @@ mod tests {
             }],
             globals: vec![(Name::from("g"), Value::Bits(Width::W32, 5))],
             next_uid: 3,
-            cont_encodings: vec![(NodeRef::new("main", NodeId(3)), 2)],
+            cont_encodings: vec![(NamedNode::new("main", NodeId(3)), 2)],
             status: SnapStatus::Suspended,
             steps: 1234,
         };

@@ -11,7 +11,7 @@
 use crate::frame::{CallSiteMeta, Loc, ProcMeta};
 use crate::isa::{regs, Inst, Reg};
 use cmm_cfg::{Bundle, DataImage, Graph, Node, NodeId, Program, YIELD};
-use cmm_ir::{Expr, FWidth, Lvalue, Name, Ty, Width};
+use cmm_ir::{Expr, FWidth, Lvalue, Name, ProcId, ProcNames, Ty, Width};
 use cmm_opt::locals::UNTRACKED;
 use cmm_opt::{Analyses, Locals};
 use std::collections::{BTreeMap, HashMap};
@@ -113,13 +113,24 @@ pub struct VmProgram {
 }
 
 impl VmProgram {
+    /// The id of the procedure whose code contains `pc`, if any: its
+    /// index in `proc_meta`, which is the same procedure's id in the
+    /// CFG program the code was generated from.
+    pub fn proc_id_at(&self, pc: u32) -> Option<ProcId> {
+        // `proc_meta` is sorted by entry pc (procedures are emitted
+        // back to back after the halt vector, in the program's id
+        // order), so the owner — if any — is the last procedure whose
+        // entry is at or below `pc`.
+        let i = self.proc_meta.partition_point(|m| m.entry <= pc);
+        let owner = i.checked_sub(1)?;
+        self.proc_meta[owner]
+            .contains(pc)
+            .then_some(ProcId(owner as u32))
+    }
+
     /// The procedure whose code contains `pc`, if any.
     pub fn proc_at_pc(&self, pc: u32) -> Option<&ProcMeta> {
-        // `proc_meta` is sorted by entry pc (procedures are emitted
-        // back to back after the halt vector), so the owner — if any —
-        // is the last procedure whose entry is at or below `pc`.
-        let i = self.proc_meta.partition_point(|m| m.entry <= pc);
-        self.proc_meta[..i].last().filter(|m| m.contains(pc))
+        self.proc_id_at(pc).map(|id| &self.proc_meta[id.index()])
     }
 
     /// The graph node whose code contains `pc`, with its procedure: the
@@ -141,6 +152,14 @@ impl VmProgram {
             Some((m, n)) => format!(" ({}:{})", m.name, n),
             None => String::new(),
         }
+    }
+}
+
+impl ProcNames for VmProgram {
+    fn proc_name(&self, id: ProcId) -> &str {
+        self.proc_meta
+            .get(id.index())
+            .map_or("?", |m| m.name.as_str())
     }
 }
 

@@ -28,7 +28,7 @@
 
 use crate::codegen::VmProgram;
 use crate::isa::{regs, Inst};
-use crate::machine::{name_at, VmMachine, VmStatus};
+use crate::machine::{proc_at, VmMachine, VmStatus};
 use cmm_chaos::EngineId;
 use cmm_ir::expr::sign_extend;
 use cmm_ir::{BinOp, Width};
@@ -747,8 +747,8 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     cost.calls += 1;
                     if S::ENABLED {
                         let e = Event::Call {
-                            caller: name_at(prog, pc),
-                            callee: name_at(prog, i.imm),
+                            caller: proc_at(prog, pc),
+                            callee: proc_at(prog, i.imm),
                         };
                         self.sink.event(cost.total(), e);
                     }
@@ -762,8 +762,8 @@ impl<S: TraceSink> VmMachine<'_, S> {
                         Ok(t) => {
                             if S::ENABLED {
                                 let e = Event::Call {
-                                    caller: name_at(prog, pc),
-                                    callee: name_at(prog, t),
+                                    caller: proc_at(prog, pc),
+                                    callee: proc_at(prog, t),
                                 };
                                 self.sink.event(cost.total(), e);
                             }
@@ -831,8 +831,8 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     cost.calls += 1;
                     if S::ENABLED {
                         let e = Event::Call {
-                            caller: name_at(prog, pc + 1),
-                            callee: name_at(prog, i.imm2),
+                            caller: proc_at(prog, pc + 1),
+                            callee: proc_at(prog, i.imm2),
                         };
                         self.sink.event(cost.total(), e);
                     }
@@ -1058,8 +1058,8 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     cost.calls += 1;
                     if S::ENABLED {
                         let e = Event::Call {
-                            caller: name_at(prog, pc + 2),
-                            callee: name_at(prog, i.imm2),
+                            caller: proc_at(prog, pc + 2),
+                            callee: proc_at(prog, i.imm2),
                         };
                         self.sink.event(cost.total(), e);
                     }
@@ -1077,8 +1077,8 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     cost.calls += 1;
                     if S::ENABLED {
                         let e = Event::Call {
-                            caller: name_at(prog, pc + 2),
-                            callee: name_at(prog, i.imm2),
+                            caller: proc_at(prog, pc + 2),
+                            callee: proc_at(prog, i.imm2),
                         };
                         self.sink.event(cost.total(), e);
                     }
@@ -1164,8 +1164,8 @@ impl<S: TraceSink> VmMachine<'_, S> {
                     let target = i.imm2 & 0xffff;
                     if S::ENABLED {
                         let e = Event::Call {
-                            caller: name_at(prog, pc + 4),
-                            callee: name_at(prog, target),
+                            caller: proc_at(prog, pc + 4),
+                            callee: proc_at(prog, target),
                         };
                         self.sink.event(cost.total(), e);
                     }

@@ -5,7 +5,7 @@ use crate::decode::DecodedCode;
 use crate::isa::{regs, Inst};
 use crate::mem::Memory;
 use cmm_chaos::{EngineId, ResourceGovernor};
-use cmm_ir::Name;
+use cmm_ir::ProcId;
 use cmm_obs::{Event, NopSink, TraceSink};
 use std::sync::Arc;
 
@@ -178,13 +178,11 @@ pub fn check_arity(args: usize, results: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The procedure name owning `pc` (shared by both step loops so their
-/// event payloads cannot drift).
-pub(crate) fn name_at(program: &VmProgram, pc: u32) -> Name {
-    program
-        .proc_at_pc(pc)
-        .map(|m| m.name.clone())
-        .unwrap_or_else(|| Name::from("?"))
+/// The procedure owning `pc`, [`ProcId::NONE`] outside every
+/// procedure's code (shared by both step loops so their event payloads
+/// cannot drift).
+pub(crate) fn proc_at(program: &VmProgram, pc: u32) -> ProcId {
+    program.proc_id_at(pc).unwrap_or(ProcId::NONE)
 }
 
 impl<'p, S: TraceSink> VmMachine<'p, S> {
@@ -310,17 +308,17 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
         };
         let e = match site {
             TraceSite::Ret { index, alternates } => Event::Return {
-                proc: name_at(self.program, pc),
+                proc: proc_at(self.program, pc),
                 index,
                 alternates,
             },
             TraceSite::TailCall => Event::TailCall {
-                caller: name_at(self.program, pc),
-                callee: name_at(self.program, next),
+                caller: proc_at(self.program, pc),
+                callee: proc_at(self.program, next),
             },
             TraceSite::Cut => Event::CutTo {
-                proc: name_at(self.program, pc),
-                target: name_at(self.program, next),
+                proc: proc_at(self.program, pc),
+                target: proc_at(self.program, next),
                 killed_saves: 0,
             },
         };
@@ -333,8 +331,8 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
     pub(crate) fn emit_jmp_site(&mut self, now: u64, pc: u32, target: u32) {
         if self.program.trace_sites.get(&pc) == Some(&TraceSite::TailCall) {
             let e = Event::TailCall {
-                caller: name_at(self.program, pc),
-                callee: name_at(self.program, target),
+                caller: proc_at(self.program, pc),
+                callee: proc_at(self.program, target),
             };
             self.sink.event(now, e);
         }
@@ -526,8 +524,8 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
                 self.cost.calls += 1;
                 if S::ENABLED {
                     self.emit(Event::Call {
-                        caller: name_at(self.program, self.pc),
-                        callee: name_at(self.program, target),
+                        caller: proc_at(self.program, self.pc),
+                        callee: proc_at(self.program, target),
                     });
                 }
                 self.regs[regs::RA as usize] = u64::from(self.pc + 1);
@@ -539,8 +537,8 @@ impl<'p, S: TraceSink> VmMachine<'p, S> {
                     Ok(t) => {
                         if S::ENABLED {
                             self.emit(Event::Call {
-                                caller: name_at(self.program, self.pc),
-                                callee: name_at(self.program, t),
+                                caller: proc_at(self.program, self.pc),
+                                callee: proc_at(self.program, t),
                             });
                         }
                         self.regs[regs::RA as usize] = u64::from(self.pc + 1);

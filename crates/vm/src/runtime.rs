@@ -19,7 +19,7 @@ use crate::isa::regs;
 use crate::machine::{VmMachine, VmStatus};
 use crate::snapshot::VmState;
 use cmm_chaos::{ChaosOp, EngineId, FaultPlan, InjectedFault, Stop, Table1};
-use cmm_ir::Name;
+use cmm_ir::ProcId;
 use cmm_obs::{Event, NopSink, ResumeKind, RtsOp, TraceSink};
 use std::any::Any;
 
@@ -206,16 +206,16 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         let fault = self.chaos.as_mut()?.trip(op)?;
         if S::ENABLED {
             self.machine.emit(Event::Chaos {
-                what: format!("fault {fault}"),
+                op: fault.op.name(),
+                invocation: fault.invocation,
             });
         }
         Some(fault)
     }
 
     /// The procedure owning a call-site key, for event payloads.
-    fn site_proc(&self, site: u32) -> Option<Name> {
-        self.site_meta(site)
-            .map(|s| self.program().proc_meta[s.proc].name.clone())
+    fn site_proc(&self, site: u32) -> Option<ProcId> {
+        self.site_meta(site).map(|s| ProcId(s.proc as u32))
     }
 
     /// Starts a procedure (see [`VmMachine::start`]).
@@ -427,7 +427,7 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         r.map(|_| ())
     }
 
-    fn set_cut_to_cont_inner(&mut self, k: u32) -> Result<Option<Name>, String> {
+    fn set_cut_to_cont_inner(&mut self, k: u32) -> Result<Option<ProcId>, String> {
         if !matches!(self.machine.status(), VmStatus::Suspended) {
             return Err("thread is not suspended".into());
         }
@@ -438,7 +438,7 @@ impl<'p, S: TraceSink> VmThread<'p, S> {
         let Some(&count) = self.program().cont_params.get(&pc) else {
             return Err("SetCutToCont: not a continuation".into());
         };
-        let target = self.program().proc_at_pc(pc).map(|m| m.name.clone());
+        let target = self.program().proc_id_at(pc);
         self.pending = Some(VmPending::Cut {
             k,
             params: vec![0; count],

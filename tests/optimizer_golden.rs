@@ -31,10 +31,16 @@
 //! the passes keep current as they rewrite are checked after every
 //! pass.
 //!
+//! The third checks, on the same corpus, that the target code numbers
+//! procedures as the CFG program does: the owner of every pc
+//! (`VmProgram::proc_id_at`, which trace events carry) is the procedure
+//! with that id in the program both families are built from, before
+//! and after optimization.
+//!
 //! Set `CMM_BLESS=1` to rewrite the expected file.
 
 use cmm_cfg::display::graph_to_string;
-use cmm_cfg::{build_program, Graph, Program};
+use cmm_cfg::{build_program, Graph, ProcId, ProcNames, Program};
 use cmm_frontend::workloads::{deep_raise, GAME, NO_RAISE, RAISE_FREQUENCY};
 use cmm_frontend::{compile_minim3, Strategy};
 use cmm_opt::constprop::constprop;
@@ -324,5 +330,31 @@ fn use_def_visitors_agree_with_table_3() {
         for g in p.procs.values() {
             check_graph(&e.name, g);
         }
+    }
+}
+
+#[test]
+fn the_target_code_numbers_procedures_as_the_program_does() {
+    for e in corpus() {
+        let mut optimized = e.program.clone();
+        optimize_program(&mut optimized, &OptOptions::default());
+        let vm = cmm_vm::compile(&optimized).expect("corpus program compiles");
+        assert_eq!(vm.proc_meta.len(), e.program.procs.len(), "{}", e.name);
+        for (i, (name, _)) in e.program.procs.iter().enumerate() {
+            let id = ProcId(i as u32);
+            assert_eq!(e.program.procs.id(name), Some(id), "{}", e.name);
+            assert_eq!(optimized.procs.id(name), Some(id), "{}: {name}", e.name);
+            assert_eq!(vm.proc_name(id), name.as_str(), "{}: id {i}", e.name);
+            let meta = &vm.proc_meta[i];
+            for pc in meta.entry..meta.end {
+                assert_eq!(vm.proc_id_at(pc), Some(id), "{}: pc {pc} of {name}", e.name);
+            }
+        }
+        // The halt vector and the pcs past the code belong to nobody.
+        let first = vm.proc_meta.iter().map(|m| m.entry).min().unwrap_or(0);
+        for pc in (0..first).chain([vm.code.len() as u32]) {
+            assert_eq!(vm.proc_id_at(pc), None, "{}: pc {pc}", e.name);
+        }
+        assert_eq!(vm.proc_name(ProcId::NONE), "?");
     }
 }
