@@ -1028,7 +1028,6 @@ impl<'p, S: TraceSink> Machine<'p, S> {
 /// Translates one captured activation's environment and callee-saves
 /// set into `g`'s own variable names. `frame` names the activation in
 /// error messages (`""` for the current one).
-#[allow(clippy::type_complexity)]
 fn restore_locals<'p>(
     prog: &Program,
     g: &'p Graph,
